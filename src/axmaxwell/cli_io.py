@@ -310,7 +310,8 @@ def cmd_singular(cfg, k, out):
     msh, corner = build_mesh(cfg)
     if corner is None:
         raise UsageError("singular bases need a domain with a reentrant corner")
-    basis = singular.compute_basis(msh, corner, k, cfg.space(), tol=cfg.tol)
+    system = modal_ops.assemble_a_k(msh, k, cfg.space(), quad=MeshQuadrature(msh, corner))
+    basis = singular.compute_basis(system, corner, tol=cfg.tol)
     prefix = os.path.join(cfg.outdir, out or f"basis_k{k}_{cfg.field}")
     centers = msh.vertices[msh.triangles].mean(axis=1)
     principal_cells = basis.principal.values(centers)

@@ -30,7 +30,7 @@ class HermitianSparse:
         self.n = int(n)
 
     @classmethod
-    def from_coo(cls, rows, cols, vals, n, prune=0.0):
+    def from_coo(cls, rows, cols, vals, n):
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=complex)
@@ -43,9 +43,6 @@ class HermitianSparse:
             starts = np.where(new)[0]
             vals = np.add.reduceat(vals, starts)
             rows, cols = rows[starts], cols[starts]
-        if prune > 0.0 and vals.size:
-            keep = np.abs(vals) > prune
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.add.at(indptr, rows + 1, 1)
         np.cumsum(indptr, out=indptr)
@@ -86,17 +83,6 @@ class HermitianSparse:
         """max |A - A^H| entrywise (dense check; use on small matrices)."""
         dense = self.to_dense()
         return float(np.abs(dense - dense.conj().T).max())
-
-    def scaled_add(self, other, factor):
-        """self + factor * other, merging sparsity patterns."""
-        rows_s = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        rows_o = np.repeat(np.arange(other.n), np.diff(other.indptr))
-        return HermitianSparse.from_coo(
-            np.concatenate([rows_s, rows_o]),
-            np.concatenate([self.indices, other.indices]),
-            np.concatenate([self.data, factor * other.data]),
-            self.n,
-        )
 
 
 @dataclass
@@ -177,29 +163,24 @@ class BorderedSystem:
     f: complex
 
 
-def solve_bordered(system, tol=1e-10, pairing="conjugate"):
-    """Schur-complement solve of the bordered system.
+def solve_bordered(system, tol=1e-10):
+    """Schur-complement solve of the bordered system; the border row pairs
+    with vectors by the conjugate inner product, which keeps the augmented
+    matrix Hermitian.
 
-    pairing selects how the border row pairs with vectors: "conjugate"
-    (default) keeps the augmented matrix Hermitian; "transpose" mimics a
-    plain-transpose border and is kept for comparison only.
+    Returns (x, c, (info_w, info_v)), the CGInfo of the solves K w = y and
+    K v = F.
     """
-    if pairing == "conjugate":
-        inner = lambda a, b: complex(np.vdot(a, b))
-    elif pairing == "transpose":
-        inner = lambda a, b: complex(np.dot(a, b))
-    else:
-        raise ValueError("pairing must be 'conjugate' or 'transpose'")
     y = np.asarray(system.y, dtype=complex)
     F = np.asarray(system.F, dtype=complex)
-    w, _ = solve_hpd(system.K, y, tol=tol)
-    v, _ = solve_hpd(system.K, F, tol=tol)
-    denom = system.alpha - inner(y, w)
+    w, info_w = solve_hpd(system.K, y, tol=tol)
+    v, info_v = solve_hpd(system.K, F, tol=tol)
+    denom = system.alpha - complex(np.vdot(y, w))
     if abs(denom) < 1e-14 * abs(system.alpha):
         raise SolverError(
             f"degenerate coupling: Schur denominator {denom:.3e} "
             f"against alpha {system.alpha:.3e}"
         )
-    c = (system.f - inner(y, v)) / denom
+    c = (system.f - complex(np.vdot(y, v))) / denom
     x = v - c * w
-    return x, c
+    return x, c, (info_w, info_v)

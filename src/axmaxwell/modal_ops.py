@@ -13,15 +13,18 @@ defined on the meridian plane as
 and a_k(u, v) = (curl_k u, curl_k v) + (div_k u, div_k v) in the r-weighted
 L2 pairing, conjugating the second argument.
 
-Assembly is direct from these formulas (one code path for every k).  The
-integration-by-parts split of a_k into its k = 0 part, 1/r^2 mass terms and
-first-order coupling terms is provided as an independent verification oracle
-and as the shift identity that lets mode-2 assemblies serve all |k| > 2:
+assemble_a_k assembles any mode directly from these formulas.  The |k| > 2
+matrices of the bordered path instead come from the assembled mode-2 system
+through the shift identity
 
-  a_k(u, v) = a_2(u, v) + (k^2 - 4) (u/r, v/r) + i (k - 2) C(u, v)
+  a_k(u, v) = a_2(u, v) + (k^2 - 4) (u/r, v/r) + i (k - 2) C(u, v),
 
-on fields whose boundary terms vanish (all constrained fields of the
-|k| >= 2 spaces).
+valid on fields whose boundary terms vanish (all constrained fields of the
+|k| >= 2 spaces).  The mode-independent (u/r, v/r) and C matrices are built
+once per mode-2 system, on its sparsity pattern, so each shifted matrix is
+a sum of three data arrays.  The integration-by-parts split of a_k into its
+k = 0 part, 1/r^2 mass terms and first-order coupling terms is provided as
+an independent verification oracle of both paths.
 """
 
 import numpy as np
@@ -85,31 +88,6 @@ def eval_curl_k(field, point, k=None):
             du[1, 0] + u[1] / r - 1j * k * u[0] / r,
         ]
     )
-
-
-def eval_curl_k_of_grad(mesh, w, k, point):
-    """curl_k applied to grad_k of a P1 scalar, composed analytically.
-
-    Within a triangle grad_k w has constant meridian components and an
-    ik w / r azimuthal component; applying the curl_k formulas term by term
-    yields an exact (floating-point) zero, which this returns for testing.
-    """
-    r = point[0]
-    if r <= 0.0:
-        raise ValueError("mode-k operators are singular at r = 0")
-    lam, vals, grads = _local_data(mesh, np.asarray(w, dtype=complex).reshape(-1, 1), point)
-    wval = lam @ vals[:, 0]
-    dw = vals[:, 0] @ grads  # (dw/dr, dw/dz), constant on the triangle
-    g_r, g_z = dw[0], dw[1]
-    g_theta_over_r = 1j * k * wval / r
-    # curl_r = ik g_z / r - d/dz (ik w / r) = ik g_z / r - ik g_z / r
-    curl_r = 1j * k * g_z / r - 1j * k * g_z / r
-    # curl_theta = d g_r / dz - d g_z / dr = 0 for constant meridian parts
-    curl_theta = 0.0 * g_r
-    # curl_z = (1/r) d(r * ik w / r)/dr - ik g_r / r = ik g_r / r - ik g_r / r
-    curl_z = 1j * k * g_r / r - 1j * k * g_r / r
-    del g_theta_over_r
-    return np.array([curl_r, curl_theta, curl_z])
 
 
 # -- quadrature-level operator data ---------------------------------------------
@@ -187,7 +165,9 @@ class ModeSystem:
     """Assembled constrained system for one (mode, space) pair.
 
     With assemble=False the reduced matrix is left to the caller (used by
-    the mode-shift path, where it comes from the mode-2 assembly).
+    the mode-shift path, where it comes from the mode-2 assembly).  One
+    assembled system serves both the singular basis and the solve of its
+    mode; after construction only shift_matrices() writes to it.
     """
 
     def __init__(self, mesh, k, space, quad=None, constraints=None, assemble=True):
@@ -205,11 +185,12 @@ class ModeSystem:
         gdofs = _global_dofs(mesh)
         self._fidx = fidx[gdofs]  # (nt, 9)
         self._coeff = coeff[gdofs]
-        self.matrix = self._reduce_matrix() if assemble else None
-        self.load = None
+        self.matrix = self._reduce_matrix(self.ops.element_matrices()) if assemble else None
+        self._shift = None
 
-    def _reduce_matrix(self):
-        elem = self.ops.element_matrices()
+    def _reduce_matrix(self, elem):
+        """Reduced matrix on the free dofs from per-triangle 9x9 element
+        matrices; every matrix of one system shares the same pattern."""
         ci = self._coeff
         vals = elem * np.conj(ci)[:, :, None] * ci[:, None, :]
         rows = np.broadcast_to(self._fidx[:, :, None], vals.shape)
@@ -252,8 +233,15 @@ class ModeSystem:
 
     def load_from(self, f=None, g=None):
         """Load vector (f, curl_k v) + (g, div_k v) over the free dofs."""
-        self.load = self.functional(self.sample(f, g))
-        return self.load
+        return self.functional(self.sample(f, g))
+
+    def shift_matrices(self):
+        """The (u/r, v/r) and C matrices on this system's pattern, built on
+        first use.  Not thread safe: call it once before sharing the system
+        between threads that shift it."""
+        if self._shift is None:
+            self._shift = (assemble_over_r2_matrix(self), assemble_C_matrix(self))
+        return self._shift
 
     def apply_to_field(self, values):
         """a_k(u, phi_i) for the nodal field u against all free test dofs."""
@@ -275,10 +263,6 @@ class ModeSystem:
 def assemble_a_k(mesh, k, space, quad=None, constraints=None):
     """Assemble the constrained a_k system; the matrix acts on free dofs."""
     return ModeSystem(mesh, k, space, quad=quad, constraints=constraints)
-
-
-def assemble_load(system, f=None, g=None):
-    return system.load_from(f, g)
 
 
 def _sample_vector(f, quad):
@@ -498,25 +482,17 @@ def a_k_by_shift(mesh, u, v, k, quad=None, base_k=2):
 # -- Remark-style auxiliary matrices for the bordered path ----------------------
 
 
-def _reduce_pairwise(system, pair_vals, plain_weight):
-    """Assemble a reduced matrix from per-point local pairings.
+def _element_matrices(system, pair_vals, plain_weight):
+    """Per-triangle 9x9 matrices from per-point local pairings.
 
     pair_vals has shape (Q, 9, 9) giving the integrand contribution of
     (trial local dof j, test local dof i) at each quadrature point.
     """
     q = system.quad
     w = q.w if plain_weight else q.w * q.r
-    contrib = pair_vals * w[:, None, None]
     elem = np.zeros((system.mesh.num_triangles, 9, 9), dtype=complex)
-    np.add.at(elem, q.tri, contrib)
-    ci = system._coeff
-    vals = elem * np.conj(ci)[:, :, None] * ci[:, None, :]
-    rows = np.broadcast_to(system._fidx[:, :, None], vals.shape)
-    cols = np.broadcast_to(system._fidx[:, None, :], vals.shape)
-    keep = (rows >= 0) & (cols >= 0)
-    return HermitianSparse.from_coo(
-        rows[keep], cols[keep], vals[keep], system.constraints.n_free
-    )
+    np.add.at(elem, q.tri, pair_vals * w[:, None, None])
+    return elem
 
 
 def assemble_over_r2_matrix(system):
@@ -528,7 +504,7 @@ def assemble_over_r2_matrix(system):
     outer = np.einsum("qi,qj->qij", lam, lam) / (q.r * q.r)[:, None, None]
     for c in range(3):
         vals[:, c::3, c::3] = outer
-    return _reduce_pairwise(system, vals, plain_weight=False)
+    return system._reduce_matrix(_element_matrices(system, vals, plain_weight=False))
 
 
 def assemble_C_matrix(system):
@@ -541,19 +517,22 @@ def assemble_C_matrix(system):
     # C(phi_j, phi_i): trial theta against test r, minus trial r against test theta
     vals[:, 0::3, 1::3] = outer  # test comp r (rows), trial comp theta (cols)
     vals[:, 1::3, 0::3] = -outer
-    return _reduce_pairwise(system, vals, plain_weight=True)
+    return system._reduce_matrix(_element_matrices(system, vals, plain_weight=True))
 
 
 def shifted_system(system2, k):
-    """Mode-k matrix from the assembled mode-2 system via the shift identity."""
+    """Mode-k matrix from the assembled mode-2 system via the shift identity.
+
+    The (u/r, v/r) and C matrices come from system2.shift_matrices() and
+    share the pattern of its matrix, so the shift adds data arrays only.
+    """
     if abs(system2.k) != 2:
         raise ValueError("shifted assembly expects a mode +-2 base system")
     base_k = system2.k
     sign = 1 if base_k > 0 else -1
     if sign * k < 2:
         raise ValueError("shifted assembly serves |k| > 2 with matching sign")
-    M = assemble_over_r2_matrix(system2)
-    C = assemble_C_matrix(system2)
-    K = system2.matrix.scaled_add(M, k * k - 4.0)
-    K = K.scaled_add(C, 1j * (k - base_k))
-    return K
+    M, C = system2.shift_matrices()
+    K2 = system2.matrix
+    data = K2.data + (k * k - 4.0) * M.data + (1j * (k - base_k)) * C.data
+    return HermitianSparse(K2.indptr, K2.indices, data, K2.n)

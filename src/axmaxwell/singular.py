@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import femcore, modal_ops
-from .femcore import MeshQuadrature, ModeField
+from . import femcore
+from .femcore import ModeField
 from .linalg import solve_hpd
 from .special import find_beta, find_nu, legendre_p, legendre_p1
 
@@ -209,22 +209,24 @@ class SingularBasis:
         return SingularBasis(-self.k, self.space, self.principal, reg, diag)
 
 
-def compute_basis(mesh, corner, k, space, tol=1e-10, maxit=None, allow_high_mode=False):
-    """Compute the singular complement basis for one (mode, space) pair.
+def compute_basis(system, corner, tol=1e-10, maxit=None, allow_high_mode=False):
+    """Compute the singular complement basis on an assembled mode system.
 
-    Modes beyond |k| = 2 are redundant (the singular subspaces coincide for
-    all |k| >= 2) and are rejected unless allow_high_mode is set, which is
-    used to cross-check the reuse of the mode-2 basis at higher modes.
+    The system gives the mesh, mode and space; its quadrature should
+    subdivide the triangles at the corner (MeshQuadrature(mesh, corner)).
+    The same system serves the mode solve, so it is only read here.  Modes
+    beyond |k| = 2 are redundant (the singular subspaces coincide for all
+    |k| >= 2) and are rejected unless allow_high_mode is set, which is used
+    to cross-check the reuse of the mode-2 basis at higher modes.
     """
+    mesh, k, space = system.mesh, system.k, system.space
     if abs(k) > 2 and not allow_high_mode:
         raise ValueError(
             f"|k| <= 2 suffices for the singular bases (got k={k}); "
             "pass allow_high_mode=True to force a direct computation"
         )
     pp = principal_for(space, corner)
-    quad = MeshQuadrature(mesh, corner)
-    system = modal_ops.assemble_a_k(mesh, k, space, quad=quad)
-    curl_s, div_s = pp.curl_div(quad.xy, k)
+    curl_s, div_s = pp.curl_div(system.quad.xy, k)
     rhs = -system.load_from(f=curl_s, g=div_s)
     guard = _CORNER_GUARD * mesh.diameter()
 
@@ -239,7 +241,7 @@ def compute_basis(mesh, corner, k, space, tol=1e-10, maxit=None, allow_high_mode
     x, info = solve_hpd(system.matrix, rhs, tol=tol, maxit=maxit)
     regular = system.constraints.expand(x) + lift
     basis = SingularBasis(
-        int(k),
+        k,
         space,
         pp,
         regular,

@@ -47,7 +47,6 @@ class ModeProblem:
     f: object = None
     g: object = None
     require_mean_zero_g: bool = False
-    require_div_free_f: bool = False
 
     def validate(self, system):
         if self.require_mean_zero_g and self.g is not None and self.k == 0:
@@ -206,17 +205,14 @@ def sample_3d(solution, n_theta):
 # -- single-mode solvers ----------------------------------------------------------
 
 
-def solve_mode_orthogonal(mesh, problem, basis=None, system=None, tol=1e-10):
-    """Mode solve for |k| <= 2 (or any mode without a singular basis).
+def solve_mode_orthogonal(mesh, problem, basis, system, tol=1e-10):
+    """Mode solve for |k| <= 2 (or any mode without a singular basis) on the
+    assembled mode system; basis may be None.
 
     The singular coefficient comes from pairing the data against the basis
     operators; the regular part solves the constrained system with the full
     (f, g) load.  Returns a ModeRecord.
     """
-    if system is None:
-        corner = basis.principal.corner if basis is not None else None
-        quad = MeshQuadrature(mesh, corner)
-        system = modal_ops.assemble_a_k(mesh, problem.k, problem.space, quad=quad)
     problem.validate(system)
     vec = system.sample(problem.f, problem.g)
     load = system.functional(vec)
@@ -237,12 +233,12 @@ def solve_mode_orthogonal(mesh, problem, basis=None, system=None, tol=1e-10):
     return ModeRecord(system.constraints.expand(x), coeff, basis, diag)
 
 
-def solve_mode_bordered(mesh, problem, basis2, system2=None, tol=1e-10):
+def solve_mode_bordered(mesh, problem, basis2, system2, tol=1e-10):
     """Mode solve for |k| > 2 reusing the mode sign(k)*2 singular basis.
 
-    The regular stiffness matrix is shifted from the mode-2 assembly; the
-    non-orthogonal coupling of the reused basis enters as a rank-one border
-    solved by a Schur complement.
+    The regular stiffness matrix is shifted from the assembled mode-2
+    system; the non-orthogonal coupling of the reused basis enters as a
+    rank-one border solved by a Schur complement.
     """
     k = problem.k
     if abs(k) <= 2:
@@ -250,10 +246,6 @@ def solve_mode_bordered(mesh, problem, basis2, system2=None, tol=1e-10):
     base_k = 2 if k > 0 else -2
     if basis2.k != base_k:
         raise ValueError(f"expected the mode {base_k} basis, got mode {basis2.k}")
-    corner = basis2.principal.corner
-    if system2 is None:
-        quad = MeshQuadrature(mesh, corner)
-        system2 = modal_ops.assemble_a_k(mesh, base_k, problem.space, quad=quad)
     sysk = modal_ops.ModeSystem(
         mesh, k, problem.space, quad=system2.quad, assemble=False
     )
@@ -272,29 +264,26 @@ def solve_mode_bordered(mesh, problem, basis2, system2=None, tol=1e-10):
     bop = basis2.op_arrays(sysk.ops)
     alpha = complex(np.sum(sysk.ops.wr[:, None] * np.abs(bop) ** 2))
     f_s = complex(np.einsum("q,qa,qa->", sysk.ops.wr, vec, bop.conj()))
-    x, coeff = solve_bordered(
+    x, coeff, infos = solve_bordered(
         BorderedSystem(sysk.matrix, coupling, alpha, F, f_s), tol=tol
     )
-    diag = {"alpha": alpha.real, "mode_base": base_k}
+    diag = {
+        "alpha": alpha.real,
+        "mode_base": base_k,
+        "iterations": sum(info.iterations for info in infos),
+        "residual": max(info.residual for info in infos),
+    }
     return ModeRecord(sysk.constraints.expand(x), coeff, basis2, diag)
 
 
 # -- full solve --------------------------------------------------------------------
 
 
-def compute_bases(mesh, corner, space, tol=1e-10, real_data=False):
-    """Singular bases for |k| <= 2; negative modes mirror by conjugation
-    when the data is real."""
-    bases = {}
-    for k in (0, 1, 2):
-        bases[k] = singular.compute_basis(mesh, corner, k, space, tol=tol)
-    for k in (1, 2):
-        bases[-k] = (
-            bases[k].conjugate()
-            if real_data
-            else singular.compute_basis(mesh, corner, -k, space, tol=tol)
-        )
-    return bases
+def compute_bases(systems, corner, tol=1e-10):
+    """Singular basis of every assembled |k| <= 2 mode system, keyed by k."""
+    return {
+        k: singular.compute_basis(system, corner, tol=tol) for k, system in systems.items()
+    }
 
 
 def solve_axisymmetric(
@@ -316,18 +305,27 @@ def solve_axisymmetric(
     f is the 3D vector data f(r, theta, z) -> 3 reals/complexes, g the
     optional scalar divergence data.  With real_data=True only modes
     k >= 0 are solved and the negatives are filled by conjugation.
+
+    Each |k| <= 2 mode system is assembled once, on one quadrature, and
+    serves both its singular basis and its mode solve; with a corner the
+    |k| > 2 modes shift the mode +-2 systems.
     """
     quad = MeshQuadrature(mesh, corner)
     pts = quad.xy
     fmodes = analyze_rhs(f, N, pts, samples)
     gmodes = analyze_scalar_rhs(g, N, pts, samples) if g is not None else {}
-    if corner is not None and bases is None:
-        bases = compute_bases(mesh, corner, space, tol=tol, real_data=real_data)
     systems = {}
     for k in range(-min(N, 2), min(N, 2) + 1):
         if real_data and k < 0:
             continue
         systems[k] = modal_ops.assemble_a_k(mesh, k, space, quad=quad)
+    if corner is not None and bases is None:
+        bases = compute_bases(systems, corner, tol=tol)
+    if corner is not None and N > 2:
+        # build the shift matrices here, not racing in the mode threads
+        for k in (2, -2):
+            if k in systems:
+                systems[k].shift_matrices()
 
     def solve_one(k):
         problem = ModeProblem(k, space, fmodes[k], gmodes.get(k))
@@ -373,29 +371,13 @@ def error_norms(fld, exact, exact_curl=None, exact_div=None, quad=None, k=None):
     k = fld.k if k is None else k
     ops = modal_ops.ElementOps(mesh, k, quad)
     pv = ops.point_values(fld.values)
-    ev = _sample3(exact, ops.quad)
-    l2 = math.sqrt(abs(np.sum(ops.wr[:, None] * np.abs(pv - ev) ** 2)))
+    if not (np.isscalar(exact) and exact == 0):
+        pv = pv - modal_ops._sample_vector(exact, ops.quad)
+    l2 = math.sqrt(abs(np.sum(ops.wr[:, None] * np.abs(pv) ** 2)))
     opv = ops.op_values(fld.values)
-    target = np.zeros_like(opv)
     if exact_curl is not None:
-        target[:, :3] = _sample3(exact_curl, ops.quad)
+        opv[:, :3] -= modal_ops._sample_vector(exact_curl, ops.quad)
     if exact_div is not None:
-        target[:, 3] = _sample1(exact_div, ops.quad)
-    energy = math.sqrt(abs(np.sum(ops.wr[:, None] * np.abs(opv - target) ** 2)))
+        opv[:, 3] -= modal_ops._sample_scalar(exact_div, ops.quad)
+    energy = math.sqrt(abs(np.sum(ops.wr[:, None] * np.abs(opv) ** 2)))
     return l2, energy
-
-
-def _sample3(fn, quad):
-    if fn is None or (np.isscalar(fn) and fn == 0):
-        return np.zeros((len(quad.tri), 3), dtype=complex)
-    if isinstance(fn, np.ndarray):
-        return np.asarray(fn, dtype=complex).reshape(len(quad.tri), 3)
-    return np.array([fn(p) for p in quad.xy], dtype=complex)
-
-
-def _sample1(fn, quad):
-    if fn is None or (np.isscalar(fn) and fn == 0):
-        return np.zeros(len(quad.tri), dtype=complex)
-    if isinstance(fn, np.ndarray):
-        return np.asarray(fn, dtype=complex).reshape(len(quad.tri))
-    return np.array([fn(p) for p in quad.xy], dtype=complex)

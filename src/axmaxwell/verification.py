@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import femcore, manufactured, mesh as meshmod, modal_ops, singular, solver, special
+from .cli_io import RHS_BUILTINS
 from .femcore import MeshQuadrature, ModeField
 from .mesh import ConicalDescriptor
 
@@ -67,9 +68,9 @@ def _lshape_system(h, k, space):
 
 @lru_cache(maxsize=None)
 def _lshape_basis(h, k, space):
-    msh, corner = _lshape(h)
+    _, corner = _lshape(h)
     return singular.compute_basis(
-        msh, corner, k, space, tol=SOLVER_TOL, allow_high_mode=abs(k) > 2
+        _lshape_system(h, k, space), corner, tol=SOLVER_TOL, allow_high_mode=abs(k) > 2
     )
 
 
@@ -323,22 +324,12 @@ def criterion_8_bordered_vs_orthogonal():
     )
 
 
-def _bandlimited(r, th, z):
-    base = r * r * (1 - r) * z * (1 - z)
-    return np.array(
-        [
-            base * (1.0 + 0.5 * math.cos(th) - 0.25 * math.sin(2 * th)),
-            r * (1 - r) * (0.3 * math.sin(th) + 0.1 * math.cos(3 * th)),
-            z * (1 - z) * (0.2 + 0.4 * math.cos(2 * th)),
-        ]
-    )
-
-
 def criterion_9_fourier_roundtrip():
     N = 3
     msh = meshmod.gen_rectangle(0.0, 1.0, 0.0, 1.0, 0.125)
     sol = solver.solve_axisymmetric(
-        msh, femcore.SPACE_Y, _bandlimited, N=N, real_data=True, tol=SOLVER_TOL
+        msh, femcore.SPACE_Y, RHS_BUILTINS["bandlimited"], N=N, real_data=True,
+        tol=SOLVER_TOL,
     )
     M = 4 * N + 1
     thetas = np.arange(M) * (2.0 * math.pi / M)
@@ -364,7 +355,7 @@ def criterion_10_conjugate_symmetry():
     quad = _lshape_quad(h)
     worst = 0.0
     for k, space in ((1, femcore.SPACE_Y), (2, femcore.SPACE_X)):
-        fm = solver.analyze_rhs(_bandlimited, 3, quad.xy)
+        fm = solver.analyze_rhs(RHS_BUILTINS["bandlimited"], 3, quad.xy)
         sys_p = _lshape_system(h, k, space)
         sys_m = _lshape_system(h, -k, space)
         b_p = _lshape_basis(h, k, space)

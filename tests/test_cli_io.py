@@ -48,6 +48,21 @@ def test_solve_outputs_and_determinism(tmp_path):
     assert (tmp_path / "a" / "mode_m3.vtk").exists()
 
 
+def test_bordered_modes_report_cg_diagnostics(tmp_path):
+    tol = 1e-10
+    rc = main([
+        "solve", "--domain", "lshape", "--h", "0.2", "--field", "magnetic",
+        "--rhs", "bandlimited", "--modes", "3", "--tol", repr(tol),
+        "--outdir", str(tmp_path),
+    ])
+    assert rc == 0
+    header, rows = read_csv(tmp_path / "summary.csv")
+    by_k = {int(row[0]): dict(zip(header, row)) for row in rows}
+    for k in (3, -3):
+        assert int(by_k[k]["iterations"]) > 0
+        assert 0.0 < float(by_k[k]["residual"]) <= tol
+
+
 def test_synthesize_writes_wedges(tmp_path):
     rc = main([
         "synthesize", "--domain", "rectangle", "--h", "0.25", "--field", "magnetic",

@@ -92,7 +92,7 @@ def test_bordered_decouples_without_coupling(rng):
     A, _ = _random_hpd(12, rng)
     F = rng.normal(size=12) + 1j * rng.normal(size=12)
     sys = BorderedSystem(A, np.zeros(12, dtype=complex), 2.0, F, 3.0 + 1.0j)
-    x, c = solve_bordered(sys, tol=1e-12)
+    x, c, _ = solve_bordered(sys, tol=1e-12)
     xd, _ = solve_hpd(A, F, tol=1e-12)
     assert np.allclose(x, xd, atol=1e-9)
     assert c == pytest.approx((3.0 + 1.0j) / 2.0)
@@ -102,7 +102,7 @@ def test_bordered_zero_data(rng):
     A, _ = _random_hpd(9, rng)
     y = rng.normal(size=9) + 1j * rng.normal(size=9)
     sys = BorderedSystem(A, y, 5.0, np.zeros(9, dtype=complex), 0.0)
-    x, c = solve_bordered(sys, tol=1e-12)
+    x, c, _ = solve_bordered(sys, tol=1e-12)
     assert np.linalg.norm(x) <= 1e-12
     assert abs(c) <= 1e-12
 
@@ -115,7 +115,7 @@ def test_bordered_manufactured_recovery(rng):
     c0 = 0.8 - 0.3j
     F = dense @ x0 + c0 * y
     f = np.vdot(y, x0) + alpha * c0
-    x, c = solve_bordered(BorderedSystem(A, y, alpha, F, f), tol=1e-13)
+    x, c, _ = solve_bordered(BorderedSystem(A, y, alpha, F, f), tol=1e-13)
     assert abs(c - c0) <= 1e-8 * abs(c0)
     assert np.linalg.norm(x - x0) <= 1e-8 * np.linalg.norm(x0)
 
@@ -128,7 +128,7 @@ def test_bordered_matches_dense_augmented(lshape, lshape_quad, rng):
     y = rng.normal(size=n) + 1j * rng.normal(size=n)
     F = rng.normal(size=n) + 1j * rng.normal(size=n)
     alpha, f = 30.0, 1.5 - 0.5j
-    x, c = solve_bordered(BorderedSystem(system.matrix, y, alpha, F, f), tol=1e-13)
+    x, c, _ = solve_bordered(BorderedSystem(system.matrix, y, alpha, F, f), tol=1e-13)
     aug = np.zeros((n + 1, n + 1), dtype=complex)
     aug[:n, :n] = system.matrix.to_dense()
     aug[:n, n] = y
@@ -146,18 +146,3 @@ def test_degenerate_coupling_raises(rng):
     sys = BorderedSystem(A, y, 1.0, np.ones(3, dtype=complex), 1.0)
     with pytest.raises(SolverError):
         solve_bordered(sys, tol=1e-13)
-
-
-def test_transpose_pairing_differs_and_is_recorded(rng):
-    """The plain-transpose border is kept for comparison; on genuinely
-    complex systems it solves a different (non-Hermitian) problem."""
-    A, _ = _random_hpd(15, rng)
-    y = rng.normal(size=15) + 1j * rng.normal(size=15)
-    F = rng.normal(size=15) + 1j * rng.normal(size=15)
-    sys = BorderedSystem(A, y, 25.0, F, 2.0 + 1.0j)
-    x_c, c_c = solve_bordered(sys, tol=1e-12, pairing="conjugate")
-    x_t, c_t = solve_bordered(sys, tol=1e-12, pairing="transpose")
-    assert np.isfinite(c_t.real) and np.isfinite(c_t.imag)
-    assert abs(c_c - c_t) > 1e-8  # the two conventions disagree on complex data
-    with pytest.raises(ValueError):
-        solve_bordered(sys, pairing="other")

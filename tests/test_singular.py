@@ -150,18 +150,19 @@ def test_eval_at_corner_raises():
         eval_principal(pp, corner.position)
 
 
-def test_high_mode_needs_override(lshape):
+def test_high_mode_needs_override(lshape, lshape_quad):
     msh, corner = lshape
+    system = modal_ops.assemble_a_k(msh, 3, SPACE_Y, quad=lshape_quad)
     with pytest.raises(ValueError):
-        compute_basis(msh, corner, 3, SPACE_Y)
+        compute_basis(system, corner)
 
 
 @pytest.mark.parametrize("space", [SPACE_X, SPACE_Y])
 @pytest.mark.parametrize("k", [0, 1, -2])
 def test_basis_homogeneous_formulation(lshape, lshape_quad, space, k, rng):
     msh, corner = lshape
-    basis = compute_basis(msh, corner, k, space)
     system = modal_ops.assemble_a_k(msh, k, space, quad=lshape_quad)
+    basis = compute_basis(system, corner)
     resid = system.apply_to_field(basis.regular.values)
     curl_s, div_s = basis.principal.curl_div(system.quad.xy, k)
     resid = resid + system.functional(np.concatenate([curl_s, div_s[:, None]], axis=1))
@@ -177,17 +178,19 @@ def test_basis_homogeneous_formulation(lshape, lshape_quad, space, k, rng):
         assert val <= 1e-6 * bnorm * vnorm
 
 
-def test_mode_zero_basis_is_real(lshape):
+def test_mode_zero_basis_is_real(lshape, lshape_quad):
     msh, corner = lshape
     for space in (SPACE_X, SPACE_Y):
-        basis = compute_basis(msh, corner, 0, space)
+        system = modal_ops.assemble_a_k(msh, 0, space, quad=lshape_quad)
+        basis = compute_basis(system, corner)
         scale = np.abs(basis.regular.values).max()
         assert np.abs(basis.regular.values.imag).max() <= 1e-10 * scale
 
 
-def test_basis_trace_cancels_principal(lshape):
+def test_basis_trace_cancels_principal(lshape, lshape_quad):
     msh, corner = lshape
-    basis = compute_basis(msh, corner, 0, SPACE_Y)
+    system = modal_ops.assemble_a_k(msh, 0, SPACE_Y, quad=lshape_quad)
+    basis = compute_basis(system, corner)
     cs = femcore.build_constraints(msh, 0, SPACE_Y)
     guard = 1e-6
     for v in msh.wall_vertices():
@@ -222,7 +225,8 @@ def test_total_basis_leaves_h1(lshape):
     smooth = []
     for h in (0.4, 0.2, 0.1, 0.05):
         msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, h)
-        basis = compute_basis(msh, corner, 0, SPACE_Y)
+        quad = MeshQuadrature(msh, corner)
+        basis = compute_basis(modal_ops.assemble_a_k(msh, 0, SPACE_Y, quad=quad), corner)
         seminorms.append(h1_seminorm(msh, basis.total_nodal()))
         vals = np.zeros((msh.num_vertices, 3), dtype=complex)
         vals[:, 0] = msh.vertices[:, 0] * msh.vertices[:, 1]
@@ -246,9 +250,9 @@ def test_dimension_bookkeeping(lshape):
     assert singular_dimensions([corner], [below], 0, SPACE_X, beta) == 1
 
 
-def test_conjugate_basis(lshape):
+def test_conjugate_basis(lshape, lshape_quad):
     msh, corner = lshape
-    b = compute_basis(msh, corner, 1, SPACE_Y)
+    b = compute_basis(modal_ops.assemble_a_k(msh, 1, SPACE_Y, quad=lshape_quad), corner)
     bc = b.conjugate()
     assert bc.k == -1
     assert np.array_equal(bc.regular.values, np.conj(b.regular.values))

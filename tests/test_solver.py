@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from axmaxwell import femcore, manufactured, mesh, modal_ops, singular, solver
+from axmaxwell.cli_io import RHS_BUILTINS
 from axmaxwell.femcore import SPACE_X, SPACE_Y, MeshQuadrature, ModeField
 
 TWO_PI = 2.0 * math.pi
@@ -60,8 +61,8 @@ def test_analyze_aliasing_guard():
 
 def test_zero_data_gives_zero_solution(lshape, lshape_quad):
     msh, corner = lshape
-    basis = singular.compute_basis(msh, corner, 1, SPACE_Y)
     system = modal_ops.assemble_a_k(msh, 1, SPACE_Y, quad=lshape_quad)
+    basis = singular.compute_basis(system, corner)
     rec = solver.solve_mode_orthogonal(
         msh, solver.ModeProblem(1, SPACE_Y, None, None), basis, system
     )
@@ -73,8 +74,8 @@ def test_zero_data_gives_zero_solution(lshape, lshape_quad):
 def test_singular_only_manufactured(lshape, lshape_quad, space):
     msh, corner = lshape
     k = -1
-    basis = singular.compute_basis(msh, corner, k, space)
     system = modal_ops.assemble_a_k(msh, k, space, quad=lshape_quad)
+    basis = singular.compute_basis(system, corner)
     bop = basis.op_arrays(system.ops)
     rec = solver.solve_mode_orthogonal(
         msh,
@@ -96,8 +97,8 @@ def test_singular_only_manufactured(lshape, lshape_quad, space):
 def test_regular_only_manufactured(lshape, lshape_quad, rng):
     msh, corner = lshape
     k, space = 1, SPACE_Y
-    basis = singular.compute_basis(msh, corner, k, space)
     system = modal_ops.assemble_a_k(msh, k, space, quad=lshape_quad)
+    basis = singular.compute_basis(system, corner)
     raw = ModeField(
         msh, k, rng.normal(size=(msh.num_vertices, 3)) + 1j * rng.normal(size=(msh.num_vertices, 3))
     )
@@ -116,8 +117,8 @@ def test_regular_only_manufactured(lshape, lshape_quad, rng):
 
 def test_bordered_zero_data(lshape, lshape_quad):
     msh, corner = lshape
-    b2 = singular.compute_basis(msh, corner, 2, SPACE_Y)
     sys2 = modal_ops.assemble_a_k(msh, 2, SPACE_Y, quad=lshape_quad)
+    b2 = singular.compute_basis(sys2, corner)
     rec = solver.solve_mode_bordered(
         msh, solver.ModeProblem(4, SPACE_Y, None, None), b2, sys2
     )
@@ -127,8 +128,8 @@ def test_bordered_zero_data(lshape, lshape_quad):
 
 def test_bordered_recovers_known_combination(lshape, lshape_quad, rng):
     msh, corner = lshape
-    b2 = singular.compute_basis(msh, corner, 2, SPACE_Y)
     sys2 = modal_ops.assemble_a_k(msh, 2, SPACE_Y, quad=lshape_quad)
+    b2 = singular.compute_basis(sys2, corner)
     sysk = modal_ops.ModeSystem(msh, 3, SPACE_Y, quad=lshape_quad)
     raw = ModeField(
         msh, 3, rng.normal(size=(msh.num_vertices, 3)) + 1j * rng.normal(size=(msh.num_vertices, 3))
@@ -146,8 +147,8 @@ def test_bordered_recovers_known_combination(lshape, lshape_quad, rng):
 
 def test_bordered_rejects_low_modes(lshape, lshape_quad):
     msh, corner = lshape
-    b2 = singular.compute_basis(msh, corner, 2, SPACE_Y)
     sys2 = modal_ops.assemble_a_k(msh, 2, SPACE_Y, quad=lshape_quad)
+    b2 = singular.compute_basis(sys2, corner)
     with pytest.raises(ValueError):
         solver.solve_mode_bordered(msh, solver.ModeProblem(2, SPACE_Y), b2, sys2)
 
@@ -162,8 +163,8 @@ def test_conjugate_mode_symmetry(lshape, lshape_quad):
     fm = solver.analyze_rhs(f, 2, lshape_quad.xy)
     recs = {}
     for kk in (k, -k):
-        basis = singular.compute_basis(msh, corner, kk, space)
         system = modal_ops.assemble_a_k(msh, kk, space, quad=lshape_quad)
+        basis = singular.compute_basis(system, corner)
         recs[kk] = solver.solve_mode_orthogonal(
             msh, solver.ModeProblem(kk, space, fm[kk]), basis, system
         )
@@ -173,13 +174,7 @@ def test_conjugate_mode_symmetry(lshape, lshape_quad):
     assert np.abs(tot_m - np.conj(tot_p)).max() <= 1e-8 * scale
 
 
-def _bandlimited(r, th, z):
-    base = r * r * (1 - r) * z * (1 - z)
-    return (
-        base * (1.0 + 0.5 * math.cos(th)),
-        r * (1 - r) * 0.3 * math.sin(th),
-        z * (1 - z) * (0.2 + 0.4 * math.cos(2 * th)),
-    )
+_bandlimited = RHS_BUILTINS["bandlimited"]
 
 
 def test_full_solve_and_synthesis_roundtrip():
@@ -203,15 +198,40 @@ def test_full_solve_and_synthesis_roundtrip():
 def test_full_solve_threads_deterministic(lshape):
     msh, corner = lshape
     sol1 = solver.solve_axisymmetric(
-        msh, SPACE_Y, _bandlimited, N=3, corner=corner, real_data=True, threads=1
+        msh, SPACE_Y, _bandlimited, N=5, corner=corner, real_data=True, threads=1
     )
     sol2 = solver.solve_axisymmetric(
-        msh, SPACE_Y, _bandlimited, N=3, corner=corner, real_data=True, threads=4
+        msh, SPACE_Y, _bandlimited, N=5, corner=corner, real_data=True, threads=4
     )
-    for k in range(-3, 4):
+    for k in range(-5, 6):
         assert np.array_equal(
             sol1.records[k].total_nodal(), sol2.records[k].total_nodal()
         )
+
+
+def test_full_solve_assembles_each_system_once(lshape, monkeypatch):
+    """The bases and the mode solves share the k = 0, 1, 2 systems, and the
+    shift matrices are built once, before the threads fan out."""
+    msh, corner = lshape
+    calls = {}
+
+    def counted(name):
+        fn = getattr(modal_ops, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(modal_ops, name, wrapper)
+
+    for name in ("assemble_a_k", "assemble_over_r2_matrix", "assemble_C_matrix"):
+        counted(name)
+    solver.solve_axisymmetric(
+        msh, SPACE_Y, _bandlimited, N=5, corner=corner, real_data=True, threads=4
+    )
+    assert calls == {
+        "assemble_a_k": 3, "assemble_over_r2_matrix": 1, "assemble_C_matrix": 1,
+    }
 
 
 def test_fourier_solution_requires_all_modes(rect):

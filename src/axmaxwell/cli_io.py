@@ -6,7 +6,6 @@ Every failure prints a single machine-readable line on stderr.
 """
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -200,6 +199,13 @@ def build_config(args):
         if isinstance(val, str) and ftype in (float, int):
             val = float(val) if ftype is float else int(val)
         setattr(cfg, key, val)
+    for f in fields(RunConfig):
+        if f.type is float and not np.isfinite(getattr(cfg, f.name)):
+            raise UsageError(f"{f.name} must be finite, got {getattr(cfg, f.name)!r}")
+    if cfg.modes < 0:
+        raise UsageError(f"modes must be >= 0, got {cfg.modes}")
+    if not 0.0 < cfg.tol < 1.0:
+        raise UsageError(f"tol must lie in (0, 1), got {cfg.tol!r}")
     return cfg
 
 
@@ -225,17 +231,18 @@ def build_mesh(cfg):
 # -- built-in right-hand sides -----------------------------------------------------
 
 
+# built-ins take broadcastable arrays (r, theta, z), return (f_r, f_theta, f_z)
 def _rhs_bandlimited(r, th, z):
     base = r * r * (1 - r) * z * (1 - z)
     return (
-        base * (1.0 + 0.5 * math.cos(th) - 0.25 * math.sin(2 * th)),
-        r * (1 - r) * (0.3 * math.sin(th) + 0.1 * math.cos(3 * th)),
-        z * (1 - z) * (0.2 + 0.4 * math.cos(2 * th)),
+        base * (1.0 + 0.5 * np.cos(th) - 0.25 * np.sin(2 * th)),
+        r * (1 - r) * (0.3 * np.sin(th) + 0.1 * np.cos(3 * th)),
+        z * (1 - z) * (0.2 + 0.4 * np.cos(2 * th)),
     )
 
 
 def _rhs_cos_theta_ez(r, th, z):
-    return (0.0, 0.0, math.cos(th))
+    return (0.0, 0.0, np.cos(th))
 
 
 def _rhs_uniform_ez(r, th, z):
@@ -254,7 +261,7 @@ def resolve_rhs(spec, msh):
 
     The tabulated form expects columns r,z,f_r,f_theta,f_z matching the
     mesh vertices (any order); values are interpolated as a P1 field and
-    used as theta-independent data.
+    used as theta-independent data, one interpolation per call.
     """
     if spec in RHS_BUILTINS:
         return RHS_BUILTINS[spec]
@@ -276,7 +283,8 @@ def resolve_rhs(spec, msh):
         fld = femcore.ModeField(msh, 0, nodal.astype(complex))
 
         def f(r, th, z):
-            return femcore.interpolate(fld, (r, z)).real
+            vals = femcore.interpolate(fld, np.stack(np.broadcast_arrays(r, z), axis=-1)).real
+            return vals[..., 0], vals[..., 1], vals[..., 2]
 
         return f
     raise UsageError(
@@ -383,13 +391,10 @@ def cmd_synthesize(cfg, theta_samples):
     thetas, points, fields_cyl = solver.sample_3d(sol, T)
     nv = msh.num_vertices
     pts = points.reshape(-1, 3)
-    wedges = []
-    for j in range(T):
-        nxt = ((j + 1) % T) * nv
-        cur = j * nv
-        for tri in msh.triangles:
-            wedges.append([cur + tri[0], cur + tri[1], cur + tri[2],
-                           nxt + tri[0], nxt + tri[1], nxt + tri[2]])
+    cur = (np.arange(T) * nv)[:, None, None]
+    nxt = (((np.arange(T) + 1) % T) * nv)[:, None, None]
+    tri = msh.triangles[None, :, :]
+    wedges = np.concatenate([cur + tri, nxt + tri], axis=2).reshape(-1, 6)
     data = fields_cyl.reshape(-1, 3)
     path = os.path.join(cfg.outdir, "field3d.vtk")
     write_vtk_wedges(pts, wedges, {"field": data}, path)
@@ -416,7 +421,7 @@ def cmd_convergence(cfg):
                 msh, solver.ModeProblem(k, space, fvec, gvec), None, system, tol=cfg.tol
             )
             l2, en = solver.error_norms(
-                rec.field, lambda p: mf.u(p)[0], exact_curl=fvec, exact_div=gvec,
+                rec.field, mf.u(quad.xy), exact_curl=fvec, exact_div=gvec,
                 quad=quad, k=k,
             )
             errs.append((h, l2, en))

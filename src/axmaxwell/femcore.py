@@ -32,6 +32,7 @@ SPACE_Y = "Y"  # magnetic: normal trace clamped on the wall
 FREE, ZERO, TIE = 0, 1, 2
 
 _GEOM_TOL = 1e-12
+_LOCATE_PAIRS = 1 << 14  # point-triangle pairs _locate tests at once
 
 
 # -- quadrature ---------------------------------------------------------------
@@ -166,35 +167,49 @@ class ModeField:
         return ModeField(self.mesh, -self.k, np.conj(self.values))
 
 
-def _locate(mesh, point, tol=1e-12):
-    """Triangle index and barycentric coordinates containing the point."""
-    p = np.asarray(point, dtype=float)
+def _locate(mesh, points, tol=1e-12):
+    """First triangle containing each point and the barycentric coordinates:
+    a point (2,) gives (index, (3,)), points (..., 2) give arrays (...) and
+    (..., 3).  Point-triangle pairs are tested in blocks of _LOCATE_PAIRS."""
+    pts = np.asarray(points, dtype=float)
+    flat = pts.reshape(-1, 2)
     verts = mesh.vertices[mesh.triangles]
     v0 = verts[:, 0]
     d1 = verts[:, 1] - v0
     d2 = verts[:, 2] - v0
     det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    dp = p - v0
-    l1 = (dp[:, 0] * d2[:, 1] - dp[:, 1] * d2[:, 0]) / det
-    l2 = (d1[:, 0] * dp[:, 1] - d1[:, 1] * dp[:, 0]) / det
-    l0 = 1.0 - l1 - l2
-    inside = (l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol)
-    idx = np.where(inside)[0]
-    if idx.size == 0:
-        raise ValueError(f"point {tuple(p)} lies outside the mesh")
-    t = int(idx[0])
-    return t, np.array([l0[t], l1[t], l2[t]])
+    tri = np.empty(len(flat), dtype=np.int64)
+    lam = np.empty((len(flat), 3))
+    step = max(1, _LOCATE_PAIRS // len(det))
+    for start in range(0, len(flat), step):
+        dp = flat[start:start + step, None, :] - v0
+        l1 = (dp[..., 0] * d2[:, 1] - dp[..., 1] * d2[:, 0]) / det
+        l2 = (d1[:, 0] * dp[..., 1] - d1[:, 1] * dp[..., 0]) / det
+        l0 = 1.0 - l1 - l2
+        inside = (l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol)
+        t = inside.argmax(axis=1)
+        rows = np.arange(len(t))
+        if not inside[rows, t].all():
+            p = flat[start + np.argmin(inside[rows, t])]
+            raise ValueError(f"point {tuple(p)} lies outside the mesh")
+        tri[start:start + step] = t
+        lam[start:start + step] = np.stack([l0[rows, t], l1[rows, t], l2[rows, t]], axis=1)
+    if pts.ndim == 1:
+        return int(tri[0]), lam[0]
+    return tri.reshape(pts.shape[:-1]), lam.reshape(pts.shape[:-1] + (3,))
 
 
-def interpolate(field, point):
-    """Barycentric P1 interpolation of a ModeField at a meridian point."""
-    t, lam = _locate(field.mesh, point)
-    return lam @ field.values[field.mesh.triangles[t]]
+def interpolate(field, points):
+    """Barycentric P1 interpolation of a ModeField at meridian points:
+    a point (2,) gives (3,), points (..., 2) give (..., 3)."""
+    t, lam = _locate(field.mesh, points)
+    return np.einsum("...i,...ic->...c", lam, field.values[field.mesh.triangles[t]])
 
 
-def interpolate_scalar(mesh, nodal, point):
-    t, lam = _locate(mesh, point)
-    return lam @ np.asarray(nodal)[mesh.triangles[t]]
+def interpolate_scalar(mesh, nodal, points):
+    """P1 interpolation of nodal scalars at a point (2,) or points (..., 2)."""
+    t, lam = _locate(mesh, points)
+    return np.einsum("...i,...i->...", lam, np.asarray(nodal)[mesh.triangles[t]])
 
 
 # -- constraints ---------------------------------------------------------------
@@ -346,18 +361,18 @@ def build_constraints(mesh, k, space):
 def lift_boundary(mesh, k, space, g, constraints=None):
     """Nodal lifting of an inhomogeneous essential trace.
 
-    g maps a boundary point (r, z) to a complex component triple; the
-    returned field carries g's constrained components at zero-constrained
-    boundary dofs and is zero elsewhere (tie slaves stay with their master).
+    g is called once, on the (B, 2) array of boundary vertices, and returns
+    their (B, 3) complex component triples; the returned field carries g's
+    constrained components at zero-constrained boundary dofs and is zero
+    elsewhere (tie slaves stay with their master).
     """
     cs = constraints if constraints is not None else build_constraints(mesh, k, space)
     out = np.zeros((mesh.num_vertices, 3), dtype=complex)
     boundary = np.unique(mesh.boundary_edges)
-    for v in boundary:
-        vals = np.asarray(g(mesh.vertices[int(v)]), dtype=complex)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"boundary trace not finite at vertex {int(v)}")
-        for c in range(3):
-            if cs.kind[_dof(int(v), c)] == ZERO:
-                out[int(v), c] = vals[c]
+    vals = np.asarray(g(mesh.vertices[boundary]), dtype=complex).reshape(len(boundary), 3)
+    bad = ~np.isfinite(vals).all(axis=1)
+    if bad.any():
+        raise ValueError(f"boundary trace not finite at vertex {int(boundary[bad][0])}")
+    zero = cs.kind.reshape(-1, 3)[boundary] == ZERO
+    out[boundary] = np.where(zero, vals, 0.0)
     return ModeField(mesh, int(k), out)

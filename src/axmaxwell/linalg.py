@@ -97,10 +97,13 @@ def solve_hpd(A, b, tol=1e-10, maxit=None, x0=None):
     """Jacobi-preconditioned conjugate gradients for Hermitian positive
     definite A; stops at relative residual ||b - Ax|| / ||b|| <= tol.
 
-    Returns (x, CGInfo); raises SolverError when maxit is exhausted.  The
+    Returns (x, CGInfo); raises ValueError unless 0 < tol < 1 (NaN
+    included) and SolverError when maxit is exhausted.  The
     info history records the preconditioned residual norm sqrt(r^H M^-1 r)
     once per iteration.
     """
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be finite and lie in (0, 1), got {tol!r}")
     b = np.asarray(b, dtype=complex)
     n = A.n
     if maxit is None:

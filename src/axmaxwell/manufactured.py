@@ -28,12 +28,6 @@ class ManufacturedField:
     def div(self, points, k):
         return self._div(np.atleast_2d(np.asarray(points, dtype=float)), k)
 
-    def mode_data(self, k):
-        """(f, g) callables of a single point for the mode-k problem."""
-        f = lambda p: self.curl(p, k)[0]
-        g = lambda p: self.div(p, k)[0]
-        return f, g
-
 
 def rectangle_electric():
     """Tangential-trace-free field on the unit-square meridian rectangle.

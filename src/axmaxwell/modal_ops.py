@@ -211,15 +211,14 @@ class ModeSystem:
     def sample(self, f=None, g=None):
         """Data samples (f_r, f_theta, f_z, g) at the quadrature points.
 
-        f and g may be callables of the (r, z) point or arrays of values at
-        the quadrature points (shape (Q, 3) and (Q,)); None means zero.
+        f and g are arrays of values at the quadrature points, of shapes
+        (Q, 3) and (Q,); None means zero.
         """
-        q = self.quad
-        vec = np.zeros((len(q.tri), _NOPS), dtype=complex)
+        vec = np.zeros((len(self.quad.tri), _NOPS), dtype=complex)
         if f is not None:
-            vec[:, :3] = _sample_vector(f, q)
+            vec[:, :3] = f
         if g is not None:
-            vec[:, 3] = _sample_scalar(g, q)
+            vec[:, 3] = g
         if not np.all(np.isfinite(vec)):
             raise ValueError("right-hand side is not finite at a quadrature point")
         return vec
@@ -263,21 +262,6 @@ class ModeSystem:
 def assemble_a_k(mesh, k, space, quad=None, constraints=None):
     """Assemble the constrained a_k system; the matrix acts on free dofs."""
     return ModeSystem(mesh, k, space, quad=quad, constraints=constraints)
-
-
-def _sample_vector(f, quad):
-    if isinstance(f, np.ndarray):
-        return np.asarray(f, dtype=complex).reshape(len(quad.tri), 3)
-    out = np.empty((len(quad.tri), 3), dtype=complex)
-    for i, p in enumerate(quad.xy):
-        out[i] = f(p)
-    return out
-
-
-def _sample_scalar(g, quad):
-    if isinstance(g, np.ndarray):
-        return np.asarray(g, dtype=complex).reshape(len(quad.tri))
-    return np.array([g(p) for p in quad.xy], dtype=complex)
 
 
 # -- direct and decomposed form values ------------------------------------------

@@ -140,6 +140,16 @@ def eval_principal_curl_div(pp, k, point):
     return curl[0], div[0]
 
 
+def _guarded_values(pp, mesh, points):
+    """Edge principal part at (P, 2) points, zero within a guard radius of
+    the corner, where it diverges."""
+    rho, _ = pp.corner.local_coords(points)
+    safe = rho > _CORNER_GUARD * mesh.diameter()
+    vals = np.zeros((len(points), 3))
+    vals[safe] = pp.values(points[safe])
+    return vals
+
+
 def principal_for(space, corner):
     kind = EDGE_ELECTRIC if space == femcore.SPACE_X else EDGE_MAGNETIC
     return PrincipalPart(kind, corner=corner)
@@ -160,26 +170,14 @@ class SingularBasis:
     def mesh(self):
         return self.regular.mesh
 
-    def guard_radius(self):
-        return _CORNER_GUARD * self.mesh.diameter()
-
     def principal_nodal(self):
         """Principal part sampled at the vertices, zeroed at the corner."""
-        pts = self.mesh.vertices
-        corner = self.principal.corner
-        rho, _ = corner.local_coords(pts)
-        safe = rho > self.guard_radius()
-        vals = np.zeros((len(pts), 3), dtype=complex)
-        vals[safe] = self.principal.values(pts[safe])
-        return vals
+        return _guarded_values(self.principal, self.mesh, self.mesh.vertices)
 
     def total_nodal(self):
         """Nodal values of principal + regular; the corner vertex carries
         only the regular value (the principal part diverges there)."""
         return self.regular.values + self.principal_nodal()
-
-    def total_field(self):
-        return ModeField(self.mesh, self.k, self.total_nodal())
 
     def op_arrays(self, ops):
         """(curl, div) of the total basis at the quadrature points of ops,
@@ -228,15 +226,9 @@ def compute_basis(system, corner, tol=1e-10, maxit=None, allow_high_mode=False):
     pp = principal_for(space, corner)
     curl_s, div_s = pp.curl_div(system.quad.xy, k)
     rhs = -system.load_from(f=curl_s, g=div_s)
-    guard = _CORNER_GUARD * mesh.diameter()
-
-    def trace(pt):
-        rho, _ = corner.local_coords(pt.reshape(1, 2))
-        if rho[0] <= guard:
-            return np.zeros(3)
-        return -pp.values(pt.reshape(1, 2))[0]
-
-    lift = femcore.lift_boundary(mesh, k, space, trace, system.constraints)
+    lift = femcore.lift_boundary(
+        mesh, k, space, lambda pts: -_guarded_values(pp, mesh, pts), system.constraints
+    )
     rhs = rhs - system.apply_to_field(lift.values)
     x, info = solve_hpd(system.matrix, rhs, tol=tol, maxit=maxit)
     regular = system.constraints.expand(x) + lift

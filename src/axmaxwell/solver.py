@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import femcore, modal_ops, singular
+from . import modal_ops, singular
 from .femcore import MeshQuadrature, ModeField
 from .linalg import BorderedSystem, solve_bordered, solve_hpd
 
@@ -36,10 +36,10 @@ _NORM = 1.0 / math.sqrt(_TWO_PI)
 class ModeProblem:
     """Right-hand side of one mode: find u with curl_k u = f, div_k u = g.
 
-    f maps meridian points to complex triples, g to complex scalars (or
-    arrays at quadrature points; None means zero).  The compatibility flags
-    trigger quadrature checks of the conditions the strong problem imposes
-    on its data.
+    f and g are the mode-k data at the quadrature points of the system the
+    problem is solved on, arrays of shapes (Q, 3) and (Q,); None means zero.
+    The compatibility flags trigger quadrature checks of the conditions the
+    strong problem imposes on its data.
     """
 
     k: int
@@ -133,55 +133,66 @@ def analyze_samples(values, N):
     theta = np.arange(M) * (_TWO_PI / M)
     out = {}
     scale = math.sqrt(_TWO_PI) / M
-    shape = (M,) + (1,) * (values.ndim - 1)
     for k in range(0, N + 1):
-        phase = np.exp(-1j * k * theta).reshape(shape)
-        out[k] = scale * np.sum(values * phase, axis=0)
+        phase = np.exp(-1j * k * theta)
+        out[k] = scale * np.einsum("j,j...->...", phase, values)
         if k > 0:
-            out[-k] = scale * np.sum(values * phase.conj(), axis=0)
+            out[-k] = scale * np.einsum("j,j...->...", phase.conj(), values)
     return out
+
+
+def _analyze_data(data, N, points, samples, vector):
+    """Sample data(r, theta, z) on the theta grid at meridian points in one
+    call and analyze the samples; vector data returns three components,
+    scalar data one."""
+    theta = _theta_grid(N, samples)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    comps = data(pts[None, :, 0], theta[:, None], pts[None, :, 1])
+    if vector and len(comps) != 3:
+        raise ValueError(f"vector data must return 3 components, got {len(comps)}")
+    comps = comps if vector else (comps,)
+    vals = np.empty((len(theta), len(pts), len(comps)), dtype=complex)
+    for c, comp in enumerate(comps):
+        vals[:, :, c] = comp
+    del comps  # free the returned arrays before the analysis allocates its own
+    return analyze_samples(vals if vector else vals[:, :, 0], N)
 
 
 def analyze_rhs(f, N, points, samples=None):
     """Fourier coefficients of vector data f(r, theta, z) at meridian points.
 
-    Returns {k: (P, 3) complex array}; the sample count must satisfy the
+    f is called once, with r and z of shape (1, P) and theta of shape
+    (M, 1), and returns three components that broadcast to (M, P).  Returns
+    {k: (P, 3) complex array}; the sample count must satisfy the
     anti-aliasing bound M >= 4N + 1 (default exactly that).
     """
-    theta = _theta_grid(N, samples)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    vals = np.empty((len(theta), len(pts), 3), dtype=complex)
-    for j, th in enumerate(theta):
-        for i, (r, z) in enumerate(pts):
-            vals[j, i] = f(r, th, z)
-    return analyze_samples(vals, N)
+    return _analyze_data(f, N, points, samples, True)
 
 
 def analyze_scalar_rhs(g, N, points, samples=None):
-    theta = _theta_grid(N, samples)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    vals = np.empty((len(theta), len(pts)), dtype=complex)
-    for j, th in enumerate(theta):
-        for i, (r, z) in enumerate(pts):
-            vals[j, i] = g(r, th, z)
-    return analyze_samples(vals, N)
+    """Fourier coefficients of scalar data g(r, theta, z), called as f in
+    analyze_rhs and returning one array that broadcasts to (M, P); returns
+    {k: (P,) complex array}."""
+    return _analyze_data(g, N, points, samples, False)
 
 
 def synthesize(solution, theta):
-    """Field on the meridian plane at azimuth theta, nodal values (nv, 3).
+    """Field on the meridian plane at azimuth theta, nodal values (nv, 3);
+    an array of azimuths of shape (T,) gives (T, nv, 3).
 
     For real 3D data the conjugate mode symmetry makes the result real; the
     imaginary residue is asserted tiny and dropped.
     """
-    acc = np.zeros((solution.mesh.num_vertices, 3), dtype=complex)
+    theta = np.asarray(theta, dtype=float)
+    acc = np.zeros(theta.shape + (solution.mesh.num_vertices, 3), dtype=complex)
     for k in range(0, solution.N + 1):
-        phase = np.exp(1j * k * theta)
+        phase = np.exp(1j * k * theta)[..., None, None]
         acc += solution.records[k].total_nodal() * (_NORM * phase)
         if k > 0:
             acc += solution.records[-k].total_nodal() * (_NORM * np.conj(phase))
     if solution.real_data:
-        scale = np.abs(acc).max()
-        if scale > 0.0 and np.abs(acc.imag).max() > 1e-10 * scale:
+        scale = np.abs(acc).max(axis=(-2, -1))
+        if np.any(np.abs(acc.imag).max(axis=(-2, -1)) > 1e-10 * scale):
             raise AssertionError("synthesized field of real data is not real")
         return acc.real
     return acc
@@ -193,13 +204,10 @@ def sample_3d(solution, n_theta):
     thetas = np.arange(n_theta) * (_TWO_PI / n_theta)
     verts = solution.mesh.vertices
     points = np.empty((n_theta, len(verts), 3))
-    fields = np.empty((n_theta, len(verts), 3), dtype=complex)
-    for j, th in enumerate(thetas):
-        points[j, :, 0] = verts[:, 0] * math.cos(th)
-        points[j, :, 1] = verts[:, 0] * math.sin(th)
-        points[j, :, 2] = verts[:, 1]
-        fields[j] = synthesize(solution, th)
-    return thetas, points, fields
+    points[:, :, 0] = verts[:, 0] * np.cos(thetas)[:, None]
+    points[:, :, 1] = verts[:, 0] * np.sin(thetas)[:, None]
+    points[:, :, 2] = verts[:, 1]
+    return thetas, points, synthesize(solution, thetas)
 
 
 # -- single-mode solvers ----------------------------------------------------------
@@ -255,13 +263,11 @@ def solve_mode_bordered(mesh, problem, basis2, system2, tol=1e-10):
     problem.validate(sysk)
     vec = sysk.sample(problem.f, problem.g)
     F = sysk.functional(vec)
-    # coupling of the reused basis at mode k: discrete regular part plus the
-    # analytic principal part, both evaluated with the mode-k operators
-    coupling = sysk.apply_to_field(basis2.regular.values)
-    curl_s, div_s = basis2.principal.curl_div(sysk.quad.xy, k)
-    svec = np.concatenate([curl_s, div_s[:, None]], axis=1)
-    coupling = coupling + sysk.functional(svec)
+    # coupling a_k(s, v) of the reused basis s with the regular test fields:
+    # the mode-k (curl, div) of s (discrete regular part plus analytic
+    # principal part) paired with those of the test fields
     bop = basis2.op_arrays(sysk.ops)
+    coupling = sysk.functional(bop)
     alpha = complex(np.sum(sysk.ops.wr[:, None] * np.abs(bop) ** 2))
     f_s = complex(np.einsum("q,qa,qa->", sysk.ops.wr, vec, bop.conj()))
     x, coeff, infos = solve_bordered(
@@ -302,9 +308,10 @@ def solve_axisymmetric(
     """Solve the 3D problem by modes: analyze the data, solve each mode,
     and collect a FourierSolution.
 
-    f is the 3D vector data f(r, theta, z) -> 3 reals/complexes, g the
-    optional scalar divergence data.  With real_data=True only modes
-    k >= 0 are solved and the negatives are filled by conjugation.
+    f is the 3D vector data and g the optional scalar divergence data, each
+    called once on broadcastable arrays (r, theta, z) (see analyze_rhs).
+    With real_data=True only modes k >= 0 are solved and the negatives are
+    filled by conjugation.
 
     Each |k| <= 2 mode system is assembled once, on one quadrature, and
     serves both its singular basis and its mode solve; with a corner the
@@ -363,21 +370,20 @@ def solve_axisymmetric(
 def error_norms(fld, exact, exact_curl=None, exact_div=None, quad=None, k=None):
     """Weighted L2 and a_k-energy distance of a nodal field to an exact one.
 
-    exact maps points to component triples; exact_curl/exact_div are the
-    exact mode-k operator values (zero when omitted, so passing exact=0
-    measures the field's own norms).  Returns (l2, energy).
+    exact holds the exact field values at the quadrature points, (Q, 3);
+    exact_curl (Q, 3) and exact_div (Q,) the exact mode-k operator values
+    there (zero when omitted, so passing exact=0 measures the field's own
+    norms).  Returns (l2, energy).
     """
     mesh = fld.mesh
     k = fld.k if k is None else k
     ops = modal_ops.ElementOps(mesh, k, quad)
-    pv = ops.point_values(fld.values)
-    if not (np.isscalar(exact) and exact == 0):
-        pv = pv - modal_ops._sample_vector(exact, ops.quad)
+    pv = ops.point_values(fld.values) - exact
     l2 = math.sqrt(abs(np.sum(ops.wr[:, None] * np.abs(pv) ** 2)))
     opv = ops.op_values(fld.values)
     if exact_curl is not None:
-        opv[:, :3] -= modal_ops._sample_vector(exact_curl, ops.quad)
+        opv[:, :3] -= exact_curl
     if exact_div is not None:
-        opv[:, 3] -= modal_ops._sample_scalar(exact_div, ops.quad)
+        opv[:, 3] -= exact_div
     energy = math.sqrt(abs(np.sum(ops.wr[:, None] * np.abs(opv) ** 2)))
     return l2, energy

@@ -223,7 +223,7 @@ def criterion_5_convergence():
                 )
                 errs.append(
                     solver.error_norms(
-                        rec.field, lambda p: mf.u(p)[0], exact_curl=fvec,
+                        rec.field, mf.u(quad.xy), exact_curl=fvec,
                         exact_div=gvec, quad=quad, k=k,
                     )
                 )

@@ -104,6 +104,21 @@ def test_unknown_flag_fails_with_usage_code(capsys):
     assert "\n" not in err.strip()
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"), ("--tol", "1"),
+    ("--modes", "-1"), ("--h", "nan"),
+])
+def test_bad_number_is_usage_error(tmp_path, capsys, option, value):
+    rc = main([
+        "solve", "--domain", "lshape", "--h", "0.2", "--modes", "2",
+        option, value, "--outdir", str(tmp_path),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: usage:") and option[2:] in err
+    assert not (tmp_path / "summary.csv").exists()
+
+
 def test_unknown_rhs_fails(tmp_path):
     rc = main([
         "solve", "--domain", "rectangle", "--h", "0.5", "--rhs", "nope",

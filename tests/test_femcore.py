@@ -97,8 +97,13 @@ def test_corner_subdivision_refines_near_corner():
 
 def test_interpolate_partition_of_unity(rect):
     fld = ModeField(rect, 0, np.tile([1.0, 0, 0], (rect.num_vertices, 1)))
-    for pt in [(0.31, 0.77), (0.05, 0.5), (0.99, 0.01)]:
+    pts = [(0.31, 0.77), (0.05, 0.5), (0.99, 0.01)]
+    for pt in pts:
         assert interpolate(fld, pt) == pytest.approx([1.0, 0, 0])
+    # one call on a (3, 2) array matches the per-point calls bit for bit
+    many = interpolate(fld, np.array(pts))
+    assert many.shape == (3, 3)
+    assert np.array_equal(many, [interpolate(fld, pt) for pt in pts])
 
 
 def test_interpolate_reproduces_linear(rect):
@@ -186,7 +191,7 @@ def test_tie_masters_are_free(lshape):
 
 def test_lift_zero_trace_gives_zero(lshape):
     msh, _ = lshape
-    lift = lift_boundary(msh, 0, SPACE_Y, lambda p: np.zeros(3))
+    lift = lift_boundary(msh, 0, SPACE_Y, lambda p: np.zeros((len(p), 3)))
     assert np.all(lift.values == 0.0)
 
 
@@ -197,11 +202,11 @@ def test_lift_principal_trace(lshape):
     pp = singular.PrincipalPart(singular.EDGE_ELECTRIC, corner=corner)
     guard = 1e-12 * msh.diameter()
 
-    def trace(pt):
-        rho, _ = corner.local_coords(pt.reshape(1, 2))
-        if rho[0] <= guard:
-            return np.zeros(3)
-        return -pp.values(pt.reshape(1, 2))[0]
+    def trace(pts):
+        rho, _ = corner.local_coords(pts)
+        out = np.zeros((len(pts), 3))
+        out[rho > guard] = -pp.values(pts[rho > guard])
+        return out
 
     cs = build_constraints(msh, 0, SPACE_X)
     lift = lift_boundary(msh, 0, SPACE_X, trace, cs)
@@ -211,7 +216,7 @@ def test_lift_principal_trace(lshape):
     assert set(nz.tolist()) <= wall
     # lifted values sit exactly at the zero-constrained components
     for v in nz:
-        expected = trace(msh.vertices[v])
+        expected = trace(msh.vertices[v][None, :])[0]
         for c in range(3):
             if cs.kind[3 * v + c] == ZERO:
                 assert lift.values[v, c] == pytest.approx(expected[c], abs=1e-14)
@@ -222,7 +227,7 @@ def test_lift_principal_trace(lshape):
 def test_lift_rejects_nonfinite(lshape):
     msh, _ = lshape
     with pytest.raises(ValueError):
-        lift_boundary(msh, 0, SPACE_X, lambda p: np.array([np.inf, 0, 0]))
+        lift_boundary(msh, 0, SPACE_X, lambda p: np.tile([np.inf, 0, 0], (len(p), 1)))
 
 
 def test_wall_must_be_axis_aligned():

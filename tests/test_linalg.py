@@ -82,6 +82,13 @@ def test_nonconvergence_reports_residual():
     assert err.value.iterations == 2
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, 1.0])
+def test_cg_rejects_tolerance_outside_unit_interval(tol):
+    A, _ = _random_hpd(5, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        solve_hpd(A, np.ones(5), tol=tol)
+
+
 def test_zero_diagonal_is_rejected():
     A = HermitianSparse.from_coo([0, 1], [1, 0], [1.0, 1.0], 2)
     with pytest.raises(SolverError):

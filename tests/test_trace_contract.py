@@ -3,6 +3,8 @@ installing it fails when a refactor unbinds one of them."""
 
 import pathlib
 
+from axmaxwell import cli_io, mesh
+
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -17,3 +19,31 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert layers.count_wrappers() == 0
+
+
+def test_traced_file_rhs_calls_data_once(monkeypatch, tmp_path):
+    """A tabulated right-hand side is analyzed with one data call and one
+    interpolation, however many theta samples and quadrature points."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+
+    msh, _ = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.1)
+    r, z = msh.vertices[:, 0], msh.vertices[:, 1]
+    table = tmp_path / "rhs.csv"
+    cli_io.write_csv(
+        table, ["r", "z", "f_r", "f_theta", "f_z"],
+        [list(row) for row in zip(r, z, r * z, 0.0 * r, 1.0 - r * r)],
+    )
+    tracer = layers.Tracer("t")
+    try:
+        tracer.install()
+        rc = cli_io.main([
+            "solve", "--h", "0.1", "--modes", "2", "--rhs", f"file:{table}",
+            "--outdir", str(tmp_path / "out"),
+        ])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    summary = tracer.summary()
+    assert summary["solver.rhs_evals"] == 1
+    assert summary["femcore.interpolate_calls"] == 1

@@ -18,6 +18,7 @@ from .linalg import SolverError
 from .mesh import MeshError
 
 _FLOAT_FMT = "%.17g"
+_MATCH_PAIRS = 1 << 14  # row-vertex pairs resolve_rhs compares at once
 
 
 class UsageError(ValueError):
@@ -259,9 +260,9 @@ RHS_BUILTINS = {
 def resolve_rhs(spec, msh):
     """Named built-in data, or 'file:<csv>' with nodal axisymmetric values.
 
-    The tabulated form expects columns r,z,f_r,f_theta,f_z matching the
-    mesh vertices (any order); values are interpolated as a P1 field and
-    used as theta-independent data, one interpolation per call.
+    The tabulated form expects columns r,z,f_r,f_theta,f_z with exactly
+    one row per mesh vertex (any order); values are interpolated as a P1
+    field and used as theta-independent data, one interpolation per call.
     """
     if spec in RHS_BUILTINS:
         return RHS_BUILTINS[spec]
@@ -271,14 +272,9 @@ def resolve_rhs(spec, msh):
         expected = ["r", "z", "f_r", "f_theta", "f_z"]
         if [h.strip() for h in header] != expected:
             raise UsageError(f"{path}: expected columns {','.join(expected)}")
-        data = np.array([[float(c) for c in row] for row in rows])
+        data = np.array([[float(c) for c in row] for row in rows]).reshape(-1, 5)
+        idx = _match_vertices(msh, data[:, :2], path)
         nodal = np.zeros((msh.num_vertices, 3))
-        dist = np.linalg.norm(
-            msh.vertices[None, :, :] - data[:, None, :2], axis=2
-        )
-        idx = dist.argmin(axis=1)
-        if dist[np.arange(len(data)), idx].max() > 1e-9:
-            raise UsageError(f"{path}: rows do not match mesh vertices")
         nodal[idx] = data[:, 2:]
         fld = femcore.ModeField(msh, 0, nodal.astype(complex))
 
@@ -290,6 +286,24 @@ def resolve_rhs(spec, msh):
     raise UsageError(
         f"unknown rhs {spec!r}; builtins: {', '.join(sorted(RHS_BUILTINS))} or file:<csv>"
     )
+
+
+def _match_vertices(msh, points, path):
+    """Index of the vertex within 1e-9 of each table row, compared in blocks
+    of _MATCH_PAIRS row-vertex pairs; every vertex must have exactly one row."""
+    nv = msh.num_vertices
+    idx = np.empty(len(points), dtype=np.int64)
+    step = max(1, _MATCH_PAIRS // nv)
+    for start in range(0, len(points), step):
+        dist = np.linalg.norm(msh.vertices - points[start:start + step, None, :], axis=2)
+        idx[start:start + step] = near = dist.argmin(axis=1)
+        if dist[np.arange(len(near)), near].max() > 1e-9:
+            raise UsageError(f"{path}: rows do not match mesh vertices")
+    counts = np.bincount(idx, minlength=nv)
+    if np.any(counts != 1):
+        raise UsageError(f"{path}: of {nv} mesh vertices, {np.sum(counts == 0)} have "
+                         f"no row and {np.sum(counts > 1)} more than one")
+    return idx
 
 
 # -- subcommand implementations ------------------------------------------------------
@@ -384,10 +398,12 @@ def cmd_solve(cfg):
     return 0
 
 
-def cmd_synthesize(cfg, theta_samples):
+def cmd_synthesize(cfg, azimuths):
+    if azimuths < 1:
+        raise UsageError(f"theta-samples must be >= 1, got {azimuths}")
     msh, corner, sol = _solve(cfg)
     os.makedirs(cfg.outdir, exist_ok=True)
-    T = theta_samples
+    T = azimuths
     thetas, points, fields_cyl = solver.sample_3d(sol, T)
     nv = msh.num_vertices
     pts = points.reshape(-1, 3)
@@ -498,7 +514,9 @@ def make_parser():
     _add_common(p)
     p.add_argument("--rhs")
     p.add_argument("--modes", type=int)
-    p.add_argument("--theta-samples", dest="theta_samples", type=int, default=16)
+    # sets the output azimuths only; the analysis keeps its own sample count
+    p.add_argument("--theta-samples", dest="azimuths", type=int, default=16,
+                   help="azimuths of the revolved output (default 16)")
 
     p = sub.add_parser("convergence", help="manufactured convergence study")
     _add_common(p)
@@ -522,7 +540,7 @@ def main(argv=None):
         if args.command == "solve":
             return cmd_solve(cfg)
         if args.command == "synthesize":
-            return cmd_synthesize(cfg, args.theta_samples)
+            return cmd_synthesize(cfg, args.azimuths)
         if args.command == "convergence":
             return cmd_convergence(cfg)
         raise UsageError(f"unknown command {args.command!r}")

@@ -78,18 +78,21 @@ class MeshQuadrature:
       xy     (Q,2)  physical (r, z) coordinates
       w      (Q,)   weight including the element area (but not the r factor)
       r      (Q,)   radial coordinate, strictly positive
+      operators     k-independent operator data (modal_ops.workspace),
+                    built on first use
+
+    The points of each triangle are contiguous.
     """
 
-    def __init__(self, mesh, corner=None, rule=None, refine_radius=None):
+    def __init__(self, mesh, corner=None, rule=None):
         rule = rule or default_rule()
         areas = mesh.triangle_areas()
         nt = mesh.num_triangles
         refined = np.zeros(nt, dtype=bool)
         if corner is not None:
-            radius = mesh.h if refine_radius is None else refine_radius
             pos = np.asarray(corner.position)
             d = np.linalg.norm(mesh.vertices[mesh.triangles] - pos, axis=2).min(axis=1)
-            refined = d <= radius + _GEOM_TOL
+            refined = d <= mesh.h + _GEOM_TOL
         tri_idx = []
         bary = []
         wts = []
@@ -114,14 +117,11 @@ class MeshQuadrature:
         self.r = self.xy[:, 0]
         if np.any(self.r <= 0.0):
             raise MeshError("quadrature point on or beyond the axis")
+        self.operators = None
 
     def integrate(self, values):
         """Integral of point values against the weighted measure r dr dz."""
         return np.sum(values * self.w * self.r, axis=-1)
-
-    def integrate_plain(self, values):
-        """Integral against the unweighted measure dr dz."""
-        return np.sum(values * self.w, axis=-1)
 
 
 def gradients(mesh):
@@ -268,14 +268,6 @@ class ConstraintSet:
         ok = fidx >= 0
         vals[ok] = coeff[ok] * np.asarray(xfree)[fidx[ok]]
         return ModeField(self.mesh, self.k, vals.reshape(-1, 3))
-
-    def restrict(self, full):
-        """Adjoint of expand: maps a full-dof functional to free dofs."""
-        fidx, coeff = self.targets()
-        out = np.zeros(self.n_free, dtype=complex)
-        ok = fidx >= 0
-        np.add.at(out, fidx[ok], np.conj(coeff[ok]) * np.asarray(full).ravel()[ok])
-        return out
 
     def free_values(self, fld):
         """Free-dof coefficients read off a nodal field."""

@@ -13,26 +13,28 @@ defined on the meridian plane as
 and a_k(u, v) = (curl_k u, curl_k v) + (div_k u, div_k v) in the r-weighted
 L2 pairing, conjugating the second argument.
 
-assemble_a_k assembles any mode directly from these formulas.  The |k| > 2
-matrices of the bordered path instead come from the assembled mode-2 system
-through the shift identity
+Mode k enters only through the i k / r terms, so the element matrices of
+a_k are E(k) = E00 + k^2 E11 + i k A with real arrays built once per
+quadrature (OperatorWorkspace).  Every mode matrix is E(k) reduced on the
+free dofs of its constraint class; the |k| >= 2 class depends neither on k
+nor on its sign, so the |k| > 2 matrices of the bordered path reuse the
+pattern of the assembled mode-2 system (shifted_system).  The shift identity
 
   a_k(u, v) = a_2(u, v) + (k^2 - 4) (u/r, v/r) + i (k - 2) C(u, v),
 
 valid on fields whose boundary terms vanish (all constrained fields of the
-|k| >= 2 spaces).  The mode-independent (u/r, v/r) and C matrices are built
-once per mode-2 system, on its sparsity pattern, so each shifted matrix is
-a sum of three data arrays.  The integration-by-parts split of a_k into its
-k = 0 part, 1/r^2 mass terms and first-order coupling terms is provided as
-an independent verification oracle of both paths.
+|k| >= 2 spaces), and the integration-by-parts split of a_k into its k = 0
+part, 1/r^2 mass terms and first-order coupling terms are evaluated by
+independent forms as verification oracles.
 """
+
+import dataclasses
 
 import numpy as np
 
 from . import femcore
 from .femcore import MeshQuadrature, ModeField, gradients, _locate
 from .linalg import HermitianSparse
-from .mesh import WALL
 
 # operator component rows used throughout: (curl_r, curl_theta, curl_z, div)
 _NOPS = 4
@@ -92,121 +94,227 @@ def eval_curl_k(field, point, k=None):
 
 # -- quadrature-level operator data ---------------------------------------------
 
+# mode-k operator rows of one local dof: the i k / r term of component c
+# (u_r, u_theta, u_z) lands in row _K_ROWS[c] with sign _K_SIGNS[c]
+_K_ROWS = [2, 3, 0]
+_K_SIGNS = np.array([-1.0, 1.0, 1.0])
+# triangles per chunk of the per-triangle sums, to bound their temporaries
+_CHUNK_TRIANGLES = 1024
+
+
+class OperatorWorkspace:
+    """k-independent operator data of one quadrature.
+
+    The operator rows (curl_r, curl_theta, curl_z, div) of the local P1
+    dofs j = 3 * local_vertex + component are D_k = D0 + i k R1 at every
+    quadrature point, with D0 and R1 real and R1 holding only the lambda / r
+    values of the local vertices.  With the weight W = w r the per-triangle
+    9x9 element matrices of a_k are therefore
+
+      E(k) = E00 + k^2 E11 + i k A,
+      E00 = D0^T W D0,   E11 = R1^T W R1,   A = D0^T W R1 - R1^T W D0.
+
+    Attributes: D0 (Q, 4, 9), lor (Q, 3) lambda / r, wr (Q,) and the
+    (nt, 9, 9) arrays E00, E11 and A, all real.  Built once per quadrature
+    (see workspace) and only read afterwards.
+    """
+
+    def __init__(self, quad):
+        mesh = quad.mesh
+        G = gradients(mesh)[quad.tri]  # (Q, 3, 2)
+        Q = len(quad.tri)
+        self.lor = quad.bary / quad.r[:, None]
+        self.wr = quad.w * quad.r
+        D0 = np.zeros((Q, _NOPS, 9))
+        for loc in range(3):
+            gr = G[:, loc, 0]
+            gz = G[:, loc, 1]
+            lor = self.lor[:, loc]
+            D0[:, 1, 3 * loc + 0] = gz
+            D0[:, 3, 3 * loc + 0] = gr + lor
+            D0[:, 0, 3 * loc + 1] = -gz
+            D0[:, 2, 3 * loc + 1] = gr + lor
+            D0[:, 1, 3 * loc + 2] = -gr
+            D0[:, 3, 3 * loc + 2] = gz
+        self.D0 = D0
+        # points of one triangle are contiguous in the quadrature: chunks of
+        # triangles with equal point counts, as (triangle ids, point indices)
+        tri = quad.tri
+        starts = np.flatnonzero(np.r_[True, tri[1:] != tri[:-1]])
+        counts = np.diff(np.r_[starts, Q])
+        self.num_triangles = mesh.num_triangles
+        self.chunks = []
+        for n in np.unique(counts):
+            first = starts[counts == n]
+            for s in range(0, len(first), _CHUNK_TRIANGLES):
+                part = first[s:s + _CHUNK_TRIANGLES]
+                self.chunks.append((tri[part], part[:, None] + np.arange(n)))
+        nt = self.num_triangles
+        self.E00 = np.empty((nt, 9, 9))
+        cross = np.empty((nt, 9, 3, 3))  # D0^T W R1, columns (vertex, component)
+        mass = np.empty((nt, 3, 3))  # sum of w r (lambda_a / r) (lambda_b / r)
+        for tris, idx in self.chunks:
+            d0 = D0[idx]  # (m, n, 4, 9)
+            w = self.wr[idx]
+            lor = self.lor[idx]
+            wd0 = d0 * w[:, :, None, None]
+            m = len(tris)
+            self.E00[tris] = d0.reshape(m, -1, 9).transpose(0, 2, 1) @ wd0.reshape(m, -1, 9)
+            cross[tris] = np.einsum("mnci,mnl->milc", wd0[:, :, _K_ROWS] * _K_SIGNS[:, None], lor)
+            mass[tris] = np.einsum("mna,mnb->mab", lor * w[:, :, None], lor)
+        # R1 maps each component to its own row, so E11 is the mass per component
+        self.E11 = (mass[:, :, None, :, None] * np.eye(3)[:, None, :]).reshape(nt, 9, 9)
+        cross = cross.reshape(nt, 9, 9)
+        self.A = cross - cross.transpose(0, 2, 1)
+
+    def triangle_sums(self, per_point):
+        """Sum of a per-point array over the points of each triangle."""
+        out = np.empty((self.num_triangles,) + per_point.shape[1:], dtype=per_point.dtype)
+        for tris, idx in self.chunks:
+            out[tris] = per_point[idx].sum(axis=1)
+        return out
+
+
+def workspace(quad):
+    """The operator workspace of quad, built on first use and kept on it.
+
+    Build it before sharing the quadrature between threads; afterwards it is
+    only read.
+    """
+    if quad.operators is None:
+        quad.operators = OperatorWorkspace(quad)
+    return quad.operators
+
 
 class ElementOps:
-    """Operator rows of all local P1 dofs at the quadrature points.
+    """Mode-k operators of the local P1 dofs at the quadrature points.
 
-    D has shape (Q, 4, 9): rows are (curl_r, curl_theta, curl_z, div), the
-    local dof j = 3 * local_vertex + component.  Shared by matrix assembly,
-    load assembly and field evaluation so that every pairing uses identical
-    quadrature data.
+    A view of the quadrature's operator workspace at one mode: it holds no
+    per-mode array, and every pairing (matrix, loads, field evaluation) uses
+    the same quadrature data.
     """
 
     def __init__(self, mesh, k, quad=None):
         self.mesh = mesh
         self.k = int(k)
         self.quad = quad if quad is not None else MeshQuadrature(mesh)
-        q = self.quad
-        G = gradients(mesh)[q.tri]  # (Q, 3, 2)
-        lam = q.bary
-        r = q.r
-        ik = 1j * k
-        Q = len(r)
-        D = np.zeros((Q, _NOPS, 9), dtype=complex)
-        for loc in range(3):
-            lv = lam[:, loc]
-            gr = G[:, loc, 0]
-            gz = G[:, loc, 1]
-            lor = lv / r
-            D[:, 1, 3 * loc + 0] = gz
-            D[:, 2, 3 * loc + 0] = -ik * lor
-            D[:, 3, 3 * loc + 0] = gr + lor
-            D[:, 0, 3 * loc + 1] = -gz
-            D[:, 2, 3 * loc + 1] = gr + lor
-            D[:, 3, 3 * loc + 1] = ik * lor
-            D[:, 0, 3 * loc + 2] = ik * lor
-            D[:, 1, 3 * loc + 2] = -gr
-            D[:, 3, 3 * loc + 2] = gz
-        self.D = D
-        self.wr = q.w * q.r
-        self._elem = None
+        self.ws = workspace(self.quad)
+        self.wr = self.ws.wr
 
     def element_matrices(self):
-        """Per-triangle 9x9 Hermitian element matrices of a_k."""
-        if self._elem is None:
-            contrib = np.einsum("qai,qaj->qij", self.D.conj() * self.wr[:, None, None], self.D)
-            elem = np.zeros((self.mesh.num_triangles, 9, 9), dtype=complex)
-            np.add.at(elem, self.quad.tri, contrib)
-            self._elem = elem
-        return self._elem
+        """Per-triangle 9x9 Hermitian element matrices of a_k, E(k)."""
+        ws, k = self.ws, self.k
+        return ws.E00 + (k * k) * ws.E11 + (1j * k) * ws.A
 
     def local_values(self, values):
-        """Nodal values gathered per quadrature point, shape (Q, 9)."""
+        """Nodal values of the local vertices per quadrature point, (Q, 3, 3)."""
         tri = self.mesh.triangles[self.quad.tri]
-        v = np.asarray(values, dtype=complex).reshape(-1, 3)[tri]  # (Q, 3, 3)
-        return v.reshape(len(self.quad.tri), 9)
+        return np.asarray(values, dtype=complex).reshape(-1, 3)[tri]
 
     def op_values(self, values):
         """(curl_k, div_k) of a nodal field at the quadrature points, (Q, 4)."""
-        return np.einsum("qaj,qj->qa", self.D, self.local_values(values))
+        u = self.local_values(values)
+        out = np.einsum("qaj,qj->qa", self.ws.D0, u.reshape(-1, 9))
+        if self.k:
+            over_r = np.einsum("ql,qlc->qc", self.ws.lor, u)
+            out[:, _K_ROWS] += (1j * self.k) * _K_SIGNS * over_r
+        return out
+
+    def test_pairings(self, vec):
+        """sum_a wr vec_a conj(D_k[a, j]) per point and local test dof, (Q, 9)."""
+        wv = vec * self.wr[:, None]
+        out = np.einsum("qa,qaj->qj", wv, self.ws.D0)
+        if self.k:
+            over_r = self.ws.lor[:, :, None] * (_K_SIGNS * wv[:, _K_ROWS])[:, None, :]
+            out -= (1j * self.k) * over_r.reshape(-1, 9)
+        return out
 
     def point_values(self, values):
         """Field values at the quadrature points, (Q, 3)."""
-        tri = self.mesh.triangles[self.quad.tri]
-        v = np.asarray(values, dtype=complex).reshape(-1, 3)[tri]
-        return np.einsum("qi,qic->qc", self.quad.bary, v)
+        return np.einsum("qi,qic->qc", self.quad.bary, self.local_values(values))
 
 
 def _global_dofs(mesh):
     return (3 * mesh.triangles[:, :, None] + np.arange(3)).reshape(-1, 9)
 
 
+def _scatter(slots, vals, size):
+    """Sums of the complex vals per slot in [0, size); slot == size drops
+    a value.  Values add in their order, so the result is reproducible."""
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(slots, vals.real, size + 1)[:size]
+    out.imag = np.bincount(slots, vals.imag, size + 1)[:size]
+    return out
+
+
+class _Reduction:
+    """Reduction of local element data onto the free dofs of one
+    constraint set: per-element targets and coefficients, the CSR pattern of
+    the reduced matrix and the scatter slots into it, computed once."""
+
+    def __init__(self, mesh, constraints):
+        fidx, coeff = constraints.targets()
+        gdofs = _global_dofs(mesh)
+        self.fidx = fidx[gdofs]  # (nt, 9)
+        self.coeff = coeff[gdofs]
+        n = self.n = constraints.n_free
+        rows = np.broadcast_to(self.fidx[:, :, None], (len(gdofs), 9, 9))
+        cols = np.broadcast_to(self.fidx[:, None, :], (len(gdofs), 9, 9))
+        keep = (rows >= 0) & (cols >= 0)
+        keys, inverse = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+        self.indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        self.indices = keys % n
+        slots = np.full(keep.shape, len(keys))
+        slots[keep] = inverse
+        self.slots = slots.ravel()
+        self.fslots = np.where(self.fidx >= 0, self.fidx, n).ravel()
+
+    def matrix(self, elem):
+        """Reduced matrix from per-triangle 9x9 element matrices."""
+        ci = self.coeff
+        vals = elem * np.conj(ci)[:, :, None] * ci[:, None, :]
+        data = _scatter(self.slots, vals.ravel(), len(self.indices))
+        return HermitianSparse(self.indptr, self.indices, data, self.n)
+
+    def functional(self, per_dof_local):
+        """Free-dof functional from per-triangle local test functionals."""
+        vals = per_dof_local * np.conj(self.coeff)
+        return _scatter(self.fslots, vals.ravel(), self.n)
+
+
 class ModeSystem:
     """Assembled constrained system for one (mode, space) pair.
 
-    With assemble=False the reduced matrix is left to the caller (used by
-    the mode-shift path, where it comes from the mode-2 assembly).  One
-    assembled system serves both the singular basis and the solve of its
-    mode; after construction only shift_matrices() writes to it.
+    The matrix is E(k) of the quadrature's workspace reduced on the free
+    dofs of the constraint set.  Given base, an assembled mode +-2 system of
+    the same space, a |k| > 2 system reuses its constraint class (targets
+    and pattern; the class of |k| >= 2 depends neither on k nor on its
+    sign) and its matrix is shifted_system(base, k).  Nothing writes to a
+    system after construction, so one system serves the singular basis and
+    the mode solve, from any thread.
     """
 
-    def __init__(self, mesh, k, space, quad=None, constraints=None, assemble=True):
+    def __init__(self, mesh, k, space, quad=None, constraints=None, base=None):
         self.mesh = mesh
         self.k = int(k)
         self.space = space
-        self.constraints = (
-            constraints
-            if constraints is not None
-            else femcore.build_constraints(mesh, k, space)
-        )
-        self.ops = ElementOps(mesh, k, quad)
+        if base is None:
+            self.ops = ElementOps(mesh, k, quad)
+            self.constraints = (
+                constraints
+                if constraints is not None
+                else femcore.build_constraints(mesh, k, space)
+            )
+            self.reduction = _Reduction(mesh, self.constraints)
+            self.matrix = self.reduction.matrix(self.ops.element_matrices())
+        else:
+            if base.space != space:
+                raise ValueError("base system is of another space")
+            self.ops = ElementOps(mesh, k, base.quad)
+            self.constraints = dataclasses.replace(base.constraints, k=self.k)
+            self.reduction = base.reduction
+            self.matrix = shifted_system(base, k)
         self.quad = self.ops.quad
-        fidx, coeff = self.constraints.targets()
-        gdofs = _global_dofs(mesh)
-        self._fidx = fidx[gdofs]  # (nt, 9)
-        self._coeff = coeff[gdofs]
-        self.matrix = self._reduce_matrix(self.ops.element_matrices()) if assemble else None
-        self._shift = None
-
-    def _reduce_matrix(self, elem):
-        """Reduced matrix on the free dofs from per-triangle 9x9 element
-        matrices; every matrix of one system shares the same pattern."""
-        ci = self._coeff
-        vals = elem * np.conj(ci)[:, :, None] * ci[:, None, :]
-        rows = np.broadcast_to(self._fidx[:, :, None], vals.shape)
-        cols = np.broadcast_to(self._fidx[:, None, :], vals.shape)
-        keep = (rows >= 0) & (cols >= 0)
-        return HermitianSparse.from_coo(
-            rows[keep], cols[keep], vals[keep], self.constraints.n_free
-        )
-
-    def reduce_functional(self, per_dof_local):
-        """Scatter per-element local test functionals onto free dofs."""
-        out = np.zeros(self.constraints.n_free, dtype=complex)
-        vals = per_dof_local * np.conj(self._coeff)
-        keep = self._fidx >= 0
-        np.add.at(out, self._fidx[keep], vals[keep])
-        return out
 
     def sample(self, f=None, g=None):
         """Data samples (f_r, f_theta, f_z, g) at the quadrature points.
@@ -225,22 +333,12 @@ class ModeSystem:
 
     def functional(self, vec):
         """(f, curl_k v) + (g, div_k v) over free test dofs, from samples."""
-        contrib = np.einsum("qa,qaj->qj", vec * self.ops.wr[:, None], self.ops.D.conj())
-        local = np.zeros((self.mesh.num_triangles, 9), dtype=complex)
-        np.add.at(local, self.quad.tri, contrib)
-        return self.reduce_functional(local)
+        local = self.ops.ws.triangle_sums(self.ops.test_pairings(vec))
+        return self.reduction.functional(local)
 
     def load_from(self, f=None, g=None):
         """Load vector (f, curl_k v) + (g, div_k v) over the free dofs."""
         return self.functional(self.sample(f, g))
-
-    def shift_matrices(self):
-        """The (u/r, v/r) and C matrices on this system's pattern, built on
-        first use.  Not thread safe: call it once before sharing the system
-        between threads that shift it."""
-        if self._shift is None:
-            self._shift = (assemble_over_r2_matrix(self), assemble_C_matrix(self))
-        return self._shift
 
     def apply_to_field(self, values):
         """a_k(u, phi_i) for the nodal field u against all free test dofs."""
@@ -248,7 +346,7 @@ class ModeSystem:
         tri = self.mesh.triangles
         u_local = np.asarray(values, dtype=complex).reshape(-1, 3)[tri].reshape(-1, 9)
         per_dof = np.einsum("tij,tj->ti", elem, u_local)
-        return self.reduce_functional(per_dof)
+        return self.reduction.functional(per_dof)
 
     def form_value(self, u_values, v_values):
         """a_k(u, v) for nodal fields via the element matrices."""
@@ -333,57 +431,6 @@ def form_flux(mesh, u, v, quad=None):
     return complex(np.sum(quad.w * integrand))
 
 
-def _wall_edges_oriented(mesh):
-    """Wall edges with outward normals, via the incident triangle."""
-    edge_tri = {}
-    for t, tri in enumerate(mesh.triangles):
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-            edge_tri.setdefault(key, []).append(t)
-    out = []
-    for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        if tag != WALL:
-            continue
-        key = (min(i, j), max(i, j))
-        t = edge_tri[key][0]
-        opp = [v for v in mesh.triangles[t] if v not in (i, j)][0]
-        p1, p2 = mesh.vertices[i], mesh.vertices[j]
-        d = p2 - p1
-        n = np.array([d[1], -d[0]])
-        n /= np.linalg.norm(n)
-        mid = 0.5 * (p1 + p2)
-        if np.dot(n, mid - mesh.vertices[opp]) < 0.0:
-            n = -n
-        out.append((int(i), int(j), n))
-    return out
-
-
-_GAUSS2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
-
-
-def form_B(mesh, u, v):
-    """Wall boundary form integral of (u_m . n) conj(v_theta) -
-    u_theta (conj(v_m) . n), with the weight r and 2-point Gauss per edge.
-
-    Vanishes whenever either field carries the electric or the magnetic
-    wall condition; retained as a verification form.
-    """
-    total = 0.0 + 0.0j
-    for i, j, n in _wall_edges_oriented(mesh):
-        p1, p2 = mesh.vertices[i], mesh.vertices[j]
-        length = np.linalg.norm(p2 - p1)
-        ui, uj = u.values[i], u.values[j]
-        vi, vj = v.values[i], v.values[j]
-        for s in _GAUSS2:
-            uu = (1 - s) * ui + s * uj
-            vv = ((1 - s) * vi + s * vj).conj()
-            r = (1 - s) * p1[0] + s * p2[0]
-            u_n = uu[0] * n[0] + uu[2] * n[1]
-            v_n = vv[0] * n[0] + vv[2] * n[1]
-            total += 0.5 * length * r * (u_n * vv[1] - uu[1] * v_n)
-    return complex(total)
-
-
 def _meridian_only(u):
     vals = u.values.copy()
     vals[:, 1] = 0.0
@@ -405,22 +452,6 @@ def form_scalar_curl(mesh, u, v, quad=None):
     comp_r = (-dut[:, 1]) * (-dvt[:, 1])
     comp_z = (dut[:, 0] + upt / quad.r) * (dvt[:, 0] + vpt / quad.r)
     return complex(np.sum(quad.w * quad.r * (comp_r + comp_z)))
-
-
-def form_laplace_k(mesh, wu, wv, k, quad=None):
-    """Weak mode-k Laplacian pairing (grad_k wu, grad_k wv) of scalars."""
-    quad = quad if quad is not None else MeshQuadrature(mesh)
-    G = gradients(mesh)[quad.tri]
-    tri = mesh.triangles[quad.tri]
-    uu = np.asarray(wu, dtype=complex)[tri]
-    vv = np.asarray(wv, dtype=complex)[tri]
-    up = np.einsum("qi,qi->q", quad.bary, uu)
-    vp = np.einsum("qi,qi->q", quad.bary, vv).conj()
-    du = np.einsum("qi,qij->qj", uu, G)
-    dv = np.einsum("qi,qij->qj", vv, G).conj()
-    grad_pair = du[:, 0] * dv[:, 0] + du[:, 1] * dv[:, 1]
-    theta_pair = (k * k) * up * vp / (quad.r * quad.r)
-    return complex(np.sum(quad.w * quad.r * (grad_pair + theta_pair)))
 
 
 def a_k_via_decomposition(mesh, u, v, k, quad=None):
@@ -463,60 +494,14 @@ def a_k_by_shift(mesh, u, v, k, quad=None, base_k=2):
     return base + shift
 
 
-# -- Remark-style auxiliary matrices for the bordered path ----------------------
-
-
-def _element_matrices(system, pair_vals, plain_weight):
-    """Per-triangle 9x9 matrices from per-point local pairings.
-
-    pair_vals has shape (Q, 9, 9) giving the integrand contribution of
-    (trial local dof j, test local dof i) at each quadrature point.
-    """
-    q = system.quad
-    w = q.w if plain_weight else q.w * q.r
-    elem = np.zeros((system.mesh.num_triangles, 9, 9), dtype=complex)
-    np.add.at(elem, q.tri, pair_vals * w[:, None, None])
-    return elem
-
-
-def assemble_over_r2_matrix(system):
-    """Reduced matrix of (u/r, v/r); mode independent."""
-    q = system.quad
-    lam = q.bary  # (Q, 3)
-    Q = len(q.tri)
-    vals = np.zeros((Q, 9, 9), dtype=complex)
-    outer = np.einsum("qi,qj->qij", lam, lam) / (q.r * q.r)[:, None, None]
-    for c in range(3):
-        vals[:, c::3, c::3] = outer
-    return system._reduce_matrix(_element_matrices(system, vals, plain_weight=False))
-
-
-def assemble_C_matrix(system):
-    """Reduced matrix of the coupling form C; i * C is Hermitian."""
-    q = system.quad
-    lam = q.bary
-    Q = len(q.tri)
-    vals = np.zeros((Q, 9, 9), dtype=complex)
-    outer = 2.0 * np.einsum("qi,qj->qij", lam, lam) / q.r[:, None, None]
-    # C(phi_j, phi_i): trial theta against test r, minus trial r against test theta
-    vals[:, 0::3, 1::3] = outer  # test comp r (rows), trial comp theta (cols)
-    vals[:, 1::3, 0::3] = -outer
-    return system._reduce_matrix(_element_matrices(system, vals, plain_weight=True))
-
-
 def shifted_system(system2, k):
-    """Mode-k matrix from the assembled mode-2 system via the shift identity.
-
-    The (u/r, v/r) and C matrices come from system2.shift_matrices() and
-    share the pattern of its matrix, so the shift adds data arrays only.
+    """Mode-k matrix, |k| > 2, on the constraint class of an assembled mode
+    +-2 system: E(k) of the quadrature's workspace reduced on the pattern
+    of system2.matrix.  Equal, bit for bit, to assemble_a_k(k).matrix.
     """
     if abs(system2.k) != 2:
         raise ValueError("shifted assembly expects a mode +-2 base system")
-    base_k = system2.k
-    sign = 1 if base_k > 0 else -1
-    if sign * k < 2:
-        raise ValueError("shifted assembly serves |k| > 2 with matching sign")
-    M, C = system2.shift_matrices()
-    K2 = system2.matrix
-    data = K2.data + (k * k - 4.0) * M.data + (1j * (k - base_k)) * C.data
-    return HermitianSparse(K2.indptr, K2.indices, data, K2.n)
+    if abs(k) <= 2:
+        raise ValueError("shifted assembly serves |k| > 2")
+    ops = ElementOps(system2.mesh, k, system2.quad)
+    return system2.reduction.matrix(ops.element_matrices())

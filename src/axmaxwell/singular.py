@@ -134,12 +134,6 @@ def eval_principal(pp, point):
     return pp.values(np.asarray(point, dtype=float).reshape(1, 2))[0]
 
 
-def eval_principal_curl_div(pp, k, point):
-    """Closed-form (curl_k, div_k) of an edge principal part at a point."""
-    curl, div = pp.curl_div(np.asarray(point, dtype=float).reshape(1, 2), k)
-    return curl[0], div[0]
-
-
 def _guarded_values(pp, mesh, points):
     """Edge principal part at (P, 2) points, zero within a guard radius of
     the corner, where it diverges."""

@@ -13,9 +13,9 @@ with s the total basis (discrete regular curl plus analytic principal
 curl), after which the regular part solves the plain constrained system.
 For |k| > 2 the singular subspace of mode sign(k)*2 is reused; the lost
 orthogonality couples C^k to the regular unknowns through a rank-one border
-which is eliminated by a Schur complement.  The mode-k matrix is produced
-from the mode-2 assembly through the shift identity
-a_k = a_2 + (k^2-4)(u/r, v/r) + i(k-2) C(u, v).
+which is eliminated by a Schur complement.  The mode-k matrix is E(k) of
+the quadrature's operator workspace reduced on the constraint class of the
+mode-2 system, which all |k| >= 2 modes share.
 """
 
 import math
@@ -103,9 +103,6 @@ class FourierSolution:
         if set(self.records) != expected:
             missing = sorted(expected - set(self.records))
             raise ValueError(f"missing modes {missing}")
-
-    def coefficients(self):
-        return {k: rec.coeff for k, rec in self.records.items()}
 
 
 # -- Fourier analysis ------------------------------------------------------------
@@ -244,9 +241,10 @@ def solve_mode_orthogonal(mesh, problem, basis, system, tol=1e-10):
 def solve_mode_bordered(mesh, problem, basis2, system2, tol=1e-10):
     """Mode solve for |k| > 2 reusing the mode sign(k)*2 singular basis.
 
-    The regular stiffness matrix is shifted from the assembled mode-2
-    system; the non-orthogonal coupling of the reused basis enters as a
-    rank-one border solved by a Schur complement.
+    The mode-k system shares the constraint class of the assembled mode-2
+    system and its matrix is shifted_system(system2, k); the non-orthogonal
+    coupling of the reused basis enters as a rank-one border solved by a
+    Schur complement.
     """
     k = problem.k
     if abs(k) <= 2:
@@ -254,12 +252,7 @@ def solve_mode_bordered(mesh, problem, basis2, system2, tol=1e-10):
     base_k = 2 if k > 0 else -2
     if basis2.k != base_k:
         raise ValueError(f"expected the mode {base_k} basis, got mode {basis2.k}")
-    sysk = modal_ops.ModeSystem(
-        mesh, k, problem.space, quad=system2.quad, assemble=False
-    )
-    if not np.array_equal(sysk.constraints.kind, system2.constraints.kind):
-        raise ValueError("mode constraints do not match the stabilized space")
-    sysk.matrix = modal_ops.shifted_system(system2, k)
+    sysk = modal_ops.ModeSystem(mesh, k, problem.space, base=system2)
     problem.validate(sysk)
     vec = sysk.sample(problem.f, problem.g)
     F = sysk.functional(vec)
@@ -314,8 +307,10 @@ def solve_axisymmetric(
     filled by conjugation.
 
     Each |k| <= 2 mode system is assembled once, on one quadrature, and
-    serves both its singular basis and its mode solve; with a corner the
-    |k| > 2 modes shift the mode +-2 systems.
+    serves both its singular basis and its mode solve; the |k| > 2 modes
+    are solved on the constraint class of the mode +-2 systems.  The first
+    assembly builds the quadrature's operator workspace, which the mode
+    threads only read.
     """
     quad = MeshQuadrature(mesh, corner)
     pts = quad.xy
@@ -328,21 +323,16 @@ def solve_axisymmetric(
         systems[k] = modal_ops.assemble_a_k(mesh, k, space, quad=quad)
     if corner is not None and bases is None:
         bases = compute_bases(systems, corner, tol=tol)
-    if corner is not None and N > 2:
-        # build the shift matrices here, not racing in the mode threads
-        for k in (2, -2):
-            if k in systems:
-                systems[k].shift_matrices()
 
     def solve_one(k):
         problem = ModeProblem(k, space, fmodes[k], gmodes.get(k))
         if abs(k) <= 2:
             basis = bases.get(k) if bases else None
             return solve_mode_orthogonal(mesh, problem, basis, systems[k], tol=tol)
+        base_k = 2 if k > 0 else -2
         if corner is not None:
-            base_k = 2 if k > 0 else -2
             return solve_mode_bordered(mesh, problem, bases[base_k], systems[base_k], tol=tol)
-        system = modal_ops.assemble_a_k(mesh, k, space, quad=quad)
+        system = modal_ops.ModeSystem(mesh, k, space, base=systems[base_k])
         return solve_mode_orthogonal(mesh, problem, None, system, tol=tol)
 
     modes = list(range(0, N + 1)) if real_data else list(range(-N, N + 1))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,86 @@ def test_tabulated_rhs_round_trip(tmp_path):
     got = f(0.5, 0.0, 0.5)
     assert got[0] == pytest.approx(0.25, abs=1e-12)
     assert got[2] == pytest.approx(0.5, abs=1e-12)
+
+
+def _lshape_table(path, vertices, order=None):
+    r, z = vertices[:, 0], vertices[:, 1]
+    rows = [list(row) for row in zip(r, z, r * z, 0.0 * r, 1.0 - r * r)]
+    write_csv(path, ["r", "z", "f_r", "f_theta", "f_z"],
+              rows if order is None else [rows[i] for i in order])
+
+
+@pytest.mark.parametrize("rows", ["partial", "duplicate"])
+def test_tabulated_rhs_needs_one_row_per_vertex(tmp_path, capsys, rows):
+    msh, _ = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.1)
+    order = range(10) if rows == "partial" else [*range(msh.num_vertices), 3]
+    _lshape_table(tmp_path / "rhs.csv", msh.vertices, order)
+    rc = main([
+        "solve", "--h", "0.1", "--modes", "1", "--rhs", f"file:{tmp_path / 'rhs.csv'}",
+        "--outdir", str(tmp_path / "out"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: usage:")
+    assert not (tmp_path / "out" / "summary.csv").exists()
+
+
+def test_tabulated_rhs_matching_is_blocked(tmp_path):
+    msh, _ = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.025)
+    assert msh.num_vertices == 1281
+    _lshape_table(tmp_path / "rhs.csv", msh.vertices)
+    tracemalloc.start()
+    try:
+        cli_io.resolve_rhs(f"file:{tmp_path / 'rhs.csv'}", msh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+
+
+def test_tabulated_rhs_row_order_is_irrelevant(tmp_path, rng):
+    msh, _ = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.1)
+    _lshape_table(tmp_path / "a.csv", msh.vertices)
+    _lshape_table(tmp_path / "b.csv", msh.vertices, rng.permutation(msh.num_vertices))
+    pts = msh.vertices[msh.triangles].mean(axis=1)
+    got_a = cli_io.resolve_rhs(f"file:{tmp_path / 'a.csv'}", msh)(pts[:, 0], 0.0, pts[:, 1])
+    got_b = cli_io.resolve_rhs(f"file:{tmp_path / 'b.csv'}", msh)(pts[:, 0], 0.0, pts[:, 1])
+    assert all(np.array_equal(a, b) for a, b in zip(got_a, got_b))
+
+
+@pytest.mark.parametrize("azimuths", [None, 8])
+def test_synthesize_azimuths_leave_analysis_alone(tmp_path, azimuths):
+    """--theta-samples sets the output azimuths only: the analysis of
+    --modes 4 keeps its 4N + 1 samples, more than either azimuth count."""
+    extra = [] if azimuths is None else ["--theta-samples", str(azimuths)]
+    rc = main([
+        "synthesize", "--h", "0.2", "--modes", "4", *extra, "--outdir", str(tmp_path),
+    ])
+    assert rc == 0
+    msh, _ = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.2)
+    T = 16 if azimuths is None else azimuths
+    text = (tmp_path / "field3d.vtk").read_text()
+    assert f"POINTS {msh.num_vertices * T} double" in text
+
+
+@pytest.mark.parametrize("azimuths", ["0", "-3"])
+def test_synthesize_without_azimuths_is_usage_error(tmp_path, capsys, azimuths):
+    rc = main([
+        "synthesize", "--h", "0.2", "--modes", "1", "--theta-samples", azimuths,
+        "--outdir", str(tmp_path),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: usage:")
+    assert not (tmp_path / "field3d.vtk").exists()
+
+
+def test_unreachable_tolerance_is_numerical_failure(tmp_path, capsys):
+    """A tolerance below round-off fails on the true residual (exit 2)
+    instead of reporting CG's recursive residual as converged."""
+    rc = main(["solve", "--h", "0.05", "--modes", "1", "--tol", "1e-17",
+               "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: numerical:")
+    assert not (tmp_path / "summary.csv").exists()
 
 
 def test_verify_command_passes(capsys):

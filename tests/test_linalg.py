@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from axmaxwell import modal_ops
-from axmaxwell.femcore import SPACE_Y
+from axmaxwell import mesh, modal_ops
+from axmaxwell.cli_io import RHS_BUILTINS
+from axmaxwell.femcore import SPACE_Y, MeshQuadrature
 from axmaxwell.linalg import (
     BorderedSystem,
     HermitianSparse,
@@ -10,6 +11,7 @@ from axmaxwell.linalg import (
     solve_bordered,
     solve_hpd,
 )
+from axmaxwell.solver import analyze_rhs
 
 
 def _random_hpd(n, rng):
@@ -80,6 +82,28 @@ def test_nonconvergence_reports_residual():
         solve_hpd(A, b, tol=1e-14, maxit=2)
     assert err.value.residual is not None
     assert err.value.iterations == 2
+
+
+def test_converged_means_true_residual_below_tol(rng):
+    A, dense = _random_hpd(30, rng)
+    b = rng.normal(size=30) + 1j * rng.normal(size=30)
+    x, info = solve_hpd(A, b, tol=1e-12)
+    true = np.linalg.norm(b - dense @ x) / np.linalg.norm(b)
+    assert info.residual == pytest.approx(true, rel=1e-6)
+    assert info.residual <= 1e-12
+
+
+def test_recursive_residual_below_round_off_raises():
+    """At tol = 1e-17 CG's recursive residual reaches tol, but the true
+    residual of x stays near 1e-14: a restart cannot reach tol either."""
+    msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.05)
+    quad = MeshQuadrature(msh, corner)
+    system = modal_ops.assemble_a_k(msh, 0, SPACE_Y, quad=quad)
+    fmodes = analyze_rhs(RHS_BUILTINS["bandlimited"], 1, quad.xy)
+    b = system.load_from(f=fmodes[0])
+    with pytest.raises(SolverError) as err:
+        solve_hpd(system.matrix, b, tol=1e-17)
+    assert 1e-17 < err.value.residual < 1e-12  # the true residual, at round-off
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, 1.0])

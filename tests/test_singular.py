@@ -13,7 +13,6 @@ from axmaxwell.singular import (
     PrincipalPart,
     compute_basis,
     eval_principal,
-    eval_principal_curl_div,
     singular_dimensions,
 )
 
@@ -58,11 +57,11 @@ def test_closed_form_divergences_at_reference_angles():
     corner = _reference_corner(position=(1.0, 0.5))
     ppe = PrincipalPart(EDGE_ELECTRIC, corner=corner)
     ppm = PrincipalPart(EDGE_MAGNETIC, corner=corner)
-    pt = (2.0, 0.5)  # rho = 1, phi = 0
-    _, div_e = eval_principal_curl_div(ppe, 1, pt)
-    assert div_e == pytest.approx(0.0, abs=1e-14)
-    _, div_m = eval_principal_curl_div(ppm, 1, pt)
-    assert div_m == pytest.approx(-4.0 / 3.0, abs=1e-13)
+    pt = np.array([[2.0, 0.5]])  # rho = 1, phi = 0
+    _, div_e = ppe.curl_div(pt, 1)
+    assert div_e[0] == pytest.approx(0.0, abs=1e-14)
+    _, div_m = ppm.curl_div(pt, 1)
+    assert div_m[0] == pytest.approx(-4.0 / 3.0, abs=1e-13)
 
 
 @pytest.mark.parametrize("kind", [EDGE_ELECTRIC, EDGE_MAGNETIC])
@@ -82,7 +81,8 @@ def test_principal_curl_div_against_finite_differences(kind, rng):
             continue
         checked += 1
         k = int(rng.integers(-2, 3))
-        curl_an, div_an = eval_principal_curl_div(pp, k, pt)
+        curl_an, div_an = pp.curl_div(pt.reshape(1, 2), k)
+        curl_an, div_an = curl_an[0], div_an[0]
 
         def val(p):
             return pp.values(np.asarray(p).reshape(1, 2))[0]
@@ -140,7 +140,7 @@ def test_conical_curl_div_unsupported():
     cone = ConicalDescriptor(z=0.0, aperture=2.5)
     pp = PrincipalPart(CONICAL, cone=cone, nu=0.3)
     with pytest.raises(NotImplementedError):
-        eval_principal_curl_div(pp, 0, (0.5, 0.5))
+        pp.curl_div(np.array([[0.5, 0.5]]), 0)
 
 
 def test_eval_at_corner_raises():

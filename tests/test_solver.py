@@ -215,9 +215,10 @@ def test_full_solve_threads_deterministic(lshape):
         )
 
 
-def test_full_solve_assembles_each_system_once(lshape, monkeypatch):
+def test_full_solve_assembles_each_system_once(lshape, rect, monkeypatch):
     """The bases and the mode solves share the k = 0, 1, 2 systems, and the
-    shift matrices are built once, before the threads fan out."""
+    k-independent operator workspace is built once, before the threads fan
+    out; with or without a corner, |k| > 2 modes assemble nothing anew."""
     msh, corner = lshape
     calls = {}
 
@@ -230,14 +231,15 @@ def test_full_solve_assembles_each_system_once(lshape, monkeypatch):
 
         monkeypatch.setattr(modal_ops, name, wrapper)
 
-    for name in ("assemble_a_k", "assemble_over_r2_matrix", "assemble_C_matrix"):
+    for name in ("assemble_a_k", "OperatorWorkspace"):
         counted(name)
-    solver.solve_axisymmetric(
-        msh, SPACE_Y, _bandlimited, N=5, corner=corner, real_data=True, threads=4
-    )
-    assert calls == {
-        "assemble_a_k": 3, "assemble_over_r2_matrix": 1, "assemble_C_matrix": 1,
-    }
+    for case_mesh, case_corner in ((msh, corner), (rect, None)):
+        calls.clear()
+        solver.solve_axisymmetric(
+            case_mesh, SPACE_Y, _bandlimited, N=5, corner=case_corner, real_data=True,
+            threads=4,
+        )
+        assert calls == {"assemble_a_k": 3, "OperatorWorkspace": 1}
 
 
 def test_fourier_solution_requires_all_modes(rect):

@@ -47,3 +47,27 @@ def test_traced_file_rhs_calls_data_once(monkeypatch, tmp_path):
     summary = tracer.summary()
     assert summary["solver.rhs_evals"] == 1
     assert summary["femcore.interpolate_calls"] == 1
+
+
+def test_traced_high_mode_solve_shares_the_mode_two_class(monkeypatch, tmp_path):
+    """Three assemblies (k = 0, 1, 2) serve every mode: each |k| > 2 mode is
+    one shifted matrix on the mode-2 class, and every CG solve meets its
+    tolerance on the true residual."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+
+    tol = 1e-10
+    tracer = layers.Tracer("t")
+    try:
+        tracer.install()
+        rc = cli_io.main([
+            "solve", "--domain", "lshape", "--h", "0.1", "--modes", "4",
+            "--tol", repr(tol), "--outdir", str(tmp_path),
+        ])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    summary = tracer.summary()
+    assert summary["modal_ops.assemble_calls"] == 3
+    assert summary["modal_ops.shift_calls"] == 2
+    assert summary["linalg.true_resid_max"] <= tol

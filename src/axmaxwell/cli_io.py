@@ -178,7 +178,7 @@ def load_config(path):
                     raise UsageError(f"{path}:{lineno}: expected key = value")
                 key, val = (s.strip() for s in line.split("=", 1))
                 out[key.replace("-", "_")] = val
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     return out
 
@@ -192,13 +192,15 @@ def build_config(args):
         val = getattr(args, f.name, None)
         if val is not None:
             overrides[f.name] = val
+    types = {f.name: f.type for f in fields(RunConfig)}
     for key, val in overrides.items():
-        if not hasattr(cfg, key):
+        if key not in types:
             raise UsageError(f"unknown config key {key!r}")
-        current = getattr(RunConfig, key, None)
-        ftype = {f.name: f.type for f in fields(RunConfig)}[key]
-        if isinstance(val, str) and ftype in (float, int):
-            val = float(val) if ftype is float else int(val)
+        if isinstance(val, str) and types[key] in (float, int):
+            try:
+                val = types[key](val)
+            except ValueError as exc:
+                raise UsageError(f"{key}: {exc}") from exc
         setattr(cfg, key, val)
     for f in fields(RunConfig):
         if f.type is float and not np.isfinite(getattr(cfg, f.name)):
@@ -332,7 +334,8 @@ def cmd_singular(cfg, k, out):
     msh, corner = build_mesh(cfg)
     if corner is None:
         raise UsageError("singular bases need a domain with a reentrant corner")
-    system = modal_ops.assemble_a_k(msh, k, cfg.space(), quad=MeshQuadrature(msh, corner))
+    quad = MeshQuadrature(msh, corner)
+    system = modal_ops.assemble_systems(msh, cfg.space(), [k], quad, corner)[k]
     basis = singular.compute_basis(system, corner, tol=cfg.tol)
     prefix = os.path.join(cfg.outdir, out or f"basis_k{k}_{cfg.field}")
     centers = msh.vertices[msh.triangles].mean(axis=1)

@@ -1,6 +1,6 @@
-"""Complex sparse matrices, preconditioned conjugate gradients, and the
-rank-one bordered solve used when the mode-2 singular basis is reused for
-higher modes.
+"""Complex sparse matrices, conjugate gradients preconditioned by Jacobi or
+by a geometric multigrid V-cycle, and the rank-one bordered solve used when
+the mode-2 singular basis is reused for higher modes.
 
 Everything here assumes Hermitian positive definite matrices on the free
 degrees of freedom, which the constrained weighted div-curl forms provide.
@@ -9,6 +9,16 @@ degrees of freedom, which the constrained weighted div-curl forms provide.
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# CG raises once its residual has made no new minimum for this many
+# iterations; healthy solves have shown at most 49 (Jacobi, h = 0.0125)
+STALL_WINDOW = 200
+# damping of the Jacobi smoother of the V-cycle, and its sweeps per side;
+# D^-1 A of the mode forms has its eigenvalues below 2 (measured at
+# h = 0.1 and 0.05, k up to 24), so the smoother contracts and the cycle
+# stays positive definite
+_OMEGA = 0.6
+_SWEEPS = 2
 
 
 class SolverError(RuntimeError):
@@ -28,6 +38,9 @@ class HermitianSparse:
         self.indices = np.asarray(indices, dtype=np.int64)
         self.data = np.asarray(data, dtype=complex)
         self.n = int(n)
+        # matvec's reduceat offsets and the empty rows they misreport
+        self._starts = np.minimum(self.indptr[:-1], max(len(self.data) - 1, 0))
+        self._empty = np.flatnonzero(np.diff(self.indptr) == 0)
 
     @classmethod
     def from_coo(cls, rows, cols, vals, n):
@@ -57,10 +70,8 @@ class HermitianSparse:
         if self.nnz == 0:
             return np.zeros(self.n, dtype=complex)
         prod = self.data * x[self.indices]
-        counts = np.diff(self.indptr)
-        starts = np.minimum(self.indptr[:-1], self.nnz - 1)
-        out = np.add.reduceat(prod, starts)
-        out[counts == 0] = 0.0
+        out = np.add.reduceat(prod, self._starts)
+        out[self._empty] = 0.0
         return out
 
     def __matmul__(self, x):
@@ -80,6 +91,81 @@ class HermitianSparse:
         return dense
 
 
+def scatter(slots, vals, size):
+    """Sums of the complex vals per slot in [0, size); slot == size drops
+    a value.  Values add in their order, so the result is reproducible."""
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(slots, vals.real, size + 1)[:size]
+    out.imag = np.bincount(slots, vals.imag, size + 1)[:size]
+    return out
+
+
+def _inverse_diagonal(A):
+    diag = A.diagonal().real
+    if np.any(diag <= 0.0):
+        raise SolverError("zero or negative diagonal entry; matrix is not HPD")
+    return 1.0 / diag
+
+
+class Transfer:
+    """Prolongation P from the free dofs of a coarse level to those of the
+    next finer one: (P x)[i] = weight[i, 0] x[index[i, 0]] + weight[i, 1]
+    x[index[i, 1]], with index (n_fine, 2) coarse free dofs and complex
+    weight (n_fine, 2).  Restriction is the conjugate transpose P^H."""
+
+    def __init__(self, index, weight, n_coarse):
+        self.index = index
+        self.weight = weight
+        self.n_coarse = n_coarse
+
+    def prolong(self, xc):
+        return self.weight[:, 0] * xc[self.index[:, 0]] + self.weight[:, 1] * xc[self.index[:, 1]]
+
+    def restrict(self, r):
+        return scatter(self.index.ravel(), (np.conj(self.weight) * r[:, None]).ravel(),
+                       self.n_coarse)
+
+
+class Level:
+    """One coarse level of a multigrid hierarchy: its matrix with its
+    inverse diagonal, and the transfer from it to the next finer level."""
+
+    def __init__(self, matrix, transfer):
+        self.matrix = matrix
+        self.transfer = transfer
+        self.inv_diag = _inverse_diagonal(matrix)
+
+
+class Multigrid:
+    """V(2,2)-cycle with damped Jacobi smoothing over coarse levels, finest
+    first; the coarsest level is solved exactly through its dense inverse,
+    computed once.  The finest level is the matrix being solved, which the
+    caller supplies with its inverse diagonal.  The cycle is a fixed
+    Hermitian positive definite operator, so it preconditions CG."""
+
+    def __init__(self, levels):
+        self.levels = list(levels)
+        inverse = np.linalg.inv(self.levels[-1].matrix.to_dense())
+        self.coarsest_inverse = 0.5 * (inverse + inverse.conj().T)
+
+    def cycle(self, A, inv_diag, r, depth=0):
+        """Approximate solution of A x = r by one V-cycle from x = 0; A is
+        the matrix of level depth (depth 0: the finest)."""
+        x = _OMEGA * inv_diag * r
+        for _ in range(_SWEEPS - 1):
+            x += _OMEGA * inv_diag * (r - A.matvec(x))
+        level = self.levels[depth]
+        rc = level.transfer.restrict(r - A.matvec(x))
+        if depth + 1 == len(self.levels):
+            ec = self.coarsest_inverse @ rc
+        else:
+            ec = self.cycle(level.matrix, level.inv_diag, rc, depth + 1)
+        x += level.transfer.prolong(ec)
+        for _ in range(_SWEEPS):
+            x += _OMEGA * inv_diag * (r - A.matvec(x))
+        return x
+
+
 @dataclass
 class CGInfo:
     iterations: int
@@ -88,19 +174,22 @@ class CGInfo:
     history: list = field(default_factory=list)
 
 
-def solve_hpd(A, b, tol=1e-10, maxit=None, x0=None):
-    """Jacobi-preconditioned conjugate gradients for Hermitian positive
-    definite A; converged means true relative residual ||b - Ax|| / ||b||
-    <= tol.
+def solve_hpd(A, b, tol=1e-10, maxit=None, x0=None, *, hierarchy=None):
+    """Preconditioned conjugate gradients for Hermitian positive definite A;
+    converged means true relative residual ||b - Ax|| / ||b|| <= tol.
 
-    Once the recursive residual reaches tol the true one is recomputed; if
-    it is above tol, CG restarts once from x with r = b - Ax, and raises
-    SolverError carrying the true residual if that pass ends above tol too.
-    Returns (x, CGInfo), CGInfo.residual being the true residual; raises
-    ValueError unless 0 < tol < 1 (NaN included) and SolverError when maxit
-    iterations (both passes together) are exhausted.  The info history
-    records the preconditioned residual norm sqrt(r^H M^-1 r) at the start
-    of each pass and once per iteration.
+    The preconditioner is one V-cycle of hierarchy (a Multigrid whose
+    coarse levels discretise the same form as A) or, with hierarchy None,
+    Jacobi.  Once the recursive residual reaches tol the true one is
+    recomputed; if it is above tol, CG restarts once from x with r = b - Ax,
+    and raises SolverError carrying the true residual if that pass ends
+    above tol too.  Returns (x, CGInfo), CGInfo.residual being the true
+    residual; raises ValueError unless 0 < tol < 1 (NaN included) and
+    SolverError when maxit iterations (both passes together) are exhausted
+    or when the recursive residual has made no new minimum for STALL_WINDOW
+    iterations of a pass.  The info history records the preconditioned
+    residual norm sqrt(r^H M^-1 r) at the start of each pass and once per
+    iteration.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be finite and lie in (0, 1), got {tol!r}")
@@ -111,24 +200,35 @@ def solve_hpd(A, b, tol=1e-10, maxit=None, x0=None):
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros(n, dtype=complex), CGInfo(0, 0.0, True)
-    diag = A.diagonal().real
-    if np.any(diag <= 0.0):
-        raise SolverError("zero or negative diagonal entry; matrix is not HPD")
-    inv_diag = 1.0 / diag
+    inv_diag = _inverse_diagonal(A)
+    if hierarchy is None:
+        def precondition(r):
+            return inv_diag * r
+    else:
+        def precondition(r):
+            return hierarchy.cycle(A, inv_diag, r)
     x = np.zeros(n, dtype=complex) if x0 is None else np.asarray(x0, dtype=complex).copy()
     r = b - A.matvec(x) if x.any() else b.copy()
     history = []
     it = 0
     for _ in range(2):
-        z = inv_diag * r
+        z = precondition(r)
         rho = np.vdot(r, z).real
         p = z.copy()
         history.append(np.sqrt(max(rho, 0.0)))
-        resid = np.linalg.norm(r) / bnorm
+        resid = best = np.linalg.norm(r) / bnorm
+        since_best = 0
         while resid > tol:
             if it >= maxit:
                 raise SolverError(
                     f"CG did not converge in {maxit} iterations (residual {resid:.3e})",
+                    residual=resid,
+                    iterations=it,
+                )
+            if since_best >= STALL_WINDOW:
+                raise SolverError(
+                    f"CG stalled: no new residual minimum in {STALL_WINDOW} iterations "
+                    f"(residual {resid:.3e}, minimum {best:.3e}, tol {tol:.3e})",
                     residual=resid,
                     iterations=it,
                 )
@@ -143,13 +243,17 @@ def solve_hpd(A, b, tol=1e-10, maxit=None, x0=None):
             step = rho / denom
             x += step * p
             r -= step * q
-            z = inv_diag * r
+            z = precondition(r)
             rho_next = np.vdot(r, z).real
             p = z + (rho_next / rho) * p
             rho = rho_next
             history.append(np.sqrt(max(rho, 0.0)))
             resid = np.linalg.norm(r) / bnorm
             it += 1
+            if resid < best:
+                best, since_best = resid, 0
+            else:
+                since_best += 1
         r = b - A.matvec(x)
         resid = float(np.linalg.norm(r) / bnorm)
         if resid <= tol:
@@ -177,18 +281,19 @@ class BorderedSystem:
     f: complex
 
 
-def solve_bordered(system, tol=1e-10):
+def solve_bordered(system, tol=1e-10, hierarchy=None):
     """Schur-complement solve of the bordered system; the border row pairs
     with vectors by the conjugate inner product, which keeps the augmented
-    matrix Hermitian.
+    matrix Hermitian.  Both solves with K use the preconditioner of
+    hierarchy (see solve_hpd).
 
     Returns (x, c, (info_w, info_v)), the CGInfo of the solves K w = y and
     K v = F.
     """
     y = np.asarray(system.y, dtype=complex)
     F = np.asarray(system.F, dtype=complex)
-    w, info_w = solve_hpd(system.K, y, tol=tol)
-    v, info_v = solve_hpd(system.K, F, tol=tol)
+    w, info_w = solve_hpd(system.K, y, tol=tol, hierarchy=hierarchy)
+    v, info_v = solve_hpd(system.K, F, tol=tol, hierarchy=hierarchy)
     denom = system.alpha - complex(np.vdot(y, w))
     if abs(denom) < 1e-14 * abs(system.alpha):
         raise SolverError(

@@ -152,6 +152,8 @@ class TriangleMesh:
     def _validate(self):
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (n, 2) array")
+        if not np.all(np.isfinite(self.vertices)):
+            raise MeshError("vertex with a non-finite coordinate")
         if np.any(self.vertices[:, 0] < 0.0):
             raise MeshError("vertex with negative r coordinate")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
@@ -219,30 +221,30 @@ def _grid_lines(lo, hi, h, anchors=()):
     return np.array(lines)
 
 
-def _structured_mesh(rlines, zlines, h, keep=None):
+def _structured_arrays(rlines, zlines, keep=None):
+    """Vertices and triangles of the grid rlines x zlines, two triangles
+    per kept cell split along its (+r, +z) diagonal; keep is a boolean
+    (nr - 1, nz - 1) mask of cells, None keeps all.  Unused vertices are
+    dropped."""
     nr, nz = len(rlines), len(zlines)
     rr, zz = np.meshgrid(rlines, zlines, indexing="ij")
     verts = np.column_stack([_snap_axis(rr.ravel()), zz.ravel()])
     vid = np.arange(nr * nz).reshape(nr, nz)
-    tris = []
-    for i in range(nr - 1):
-        for j in range(nz - 1):
-            if keep is not None and not keep(
-                0.5 * (rlines[i] + rlines[i + 1]), 0.5 * (zlines[j] + zlines[j + 1])
-            ):
-                continue
-            v00, v10 = vid[i, j], vid[i + 1, j]
-            v01, v11 = vid[i, j + 1], vid[i + 1, j + 1]
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    if not tris:
+    v00, v10 = vid[:-1, :-1], vid[1:, :-1]
+    v01, v11 = vid[:-1, 1:], vid[1:, 1:]
+    cells = np.stack([np.stack([v00, v10, v11], axis=-1),
+                      np.stack([v00, v11, v01], axis=-1)], axis=2)
+    tris = (cells if keep is None else cells[keep]).reshape(-1, 3)
+    if not len(tris):
         raise MeshError("h too large: no cells generated")
-    tris = np.array(tris, dtype=np.int64)
     used = np.unique(tris)
     remap = -np.ones(nr * nz, dtype=np.int64)
     remap[used] = np.arange(len(used))
-    verts = verts[used]
-    tris = remap[tris]
+    return verts[used], remap[tris]
+
+
+def _structured_mesh(rlines, zlines, h, keep=None):
+    verts, tris = _structured_arrays(rlines, zlines, keep)
     edges, tags = _boundary_from_triangles(verts, tris)
     return TriangleMesh(verts, tris, edges, tags, h)
 
@@ -286,13 +288,54 @@ def gen_lshape(r_c, z_c, rmax=1.0, zmin=0.0, zmax=1.0, h=0.1):
         raise MeshError("h too large to resolve the corner")
     rlines = _grid_lines(0.0, rmax, h, anchors=(r_c,))
     zlines = _grid_lines(zmin, zmax, h, anchors=(z_c,))
+    rmid = 0.5 * (rlines[:-1] + rlines[1:])
+    zmid = 0.5 * (zlines[:-1] + zlines[1:])
     mesh = _structured_mesh(
-        rlines, zlines, h, keep=lambda r, z: not (r > r_c and z < z_c)
+        rlines, zlines, h, keep=~((rmid[:, None] > r_c) & (zmid[None, :] < z_c))
     )
     corners = classify_boundary(mesh)
     if len(corners) != 1:
         raise MeshError(f"expected exactly one reentrant corner, found {len(corners)}")
     return mesh, corners[0]
+
+
+def coarsen(mesh):
+    """The mesh of which mesh is the uniform (midpoint) refinement, or None.
+
+    Only structured meshes nest: mesh must be, array for array, the
+    triangulation _structured_mesh makes of its own grid lines, with every
+    2 x 2 block of grid cells wholly inside or wholly outside the domain.
+    Returns (coarse, parents) with coarse on every second grid line and
+    parents (nv, 2) holding, per vertex of mesh, the two coarse vertices
+    whose midpoint it is (the same vertex twice for a coarse vertex), so
+    that P1 interpolation onto mesh averages the two parents.
+    """
+    rl = np.unique(mesh.vertices[:, 0])
+    zl = np.unique(mesh.vertices[:, 1])
+    if len(rl) < 3 or len(zl) < 3 or len(rl) % 2 == 0 or len(zl) % 2 == 0:
+        return None
+    ri = np.searchsorted(rl, mesh.vertices[:, 0])
+    zi = np.searchsorted(zl, mesh.vertices[:, 1])
+    filled = np.zeros((len(rl) - 1, len(zl) - 1), dtype=bool)
+    filled[ri[mesh.triangles].min(axis=1), zi[mesh.triangles].min(axis=1)] = True
+    blocks = filled.reshape(len(rl) // 2, 2, len(zl) // 2, 2)
+    keep = blocks.all(axis=(1, 3))
+    if np.any(blocks.any(axis=(1, 3)) & ~keep):
+        return None
+    verts, tris = _structured_arrays(rl, zl, np.repeat(np.repeat(keep, 2, axis=0), 2, axis=1))
+    if not (np.array_equal(verts, mesh.vertices) and np.array_equal(tris, mesh.triangles)):
+        return None
+    # the boundary edges match the triangles (TriangleMesh checks it); the
+    # coarse tags come from the geometry, so the fine ones must as well
+    on_axis = (mesh.vertices[mesh.boundary_edges, 0] == 0.0).all(axis=1)
+    if not np.array_equal(mesh.boundary_tags, np.where(on_axis, AXIS, WALL)):
+        return None
+    coarse = _structured_mesh(rl[::2], zl[::2], 2.0 * mesh.h, keep)
+    grid = -np.ones((len(rl) // 2 + 1, len(zl) // 2 + 1), dtype=np.int64)
+    grid[np.searchsorted(rl[::2], coarse.vertices[:, 0]),
+         np.searchsorted(zl[::2], coarse.vertices[:, 1])] = np.arange(coarse.num_vertices)
+    parents = np.stack([grid[ri // 2, zi // 2], grid[(ri + 1) // 2, (zi + 1) // 2]], axis=1)
+    return coarse, parents
 
 
 # -- classification ----------------------------------------------------------
@@ -379,8 +422,13 @@ def save_mesh(mesh, path):
 
 
 def load_mesh(path, h=None):
-    with open(path) as fp:
-        lines = [ln.strip() for ln in fp if ln.strip()]
+    """Read an axmesh file; malformed content raises MeshError, a file that
+    cannot be read OSError."""
+    try:
+        with open(path) as fp:
+            lines = [ln.strip() for ln in fp if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise MeshError(f"{path}: not a text file: {exc}") from exc
     pos = 0
 
     def take():
@@ -415,18 +463,19 @@ def load_mesh(path, h=None):
         verts = np.array(block("vertices", 2, float), dtype=float).reshape(-1, 2)
         tris = np.array(block("triangles", 3, int), dtype=np.int64).reshape(-1, 3)
         bnd_rows = block("boundary", 3, str)
-    except ValueError as exc:
+        edges = np.array([(int(i), int(j)) for i, j, _ in bnd_rows], dtype=np.int64)
+    except MeshError:
+        raise
+    except (ValueError, OverflowError) as exc:
         raise MeshError(f"{path}: {exc}") from exc
-    edges = []
     tags = []
-    for i, j, tag in bnd_rows:
+    for *_, tag in bnd_rows:
         if tag not in _TAG_VALUES:
             raise MeshError(f"{path}: unknown boundary tag {tag!r}")
-        edges.append((int(i), int(j)))
         tags.append(_TAG_VALUES[tag])
     if pos != len(lines):
         raise MeshError(f"{path}: trailing data after boundary block")
-    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    edges = edges.reshape(-1, 2)
     tags = np.array(tags, dtype=np.int64)
     if h is None:
         p = verts[tris]

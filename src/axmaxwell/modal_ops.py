@@ -26,6 +26,11 @@ valid on fields whose boundary terms vanish (all constrained fields of the
 |k| >= 2 spaces), and the integration-by-parts split of a_k into its k = 0
 part, 1/r^2 mass terms and first-order coupling terms are evaluated by
 independent forms as verification oracles.
+
+A large system on a mesh that nests also carries a multigrid hierarchy:
+a_k of its mode and constraint class rediscretised on each coarser mesh,
+with the transfers between the constrained spaces (see ModeSystem and
+multigrid); linalg.solve_hpd uses it as the preconditioner.
 """
 
 import dataclasses
@@ -33,11 +38,19 @@ import dataclasses
 import numpy as np
 
 from . import femcore
-from .femcore import MeshQuadrature, ModeField, gradients, _locate
-from .linalg import HermitianSparse
+from .femcore import FREE, MeshQuadrature, ModeField, gradients, _locate
+from .linalg import HermitianSparse, Level, Multigrid, Transfer, scatter
+from .mesh import coarsen
 
 # operator component rows used throughout: (curl_r, curl_theta, curl_z, div)
 _NOPS = 4
+# a system with fewer free dofs is solved by Jacobi-CG alone: below this a
+# multigrid hierarchy costs more to set up than it saves (the L-shape at
+# h = 0.05 has about 950 free dofs, at h = 0.025 about 3,700)
+MULTIGRID_MIN_DOFS = 2000
+# coarsening stops at the first mesh with at most this many vertices; its
+# systems (a few hundred free dofs) are solved densely
+_COARSEST_VERTICES = 200
 
 
 # -- pointwise evaluation -------------------------------------------------------
@@ -202,9 +215,12 @@ class ElementOps:
         self.wr = self.ws.wr
 
     def element_matrices(self):
-        """Per-triangle 9x9 Hermitian element matrices of a_k, E(k)."""
+        """Per-triangle 9x9 Hermitian element matrices of a_k, E(k), as a new
+        array (summed in place: one complex temporary fewer)."""
         ws, k = self.ws, self.k
-        return ws.E00 + (k * k) * ws.E11 + (1j * k) * ws.A
+        out = (1j * k) * ws.A
+        out += ws.E00 + (k * k) * ws.E11
+        return out
 
     def local_values(self, values):
         """Nodal values of the local vertices per quadrature point, (Q, 3, 3)."""
@@ -225,8 +241,11 @@ class ElementOps:
         wv = vec * self.wr[:, None]
         out = np.einsum("qa,qaj->qj", wv, self.ws.D0)
         if self.k:
-            over_r = self.ws.lor[:, :, None] * (_K_SIGNS * wv[:, _K_ROWS])[:, None, :]
-            out -= (1j * self.k) * over_r.reshape(-1, 9)
+            signed = _K_SIGNS * wv[:, _K_ROWS]
+            for loc in range(3):  # per local vertex: no (Q, 3, 3) temporary
+                over_r = self.ws.lor[:, loc, None] * signed
+                over_r *= 1j * self.k
+                out[:, 3 * loc:3 * loc + 3] -= over_r
         return out
 
     def point_values(self, values):
@@ -238,48 +257,44 @@ def _global_dofs(mesh):
     return (3 * mesh.triangles[:, :, None] + np.arange(3)).reshape(-1, 9)
 
 
-def _scatter(slots, vals, size):
-    """Sums of the complex vals per slot in [0, size); slot == size drops
-    a value.  Values add in their order, so the result is reproducible."""
-    out = np.empty(size, dtype=complex)
-    out.real = np.bincount(slots, vals.real, size + 1)[:size]
-    out.imag = np.bincount(slots, vals.imag, size + 1)[:size]
-    return out
-
-
 class _Reduction:
     """Reduction of local element data onto the free dofs of one
-    constraint set: per-element targets and coefficients, the CSR pattern of
-    the reduced matrix and the scatter slots into it, computed once."""
+    constraint set: per-element coefficients, the CSR pattern of the
+    reduced matrix and the scatter slots into it, computed once."""
 
     def __init__(self, mesh, constraints):
         fidx, coeff = constraints.targets()
         gdofs = _global_dofs(mesh)
-        self.fidx = fidx[gdofs]  # (nt, 9)
+        fidx = fidx[gdofs]  # (nt, 9)
         self.coeff = coeff[gdofs]
         n = self.n = constraints.n_free
-        rows = np.broadcast_to(self.fidx[:, :, None], (len(gdofs), 9, 9))
-        cols = np.broadcast_to(self.fidx[:, None, :], (len(gdofs), 9, 9))
+        rows = np.broadcast_to(fidx[:, :, None], (len(gdofs), 9, 9))
+        cols = np.broadcast_to(fidx[:, None, :], (len(gdofs), 9, 9))
         keep = (rows >= 0) & (cols >= 0)
         keys, inverse = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+        if len(keys) >= np.iinfo(np.int32).max:
+            raise ValueError(f"{len(keys)} nonzeros exceed the int32 scatter slots")
         self.indptr = np.searchsorted(keys, np.arange(n + 1) * n)
         self.indices = keys % n
-        slots = np.full(keep.shape, len(keys))
+        # int32 slots halve the largest arrays a system keeps
+        slots = np.full(keep.shape, len(keys), dtype=np.int32)
         slots[keep] = inverse
         self.slots = slots.ravel()
-        self.fslots = np.where(self.fidx >= 0, self.fidx, n).ravel()
+        self.fslots = np.where(fidx >= 0, fidx, n).astype(np.int32).ravel()
 
     def matrix(self, elem):
-        """Reduced matrix from per-triangle 9x9 element matrices."""
+        """Reduced matrix from per-triangle 9x9 element matrices, which are
+        scaled by the constraint coefficients in place."""
         ci = self.coeff
-        vals = elem * np.conj(ci)[:, :, None] * ci[:, None, :]
-        data = _scatter(self.slots, vals.ravel(), len(self.indices))
+        elem *= np.conj(ci)[:, :, None]
+        elem *= ci[:, None, :]
+        data = scatter(self.slots, elem.ravel(), len(self.indices))
         return HermitianSparse(self.indptr, self.indices, data, self.n)
 
     def functional(self, per_dof_local):
         """Free-dof functional from per-triangle local test functionals."""
         vals = per_dof_local * np.conj(self.coeff)
-        return _scatter(self.fslots, vals.ravel(), self.n)
+        return scatter(self.fslots, vals.ravel(), self.n)
 
 
 class ModeSystem:
@@ -289,15 +304,22 @@ class ModeSystem:
     dofs of the constraint set.  Given base, an assembled mode +-2 system of
     the same space, a |k| > 2 system reuses its constraint class (targets
     and pattern; the class of |k| >= 2 depends neither on k nor on its
-    sign) and its matrix is shifted_system(base, k).  Nothing writes to a
-    system after construction, so one system serves the singular basis and
-    the mode solve, from any thread.
+    sign) and its matrix is shifted_system(base, k).
+
+    hierarchy is the multigrid preconditioner of the matrix (None: Jacobi)
+    and coarse the coarse systems kept for the |k| > 2 systems on this
+    base; assemble_systems sets both before it returns the system.  A
+    |k| > 2 system shifts each coarse system of its base, so it has a
+    hierarchy of its own.  Nothing writes to a system afterwards, so one
+    system serves the singular basis and the mode solve, from any thread.
     """
 
     def __init__(self, mesh, k, space, quad=None, constraints=None, base=None):
         self.mesh = mesh
         self.k = int(k)
         self.space = space
+        self.hierarchy = None
+        self.coarse = []
         if base is None:
             self.ops = ElementOps(mesh, k, quad)
             self.constraints = (
@@ -314,6 +336,12 @@ class ModeSystem:
             self.constraints = dataclasses.replace(base.constraints, k=self.k)
             self.reduction = base.reduction
             self.matrix = shifted_system(base, k)
+            if base.coarse:
+                shifted = [ModeSystem(c.mesh, k, space, base=c) for c in base.coarse]
+                self.hierarchy = Multigrid([
+                    Level(c.matrix, level.transfer)
+                    for c, level in zip(shifted, base.hierarchy.levels)
+                ])
         self.quad = self.ops.quad
 
     def sample(self, f=None, g=None):
@@ -360,6 +388,98 @@ class ModeSystem:
 def assemble_a_k(mesh, k, space, quad=None, constraints=None):
     """Assemble the constrained a_k system; the matrix acts on free dofs."""
     return ModeSystem(mesh, k, space, quad=quad, constraints=constraints)
+
+
+def assemble_systems(mesh, space, modes, quad, corner=None, shift=False):
+    """The a_k systems of modes on one quadrature, keyed by k, each with its
+    multigrid hierarchy when it has at least MULTIGRID_MIN_DOFS free dofs
+    and the mesh nests (see coarse_levels).  With shift, the mode +-2
+    systems keep their coarse systems, so that the |k| > 2 systems on them
+    shift every level.
+
+    The hierarchies are built after all fine systems, and the coarse
+    quadratures are dropped after them unless kept: the coarse workspaces
+    then never coexist with the temporaries of a fine assembly.  Everything
+    is built here, before any thread shares the systems.
+    """
+    systems = {k: assemble_a_k(mesh, k, space, quad=quad) for k in modes}
+    levels = None
+    for k, system in systems.items():
+        if system.matrix.n >= MULTIGRID_MIN_DOFS:
+            if levels is None:
+                levels = coarse_levels(mesh, corner)
+            system.hierarchy, system.coarse = multigrid(system, levels, shift and abs(k) == 2)
+    return systems
+
+
+# -- multigrid hierarchy ----------------------------------------------------------
+
+
+def coarse_levels(mesh, corner=None):
+    """The nested coarser meshes of mesh, finest first, as (mesh, parents,
+    quad) triples: parents maps the vertices of the next finer mesh onto
+    the coarse one (see mesh.coarsen), and every mode system on the level
+    shares the quadrature quad, which subdivides at corner like the fine
+    one and comes with its operator workspace.
+
+    Coarsening stops at the first mesh with at most _COARSEST_VERTICES
+    vertices.  When the mesh does not nest that far (a mesh file that is
+    no uniform refinement, an h whose grid does not halve onto the corner)
+    the list is empty and every system keeps Jacobi.
+    """
+    nested = []
+    msh = mesh
+    while msh.num_vertices > _COARSEST_VERTICES:
+        step = coarsen(msh)
+        if step is None:
+            return []
+        msh, parents = step
+        nested.append((msh, parents))
+    levels = []
+    for msh, parents in nested:
+        quad = MeshQuadrature(msh, corner)
+        workspace(quad)
+        levels.append((msh, parents, quad))
+    return levels
+
+
+def transfer(fine, coarse, parents):
+    """Prolongation from the free dofs of the coarse constraint set to those
+    of the fine one: expand the coarse field, interpolate it as P1 (each
+    fine vertex averages its two parents) and read the fine free dofs.  The
+    interpolant of a constrained coarse field is constrained on the fine
+    mesh, so this is the exact embedding of the coarse space."""
+    fidx, coeff = coarse.targets()
+    dofs = np.flatnonzero(fine.kind == FREE)
+    vertex, comp = np.divmod(dofs, 3)
+    pv = parents[vertex]
+    cdofs = 3 * pv + comp[:, None]
+    index = fidx[cdofs]
+    weight = np.where(pv[:, :1] == pv[:, 1:], [1.0, 0.0], 0.5) * coeff[cdofs]
+    weight[index < 0] = 0.0
+    index[index < 0] = 0
+    return Transfer(index, weight, coarse.n_free)
+
+
+def multigrid(system, levels, keep_coarse=False):
+    """Multigrid hierarchy of an assembled system: a_k of its mode and space
+    rediscretised on each coarse level, with the transfers between them.
+
+    Returns (Multigrid, coarse systems): the coarse systems are returned
+    only with keep_coarse, otherwise just their matrices stay, in the
+    hierarchy.  Empty levels give (None, []).
+    """
+    if not levels:
+        return None, []
+    hierarchy, kept = [], []
+    finer = system.constraints
+    for msh, parents, quad in levels:
+        coarse = assemble_a_k(msh, system.k, system.space, quad=quad)
+        hierarchy.append(Level(coarse.matrix, transfer(finer, coarse.constraints, parents)))
+        if keep_coarse:
+            kept.append(coarse)
+        finer = coarse.constraints
+    return Multigrid(hierarchy), kept
 
 
 # -- direct and decomposed form values ------------------------------------------

@@ -224,7 +224,7 @@ def compute_basis(system, corner, tol=1e-10, maxit=None, allow_high_mode=False):
         mesh, k, space, lambda pts: -_guarded_values(pp, mesh, pts), system.constraints
     )
     rhs = rhs - system.apply_to_field(lift.values)
-    x, info = solve_hpd(system.matrix, rhs, tol=tol, maxit=maxit)
+    x, info = solve_hpd(system.matrix, rhs, tol=tol, maxit=maxit, hierarchy=system.hierarchy)
     regular = system.constraints.expand(x) + lift
     basis = SingularBasis(
         k,

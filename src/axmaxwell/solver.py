@@ -233,7 +233,7 @@ def solve_mode_orthogonal(mesh, problem, basis, system, tol=1e-10):
         numer = complex(np.einsum("q,qa,qa->", system.ops.wr, vec, bop.conj()))
         coeff = numer / denom
         diag["coefficient_denominator"] = denom
-    x, info = solve_hpd(system.matrix, load, tol=tol)
+    x, info = solve_hpd(system.matrix, load, tol=tol, hierarchy=system.hierarchy)
     diag.update(iterations=info.iterations, residual=info.residual)
     return ModeRecord(system.constraints.expand(x), coeff, basis, diag)
 
@@ -264,7 +264,7 @@ def solve_mode_bordered(mesh, problem, basis2, system2, tol=1e-10):
     alpha = complex(np.sum(sysk.ops.wr[:, None] * np.abs(bop) ** 2))
     f_s = complex(np.einsum("q,qa,qa->", sysk.ops.wr, vec, bop.conj()))
     x, coeff, infos = solve_bordered(
-        BorderedSystem(sysk.matrix, coupling, alpha, F, f_s), tol=tol
+        BorderedSystem(sysk.matrix, coupling, alpha, F, f_s), tol=tol, hierarchy=sysk.hierarchy
     )
     diag = {
         "alpha": alpha.real,
@@ -310,22 +310,26 @@ def solve_axisymmetric(
     serves both its singular basis and its mode solve; the |k| > 2 modes
     are solved on the constraint class of the mode +-2 systems.  The first
     assembly builds the quadrature's operator workspace, which the mode
-    threads only read.
+    threads only read.  On a large mesh that nests, the multigrid
+    hierarchies and the coarse workspaces are built with the systems, also
+    before the threads fan out (see modal_ops.assemble_systems).
     """
     quad = MeshQuadrature(mesh, corner)
     pts = quad.xy
     fmodes = analyze_rhs(f, N, pts, samples)
     gmodes = analyze_scalar_rhs(g, N, pts, samples) if g is not None else {}
-    systems = {}
-    for k in range(-min(N, 2), min(N, 2) + 1):
-        if real_data and k < 0:
-            continue
-        systems[k] = modal_ops.assemble_a_k(mesh, k, space, quad=quad)
+    if real_data:  # the k < 0 coefficients are never read
+        for modes in (fmodes, gmodes):
+            for k in range(-N, 0):
+                modes.pop(k, None)
+    low = [k for k in range(-min(N, 2), min(N, 2) + 1) if k >= 0 or not real_data]
+    systems = modal_ops.assemble_systems(mesh, space, low, quad, corner, shift=N > 2)
     if corner is not None and bases is None:
         bases = compute_bases(systems, corner, tol=tol)
 
     def solve_one(k):
-        problem = ModeProblem(k, space, fmodes[k], gmodes.get(k))
+        # each mode's data is read once: drop it from the shared dicts
+        problem = ModeProblem(k, space, fmodes.pop(k), gmodes.pop(k, None))
         if abs(k) <= 2:
             basis = bases.get(k) if bases else None
             return solve_mode_orthogonal(mesh, problem, basis, systems[k], tol=tol)

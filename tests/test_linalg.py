@@ -5,6 +5,7 @@ from axmaxwell import mesh, modal_ops
 from axmaxwell.cli_io import RHS_BUILTINS
 from axmaxwell.femcore import SPACE_Y, MeshQuadrature
 from axmaxwell.linalg import (
+    STALL_WINDOW,
     BorderedSystem,
     HermitianSparse,
     SolverError,
@@ -104,6 +105,33 @@ def test_recursive_residual_below_round_off_raises():
     with pytest.raises(SolverError) as err:
         solve_hpd(system.matrix, b, tol=1e-17)
     assert 1e-17 < err.value.residual < 1e-12  # the true residual, at round-off
+
+
+def test_round_off_tolerance_fails_within_the_stall_window():
+    """tol = 1e-17 is below round-off: the solve fails on the true residual
+    or on a stalled one, within a window of the iterations that reach
+    round-off, not after maxit = 20 n."""
+    msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.05)
+    quad = MeshQuadrature(msh, corner)
+    system = modal_ops.assemble_a_k(msh, 0, SPACE_Y, quad=quad)
+    b = system.load_from(f=analyze_rhs(RHS_BUILTINS["bandlimited"], 1, quad.xy)[0])
+    _, info = solve_hpd(system.matrix, b, tol=1e-13)
+    with pytest.raises(SolverError) as err:
+        solve_hpd(system.matrix, b, tol=1e-17)
+    assert err.value.iterations <= info.iterations + STALL_WINDOW < 20 * system.matrix.n
+
+
+def test_stalled_residual_raises(rng):
+    """With kappa = 1e16 the residual never falls below its start: CG raises
+    after STALL_WINDOW iterations without a new minimum, not after maxit."""
+    n = 40
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    dense = (Q * np.logspace(0, -16, n)) @ Q.conj().T
+    rows, cols = np.nonzero(np.ones((n, n)))
+    A = HermitianSparse.from_coo(rows, cols, (0.5 * (dense + dense.conj().T)).ravel(), n)
+    with pytest.raises(SolverError, match="stalled") as err:
+        solve_hpd(A, rng.normal(size=n) + 1j * rng.normal(size=n), tol=1e-12)
+    assert err.value.iterations == STALL_WINDOW < 20 * n
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, 1.0])

@@ -132,3 +132,27 @@ def test_conical_descriptor_validation():
     mesh.ConicalDescriptor(z=0.3, aperture=2.5)
     with pytest.raises(MeshError):
         mesh.ConicalDescriptor(z=0.0, aperture=3.5)
+
+
+def _structured_reference(rlines, zlines, keep):
+    """The per-cell loop the generators used to build their triangles with."""
+    nz = len(zlines)
+    tris = []
+    for i in range(len(rlines) - 1):
+        for j in range(nz - 1):
+            if keep(0.5 * (rlines[i] + rlines[i + 1]), 0.5 * (zlines[j] + zlines[j + 1])):
+                v00, v10, v01, v11 = i * nz + j, (i + 1) * nz + j, i * nz + j + 1, (i + 1) * nz + j + 1
+                tris += [(v00, v10, v11), (v00, v11, v01)]
+    tris = np.array(tris)
+    used = np.unique(tris)
+    return np.searchsorted(used, tris), used
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05, 0.03])
+def test_generators_match_the_cell_loop(h):
+    msh, _ = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, h)
+    rl, zl = np.unique(msh.vertices[:, 0]), np.unique(msh.vertices[:, 1])
+    tris, used = _structured_reference(rl, zl, lambda r, z: not (r > 0.5 and z < 0.5))
+    assert np.array_equal(msh.triangles, tris)
+    rr, zz = np.meshgrid(rl, zl, indexing="ij")
+    assert np.array_equal(msh.vertices, np.column_stack([rr.ravel(), zz.ravel()])[used])

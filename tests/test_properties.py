@@ -1,0 +1,183 @@
+"""Property tests: malformed input fails with its documented error class, and
+the CLI maps every error class onto its exit code."""
+
+import argparse
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from axmaxwell import cli_io, mesh
+from axmaxwell.cli_io import RunConfig, UsageError, build_config, load_config, main
+from axmaxwell.linalg import SolverError
+from axmaxwell.mesh import MeshError
+
+FUZZ = settings(
+    max_examples=150, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+# -- axmesh files ------------------------------------------------------------------
+
+_NUMBER = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["0", "0.5", "1", "-0", "1e999", "nan", "99999999999999999999", "x", ""]),
+)
+_ROW = st.lists(_NUMBER, min_size=0, max_size=4).map(" ".join)
+_BOUNDARY_ROW = st.tuples(_NUMBER, _NUMBER, st.sampled_from(["axis", "wall", "rim", ""])).map(
+    " ".join
+)
+
+
+@st.composite
+def axmesh_text(draw):
+    """Text that follows the axmesh layout closely enough to reach every
+    parsing stage, with counts, rows and headers fuzzed."""
+    lines = [draw(st.sampled_from(["axmesh 1", "axmesh 2", "axmesh", ""]))]
+    for name, row in (("vertices", _ROW), ("triangles", _ROW), ("boundary", _BOUNDARY_ROW)):
+        rows = draw(st.lists(row, max_size=6))
+        count = draw(st.one_of(st.just(str(len(rows))), _NUMBER))
+        lines.append(f"{draw(st.sampled_from([name, name[:-1]]))} {count}")
+        lines += rows
+    lines += draw(st.lists(st.text(max_size=8), max_size=2))
+    return "\n".join(lines)
+
+
+def _valid_mesh_text():
+    msh, _ = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.25)
+    lines = ["axmesh 1", f"vertices {msh.num_vertices}"]
+    lines += ["%.17g %.17g" % tuple(v) for v in msh.vertices]
+    lines.append(f"triangles {msh.num_triangles}")
+    lines += ["%d %d %d" % tuple(t) for t in msh.triangles]
+    lines.append(f"boundary {len(msh.boundary_edges)}")
+    lines += [f"{i} {j} {'axis' if t == mesh.AXIS else 'wall'}"
+              for (i, j), t in zip(msh.boundary_edges, msh.boundary_tags)]
+    return "\n".join(lines) + "\n"
+
+
+_VALID_MESH = _valid_mesh_text()
+
+
+@st.composite
+def mutated_mesh_text(draw):
+    """A valid mesh file with one line replaced, dropped or duplicated."""
+    lines = _VALID_MESH.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    action = draw(st.sampled_from(["replace", "drop", "duplicate"]))
+    if action == "replace":
+        lines[i] = draw(st.one_of(_ROW, _BOUNDARY_ROW, st.text(max_size=12)))
+    elif action == "drop":
+        del lines[i]
+    else:
+        lines.insert(i, lines[i])
+    return "\n".join(lines)
+
+
+def _load_or_mesh_error(tmp_path, data):
+    path = tmp_path / "fuzz.axmesh"
+    path.write_bytes(data)
+    try:
+        msh = mesh.load_mesh(path)
+    except MeshError:
+        return
+    assert msh.num_triangles > 0
+
+
+@FUZZ
+@given(text=st.one_of(axmesh_text(), mutated_mesh_text()))
+def test_fuzzed_mesh_file_raises_only_mesh_error(tmp_path, text):
+    _load_or_mesh_error(tmp_path, text.encode("utf-8", "surrogatepass"))
+
+
+@FUZZ
+@given(data=st.binary(max_size=64))
+def test_binary_mesh_file_raises_only_mesh_error(tmp_path, data):
+    _load_or_mesh_error(tmp_path, data)
+
+
+# -- configuration ---------------------------------------------------------------
+
+_CONFIG_KEYS = [f.replace("_", "-") for f in RunConfig.__dataclass_fields__] + [
+    "space", "thread_count", "__class__", "unknown", ""
+]
+_CONFIG_LINE = st.one_of(
+    st.tuples(st.sampled_from(_CONFIG_KEYS), _NUMBER).map(" = ".join),
+    st.tuples(st.sampled_from(_CONFIG_KEYS), st.text(max_size=8)).map(" = ".join),
+    st.text(max_size=16),
+)
+
+
+def _config_or_usage_error(tmp_path, data):
+    path = tmp_path / "fuzz.cfg"
+    path.write_bytes(data)
+    try:
+        load_config(path)
+        cfg = build_config(argparse.Namespace(config=str(path)))
+    except UsageError:
+        return
+    assert 0.0 < cfg.tol < 1.0 and cfg.modes >= 0
+
+
+@FUZZ
+@given(lines=st.lists(_CONFIG_LINE, max_size=6))
+def test_fuzzed_config_raises_only_usage_error(tmp_path, lines):
+    _config_or_usage_error(tmp_path, "\n".join(lines).encode("utf-8", "surrogatepass"))
+
+
+@FUZZ
+@given(data=st.binary(max_size=64))
+def test_binary_config_raises_only_usage_error(tmp_path, data):
+    _config_or_usage_error(tmp_path, data)
+
+
+# -- exit codes --------------------------------------------------------------------
+
+_EXIT = {
+    UsageError: (1, "error: usage:"),
+    MeshError: (1, "error: invalid-input:"),
+    ValueError: (1, "error: invalid-input:"),
+    UnicodeError: (1, "error: invalid-input:"),
+    SolverError: (2, "error: numerical:"),
+    ArithmeticError: (2, "error: numerical:"),
+    ZeroDivisionError: (2, "error: numerical:"),
+    FloatingPointError: (2, "error: numerical:"),
+    OverflowError: (2, "error: numerical:"),
+    OSError: (3, "error: io:"),
+    FileNotFoundError: (3, "error: io:"),
+    PermissionError: (3, "error: io:"),
+    IsADirectoryError: (3, "error: io:"),
+}
+
+
+@FUZZ
+@given(error=st.sampled_from(sorted(_EXIT, key=lambda c: c.__name__)), message=st.text(max_size=20))
+def test_exit_code_matches_error_class(monkeypatch, capsys, error, message):
+    """1 for usage and invalid input, 2 for numerical failures, 3 for I/O,
+    with one stderr line naming the class."""
+
+    def fail(cfg, out):
+        raise error(message)
+
+    monkeypatch.setattr(cli_io, "cmd_meshgen", fail)
+    capsys.readouterr()
+    code, prefix = _EXIT[error]
+    assert main(["meshgen", "--h", "0.5"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert err.count("\n") == message.count("\n") + 1
+
+
+@pytest.mark.parametrize("content, code", [
+    (b"h = x\n", 1),
+    (b"modes = 1.5\n", 1),
+    (b"space = X\n", 1),
+    (b"\xff\xfe = 1\n", 1),
+    (b"mesh-file = does-not-exist.axmesh\n", 3),
+])
+def test_config_errors_reach_their_exit_code(tmp_path, capsys, content, code):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(content)
+    rc = main(["meshgen", "--config", str(path), "--outdir", str(tmp_path)])
+    assert rc == code
+    assert capsys.readouterr().err.startswith("error: io:" if code == 3 else "error: usage:")

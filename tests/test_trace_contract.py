@@ -71,3 +71,37 @@ def test_traced_high_mode_solve_shares_the_mode_two_class(monkeypatch, tmp_path)
     assert summary["modal_ops.assemble_calls"] == 3
     assert summary["modal_ops.shift_calls"] == 2
     assert summary["linalg.true_resid_max"] <= tol
+
+
+def test_traced_multigrid_solve(monkeypatch, tmp_path):
+    """At h = 0.025 every mode, basis and bordered solve runs multigrid-
+    preconditioned CG: at most 20 iterations per call, true residual within
+    tol, and the traced mesh is the fine one, not a coarse level."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+
+    tol = 1e-10
+    tracer = layers.Tracer("t")
+    per_call = []
+    add = tracer.add
+
+    def record(name, value):
+        if name == "linalg.cg_iterations":
+            per_call.append(value)
+        add(name, value)
+
+    monkeypatch.setattr(tracer, "add", record)
+    try:
+        tracer.install()
+        rc = cli_io.main([
+            "solve", "--domain", "lshape", "--h", "0.025", "--modes", "3",
+            "--tol", repr(tol), "--outdir", str(tmp_path),
+        ])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    summary = tracer.summary()
+    assert len(per_call) == summary["linalg.cg_calls"] == 3 + 3 + 2
+    assert max(per_call) <= 20
+    assert summary["linalg.true_resid_max"] <= tol
+    assert summary["mesh.vertices"] == 1281

@@ -22,7 +22,7 @@ from .mesh import (
 )
 from .special import find_beta, find_nu, legendre_p, legendre_p1
 from .femcore import ModeField, ConstraintSet, build_constraints, interpolate, lift_boundary
-from .singular import PrincipalPart, SingularBasis, compute_basis, eval_principal
+from .singular import PrincipalPart, SingularBasis, compute_basis
 from .solver import FourierSolution, ModeProblem, solve_axisymmetric
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "PrincipalPart",
     "SingularBasis",
     "compute_basis",
-    "eval_principal",
     "ModeProblem",
     "FourierSolution",
     "solve_axisymmetric",

@@ -350,8 +350,8 @@ def cmd_singular(cfg, k, out):
     write_csv(
         prefix + "_diag.csv",
         ["k", "field", "iterations", "residual", "energy", "curl_norm_sq"],
-        [[k, cfg.field, basis.diagnostics["iterations"], basis.diagnostics["residual"],
-          basis.diagnostics["energy"], basis.diagnostics["curl_norm_sq"]]],
+        [[k, cfg.field, basis.cg.iterations, basis.cg.residual, basis.energy,
+          basis.curl_norm_sq]],
     )
     print(f"wrote {prefix}.vtk and {prefix}_diag.csv")
     print(_corner_report(corner))
@@ -387,11 +387,10 @@ def cmd_solve(cfg):
             os.path.join(cfg.outdir, f"mode_{'m' if k < 0 else 'p'}{abs(k)}.vtk"),
             title=f"mode {k} {cfg.field}",
         )
-        diag = rec.diagnostics or {}
-        rows.append(
-            [k, complex(rec.coeff), diag.get("iterations", 0), diag.get("residual", 0.0),
-             diag.get("coefficient_denominator", float(diag.get("alpha", 0.0)))]
-        )
+        # the real part: a bordered mode's Schur denominator is complex
+        # only by round-off
+        rows.append([k, complex(rec.coeff), rec.iterations, rec.residual,
+                     float(rec.denominator.real)])
     write_csv(
         os.path.join(cfg.outdir, "summary.csv"),
         ["k", "C_k", "iterations", "residual", "coefficient_denominator"],
@@ -424,6 +423,8 @@ def cmd_synthesize(cfg, azimuths):
 def cmd_convergence(cfg):
     space = cfg.space()
     mf = manufactured.for_space(space)
+    if cfg.levels < 2:
+        raise UsageError(f"levels must be >= 2 to fit a rate, got {cfg.levels}")
     ks = [cfg.k] if cfg.k is not None else [0, 1, 2]
     hs = [0.2 * 0.5 ** lev for lev in range(cfg.levels)]
     os.makedirs(cfg.outdir, exist_ok=True)
@@ -437,7 +438,7 @@ def cmd_convergence(cfg):
             fvec = mf.curl(quad.xy, k)
             gvec = mf.div(quad.xy, k)
             rec = solver.solve_mode_orthogonal(
-                msh, solver.ModeProblem(k, space, fvec, gvec), None, system, tol=cfg.tol
+                solver.ModeProblem(k, space, fvec, gvec), system, tol=cfg.tol
             )
             l2, en = solver.error_norms(
                 rec.field, mf.u(quad.xy), exact_curl=fvec, exact_div=gvec,

@@ -84,8 +84,8 @@ class MeshQuadrature:
     The points of each triangle are contiguous.
     """
 
-    def __init__(self, mesh, corner=None, rule=None):
-        rule = rule or default_rule()
+    def __init__(self, mesh, corner=None):
+        rule = default_rule()
         areas = mesh.triangle_areas()
         nt = mesh.num_triangles
         refined = np.zeros(nt, dtype=bool)
@@ -281,10 +281,6 @@ class ConstraintSet:
         tied = np.where(self.kind == TIE)[0]
         vals[tied] = self.coeff[tied] * vals[self.master[tied]]
         return ModeField(self.mesh, self.k, vals.reshape(-1, 3))
-
-    def satisfies(self, fld, tol=1e-12):
-        diff = fld.values - self.apply(fld).values
-        return float(np.abs(diff).max()) <= tol
 
 
 def _wall_components(mesh):

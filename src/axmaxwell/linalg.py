@@ -74,9 +74,6 @@ class HermitianSparse:
         out[self._empty] = 0.0
         return out
 
-    def __matmul__(self, x):
-        return self.matvec(x)
-
     def diagonal(self):
         rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
         diag = np.zeros(self.n, dtype=complex)
@@ -174,7 +171,7 @@ class CGInfo:
     history: list = field(default_factory=list)
 
 
-def solve_hpd(A, b, tol=1e-10, maxit=None, x0=None, *, hierarchy=None):
+def solve_hpd(A, b, tol=1e-10, maxit=None, *, hierarchy=None):
     """Preconditioned conjugate gradients for Hermitian positive definite A;
     converged means true relative residual ||b - Ax|| / ||b|| <= tol.
 
@@ -207,8 +204,8 @@ def solve_hpd(A, b, tol=1e-10, maxit=None, x0=None, *, hierarchy=None):
     else:
         def precondition(r):
             return hierarchy.cycle(A, inv_diag, r)
-    x = np.zeros(n, dtype=complex) if x0 is None else np.asarray(x0, dtype=complex).copy()
-    r = b - A.matvec(x) if x.any() else b.copy()
+    x = np.zeros(n, dtype=complex)
+    r = b.copy()
     history = []
     it = 0
     for _ in range(2):
@@ -287,8 +284,9 @@ def solve_bordered(system, tol=1e-10, hierarchy=None):
     matrix Hermitian.  Both solves with K use the preconditioner of
     hierarchy (see solve_hpd).
 
-    Returns (x, c, (info_w, info_v)), the CGInfo of the solves K w = y and
-    K v = F.
+    Returns (x, c, denom, (info_w, info_v)): denom = alpha - y^H K^-1 y is
+    the Schur denominator of c, and the CGInfo are those of the solves
+    K w = y and K v = F.
     """
     y = np.asarray(system.y, dtype=complex)
     F = np.asarray(system.F, dtype=complex)
@@ -302,4 +300,4 @@ def solve_bordered(system, tol=1e-10, hierarchy=None):
         )
     c = (system.f - complex(np.vdot(y, v))) / denom
     x = v - c * w
-    return x, c, (info_w, info_v)
+    return x, c, denom, (info_w, info_v)

@@ -120,12 +120,6 @@ class TriangleMesh:
         on_axis = self.boundary_edges[self.boundary_tags == AXIS]
         return np.unique(on_axis)
 
-    def wall_vertices(self):
-        if len(self.boundary_edges) == 0:
-            return np.zeros(0, dtype=np.int64)
-        on_wall = self.boundary_edges[self.boundary_tags == WALL]
-        return np.unique(on_wall)
-
     def diameter(self):
         lo = self.vertices.min(axis=0)
         hi = self.vertices.max(axis=0)
@@ -421,7 +415,7 @@ def save_mesh(mesh, path):
             fp.write(f"{i} {j} {_TAG_NAMES[int(tag)]}\n")
 
 
-def load_mesh(path, h=None):
+def load_mesh(path):
     """Read an axmesh file; malformed content raises MeshError, a file that
     cannot be read OSError."""
     try:
@@ -477,8 +471,7 @@ def load_mesh(path, h=None):
         raise MeshError(f"{path}: trailing data after boundary block")
     edges = edges.reshape(-1, 2)
     tags = np.array(tags, dtype=np.int64)
-    if h is None:
-        p = verts[tris]
-        lengths = [np.hypot(*(p[:, a] - p[:, b]).T) for a, b in ((0, 1), (1, 2), (2, 0))]
-        h = float(np.median(np.concatenate(lengths))) if len(tris) else 1.0
+    p = verts[tris]
+    lengths = [np.hypot(*(p[:, a] - p[:, b]).T) for a, b in ((0, 1), (1, 2), (2, 0))]
+    h = float(np.median(np.concatenate(lengths))) if len(tris) else 1.0
     return TriangleMesh(verts, tris, edges, tags, h)

@@ -601,16 +601,16 @@ def a_k_via_decomposition(mesh, u, v, k, quad=None):
     return total
 
 
-def a_k_by_shift(mesh, u, v, k, quad=None, base_k=2):
-    """a_k(u, v) from the mode-(base_k) value via the shift identity.
+def a_k_by_shift(mesh, u, v, k, quad=None):
+    """a_k(u, v) from the mode-2 value via the shift identity.
 
     Valid once the boundary coupling of both modes coincides, i.e. on
     fields constrained for the stabilized |k| >= 2 spaces.
     """
-    base = a_k_direct(mesh, u, v, base_k, quad)
+    base = a_k_direct(mesh, u, v, 2, quad)
     quad = quad if quad is not None else MeshQuadrature(mesh)
-    shift = (k * k - base_k * base_k) * form_over_r2(mesh, u, v, quad)
-    shift += 1j * (k - base_k) * form_C(mesh, u, v, quad)
+    shift = (k * k - 4) * form_over_r2(mesh, u, v, quad)
+    shift += 1j * (k - 2) * form_C(mesh, u, v, quad)
     return base + shift
 
 

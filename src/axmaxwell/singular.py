@@ -22,14 +22,15 @@ with the essential trace of x_reg prescribed to cancel the principal trace
 on the wall.
 """
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import femcore
 from .femcore import ModeField
-from .linalg import solve_hpd
+from .linalg import CGInfo, solve_hpd
 from .special import find_beta, find_nu, legendre_p, legendre_p1
 
 EDGE_ELECTRIC = "edge_electric"
@@ -129,11 +130,6 @@ class PrincipalPart:
         return curl, div.astype(complex)
 
 
-def eval_principal(pp, point):
-    """Principal part components at a single meridian point."""
-    return pp.values(np.asarray(point, dtype=float).reshape(1, 2))[0]
-
-
 def _guarded_values(pp, mesh, points):
     """Edge principal part at (P, 2) points, zero within a guard radius of
     the corner, where it diverges."""
@@ -152,13 +148,17 @@ def principal_for(space, corner):
 @dataclass
 class SingularBasis:
     """One singular complement function: analytic principal part plus the
-    computed regular nodal correction."""
+    computed regular nodal correction, with the CG solve of the correction,
+    the basis energy a_k(s, s) and the curl part of it, (curl_k s, curl_k s),
+    at its own mode."""
 
     k: int
     space: str
     principal: PrincipalPart
     regular: ModeField
-    diagnostics: dict = field(default_factory=dict)
+    cg: CGInfo = None
+    energy: float = 0.0
+    curl_norm_sq: float = 0.0
 
     @property
     def mesh(self):
@@ -188,20 +188,14 @@ class SingularBasis:
         """Total basis values at the quadrature points of ops, (Q, 3)."""
         return ops.point_values(self.regular.values) + self.principal.values(ops.quad.xy)
 
-    def energy(self, ops):
-        """a_k(basis, basis) at the mode of ops; real and positive."""
-        bop = self.op_arrays(ops)
-        return float(np.sum(ops.wr[:, None] * np.abs(bop) ** 2))
-
     def conjugate(self):
         """Basis of the opposite mode for conjugate-symmetric data; the
         principal part is real-valued, so only the regular part conjugates."""
         reg = ModeField(self.mesh, -self.k, np.conj(self.regular.values))
-        diag = dict(self.diagnostics)
-        return SingularBasis(-self.k, self.space, self.principal, reg, diag)
+        return dataclasses.replace(self, k=-self.k, regular=reg)
 
 
-def compute_basis(system, corner, tol=1e-10, maxit=None, allow_high_mode=False):
+def compute_basis(system, corner, tol=1e-10, allow_high_mode=False):
     """Compute the singular complement basis on an assembled mode system.
 
     The system gives the mesh, mode and space; its quadrature should
@@ -224,18 +218,11 @@ def compute_basis(system, corner, tol=1e-10, maxit=None, allow_high_mode=False):
         mesh, k, space, lambda pts: -_guarded_values(pp, mesh, pts), system.constraints
     )
     rhs = rhs - system.apply_to_field(lift.values)
-    x, info = solve_hpd(system.matrix, rhs, tol=tol, maxit=maxit, hierarchy=system.hierarchy)
-    regular = system.constraints.expand(x) + lift
-    basis = SingularBasis(
-        k,
-        space,
-        pp,
-        regular,
-        {"iterations": info.iterations, "residual": info.residual},
-    )
-    basis.diagnostics["energy"] = basis.energy(system.ops)
-    curl_norm = float(np.sum(system.ops.wr[:, None] * np.abs(basis.op_arrays(system.ops)[:, :3]) ** 2))
-    basis.diagnostics["curl_norm_sq"] = curl_norm
+    x, info = solve_hpd(system.matrix, rhs, tol=tol, hierarchy=system.hierarchy)
+    basis = SingularBasis(k, space, pp, system.constraints.expand(x) + lift, info)
+    bop = basis.op_arrays(system.ops)
+    basis.energy = float(np.sum(system.ops.wr[:, None] * np.abs(bop) ** 2))
+    basis.curl_norm_sq = float(np.sum(system.ops.wr[:, None] * np.abs(bop[:, :3]) ** 2))
     return basis
 
 

@@ -18,9 +18,10 @@ the quadrature's operator workspace reduced on the constraint class of the
 mode-2 system, which all |k| >= 2 modes share.
 """
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,12 +63,30 @@ class ModeProblem:
 
 @dataclass
 class ModeRecord:
-    """Solution of one mode: regular field, singular coefficient, basis."""
+    """Solution of one mode: regular field, singular coefficient, basis.
+
+    cg holds the CGInfo of each CG call of the solve: one for the
+    orthogonal path, (K w = y, K v = F) for the bordered one.  denominator
+    is that of C^k: the basis energy on the orthogonal path, the Schur
+    denominator alpha - y^H K^-1 y (complex, its imaginary part round-off)
+    on the bordered one.  energy is the basis energy a_k(s, s) at this
+    mode.  Both are 0.0 without a basis.
+    """
 
     field: ModeField
     coeff: complex = 0.0
     basis: object = None
-    diagnostics: dict = None
+    cg: tuple = ()
+    denominator: complex = 0.0
+    energy: float = 0.0
+
+    @property
+    def iterations(self):
+        return sum(info.iterations for info in self.cg)
+
+    @property
+    def residual(self):
+        return max((info.residual for info in self.cg), default=0.0)
 
     def total_nodal(self):
         vals = self.field.values.copy()
@@ -79,12 +98,6 @@ class ModeRecord:
         out = ops.point_values(self.field.values)
         if self.basis is not None and self.coeff != 0.0:
             out = out + self.coeff * self.basis.point_arrays(ops)
-        return out
-
-    def op_values(self, ops):
-        out = ops.op_values(self.field.values)
-        if self.basis is not None and self.coeff != 0.0:
-            out = out + self.coeff * self.basis.op_arrays(ops)
         return out
 
 
@@ -210,7 +223,32 @@ def sample_3d(solution, n_theta):
 # -- single-mode solvers ----------------------------------------------------------
 
 
-def solve_mode_orthogonal(mesh, problem, basis, system, tol=1e-10):
+def _pair(problem, system, basis):
+    """What both mode solves share: validate and sample the data on the
+    system, build its load and pair the data with the basis operators.
+
+    Returns (load, bop, energy, numer): bop the mode-k (curl, div) of the
+    basis at the quadrature points, energy = a_k(s, s) and numer the data
+    paired with bop; without a basis (load, None, 0.0, 0.0).
+    """
+    if system.k != problem.k or system.space != problem.space:
+        raise ValueError("mode system does not match the problem")
+    problem.validate(system)
+    vec = system.sample(problem.f, problem.g)
+    load = system.functional(vec)
+    if basis is None:
+        return load, None, 0.0, 0.0
+    if basis.space != problem.space:
+        raise ValueError("basis space does not match the problem")
+    bop = basis.op_arrays(system.ops)
+    energy = float(np.sum(system.ops.wr[:, None] * np.abs(bop) ** 2))
+    if energy <= 0.0 or not np.isfinite(energy):
+        raise ArithmeticError("singular basis has no energy; basis is broken")
+    numer = complex(np.einsum("q,qa,qa->", system.ops.wr, vec, bop.conj()))
+    return load, bop, energy, numer
+
+
+def solve_mode_orthogonal(problem, system, basis=None, tol=1e-10):
     """Mode solve for |k| <= 2 (or any mode without a singular basis) on the
     assembled mode system; basis may be None.
 
@@ -218,31 +256,17 @@ def solve_mode_orthogonal(mesh, problem, basis, system, tol=1e-10):
     operators; the regular part solves the constrained system with the full
     (f, g) load.  Returns a ModeRecord.
     """
-    problem.validate(system)
-    vec = system.sample(problem.f, problem.g)
-    load = system.functional(vec)
-    diag = {}
-    coeff = 0.0
-    if basis is not None:
-        if basis.space != problem.space:
-            raise ValueError("basis space does not match the problem")
-        bop = basis.op_arrays(system.ops)
-        denom = float(np.sum(system.ops.wr[:, None] * np.abs(bop) ** 2))
-        if denom <= 0.0 or not np.isfinite(denom):
-            raise ArithmeticError("singular basis has no energy; basis is broken")
-        numer = complex(np.einsum("q,qa,qa->", system.ops.wr, vec, bop.conj()))
-        coeff = numer / denom
-        diag["coefficient_denominator"] = denom
+    load, _, energy, numer = _pair(problem, system, basis)
+    coeff = numer / energy if basis is not None else 0.0
     x, info = solve_hpd(system.matrix, load, tol=tol, hierarchy=system.hierarchy)
-    diag.update(iterations=info.iterations, residual=info.residual)
-    return ModeRecord(system.constraints.expand(x), coeff, basis, diag)
+    return ModeRecord(system.constraints.expand(x), coeff, basis, (info,), energy, energy)
 
 
-def solve_mode_bordered(mesh, problem, basis2, system2, tol=1e-10):
+def solve_mode_bordered(problem, system, basis, tol=1e-10):
     """Mode solve for |k| > 2 reusing the mode sign(k)*2 singular basis.
 
-    The mode-k system shares the constraint class of the assembled mode-2
-    system and its matrix is shifted_system(system2, k); the non-orthogonal
+    system is the mode-k system on the constraint class of the mode-2
+    system (ModeSystem(mesh, k, space, base=system2)); the non-orthogonal
     coupling of the reused basis enters as a rank-one border solved by a
     Schur complement.
     """
@@ -250,29 +274,18 @@ def solve_mode_bordered(mesh, problem, basis2, system2, tol=1e-10):
     if abs(k) <= 2:
         raise ValueError("bordered solves serve |k| > 2")
     base_k = 2 if k > 0 else -2
-    if basis2.k != base_k:
-        raise ValueError(f"expected the mode {base_k} basis, got mode {basis2.k}")
-    sysk = modal_ops.ModeSystem(mesh, k, problem.space, base=system2)
-    problem.validate(sysk)
-    vec = sysk.sample(problem.f, problem.g)
-    F = sysk.functional(vec)
+    if basis.k != base_k:
+        raise ValueError(f"expected the mode {base_k} basis, got mode {basis.k}")
+    load, bop, alpha, f_s = _pair(problem, system, basis)
     # coupling a_k(s, v) of the reused basis s with the regular test fields:
     # the mode-k (curl, div) of s (discrete regular part plus analytic
     # principal part) paired with those of the test fields
-    bop = basis2.op_arrays(sysk.ops)
-    coupling = sysk.functional(bop)
-    alpha = complex(np.sum(sysk.ops.wr[:, None] * np.abs(bop) ** 2))
-    f_s = complex(np.einsum("q,qa,qa->", sysk.ops.wr, vec, bop.conj()))
-    x, coeff, infos = solve_bordered(
-        BorderedSystem(sysk.matrix, coupling, alpha, F, f_s), tol=tol, hierarchy=sysk.hierarchy
+    coupling = system.functional(bop)
+    x, coeff, denom, infos = solve_bordered(
+        BorderedSystem(system.matrix, coupling, alpha, load, f_s), tol=tol,
+        hierarchy=system.hierarchy,
     )
-    diag = {
-        "alpha": alpha.real,
-        "mode_base": base_k,
-        "iterations": sum(info.iterations for info in infos),
-        "residual": max(info.residual for info in infos),
-    }
-    return ModeRecord(sysk.constraints.expand(x), coeff, basis2, diag)
+    return ModeRecord(system.constraints.expand(x), coeff, basis, infos, denom, alpha)
 
 
 # -- full solve --------------------------------------------------------------------
@@ -292,7 +305,6 @@ def solve_axisymmetric(
     g=None,
     N=5,
     corner=None,
-    bases=None,
     tol=1e-10,
     real_data=False,
     samples=None,
@@ -307,10 +319,10 @@ def solve_axisymmetric(
     filled by conjugation.
 
     Each |k| <= 2 mode system is assembled once, on one quadrature, and
-    serves both its singular basis and its mode solve; the |k| > 2 modes
-    are solved on the constraint class of the mode +-2 systems.  The first
-    assembly builds the quadrature's operator workspace, which the mode
-    threads only read.  On a large mesh that nests, the multigrid
+    serves both its singular basis and its mode solve; each |k| > 2 system
+    is built in its mode's solve, on the constraint class of the mode +-2
+    system.  The first assembly builds the quadrature's operator workspace,
+    which the mode threads only read.  On a large mesh that nests, the multigrid
     hierarchies and the coarse workspaces are built with the systems, also
     before the threads fan out (see modal_ops.assemble_systems).
     """
@@ -324,20 +336,18 @@ def solve_axisymmetric(
                 modes.pop(k, None)
     low = [k for k in range(-min(N, 2), min(N, 2) + 1) if k >= 0 or not real_data]
     systems = modal_ops.assemble_systems(mesh, space, low, quad, corner, shift=N > 2)
-    if corner is not None and bases is None:
-        bases = compute_bases(systems, corner, tol=tol)
+    bases = compute_bases(systems, corner, tol=tol) if corner is not None else {}
 
     def solve_one(k):
         # each mode's data is read once: drop it from the shared dicts
         problem = ModeProblem(k, space, fmodes.pop(k), gmodes.pop(k, None))
         if abs(k) <= 2:
-            basis = bases.get(k) if bases else None
-            return solve_mode_orthogonal(mesh, problem, basis, systems[k], tol=tol)
+            return solve_mode_orthogonal(problem, systems[k], bases.get(k), tol=tol)
         base_k = 2 if k > 0 else -2
-        if corner is not None:
-            return solve_mode_bordered(mesh, problem, bases[base_k], systems[base_k], tol=tol)
         system = modal_ops.ModeSystem(mesh, k, space, base=systems[base_k])
-        return solve_mode_orthogonal(mesh, problem, None, system, tol=tol)
+        if corner is None:
+            return solve_mode_orthogonal(problem, system, tol=tol)
+        return solve_mode_bordered(problem, system, bases[base_k], tol=tol)
 
     modes = list(range(0, N + 1)) if real_data else list(range(-N, N + 1))
     records = {}
@@ -352,8 +362,9 @@ def solve_axisymmetric(
         for k in range(1, N + 1):
             rec = records[k]
             basis = rec.basis.conjugate() if rec.basis is not None else None
-            records[-k] = ModeRecord(
-                rec.field.conj(), np.conj(rec.coeff), basis, rec.diagnostics
+            records[-k] = dataclasses.replace(
+                rec, field=rec.field.conj(), coeff=np.conj(rec.coeff), basis=basis,
+                denominator=np.conj(rec.denominator),
             )
     return FourierSolution(mesh, space, N, records, real_data)
 

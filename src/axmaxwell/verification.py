@@ -218,8 +218,7 @@ def criterion_5_convergence():
                 fvec = mf.curl(quad.xy, k)
                 gvec = mf.div(quad.xy, k)
                 rec = solver.solve_mode_orthogonal(
-                    m, solver.ModeProblem(k, space, fvec, gvec), None, system,
-                    tol=SOLVER_TOL,
+                    solver.ModeProblem(k, space, fvec, gvec), system, tol=SOLVER_TOL
                 )
                 errs.append(
                     solver.error_norms(
@@ -254,7 +253,7 @@ def criterion_6_homogeneity():
             curl_s, div_s = basis.principal.curl_div(system.quad.xy, k)
             svec = np.concatenate([curl_s, div_s[:, None]], axis=1)
             resid = resid + system.functional(svec)
-            bnorm = math.sqrt(basis.diagnostics["energy"])
+            bnorm = math.sqrt(basis.energy)
             for _ in range(50):
                 v = _random_constrained(system, rng)
                 vnorm = math.sqrt(abs(system.form_value(v.values, v.values)))
@@ -268,7 +267,6 @@ def criterion_6_homogeneity():
 
 def criterion_7_singular_only():
     h = 0.1
-    msh, _ = _lshape(h)
     worst_c = worst_e = 0.0
     for space in (femcore.SPACE_X, femcore.SPACE_Y):
         for k in (0, 1, -1, 2, -2):
@@ -276,10 +274,10 @@ def criterion_7_singular_only():
             basis = _lshape_basis(h, k, space)
             bop = basis.op_arrays(system.ops)
             problem = solver.ModeProblem(k, space, bop[:, :3].copy(), bop[:, 3].copy())
-            rec = solver.solve_mode_orthogonal(msh, problem, basis, system, tol=SOLVER_TOL)
+            rec = solver.solve_mode_orthogonal(problem, system, basis, tol=SOLVER_TOL)
             reg_energy = abs(system.form_value(rec.field.values, rec.field.values))
             worst_c = max(worst_c, abs(rec.coeff - 1.0))
-            worst_e = max(worst_e, reg_energy / basis.diagnostics["energy"])
+            worst_e = max(worst_e, reg_energy / basis.energy)
     ok = worst_c <= SINGULAR_COEFF_TOL and worst_e <= SINGULAR_ENERGY_RATIO
     return CriterionResult(
         7,
@@ -290,7 +288,7 @@ def criterion_7_singular_only():
 
 
 def _bordered_vs_orthogonal(h):
-    msh, corner = _lshape(h)
+    msh, _ = _lshape(h)
     quad = _lshape_quad(h)
     mf = manufactured.lshape_magnetic()
     b2 = _lshape_basis(h, 2, femcore.SPACE_Y)
@@ -302,9 +300,10 @@ def _bordered_vs_orthogonal(h):
     fvec = mf.curl(quad.xy, 3) + c0 * curl_s
     gvec = mf.div(quad.xy, 3) + c0 * div_s
     problem = solver.ModeProblem(3, femcore.SPACE_Y, fvec, gvec)
-    rec_b = solver.solve_mode_bordered(msh, problem, b2, sys2, tol=SOLVER_TOL)
+    sysk = modal_ops.ModeSystem(msh, 3, femcore.SPACE_Y, base=sys2)
+    rec_b = solver.solve_mode_bordered(problem, sysk, b2, tol=SOLVER_TOL)
     problem = solver.ModeProblem(3, femcore.SPACE_Y, fvec, gvec)
-    rec_o = solver.solve_mode_orthogonal(msh, problem, b3, sys3, tol=SOLVER_TOL)
+    rec_o = solver.solve_mode_orthogonal(problem, sys3, b3, tol=SOLVER_TOL)
     pv_b = rec_b.point_values(sys3.ops)
     pv_o = rec_o.point_values(sys3.ops)
     num = math.sqrt(abs(np.sum(sys3.ops.wr[:, None] * np.abs(pv_b - pv_o) ** 2)))
@@ -351,7 +350,6 @@ def criterion_9_fourier_roundtrip():
 
 def criterion_10_conjugate_symmetry():
     h = 0.1
-    msh, corner = _lshape(h)
     quad = _lshape_quad(h)
     worst = 0.0
     for k, space in ((1, femcore.SPACE_Y), (2, femcore.SPACE_X)):
@@ -361,10 +359,10 @@ def criterion_10_conjugate_symmetry():
         b_p = _lshape_basis(h, k, space)
         b_m = _lshape_basis(h, -k, space)
         rec_p = solver.solve_mode_orthogonal(
-            msh, solver.ModeProblem(k, space, fm[k]), b_p, sys_p, tol=SOLVER_TOL
+            solver.ModeProblem(k, space, fm[k]), sys_p, b_p, tol=SOLVER_TOL
         )
         rec_m = solver.solve_mode_orthogonal(
-            msh, solver.ModeProblem(-k, space, fm[-k]), b_m, sys_m, tol=SOLVER_TOL
+            solver.ModeProblem(-k, space, fm[-k]), sys_m, b_m, tol=SOLVER_TOL
         )
         tot_p = rec_p.total_nodal()
         tot_m = rec_m.total_nodal()

@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from axmaxwell import cli_io, mesh
+from axmaxwell import cli_io, mesh, modal_ops, singular
 from axmaxwell.cli_io import main, read_csv, write_csv, write_vtk
+from axmaxwell.femcore import SPACE_Y
 
 
 def test_meshgen_writes_loadable_mesh(tmp_path, capsys):
@@ -63,6 +64,41 @@ def test_bordered_modes_report_cg_diagnostics(tmp_path):
     for k in (3, -3):
         assert int(by_k[k]["iterations"]) > 0
         assert 0.0 < float(by_k[k]["residual"]) <= tol
+
+
+def test_bordered_modes_report_the_schur_denominator(tmp_path, lshape, lshape_quad):
+    """The coefficient_denominator of a |k| > 2 row is alpha - y^H K^-1 y of
+    the bordered system, not the basis energy alpha."""
+    rc = main([
+        "solve", "--h", "0.1", "--modes", "3", "--outdir", str(tmp_path),
+    ])
+    assert rc == 0
+    header, rows = read_csv(tmp_path / "summary.csv")
+    by_k = {int(row[0]): dict(zip(header, row)) for row in rows}
+    msh, corner = lshape
+    system2 = modal_ops.assemble_a_k(msh, 2, SPACE_Y, quad=lshape_quad)
+    basis2 = singular.compute_basis(system2, corner)
+    system3 = modal_ops.ModeSystem(msh, 3, SPACE_Y, base=system2)
+    bop = basis2.op_arrays(system3.ops)
+    y = system3.functional(bop)
+    alpha = float(np.sum(system3.ops.wr[:, None] * np.abs(bop) ** 2))
+    schur = alpha - np.vdot(y, np.linalg.solve(system3.matrix.to_dense(), y)).real
+    assert schur < 0.99 * alpha
+    for k in (3, -3):
+        assert float(by_k[k]["coefficient_denominator"]) == pytest.approx(schur, rel=1e-8)
+
+
+@pytest.mark.parametrize("levels", ["1", "0", "-1"])
+def test_convergence_needs_two_levels(tmp_path, capsys, levels):
+    rc = main([
+        "convergence", "--field", "magnetic", "--levels", levels, "--k", "0",
+        "--outdir", str(tmp_path),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: usage:") and "levels" in err
+    assert "\n" not in err.strip()
+    assert not (tmp_path / "convergence.csv").exists()
 
 
 def test_synthesize_writes_wedges(tmp_path):

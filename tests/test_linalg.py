@@ -151,8 +151,9 @@ def test_bordered_decouples_without_coupling(rng):
     A, _ = _random_hpd(12, rng)
     F = rng.normal(size=12) + 1j * rng.normal(size=12)
     sys = BorderedSystem(A, np.zeros(12, dtype=complex), 2.0, F, 3.0 + 1.0j)
-    x, c, _ = solve_bordered(sys, tol=1e-12)
+    x, c, denom, _ = solve_bordered(sys, tol=1e-12)
     xd, _ = solve_hpd(A, F, tol=1e-12)
+    assert denom == 2.0
     assert np.allclose(x, xd, atol=1e-9)
     assert c == pytest.approx((3.0 + 1.0j) / 2.0)
 
@@ -161,7 +162,7 @@ def test_bordered_zero_data(rng):
     A, _ = _random_hpd(9, rng)
     y = rng.normal(size=9) + 1j * rng.normal(size=9)
     sys = BorderedSystem(A, y, 5.0, np.zeros(9, dtype=complex), 0.0)
-    x, c, _ = solve_bordered(sys, tol=1e-12)
+    x, c, _, _ = solve_bordered(sys, tol=1e-12)
     assert np.linalg.norm(x) <= 1e-12
     assert abs(c) <= 1e-12
 
@@ -174,7 +175,7 @@ def test_bordered_manufactured_recovery(rng):
     c0 = 0.8 - 0.3j
     F = dense @ x0 + c0 * y
     f = np.vdot(y, x0) + alpha * c0
-    x, c, _ = solve_bordered(BorderedSystem(A, y, alpha, F, f), tol=1e-13)
+    x, c, _, _ = solve_bordered(BorderedSystem(A, y, alpha, F, f), tol=1e-13)
     assert abs(c - c0) <= 1e-8 * abs(c0)
     assert np.linalg.norm(x - x0) <= 1e-8 * np.linalg.norm(x0)
 
@@ -187,7 +188,10 @@ def test_bordered_matches_dense_augmented(lshape, lshape_quad, rng):
     y = rng.normal(size=n) + 1j * rng.normal(size=n)
     F = rng.normal(size=n) + 1j * rng.normal(size=n)
     alpha, f = 30.0, 1.5 - 0.5j
-    x, c, _ = solve_bordered(BorderedSystem(system.matrix, y, alpha, F, f), tol=1e-13)
+    x, c, denom, infos = solve_bordered(BorderedSystem(system.matrix, y, alpha, F, f), tol=1e-13)
+    assert [info.residual <= 1e-13 for info in infos] == [True, True]
+    schur = alpha - np.vdot(y, np.linalg.solve(system.matrix.to_dense(), y))
+    assert abs(denom - schur) <= 1e-10 * abs(schur)
     aug = np.zeros((n + 1, n + 1), dtype=complex)
     aug[:n, :n] = system.matrix.to_dense()
     aug[:n, n] = y

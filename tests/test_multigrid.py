@@ -59,7 +59,7 @@ def test_transfer_embeds_constrained_coarse_fields(space, k, rng):
     field_c = coarse_cs.expand(xc).values
     interpolated = 0.5 * (field_c[parents[:, 0]] + field_c[parents[:, 1]])
     field_f = fine_cs.expand(T.prolong(xc))
-    assert fine_cs.satisfies(field_f)
+    assert np.abs(field_f.values - fine_cs.apply(field_f).values).max() <= 1e-12
     assert np.abs(field_f.values - interpolated).max() <= 1e-15 * np.abs(field_c).max()
     # restriction is the conjugate transpose of the prolongation
     rf = rng.normal(size=fine_cs.n_free) + 1j * rng.normal(size=fine_cs.n_free)
@@ -150,5 +150,5 @@ def test_threaded_multigrid_solve_is_deterministic(monkeypatch):
         for threads in (1, 4)
     ]
     for k in range(-5, 6):
-        assert sols[0].records[k].diagnostics["iterations"] <= 2 * 20
+        assert sols[0].records[k].iterations <= 2 * 20
         assert np.array_equal(sols[0].records[k].total_nodal(), sols[1].records[k].total_nodal())

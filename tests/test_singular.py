@@ -12,7 +12,6 @@ from axmaxwell.singular import (
     EDGE_MAGNETIC,
     PrincipalPart,
     compute_basis,
-    eval_principal,
     singular_dimensions,
 )
 
@@ -31,13 +30,13 @@ def _reference_corner(phi0=0.0, position=(1.0, 0.0)):
 def test_electric_principal_reference_point():
     pp = PrincipalPart(EDGE_ELECTRIC, corner=_reference_corner())
     # rho = 1, phi = 0 along the phi0 ray; r/a = 2 at that point
-    got = eval_principal(pp, (2.0, 0.0))
+    got = pp.values([(2.0, 0.0)])[0]
     assert got == pytest.approx([0.0, 0.0, -2.0 * 2.0 / 3.0], abs=1e-14)
 
 
 def test_magnetic_principal_reference_point():
     pp = PrincipalPart(EDGE_MAGNETIC, corner=_reference_corner())
-    got = eval_principal(pp, (2.0, 0.0))
+    got = pp.values([(2.0, 0.0)])[0]
     assert got == pytest.approx([-2.0 * 2.0 / 3.0, 0.0, 0.0], abs=1e-14)
 
 
@@ -110,8 +109,8 @@ def test_principal_blowup_rate_along_ray():
     for rho in (1e-3 * diam, 1e-4 * diam):
         p1 = corner.position + rho * np.array([math.cos(psi), math.sin(psi)])
         p2 = corner.position + 0.5 * rho * np.array([math.cos(psi), math.sin(psi)])
-        v1 = np.linalg.norm(eval_principal(pp, p1))
-        v2 = np.linalg.norm(eval_principal(pp, p2))
+        v1 = np.linalg.norm(pp.values([p1])[0])
+        v2 = np.linalg.norm(pp.values([p2])[0])
         assert v2 / v1 == pytest.approx(expected, rel=0.01)
 
 
@@ -126,13 +125,13 @@ def test_principal_traces_vanish_on_incident_walls(lshape):
     for s in np.linspace(0.05, 0.45, 5):
         horizontal = (r_c + s, z_c)  # wall along +r: tangent e_r, normal -e_z
         vertical = (r_c, z_c - s)  # wall along -z: tangent e_z, normal +e_r
-        ve = eval_principal(ppe, horizontal)
+        ve = ppe.values([horizontal])[0]
         assert abs(ve[0]) <= 1e-13 and abs(ve[1]) <= 1e-13
-        ve = eval_principal(ppe, vertical)
+        ve = ppe.values([vertical])[0]
         assert abs(ve[2]) <= 1e-13 and abs(ve[1]) <= 1e-13
-        vm = eval_principal(ppm, horizontal)
+        vm = ppm.values([horizontal])[0]
         assert abs(vm[2]) <= 1e-13
-        vm = eval_principal(ppm, vertical)
+        vm = ppm.values([vertical])[0]
         assert abs(vm[0]) <= 1e-13
 
 
@@ -147,7 +146,7 @@ def test_eval_at_corner_raises():
     corner = _reference_corner()
     pp = PrincipalPart(EDGE_ELECTRIC, corner=corner)
     with pytest.raises(ValueError):
-        eval_principal(pp, corner.position)
+        pp.values([corner.position])
 
 
 def test_high_mode_needs_override(lshape, lshape_quad):
@@ -166,7 +165,7 @@ def test_basis_homogeneous_formulation(lshape, lshape_quad, space, k, rng):
     resid = system.apply_to_field(basis.regular.values)
     curl_s, div_s = basis.principal.curl_div(system.quad.xy, k)
     resid = resid + system.functional(np.concatenate([curl_s, div_s[:, None]], axis=1))
-    bnorm = math.sqrt(basis.diagnostics["energy"])
+    bnorm = math.sqrt(basis.energy)
     for _ in range(20):
         raw = ModeField(
             msh, k,
@@ -193,7 +192,7 @@ def test_basis_trace_cancels_principal(lshape, lshape_quad):
     basis = compute_basis(system, corner)
     cs = femcore.build_constraints(msh, 0, SPACE_Y)
     guard = 1e-6
-    for v in msh.wall_vertices():
+    for v in np.unique(msh.boundary_edges[msh.boundary_tags == mesh.WALL]):
         v = int(v)
         pt = msh.vertices[v]
         rho, _ = corner.local_coords(pt.reshape(1, 2))
@@ -256,3 +255,18 @@ def test_conjugate_basis(lshape, lshape_quad):
     bc = b.conjugate()
     assert bc.k == -1
     assert np.array_equal(bc.regular.values, np.conj(b.regular.values))
+    assert (bc.cg, bc.energy, bc.curl_norm_sq) == (b.cg, b.energy, b.curl_norm_sq)
+
+
+def test_basis_record(lshape, lshape_quad):
+    """The basis carries its CG solve, its energy a_k(s, s) and the curl
+    part of it, both from the operators of the basis at its own mode."""
+    msh, corner = lshape
+    system = modal_ops.assemble_a_k(msh, 2, SPACE_X, quad=lshape_quad)
+    basis = compute_basis(system, corner, tol=1e-10)
+    assert basis.cg.converged and 0 < basis.cg.iterations
+    assert 0.0 < basis.cg.residual <= 1e-10
+    weighted = system.ops.wr[:, None] * np.abs(basis.op_arrays(system.ops)) ** 2
+    assert basis.energy == float(np.sum(weighted))
+    assert basis.curl_norm_sq == float(np.sum(weighted[:, :3]))
+    assert 0.0 < basis.curl_norm_sq < basis.energy

@@ -67,9 +67,7 @@ def test_zero_data_gives_zero_solution(lshape, lshape_quad):
     msh, corner = lshape
     system = modal_ops.assemble_a_k(msh, 1, SPACE_Y, quad=lshape_quad)
     basis = singular.compute_basis(system, corner)
-    rec = solver.solve_mode_orthogonal(
-        msh, solver.ModeProblem(1, SPACE_Y, None, None), basis, system
-    )
+    rec = solver.solve_mode_orthogonal(solver.ModeProblem(1, SPACE_Y, None, None), system, basis)
     assert np.all(rec.field.values == 0.0)
     assert rec.coeff == 0.0
 
@@ -82,19 +80,20 @@ def test_singular_only_manufactured(lshape, lshape_quad, space):
     basis = singular.compute_basis(system, corner)
     bop = basis.op_arrays(system.ops)
     rec = solver.solve_mode_orthogonal(
-        msh,
-        solver.ModeProblem(k, space, bop[:, :3].copy(), bop[:, 3].copy()),
-        basis,
-        system,
+        solver.ModeProblem(k, space, bop[:, :3].copy(), bop[:, 3].copy()), system, basis
     )
     assert abs(rec.coeff - 1.0) <= 1e-6
     reg_energy = abs(system.form_value(rec.field.values, rec.field.values))
-    assert reg_energy <= 1e-6 * basis.diagnostics["energy"]
+    assert reg_energy <= 1e-6 * basis.energy
+    # the record: one CG solve, C^k over the basis energy
+    assert rec.denominator == rec.energy == basis.energy
+    assert len(rec.cg) == 1 and rec.iterations == rec.cg[0].iterations > 0
+    assert rec.residual == rec.cg[0].residual <= 1e-10
     # a posteriori orthogonality used to decouple the coefficient
     bcurl = bop[:, :3]
     rcurl = system.ops.op_values(rec.field.values)[:, :3]
     cross = abs(np.sum(system.ops.wr[:, None] * rcurl * bcurl.conj()))
-    curl_norm = basis.diagnostics["curl_norm_sq"]
+    curl_norm = basis.curl_norm_sq
     assert cross <= 1e-6 * curl_norm
 
 
@@ -109,10 +108,7 @@ def test_regular_only_manufactured(lshape, lshape_quad, rng):
     w = system.constraints.apply(raw)
     wop = system.ops.op_values(w.values)
     rec = solver.solve_mode_orthogonal(
-        msh,
-        solver.ModeProblem(k, space, wop[:, :3].copy(), wop[:, 3].copy()),
-        basis,
-        system,
+        solver.ModeProblem(k, space, wop[:, :3].copy(), wop[:, 3].copy()), system, basis
     )
     assert abs(rec.coeff) <= 1e-8
     scale = np.abs(w.values).max()
@@ -123,9 +119,8 @@ def test_bordered_zero_data(lshape, lshape_quad):
     msh, corner = lshape
     sys2 = modal_ops.assemble_a_k(msh, 2, SPACE_Y, quad=lshape_quad)
     b2 = singular.compute_basis(sys2, corner)
-    rec = solver.solve_mode_bordered(
-        msh, solver.ModeProblem(4, SPACE_Y, None, None), b2, sys2
-    )
+    sys4 = modal_ops.ModeSystem(msh, 4, SPACE_Y, base=sys2)
+    rec = solver.solve_mode_bordered(solver.ModeProblem(4, SPACE_Y, None, None), sys4, b2)
     assert np.all(np.abs(rec.field.values) <= 1e-14)
     assert abs(rec.coeff) <= 1e-14
 
@@ -142,9 +137,18 @@ def test_bordered_recovers_known_combination(lshape, lshape_quad, rng):
     c0 = -0.4 + 1.1j
     vec = sysk.ops.op_values(w.values) + c0 * b2.op_arrays(sysk.ops)
     rec = solver.solve_mode_bordered(
-        msh, solver.ModeProblem(3, SPACE_Y, vec[:, :3].copy(), vec[:, 3].copy()), b2, sys2
+        solver.ModeProblem(3, SPACE_Y, vec[:, :3].copy(), vec[:, 3].copy()),
+        modal_ops.ModeSystem(msh, 3, SPACE_Y, base=sys2),
+        b2,
     )
     assert abs(rec.coeff - c0) <= 0.02 * abs(c0)
+    # the record: the solves K w = y and K v = F, and the Schur denominator
+    # alpha - y^H K^-1 y, real up to round-off and below alpha
+    assert len(rec.cg) == 2
+    assert rec.iterations == rec.cg[0].iterations + rec.cg[1].iterations
+    assert rec.residual == max(info.residual for info in rec.cg) <= 1e-10
+    assert 0.0 < rec.denominator.real < rec.energy
+    assert abs(rec.denominator.imag) <= 1e-12 * rec.energy
     scale = np.abs(w.values).max()
     assert np.abs(rec.field.values - w.values).max() <= 1e-6 * scale
 
@@ -154,7 +158,15 @@ def test_bordered_rejects_low_modes(lshape, lshape_quad):
     sys2 = modal_ops.assemble_a_k(msh, 2, SPACE_Y, quad=lshape_quad)
     b2 = singular.compute_basis(sys2, corner)
     with pytest.raises(ValueError):
-        solver.solve_mode_bordered(msh, solver.ModeProblem(2, SPACE_Y), b2, sys2)
+        solver.solve_mode_bordered(solver.ModeProblem(2, SPACE_Y), sys2, b2)
+
+
+def test_mode_solves_reject_a_system_of_another_mode(lshape, lshape_quad):
+    msh, _ = lshape
+    system = modal_ops.assemble_a_k(msh, 0, SPACE_Y, quad=lshape_quad)
+    for problem in (solver.ModeProblem(1, SPACE_Y), solver.ModeProblem(0, SPACE_X)):
+        with pytest.raises(ValueError):
+            solver.solve_mode_orthogonal(problem, system)
 
 
 def test_conjugate_mode_symmetry(lshape, lshape_quad):
@@ -170,7 +182,7 @@ def test_conjugate_mode_symmetry(lshape, lshape_quad):
         system = modal_ops.assemble_a_k(msh, kk, space, quad=lshape_quad)
         basis = singular.compute_basis(system, corner)
         recs[kk] = solver.solve_mode_orthogonal(
-            msh, solver.ModeProblem(kk, space, fm[kk]), basis, system
+            solver.ModeProblem(kk, space, fm[kk]), system, basis
         )
     tot_p = recs[k].total_nodal()
     tot_m = recs[-k].total_nodal()
@@ -254,11 +266,11 @@ def test_mean_zero_validation(rect):
     p = quad.xy
     bad = solver.ModeProblem(0, SPACE_Y, None, np.ones(len(p)), require_mean_zero_g=True)
     with pytest.raises(ValueError):
-        solver.solve_mode_orthogonal(rect, bad, None, system)
+        solver.solve_mode_orthogonal(bad, system)
     good = solver.ModeProblem(
         0, SPACE_Y, None, p[:, 1] - 0.5, require_mean_zero_g=True
     )
-    solver.solve_mode_orthogonal(rect, good, None, system)
+    solver.solve_mode_orthogonal(good, system)
 
 
 def test_error_norms_of_zero_exact(rect, rng):
@@ -297,9 +309,7 @@ def test_convergence_spot_check():
         system = modal_ops.assemble_a_k(msh, k, space, quad=quad)
         fvec = mf.curl(quad.xy, k)
         gvec = mf.div(quad.xy, k)
-        rec = solver.solve_mode_orthogonal(
-            msh, solver.ModeProblem(k, space, fvec, gvec), None, system
-        )
+        rec = solver.solve_mode_orthogonal(solver.ModeProblem(k, space, fvec, gvec), system)
         errs.append(
             solver.error_norms(
                 rec.field, mf.u(quad.xy), exact_curl=fvec, exact_div=gvec,

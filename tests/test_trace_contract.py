@@ -70,6 +70,8 @@ def test_traced_high_mode_solve_shares_the_mode_two_class(monkeypatch, tmp_path)
     summary = tracer.summary()
     assert summary["modal_ops.assemble_calls"] == 3
     assert summary["modal_ops.shift_calls"] == 2
+    assert summary["solver.modes_orthogonal"] == 3
+    assert summary["solver.modes_bordered"] == 2
     assert summary["linalg.true_resid_max"] <= tol
 
 

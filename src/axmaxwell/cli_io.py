@@ -331,6 +331,8 @@ def cmd_meshgen(cfg, out):
 
 
 def cmd_singular(cfg, k, out):
+    if abs(k) > 2:
+        raise UsageError(f"--k must lie in [-2, 2] (|k| > 2 reuses mode +-2), got {k}")
     msh, corner = build_mesh(cfg)
     if corner is None:
         raise UsageError("singular bases need a domain with a reentrant corner")
@@ -368,7 +370,6 @@ def _solve(cfg):
         N=cfg.modes,
         corner=corner,
         tol=cfg.tol,
-        real_data=True,
         samples=cfg.theta_samples,
         threads=cfg.thread_count(),
     )
@@ -441,8 +442,7 @@ def cmd_convergence(cfg):
                 solver.ModeProblem(k, space, fvec, gvec), system, tol=cfg.tol
             )
             l2, en = solver.error_norms(
-                rec.field, mf.u(quad.xy), exact_curl=fvec, exact_div=gvec,
-                quad=quad, k=k,
+                rec.field, mf.u(quad.xy), quad, exact_curl=fvec, exact_div=gvec, k=k,
             )
             errs.append((h, l2, en))
         logs = np.log([e[0] for e in errs])

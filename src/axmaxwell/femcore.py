@@ -119,10 +119,6 @@ class MeshQuadrature:
             raise MeshError("quadrature point on or beyond the axis")
         self.operators = None
 
-    def integrate(self, values):
-        """Integral of point values against the weighted measure r dr dz."""
-        return np.sum(values * self.w * self.r, axis=-1)
-
 
 def gradients(mesh):
     """Constant P1 shape gradients per triangle, shape (nt, 3, 2)."""
@@ -346,21 +342,22 @@ def build_constraints(mesh, k, space):
     return ConstraintSet(mesh, int(k), space, kind, master, coeff)
 
 
-def lift_boundary(mesh, k, space, g, constraints=None):
-    """Nodal lifting of an inhomogeneous essential trace.
+def lift_boundary(constraints, g):
+    """Nodal lifting of an inhomogeneous essential trace on the mesh, mode
+    and space of a constraint set.
 
     g is called once, on the (B, 2) array of boundary vertices, and returns
     their (B, 3) complex component triples; the returned field carries g's
     constrained components at zero-constrained boundary dofs and is zero
     elsewhere (tie slaves stay with their master).
     """
-    cs = constraints if constraints is not None else build_constraints(mesh, k, space)
+    mesh = constraints.mesh
     out = np.zeros((mesh.num_vertices, 3), dtype=complex)
     boundary = np.unique(mesh.boundary_edges)
     vals = np.asarray(g(mesh.vertices[boundary]), dtype=complex).reshape(len(boundary), 3)
     bad = ~np.isfinite(vals).all(axis=1)
     if bad.any():
         raise ValueError(f"boundary trace not finite at vertex {int(boundary[bad][0])}")
-    zero = cs.kind.reshape(-1, 3)[boundary] == ZERO
+    zero = constraints.kind.reshape(-1, 3)[boundary] == ZERO
     out[boundary] = np.where(zero, vals, 0.0)
-    return ModeField(mesh, int(k), out)
+    return ModeField(mesh, constraints.k, out)

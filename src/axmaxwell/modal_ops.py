@@ -128,12 +128,17 @@ class OperatorWorkspace:
       E00 = D0^T W D0,   E11 = R1^T W R1,   A = D0^T W R1 - R1^T W D0.
 
     Attributes: D0 (Q, 4, 9), lor (Q, 3) lambda / r, wr (Q,) and the
-    (nt, 9, 9) arrays E00, E11 and A, all real.  Built once per quadrature
-    (see workspace) and only read afterwards.
+    (nt, 9, 9) arrays E00, E11 and A, all real, plus the quadrature's tri,
+    bary and xy and the mesh triangles.  Built once per quadrature (see
+    workspace) and only read afterwards; the methods take the mode k and
+    evaluate the mode-k operators of nodal fields on the same points.
     """
 
     def __init__(self, quad):
         mesh = quad.mesh
+        # the arrays, not the quadrature: it holds this workspace
+        self.tri, self.bary, self.xy = quad.tri, quad.bary, quad.xy
+        self.triangles = mesh.triangles
         G = gradients(mesh)[quad.tri]  # (Q, 3, 2)
         Q = len(quad.tri)
         self.lor = quad.bary / quad.r[:, None]
@@ -187,6 +192,42 @@ class OperatorWorkspace:
             out[tris] = per_point[idx].sum(axis=1)
         return out
 
+    def element_matrices(self, k):
+        """Per-triangle 9x9 Hermitian element matrices of a_k, E(k), as a new
+        array (summed in place: one complex temporary fewer)."""
+        out = (1j * k) * self.A
+        out += self.E00 + (k * k) * self.E11
+        return out
+
+    def local_values(self, values):
+        """Nodal values of the local vertices per quadrature point, (Q, 3, 3)."""
+        return np.asarray(values, dtype=complex).reshape(-1, 3)[self.triangles[self.tri]]
+
+    def op_values(self, values, k):
+        """(curl_k, div_k) of a nodal field at the quadrature points, (Q, 4)."""
+        u = self.local_values(values)
+        out = np.einsum("qaj,qj->qa", self.D0, u.reshape(-1, 9))
+        if k:
+            over_r = np.einsum("ql,qlc->qc", self.lor, u)
+            out[:, _K_ROWS] += (1j * k) * _K_SIGNS * over_r
+        return out
+
+    def test_pairings(self, vec, k):
+        """sum_a wr vec_a conj(D_k[a, j]) per point and local test dof, (Q, 9)."""
+        wv = vec * self.wr[:, None]
+        out = np.einsum("qa,qaj->qj", wv, self.D0)
+        if k:
+            signed = _K_SIGNS * wv[:, _K_ROWS]
+            for loc in range(3):  # per local vertex: no (Q, 3, 3) temporary
+                over_r = self.lor[:, loc, None] * signed
+                over_r *= 1j * k
+                out[:, 3 * loc:3 * loc + 3] -= over_r
+        return out
+
+    def point_values(self, values):
+        """Field values at the quadrature points, (Q, 3)."""
+        return np.einsum("qi,qic->qc", self.bary, self.local_values(values))
+
 
 def workspace(quad):
     """The operator workspace of quad, built on first use and kept on it.
@@ -197,60 +238,6 @@ def workspace(quad):
     if quad.operators is None:
         quad.operators = OperatorWorkspace(quad)
     return quad.operators
-
-
-class ElementOps:
-    """Mode-k operators of the local P1 dofs at the quadrature points.
-
-    A view of the quadrature's operator workspace at one mode: it holds no
-    per-mode array, and every pairing (matrix, loads, field evaluation) uses
-    the same quadrature data.
-    """
-
-    def __init__(self, mesh, k, quad=None):
-        self.mesh = mesh
-        self.k = int(k)
-        self.quad = quad if quad is not None else MeshQuadrature(mesh)
-        self.ws = workspace(self.quad)
-        self.wr = self.ws.wr
-
-    def element_matrices(self):
-        """Per-triangle 9x9 Hermitian element matrices of a_k, E(k), as a new
-        array (summed in place: one complex temporary fewer)."""
-        ws, k = self.ws, self.k
-        out = (1j * k) * ws.A
-        out += ws.E00 + (k * k) * ws.E11
-        return out
-
-    def local_values(self, values):
-        """Nodal values of the local vertices per quadrature point, (Q, 3, 3)."""
-        tri = self.mesh.triangles[self.quad.tri]
-        return np.asarray(values, dtype=complex).reshape(-1, 3)[tri]
-
-    def op_values(self, values):
-        """(curl_k, div_k) of a nodal field at the quadrature points, (Q, 4)."""
-        u = self.local_values(values)
-        out = np.einsum("qaj,qj->qa", self.ws.D0, u.reshape(-1, 9))
-        if self.k:
-            over_r = np.einsum("ql,qlc->qc", self.ws.lor, u)
-            out[:, _K_ROWS] += (1j * self.k) * _K_SIGNS * over_r
-        return out
-
-    def test_pairings(self, vec):
-        """sum_a wr vec_a conj(D_k[a, j]) per point and local test dof, (Q, 9)."""
-        wv = vec * self.wr[:, None]
-        out = np.einsum("qa,qaj->qj", wv, self.ws.D0)
-        if self.k:
-            signed = _K_SIGNS * wv[:, _K_ROWS]
-            for loc in range(3):  # per local vertex: no (Q, 3, 3) temporary
-                over_r = self.ws.lor[:, loc, None] * signed
-                over_r *= 1j * self.k
-                out[:, 3 * loc:3 * loc + 3] -= over_r
-        return out
-
-    def point_values(self, values):
-        """Field values at the quadrature points, (Q, 3)."""
-        return np.einsum("qi,qic->qc", self.quad.bary, self.local_values(values))
 
 
 def _global_dofs(mesh):
@@ -300,11 +287,12 @@ class _Reduction:
 class ModeSystem:
     """Assembled constrained system for one (mode, space) pair.
 
-    The matrix is E(k) of the quadrature's workspace reduced on the free
-    dofs of the constraint set.  Given base, an assembled mode +-2 system of
-    the same space, a |k| > 2 system reuses its constraint class (targets
-    and pattern; the class of |k| >= 2 depends neither on k nor on its
-    sign) and its matrix is shifted_system(base, k).
+    The matrix is E(k) of the workspace ws of the quadrature quad reduced
+    on the free dofs of the constraint set.  Given base, an assembled mode
+    +-2 system of the same space, a |k| > 2 system takes its quadrature and
+    reuses its constraint class (targets and pattern; the class of |k| >= 2
+    depends neither on k nor on its sign) and its matrix is
+    shifted_system(base, k); otherwise quad is required.
 
     hierarchy is the multigrid preconditioner of the matrix (None: Jacobi)
     and coarse the coarse systems kept for the |k| > 2 systems on this
@@ -321,18 +309,22 @@ class ModeSystem:
         self.hierarchy = None
         self.coarse = []
         if base is None:
-            self.ops = ElementOps(mesh, k, quad)
+            if quad is None:
+                raise ValueError("a mode system needs its quadrature")
+            self.quad = quad
+            self.ws = workspace(quad)
             self.constraints = (
                 constraints
                 if constraints is not None
                 else femcore.build_constraints(mesh, k, space)
             )
             self.reduction = _Reduction(mesh, self.constraints)
-            self.matrix = self.reduction.matrix(self.ops.element_matrices())
+            self.matrix = self.reduction.matrix(self.ws.element_matrices(self.k))
         else:
             if base.space != space:
                 raise ValueError("base system is of another space")
-            self.ops = ElementOps(mesh, k, base.quad)
+            self.quad = base.quad
+            self.ws = base.ws
             self.constraints = dataclasses.replace(base.constraints, k=self.k)
             self.reduction = base.reduction
             self.matrix = shifted_system(base, k)
@@ -342,7 +334,6 @@ class ModeSystem:
                     Level(c.matrix, level.transfer)
                     for c, level in zip(shifted, base.hierarchy.levels)
                 ])
-        self.quad = self.ops.quad
 
     def sample(self, f=None, g=None):
         """Data samples (f_r, f_theta, f_z, g) at the quadrature points.
@@ -361,7 +352,7 @@ class ModeSystem:
 
     def functional(self, vec):
         """(f, curl_k v) + (g, div_k v) over free test dofs, from samples."""
-        local = self.ops.ws.triangle_sums(self.ops.test_pairings(vec))
+        local = self.ws.triangle_sums(self.ws.test_pairings(vec, self.k))
         return self.reduction.functional(local)
 
     def load_from(self, f=None, g=None):
@@ -370,24 +361,17 @@ class ModeSystem:
 
     def apply_to_field(self, values):
         """a_k(u, phi_i) for the nodal field u against all free test dofs."""
-        elem = self.ops.element_matrices()
+        elem = self.ws.element_matrices(self.k)
         tri = self.mesh.triangles
         u_local = np.asarray(values, dtype=complex).reshape(-1, 3)[tri].reshape(-1, 9)
         per_dof = np.einsum("tij,tj->ti", elem, u_local)
         return self.reduction.functional(per_dof)
 
-    def form_value(self, u_values, v_values):
-        """a_k(u, v) for nodal fields via the element matrices."""
-        elem = self.ops.element_matrices()
-        tri = self.mesh.triangles
-        ul = np.asarray(u_values, dtype=complex).reshape(-1, 3)[tri].reshape(-1, 9)
-        vl = np.asarray(v_values, dtype=complex).reshape(-1, 3)[tri].reshape(-1, 9)
-        return complex(np.einsum("ti,tij,tj->", vl.conj(), elem, ul))
 
-
-def assemble_a_k(mesh, k, space, quad=None, constraints=None):
-    """Assemble the constrained a_k system; the matrix acts on free dofs."""
-    return ModeSystem(mesh, k, space, quad=quad, constraints=constraints)
+def assemble_a_k(mesh, k, space, quad):
+    """Assemble the constrained a_k system on the quadrature quad; the
+    matrix acts on free dofs."""
+    return ModeSystem(mesh, k, space, quad=quad)
 
 
 def assemble_systems(mesh, space, modes, quad, corner=None, shift=False):
@@ -485,25 +469,24 @@ def multigrid(system, levels, keep_coarse=False):
 # -- direct and decomposed form values ------------------------------------------
 
 
-def a_k_direct(mesh, u, v, k, quad=None):
+def a_k_direct(u, v, k, quad):
     """a_k(u, v) by quadrature of the mode-k operator formulas."""
-    ops = ElementOps(mesh, k, quad)
-    uo = ops.op_values(u.values)
-    vo = ops.op_values(v.values)
-    return complex(np.sum(ops.wr[:, None] * uo * vo.conj()))
+    ws = workspace(quad)
+    uo = ws.op_values(u.values, k)
+    vo = ws.op_values(v.values, k)
+    return complex(np.sum(ws.wr[:, None] * uo * vo.conj()))
 
 
-def form_over_r2(mesh, u, v, quad=None):
+def form_over_r2(u, v, quad):
     """(u / r, v / r) in the r-weighted pairing, all three components."""
-    quad = quad if quad is not None else MeshQuadrature(mesh)
-    ops = ElementOps(mesh, 0, quad)
-    uv = ops.point_values(u.values)
-    vv = ops.point_values(v.values)
+    ws = workspace(quad)
+    uv = ws.point_values(u.values)
+    vv = ws.point_values(v.values)
     dots = np.einsum("qc,qc->q", uv, vv.conj())
     return complex(np.sum(quad.w * dots / quad.r))
 
 
-def form_C(mesh, u, v, quad=None):
+def form_C(u, v, quad):
     """First-order coupling form 2 * integral of (u_theta conj(v_r) -
     u_r conj(v_theta)) / r over the plain measure dr dz.
 
@@ -512,15 +495,14 @@ def form_C(mesh, u, v, quad=None):
     requirement that the decomposition of a_k and the mode-shift identity
     hold exactly; see a_k_via_decomposition.
     """
-    quad = quad if quad is not None else MeshQuadrature(mesh)
-    ops = ElementOps(mesh, 0, quad)
-    uv = ops.point_values(u.values)
-    vv = ops.point_values(v.values)
+    ws = workspace(quad)
+    uv = ws.point_values(u.values)
+    vv = ws.point_values(v.values)
     integrand = 2.0 * (uv[:, 1] * vv[:, 0].conj() - uv[:, 0] * vv[:, 1].conj())
     return complex(np.sum(quad.w * integrand / quad.r))
 
 
-def form_flux(mesh, u, v, quad=None):
+def form_flux(u, v, quad):
     """Divergence form of the first-order boundary coupling.
 
     Integrates div_2D(u_theta * conj(v_m) - conj(v_theta) * u_m) over the
@@ -529,9 +511,8 @@ def form_flux(mesh, u, v, quad=None):
     |k| = 1 regularity ties.  Appears in the decomposition of a_k with the
     factor ik.
     """
-    quad = quad if quad is not None else MeshQuadrature(mesh)
-    G = gradients(mesh)[quad.tri]
-    tri = mesh.triangles[quad.tri]
+    G = gradients(quad.mesh)[quad.tri]
+    tri = quad.mesh.triangles[quad.tri]
     uvals = np.asarray(u.values, dtype=complex)[tri]  # (Q, 3, 3)
     vvals = np.asarray(v.values, dtype=complex)[tri]
     up = np.einsum("qi,qic->qc", quad.bary, uvals)
@@ -557,12 +538,11 @@ def _meridian_only(u):
     return ModeField(u.mesh, 0, vals)
 
 
-def form_scalar_curl(mesh, u, v, quad=None):
+def form_scalar_curl(u, v, quad):
     """(curl u_theta, curl v_theta) with the scalar-field meridian curl
     curl w = (-dw/dz, (1/r) d(r w)/dr) in the r-weighted pairing."""
-    quad = quad if quad is not None else MeshQuadrature(mesh)
-    G = gradients(mesh)[quad.tri]
-    tri = mesh.triangles[quad.tri]
+    G = gradients(quad.mesh)[quad.tri]
+    tri = quad.mesh.triangles[quad.tri]
     ut = np.asarray(u.values, dtype=complex)[tri][:, :, 1]
     vt = np.asarray(v.values, dtype=complex)[tri][:, :, 1]
     upt = np.einsum("qi,qi->q", quad.bary, ut)
@@ -574,7 +554,7 @@ def form_scalar_curl(mesh, u, v, quad=None):
     return complex(np.sum(quad.w * quad.r * (comp_r + comp_z)))
 
 
-def a_k_via_decomposition(mesh, u, v, k, quad=None):
+def a_k_via_decomposition(u, v, k, quad):
     """a_k(u, v) assembled term by term from the split forms.
 
     Every form is evaluated at the same quadrature points as the direct
@@ -583,34 +563,33 @@ def a_k_via_decomposition(mesh, u, v, k, quad=None):
     form (see form_flux), which also captures the axis flux carried by the
     |k| = 1 regularity ties.
     """
-    quad = quad if quad is not None else MeshQuadrature(mesh)
+    mesh = quad.mesh
     um = _meridian_only(u)
     vm = _meridian_only(v)
-    total = a_k_direct(mesh, um, vm, 0, quad)
-    total += (k * k) * form_over_r2(mesh, um, vm, quad)
-    total += form_scalar_curl(mesh, u, v, quad)
+    total = a_k_direct(um, vm, 0, quad)
+    total += (k * k) * form_over_r2(um, vm, quad)
+    total += form_scalar_curl(u, v, quad)
     theta_u = ModeField(mesh, 0, np.column_stack([
         np.zeros(mesh.num_vertices, complex), u.values[:, 1], np.zeros(mesh.num_vertices, complex)
     ]))
     theta_v = ModeField(mesh, 0, np.column_stack([
         np.zeros(mesh.num_vertices, complex), v.values[:, 1], np.zeros(mesh.num_vertices, complex)
     ]))
-    total += (k * k) * form_over_r2(mesh, theta_u, theta_v, quad)
-    total += 1j * k * form_C(mesh, u, v, quad)
-    total += 1j * k * form_flux(mesh, u, v, quad)
+    total += (k * k) * form_over_r2(theta_u, theta_v, quad)
+    total += 1j * k * form_C(u, v, quad)
+    total += 1j * k * form_flux(u, v, quad)
     return total
 
 
-def a_k_by_shift(mesh, u, v, k, quad=None):
+def a_k_by_shift(u, v, k, quad):
     """a_k(u, v) from the mode-2 value via the shift identity.
 
     Valid once the boundary coupling of both modes coincides, i.e. on
     fields constrained for the stabilized |k| >= 2 spaces.
     """
-    base = a_k_direct(mesh, u, v, 2, quad)
-    quad = quad if quad is not None else MeshQuadrature(mesh)
-    shift = (k * k - 4) * form_over_r2(mesh, u, v, quad)
-    shift += 1j * (k - 2) * form_C(mesh, u, v, quad)
+    base = a_k_direct(u, v, 2, quad)
+    shift = (k * k - 4) * form_over_r2(u, v, quad)
+    shift += 1j * (k - 2) * form_C(u, v, quad)
     return base + shift
 
 
@@ -623,5 +602,4 @@ def shifted_system(system2, k):
         raise ValueError("shifted assembly expects a mode +-2 base system")
     if abs(k) <= 2:
         raise ValueError("shifted assembly serves |k| > 2")
-    ops = ElementOps(system2.mesh, k, system2.quad)
-    return system2.reduction.matrix(ops.element_matrices())
+    return system2.reduction.matrix(system2.ws.element_matrices(int(k)))

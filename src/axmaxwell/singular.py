@@ -173,20 +173,20 @@ class SingularBasis:
         only the regular value (the principal part diverges there)."""
         return self.regular.values + self.principal_nodal()
 
-    def op_arrays(self, ops):
-        """(curl, div) of the total basis at the quadrature points of ops,
-        evaluated at the mode ops.k (regular part discrete, principal part
-        analytic)."""
-        reg = ops.op_values(self.regular.values)
-        curl, div = self.principal.curl_div(ops.quad.xy, ops.k)
+    def op_arrays(self, ws, k):
+        """(curl_k, div_k) of the total basis at the quadrature points of the
+        workspace ws, (Q, 4): regular part discrete, principal part
+        analytic."""
+        reg = ws.op_values(self.regular.values, k)
+        curl, div = self.principal.curl_div(ws.xy, k)
         out = reg.copy()
         out[:, :3] += curl
         out[:, 3] += div
         return out
 
-    def point_arrays(self, ops):
-        """Total basis values at the quadrature points of ops, (Q, 3)."""
-        return ops.point_values(self.regular.values) + self.principal.values(ops.quad.xy)
+    def point_arrays(self, ws):
+        """Total basis values at the quadrature points of ws, (Q, 3)."""
+        return ws.point_values(self.regular.values) + self.principal.values(ws.xy)
 
     def conjugate(self):
         """Basis of the opposite mode for conjugate-symmetric data; the
@@ -215,14 +215,14 @@ def compute_basis(system, corner, tol=1e-10, allow_high_mode=False):
     curl_s, div_s = pp.curl_div(system.quad.xy, k)
     rhs = -system.load_from(f=curl_s, g=div_s)
     lift = femcore.lift_boundary(
-        mesh, k, space, lambda pts: -_guarded_values(pp, mesh, pts), system.constraints
+        system.constraints, lambda pts: -_guarded_values(pp, mesh, pts)
     )
     rhs = rhs - system.apply_to_field(lift.values)
     x, info = solve_hpd(system.matrix, rhs, tol=tol, hierarchy=system.hierarchy)
     basis = SingularBasis(k, space, pp, system.constraints.expand(x) + lift, info)
-    bop = basis.op_arrays(system.ops)
-    basis.energy = float(np.sum(system.ops.wr[:, None] * np.abs(bop) ** 2))
-    basis.curl_norm_sq = float(np.sum(system.ops.wr[:, None] * np.abs(bop[:, :3]) ** 2))
+    bop = basis.op_arrays(system.ws, k)
+    basis.energy = float(np.sum(system.ws.wr[:, None] * np.abs(bop) ** 2))
+    basis.curl_norm_sq = float(np.sum(system.ws.wr[:, None] * np.abs(bop[:, :3]) ** 2))
     return basis
 
 

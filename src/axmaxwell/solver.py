@@ -52,8 +52,8 @@ class ModeProblem:
     def validate(self, system):
         if self.require_mean_zero_g and self.g is not None and self.k == 0:
             gv = system.sample(g=self.g)[:, 3]
-            mean = abs(np.sum(system.ops.wr * gv))
-            scale = np.sum(system.ops.wr * np.abs(gv))
+            mean = abs(np.sum(system.ws.wr * gv))
+            scale = np.sum(system.ws.wr * np.abs(gv))
             if scale > 0.0 and mean > 1e-8 * scale:
                 raise ValueError(
                     f"mode-0 divergence data must have zero weighted mean "
@@ -94,22 +94,23 @@ class ModeRecord:
             vals = vals + self.coeff * self.basis.total_nodal()
         return vals
 
-    def point_values(self, ops):
-        out = ops.point_values(self.field.values)
+    def point_values(self, ws):
+        """Total field values at the quadrature points of the workspace ws."""
+        out = ws.point_values(self.field.values)
         if self.basis is not None and self.coeff != 0.0:
-            out = out + self.coeff * self.basis.point_arrays(ops)
+            out = out + self.coeff * self.basis.point_arrays(ws)
         return out
 
 
 @dataclass
 class FourierSolution:
-    """Solved modes k in [-N, N] of one field kind."""
+    """Solved modes k in [-N, N] of one field kind; the data are real, so
+    mode -k is the conjugate of mode k."""
 
     mesh: object
     space: str
     N: int
     records: dict
-    real_data: bool = False
 
     def __post_init__(self):
         expected = set(range(-self.N, self.N + 1))
@@ -154,7 +155,9 @@ def analyze_samples(values, N):
 def _analyze_data(data, N, points, samples, vector):
     """Sample data(r, theta, z) on the theta grid at meridian points in one
     call and analyze the samples; vector data returns three components,
-    scalar data one."""
+    scalar data one.  The data must be real (mode -k is taken as the
+    conjugate of mode k): a component with a nonzero imaginary part raises
+    ValueError."""
     theta = _theta_grid(N, samples)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     comps = data(pts[None, :, 0], theta[:, None], pts[None, :, 1])
@@ -163,6 +166,8 @@ def _analyze_data(data, N, points, samples, vector):
     comps = comps if vector else (comps,)
     vals = np.empty((len(theta), len(pts), len(comps)), dtype=complex)
     for c, comp in enumerate(comps):
+        if np.iscomplexobj(comp) and np.any(np.imag(comp)):
+            raise ValueError(f"data must be real: component {c} has a nonzero imaginary part")
         vals[:, :, c] = comp
     del comps  # free the returned arrays before the analysis allocates its own
     return analyze_samples(vals if vector else vals[:, :, 0], N)
@@ -172,7 +177,7 @@ def analyze_rhs(f, N, points, samples=None):
     """Fourier coefficients of vector data f(r, theta, z) at meridian points.
 
     f is called once, with r and z of shape (1, P) and theta of shape
-    (M, 1), and returns three components that broadcast to (M, P).  Returns
+    (M, 1), and returns three real components that broadcast to (M, P).  Returns
     {k: (P, 3) complex array}; the sample count must satisfy the
     anti-aliasing bound M >= 4N + 1 (default exactly that).
     """
@@ -190,8 +195,8 @@ def synthesize(solution, theta):
     """Field on the meridian plane at azimuth theta, nodal values (nv, 3);
     an array of azimuths of shape (T,) gives (T, nv, 3).
 
-    For real 3D data the conjugate mode symmetry makes the result real; the
-    imaginary residue is asserted tiny and dropped.
+    The data are real, so the conjugate mode symmetry makes the result
+    real; the imaginary residue is asserted tiny and dropped.
     """
     theta = np.asarray(theta, dtype=float)
     acc = np.zeros(theta.shape + (solution.mesh.num_vertices, 3), dtype=complex)
@@ -200,12 +205,10 @@ def synthesize(solution, theta):
         acc += solution.records[k].total_nodal() * (_NORM * phase)
         if k > 0:
             acc += solution.records[-k].total_nodal() * (_NORM * np.conj(phase))
-    if solution.real_data:
-        scale = np.abs(acc).max(axis=(-2, -1))
-        if np.any(np.abs(acc.imag).max(axis=(-2, -1)) > 1e-10 * scale):
-            raise AssertionError("synthesized field of real data is not real")
-        return acc.real
-    return acc
+    scale = np.abs(acc).max(axis=(-2, -1))
+    if np.any(np.abs(acc.imag).max(axis=(-2, -1)) > 1e-10 * scale):
+        raise AssertionError("synthesized field of real data is not real")
+    return acc.real
 
 
 def sample_3d(solution, n_theta):
@@ -240,11 +243,11 @@ def _pair(problem, system, basis):
         return load, None, 0.0, 0.0
     if basis.space != problem.space:
         raise ValueError("basis space does not match the problem")
-    bop = basis.op_arrays(system.ops)
-    energy = float(np.sum(system.ops.wr[:, None] * np.abs(bop) ** 2))
+    bop = basis.op_arrays(system.ws, system.k)
+    energy = float(np.sum(system.ws.wr[:, None] * np.abs(bop) ** 2))
     if energy <= 0.0 or not np.isfinite(energy):
         raise ArithmeticError("singular basis has no energy; basis is broken")
-    numer = complex(np.einsum("q,qa,qa->", system.ops.wr, vec, bop.conj()))
+    numer = complex(np.einsum("q,qa,qa->", system.ws.wr, vec, bop.conj()))
     return load, bop, energy, numer
 
 
@@ -306,21 +309,20 @@ def solve_axisymmetric(
     N=5,
     corner=None,
     tol=1e-10,
-    real_data=False,
     samples=None,
     threads=1,
 ):
     """Solve the 3D problem by modes: analyze the data, solve each mode,
     and collect a FourierSolution.
 
-    f is the 3D vector data and g the optional scalar divergence data, each
-    called once on broadcastable arrays (r, theta, z) (see analyze_rhs).
-    With real_data=True only modes k >= 0 are solved and the negatives are
-    filled by conjugation.
+    f is the real 3D vector data and g the optional real scalar divergence
+    data, each called once on broadcastable arrays (r, theta, z) (see
+    analyze_rhs).  Modes k = 0..N are solved and each mode -k is filled by
+    conjugation.
 
-    Each |k| <= 2 mode system is assembled once, on one quadrature, and
-    serves both its singular basis and its mode solve; each |k| > 2 system
-    is built in its mode's solve, on the constraint class of the mode +-2
+    Each mode system k <= 2 is assembled once, on one quadrature, and
+    serves both its singular basis and its mode solve; each k > 2 system
+    is built in its mode's solve, on the constraint class of the mode-2
     system.  The first assembly builds the quadrature's operator workspace,
     which the mode threads only read.  On a large mesh that nests, the multigrid
     hierarchies and the coarse workspaces are built with the systems, also
@@ -330,26 +332,25 @@ def solve_axisymmetric(
     pts = quad.xy
     fmodes = analyze_rhs(f, N, pts, samples)
     gmodes = analyze_scalar_rhs(g, N, pts, samples) if g is not None else {}
-    if real_data:  # the k < 0 coefficients are never read
-        for modes in (fmodes, gmodes):
-            for k in range(-N, 0):
-                modes.pop(k, None)
-    low = [k for k in range(-min(N, 2), min(N, 2) + 1) if k >= 0 or not real_data]
-    systems = modal_ops.assemble_systems(mesh, space, low, quad, corner, shift=N > 2)
+    for modes in (fmodes, gmodes):  # the k < 0 coefficients are never read
+        for k in range(-N, 0):
+            modes.pop(k, None)
+    systems = modal_ops.assemble_systems(
+        mesh, space, range(min(N, 2) + 1), quad, corner, shift=N > 2
+    )
     bases = compute_bases(systems, corner, tol=tol) if corner is not None else {}
 
     def solve_one(k):
         # each mode's data is read once: drop it from the shared dicts
         problem = ModeProblem(k, space, fmodes.pop(k), gmodes.pop(k, None))
-        if abs(k) <= 2:
+        if k <= 2:
             return solve_mode_orthogonal(problem, systems[k], bases.get(k), tol=tol)
-        base_k = 2 if k > 0 else -2
-        system = modal_ops.ModeSystem(mesh, k, space, base=systems[base_k])
+        system = modal_ops.ModeSystem(mesh, k, space, base=systems[2])
         if corner is None:
             return solve_mode_orthogonal(problem, system, tol=tol)
-        return solve_mode_bordered(problem, system, bases[base_k], tol=tol)
+        return solve_mode_bordered(problem, system, bases[2], tol=tol)
 
-    modes = list(range(0, N + 1)) if real_data else list(range(-N, N + 1))
+    modes = range(N + 1)
     records = {}
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -358,37 +359,36 @@ def solve_axisymmetric(
     else:
         for k in modes:
             records[k] = solve_one(k)
-    if real_data:
-        for k in range(1, N + 1):
-            rec = records[k]
-            basis = rec.basis.conjugate() if rec.basis is not None else None
-            records[-k] = dataclasses.replace(
-                rec, field=rec.field.conj(), coeff=np.conj(rec.coeff), basis=basis,
-                denominator=np.conj(rec.denominator),
-            )
-    return FourierSolution(mesh, space, N, records, real_data)
+    for k in range(1, N + 1):
+        rec = records[k]
+        basis = rec.basis.conjugate() if rec.basis is not None else None
+        records[-k] = dataclasses.replace(
+            rec, field=rec.field.conj(), coeff=np.conj(rec.coeff), basis=basis,
+            denominator=np.conj(rec.denominator),
+        )
+    return FourierSolution(mesh, space, N, records)
 
 
 # -- error measurement ---------------------------------------------------------------
 
 
-def error_norms(fld, exact, exact_curl=None, exact_div=None, quad=None, k=None):
-    """Weighted L2 and a_k-energy distance of a nodal field to an exact one.
+def error_norms(fld, exact, quad, exact_curl=None, exact_div=None, k=None):
+    """Weighted L2 and a_k-energy distance of a nodal field to an exact one,
+    on the quadrature quad.
 
     exact holds the exact field values at the quadrature points, (Q, 3);
     exact_curl (Q, 3) and exact_div (Q,) the exact mode-k operator values
     there (zero when omitted, so passing exact=0 measures the field's own
     norms).  Returns (l2, energy).
     """
-    mesh = fld.mesh
     k = fld.k if k is None else k
-    ops = modal_ops.ElementOps(mesh, k, quad)
-    pv = ops.point_values(fld.values) - exact
-    l2 = math.sqrt(abs(np.sum(ops.wr[:, None] * np.abs(pv) ** 2)))
-    opv = ops.op_values(fld.values)
+    ws = modal_ops.workspace(quad)
+    pv = ws.point_values(fld.values) - exact
+    l2 = math.sqrt(abs(np.sum(ws.wr[:, None] * np.abs(pv) ** 2)))
+    opv = ws.op_values(fld.values, k)
     if exact_curl is not None:
         opv[:, :3] -= exact_curl
     if exact_div is not None:
         opv[:, 3] -= exact_div
-    energy = math.sqrt(abs(np.sum(ops.wr[:, None] * np.abs(opv) ** 2)))
+    energy = math.sqrt(abs(np.sum(ws.wr[:, None] * np.abs(opv) ** 2)))
     return l2, energy

@@ -160,7 +160,6 @@ def criterion_3_assembly_equivalence():
     t0 = time.time()
     rng = np.random.default_rng(1)
     h = 0.1
-    msh, _ = _lshape(h)
     quad = _lshape_quad(h)
     worst_dec = worst_shift = 0.0
     for k in range(-2, 6):
@@ -169,11 +168,11 @@ def criterion_3_assembly_equivalence():
             for _ in range(10):
                 u = _random_constrained(system, rng)
                 v = _random_constrained(system, rng)
-                direct = modal_ops.a_k_direct(msh, u, v, k, quad)
-                dec = modal_ops.a_k_via_decomposition(msh, u, v, k, quad)
+                direct = modal_ops.a_k_direct(u, v, k, quad)
+                dec = modal_ops.a_k_via_decomposition(u, v, k, quad)
                 worst_dec = max(worst_dec, abs(direct - dec) / abs(direct))
                 if k in (3, 4, 5):
-                    shifted = modal_ops.a_k_by_shift(msh, u, v, k, quad)
+                    shifted = modal_ops.a_k_by_shift(u, v, k, quad)
                     worst_shift = max(worst_shift, abs(direct - shifted) / abs(direct))
     elapsed = time.time() - t0
     ok = worst_dec <= ASSEMBLY_TOL and worst_shift <= ASSEMBLY_TOL and elapsed < 60.0
@@ -222,8 +221,8 @@ def criterion_5_convergence():
                 )
                 errs.append(
                     solver.error_norms(
-                        rec.field, mf.u(quad.xy), exact_curl=fvec,
-                        exact_div=gvec, quad=quad, k=k,
+                        rec.field, mf.u(quad.xy), quad, exact_curl=fvec,
+                        exact_div=gvec, k=k,
                     )
                 )
             logs = np.log(hs)
@@ -256,7 +255,7 @@ def criterion_6_homogeneity():
             bnorm = math.sqrt(basis.energy)
             for _ in range(50):
                 v = _random_constrained(system, rng)
-                vnorm = math.sqrt(abs(system.form_value(v.values, v.values)))
+                vnorm = math.sqrt(abs(modal_ops.a_k_direct(v, v, k, system.quad)))
                 val = abs(np.vdot(system.constraints.free_values(v), resid))
                 worst = max(worst, val / (bnorm * vnorm))
     ok = worst <= HOMOGENEITY_TOL
@@ -272,10 +271,10 @@ def criterion_7_singular_only():
         for k in (0, 1, -1, 2, -2):
             system = _lshape_system(h, k, space)
             basis = _lshape_basis(h, k, space)
-            bop = basis.op_arrays(system.ops)
+            bop = basis.op_arrays(system.ws, k)
             problem = solver.ModeProblem(k, space, bop[:, :3].copy(), bop[:, 3].copy())
             rec = solver.solve_mode_orthogonal(problem, system, basis, tol=SOLVER_TOL)
-            reg_energy = abs(system.form_value(rec.field.values, rec.field.values))
+            reg_energy = abs(modal_ops.a_k_direct(rec.field, rec.field, k, system.quad))
             worst_c = max(worst_c, abs(rec.coeff - 1.0))
             worst_e = max(worst_e, reg_energy / basis.energy)
     ok = worst_c <= SINGULAR_COEFF_TOL and worst_e <= SINGULAR_ENERGY_RATIO
@@ -304,10 +303,10 @@ def _bordered_vs_orthogonal(h):
     rec_b = solver.solve_mode_bordered(problem, sysk, b2, tol=SOLVER_TOL)
     problem = solver.ModeProblem(3, femcore.SPACE_Y, fvec, gvec)
     rec_o = solver.solve_mode_orthogonal(problem, sys3, b3, tol=SOLVER_TOL)
-    pv_b = rec_b.point_values(sys3.ops)
-    pv_o = rec_o.point_values(sys3.ops)
-    num = math.sqrt(abs(np.sum(sys3.ops.wr[:, None] * np.abs(pv_b - pv_o) ** 2)))
-    den = math.sqrt(abs(np.sum(sys3.ops.wr[:, None] * np.abs(pv_o) ** 2)))
+    pv_b = rec_b.point_values(sys3.ws)
+    pv_o = rec_o.point_values(sys3.ws)
+    num = math.sqrt(abs(np.sum(sys3.ws.wr[:, None] * np.abs(pv_b - pv_o) ** 2)))
+    den = math.sqrt(abs(np.sum(sys3.ws.wr[:, None] * np.abs(pv_o) ** 2)))
     return num / den
 
 
@@ -327,8 +326,7 @@ def criterion_9_fourier_roundtrip():
     N = 3
     msh = meshmod.gen_rectangle(0.0, 1.0, 0.0, 1.0, 0.125)
     sol = solver.solve_axisymmetric(
-        msh, femcore.SPACE_Y, RHS_BUILTINS["bandlimited"], N=N, real_data=True,
-        tol=SOLVER_TOL,
+        msh, femcore.SPACE_Y, RHS_BUILTINS["bandlimited"], N=N, tol=SOLVER_TOL,
     )
     M = 4 * N + 1
     thetas = np.arange(M) * (2.0 * math.pi / M)

@@ -79,9 +79,9 @@ def test_bordered_modes_report_the_schur_denominator(tmp_path, lshape, lshape_qu
     system2 = modal_ops.assemble_a_k(msh, 2, SPACE_Y, quad=lshape_quad)
     basis2 = singular.compute_basis(system2, corner)
     system3 = modal_ops.ModeSystem(msh, 3, SPACE_Y, base=system2)
-    bop = basis2.op_arrays(system3.ops)
+    bop = basis2.op_arrays(system3.ws, 3)
     y = system3.functional(bop)
-    alpha = float(np.sum(system3.ops.wr[:, None] * np.abs(bop) ** 2))
+    alpha = float(np.sum(system3.ws.wr[:, None] * np.abs(bop) ** 2))
     schur = alpha - np.vdot(y, np.linalg.solve(system3.matrix.to_dense(), y)).real
     assert schur < 0.99 * alpha
     for k in (3, -3):
@@ -171,6 +171,20 @@ def test_missing_corner_is_usage_error(tmp_path):
         "--field", "electric", "--outdir", str(tmp_path),
     ])
     assert rc == 1
+
+
+@pytest.mark.parametrize("k", ["3", "-5"])
+def test_singular_high_mode_is_usage_error(tmp_path, capsys, k):
+    """The bases of |k| > 2 are those of mode +-2: asking for one is a
+    usage error naming --k."""
+    rc = main([
+        "singular", "--domain", "lshape", "--h", "0.2", "--k", k,
+        "--outdir", str(tmp_path),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: usage:") and "--k" in err
+    assert "\n" not in err.strip()
 
 
 def test_io_failure_exit_code(tmp_path, capsys):

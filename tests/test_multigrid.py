@@ -119,7 +119,7 @@ def test_small_or_unnested_meshes_keep_jacobi(lshape05):
     assert unnested.matrix.n >= modal_ops.MULTIGRID_MIN_DOFS
     assert unnested.hierarchy is None
     sol = solver.solve_axisymmetric(
-        msh, SPACE_X, RHS_BUILTINS["bandlimited"], N=1, corner=corner, real_data=True
+        msh, SPACE_X, RHS_BUILTINS["bandlimited"], N=1, corner=corner
     )
     problem = solver.ModeProblem(
         1, SPACE_X, solver.analyze_rhs(RHS_BUILTINS["bandlimited"], 1, quad.xy)[1]
@@ -146,7 +146,7 @@ def test_threaded_multigrid_solve_is_deterministic(monkeypatch):
     msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.05)
     sols = [
         solver.solve_axisymmetric(msh, SPACE_Y, RHS_BUILTINS["bandlimited"], N=5, corner=corner,
-                                  real_data=True, threads=threads)
+                                  threads=threads)
         for threads in (1, 4)
     ]
     for k in range(-5, 6):

@@ -78,12 +78,12 @@ def test_singular_only_manufactured(lshape, lshape_quad, space):
     k = -1
     system = modal_ops.assemble_a_k(msh, k, space, quad=lshape_quad)
     basis = singular.compute_basis(system, corner)
-    bop = basis.op_arrays(system.ops)
+    bop = basis.op_arrays(system.ws, k)
     rec = solver.solve_mode_orthogonal(
         solver.ModeProblem(k, space, bop[:, :3].copy(), bop[:, 3].copy()), system, basis
     )
     assert abs(rec.coeff - 1.0) <= 1e-6
-    reg_energy = abs(system.form_value(rec.field.values, rec.field.values))
+    reg_energy = abs(modal_ops.a_k_direct(rec.field, rec.field, k, lshape_quad))
     assert reg_energy <= 1e-6 * basis.energy
     # the record: one CG solve, C^k over the basis energy
     assert rec.denominator == rec.energy == basis.energy
@@ -91,8 +91,8 @@ def test_singular_only_manufactured(lshape, lshape_quad, space):
     assert rec.residual == rec.cg[0].residual <= 1e-10
     # a posteriori orthogonality used to decouple the coefficient
     bcurl = bop[:, :3]
-    rcurl = system.ops.op_values(rec.field.values)[:, :3]
-    cross = abs(np.sum(system.ops.wr[:, None] * rcurl * bcurl.conj()))
+    rcurl = system.ws.op_values(rec.field.values, k)[:, :3]
+    cross = abs(np.sum(system.ws.wr[:, None] * rcurl * bcurl.conj()))
     curl_norm = basis.curl_norm_sq
     assert cross <= 1e-6 * curl_norm
 
@@ -106,7 +106,7 @@ def test_regular_only_manufactured(lshape, lshape_quad, rng):
         msh, k, rng.normal(size=(msh.num_vertices, 3)) + 1j * rng.normal(size=(msh.num_vertices, 3))
     )
     w = system.constraints.apply(raw)
-    wop = system.ops.op_values(w.values)
+    wop = system.ws.op_values(w.values, k)
     rec = solver.solve_mode_orthogonal(
         solver.ModeProblem(k, space, wop[:, :3].copy(), wop[:, 3].copy()), system, basis
     )
@@ -135,7 +135,7 @@ def test_bordered_recovers_known_combination(lshape, lshape_quad, rng):
     )
     w = sysk.constraints.apply(raw)
     c0 = -0.4 + 1.1j
-    vec = sysk.ops.op_values(w.values) + c0 * b2.op_arrays(sysk.ops)
+    vec = sysk.ws.op_values(w.values, 3) + c0 * b2.op_arrays(sysk.ws, 3)
     rec = solver.solve_mode_bordered(
         solver.ModeProblem(3, SPACE_Y, vec[:, :3].copy(), vec[:, 3].copy()),
         modal_ops.ModeSystem(msh, 3, SPACE_Y, base=sys2),
@@ -196,16 +196,16 @@ _bandlimited = RHS_BUILTINS["bandlimited"]
 def test_full_solve_and_synthesis_roundtrip():
     msh = mesh.gen_rectangle(0.0, 1.0, 0.0, 1.0, 0.2)
     N = 3
-    sol = solver.solve_axisymmetric(msh, SPACE_Y, _bandlimited, N=N, real_data=True)
+    sol = solver.solve_axisymmetric(msh, SPACE_Y, _bandlimited, N=N)
     # N = 0 synthesis equals the mode-0 slice
-    sol0 = solver.FourierSolution(msh, SPACE_Y, 0, {0: sol.records[0]}, real_data=True)
+    sol0 = solver.FourierSolution(msh, SPACE_Y, 0, {0: sol.records[0]})
     slice0 = solver.synthesize(sol0, 1.234)
     assert np.allclose(slice0, sol.records[0].total_nodal().real / math.sqrt(TWO_PI))
     # full round trip: synthesize on the uniform grid, re-analyze
     M = 4 * N + 1
     thetas = np.arange(M) * (TWO_PI / M)
     samples = np.array([solver.synthesize(sol, th) for th in thetas], dtype=complex)
-    assert np.abs(samples.imag).max() == 0.0  # real_data synthesis returns reals
+    assert np.abs(samples.imag).max() == 0.0  # synthesis of real data returns reals
     # one call on all azimuths gives the same stack, bit for bit
     assert np.array_equal(solver.synthesize(sol, thetas), samples.real)
     modes = solver.analyze_samples(samples, N)
@@ -213,13 +213,23 @@ def test_full_solve_and_synthesis_roundtrip():
         assert np.abs(modes[k] - sol.records[k].total_nodal()).max() <= 1e-12
 
 
+def test_full_solve_rejects_complex_data(rect):
+    """Mode -k is the conjugate of mode k only for real data, so data with
+    an imaginary part is rejected instead of giving wrong negative modes."""
+    def f(r, th, z):
+        return (0.0, 0.0, np.exp(1j * th))
+
+    with pytest.raises(ValueError, match="real"):
+        solver.solve_axisymmetric(rect, SPACE_Y, f, N=2)
+
+
 def test_full_solve_threads_deterministic(lshape):
     msh, corner = lshape
     sol1 = solver.solve_axisymmetric(
-        msh, SPACE_Y, _bandlimited, N=5, corner=corner, real_data=True, threads=1
+        msh, SPACE_Y, _bandlimited, N=5, corner=corner, threads=1
     )
     sol2 = solver.solve_axisymmetric(
-        msh, SPACE_Y, _bandlimited, N=5, corner=corner, real_data=True, threads=4
+        msh, SPACE_Y, _bandlimited, N=5, corner=corner, threads=4
     )
     for k in range(-5, 6):
         assert np.array_equal(
@@ -248,8 +258,7 @@ def test_full_solve_assembles_each_system_once(lshape, rect, monkeypatch):
     for case_mesh, case_corner in ((msh, corner), (rect, None)):
         calls.clear()
         solver.solve_axisymmetric(
-            case_mesh, SPACE_Y, _bandlimited, N=5, corner=case_corner, real_data=True,
-            threads=4,
+            case_mesh, SPACE_Y, _bandlimited, N=5, corner=case_corner, threads=4,
         )
         assert calls == {"assemble_a_k": 3, "OperatorWorkspace": 1}
 
@@ -277,12 +286,12 @@ def test_error_norms_of_zero_exact(rect, rng):
     vals = rng.normal(size=(rect.num_vertices, 3))
     fld = ModeField(rect, 1, vals)
     quad = MeshQuadrature(rect)
-    l2, energy = solver.error_norms(fld, 0, quad=quad)
-    ops = modal_ops.ElementOps(rect, 1, quad)
-    pv = ops.point_values(fld.values)
-    want_l2 = math.sqrt(abs(np.sum(ops.wr[:, None] * np.abs(pv) ** 2)))
+    l2, energy = solver.error_norms(fld, 0, quad)
+    ws = modal_ops.workspace(quad)
+    pv = ws.point_values(fld.values)
+    want_l2 = math.sqrt(abs(np.sum(ws.wr[:, None] * np.abs(pv) ** 2)))
     assert l2 == pytest.approx(want_l2, rel=1e-12)
-    want_energy = math.sqrt(abs(modal_ops.a_k_direct(rect, fld, fld, 1, quad)))
+    want_energy = math.sqrt(abs(modal_ops.a_k_direct(fld, fld, 1, quad)))
     assert energy == pytest.approx(want_energy, rel=1e-12)
 
 
@@ -293,7 +302,7 @@ def test_interpolation_error_ratio():
         msh = mesh.gen_rectangle(0.0, 1.0, 0.0, 1.0, h)
         quad = MeshQuadrature(msh)
         fld = ModeField(msh, 0, mf.u(msh.vertices))
-        l2, _ = solver.error_norms(fld, mf.u(quad.xy), quad=quad, k=0)
+        l2, _ = solver.error_norms(fld, mf.u(quad.xy), quad, k=0)
         errs.append(l2)
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
 
@@ -312,8 +321,7 @@ def test_convergence_spot_check():
         rec = solver.solve_mode_orthogonal(solver.ModeProblem(k, space, fvec, gvec), system)
         errs.append(
             solver.error_norms(
-                rec.field, mf.u(quad.xy), exact_curl=fvec, exact_div=gvec,
-                quad=quad, k=k,
+                rec.field, mf.u(quad.xy), quad, exact_curl=fvec, exact_div=gvec, k=k,
             )
         )
     assert math.log2(errs[0][0] / errs[1][0]) >= 1.8

@@ -3,6 +3,8 @@ installing it fails when a refactor unbinds one of them."""
 
 import pathlib
 
+import numpy as np
+
 from axmaxwell import cli_io, mesh
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -19,6 +21,17 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert layers.count_wrappers() == 0
+
+
+def test_reference_condition_number(monkeypatch):
+    """perfbench/make_reference.py assembles mode matrices by signature
+    (assemble_a_k, shifted_system, to_dense) for the kappa bound of its
+    output check."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import make_reference
+
+    kappa = make_reference.condition_number(0.1, "magnetic", 3)
+    assert np.isfinite(kappa) and kappa > 1.0
 
 
 def test_traced_file_rhs_calls_data_once(monkeypatch, tmp_path):

@@ -20,7 +20,7 @@ from .mesh import (
     load_mesh,
     save_mesh,
 )
-from .special import find_beta, find_nu, legendre_p, legendre_p1
+from .special import find_beta, find_nu, legendre_p
 from .femcore import ModeField, ConstraintSet, build_constraints, interpolate, lift_boundary
 from .singular import PrincipalPart, SingularBasis, compute_basis
 from .solver import FourierSolution, ModeProblem, solve_axisymmetric
@@ -37,7 +37,6 @@ __all__ = [
     "save_mesh",
     "classify_boundary",
     "legendre_p",
-    "legendre_p1",
     "find_beta",
     "find_nu",
     "ModeField",

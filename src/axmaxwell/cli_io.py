@@ -6,6 +6,7 @@ Every failure prints a single machine-readable line on stderr.
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -19,6 +20,7 @@ from .mesh import MeshError
 
 _FLOAT_FMT = "%.17g"
 _MATCH_PAIRS = 1 << 14  # row-vertex pairs resolve_rhs compares at once
+_TABLE_COLUMNS = ["r", "z", "f_r", "f_theta", "f_z"]
 
 
 class UsageError(ValueError):
@@ -122,13 +124,6 @@ def write_csv(path, header, rows):
                 else:
                     cells.append(str(v))
             fp.write(",".join(cells) + "\n")
-
-
-def read_csv(path):
-    with open(path) as fp:
-        lines = [ln.rstrip("\n") for ln in fp if ln.strip()]
-    header = lines[0].split(",")
-    return header, [ln.split(",") for ln in lines[1:]]
 
 
 # -- run configuration -----------------------------------------------------------
@@ -270,11 +265,7 @@ def resolve_rhs(spec, msh):
         return RHS_BUILTINS[spec]
     if spec.startswith("file:"):
         path = spec[5:]
-        header, rows = read_csv(path)
-        expected = ["r", "z", "f_r", "f_theta", "f_z"]
-        if [h.strip() for h in header] != expected:
-            raise UsageError(f"{path}: expected columns {','.join(expected)}")
-        data = np.array([[float(c) for c in row] for row in rows]).reshape(-1, 5)
+        data = _read_table(path)
         idx = _match_vertices(msh, data[:, :2], path)
         nodal = np.zeros((msh.num_vertices, 3))
         nodal[idx] = data[:, 2:]
@@ -288,6 +279,32 @@ def resolve_rhs(spec, msh):
     raise UsageError(
         f"unknown rhs {spec!r}; builtins: {', '.join(sorted(RHS_BUILTINS))} or file:<csv>"
     )
+
+
+def _read_table(path):
+    """The rows of a file: table as an (n, 5) float array; a missing header,
+    a row without exactly 5 finite numbers or a non-UTF-8 file is a usage
+    error naming the file and, for a row, its line."""
+    try:
+        with open(path) as fp:
+            lines = [(lineno, ln.strip()) for lineno, ln in enumerate(fp, 1) if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read table {path}: {exc}") from exc
+    if not lines or [h.strip() for h in lines[0][1].split(",")] != _TABLE_COLUMNS:
+        raise UsageError(f"{path}: expected columns {','.join(_TABLE_COLUMNS)}")
+    rows = []
+    for lineno, line in lines[1:]:
+        cells = line.split(",")
+        try:
+            if len(cells) != len(_TABLE_COLUMNS):
+                raise ValueError(f"expected {len(_TABLE_COLUMNS)} cells, got {len(cells)}")
+            row = [float(c) for c in cells]
+            if not all(map(math.isfinite, row)):
+                raise ValueError("non-finite value")
+        except ValueError as exc:
+            raise UsageError(f"{path}:{lineno}: {exc}") from exc
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(-1, len(_TABLE_COLUMNS))
 
 
 def _match_vertices(msh, points, path):
@@ -381,16 +398,20 @@ def cmd_solve(cfg):
     os.makedirs(cfg.outdir, exist_ok=True)
     rows = []
     for k in range(-cfg.modes, cfg.modes + 1):
-        rec = sol.records[k]
+        # the data are real: mode -k is the conjugate of the stored mode k
+        rec = sol.records[abs(k)]
+        total, coeff = rec.total_nodal(), rec.coeff
+        if k < 0:
+            total, coeff = np.conj(total), np.conj(coeff)
         write_vtk(
             msh,
-            {"field": rec.total_nodal()},
+            {"field": total},
             os.path.join(cfg.outdir, f"mode_{'m' if k < 0 else 'p'}{abs(k)}.vtk"),
             title=f"mode {k} {cfg.field}",
         )
         # the real part: a bordered mode's Schur denominator is complex
         # only by round-off
-        rows.append([k, complex(rec.coeff), rec.iterations, rec.residual,
+        rows.append([k, complex(coeff), rec.iterations, rec.residual,
                      float(rec.denominator.real)])
     write_csv(
         os.path.join(cfg.outdir, "summary.csv"),

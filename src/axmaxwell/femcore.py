@@ -159,9 +159,6 @@ class ModeField:
 
     __rmul__ = __mul__
 
-    def conj(self):
-        return ModeField(self.mesh, -self.k, np.conj(self.values))
-
 
 def _locate(mesh, points, tol=1e-12):
     """First triangle containing each point and the barycentric coordinates:

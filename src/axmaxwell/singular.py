@@ -8,10 +8,8 @@ r/a cutoff that enforces the axis conditions:
   S_e = -(r/a) alpha rho^(alpha-1) (sin T, 0, cos T)        T = (alpha-1) phi - phi0
   S   = -(r/a) alpha rho^(alpha-1) (cos T, 0, -sin T)
 
-with mode-k curls and divergences available in closed form.  The conical
-principal part S_c (electric, mode 0 only) is evaluated through the real
-degree Legendre functions; only its evaluation and the aperture threshold
-bookkeeping are provided.
+with mode-k curls and divergences available in closed form.  Conical
+vertices enter only the dimension bookkeeping of singular_dimensions.
 
 A singular complement basis is the sum of a principal part and a regular
 nodal correction solving the lifted homogeneous problem
@@ -22,7 +20,6 @@ with the essential trace of x_reg prescribed to cancel the principal trace
 on the wall.
 """
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -31,43 +28,32 @@ import numpy as np
 from . import femcore
 from .femcore import ModeField
 from .linalg import CGInfo, solve_hpd
-from .special import find_beta, find_nu, legendre_p, legendre_p1
+from .special import find_beta
 
 EDGE_ELECTRIC = "edge_electric"
 EDGE_MAGNETIC = "edge_magnetic"
-CONICAL = "conical"
 
 _CORNER_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
 class PrincipalPart:
-    """Analytic principal part of one singularity."""
+    """Analytic principal part of one reentrant edge, electric or magnetic."""
 
     kind: str
     corner: object = None
-    cone: object = None
-    nu: float = None
 
     def __post_init__(self):
-        if self.kind in (EDGE_ELECTRIC, EDGE_MAGNETIC):
-            if self.corner is None:
-                raise ValueError("edge principal parts need a corner descriptor")
-            if not 0.5 < self.corner.alpha < 1.0:
-                raise ValueError("edge principal parts require a reentrant corner")
-        elif self.kind == CONICAL:
-            if self.cone is None or self.nu is None:
-                raise ValueError("conical principal parts need a cone and an exponent")
-            if not 0.0 < self.nu < 0.5:
-                raise ValueError(f"conical exponent must lie in (0, 1/2), got {self.nu}")
-        else:
+        if self.kind not in (EDGE_ELECTRIC, EDGE_MAGNETIC):
             raise ValueError(f"unknown principal part kind {self.kind!r}")
+        if self.corner is None:
+            raise ValueError("edge principal parts need a corner descriptor")
+        if not 0.5 < self.corner.alpha < 1.0:
+            raise ValueError("edge principal parts require a reentrant corner")
 
     def values(self, points):
         """Component triples (u_r, u_theta, u_z) at (r, z) points, (P, 3)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind == CONICAL:
-            return self._conical_values(pts)
         c = self.corner
         rho, phi = c.local_coords(pts)
         if np.any(rho == 0.0):
@@ -83,31 +69,11 @@ class PrincipalPart:
             out[:, 2] = -amp * np.sin(theta)
         return out
 
-    def _conical_values(self, pts):
-        cone = self.cone
-        dr = pts[:, 0]
-        dz = pts[:, 1] - cone.z
-        rho = np.hypot(dr, dz)
-        if np.any(rho == 0.0):
-            raise ValueError("principal part evaluated at the conical vertex")
-        phi = np.arctan2(dr, dz)  # measured from the +z axis
-        x = np.cos(phi)
-        p = np.array([legendre_p(self.nu, xi) for xi in x])
-        p1 = np.array([legendre_p1(self.nu, xi) if abs(xi) < 1.0 else 0.0 for xi in x])
-        amp = self.nu * rho ** (self.nu - 1.0)
-        out = np.zeros((len(pts), 3))
-        out[:, 0] = amp * (p * np.cos(phi) - p1 * np.sin(phi))
-        out[:, 2] = amp * (p * np.sin(phi) + p1 * np.cos(phi))
-        return out
-
     def curl_div(self, points, k):
-        """Closed-form (curl_k, div_k) of an edge principal part.
+        """Closed-form (curl_k, div_k) of the principal part.
 
-        Returns (curl (P, 3) complex, div (P,) complex).  Not available for
-        the conical kind.
+        Returns (curl (P, 3) complex, div (P,) complex).
         """
-        if self.kind == CONICAL:
-            raise NotImplementedError("no closed-form curl/div for the conical part")
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         c = self.corner
         rho, phi = c.local_coords(pts)
@@ -187,12 +153,6 @@ class SingularBasis:
     def point_arrays(self, ws):
         """Total basis values at the quadrature points of ws, (Q, 3)."""
         return ws.point_values(self.regular.values) + self.principal.values(ws.xy)
-
-    def conjugate(self):
-        """Basis of the opposite mode for conjugate-symmetric data; the
-        principal part is real-valued, so only the regular part conjugates."""
-        reg = ModeField(self.mesh, -self.k, np.conj(self.regular.values))
-        return dataclasses.replace(self, k=-self.k, regular=reg)
 
 
 def compute_basis(system, corner, tol=1e-10, allow_high_mode=False):

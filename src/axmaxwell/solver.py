@@ -18,7 +18,6 @@ the quadrature's operator workspace reduced on the constraint class of the
 mode-2 system, which all |k| >= 2 modes share.
 """
 
-import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,31 +38,18 @@ class ModeProblem:
 
     f and g are the mode-k data at the quadrature points of the system the
     problem is solved on, arrays of shapes (Q, 3) and (Q,); None means zero.
-    The compatibility flags trigger quadrature checks of the conditions the
-    strong problem imposes on its data.
     """
 
     k: int
     space: str
     f: object = None
     g: object = None
-    require_mean_zero_g: bool = False
-
-    def validate(self, system):
-        if self.require_mean_zero_g and self.g is not None and self.k == 0:
-            gv = system.sample(g=self.g)[:, 3]
-            mean = abs(np.sum(system.ws.wr * gv))
-            scale = np.sum(system.ws.wr * np.abs(gv))
-            if scale > 0.0 and mean > 1e-8 * scale:
-                raise ValueError(
-                    f"mode-0 divergence data must have zero weighted mean "
-                    f"(relative mean {mean / scale:.2e})"
-                )
 
 
 @dataclass
 class ModeRecord:
-    """Solution of one mode: regular field, singular coefficient, basis.
+    """Solution of one mode k >= 0: regular field, singular coefficient,
+    basis.  For real data mode -k is the conjugate of this one.
 
     cg holds the CGInfo of each CG call of the solve: one for the
     orthogonal path, (K w = y, K v = F) for the bordered one.  denominator
@@ -104,8 +90,9 @@ class ModeRecord:
 
 @dataclass
 class FourierSolution:
-    """Solved modes k in [-N, N] of one field kind; the data are real, so
-    mode -k is the conjugate of mode k."""
+    """Solved modes of one field kind: records holds exactly the modes
+    k = 0..N.  The data are real, so mode -k is the conjugate of mode k and
+    is written out only where it is used."""
 
     mesh: object
     space: str
@@ -113,10 +100,8 @@ class FourierSolution:
     records: dict
 
     def __post_init__(self):
-        expected = set(range(-self.N, self.N + 1))
-        if set(self.records) != expected:
-            missing = sorted(expected - set(self.records))
-            raise ValueError(f"missing modes {missing}")
+        if set(self.records) != set(range(self.N + 1)):
+            raise ValueError(f"records must hold modes 0..{self.N}, got {sorted(self.records)}")
 
 
 # -- Fourier analysis ------------------------------------------------------------
@@ -132,10 +117,8 @@ def _theta_grid(N, samples):
 def analyze_samples(values, N):
     """Mode coefficients of values sampled on the uniform theta grid.
 
-    values has shape (M, ...); returns {k: (...)} with the 1/sqrt(2 pi)
-    convention.  Negative modes use the exact conjugate phases of their
-    positive partners so that real samples give conjugate-symmetric
-    coefficients to the last bit.
+    values has shape (M, ...); returns {k: (...)} for k = 0..N with the
+    1/sqrt(2 pi) convention.
     """
     values = np.asarray(values)
     M = values.shape[0]
@@ -147,8 +130,6 @@ def analyze_samples(values, N):
     for k in range(0, N + 1):
         phase = np.exp(-1j * k * theta)
         out[k] = scale * np.einsum("j,j...->...", phase, values)
-        if k > 0:
-            out[-k] = scale * np.einsum("j,j...->...", phase.conj(), values)
     return out
 
 
@@ -195,16 +176,17 @@ def synthesize(solution, theta):
     """Field on the meridian plane at azimuth theta, nodal values (nv, 3);
     an array of azimuths of shape (T,) gives (T, nv, 3).
 
-    The data are real, so the conjugate mode symmetry makes the result
-    real; the imaginary residue is asserted tiny and dropped.
+    The data are real, so mode -k adds the conjugate of mode k and the
+    result is real; the imaginary residue is asserted tiny and dropped.
     """
     theta = np.asarray(theta, dtype=float)
     acc = np.zeros(theta.shape + (solution.mesh.num_vertices, 3), dtype=complex)
     for k in range(0, solution.N + 1):
         phase = np.exp(1j * k * theta)[..., None, None]
-        acc += solution.records[k].total_nodal() * (_NORM * phase)
+        total = solution.records[k].total_nodal()
+        acc += total * (_NORM * phase)
         if k > 0:
-            acc += solution.records[-k].total_nodal() * (_NORM * np.conj(phase))
+            acc += np.conj(total) * (_NORM * np.conj(phase))
     scale = np.abs(acc).max(axis=(-2, -1))
     if np.any(np.abs(acc.imag).max(axis=(-2, -1)) > 1e-10 * scale):
         raise AssertionError("synthesized field of real data is not real")
@@ -227,8 +209,8 @@ def sample_3d(solution, n_theta):
 
 
 def _pair(problem, system, basis):
-    """What both mode solves share: validate and sample the data on the
-    system, build its load and pair the data with the basis operators.
+    """What both mode solves share: sample the data on the system, build
+    its load and pair the data with the basis operators.
 
     Returns (load, bop, energy, numer): bop the mode-k (curl, div) of the
     basis at the quadrature points, energy = a_k(s, s) and numer the data
@@ -236,7 +218,6 @@ def _pair(problem, system, basis):
     """
     if system.k != problem.k or system.space != problem.space:
         raise ValueError("mode system does not match the problem")
-    problem.validate(system)
     vec = system.sample(problem.f, problem.g)
     load = system.functional(vec)
     if basis is None:
@@ -317,8 +298,8 @@ def solve_axisymmetric(
 
     f is the real 3D vector data and g the optional real scalar divergence
     data, each called once on broadcastable arrays (r, theta, z) (see
-    analyze_rhs).  Modes k = 0..N are solved and each mode -k is filled by
-    conjugation.
+    analyze_rhs).  Modes k = 0..N are analysed and solved; the data are
+    real, so mode -k is the conjugate of mode k and is not stored.
 
     Each mode system k <= 2 is assembled once, on one quadrature, and
     serves both its singular basis and its mode solve; each k > 2 system
@@ -332,9 +313,6 @@ def solve_axisymmetric(
     pts = quad.xy
     fmodes = analyze_rhs(f, N, pts, samples)
     gmodes = analyze_scalar_rhs(g, N, pts, samples) if g is not None else {}
-    for modes in (fmodes, gmodes):  # the k < 0 coefficients are never read
-        for k in range(-N, 0):
-            modes.pop(k, None)
     systems = modal_ops.assemble_systems(
         mesh, space, range(min(N, 2) + 1), quad, corner, shift=N > 2
     )
@@ -359,13 +337,6 @@ def solve_axisymmetric(
     else:
         for k in modes:
             records[k] = solve_one(k)
-    for k in range(1, N + 1):
-        rec = records[k]
-        basis = rec.basis.conjugate() if rec.basis is not None else None
-        records[-k] = dataclasses.replace(
-            rec, field=rec.field.conj(), coeff=np.conj(rec.coeff), basis=basis,
-            denominator=np.conj(rec.denominator),
-        )
     return FourierSolution(mesh, space, N, records)
 
 

@@ -2,10 +2,7 @@
 
 P_nu is evaluated through the hypergeometric representation
 P_nu(x) = F(-nu, nu+1; 1; (1-x)/2), summing the series until a term drops
-below a relative truncation threshold.  The order-1 function follows the
-Ferrers convention without the Condon-Shortley phase,
-P^1_nu(x) = sqrt(1-x^2) * dP_nu/dx, with the degree derivative obtained from
-(1-x^2) P'_nu = nu (P_{nu-1} - x P_nu).
+below a relative truncation threshold.
 
 The thresholds: beta solves P_{1/2}(cos(pi/beta)) = 0 (about 1.3771); a
 conical vertex of aperture theta is singular when theta > pi/beta, and its
@@ -36,18 +33,6 @@ def legendre_p(nu, x, rtol=1e-15):
         if abs(term) <= rtol * abs(total):
             return total
     raise SeriesError(f"Legendre series did not converge for nu={nu}, x={x}")
-
-
-def legendre_p1(nu, x, rtol=1e-15):
-    """Order-1 associated Legendre function, Ferrers without the (-1) phase."""
-    if x == 1.0:
-        return 0.0
-    if not -1.0 < x < 1.0:
-        raise ValueError(f"argument must lie in (-1, 1), got {x}")
-    if nu == 0.0:
-        return 0.0
-    dp_scaled = nu * (legendre_p(nu - 1.0, x, rtol) - x * legendre_p(nu, x, rtol))
-    return dp_scaled / math.sqrt(1.0 - x * x)
 
 
 def _bisect(fn, lo, hi, tol):

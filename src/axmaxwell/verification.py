@@ -333,9 +333,7 @@ def criterion_9_fourier_roundtrip():
     samples = np.array([solver.synthesize(sol, th) for th in thetas], dtype=complex)
     modes = solver.analyze_samples(samples, N)
     scale = max(np.abs(rec.total_nodal()).max() for rec in sol.records.values())
-    worst = max(
-        np.abs(modes[k] - sol.records[k].total_nodal()).max() for k in range(-N, N + 1)
-    )
+    worst = max(np.abs(modes[k] - sol.records[k].total_nodal()).max() for k in range(N + 1))
     worst_imag = np.abs(samples.imag).max()
     ok = worst <= ROUNDTRIP_TOL * scale and worst_imag <= ROUNDTRIP_TOL * scale
     return CriterionResult(
@@ -360,7 +358,7 @@ def criterion_10_conjugate_symmetry():
             solver.ModeProblem(k, space, fm[k]), sys_p, b_p, tol=SOLVER_TOL
         )
         rec_m = solver.solve_mode_orthogonal(
-            solver.ModeProblem(-k, space, fm[-k]), sys_m, b_m, tol=SOLVER_TOL
+            solver.ModeProblem(-k, space, np.conj(fm[k])), sys_m, b_m, tol=SOLVER_TOL
         )
         tot_p = rec_p.total_nodal()
         tot_m = rec_m.total_nodal()

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from axmaxwell import cli_io, mesh, modal_ops, singular
-from axmaxwell.cli_io import main, read_csv, write_csv, write_vtk
+from axmaxwell.cli_io import main, write_csv, write_vtk
 from axmaxwell.femcore import SPACE_Y
+
+
+def read_csv(path):
+    """Header and rows of a CSV output, blank lines skipped."""
+    with open(path) as fp:
+        lines = [ln.rstrip("\n") for ln in fp if ln.strip()]
+    return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
 
 
 def test_meshgen_writes_loadable_mesh(tmp_path, capsys):
@@ -49,6 +56,46 @@ def test_solve_outputs_and_determinism(tmp_path):
     assert sa == sb
     assert (tmp_path / "a" / "mode_p3.vtk").exists()
     assert (tmp_path / "a" / "mode_m3.vtk").exists()
+
+
+def _vtk_arrays(path):
+    """Geometry lines and {name: values} of the scalar arrays of a legacy VTK file."""
+    lines = path.read_text().splitlines()
+    start = lines.index(next(ln for ln in lines if ln.startswith("POINT_DATA")))
+    arrays, name = {}, None
+    for ln in lines[start + 1:]:
+        if ln.startswith("SCALARS"):
+            name = ln.split()[1]
+            arrays[name] = []
+        elif ln != "LOOKUP_TABLE default":
+            arrays[name].append(float(ln))
+    return lines[2:start], {n: np.array(v) for n, v in arrays.items()}
+
+
+def test_negative_mode_files_are_exact_conjugates(tmp_path):
+    """mode_m<k>.vtk holds the conjugate of mode_p<k>.vtk bit for bit, the
+    sign of zero included; summary.csv lists C_-k = conj(C_k) with mode k's
+    iterations, residual and denominator."""
+    N = 3
+    rc = main([
+        "solve", "--h", "0.1", "--field", "magnetic", "--modes", str(N),
+        "--outdir", str(tmp_path),
+    ])
+    assert rc == 0
+    for k in range(1, N + 1):
+        geo_p, arr_p = _vtk_arrays(tmp_path / f"mode_p{k}.vtk")
+        geo_m, arr_m = _vtk_arrays(tmp_path / f"mode_m{k}.vtk")
+        assert geo_m == geo_p and list(arr_m) == list(arr_p)
+        assert any(name.endswith("_im") for name in arr_p)
+        for name, vals in arr_p.items():
+            want = -vals if name.endswith("_im") else vals
+            assert arr_m[name].tobytes() == want.tobytes(), (k, name)
+    header, rows = read_csv(tmp_path / "summary.csv")
+    by_k = {int(row[0]): row for row in rows}
+    assert sorted(by_k) == list(range(-N, N + 1))
+    for k in range(1, N + 1):
+        assert complex(by_k[-k][1]) == complex(by_k[k][1]).conjugate()
+        assert by_k[-k][2:] == by_k[k][2:]
 
 
 def test_bordered_modes_report_cg_diagnostics(tmp_path):
@@ -274,6 +321,41 @@ def test_tabulated_rhs_needs_one_row_per_vertex(tmp_path, capsys, rows):
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: usage:")
     assert not (tmp_path / "out" / "summary.csv").exists()
+
+
+def _solve_with_table(tmp_path, content):
+    (tmp_path / "rhs.csv").write_bytes(content)
+    return main([
+        "solve", "--h", "0.1", "--modes", "1", "--rhs", f"file:{tmp_path / 'rhs.csv'}",
+        "--outdir", str(tmp_path / "out"),
+    ])
+
+
+def test_tabulated_rhs_empty_file_is_usage_error(tmp_path, capsys):
+    assert _solve_with_table(tmp_path, b"") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: usage:") and "rhs.csv" in err and "columns" in err
+    assert not (tmp_path / "out" / "summary.csv").exists()
+
+
+def test_tabulated_rhs_short_rows_name_their_line(tmp_path, capsys):
+    """Five 4-cell rows are not read as four 5-cell rows."""
+    rows = "".join(f"{0.1 * i},0.0,1.0,2.0\n" for i in range(5))
+    assert _solve_with_table(tmp_path, ("r,z,f_r,f_theta,f_z\n" + rows).encode()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: usage:") and "rhs.csv:2:" in err and "5 cells" in err
+    assert not (tmp_path / "out" / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("content", [
+    b"r,z,f_r,f_theta,f_z\n0,0,1,2,x\n",
+    b"r,z,f_r,f_theta,f_z\n0,0,1,2,nan\n",
+    b"r,z,f_r,f_theta,f_z\n0,0,\xff,2,3\n",
+])
+def test_tabulated_rhs_bad_cells_are_usage_errors(tmp_path, capsys, content):
+    assert _solve_with_table(tmp_path, content) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: usage:") and "rhs.csv" in err
 
 
 def test_tabulated_rhs_matching_is_blocked(tmp_path):

@@ -131,6 +131,38 @@ def test_binary_config_raises_only_usage_error(tmp_path, data):
     _config_or_usage_error(tmp_path, data)
 
 
+# -- file: tables -------------------------------------------------------------------
+
+_TABLE_MESH = mesh.gen_rectangle(0.0, 1.0, 0.0, 1.0, 0.5)
+_TABLE_LINE = st.one_of(
+    st.lists(_NUMBER, min_size=0, max_size=7).map(",".join),
+    st.sampled_from(["r,z,f_r,f_theta,f_z", " r, z, f_r, f_theta, f_z ", "r,z,f_r"]),
+    st.text(max_size=16),
+)
+
+
+def _table_or_usage_error(tmp_path, data):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(data)
+    try:
+        f = cli_io.resolve_rhs(f"file:{path}", _TABLE_MESH)
+    except UsageError:
+        return
+    assert callable(f)
+
+
+@FUZZ
+@given(lines=st.lists(_TABLE_LINE, max_size=6))
+def test_fuzzed_table_raises_only_usage_error(tmp_path, lines):
+    _table_or_usage_error(tmp_path, "\n".join(lines).encode("utf-8", "surrogatepass"))
+
+
+@FUZZ
+@given(data=st.binary(max_size=64))
+def test_binary_table_raises_only_usage_error(tmp_path, data):
+    _table_or_usage_error(tmp_path, data)
+
+
 # -- exit codes --------------------------------------------------------------------
 
 _EXIT = {

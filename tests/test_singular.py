@@ -7,7 +7,6 @@ from axmaxwell import femcore, mesh, modal_ops, singular, special
 from axmaxwell.femcore import SPACE_X, SPACE_Y, MeshQuadrature, ModeField
 from axmaxwell.mesh import ConicalDescriptor, CornerDescriptor
 from axmaxwell.singular import (
-    CONICAL,
     EDGE_ELECTRIC,
     EDGE_MAGNETIC,
     PrincipalPart,
@@ -38,18 +37,6 @@ def test_magnetic_principal_reference_point():
     pp = PrincipalPart(EDGE_MAGNETIC, corner=_reference_corner())
     got = pp.values([(2.0, 0.0)])[0]
     assert got == pytest.approx([-2.0 * 2.0 / 3.0, 0.0, 0.0], abs=1e-14)
-
-
-def test_conical_closed_form_identity():
-    # with nu = 1 the Legendre factors collapse to the double angle formulas
-    cone = ConicalDescriptor(z=0.0, aperture=2.5)
-    pp = PrincipalPart(CONICAL, cone=cone, nu=0.25)
-    object.__setattr__(pp, "nu", 1.0)
-    for phi in (0.2, 0.9, 1.7, 2.6):
-        pt = (math.sin(phi), math.cos(phi))
-        got = pp.values(np.array(pt).reshape(1, 2))[0]
-        assert got[0] == pytest.approx(math.cos(2 * phi), abs=1e-12)
-        assert got[2] == pytest.approx(math.sin(2 * phi), abs=1e-12)
 
 
 def test_closed_form_divergences_at_reference_angles():
@@ -135,11 +122,10 @@ def test_principal_traces_vanish_on_incident_walls(lshape):
         assert abs(vm[0]) <= 1e-13
 
 
-def test_conical_curl_div_unsupported():
-    cone = ConicalDescriptor(z=0.0, aperture=2.5)
-    pp = PrincipalPart(CONICAL, cone=cone, nu=0.3)
-    with pytest.raises(NotImplementedError):
-        pp.curl_div(np.array([[0.5, 0.5]]), 0)
+@pytest.mark.parametrize("kind", ["conical", "edge", None])
+def test_principal_part_accepts_only_edge_kinds(kind):
+    with pytest.raises(ValueError, match="unknown principal part kind"):
+        PrincipalPart(kind, corner=_reference_corner())
 
 
 def test_eval_at_corner_raises():
@@ -247,15 +233,6 @@ def test_dimension_bookkeeping(lshape):
     assert singular_dimensions([corner], [cone], 1, SPACE_X, beta) == 1
     below = ConicalDescriptor(z=0.0, aperture=2.0)
     assert singular_dimensions([corner], [below], 0, SPACE_X, beta) == 1
-
-
-def test_conjugate_basis(lshape, lshape_quad):
-    msh, corner = lshape
-    b = compute_basis(modal_ops.assemble_a_k(msh, 1, SPACE_Y, quad=lshape_quad), corner)
-    bc = b.conjugate()
-    assert bc.k == -1
-    assert np.array_equal(bc.regular.values, np.conj(b.regular.values))
-    assert (bc.cg, bc.energy, bc.curl_norm_sq) == (b.cg, b.energy, b.curl_norm_sq)
 
 
 def test_basis_record(lshape, lshape_quad):

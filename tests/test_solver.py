@@ -22,9 +22,10 @@ def test_analyze_single_harmonic():
     modes = solver.analyze_rhs(f, 2, pts)
     assert len(calls) == 1  # one call on the whole theta grid
     expect = math.pi / math.sqrt(TWO_PI)
+    assert set(modes) == {0, 1, 2}
     assert modes[1][0, 2] == pytest.approx(expect, abs=1e-13)
-    assert modes[-1][0, 2] == pytest.approx(expect, abs=1e-13)
-    for k in (-2, 0, 2):
+    assert np.conj(modes[1][0, 2]) == pytest.approx(expect, abs=1e-13)  # mode -1
+    for k in (0, 2):
         assert np.abs(modes[k]).max() <= 1e-14
 
 
@@ -36,7 +37,6 @@ def test_analyze_axisymmetric_data():
     assert modes[0][0, 0] == pytest.approx(0.3 * math.sqrt(TWO_PI), rel=1e-13)
     for k in range(1, 4):
         assert np.abs(modes[k]).max() <= 1e-14
-        assert np.abs(modes[-k]).max() <= 1e-14
 
 
 def test_analyze_roundtrip_trig_polynomial(rng):
@@ -53,9 +53,18 @@ def test_analyze_roundtrip_trig_polynomial(rng):
 
     pts = [(0.4, 0.2)]
     modes = solver.analyze_rhs(f, 5, pts)
+    assert set(modes) == set(range(6))
     for k in range(-5, 6):
         want = coeffs[3 + k] if abs(k) <= 3 else np.zeros(3)
-        assert np.abs(modes[k][0] - want).max() <= 1e-12
+        got = modes[k][0] if k >= 0 else np.conj(modes[-k][0])  # real data
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def test_analyze_samples_returns_modes_zero_to_n(rng):
+    values = rng.normal(size=(13, 4, 3))
+    modes = solver.analyze_samples(values, 3)
+    assert set(modes) == {0, 1, 2, 3}
+    assert all(modes[k].shape == (4, 3) for k in modes)
 
 
 def test_analyze_aliasing_guard():
@@ -177,12 +186,13 @@ def test_conjugate_mode_symmetry(lshape, lshape_quad):
         return (r * z * np.cos(th), (1 - r) * np.sin(th), r * (1 - z))
 
     fm = solver.analyze_rhs(f, 2, lshape_quad.xy)
+    data = {k: fm[k], -k: np.conj(fm[k])}  # real data: mode -k is the conjugate
     recs = {}
     for kk in (k, -k):
         system = modal_ops.assemble_a_k(msh, kk, space, quad=lshape_quad)
         basis = singular.compute_basis(system, corner)
         recs[kk] = solver.solve_mode_orthogonal(
-            solver.ModeProblem(kk, space, fm[kk]), system, basis
+            solver.ModeProblem(kk, space, data[kk]), system, basis
         )
     tot_p = recs[k].total_nodal()
     tot_m = recs[-k].total_nodal()
@@ -197,6 +207,7 @@ def test_full_solve_and_synthesis_roundtrip():
     msh = mesh.gen_rectangle(0.0, 1.0, 0.0, 1.0, 0.2)
     N = 3
     sol = solver.solve_axisymmetric(msh, SPACE_Y, _bandlimited, N=N)
+    assert set(sol.records) == set(range(N + 1))
     # N = 0 synthesis equals the mode-0 slice
     sol0 = solver.FourierSolution(msh, SPACE_Y, 0, {0: sol.records[0]})
     slice0 = solver.synthesize(sol0, 1.234)
@@ -209,7 +220,7 @@ def test_full_solve_and_synthesis_roundtrip():
     # one call on all azimuths gives the same stack, bit for bit
     assert np.array_equal(solver.synthesize(sol, thetas), samples.real)
     modes = solver.analyze_samples(samples, N)
-    for k in range(-N, N + 1):
+    for k in range(N + 1):
         assert np.abs(modes[k] - sol.records[k].total_nodal()).max() <= 1e-12
 
 
@@ -231,7 +242,7 @@ def test_full_solve_threads_deterministic(lshape):
     sol2 = solver.solve_axisymmetric(
         msh, SPACE_Y, _bandlimited, N=5, corner=corner, threads=4
     )
-    for k in range(-5, 6):
+    for k in range(6):
         assert np.array_equal(
             sol1.records[k].total_nodal(), sol2.records[k].total_nodal()
         )
@@ -269,17 +280,12 @@ def test_fourier_solution_requires_all_modes(rect):
         solver.FourierSolution(rect, SPACE_Y, 1, {0: rec})
 
 
-def test_mean_zero_validation(rect):
-    quad = MeshQuadrature(rect)
-    system = modal_ops.assemble_a_k(rect, 0, SPACE_Y, quad=quad)
-    p = quad.xy
-    bad = solver.ModeProblem(0, SPACE_Y, None, np.ones(len(p)), require_mean_zero_g=True)
+def test_fourier_solution_holds_no_negative_modes(rect):
+    """Mode -k of real data is the conjugate of mode k and is not stored."""
+    recs = {k: solver.ModeRecord(ModeField(rect, k)) for k in (-1, 0, 1)}
     with pytest.raises(ValueError):
-        solver.solve_mode_orthogonal(bad, system)
-    good = solver.ModeProblem(
-        0, SPACE_Y, None, p[:, 1] - 0.5, require_mean_zero_g=True
-    )
-    solver.solve_mode_orthogonal(good, system)
+        solver.FourierSolution(rect, SPACE_Y, 1, recs)
+    solver.FourierSolution(rect, SPACE_Y, 1, {0: recs[0], 1: recs[1]})
 
 
 def test_error_norms_of_zero_exact(rect, rng):

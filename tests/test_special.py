@@ -23,19 +23,6 @@ def test_integer_degrees_match_polynomials(rng):
 def test_value_at_one():
     for nu in (0.3, 0.5, 1.7, 4.0):
         assert special.legendre_p(nu, 1.0) == 1.0
-        assert special.legendre_p1(nu, 1.0) == 0.0
-
-
-def test_p1_examples():
-    assert special.legendre_p1(1.0, 0.0) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_p1_matches_finite_difference():
-    h = 1e-6
-    for nu, x in ((0.5, 0.5), (0.3, -0.2), (1.3, 0.7)):
-        fd = (special.legendre_p(nu, x + h) - special.legendre_p(nu, x - h)) / (2 * h)
-        expected = math.sqrt(1 - x * x) * fd
-        assert special.legendre_p1(nu, x) == pytest.approx(expected, rel=1e-6)
 
 
 def test_derivative_identity_on_grid():

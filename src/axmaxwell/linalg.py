@@ -42,25 +42,6 @@ class HermitianSparse:
         self._starts = np.minimum(self.indptr[:-1], max(len(self.data) - 1, 0))
         self._empty = np.flatnonzero(np.diff(self.indptr) == 0)
 
-    @classmethod
-    def from_coo(cls, rows, cols, vals, n):
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=complex)
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if rows.size:
-            new = np.empty(rows.size, dtype=bool)
-            new[0] = True
-            new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            starts = np.where(new)[0]
-            vals = np.add.reduceat(vals, starts)
-            rows, cols = rows[starts], cols[starts]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(indptr, cols, vals, n)
-
     @property
     def nnz(self):
         return len(self.data)

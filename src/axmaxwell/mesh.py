@@ -458,9 +458,10 @@ def load_mesh(path):
         tris = np.array(block("triangles", 3, int), dtype=np.int64).reshape(-1, 3)
         bnd_rows = block("boundary", 3, str)
         edges = np.array([(int(i), int(j)) for i, j, _ in bnd_rows], dtype=np.int64)
+        p = verts[tris]  # a vertex index past the end raises IndexError
     except MeshError:
         raise
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, IndexError) as exc:
         raise MeshError(f"{path}: {exc}") from exc
     tags = []
     for *_, tag in bnd_rows:
@@ -471,7 +472,6 @@ def load_mesh(path):
         raise MeshError(f"{path}: trailing data after boundary block")
     edges = edges.reshape(-1, 2)
     tags = np.array(tags, dtype=np.int64)
-    p = verts[tris]
     lengths = [np.hypot(*(p[:, a] - p[:, b]).T) for a, b in ((0, 1), (1, 2), (2, 0))]
     h = float(np.median(np.concatenate(lengths))) if len(tris) else 1.0
     return TriangleMesh(verts, tris, edges, tags, h)

@@ -114,23 +114,36 @@ def _theta_grid(N, samples):
     return np.arange(M) * (_TWO_PI / M)
 
 
-def analyze_samples(values, N):
-    """Mode coefficients of values sampled on the uniform theta grid.
+def _real(values, what):
+    """values as a real array; a nonzero imaginary part raises ValueError."""
+    if np.iscomplexobj(values) and np.any(np.imag(values)):
+        raise ValueError(f"{what} must be real: nonzero imaginary part")
+    return np.real(values)
 
-    values has shape (M, ...); returns {k: (...)} for k = 0..N with the
-    1/sqrt(2 pi) convention.
-    """
-    values = np.asarray(values)
-    M = values.shape[0]
-    if M < 4 * N + 1:
-        raise ValueError(f"need at least 4N+1 = {4 * N + 1} theta samples, got {M}")
-    theta = np.arange(M) * (_TWO_PI / M)
-    out = {}
-    scale = math.sqrt(_TWO_PI) / M
-    for k in range(0, N + 1):
-        phase = np.exp(-1j * k * theta)
-        out[k] = scale * np.einsum("j,j...->...", phase, values)
+
+def _project(x, N):
+    """Modes 0..N of real samples x, shape (M, n), on the uniform theta grid:
+    the (N+1, n) complex scale*(C @ x) - 1j*scale*(S @ x), with C and S the
+    (N+1, M) matrices cos(k theta_j), sin(k theta_j), scale = sqrt(2 pi)/M."""
+    kt = np.outer(np.arange(N + 1), _theta_grid(N, len(x)))
+    out = np.empty((N + 1, x.shape[1]), dtype=complex)
+    out.real = np.cos(kt) @ x
+    out.imag = np.sin(-kt) @ x  # exactly -(S @ x): sine is odd
+    out *= math.sqrt(_TWO_PI) / len(x)
     return out
+
+
+def analyze_samples(values, N):
+    """Mode coefficients of real values sampled on the uniform theta grid.
+
+    values has shape (M, ...), M >= 4N + 1, and is projected as one real
+    (M, -1) array by two real matrix products; complex values with a
+    nonzero imaginary part raise ValueError.  Returns {k: (...) complex
+    array} for k = 0..N with the 1/sqrt(2 pi) convention.
+    """
+    values = _real(np.asarray(values), "samples")
+    modes = _project(values.reshape(len(values), -1), N)
+    return {k: modes[k].reshape(values.shape[1:]) for k in range(N + 1)}
 
 
 def _analyze_data(data, N, points, samples, vector):
@@ -138,29 +151,35 @@ def _analyze_data(data, N, points, samples, vector):
     call and analyze the samples; vector data returns three components,
     scalar data one.  The data must be real (mode -k is taken as the
     conjugate of mode k): a component with a nonzero imaginary part raises
-    ValueError."""
+    ValueError.  Each component is projected as a real (M, P) array and
+    dropped; every mode gets its own array, which its solve can free."""
     theta = _theta_grid(N, samples)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     comps = data(pts[None, :, 0], theta[:, None], pts[None, :, 1])
     if vector and len(comps) != 3:
         raise ValueError(f"vector data must return 3 components, got {len(comps)}")
-    comps = comps if vector else (comps,)
-    vals = np.empty((len(theta), len(pts), len(comps)), dtype=complex)
-    for c, comp in enumerate(comps):
-        if np.iscomplexobj(comp) and np.any(np.imag(comp)):
-            raise ValueError(f"data must be real: component {c} has a nonzero imaginary part")
-        vals[:, :, c] = comp
-    del comps  # free the returned arrays before the analysis allocates its own
-    return analyze_samples(vals if vector else vals[:, :, 0], N)
+    comps = list(comps) if vector else [comps]
+    out = [np.empty((len(pts), len(comps)), dtype=complex) for _ in range(N + 1)]
+    for c in range(len(comps)):
+        x = _real(comps[c], f"data component {c}")
+        comps[c] = None  # drop our reference: the component dies once projected
+        x = np.ascontiguousarray(np.broadcast_to(x, (len(theta), len(pts))), dtype=float)
+        modes = _project(x, N)
+        del x
+        for k in range(N + 1):
+            out[k][:, c] = modes[k]
+    return {k: out[k] if vector else out[k][:, 0] for k in range(N + 1)}
 
 
 def analyze_rhs(f, N, points, samples=None):
     """Fourier coefficients of vector data f(r, theta, z) at meridian points.
 
     f is called once, with r and z of shape (1, P) and theta of shape
-    (M, 1), and returns three real components that broadcast to (M, P).  Returns
-    {k: (P, 3) complex array}; the sample count must satisfy the
-    anti-aliasing bound M >= 4N + 1 (default exactly that).
+    (M, 1), and returns three real components that broadcast to (M, P);
+    each is projected onto the modes by two real matrix products, and no
+    complex sample array is built.  Returns {k: (P, 3) complex array}, one
+    array per mode.  M must meet the anti-aliasing bound M >= 4N + 1
+    (default exactly that).
     """
     return _analyze_data(f, N, points, samples, True)
 

@@ -107,6 +107,15 @@ def test_load_rejects_duplicate_triangle(tmp_path):
         mesh.load_mesh(path)
 
 
+@pytest.mark.parametrize("nv", [0, 3])
+def test_load_rejects_vertex_index_past_the_end(tmp_path, nv):
+    path = tmp_path / "index.txt"
+    rows = "0 0\n1 0\n1 1\n"[: 4 * nv]
+    path.write_text(f"axmesh 1\nvertices {nv}\n{rows}triangles 1\n0 1 3\nboundary 0\n")
+    with pytest.raises(MeshError, match="out of bounds"):
+        mesh.load_mesh(path)
+
+
 def test_load_rejects_malformed(tmp_path):
     path = tmp_path / "broken.txt"
     path.write_text("axmesh 2\n")

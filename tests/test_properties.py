@@ -1,13 +1,16 @@
-"""Property tests: malformed input fails with its documented error class, and
-the CLI maps every error class onto its exit code."""
+"""Property tests: malformed input fails with its documented error class, the
+CLI maps every error class onto its exit code, and the Fourier analysis
+recovers the modes of real trigonometric polynomials."""
 
 import argparse
+import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from axmaxwell import cli_io, mesh
+from axmaxwell import cli_io, mesh, solver
 from axmaxwell.cli_io import RunConfig, UsageError, build_config, load_config, main
 from axmaxwell.linalg import SolverError
 from axmaxwell.mesh import MeshError
@@ -213,3 +216,34 @@ def test_config_errors_reach_their_exit_code(tmp_path, capsys, content, code):
     rc = main(["meshgen", "--config", str(path), "--outdir", str(tmp_path)])
     assert rc == code
     assert capsys.readouterr().err.startswith("error: io:" if code == 3 else "error: usage:")
+
+
+# -- Fourier analysis --------------------------------------------------------------
+
+
+@st.composite
+def real_trig_polynomial(draw):
+    """(N, M, coefficients): modes 0..N of two real components, shape
+    (N+1, 2) complex with mode 0 real, and a sample count M >= 4N + 1."""
+    N = draw(st.integers(0, 8))
+    M = draw(st.integers(4 * N + 1, 4 * N + 12))
+    part = st.integers(-2**20, 2**20).map(lambda i: i / 2**20)
+    flat = draw(st.lists(part, min_size=4 * (N + 1), max_size=4 * (N + 1)))
+    parts = np.array(flat).reshape(2, N + 1, 2)
+    coeffs = parts[0] + 1j * parts[1]
+    coeffs[0] = coeffs[0].real
+    return N, M, coeffs
+
+
+@FUZZ
+@given(case=real_trig_polynomial())
+def test_analysis_recovers_real_trig_polynomial(case):
+    N, M, coeffs = case
+    theta = np.arange(M) * (2.0 * math.pi / M)
+    # real field: mode -k is the conjugate of mode k
+    waves = np.exp(1j * np.outer(theta, np.arange(1, N + 1)))
+    samples = (coeffs[0].real + 2.0 * (waves @ coeffs[1:]).real) / math.sqrt(2.0 * math.pi)
+    modes = solver.analyze_samples(samples, N)
+    scale = np.abs(coeffs).max()
+    for k in range(N + 1):
+        assert np.abs(modes[k] - coeffs[k]).max() <= 1e-12 * scale

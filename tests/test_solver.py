@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,59 @@ def test_analyze_samples_returns_modes_zero_to_n(rng):
 def test_analyze_aliasing_guard():
     with pytest.raises(ValueError):
         solver.analyze_rhs(lambda r, th, z: (0, 0, 0), 3, [(0.5, 0.5)], samples=10)
+
+
+def test_analyze_samples_rejects_complex_samples(rng):
+    values = rng.normal(size=(13, 4, 3)).astype(complex)
+    solver.analyze_samples(values, 3)  # a zero imaginary part is accepted
+    values[5, 2, 1] += 1e-300j
+    with pytest.raises(ValueError, match="real"):
+        solver.analyze_samples(values, 3)
+
+
+def _einsum_analysis(values, N):
+    """The complex per-mode analysis the real matrix products replaced."""
+    M = values.shape[0]
+    theta = np.arange(M) * (TWO_PI / M)
+    scale = math.sqrt(TWO_PI) / M
+    return {
+        k: scale * np.einsum("j,j...->...", np.exp(-1j * k * theta), values)
+        for k in range(N + 1)
+    }
+
+
+def test_analysis_matches_complex_einsum(rng):
+    # coarse_highmode's shape: M = 97 samples, N = 24, P = 4,536 points
+    M, N, P = 97, 24, 4536
+    values = rng.normal(size=(M, P, 3))
+    want = _einsum_analysis(values, N)
+    from_samples = solver.analyze_samples(values, N)
+    from_data = solver.analyze_rhs(
+        lambda r, th, z: tuple(values[:, :, c] for c in range(3)), N,
+        rng.uniform(size=(P, 2)), samples=M,
+    )
+    for k in range(N + 1):
+        bound = 1e-14 * np.abs(want[k]).max()
+        assert np.abs(from_samples[k] - want[k]).max() <= bound
+        assert np.abs(from_data[k] - want[k]).max() <= bound
+
+
+def test_analysis_peak_memory_and_separate_mode_arrays():
+    msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.05)
+    quad = MeshQuadrature(msh, corner)
+    N = 24
+    components = 3 * (4 * N + 1) * len(quad.xy) * 8  # three real (M, P) arrays
+    tracemalloc.start()
+    try:
+        modes = solver.analyze_rhs(RHS_BUILTINS["bandlimited"], N, quad.xy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * components
+    arrays = [modes[k] for k in range(N + 1)]
+    for i, a in enumerate(arrays):
+        assert a.shape == (len(quad.xy), 3)
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
 
 def test_zero_data_gives_zero_solution(lshape, lshape_quad):

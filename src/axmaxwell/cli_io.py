@@ -409,13 +409,10 @@ def cmd_solve(cfg):
             os.path.join(cfg.outdir, f"mode_{'m' if k < 0 else 'p'}{abs(k)}.vtk"),
             title=f"mode {k} {cfg.field}",
         )
-        # the real part: a bordered mode's Schur denominator is complex
-        # only by round-off
-        rows.append([k, complex(coeff), rec.iterations, rec.residual,
-                     float(rec.denominator.real)])
+        rows.append([k, complex(coeff), rec.cg.iterations, rec.cg.residual, rec.energy])
     write_csv(
         os.path.join(cfg.outdir, "summary.csv"),
-        ["k", "C_k", "iterations", "residual", "coefficient_denominator"],
+        ["k", "C_k", "iterations", "residual", "basis_energy"],
         rows,
     )
     print(f"wrote {2 * cfg.modes + 1} mode files and summary.csv in {cfg.outdir}")

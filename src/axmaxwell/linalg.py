@@ -1,6 +1,7 @@
 """Complex sparse matrices, conjugate gradients preconditioned by Jacobi or
-by a geometric multigrid V-cycle, and the rank-one bordered solve used when
-the mode-2 singular basis is reused for higher modes.
+by a geometric multigrid V-cycle, and the bordered solve used when the
+mode-2 singular basis is reused for higher modes: one CG solve on the
+augmented matrix, the Galerkin matrix of the regular space plus the basis.
 
 Everything here assumes Hermitian positive definite matrices on the free
 degrees of freedom, which the constrained weighted div-curl forms provide.
@@ -14,9 +15,10 @@ import numpy as np
 # iterations; healthy solves have shown at most 49 (Jacobi, h = 0.0125)
 STALL_WINDOW = 200
 # damping of the Jacobi smoother of the V-cycle, and its sweeps per side;
-# D^-1 A of the mode forms has its eigenvalues below 2 (measured at
-# h = 0.1 and 0.05, k up to 24), so the smoother contracts and the cycle
-# stays positive definite
+# the smoother contracts, and the cycle stays positive definite, while
+# _OMEGA times the largest eigenvalue of D^-1 A stays below 2.  That
+# eigenvalue is below 2 for the mode forms, and at most 2.30 (h = 0.1) and
+# 1.99 (h = 0.05) for the bordered matrices of k = 3..24, both spaces
 _OMEGA = 0.6
 _SWEEPS = 2
 
@@ -119,7 +121,11 @@ class Multigrid:
     first; the coarsest level is solved exactly through its dense inverse,
     computed once.  The finest level is the matrix being solved, which the
     caller supplies with its inverse diagonal.  The cycle is a fixed
-    Hermitian positive definite operator, so it preconditions CG."""
+    Hermitian positive definite operator, so it preconditions CG.
+
+    The finest matrix may have rows past those of its transfer, like the
+    border of a bordered matrix: the smoother treats them as fine dofs
+    and no coarse correction reaches them."""
 
     def __init__(self, levels):
         self.levels = list(levels)
@@ -133,12 +139,13 @@ class Multigrid:
         for _ in range(_SWEEPS - 1):
             x += _OMEGA * inv_diag * (r - A.matvec(x))
         level = self.levels[depth]
-        rc = level.transfer.restrict(r - A.matvec(x))
+        n = len(level.transfer.index)
+        rc = level.transfer.restrict((r - A.matvec(x))[:n])
         if depth + 1 == len(self.levels):
             ec = self.coarsest_inverse @ rc
         else:
             ec = self.cycle(level.matrix, level.inv_diag, rc, depth + 1)
-        x += level.transfer.prolong(ec)
+        x[:n] += level.transfer.prolong(ec)
         for _ in range(_SWEEPS):
             x += _OMEGA * inv_diag * (r - A.matvec(x))
         return x
@@ -244,41 +251,25 @@ def solve_hpd(A, b, tol=1e-10, maxit=None, *, hierarchy=None):
     )
 
 
-@dataclass
-class BorderedSystem:
-    """K x + c y = F,  <y, x> + alpha c = f  with Hermitian positive K.
+def augmented(K, y, alpha):
+    """The Hermitian matrix [[K, y], [y^H, alpha]]: y becomes column n at
+    the end of each row of K, and [y^H, alpha] its dense last row."""
+    n = K.n
+    y = np.asarray(y, dtype=complex)
+    at = K.indptr[1:]
+    indices = np.append(np.insert(K.indices, at, n), np.arange(n + 1))
+    data = np.append(np.insert(K.data, at, y), np.append(np.conj(y), alpha))
+    indptr = np.append(K.indptr + np.arange(n + 1), K.nnz + 2 * n + 1)
+    return HermitianSparse(indptr, indices, data, n + 1)
 
-    y is the discrete coupling of the reused singular basis against the
-    regular test functions, alpha its self-coupling, (F, f) the loads.
+
+def solve_bordered(K, y, alpha, F, f, tol=1e-10, hierarchy=None):
+    """Solve K x + c y = F,  <y, x> + alpha c = f  by one CG solve on the
+    augmented matrix [[K, y], [y^H, alpha]], Hermitian positive definite
+    whenever alpha > y^H K^-1 y; the border row pairs with vectors by the
+    conjugate inner product.  hierarchy (see solve_hpd) is that of K: its
+    cycle leaves the border to the smoother.  Returns (x, c, CGInfo).
     """
-
-    K: HermitianSparse
-    y: np.ndarray
-    alpha: complex
-    F: np.ndarray
-    f: complex
-
-
-def solve_bordered(system, tol=1e-10, hierarchy=None):
-    """Schur-complement solve of the bordered system; the border row pairs
-    with vectors by the conjugate inner product, which keeps the augmented
-    matrix Hermitian.  Both solves with K use the preconditioner of
-    hierarchy (see solve_hpd).
-
-    Returns (x, c, denom, (info_w, info_v)): denom = alpha - y^H K^-1 y is
-    the Schur denominator of c, and the CGInfo are those of the solves
-    K w = y and K v = F.
-    """
-    y = np.asarray(system.y, dtype=complex)
-    F = np.asarray(system.F, dtype=complex)
-    w, info_w = solve_hpd(system.K, y, tol=tol, hierarchy=hierarchy)
-    v, info_v = solve_hpd(system.K, F, tol=tol, hierarchy=hierarchy)
-    denom = system.alpha - complex(np.vdot(y, w))
-    if abs(denom) < 1e-14 * abs(system.alpha):
-        raise SolverError(
-            f"degenerate coupling: Schur denominator {denom:.3e} "
-            f"against alpha {system.alpha:.3e}"
-        )
-    c = (system.f - complex(np.vdot(y, v))) / denom
-    x = v - c * w
-    return x, c, denom, (info_w, info_v)
+    b = np.append(np.asarray(F, dtype=complex), f)
+    z, info = solve_hpd(augmented(K, y, alpha), b, tol=tol, hierarchy=hierarchy)
+    return z[:-1], complex(z[-1]), info

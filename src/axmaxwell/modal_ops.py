@@ -185,13 +185,6 @@ class OperatorWorkspace:
         cross = cross.reshape(nt, 9, 9)
         self.A = cross - cross.transpose(0, 2, 1)
 
-    def triangle_sums(self, per_point):
-        """Sum of a per-point array over the points of each triangle."""
-        out = np.empty((self.num_triangles,) + per_point.shape[1:], dtype=per_point.dtype)
-        for tris, idx in self.chunks:
-            out[tris] = per_point[idx].sum(axis=1)
-        return out
-
     def element_matrices(self, k):
         """Per-triangle 9x9 Hermitian element matrices of a_k, E(k), as a new
         array (summed in place: one complex temporary fewer)."""
@@ -210,18 +203,6 @@ class OperatorWorkspace:
         if k:
             over_r = np.einsum("ql,qlc->qc", self.lor, u)
             out[:, _K_ROWS] += (1j * k) * _K_SIGNS * over_r
-        return out
-
-    def test_pairings(self, vec, k):
-        """sum_a wr vec_a conj(D_k[a, j]) per point and local test dof, (Q, 9)."""
-        wv = vec * self.wr[:, None]
-        out = np.einsum("qa,qaj->qj", wv, self.D0)
-        if k:
-            signed = _K_SIGNS * wv[:, _K_ROWS]
-            for loc in range(3):  # per local vertex: no (Q, 3, 3) temporary
-                over_r = self.lor[:, loc, None] * signed
-                over_r *= 1j * k
-                out[:, 3 * loc:3 * loc + 3] -= over_r
         return out
 
     def point_values(self, values):
@@ -351,8 +332,24 @@ class ModeSystem:
         return vec
 
     def functional(self, vec):
-        """(f, curl_k v) + (g, div_k v) over free test dofs, from samples."""
-        local = self.ws.triangle_sums(self.ws.test_pairings(vec, self.k))
+        """(f, curl_k v) + (g, div_k v) over free test dofs, from samples.
+
+        The pairings sum_a wr vec_a conj(D_k[a, j]) of each local test dof j
+        are formed and summed per chunk of triangles, so no per-point array
+        of them is built."""
+        ws, k = self.ws, self.k
+        local = np.empty((ws.num_triangles, 9), dtype=complex)
+        for tris, idx in ws.chunks:
+            wv = vec[idx] * ws.wr[idx][:, :, None]  # (m, n, 4)
+            pairs = np.einsum("mna,mnaj->mnj", wv, ws.D0[idx])
+            if k:
+                signed = _K_SIGNS * wv[:, :, _K_ROWS]
+                lor = ws.lor[idx]
+                for loc in range(3):
+                    over_r = lor[:, :, loc, None] * signed
+                    over_r *= 1j * k
+                    pairs[:, :, 3 * loc:3 * loc + 3] -= over_r
+            local[tris] = pairs.sum(axis=1)
         return self.reduction.functional(local)
 
     def load_from(self, f=None, g=None):

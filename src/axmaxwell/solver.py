@@ -12,10 +12,11 @@ scalar coefficient C^k from the regular part,
 with s the total basis (discrete regular curl plus analytic principal
 curl), after which the regular part solves the plain constrained system.
 For |k| > 2 the singular subspace of mode sign(k)*2 is reused; the lost
-orthogonality couples C^k to the regular unknowns through a rank-one border
-which is eliminated by a Schur complement.  The mode-k matrix is E(k) of
-the quadrature's operator workspace reduced on the constraint class of the
-mode-2 system, which all |k| >= 2 modes share.
+orthogonality couples C^k to the regular unknowns through a rank-one
+border, and one CG solve on the bordered matrix, the Galerkin matrix of
+a_k on the regular space plus the basis, gives both.  The mode-k matrix
+is E(k) of the quadrature's operator workspace reduced on the constraint
+class of the mode-2 system, which all |k| >= 2 modes share.
 """
 
 import math
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import modal_ops, singular
 from .femcore import MeshQuadrature, ModeField
-from .linalg import BorderedSystem, solve_bordered, solve_hpd
+from .linalg import solve_bordered, solve_hpd
 
 _TWO_PI = 2.0 * math.pi
 _NORM = 1.0 / math.sqrt(_TWO_PI)
@@ -51,28 +52,16 @@ class ModeRecord:
     """Solution of one mode k >= 0: regular field, singular coefficient,
     basis.  For real data mode -k is the conjugate of this one.
 
-    cg holds the CGInfo of each CG call of the solve: one for the
-    orthogonal path, (K w = y, K v = F) for the bordered one.  denominator
-    is that of C^k: the basis energy on the orthogonal path, the Schur
-    denominator alpha - y^H K^-1 y (complex, its imaginary part round-off)
-    on the bordered one.  energy is the basis energy a_k(s, s) at this
-    mode.  Both are 0.0 without a basis.
+    cg is the CGInfo of the one CG solve of the mode, on the bordered
+    matrix for the bordered path.  energy is the basis energy a_k(s, s) at
+    this mode, 0.0 without a basis.
     """
 
     field: ModeField
     coeff: complex = 0.0
     basis: object = None
-    cg: tuple = ()
-    denominator: complex = 0.0
+    cg: object = None
     energy: float = 0.0
-
-    @property
-    def iterations(self):
-        return sum(info.iterations for info in self.cg)
-
-    @property
-    def residual(self):
-        return max((info.residual for info in self.cg), default=0.0)
 
     def total_nodal(self):
         vals = self.field.values.copy()
@@ -262,7 +251,7 @@ def solve_mode_orthogonal(problem, system, basis=None, tol=1e-10):
     load, _, energy, numer = _pair(problem, system, basis)
     coeff = numer / energy if basis is not None else 0.0
     x, info = solve_hpd(system.matrix, load, tol=tol, hierarchy=system.hierarchy)
-    return ModeRecord(system.constraints.expand(x), coeff, basis, (info,), energy, energy)
+    return ModeRecord(system.constraints.expand(x), coeff, basis, info, energy)
 
 
 def solve_mode_bordered(problem, system, basis, tol=1e-10):
@@ -270,8 +259,9 @@ def solve_mode_bordered(problem, system, basis, tol=1e-10):
 
     system is the mode-k system on the constraint class of the mode-2
     system (ModeSystem(mesh, k, space, base=system2)); the non-orthogonal
-    coupling of the reused basis enters as a rank-one border solved by a
-    Schur complement.
+    coupling of the reused basis enters as a rank-one border, and one CG
+    solve on the bordered matrix [[K, y], [y^H, alpha]], with alpha =
+    a_k(s, s), gives the regular part and C^k together.
     """
     k = problem.k
     if abs(k) <= 2:
@@ -284,11 +274,10 @@ def solve_mode_bordered(problem, system, basis, tol=1e-10):
     # the mode-k (curl, div) of s (discrete regular part plus analytic
     # principal part) paired with those of the test fields
     coupling = system.functional(bop)
-    x, coeff, denom, infos = solve_bordered(
-        BorderedSystem(system.matrix, coupling, alpha, load, f_s), tol=tol,
-        hierarchy=system.hierarchy,
+    x, coeff, info = solve_bordered(
+        system.matrix, coupling, alpha, load, f_s, tol=tol, hierarchy=system.hierarchy
     )
-    return ModeRecord(system.constraints.expand(x), coeff, basis, infos, denom, alpha)
+    return ModeRecord(system.constraints.expand(x), coeff, basis, info, alpha)
 
 
 # -- full solve --------------------------------------------------------------------

@@ -307,18 +307,20 @@ def _bordered_vs_orthogonal(h):
     pv_o = rec_o.point_values(sys3.ws)
     num = math.sqrt(abs(np.sum(sys3.ws.wr[:, None] * np.abs(pv_b - pv_o) ** 2)))
     den = math.sqrt(abs(np.sum(sys3.ws.wr[:, None] * np.abs(pv_o) ** 2)))
-    return num / den
+    return num / den, rec_b.cg
 
 
 def criterion_8_bordered_vs_orthogonal():
-    d_coarse = _bordered_vs_orthogonal(0.1)
-    d_fine = _bordered_vs_orthogonal(0.05)
+    d_coarse, cg_coarse = _bordered_vs_orthogonal(0.1)
+    d_fine, cg_fine = _bordered_vs_orthogonal(0.05)
     ok = d_coarse <= BORDERED_DIFF_TOL and d_fine <= max(d_coarse, BORDERED_NOISE_FLOOR)
     return CriterionResult(
         8,
         "bordered vs orthogonal at k=3",
         ok,
-        f"rel diff {d_coarse:.2e} (h=0.1) -> {d_fine:.2e} (h=0.05)",
+        f"rel diff {d_coarse:.2e} (h=0.1) -> {d_fine:.2e} (h=0.05); bordered CG "
+        f"{cg_coarse.iterations} its, true residual {cg_coarse.residual:.1e} (h=0.1), "
+        f"{cg_fine.iterations} its, {cg_fine.residual:.1e} (h=0.05)",
     )
 
 

@@ -75,7 +75,7 @@ def _vtk_arrays(path):
 def test_negative_mode_files_are_exact_conjugates(tmp_path):
     """mode_m<k>.vtk holds the conjugate of mode_p<k>.vtk bit for bit, the
     sign of zero included; summary.csv lists C_-k = conj(C_k) with mode k's
-    iterations, residual and denominator."""
+    iterations, residual and basis energy."""
     N = 3
     rc = main([
         "solve", "--h", "0.1", "--field", "magnetic", "--modes", str(N),
@@ -113,9 +113,9 @@ def test_bordered_modes_report_cg_diagnostics(tmp_path):
         assert 0.0 < float(by_k[k]["residual"]) <= tol
 
 
-def test_bordered_modes_report_the_schur_denominator(tmp_path, lshape, lshape_quad):
-    """The coefficient_denominator of a |k| > 2 row is alpha - y^H K^-1 y of
-    the bordered system, not the basis energy alpha."""
+def test_bordered_modes_report_the_basis_energy(tmp_path, lshape, lshape_quad):
+    """The basis_energy of a |k| > 2 row is alpha = a_k(s, s) of the reused
+    mode-2 basis s, the last diagonal entry of the bordered matrix."""
     rc = main([
         "solve", "--h", "0.1", "--modes", "3", "--outdir", str(tmp_path),
     ])
@@ -127,12 +127,10 @@ def test_bordered_modes_report_the_schur_denominator(tmp_path, lshape, lshape_qu
     basis2 = singular.compute_basis(system2, corner)
     system3 = modal_ops.ModeSystem(msh, 3, SPACE_Y, base=system2)
     bop = basis2.op_arrays(system3.ws, 3)
-    y = system3.functional(bop)
     alpha = float(np.sum(system3.ws.wr[:, None] * np.abs(bop) ** 2))
-    schur = alpha - np.vdot(y, np.linalg.solve(system3.matrix.to_dense(), y)).real
-    assert schur < 0.99 * alpha
+    assert header[-1] == "basis_energy"
     for k in (3, -3):
-        assert float(by_k[k]["coefficient_denominator"]) == pytest.approx(schur, rel=1e-8)
+        assert float(by_k[k]["basis_energy"]) == alpha
 
 
 @pytest.mark.parametrize("levels", ["1", "0", "-1"])

@@ -6,9 +6,9 @@ from axmaxwell.cli_io import RHS_BUILTINS
 from axmaxwell.femcore import SPACE_Y, MeshQuadrature
 from axmaxwell.linalg import (
     STALL_WINDOW,
-    BorderedSystem,
     HermitianSparse,
     SolverError,
+    augmented,
     solve_bordered,
     solve_hpd,
 )
@@ -170,10 +170,9 @@ def test_zero_diagonal_is_rejected():
 def test_bordered_decouples_without_coupling(rng):
     A, _ = _random_hpd(12, rng)
     F = rng.normal(size=12) + 1j * rng.normal(size=12)
-    sys = BorderedSystem(A, np.zeros(12, dtype=complex), 2.0, F, 3.0 + 1.0j)
-    x, c, denom, _ = solve_bordered(sys, tol=1e-12)
+    x, c, info = solve_bordered(A, np.zeros(12, dtype=complex), 2.0, F, 3.0 + 1.0j, tol=1e-12)
     xd, _ = solve_hpd(A, F, tol=1e-12)
-    assert denom == 2.0
+    assert info.converged and info.residual <= 1e-12
     assert np.allclose(x, xd, atol=1e-9)
     assert c == pytest.approx((3.0 + 1.0j) / 2.0)
 
@@ -181,10 +180,10 @@ def test_bordered_decouples_without_coupling(rng):
 def test_bordered_zero_data(rng):
     A, _ = _random_hpd(9, rng)
     y = rng.normal(size=9) + 1j * rng.normal(size=9)
-    sys = BorderedSystem(A, y, 5.0, np.zeros(9, dtype=complex), 0.0)
-    x, c, _, _ = solve_bordered(sys, tol=1e-12)
+    x, c, info = solve_bordered(A, y, 5.0, np.zeros(9, dtype=complex), 0.0, tol=1e-12)
     assert np.linalg.norm(x) <= 1e-12
     assert abs(c) <= 1e-12
+    assert info.iterations == 0
 
 
 def test_bordered_manufactured_recovery(rng):
@@ -195,37 +194,75 @@ def test_bordered_manufactured_recovery(rng):
     c0 = 0.8 - 0.3j
     F = dense @ x0 + c0 * y
     f = np.vdot(y, x0) + alpha * c0
-    x, c, _, _ = solve_bordered(BorderedSystem(A, y, alpha, F, f), tol=1e-13)
+    x, c, _ = solve_bordered(A, y, alpha, F, f, tol=1e-13)
     assert abs(c - c0) <= 1e-8 * abs(c0)
     assert np.linalg.norm(x - x0) <= 1e-8 * np.linalg.norm(x0)
 
 
-def test_bordered_matches_dense_augmented(lshape, lshape_quad, rng):
-    msh, _ = lshape
-    system = modal_ops.assemble_a_k(msh, 2, SPACE_Y, quad=lshape_quad)
-    n = system.matrix.n
-    assert n <= 200 or n <= 300  # keep the dense oracle cheap
-    y = rng.normal(size=n) + 1j * rng.normal(size=n)
-    F = rng.normal(size=n) + 1j * rng.normal(size=n)
-    alpha, f = 30.0, 1.5 - 0.5j
-    x, c, denom, infos = solve_bordered(BorderedSystem(system.matrix, y, alpha, F, f), tol=1e-13)
-    assert [info.residual <= 1e-13 for info in infos] == [True, True]
-    schur = alpha - np.vdot(y, np.linalg.solve(system.matrix.to_dense(), y))
-    assert abs(denom - schur) <= 1e-10 * abs(schur)
+def _dense_augmented(K, y, alpha):
+    n = K.n
     aug = np.zeros((n + 1, n + 1), dtype=complex)
-    aug[:n, :n] = system.matrix.to_dense()
+    aug[:n, :n] = K.to_dense()
     aug[:n, n] = y
     aug[n, :n] = np.conj(y)
     aug[n, n] = alpha
-    ref = np.linalg.solve(aug, np.concatenate([F, [f]]))
+    return aug
+
+
+def test_bordered_matches_dense_augmented(lshape, lshape_quad, rng):
+    """The augmented matrix is [[K, y], [y^H, alpha]], also for a K with
+    empty rows, the last one included, where the border is inserted at
+    repeated row offsets; one CG solve on it meets tol."""
+    msh, _ = lshape
+    system = modal_ops.assemble_a_k(msh, 2, SPACE_Y, quad=lshape_quad)
+    assert system.matrix.n <= 300  # keep the dense oracle cheap
+    with_empty_rows = _from_coo([0, 0, 2, 3], [0, 3, 2, 0], [2.0, 1j, 3.0, -1j], 5)
+    alpha = 30.0
+    for K in (with_empty_rows, system.matrix):
+        y = rng.normal(size=K.n) + 1j * rng.normal(size=K.n)
+        aug = _dense_augmented(K, y, alpha)
+        A = augmented(K, y, alpha)
+        assert A.n == K.n + 1 and A.nnz == K.nnz + 2 * K.n + 1
+        assert np.array_equal(A.to_dense(), aug)
+        v = rng.normal(size=K.n + 1) + 1j * rng.normal(size=K.n + 1)
+        assert np.allclose(A.matvec(v), aug @ v, rtol=1e-14, atol=1e-12)
+    # the augmented matrix is HPD once alpha exceeds y^H K^-1 y
+    alpha += np.vdot(y, np.linalg.solve(system.matrix.to_dense(), y)).real
+    aug = _dense_augmented(system.matrix, y, alpha)
+    n = system.matrix.n
+    F = rng.normal(size=n) + 1j * rng.normal(size=n)
+    f = 1.5 - 0.5j
+    x, c, info = solve_bordered(system.matrix, y, alpha, F, f, tol=1e-13)
+    assert info.converged and info.residual <= 1e-13
+    b = np.concatenate([F, [f]])
     got = np.concatenate([x, [c]])
+    assert np.linalg.norm(b - aug @ got) <= 1e-13 * np.linalg.norm(b)
+    ref = np.linalg.solve(aug, b)
     assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
-def test_degenerate_coupling_raises(rng):
-    A = _from_coo(range(3), range(3), np.ones(3), 3)
-    y = np.array([1.0, 0.0, 0.0], dtype=complex)
-    # alpha equal to y^H K^-1 y makes the Schur denominator vanish
-    sys = BorderedSystem(A, y, 1.0, np.ones(3, dtype=complex), 1.0)
+# K = I, y = e1 and alpha = 1 make alpha - y^H K^-1 y vanish: the augmented
+# matrix is singular, with null vector (e1, -1)
+_DEGENERATE = (
+    _from_coo(range(3), range(3), np.ones(3), 3),
+    np.array([1.0, 0.0, 0.0], dtype=complex),
+    1.0,
+)
+
+
+def test_degenerate_coupling_raises():
+    """Data with a component along the null vector: CG breaks down."""
     with pytest.raises(SolverError):
-        solve_bordered(sys, tol=1e-13)
+        solve_bordered(*_DEGENERATE, np.ones(3, dtype=complex), 0.0, tol=1e-13)
+
+
+def test_degenerate_coupling_with_consistent_data_solves():
+    """Data in the range of the singular augmented matrix: CG finds a
+    solution whose true residual meets tol."""
+    K, y, alpha = _DEGENERATE
+    F, f = np.ones(3, dtype=complex), 1.0
+    x, c, info = solve_bordered(K, y, alpha, F, f, tol=1e-13)
+    assert info.converged and info.residual <= 1e-13
+    b = np.concatenate([F, [f]])
+    resid = b - _dense_augmented(K, y, alpha) @ np.concatenate([x, [c]])
+    assert np.linalg.norm(resid) <= 1e-13 * np.linalg.norm(b)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,3 +178,19 @@ def test_shifted_matrix_equals_fresh_assembly(lshape, lshape_quad):
             assert np.array_equal(shifted.indptr, fresh.matrix.indptr)
             assert np.array_equal(shifted.indices, fresh.matrix.indices)
             assert np.array_equal(shifted.data, fresh.matrix.data)
+
+
+def test_load_builds_no_per_point_pairings():
+    """The load pairs the samples with the test dofs per chunk of triangles:
+    its peak allocation stays below that of one (Q, 9) complex array of
+    per-point pairings (h = 0.0125, 67,536 quadrature points)."""
+    msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.0125)
+    system = modal_ops.assemble_a_k(msh, 1, SPACE_Y, quad=MeshQuadrature(msh, corner))
+    vec = np.ones((len(system.quad.tri), 4), dtype=complex)
+    tracemalloc.start()
+    try:
+        system.functional(vec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(vec) * 9 * np.dtype(complex).itemsize

@@ -150,5 +150,5 @@ def test_threaded_multigrid_solve_is_deterministic(monkeypatch):
         for threads in (1, 4)
     ]
     for k in range(6):
-        assert sols[0].records[k].iterations <= 2 * 20
+        assert sols[0].records[k].cg.iterations <= 20
         assert np.array_equal(sols[0].records[k].total_nodal(), sols[1].records[k].total_nodal())

@@ -85,13 +85,17 @@ def test_traced_high_mode_solve_shares_the_mode_two_class(monkeypatch, tmp_path)
     assert summary["modal_ops.shift_calls"] == 2
     assert summary["solver.modes_orthogonal"] == 3
     assert summary["solver.modes_bordered"] == 2
+    # one CG solve per mode and basis: 3 bases, 3 orthogonal, 2 bordered
+    assert summary["linalg.cg_calls"] == 8
+    assert summary["linalg.bordered_calls"] == 2
     assert summary["linalg.true_resid_max"] <= tol
 
 
 def test_traced_multigrid_solve(monkeypatch, tmp_path):
     """At h = 0.025 every mode, basis and bordered solve runs multigrid-
-    preconditioned CG: at most 20 iterations per call, true residual within
-    tol, and the traced mesh is the fine one, not a coarse level."""
+    preconditioned CG, one call each: at most 20 iterations per call, true
+    residual within tol, and the traced mesh is the fine one, not a coarse
+    level."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import layers
 
@@ -116,7 +120,7 @@ def test_traced_multigrid_solve(monkeypatch, tmp_path):
         tracer.uninstall()
     assert rc == 0
     summary = tracer.summary()
-    assert len(per_call) == summary["linalg.cg_calls"] == 3 + 3 + 2
+    assert len(per_call) == summary["linalg.cg_calls"] == 3 + 3 + 1
     assert max(per_call) <= 20
     assert summary["linalg.true_resid_max"] <= tol
     assert summary["mesh.vertices"] == 1281

@@ -11,7 +11,14 @@ defined on the meridian plane as
               (1/r) (d(r w_theta)/dr - ik w_r))
 
 and a_k(u, v) = (curl_k u, curl_k v) + (div_k u, div_k v) in the r-weighted
-L2 pairing, conjugating the second argument.
+L2 pairing, conjugating the second argument.  The rows (curl_k, div_k) are
+written once, as three constant tensors:
+
+  D_k u = GRAD : grad u + (OVER_R + i k IK_R) (u / r),
+
+with grad u the (r, z) derivatives of the three components.  The pointwise
+evaluators, the operator values at quadrature points, their adjoint (the
+load pairings) and the element matrices all apply these tensors.
 
 Mode k enters only through the i k / r terms, so the element matrices of
 a_k are E(k) = E00 + k^2 E11 + i k A with real arrays built once per
@@ -53,10 +60,32 @@ MULTIGRID_MIN_DOFS = 2000
 _COARSEST_VERTICES = 200
 
 
-# -- pointwise evaluation -------------------------------------------------------
+# -- the mode-k operators -------------------------------------------------------
+
+# D_k u = GRAD : grad u + (OVER_R + i k IK_R) (u / r) (module docstring):
+# indices are the row (curl_r, curl_theta, curl_z, div), the component
+# (u_r, u_theta, u_z) and, in GRAD, the derivative (d/dr, d/dz)
+GRAD = np.zeros((_NOPS, 3, 2))
+GRAD[0, 1, 1] = -1.0  # curl_r:     -du_theta/dz
+GRAD[1, 0, 1] = 1.0  # curl_theta:  du_r/dz
+GRAD[1, 2, 0] = -1.0  # curl_theta: -du_z/dr
+GRAD[2, 1, 0] = 1.0  # curl_z:      du_theta/dr
+GRAD[3, 0, 0] = GRAD[3, 2, 1] = 1.0  # div: du_r/dr + du_z/dz
+OVER_R = np.zeros((_NOPS, 3))
+OVER_R[2, 1] = OVER_R[3, 0] = 1.0  # curl_z: u_theta / r, div: u_r / r
+IK_R = np.zeros((_NOPS, 3))
+IK_R[0, 2] = IK_R[3, 1] = 1.0  # curl_r: ik u_z / r, div: ik u_theta / r
+IK_R[2, 0] = -1.0  # curl_z: -ik u_r / r
+
+
+def _over_r_rows(k):
+    """OVER_R + i k IK_R, the (4, 3) rows acting on u / r."""
+    return OVER_R + (1j * k) * IK_R
 
 
 def _local_data(mesh, field_values, point):
+    if point[0] <= 0.0:
+        raise ValueError("mode-k operators are singular at r = 0")
     t, lam = _locate(mesh, point)
     tri = mesh.triangles[t]
     vals = np.asarray(field_values, dtype=complex)[tri]
@@ -66,51 +95,32 @@ def _local_data(mesh, field_values, point):
 
 def eval_grad_k(mesh, w, k, point):
     """grad_k of a scalar P1 field at an interior point with r > 0."""
-    r = point[0]
-    if r <= 0.0:
-        raise ValueError("mode-k operators are singular at r = 0")
     lam, vals, grads = _local_data(mesh, np.asarray(w, dtype=complex).reshape(-1, 1), point)
     wval = lam @ vals[:, 0]
     dw = vals[:, 0] @ grads
-    return np.array([dw[0], 1j * k * wval / r, dw[1]])
+    return np.array([dw[0], 1j * k * wval / point[0], dw[1]])
+
+
+def _eval_ops(field, point, k):
+    """D_k of a ModeField at an interior point with r > 0, (4,)."""
+    k = field.k if k is None else k
+    lam, vals, grads = _local_data(field.mesh, field.values, point)
+    grad_u = vals.T @ grads
+    return np.einsum("acd,cd->a", GRAD, grad_u) + _over_r_rows(k) @ (lam @ vals / point[0])
 
 
 def eval_div_k(field, point, k=None):
     """div_k of a ModeField at an interior point with r > 0."""
-    k = field.k if k is None else k
-    r = point[0]
-    if r <= 0.0:
-        raise ValueError("mode-k operators are singular at r = 0")
-    lam, vals, grads = _local_data(field.mesh, field.values, point)
-    u = lam @ vals
-    du = np.einsum("ic,ij->cj", vals, grads)
-    return du[0, 0] + u[0] / r + 1j * k * u[1] / r + du[2, 1]
+    return _eval_ops(field, point, k)[3]
 
 
 def eval_curl_k(field, point, k=None):
     """curl_k of a ModeField at an interior point with r > 0."""
-    k = field.k if k is None else k
-    r = point[0]
-    if r <= 0.0:
-        raise ValueError("mode-k operators are singular at r = 0")
-    lam, vals, grads = _local_data(field.mesh, field.values, point)
-    u = lam @ vals
-    du = np.einsum("ic,ij->cj", vals, grads)
-    return np.array(
-        [
-            1j * k * u[2] / r - du[1, 1],
-            du[0, 1] - du[2, 0],
-            du[1, 0] + u[1] / r - 1j * k * u[0] / r,
-        ]
-    )
+    return _eval_ops(field, point, k)[:3]
 
 
 # -- quadrature-level operator data ---------------------------------------------
 
-# mode-k operator rows of one local dof: the i k / r term of component c
-# (u_r, u_theta, u_z) lands in row _K_ROWS[c] with sign _K_SIGNS[c]
-_K_ROWS = [2, 3, 0]
-_K_SIGNS = np.array([-1.0, 1.0, 1.0])
 # triangles per chunk of the per-triangle sums, to bound their temporaries
 _CHUNK_TRIANGLES = 1024
 
@@ -118,20 +128,28 @@ _CHUNK_TRIANGLES = 1024
 class OperatorWorkspace:
     """k-independent operator data of one quadrature.
 
-    The operator rows (curl_r, curl_theta, curl_z, div) of the local P1
-    dofs j = 3 * local_vertex + component are D_k = D0 + i k R1 at every
-    quadrature point, with D0 and R1 real and R1 holding only the lambda / r
-    values of the local vertices.  With the weight W = w r the per-triangle
-    9x9 element matrices of a_k are therefore
+    At the points of a triangle with shape gradients G the mode-k operator
+    rows of a P1 field u are
+
+      D_k u = GRAD : grad u + (OVER_R + i k IK_R) (u / r),
+
+    where grad u = u_local^T G is constant on the triangle and
+    u / r = (lambda / r) @ u_local is the only term that varies inside it.
+    On the local dofs j = 3 * local_vertex + component this is
+    D_k = D0 + i k R1 with D0 = GRAD . G + OVER_R lambda / r and
+    R1 = IK_R lambda / r, both real, so with the weight W = w r the
+    per-triangle 9x9 element matrices of a_k are
 
       E(k) = E00 + k^2 E11 + i k A,
       E00 = D0^T W D0,   E11 = R1^T W R1,   A = D0^T W R1 - R1^T W D0.
 
-    Attributes: D0 (Q, 4, 9), lor (Q, 3) lambda / r, wr (Q,) and the
-    (nt, 9, 9) arrays E00, E11 and A, all real, plus the quadrature's tri,
-    bary and xy and the mesh triangles.  Built once per quadrature (see
-    workspace) and only read afterwards; the methods take the mode k and
-    evaluate the mode-k operators of nodal fields on the same points.
+    D0 and R1 exist only per chunk of triangles, while E00, E11 and A are
+    formed.  Attributes: G (nt, 3, 2), lor (Q, 3) lambda / r, wr (Q,), the
+    chunks and the (nt, 9, 9) arrays E00, E11 and A, all real, plus the
+    quadrature's tri, bary and xy and the mesh triangles.  Built once per
+    quadrature (see workspace) and only read afterwards; the methods take
+    the mode k: op_values applies D_k to nodal fields at the points and
+    op_adjoint, its adjoint, pairs point samples with the local test dofs.
     """
 
     def __init__(self, quad):
@@ -139,51 +157,37 @@ class OperatorWorkspace:
         # the arrays, not the quadrature: it holds this workspace
         self.tri, self.bary, self.xy = quad.tri, quad.bary, quad.xy
         self.triangles = mesh.triangles
-        G = gradients(mesh)[quad.tri]  # (Q, 3, 2)
-        Q = len(quad.tri)
+        self.G = gradients(mesh)
         self.lor = quad.bary / quad.r[:, None]
         self.wr = quad.w * quad.r
-        D0 = np.zeros((Q, _NOPS, 9))
-        for loc in range(3):
-            gr = G[:, loc, 0]
-            gz = G[:, loc, 1]
-            lor = self.lor[:, loc]
-            D0[:, 1, 3 * loc + 0] = gz
-            D0[:, 3, 3 * loc + 0] = gr + lor
-            D0[:, 0, 3 * loc + 1] = -gz
-            D0[:, 2, 3 * loc + 1] = gr + lor
-            D0[:, 1, 3 * loc + 2] = -gr
-            D0[:, 3, 3 * loc + 2] = gz
-        self.D0 = D0
         # points of one triangle are contiguous in the quadrature: chunks of
         # triangles with equal point counts, as (triangle ids, point indices)
         tri = quad.tri
         starts = np.flatnonzero(np.r_[True, tri[1:] != tri[:-1]])
-        counts = np.diff(np.r_[starts, Q])
-        self.num_triangles = mesh.num_triangles
+        counts = np.diff(np.r_[starts, len(tri)])
+        self.num_triangles = nt = mesh.num_triangles
         self.chunks = []
         for n in np.unique(counts):
             first = starts[counts == n]
             for s in range(0, len(first), _CHUNK_TRIANGLES):
                 part = first[s:s + _CHUNK_TRIANGLES]
                 self.chunks.append((tri[part], part[:, None] + np.arange(n)))
-        nt = self.num_triangles
         self.E00 = np.empty((nt, 9, 9))
-        cross = np.empty((nt, 9, 3, 3))  # D0^T W R1, columns (vertex, component)
-        mass = np.empty((nt, 3, 3))  # sum of w r (lambda_a / r) (lambda_b / r)
+        self.E11 = np.empty((nt, 9, 9))
+        self.A = np.empty((nt, 9, 9))
         for tris, idx in self.chunks:
-            d0 = D0[idx]  # (m, n, 4, 9)
-            w = self.wr[idx]
-            lor = self.lor[idx]
-            wd0 = d0 * w[:, :, None, None]
-            m = len(tris)
-            self.E00[tris] = d0.reshape(m, -1, 9).transpose(0, 2, 1) @ wd0.reshape(m, -1, 9)
-            cross[tris] = np.einsum("mnci,mnl->milc", wd0[:, :, _K_ROWS] * _K_SIGNS[:, None], lor)
-            mass[tris] = np.einsum("mna,mnb->mab", lor * w[:, :, None], lor)
-        # R1 maps each component to its own row, so E11 is the mass per component
-        self.E11 = (mass[:, :, None, :, None] * np.eye(3)[:, None, :]).reshape(nt, 9, 9)
-        cross = cross.reshape(nt, 9, 9)
-        self.A = cross - cross.transpose(0, 2, 1)
+            m, n = idx.shape
+            # (m, n, row, local vertex, component), rows of all points stacked
+            lor = self.lor[idx][:, :, None, :, None]
+            grad = np.einsum("acd,mld->malc", GRAD, self.G[tris])[:, None]
+            d0 = (grad + lor * OVER_R[:, None, :]).reshape(m, n * _NOPS, 9)
+            r1 = (lor * IK_R[:, None, :]).reshape(m, n * _NOPS, 9)
+            w = np.repeat(self.wr[idx], _NOPS, axis=1)[:, :, None]
+            wd0 = d0 * w
+            self.E00[tris] = d0.transpose(0, 2, 1) @ wd0
+            self.E11[tris] = r1.transpose(0, 2, 1) @ (r1 * w)
+            cross = wd0.transpose(0, 2, 1) @ r1
+            self.A[tris] = cross - cross.transpose(0, 2, 1)
 
     def element_matrices(self, k):
         """Per-triangle 9x9 Hermitian element matrices of a_k, E(k), as a new
@@ -192,22 +196,39 @@ class OperatorWorkspace:
         out += self.E00 + (k * k) * self.E11
         return out
 
-    def local_values(self, values):
-        """Nodal values of the local vertices per quadrature point, (Q, 3, 3)."""
-        return np.asarray(values, dtype=complex).reshape(-1, 3)[self.triangles[self.tri]]
-
     def op_values(self, values, k):
-        """(curl_k, div_k) of a nodal field at the quadrature points, (Q, 4)."""
-        u = self.local_values(values)
-        out = np.einsum("qaj,qj->qa", self.D0, u.reshape(-1, 9))
-        if k:
-            over_r = np.einsum("ql,qlc->qc", self.lor, u)
-            out[:, _K_ROWS] += (1j * k) * _K_SIGNS * over_r
+        """D_k u = (curl_k, div_k) of a nodal field u at the quadrature
+        points, (Q, 4), formed per chunk of triangles."""
+        u = np.asarray(values, dtype=complex).reshape(-1, 3)
+        rows = _over_r_rows(k).T
+        out = np.empty((len(self.tri), _NOPS), dtype=complex)
+        for tris, idx in self.chunks:
+            local = u[self.triangles[tris]]  # (m, local vertex, component)
+            grad_u = local.transpose(0, 2, 1) @ self.G[tris]
+            grad = np.einsum("acd,mcd->ma", GRAD, grad_u)
+            out[idx] = grad[:, None] + (self.lor[idx] @ local) @ rows
         return out
+
+    def op_adjoint(self, vec, k):
+        """Adjoint of op_values: the pairings sum_q w r vec . conj(D_k phi_j)
+        of samples vec (Q, 4) with the local test dofs j of each triangle,
+        (nt, 9).  The gradient part pairs the per-triangle sum of w r vec,
+        so no per-point array of pairings is built."""
+        rows = np.conj(_over_r_rows(k))
+        local = np.empty((self.num_triangles, 3, 3), dtype=complex)
+        for tris, idx in self.chunks:
+            wv = vec[idx] * self.wr[idx][:, :, None]  # (m, n, 4)
+            grad = np.einsum("ma,acd->mdc", wv.sum(axis=1), GRAD)
+            local[tris] = self.G[tris] @ grad + self.lor[idx].transpose(0, 2, 1) @ (wv @ rows)
+        return local.reshape(-1, 9)
 
     def point_values(self, values):
         """Field values at the quadrature points, (Q, 3)."""
-        return np.einsum("qi,qic->qc", self.bary, self.local_values(values))
+        u = np.asarray(values, dtype=complex).reshape(-1, 3)
+        out = np.empty((len(self.tri), 3), dtype=complex)
+        for tris, idx in self.chunks:
+            out[idx] = self.bary[idx] @ u[self.triangles[tris]]
+        return out
 
 
 def workspace(quad):
@@ -332,37 +353,9 @@ class ModeSystem:
         return vec
 
     def functional(self, vec):
-        """(f, curl_k v) + (g, div_k v) over free test dofs, from samples.
-
-        The pairings sum_a wr vec_a conj(D_k[a, j]) of each local test dof j
-        are formed and summed per chunk of triangles, so no per-point array
-        of them is built."""
-        ws, k = self.ws, self.k
-        local = np.empty((ws.num_triangles, 9), dtype=complex)
-        for tris, idx in ws.chunks:
-            wv = vec[idx] * ws.wr[idx][:, :, None]  # (m, n, 4)
-            pairs = np.einsum("mna,mnaj->mnj", wv, ws.D0[idx])
-            if k:
-                signed = _K_SIGNS * wv[:, :, _K_ROWS]
-                lor = ws.lor[idx]
-                for loc in range(3):
-                    over_r = lor[:, :, loc, None] * signed
-                    over_r *= 1j * k
-                    pairs[:, :, 3 * loc:3 * loc + 3] -= over_r
-            local[tris] = pairs.sum(axis=1)
-        return self.reduction.functional(local)
-
-    def load_from(self, f=None, g=None):
-        """Load vector (f, curl_k v) + (g, div_k v) over the free dofs."""
-        return self.functional(self.sample(f, g))
-
-    def apply_to_field(self, values):
-        """a_k(u, phi_i) for the nodal field u against all free test dofs."""
-        elem = self.ws.element_matrices(self.k)
-        tri = self.mesh.triangles
-        u_local = np.asarray(values, dtype=complex).reshape(-1, 3)[tri].reshape(-1, 9)
-        per_dof = np.einsum("tij,tj->ti", elem, u_local)
-        return self.reduction.functional(per_dof)
+        """(f, curl_k v) + (g, div_k v) over the free test dofs v, from
+        samples vec (see sample and OperatorWorkspace.op_adjoint)."""
+        return self.reduction.functional(self.ws.op_adjoint(vec, self.k))
 
 
 def assemble_a_k(mesh, k, space, quad):

@@ -143,9 +143,8 @@ class SingularBasis:
         """(curl_k, div_k) of the total basis at the quadrature points of the
         workspace ws, (Q, 4): regular part discrete, principal part
         analytic."""
-        reg = ws.op_values(self.regular.values, k)
+        out = ws.op_values(self.regular.values, k)
         curl, div = self.principal.curl_div(ws.xy, k)
-        out = reg.copy()
         out[:, :3] += curl
         out[:, 3] += div
         return out
@@ -172,12 +171,12 @@ def compute_basis(system, corner, tol=1e-10, allow_high_mode=False):
             "pass allow_high_mode=True to force a direct computation"
         )
     pp = principal_for(space, corner)
-    curl_s, div_s = pp.curl_div(system.quad.xy, k)
-    rhs = -system.load_from(f=curl_s, g=div_s)
     lift = femcore.lift_boundary(
         system.constraints, lambda pts: -_guarded_values(pp, mesh, pts)
     )
-    rhs = rhs - system.apply_to_field(lift.values)
+    # -a_k(S + lift, v): the operators of the principal part with the lift
+    # as its regular part, paired with those of the test fields
+    rhs = -system.functional(SingularBasis(k, space, pp, lift).op_arrays(system.ws, k))
     x, info = solve_hpd(system.matrix, rhs, tol=tol, hierarchy=system.hierarchy)
     basis = SingularBasis(k, space, pp, system.constraints.expand(x) + lift, info)
     bop = basis.op_arrays(system.ws, k)

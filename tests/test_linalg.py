@@ -121,7 +121,7 @@ def test_recursive_residual_below_round_off_raises():
     quad = MeshQuadrature(msh, corner)
     system = modal_ops.assemble_a_k(msh, 0, SPACE_Y, quad=quad)
     fmodes = analyze_rhs(RHS_BUILTINS["bandlimited"], 1, quad.xy)
-    b = system.load_from(f=fmodes[0])
+    b = system.functional(system.sample(f=fmodes[0]))
     with pytest.raises(SolverError) as err:
         solve_hpd(system.matrix, b, tol=1e-17)
     assert 1e-17 < err.value.residual < 1e-12  # the true residual, at round-off
@@ -134,7 +134,8 @@ def test_round_off_tolerance_fails_within_the_stall_window():
     msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.05)
     quad = MeshQuadrature(msh, corner)
     system = modal_ops.assemble_a_k(msh, 0, SPACE_Y, quad=quad)
-    b = system.load_from(f=analyze_rhs(RHS_BUILTINS["bandlimited"], 1, quad.xy)[0])
+    f = analyze_rhs(RHS_BUILTINS["bandlimited"], 1, quad.xy)[0]
+    b = system.functional(system.sample(f=f))
     _, info = solve_hpd(system.matrix, b, tol=1e-13)
     with pytest.raises(SolverError) as err:
         solve_hpd(system.matrix, b, tol=1e-17)

@@ -45,6 +45,26 @@ def test_eval_on_axis_raises(rect):
         modal_ops.eval_div_k(fld, (0.0, 0.5))
 
 
+@pytest.mark.parametrize("k", [0, 1, -2, 5])
+def test_op_values_match_pointwise_operators(lshape, lshape_quad, rng, k):
+    """The chunked kernel and the pointwise oracle of criterion 2 agree at
+    the quadrature points of plain and corner-subdivided triangles."""
+    msh, _ = lshape
+    ws = modal_ops.workspace(lshape_quad)
+    fld = ModeField(
+        msh, k, rng.normal(size=(msh.num_vertices, 3)) + 1j * rng.normal(size=(msh.num_vertices, 3))
+    )
+    opv = ws.op_values(fld.values, k)
+    counts = np.bincount(lshape_quad.tri, minlength=msh.num_triangles)
+    subdivided = np.flatnonzero(counts > counts.min())
+    assert subdivided.size
+    for t in np.r_[subdivided, 0, msh.num_triangles // 2, msh.num_triangles - 1]:
+        for q in np.flatnonzero(lshape_quad.tri == t):
+            point = lshape_quad.xy[q]
+            want = np.r_[modal_ops.eval_curl_k(fld, point), modal_ops.eval_div_k(fld, point)]
+            assert np.abs(opv[q] - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_matrix_is_hermitian(lshape, lshape_quad):
     msh, _ = lshape
     system = modal_ops.assemble_a_k(msh, 1, SPACE_X, quad=lshape_quad)
@@ -73,17 +93,17 @@ def test_quadratic_form_closed_value():
 def test_zero_load(lshape, lshape_quad):
     msh, _ = lshape
     system = modal_ops.assemble_a_k(msh, 1, SPACE_Y, quad=lshape_quad)
-    load = system.load_from(None, None)
+    load = system.functional(system.sample(None, None))
     assert np.all(load == 0.0)
 
 
 def test_galerkin_identity(lshape, lshape_quad, rng):
     msh, _ = lshape
-    for k, space in ((0, SPACE_Y), (1, SPACE_X), (2, SPACE_Y)):
+    for k, space in ((0, SPACE_Y), (1, SPACE_X), (-1, SPACE_Y), (2, SPACE_Y), (5, SPACE_X)):
         system = modal_ops.assemble_a_k(msh, k, space, quad=lshape_quad)
         w = _random_constrained(msh, k, space, rng)
         opv = system.ws.op_values(w.values, k)
-        load = system.load_from(f=opv[:, :3].copy(), g=opv[:, 3].copy())
+        load = system.functional(system.sample(f=opv[:, :3].copy(), g=opv[:, 3].copy()))
         ref = system.matrix.matvec(system.constraints.free_values(w))
         assert np.linalg.norm(load - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -104,7 +124,7 @@ def test_pure_divergence_load_closed_form():
         coeff=np.ones(9, dtype=complex),
     )
     system = modal_ops.ModeSystem(m, 0, SPACE_X, quad=quad, constraints=cs)
-    load = system.load_from(g=np.ones(len(quad.tri), dtype=complex))
+    load = system.functional(system.sample(g=np.ones(len(quad.tri), dtype=complex)))
     area = m.triangle_areas()[0]
     rbar = np.mean([v[0] for v in verts])
     int_r = area * rbar
@@ -194,3 +214,26 @@ def test_load_builds_no_per_point_pairings():
     finally:
         tracemalloc.stop()
     assert peak < len(vec) * 9 * np.dtype(complex).itemsize
+
+
+def test_op_values_builds_no_per_point_operator_rows():
+    """op_values forms D_k u per chunk of triangles: its peak allocation
+    stays below three times its (Q, 4) complex result (h = 0.0125)."""
+    msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.0125)
+    ws = modal_ops.workspace(MeshQuadrature(msh, corner))
+    u = np.ones((msh.num_vertices, 3), dtype=complex)
+    tracemalloc.start()
+    try:
+        out = ws.op_values(u, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * out.nbytes
+
+
+def test_workspace_keeps_at_most_three_columns_per_point(lshape_quad):
+    ws = modal_ops.workspace(lshape_quad)
+    Q = len(lshape_quad.tri)
+    for name, value in vars(ws).items():
+        if isinstance(value, np.ndarray) and len(value) == Q:
+            assert value.size <= 3 * Q, name

@@ -77,7 +77,7 @@ def test_multigrid_cg_matches_jacobi_cg(lshape05, space, k):
     hierarchy, _ = modal_ops.multigrid(system, levels)
     assert len(hierarchy.levels) == 1
     fmodes = solver.analyze_rhs(RHS_BUILTINS["bandlimited"], 2, quad.xy)
-    b = system.load_from(f=fmodes[k])
+    b = system.functional(system.sample(f=fmodes[k]))
     tol = 1e-10
     x_j, info_j = solve_hpd(system.matrix, b, tol=tol)
     x_mg, info_mg = solve_hpd(system.matrix, b, tol=tol, hierarchy=hierarchy)
@@ -124,7 +124,7 @@ def test_small_or_unnested_meshes_keep_jacobi(lshape05):
     problem = solver.ModeProblem(
         1, SPACE_X, solver.analyze_rhs(RHS_BUILTINS["bandlimited"], 1, quad.xy)[1]
     )
-    load = system.load_from(f=problem.f)
+    load = system.functional(system.sample(f=problem.f))
     x, _ = solve_hpd(system.matrix, load)
     assert np.array_equal(sol.records[1].field.values, system.constraints.expand(x).values)
 

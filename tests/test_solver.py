@@ -287,6 +287,16 @@ def test_full_solve_rejects_complex_data(rect):
         solver.solve_axisymmetric(rect, SPACE_Y, f, N=2)
 
 
+def test_full_solve_rejects_data_not_finite(rect):
+    """Real data that is NaN at some points fails the sampling of the mode
+    loads instead of giving a NaN solution."""
+    def f(r, th, z):
+        return (np.where(r > 0.5, np.nan, 0.0), 0.0, np.cos(th))
+
+    with pytest.raises(ValueError, match="not finite"):
+        solver.solve_axisymmetric(rect, SPACE_Y, f, N=2)
+
+
 def test_full_solve_threads_deterministic(lshape):
     msh, corner = lshape
     sol1 = solver.solve_axisymmetric(

@@ -19,6 +19,7 @@ from .linalg import SolverError
 from .mesh import MeshError
 
 _FLOAT_FMT = "%.17g"
+_WRITE_ROWS = 4096  # rows _write_rows formats per write
 _MATCH_PAIRS = 1 << 14  # row-vertex pairs resolve_rhs compares at once
 _TABLE_COLUMNS = ["r", "z", "f_r", "f_theta", "f_z"]
 
@@ -67,12 +68,10 @@ def write_vtk(msh, point_fields, path, cell_fields=None, title="axmaxwell export
         fp.write(title + "\n")
         fp.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         fp.write(f"POINTS {msh.num_vertices} double\n")
-        for r, z in msh.vertices:
-            fp.write(f"{_FLOAT_FMT} {_FLOAT_FMT} 0\n" % (r, z))
+        _write_rows(fp, f"{_FLOAT_FMT} {_FLOAT_FMT} 0\n", msh.vertices)
         nt = msh.num_triangles
         fp.write(f"CELLS {nt} {4 * nt}\n")
-        for i, j, k in msh.triangles:
-            fp.write(f"3 {i} {j} {k}\n")
+        _write_rows(fp, "3 %d %d %d\n", msh.triangles)
         fp.write(f"CELL_TYPES {nt}\n")
         fp.write("5\n" * nt)
         if point_fields:
@@ -81,6 +80,15 @@ def write_vtk(msh, point_fields, path, cell_fields=None, title="axmaxwell export
         if cell_fields:
             fp.write(f"CELL_DATA {nt}\n")
             _write_vtk_data(fp, cell_fields)
+
+
+def _write_rows(fp, fmt, rows):
+    """Write each row of the (n, m) array rows as fmt, which holds m
+    conversions, _WRITE_ROWS rows per write; the values pass through
+    tolist(), so the text equals that of formatting each row on its own."""
+    for start in range(0, len(rows), _WRITE_ROWS):
+        block = rows[start:start + _WRITE_ROWS]
+        fp.write((fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_vtk_data(fp, field_map):
@@ -156,9 +164,18 @@ class RunConfig:
         return femcore.SPACE_X if self.field == "electric" else femcore.SPACE_Y
 
     def thread_count(self):
-        if self.threads is not None:
-            return max(1, self.threads)
-        return max(1, int(os.environ.get("AXMAXWELL_THREADS", "1")))
+        """threads, else AXMAXWELL_THREADS, else 1; a count below 1 or a
+        variable that is not an integer is a usage error."""
+        name, count = "threads", self.threads
+        if count is None:
+            name, raw = "AXMAXWELL_THREADS", os.environ.get("AXMAXWELL_THREADS", "1")
+            try:
+                count = int(raw)
+            except ValueError:
+                raise UsageError(f"{name} must be an integer, got {raw!r}") from None
+        if count < 1:
+            raise UsageError(f"{name} must be >= 1, got {count}")
+        return count
 
 
 def load_config(path):
@@ -204,6 +221,7 @@ def build_config(args):
         raise UsageError(f"modes must be >= 0, got {cfg.modes}")
     if not 0.0 < cfg.tol < 1.0:
         raise UsageError(f"tol must lie in (0, 1), got {cfg.tol!r}")
+    cfg.thread_count()  # a bad thread count fails before any work
     return cfg
 
 

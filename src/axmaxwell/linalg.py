@@ -153,10 +153,14 @@ class Multigrid:
 
 @dataclass
 class CGInfo:
+    """longest_stall: the most consecutive iterations of one pass without a
+    new residual minimum, which a converged solve kept below STALL_WINDOW."""
+
     iterations: int
     residual: float
     converged: bool
     history: list = field(default_factory=list)
+    longest_stall: int = 0
 
 
 def solve_hpd(A, b, tol=1e-10, maxit=None, *, hierarchy=None):
@@ -172,7 +176,8 @@ def solve_hpd(A, b, tol=1e-10, maxit=None, *, hierarchy=None):
     residual; raises ValueError unless 0 < tol < 1 (NaN included) and
     SolverError when maxit iterations (both passes together) are exhausted
     or when the recursive residual has made no new minimum for STALL_WINDOW
-    iterations of a pass.  The info history records the preconditioned
+    iterations of a pass; CGInfo.longest_stall is the longest such run
+    over both passes.  The info history records the preconditioned
     residual norm sqrt(r^H M^-1 r) at the start of each pass and once per
     iteration.
     """
@@ -195,7 +200,7 @@ def solve_hpd(A, b, tol=1e-10, maxit=None, *, hierarchy=None):
     x = np.zeros(n, dtype=complex)
     r = b.copy()
     history = []
-    it = 0
+    it = longest_stall = 0
     for _ in range(2):
         z = precondition(r)
         rho = np.vdot(r, z).real
@@ -239,10 +244,11 @@ def solve_hpd(A, b, tol=1e-10, maxit=None, *, hierarchy=None):
                 best, since_best = resid, 0
             else:
                 since_best += 1
+                longest_stall = max(longest_stall, since_best)
         r = b - A.matvec(x)
         resid = float(np.linalg.norm(r) / bnorm)
         if resid <= tol:
-            return x, CGInfo(it, resid, True, history)
+            return x, CGInfo(it, resid, True, history, longest_stall)
     raise SolverError(
         f"CG reached tol {tol:.3e} on its recursive residual, but the true "
         f"residual is {resid:.3e} after a restart",

@@ -18,6 +18,7 @@ import numpy as np
 from . import femcore, manufactured, mesh as meshmod, modal_ops, singular, solver, special
 from .cli_io import RHS_BUILTINS
 from .femcore import MeshQuadrature, ModeField
+from .linalg import STALL_WINDOW
 from .mesh import ConicalDescriptor
 
 # all tolerances fixed here, straight from the acceptance statement
@@ -316,8 +317,9 @@ def criterion_8_bordered_vs_orthogonal():
         "bordered vs orthogonal at k=3",
         ok,
         f"rel diff {d_coarse:.2e} (h=0.1) -> {d_fine:.2e} (h=0.05); bordered CG "
-        f"{cg_coarse.iterations} its, true residual {cg_coarse.residual:.1e} (h=0.1), "
-        f"{cg_fine.iterations} its, {cg_fine.residual:.1e} (h=0.05)",
+        f"{cg_coarse.iterations} its, true residual {cg_coarse.residual:.1e}, longest "
+        f"stall {cg_coarse.longest_stall}/{STALL_WINDOW} (h=0.1), {cg_fine.iterations} its, "
+        f"{cg_fine.residual:.1e}, {cg_fine.longest_stall}/{STALL_WINDOW} (h=0.05)",
     )
 
 

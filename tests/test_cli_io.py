@@ -189,7 +189,7 @@ def test_unknown_flag_fails_with_usage_code(capsys):
 
 @pytest.mark.parametrize("option, value", [
     ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"), ("--tol", "1"),
-    ("--modes", "-1"), ("--h", "nan"),
+    ("--modes", "-1"), ("--h", "nan"), ("--threads", "0"), ("--threads", "-2"),
 ])
 def test_bad_number_is_usage_error(tmp_path, capsys, option, value):
     rc = main([
@@ -199,6 +199,32 @@ def test_bad_number_is_usage_error(tmp_path, capsys, option, value):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: usage:") and option[2:] in err
+    assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("config, env, name", [
+    ("threads = 0\n", None, "threads"),
+    ("", "0", "AXMAXWELL_THREADS"),
+    ("", "-1", "AXMAXWELL_THREADS"),
+    ("", "two", "AXMAXWELL_THREADS"),
+    ("", "1.5", "AXMAXWELL_THREADS"),
+])
+def test_bad_thread_count_is_usage_error(tmp_path, capsys, monkeypatch, config, env, name):
+    """A thread count below 1 or an AXMAXWELL_THREADS that is not an integer
+    fails before any work, naming where the count came from."""
+    if env is None:
+        monkeypatch.delenv("AXMAXWELL_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("AXMAXWELL_THREADS", env)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    rc = main([
+        "solve", "--config", str(cfg), "--domain", "lshape", "--h", "0.2",
+        "--modes", "2", "--outdir", str(tmp_path),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: usage:") and name in err
     assert not (tmp_path / "summary.csv").exists()
 
 
@@ -264,10 +290,57 @@ def test_csv_round_trip(tmp_path):
 def test_vtk_geometry_only(tmp_path, rect):
     path = tmp_path / "geo.vtk"
     write_vtk(rect, {}, path)
-    text = path.read_text()
-    assert f"POINTS {rect.num_vertices} double" in text
-    assert "POINT_DATA" not in text
-    assert text.count("\n3 ") + text.startswith("3 ") >= rect.num_triangles - 1
+    lines = path.read_text().splitlines()
+    nv, nt = rect.num_vertices, rect.num_triangles
+    assert lines[4] == f"POINTS {nv} double"
+    assert lines[5 + nv] == f"CELLS {nt} {4 * nt}"
+    assert lines[6 + nv + nt] == f"CELL_TYPES {nt}"
+    assert lines[7 + nv + nt:] == ["5"] * nt
+    points = np.array([[float(v) for v in ln.split()] for ln in lines[5:5 + nv]])
+    assert np.array_equal(points, np.column_stack([rect.vertices, np.zeros(nv)]))
+    cells = np.array([[int(v) for v in ln.split()] for ln in lines[6 + nv:6 + nv + nt]])
+    assert np.array_equal(cells, np.column_stack([np.full(nt, 3), rect.triangles]))
+
+
+def _vtk_per_row(msh, point_fields, cell_fields, title):
+    """The legacy VTK text of a meridian mesh, formatted one value or row at a
+    time: %.17g for floats, %d for ints."""
+    nv, nt = msh.num_vertices, msh.num_triangles
+    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID",
+             f"POINTS {nv} double"]
+    lines += ["%.17g %.17g 0" % (r, z) for r, z in msh.vertices]
+    lines.append(f"CELLS {nt} {4 * nt}")
+    lines += ["3 %d %d %d" % (i, j, k) for i, j, k in msh.triangles]
+    lines.append(f"CELL_TYPES {nt}")
+    lines += ["5"] * nt
+    for section, count, field_map in (("POINT_DATA", nv, point_fields),
+                                      ("CELL_DATA", nt, cell_fields)):
+        lines.append(f"{section} {count}")
+        for name, values in field_map.items():
+            columns = [("", values)] if values.ndim == 1 else [
+                (f"_{c}", values[:, i]) for i, c in enumerate(("r", "theta", "z"))]
+            for suffix, col in columns:
+                parts = [("re", col.real)] + ([("im", col.imag)] if col.imag.any() else [])
+                for part, vals in parts:
+                    lines += [f"SCALARS {name}{suffix}_{part} double 1", "LOOKUP_TABLE default"]
+                    lines += ["%.17g" % v for v in vals]
+    return "\n".join(lines) + "\n"
+
+
+def test_vtk_matches_per_row_formatting(tmp_path, rng):
+    """write_vtk's blocked rows give the same bytes as formatting each row
+    on its own, on a mesh with more rows than one block."""
+    msh = mesh.gen_rectangle(0.0, 1.0, 0.0, 1.0, 0.0125)
+    nv, nt = msh.num_vertices, msh.num_triangles
+    assert (nv, nt) == (6561, 12800) and nv > cli_io._WRITE_ROWS
+    point = rng.normal(size=(nv, 3)) + 1j * rng.normal(size=(nv, 3))
+    point[:, 1] = point[:, 1].real  # the theta component has no imaginary part
+    cell = rng.normal(size=nt) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=nt))
+    path = tmp_path / "big.vtk"
+    write_vtk(msh, {"field": point}, path, cell_fields={"principal": cell}, title="t")
+    expected = _vtk_per_row(msh, {"field": point}, {"principal": cell}, "t")
+    assert path.read_text() == expected
+    assert "field_theta_im" not in expected and "principal_im" in expected
 
 
 def test_vtk_point_count_matches(tmp_path, rect, rng):

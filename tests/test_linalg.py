@@ -95,6 +95,24 @@ def test_cg_history_non_increasing_every_ten(lshape, lshape_quad, rng):
     assert np.all(sampled[1:] <= sampled[:-1])
 
 
+def test_converged_solve_reports_its_stall_margin(lshape, lshape_quad, rng):
+    """CGInfo.longest_stall, the longest run without a new residual minimum,
+    stays below STALL_WINDOW on a converged solve, and counts the runs of an
+    ill-conditioned one (kappa = 1e4) whose residual rises on the way."""
+    msh, _ = lshape
+    system = modal_ops.assemble_a_k(msh, 1, SPACE_Y, quad=lshape_quad)
+    b = rng.normal(size=system.matrix.n) + 1j * rng.normal(size=system.matrix.n)
+    _, info = solve_hpd(system.matrix, b, tol=1e-11)
+    assert info.converged and 0 <= info.longest_stall < STALL_WINDOW
+    n = 40
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    dense = (Q * np.logspace(0, -4, n)) @ Q.conj().T
+    rows, cols = np.nonzero(np.ones((n, n)))
+    A = _from_coo(rows, cols, (0.5 * (dense + dense.conj().T)).ravel(), n)
+    _, info = solve_hpd(A, rng.normal(size=n) + 1j * rng.normal(size=n), tol=1e-10)
+    assert info.converged and 0 < info.longest_stall < STALL_WINDOW
+
+
 def test_nonconvergence_reports_residual():
     rng = np.random.default_rng(0)
     A, _ = _random_hpd(40, rng)

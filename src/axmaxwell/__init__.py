@@ -23,7 +23,7 @@ from .mesh import (
 from .special import find_beta, find_nu, legendre_p
 from .femcore import ModeField, ConstraintSet, build_constraints, interpolate, lift_boundary
 from .singular import PrincipalPart, SingularBasis, compute_basis
-from .solver import FourierSolution, ModeProblem, solve_axisymmetric
+from .solver import FourierSolution, solve_axisymmetric
 
 __all__ = [
     "AXIS",
@@ -47,7 +47,6 @@ __all__ = [
     "PrincipalPart",
     "SingularBasis",
     "compute_basis",
-    "ModeProblem",
     "FourierSolution",
     "solve_axisymmetric",
 ]

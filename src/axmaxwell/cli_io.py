@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import femcore, manufactured, mesh as meshmod, modal_ops, singular, solver
+from . import femcore, mesh as meshmod, modal_ops, singular, solver
 from .femcore import MeshQuadrature
 from .linalg import SolverError
 from .mesh import MeshError
@@ -413,7 +413,6 @@ def _solve(cfg):
 
 def cmd_solve(cfg):
     msh, corner, sol = _solve(cfg)
-    os.makedirs(cfg.outdir, exist_ok=True)
     rows = []
     for k in range(-cfg.modes, cfg.modes + 1):
         # the data are real: mode -k is the conjugate of the stored mode k
@@ -438,10 +437,10 @@ def cmd_solve(cfg):
 
 
 def cmd_synthesize(cfg, azimuths):
-    if azimuths < 1:
-        raise UsageError(f"theta-samples must be >= 1, got {azimuths}")
+    # fewer than 3 azimuths give wedges of zero volume
+    if azimuths < 3:
+        raise UsageError(f"theta-samples must be >= 3, got {azimuths}")
     msh, corner, sol = _solve(cfg)
-    os.makedirs(cfg.outdir, exist_ok=True)
     T = azimuths
     thetas, points, fields_cyl = solver.sample_3d(sol, T)
     nv = msh.num_vertices
@@ -458,33 +457,17 @@ def cmd_synthesize(cfg, azimuths):
 
 
 def cmd_convergence(cfg):
+    from . import manufactured
+
     space = cfg.space()
-    mf = manufactured.for_space(space)
     if cfg.levels < 2:
         raise UsageError(f"levels must be >= 2 to fit a rate, got {cfg.levels}")
     ks = [cfg.k] if cfg.k is not None else [0, 1, 2]
     hs = [0.2 * 0.5 ** lev for lev in range(cfg.levels)]
-    os.makedirs(cfg.outdir, exist_ok=True)
+    study = manufactured.convergence_study(space, ks, hs, cfg.tol)
     rows = []
-    for k in ks:
-        errs = []
-        for h in hs:
-            msh = meshmod.gen_rectangle(0.0, 1.0, 0.0, 1.0, h)
-            quad = MeshQuadrature(msh)
-            system = modal_ops.assemble_a_k(msh, k, space, quad=quad)
-            fvec = mf.curl(quad.xy, k)
-            gvec = mf.div(quad.xy, k)
-            rec = solver.solve_mode_orthogonal(
-                solver.ModeProblem(k, space, fvec, gvec), system, tol=cfg.tol
-            )
-            l2, en = solver.error_norms(
-                rec.field, mf.u(quad.xy), quad, exact_curl=fvec, exact_div=gvec, k=k,
-            )
-            errs.append((h, l2, en))
-        logs = np.log([e[0] for e in errs])
-        rate_l2 = np.polyfit(logs, np.log([e[1] for e in errs]), 1)[0]
-        rate_en = np.polyfit(logs, np.log([e[2] for e in errs]), 1)[0]
-        for h, l2, en in errs:
+    for k, (errs, rate_l2, rate_en) in study.items():
+        for h, (l2, en) in zip(hs, errs):
             rows.append([k, h, l2, en, rate_l2, rate_en])
         print(f"k={k}: fitted L2 rate {rate_l2:.3f}, energy rate {rate_en:.3f}")
     path = os.path.join(cfg.outdir, "convergence.csv")
@@ -573,6 +556,9 @@ def main(argv=None):
         if args.command == "verify":
             return cmd_verify()
         cfg = build_config(args)
+        # every other command writes into outdir: an unusable one fails
+        # here, before any work
+        os.makedirs(cfg.outdir, exist_ok=True)
         if args.command == "meshgen":
             return cmd_meshgen(cfg, args.out)
         if args.command == "singular":

@@ -1,32 +1,32 @@
 """Polynomial manufactured solutions for convergence and consistency runs.
 
 Each case provides a smooth field satisfying the essential conditions of
-its space on the stated domain for every mode k, together with closed-form
-mode-k curl and divergence.  All components vanish fast enough at the axis
-that the 1/r factors stay polynomial, so quadrature is exact and observed
-rates are clean.
+its space on the stated domain for every mode k, together with its
+closed-form mode-k operator rows D_k u = (curl_k u, div_k u).  All
+components vanish fast enough at the axis that the 1/r factors stay
+polynomial, so quadrature is exact and observed rates are clean.
 """
 
 import numpy as np
 
+from . import mesh as meshmod, modal_ops, solver
+from .femcore import MeshQuadrature
+
 
 class ManufacturedField:
-    """Bundle of callables: u(points) -> (P, 3), curl(points, k), div(points, k)."""
+    """Bundle of callables: u(points) -> (P, 3) and ops(points, k) -> (P, 4),
+    the rows (curl_r, curl_theta, curl_z, div) of D_k u."""
 
-    def __init__(self, name, u, curl, div):
+    def __init__(self, name, u, ops):
         self.name = name
         self._u = u
-        self._curl = curl
-        self._div = div
+        self._ops = ops
 
     def u(self, points):
         return self._u(np.atleast_2d(np.asarray(points, dtype=float)))
 
-    def curl(self, points, k):
-        return self._curl(np.atleast_2d(np.asarray(points, dtype=float)), k)
-
-    def div(self, points, k):
-        return self._div(np.atleast_2d(np.asarray(points, dtype=float)), k)
+    def ops(self, points, k):
+        return self._ops(np.atleast_2d(np.asarray(points, dtype=float)), k)
 
 
 def rectangle_electric():
@@ -59,27 +59,18 @@ def rectangle_electric():
         out[:, 2] = R * dZ + E * (1 + z)
         return out
 
-    def div(p, k):
+    def ops(p, k):
         r, z, R, dR, ddR, Z, dZ, E, dE, T, dT = parts(p)
-        # u_r / r = (2 - 3r) Z, u_theta / r = (1 - r) Z
-        return (
-            ddR * Z
-            + (2 - 3 * r) * Z
-            + 1j * k * (1 - r) * Z
-            + R * (-2.0)
-            + E
-        ).astype(complex)
-
-    def curl(p, k):
-        r, z, R, dR, ddR, Z, dZ, E, dE, T, dT = parts(p)
-        out = np.zeros((len(p), 3), dtype=complex)
+        out = np.zeros((len(p), 4), dtype=complex)
         # u_z / r = (r - r^2) dZ + r (1-r)^2 (1+z)
         out[:, 0] = 1j * k * ((r - r * r) * dZ + r * (1 - r) ** 2 * (1 + z)) - T * dZ
         out[:, 1] = dR * dZ - (dR * dZ + dE * (1 + z))
         out[:, 2] = dT * Z + (1 - r) * Z - 1j * k * (2 - 3 * r) * Z
+        # u_r / r = (2 - 3r) Z, u_theta / r = (1 - r) Z
+        out[:, 3] = ddR * Z + (2 - 3 * r) * Z + 1j * k * (1 - r) * Z + R * (-2.0) + E
         return out
 
-    return ManufacturedField("rectangle_electric", u, curl, div)
+    return ManufacturedField("rectangle_electric", u, ops)
 
 
 def rectangle_magnetic():
@@ -103,20 +94,17 @@ def rectangle_magnetic():
         out[:, 2] = -dP * Z
         return out
 
-    def div(p, k):
+    def ops(p, k):
         r, z, P, dP, ddP, Z, dZ = parts(p)
-        # P / r = r - r^2, dP / r = 2 - 3r
-        return ((r - r * r) * dZ + 1j * k * (2 - 3 * r) * Z).astype(complex)
-
-    def curl(p, k):
-        r, z, P, dP, ddP, Z, dZ = parts(p)
-        out = np.zeros((len(p), 3), dtype=complex)
+        out = np.zeros((len(p), 4), dtype=complex)
         out[:, 0] = -1j * k * (2 - 3 * r) * Z - dP * dZ
         out[:, 1] = P * (-2.0) + ddP * Z
         out[:, 2] = ddP * Z + (2 - 3 * r) * Z - 1j * k * (r - r * r) * dZ
+        # P / r = r - r^2, dP / r = 2 - 3r
+        out[:, 3] = (r - r * r) * dZ + 1j * k * (2 - 3 * r) * Z
         return out
 
-    return ManufacturedField("rectangle_magnetic", u, curl, div)
+    return ManufacturedField("rectangle_magnetic", u, ops)
 
 
 def lshape_magnetic(r_c=0.5, z_c=0.5):
@@ -148,26 +136,47 @@ def lshape_magnetic(r_c=0.5, z_c=0.5):
         out[:, 2] = -dR * Z
         return out
 
-    def div(p, k):
+    def ops(p, k):
         R, dR, ddR, Rr, dRr, Z, dZ, ddZ = parts(p)
-        return (Rr * dZ + 1j * k * dRr * Z).astype(complex)
-
-    def curl(p, k):
-        R, dR, ddR, Rr, dRr, Z, dZ, ddZ = parts(p)
-        out = np.zeros((len(p), 3), dtype=complex)
+        out = np.zeros((len(p), 4), dtype=complex)
         out[:, 0] = -1j * k * dRr * Z - dR * dZ
         out[:, 1] = R * ddZ + ddR * Z
         out[:, 2] = ddR * Z + dRr * Z - 1j * k * Rr * dZ
+        out[:, 3] = Rr * dZ + 1j * k * dRr * Z
         return out
 
-    return ManufacturedField("lshape_magnetic", u, curl, div)
+    return ManufacturedField("lshape_magnetic", u, ops)
 
 
-def for_space(space, domain="rectangle", **kw):
-    if domain == "rectangle":
-        return rectangle_electric() if space == "X" else rectangle_magnetic()
-    if domain == "lshape":
-        if space != "Y":
-            raise ValueError("the L-shape manufactured field is magnetic")
-        return lshape_magnetic(**kw)
-    raise ValueError(f"unknown manufactured domain {domain!r}")
+def for_space(space):
+    """The rectangle field of space: electric for X, magnetic otherwise."""
+    return rectangle_electric() if space == "X" else rectangle_magnetic()
+
+
+def convergence_study(space, ks, hs, tol):
+    """Manufactured convergence of the orthogonal mode solve on the unit
+    square: for each mode k the (l2, energy) errors against for_space(space)
+    on the rectangle meshes of sizes hs, and the rates fitted to them in
+    log-log.  Each mesh and quadrature is built once and serves every mode.
+
+    Returns {k: (errors, l2 rate, energy rate)}, one (l2, energy) pair of
+    errors per h.
+    """
+    mf = for_space(space)
+    errs = {k: [] for k in ks}
+    for h in hs:
+        msh = meshmod.gen_rectangle(0.0, 1.0, 0.0, 1.0, h)
+        quad = MeshQuadrature(msh)
+        u = mf.u(quad.xy)
+        for k in ks:
+            exact = mf.ops(quad.xy, k)
+            system = modal_ops.assemble_a_k(msh, k, space, quad=quad)
+            rec = solver.solve_mode_orthogonal(system, exact, tol=tol)
+            errs[k].append(solver.error_norms(rec.field, u, quad, exact_ops=exact, k=k))
+    logs = np.log(hs)
+    out = {}
+    for k, e in errs.items():
+        rate_l2 = np.polyfit(logs, np.log([l2 for l2, _ in e]), 1)[0]
+        rate_en = np.polyfit(logs, np.log([en for _, en in e]), 1)[0]
+        out[k] = (e, rate_l2, rate_en)
+    return out

@@ -304,7 +304,7 @@ class ModeSystem:
     system serves the singular basis and the mode solve, from any thread.
     """
 
-    def __init__(self, mesh, k, space, quad=None, constraints=None, base=None):
+    def __init__(self, mesh, k, space, quad=None, base=None):
         self.mesh = mesh
         self.k = int(k)
         self.space = space
@@ -315,11 +315,7 @@ class ModeSystem:
                 raise ValueError("a mode system needs its quadrature")
             self.quad = quad
             self.ws = workspace(quad)
-            self.constraints = (
-                constraints
-                if constraints is not None
-                else femcore.build_constraints(mesh, k, space)
-            )
+            self.constraints = femcore.build_constraints(mesh, k, space)
             self.reduction = _Reduction(mesh, self.constraints)
             self.matrix = self.reduction.matrix(self.ws.element_matrices(self.k))
         else:
@@ -337,24 +333,10 @@ class ModeSystem:
                     for c, level in zip(shifted, base.hierarchy.levels)
                 ])
 
-    def sample(self, f=None, g=None):
-        """Data samples (f_r, f_theta, f_z, g) at the quadrature points.
-
-        f and g are arrays of values at the quadrature points, of shapes
-        (Q, 3) and (Q,); None means zero.
-        """
-        vec = np.zeros((len(self.quad.tri), _NOPS), dtype=complex)
-        if f is not None:
-            vec[:, :3] = f
-        if g is not None:
-            vec[:, 3] = g
-        if not np.all(np.isfinite(vec)):
-            raise ValueError("right-hand side is not finite at a quadrature point")
-        return vec
-
     def functional(self, vec):
-        """(f, curl_k v) + (g, div_k v) over the free test dofs v, from
-        samples vec (see sample and OperatorWorkspace.op_adjoint)."""
+        """(f, curl_k v) + (g, div_k v) over the free test dofs v, from the
+        (Q, 4) samples vec = (f_r, f_theta, f_z, g) at the quadrature points
+        (see OperatorWorkspace.op_adjoint)."""
         return self.reduction.functional(self.ws.op_adjoint(vec, self.k))
 
 

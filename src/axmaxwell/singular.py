@@ -69,11 +69,9 @@ class PrincipalPart:
             out[:, 2] = -amp * np.sin(theta)
         return out
 
-    def curl_div(self, points, k):
-        """Closed-form (curl_k, div_k) of the principal part.
-
-        Returns (curl (P, 3) complex, div (P,) complex).
-        """
+    def ops(self, points, k):
+        """Closed-form D_k rows (curl_k, div_k) of the principal part,
+        (P, 4) complex."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         c = self.corner
         rho, phi = c.local_coords(pts)
@@ -82,18 +80,18 @@ class PrincipalPart:
         theta = (c.alpha - 1.0) * phi - c.phi0
         amp = (c.alpha / c.a) * rho ** (c.alpha - 1.0)
         ik = 1j * k
-        curl = np.zeros((len(pts), 3), dtype=complex)
+        out = np.zeros((len(pts), 4), dtype=complex)
         if self.kind == EDGE_ELECTRIC:
-            curl[:, 0] = -ik * amp * np.cos(theta)
-            curl[:, 1] = amp * np.cos(theta)
-            curl[:, 2] = ik * amp * np.sin(theta)
-            div = -2.0 * amp * np.sin(theta)
+            out[:, 0] = -ik * amp * np.cos(theta)
+            out[:, 1] = amp * np.cos(theta)
+            out[:, 2] = ik * amp * np.sin(theta)
+            out[:, 3] = -2.0 * amp * np.sin(theta)
         else:
-            curl[:, 0] = ik * amp * np.sin(theta)
-            curl[:, 1] = -amp * np.sin(theta)
-            curl[:, 2] = ik * amp * np.cos(theta)
-            div = -2.0 * amp * np.cos(theta)
-        return curl, div.astype(complex)
+            out[:, 0] = ik * amp * np.sin(theta)
+            out[:, 1] = -amp * np.sin(theta)
+            out[:, 2] = ik * amp * np.cos(theta)
+            out[:, 3] = -2.0 * amp * np.cos(theta)
+        return out
 
 
 def _guarded_values(pp, mesh, points):
@@ -143,11 +141,7 @@ class SingularBasis:
         """(curl_k, div_k) of the total basis at the quadrature points of the
         workspace ws, (Q, 4): regular part discrete, principal part
         analytic."""
-        out = ws.op_values(self.regular.values, k)
-        curl, div = self.principal.curl_div(ws.xy, k)
-        out[:, :3] += curl
-        out[:, 3] += div
-        return out
+        return ws.op_values(self.regular.values, k) + self.principal.ops(ws.xy, k)
 
     def point_arrays(self, ws):
         """Total basis values at the quadrature points of ws, (Q, 3)."""

@@ -20,7 +20,6 @@ class of the mode-2 system, which all |k| >= 2 modes share.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,20 +30,6 @@ from .linalg import solve_bordered, solve_hpd
 
 _TWO_PI = 2.0 * math.pi
 _NORM = 1.0 / math.sqrt(_TWO_PI)
-
-
-@dataclass
-class ModeProblem:
-    """Right-hand side of one mode: find u with curl_k u = f, div_k u = g.
-
-    f and g are the mode-k data at the quadrature points of the system the
-    problem is solved on, arrays of shapes (Q, 3) and (Q,); None means zero.
-    """
-
-    k: int
-    space: str
-    f: object = None
-    g: object = None
 
 
 @dataclass
@@ -216,60 +201,67 @@ def sample_3d(solution, n_theta):
 # -- single-mode solvers ----------------------------------------------------------
 
 
-def _pair(problem, system, basis):
-    """What both mode solves share: sample the data on the system, build
-    its load and pair the data with the basis operators.
+def _pair(system, data, basis):
+    """What both mode solves share: check the data, build the system's load
+    and pair the data with the basis operators.
 
-    Returns (load, bop, energy, numer): bop the mode-k (curl, div) of the
-    basis at the quadrature points, energy = a_k(s, s) and numer the data
-    paired with bop; without a basis (load, None, 0.0, 0.0).
+    data holds the mode's samples (f_r, f_theta, f_z, g) at the quadrature
+    points of the system, one (Q, 4) array.  Returns (load, bop, energy,
+    numer): bop the mode-k (curl, div) of the basis at the quadrature
+    points, energy = a_k(s, s) and numer the data paired with bop; without
+    a basis (load, None, 0.0, 0.0).
     """
-    if system.k != problem.k or system.space != problem.space:
-        raise ValueError("mode system does not match the problem")
-    vec = system.sample(problem.f, problem.g)
-    load = system.functional(vec)
+    data = np.asarray(data)
+    shape = (len(system.ws.wr), 4)
+    if data.shape != shape:
+        raise ValueError(f"mode data must have shape {shape}, got {data.shape}")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("right-hand side is not finite at a quadrature point")
+    load = system.functional(data)
     if basis is None:
         return load, None, 0.0, 0.0
-    if basis.space != problem.space:
-        raise ValueError("basis space does not match the problem")
+    if basis.space != system.space:
+        raise ValueError("basis space does not match the system")
     bop = basis.op_arrays(system.ws, system.k)
     energy = float(np.sum(system.ws.wr[:, None] * np.abs(bop) ** 2))
     if energy <= 0.0 or not np.isfinite(energy):
         raise ArithmeticError("singular basis has no energy; basis is broken")
-    numer = complex(np.einsum("q,qa,qa->", system.ws.wr, vec, bop.conj()))
+    numer = complex(np.einsum("q,qa,qa->", system.ws.wr, data, bop.conj()))
     return load, bop, energy, numer
 
 
-def solve_mode_orthogonal(problem, system, basis=None, tol=1e-10):
+def solve_mode_orthogonal(system, data, basis=None, tol=1e-10):
     """Mode solve for |k| <= 2 (or any mode without a singular basis) on the
-    assembled mode system; basis may be None.
+    assembled mode system, with the (Q, 4) data of the mode (see _pair);
+    basis may be None.
 
     The singular coefficient comes from pairing the data against the basis
     operators; the regular part solves the constrained system with the full
     (f, g) load.  Returns a ModeRecord.
     """
-    load, _, energy, numer = _pair(problem, system, basis)
+    load, _, energy, numer = _pair(system, data, basis)
     coeff = numer / energy if basis is not None else 0.0
     x, info = solve_hpd(system.matrix, load, tol=tol, hierarchy=system.hierarchy)
     return ModeRecord(system.constraints.expand(x), coeff, basis, info, energy)
 
 
-def solve_mode_bordered(problem, system, basis, tol=1e-10):
+def solve_mode_bordered(system, data, basis, tol=1e-10):
     """Mode solve for |k| > 2 reusing the mode sign(k)*2 singular basis.
 
     system is the mode-k system on the constraint class of the mode-2
-    system (ModeSystem(mesh, k, space, base=system2)); the non-orthogonal
-    coupling of the reused basis enters as a rank-one border, and one CG
-    solve on the bordered matrix [[K, y], [y^H, alpha]], with alpha =
-    a_k(s, s), gives the regular part and C^k together.
+    system (ModeSystem(mesh, k, space, base=system2)) and data the (Q, 4)
+    data of the mode; the non-orthogonal coupling of the reused basis
+    enters as a rank-one border, and one CG solve on the bordered matrix
+    [[K, y], [y^H, alpha]], with alpha = a_k(s, s), gives the regular part
+    and C^k together.
     """
-    k = problem.k
+    k = system.k
     if abs(k) <= 2:
         raise ValueError("bordered solves serve |k| > 2")
     base_k = 2 if k > 0 else -2
     if basis.k != base_k:
         raise ValueError(f"expected the mode {base_k} basis, got mode {basis.k}")
-    load, bop, alpha, f_s = _pair(problem, system, basis)
+    load, bop, alpha, f_s = _pair(system, data, basis)
     # coupling a_k(s, v) of the reused basis s with the regular test fields:
     # the mode-k (curl, div) of s (discrete regular part plus analytic
     # principal part) paired with those of the test fields
@@ -327,18 +319,23 @@ def solve_axisymmetric(
     bases = compute_bases(systems, corner, tol=tol) if corner is not None else {}
 
     def solve_one(k):
-        # each mode's data is read once: drop it from the shared dicts
-        problem = ModeProblem(k, space, fmodes.pop(k), gmodes.pop(k, None))
+        # each mode's data is read once: drop it from the shared dicts and
+        # pack it as the mode's (Q, 4) rows (f, g) only for its solve
+        data = np.zeros((len(pts), 4), dtype=complex)
+        data[:, :3] = fmodes.pop(k)
+        data[:, 3] = gmodes.pop(k, 0.0)
         if k <= 2:
-            return solve_mode_orthogonal(problem, systems[k], bases.get(k), tol=tol)
+            return solve_mode_orthogonal(systems[k], data, bases.get(k), tol=tol)
         system = modal_ops.ModeSystem(mesh, k, space, base=systems[2])
         if corner is None:
-            return solve_mode_orthogonal(problem, system, tol=tol)
-        return solve_mode_bordered(problem, system, bases[2], tol=tol)
+            return solve_mode_orthogonal(system, data, tol=tol)
+        return solve_mode_bordered(system, data, bases[2], tol=tol)
 
     modes = range(N + 1)
     records = {}
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for k, rec in zip(modes, pool.map(solve_one, modes)):
                 records[k] = rec
@@ -351,23 +348,21 @@ def solve_axisymmetric(
 # -- error measurement ---------------------------------------------------------------
 
 
-def error_norms(fld, exact, quad, exact_curl=None, exact_div=None, k=None):
+def error_norms(fld, exact, quad, exact_ops=None, k=None):
     """Weighted L2 and a_k-energy distance of a nodal field to an exact one,
     on the quadrature quad.
 
-    exact holds the exact field values at the quadrature points, (Q, 3);
-    exact_curl (Q, 3) and exact_div (Q,) the exact mode-k operator values
-    there (zero when omitted, so passing exact=0 measures the field's own
-    norms).  Returns (l2, energy).
+    exact holds the exact field values at the quadrature points, (Q, 3),
+    and exact_ops the exact mode-k rows (curl_k, div_k) there, (Q, 4) (zero
+    when omitted, so passing exact=0 measures the field's own norms).
+    Returns (l2, energy).
     """
     k = fld.k if k is None else k
     ws = modal_ops.workspace(quad)
     pv = ws.point_values(fld.values) - exact
     l2 = math.sqrt(abs(np.sum(ws.wr[:, None] * np.abs(pv) ** 2)))
     opv = ws.op_values(fld.values, k)
-    if exact_curl is not None:
-        opv[:, :3] -= exact_curl
-    if exact_div is not None:
-        opv[:, 3] -= exact_div
+    if exact_ops is not None:
+        opv -= exact_ops
     energy = math.sqrt(abs(np.sum(ws.wr[:, None] * np.abs(opv) ** 2)))
     return l2, energy

@@ -205,30 +205,12 @@ def criterion_4_hpd():
 
 def criterion_5_convergence():
     t0 = time.time()
-    hs = [0.2, 0.1, 0.05]
-    meshes = [meshmod.gen_rectangle(0.0, 1.0, 0.0, 1.0, h) for h in hs]
-    quads = [MeshQuadrature(m) for m in meshes]
     worst_l2 = worst_en = np.inf
     for space in (femcore.SPACE_X, femcore.SPACE_Y):
-        mf = manufactured.for_space(space)
-        for k in (0, 1, -1, 2, -2, 3):
-            errs = []
-            for m, quad in zip(meshes, quads):
-                system = modal_ops.assemble_a_k(m, k, space, quad=quad)
-                fvec = mf.curl(quad.xy, k)
-                gvec = mf.div(quad.xy, k)
-                rec = solver.solve_mode_orthogonal(
-                    solver.ModeProblem(k, space, fvec, gvec), system, tol=SOLVER_TOL
-                )
-                errs.append(
-                    solver.error_norms(
-                        rec.field, mf.u(quad.xy), quad, exact_curl=fvec,
-                        exact_div=gvec, k=k,
-                    )
-                )
-            logs = np.log(hs)
-            rate_l2 = np.polyfit(logs, np.log([e[0] for e in errs]), 1)[0]
-            rate_en = np.polyfit(logs, np.log([e[1] for e in errs]), 1)[0]
+        study = manufactured.convergence_study(
+            space, (0, 1, -1, 2, -2, 3), [0.2, 0.1, 0.05], SOLVER_TOL
+        )
+        for _, rate_l2, rate_en in study.values():
             worst_l2 = min(worst_l2, rate_l2)
             worst_en = min(worst_en, rate_en)
     elapsed = time.time() - t0
@@ -269,9 +251,9 @@ def criterion_7_singular_only():
         for k in (0, 1, -1, 2, -2):
             system = _lshape_system(h, k, space)
             basis = _lshape_basis(h, k, space)
-            bop = basis.op_arrays(system.ws, k)
-            problem = solver.ModeProblem(k, space, bop[:, :3].copy(), bop[:, 3].copy())
-            rec = solver.solve_mode_orthogonal(problem, system, basis, tol=SOLVER_TOL)
+            rec = solver.solve_mode_orthogonal(
+                system, basis.op_arrays(system.ws, k), basis, tol=SOLVER_TOL
+            )
             reg_energy = abs(modal_ops.a_k_direct(rec.field, rec.field, k, system.quad))
             worst_c = max(worst_c, abs(rec.coeff - 1.0))
             worst_e = max(worst_e, reg_energy / basis.energy)
@@ -293,14 +275,10 @@ def _bordered_vs_orthogonal(h):
     sys2 = _lshape_system(h, 2, femcore.SPACE_Y)
     sys3 = _lshape_system(h, 3, femcore.SPACE_Y)
     c0 = 0.7 - 0.2j
-    curl_s, div_s = b2.principal.curl_div(quad.xy, 3)
-    fvec = mf.curl(quad.xy, 3) + c0 * curl_s
-    gvec = mf.div(quad.xy, 3) + c0 * div_s
-    problem = solver.ModeProblem(3, femcore.SPACE_Y, fvec, gvec)
+    data = mf.ops(quad.xy, 3) + c0 * b2.principal.ops(quad.xy, 3)
     sysk = modal_ops.ModeSystem(msh, 3, femcore.SPACE_Y, base=sys2)
-    rec_b = solver.solve_mode_bordered(problem, sysk, b2, tol=SOLVER_TOL)
-    problem = solver.ModeProblem(3, femcore.SPACE_Y, fvec, gvec)
-    rec_o = solver.solve_mode_orthogonal(problem, sys3, b3, tol=SOLVER_TOL)
+    rec_b = solver.solve_mode_bordered(sysk, data, b2, tol=SOLVER_TOL)
+    rec_o = solver.solve_mode_orthogonal(sys3, data, b3, tol=SOLVER_TOL)
     pv_b = rec_b.point_values(sys3.ws)
     pv_o = rec_o.point_values(sys3.ws)
     num = math.sqrt(abs(np.sum(sys3.ws.wr[:, None] * np.abs(pv_b - pv_o) ** 2)))
@@ -351,16 +329,13 @@ def criterion_10_conjugate_symmetry():
     worst = 0.0
     for k, space in ((1, femcore.SPACE_Y), (2, femcore.SPACE_X)):
         fm = solver.analyze_rhs(RHS_BUILTINS["bandlimited"], 3, quad.xy)
+        data = np.column_stack([fm[k], np.zeros(len(fm[k]))])  # no divergence data
         sys_p = _lshape_system(h, k, space)
         sys_m = _lshape_system(h, -k, space)
         b_p = _lshape_basis(h, k, space)
         b_m = _lshape_basis(h, -k, space)
-        rec_p = solver.solve_mode_orthogonal(
-            solver.ModeProblem(k, space, fm[k]), sys_p, b_p, tol=SOLVER_TOL
-        )
-        rec_m = solver.solve_mode_orthogonal(
-            solver.ModeProblem(-k, space, np.conj(fm[k])), sys_m, b_m, tol=SOLVER_TOL
-        )
+        rec_p = solver.solve_mode_orthogonal(sys_p, data, b_p, tol=SOLVER_TOL)
+        rec_m = solver.solve_mode_orthogonal(sys_m, np.conj(data), b_m, tol=SOLVER_TOL)
         tot_p = rec_p.total_nodal()
         tot_m = rec_m.total_nodal()
         scale = max(np.abs(tot_p).max(), 1e-30)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from axmaxwell import cli_io, mesh, modal_ops, singular
+from axmaxwell import cli_io, mesh, modal_ops, singular, solver
 from axmaxwell.cli_io import main, write_csv, write_vtk
 from axmaxwell.femcore import SPACE_Y
 
@@ -259,12 +259,38 @@ def test_singular_high_mode_is_usage_error(tmp_path, capsys, k):
 
 
 def test_io_failure_exit_code(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
     rc = main([
         "meshgen", "--domain", "rectangle", "--h", "0.5",
-        "--outdir", str(tmp_path / "missing" / "deep"),
+        "--outdir", str(tmp_path / "file" / "deep"),
     ])
     assert rc == 3
     assert capsys.readouterr().err.startswith("error: io:")
+
+
+@pytest.mark.parametrize("command", [
+    ["meshgen", "--domain", "rectangle", "--h", "0.5"],
+    ["singular", "--h", "0.2", "--k", "1"],
+])
+def test_new_nested_outdir_is_created(tmp_path, command):
+    outdir = tmp_path / "new" / "deep"
+    assert main(command + ["--outdir", str(outdir)]) == 0
+    assert any(outdir.iterdir())
+
+
+def test_unusable_outdir_fails_before_the_solve(tmp_path, capsys, monkeypatch):
+    """An outdir that cannot be created is an I/O failure (exit 3) before
+    any work, not after the whole solve."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_axisymmetric was called")
+
+    monkeypatch.setattr(solver, "solve_axisymmetric", no_solve)
+    (tmp_path / "file").write_text("")
+    for command in ("solve", "synthesize"):
+        rc = main([command, "--h", "0.2", "--modes", "1",
+                   "--outdir", str(tmp_path / "file" / "sub")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: io:")
 
 
 def test_help_documents_flags(capsys):
@@ -467,8 +493,11 @@ def test_synthesize_azimuths_leave_analysis_alone(tmp_path, azimuths):
     assert f"POINTS {msh.num_vertices * T} double" in text
 
 
-@pytest.mark.parametrize("azimuths", ["0", "-3"])
+@pytest.mark.parametrize("azimuths", ["0", "-3", "1", "2"])
 def test_synthesize_without_azimuths_is_usage_error(tmp_path, capsys, azimuths):
+    """Fewer than 3 azimuths revolve each triangle into wedges of zero
+    volume: one azimuth joins a ring to itself, two put every point in the
+    plane y = 0."""
     rc = main([
         "synthesize", "--h", "0.2", "--modes", "1", "--theta-samples", azimuths,
         "--outdir", str(tmp_path),

@@ -93,7 +93,7 @@ def test_quadratic_form_closed_value():
 def test_zero_load(lshape, lshape_quad):
     msh, _ = lshape
     system = modal_ops.assemble_a_k(msh, 1, SPACE_Y, quad=lshape_quad)
-    load = system.functional(system.sample(None, None))
+    load = system.functional(np.zeros((len(lshape_quad.xy), 4), dtype=complex))
     assert np.all(load == 0.0)
 
 
@@ -103,7 +103,7 @@ def test_galerkin_identity(lshape, lshape_quad, rng):
         system = modal_ops.assemble_a_k(msh, k, space, quad=lshape_quad)
         w = _random_constrained(msh, k, space, rng)
         opv = system.ws.op_values(w.values, k)
-        load = system.functional(system.sample(f=opv[:, :3].copy(), g=opv[:, 3].copy()))
+        load = system.functional(opv)
         ref = system.matrix.matvec(system.constraints.free_values(w))
         assert np.linalg.norm(load - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -117,14 +117,11 @@ def test_pure_divergence_load_closed_form():
         np.array(verts), np.array([[0, 1, 2]]), np.array(edges), np.array([mesh.WALL] * 3), 1.0
     )
     quad = MeshQuadrature(m)
-    cs = femcore.ConstraintSet(
-        m, 0, SPACE_X,
-        kind=np.zeros(9, dtype=np.int8),
-        master=np.arange(9),
-        coeff=np.ones(9, dtype=complex),
-    )
-    system = modal_ops.ModeSystem(m, 0, SPACE_X, quad=quad, constraints=cs)
-    load = system.functional(system.sample(g=np.ones(len(quad.tri), dtype=complex)))
+    # the unreduced pairing of op_adjoint: on one triangle the local dofs
+    # are the global ones
+    vec = np.zeros((len(quad.tri), 4), dtype=complex)
+    vec[:, 3] = 1.0
+    load = modal_ops.workspace(quad).op_adjoint(vec, 0)[0]
     area = m.triangle_areas()[0]
     rbar = np.mean([v[0] for v in verts])
     int_r = area * rbar

@@ -44,14 +44,12 @@ def test_closed_form_divergences_at_reference_angles():
     ppe = PrincipalPart(EDGE_ELECTRIC, corner=corner)
     ppm = PrincipalPart(EDGE_MAGNETIC, corner=corner)
     pt = np.array([[2.0, 0.5]])  # rho = 1, phi = 0
-    _, div_e = ppe.curl_div(pt, 1)
-    assert div_e[0] == pytest.approx(0.0, abs=1e-14)
-    _, div_m = ppm.curl_div(pt, 1)
-    assert div_m[0] == pytest.approx(-4.0 / 3.0, abs=1e-13)
+    assert ppe.ops(pt, 1)[0, 3] == pytest.approx(0.0, abs=1e-14)
+    assert ppm.ops(pt, 1)[0, 3] == pytest.approx(-4.0 / 3.0, abs=1e-13)
 
 
 @pytest.mark.parametrize("kind", [EDGE_ELECTRIC, EDGE_MAGNETIC])
-def test_principal_curl_div_against_finite_differences(kind, rng):
+def test_principal_ops_against_finite_differences(kind, rng):
     corner = _reference_corner(phi0=-0.5 * math.pi, position=(1.0, 0.5))
     pp = PrincipalPart(kind, corner=corner)
     h = 1e-6
@@ -67,8 +65,8 @@ def test_principal_curl_div_against_finite_differences(kind, rng):
             continue
         checked += 1
         k = int(rng.integers(-2, 3))
-        curl_an, div_an = pp.curl_div(pt.reshape(1, 2), k)
-        curl_an, div_an = curl_an[0], div_an[0]
+        ops = pp.ops(pt.reshape(1, 2), k)[0]
+        curl_an, div_an = ops[:3], ops[3]
 
         def val(p):
             return pp.values(np.asarray(p).reshape(1, 2))[0]

@@ -130,7 +130,8 @@ def test_zero_data_gives_zero_solution(lshape, lshape_quad):
     msh, corner = lshape
     system = modal_ops.assemble_a_k(msh, 1, SPACE_Y, quad=lshape_quad)
     basis = singular.compute_basis(system, corner)
-    rec = solver.solve_mode_orthogonal(solver.ModeProblem(1, SPACE_Y, None, None), system, basis)
+    zero = np.zeros((len(lshape_quad.xy), 4), dtype=complex)
+    rec = solver.solve_mode_orthogonal(system, zero, basis)
     assert np.all(rec.field.values == 0.0)
     assert rec.coeff == 0.0
 
@@ -142,9 +143,7 @@ def test_singular_only_manufactured(lshape, lshape_quad, space):
     system = modal_ops.assemble_a_k(msh, k, space, quad=lshape_quad)
     basis = singular.compute_basis(system, corner)
     bop = basis.op_arrays(system.ws, k)
-    rec = solver.solve_mode_orthogonal(
-        solver.ModeProblem(k, space, bop[:, :3].copy(), bop[:, 3].copy()), system, basis
-    )
+    rec = solver.solve_mode_orthogonal(system, bop, basis)
     assert abs(rec.coeff - 1.0) <= 1e-6
     reg_energy = abs(modal_ops.a_k_direct(rec.field, rec.field, k, lshape_quad))
     assert reg_energy <= 1e-6 * basis.energy
@@ -170,9 +169,7 @@ def test_regular_only_manufactured(lshape, lshape_quad, rng):
     )
     w = system.constraints.apply(raw)
     wop = system.ws.op_values(w.values, k)
-    rec = solver.solve_mode_orthogonal(
-        solver.ModeProblem(k, space, wop[:, :3].copy(), wop[:, 3].copy()), system, basis
-    )
+    rec = solver.solve_mode_orthogonal(system, wop, basis)
     assert abs(rec.coeff) <= 1e-8
     scale = np.abs(w.values).max()
     assert np.abs(rec.field.values - w.values).max() <= 1e-8 * scale
@@ -183,7 +180,8 @@ def test_bordered_zero_data(lshape, lshape_quad):
     sys2 = modal_ops.assemble_a_k(msh, 2, SPACE_Y, quad=lshape_quad)
     b2 = singular.compute_basis(sys2, corner)
     sys4 = modal_ops.ModeSystem(msh, 4, SPACE_Y, base=sys2)
-    rec = solver.solve_mode_bordered(solver.ModeProblem(4, SPACE_Y, None, None), sys4, b2)
+    zero = np.zeros((len(lshape_quad.xy), 4), dtype=complex)
+    rec = solver.solve_mode_bordered(sys4, zero, b2)
     assert np.all(np.abs(rec.field.values) <= 1e-14)
     assert abs(rec.coeff) <= 1e-14
 
@@ -199,11 +197,7 @@ def test_bordered_recovers_known_combination(lshape, lshape_quad, rng):
     w = sysk.constraints.apply(raw)
     c0 = -0.4 + 1.1j
     vec = sysk.ws.op_values(w.values, 3) + c0 * b2.op_arrays(sysk.ws, 3)
-    rec = solver.solve_mode_bordered(
-        solver.ModeProblem(3, SPACE_Y, vec[:, :3].copy(), vec[:, 3].copy()),
-        modal_ops.ModeSystem(msh, 3, SPACE_Y, base=sys2),
-        b2,
-    )
+    rec = solver.solve_mode_bordered(modal_ops.ModeSystem(msh, 3, SPACE_Y, base=sys2), vec, b2)
     assert abs(rec.coeff - c0) <= 0.02 * abs(c0)
     # the record: one CG solve on the bordered matrix, whose last diagonal
     # entry alpha is the energy a_3(s, s) of the reused mode-2 basis
@@ -220,15 +214,30 @@ def test_bordered_rejects_low_modes(lshape, lshape_quad):
     sys2 = modal_ops.assemble_a_k(msh, 2, SPACE_Y, quad=lshape_quad)
     b2 = singular.compute_basis(sys2, corner)
     with pytest.raises(ValueError):
-        solver.solve_mode_bordered(solver.ModeProblem(2, SPACE_Y), sys2, b2)
+        solver.solve_mode_bordered(sys2, np.zeros((len(lshape_quad.xy), 4)), b2)
 
 
-def test_mode_solves_reject_a_system_of_another_mode(lshape, lshape_quad):
-    msh, _ = lshape
-    system = modal_ops.assemble_a_k(msh, 0, SPACE_Y, quad=lshape_quad)
-    for problem in (solver.ModeProblem(1, SPACE_Y), solver.ModeProblem(0, SPACE_X)):
-        with pytest.raises(ValueError):
-            solver.solve_mode_orthogonal(problem, system)
+def test_mode_solves_reject_malformed_data(lshape, lshape_quad):
+    """Mode data are one (Q, 4) array of finite samples at the system's
+    quadrature points: data sampled on another quadrature or split into
+    (f, g) would otherwise be read in part, and NaN would solve to NaN."""
+    msh, corner = lshape
+    sys2 = modal_ops.assemble_a_k(msh, 2, SPACE_Y, quad=lshape_quad)
+    b2 = singular.compute_basis(sys2, corner)
+    sys3 = modal_ops.ModeSystem(msh, 3, SPACE_Y, base=sys2)
+    Q = len(lshape_quad.xy)
+    bad_nan = np.zeros((Q, 4), dtype=complex)
+    bad_nan[Q // 2, 3] = np.nan
+    for data, match in (
+        (np.zeros((Q + 1, 4)), "shape"),
+        (np.zeros((Q, 3)), "shape"),
+        (np.zeros(4 * Q), "shape"),
+        (bad_nan, "not finite"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            solver.solve_mode_orthogonal(sys2, data, b2)
+        with pytest.raises(ValueError, match=match):
+            solver.solve_mode_bordered(sys3, data, b2)
 
 
 def test_conjugate_mode_symmetry(lshape, lshape_quad):
@@ -239,14 +248,14 @@ def test_conjugate_mode_symmetry(lshape, lshape_quad):
         return (r * z * np.cos(th), (1 - r) * np.sin(th), r * (1 - z))
 
     fm = solver.analyze_rhs(f, 2, lshape_quad.xy)
-    data = {k: fm[k], -k: np.conj(fm[k])}  # real data: mode -k is the conjugate
+    # no divergence data; real data: mode -k is the conjugate of mode k
+    data = {k: np.column_stack([fm[k], np.zeros(len(fm[k]))])}
+    data[-k] = np.conj(data[k])
     recs = {}
     for kk in (k, -k):
         system = modal_ops.assemble_a_k(msh, kk, space, quad=lshape_quad)
         basis = singular.compute_basis(system, corner)
-        recs[kk] = solver.solve_mode_orthogonal(
-            solver.ModeProblem(kk, space, data[kk]), system, basis
-        )
+        recs[kk] = solver.solve_mode_orthogonal(system, data[kk], basis)
     tot_p = recs[k].total_nodal()
     tot_m = recs[-k].total_nodal()
     scale = np.abs(tot_p).max()
@@ -378,20 +387,11 @@ def test_interpolation_error_ratio():
 
 def test_convergence_spot_check():
     # one (space, mode) pair; the acceptance suite covers the full matrix
-    mf = manufactured.rectangle_electric()
-    space, k = SPACE_X, 1
-    errs = []
-    for h in (0.2, 0.1):
-        msh = mesh.gen_rectangle(0.0, 1.0, 0.0, 1.0, h)
-        quad = MeshQuadrature(msh)
-        system = modal_ops.assemble_a_k(msh, k, space, quad=quad)
-        fvec = mf.curl(quad.xy, k)
-        gvec = mf.div(quad.xy, k)
-        rec = solver.solve_mode_orthogonal(solver.ModeProblem(k, space, fvec, gvec), system)
-        errs.append(
-            solver.error_norms(
-                rec.field, mf.u(quad.xy), quad, exact_curl=fvec, exact_div=gvec, k=k,
-            )
-        )
-    assert math.log2(errs[0][0] / errs[1][0]) >= 1.8
-    assert math.log2(errs[0][1] / errs[1][1]) >= 0.9
+    study = manufactured.convergence_study(SPACE_X, [1], [0.2, 0.1], tol=1e-10)
+    assert list(study) == [1]
+    errs, rate_l2, rate_en = study[1]
+    assert len(errs) == 2
+    assert rate_l2 == pytest.approx(math.log2(errs[0][0] / errs[1][0]), rel=1e-12)
+    assert rate_en == pytest.approx(math.log2(errs[0][1] / errs[1][1]), rel=1e-12)
+    assert rate_l2 >= 1.8
+    assert rate_en >= 0.9

@@ -137,6 +137,10 @@ def write_csv(path, header, rows):
 # -- run configuration -----------------------------------------------------------
 
 
+_SPACES = {"electric": femcore.SPACE_X, "magnetic": femcore.SPACE_Y}
+_DOMAINS = ("rectangle", "lshape")
+
+
 @dataclass
 class RunConfig:
     domain: str = "lshape"
@@ -155,27 +159,11 @@ class RunConfig:
     theta_samples: int = None
     levels: int = 3
     outdir: str = "."
-    threads: int = None
+    threads: int = 1
     k: int = None
 
     def space(self):
-        if self.field not in ("electric", "magnetic"):
-            raise UsageError(f"field must be electric or magnetic, got {self.field!r}")
-        return femcore.SPACE_X if self.field == "electric" else femcore.SPACE_Y
-
-    def thread_count(self):
-        """threads, else AXMAXWELL_THREADS, else 1; a count below 1 or a
-        variable that is not an integer is a usage error."""
-        name, count = "threads", self.threads
-        if count is None:
-            name, raw = "AXMAXWELL_THREADS", os.environ.get("AXMAXWELL_THREADS", "1")
-            try:
-                count = int(raw)
-            except ValueError:
-                raise UsageError(f"{name} must be an integer, got {raw!r}") from None
-        if count < 1:
-            raise UsageError(f"{name} must be >= 1, got {count}")
-        return count
+        return _SPACES[self.field]
 
 
 def load_config(path):
@@ -217,11 +205,27 @@ def build_config(args):
     for f in fields(RunConfig):
         if f.type is float and not np.isfinite(getattr(cfg, f.name)):
             raise UsageError(f"{f.name} must be finite, got {getattr(cfg, f.name)!r}")
+    if cfg.domain not in _DOMAINS:
+        raise UsageError(f"domain must be one of {', '.join(_DOMAINS)}, got {cfg.domain!r}")
+    if cfg.field not in _SPACES:
+        raise UsageError(f"field must be one of {', '.join(_SPACES)}, got {cfg.field!r}")
+    if cfg.rhs not in RHS_BUILTINS and not cfg.rhs.startswith("file:"):
+        raise UsageError(f"unknown rhs {cfg.rhs!r}; builtins: "
+                         f"{', '.join(sorted(RHS_BUILTINS))} or file:<csv>")
     if cfg.modes < 0:
         raise UsageError(f"modes must be >= 0, got {cfg.modes}")
+    if cfg.theta_samples is not None and cfg.theta_samples < 4 * cfg.modes + 1:
+        raise UsageError(f"theta-samples must be >= 4 * modes + 1 = {4 * cfg.modes + 1}, "
+                         f"got {cfg.theta_samples}")
     if not 0.0 < cfg.tol < 1.0:
         raise UsageError(f"tol must lie in (0, 1), got {cfg.tol!r}")
-    cfg.thread_count()  # a bad thread count fails before any work
+    if cfg.levels < 2:
+        raise UsageError(f"levels must be >= 2 to fit a rate, got {cfg.levels}")
+    if cfg.threads < 1:
+        raise UsageError(f"threads must be >= 1, got {cfg.threads}")
+    # synthesize --theta-samples: fewer than 3 azimuths give wedges of zero volume
+    if getattr(args, "azimuths", 3) < 3:
+        raise UsageError(f"theta-samples must be >= 3, got {args.azimuths}")
     return cfg
 
 
@@ -232,13 +236,11 @@ def build_mesh(cfg):
     elif cfg.domain == "rectangle":
         msh = meshmod.gen_rectangle(cfg.rmin, cfg.rmax, cfg.zmin, cfg.zmax, cfg.h)
         corners = []
-    elif cfg.domain == "lshape":
+    else:
         msh, corner = meshmod.gen_lshape(
             cfg.corner_r, cfg.corner_z, cfg.rmax, cfg.zmin, cfg.zmax, cfg.h
         )
         corners = [corner]
-    else:
-        raise UsageError(f"unknown domain {cfg.domain!r}")
     if len(corners) > 1:
         raise UsageError("meshes with more than one reentrant corner are not supported")
     return msh, (corners[0] if corners else None)
@@ -281,22 +283,18 @@ def resolve_rhs(spec, msh):
     """
     if spec in RHS_BUILTINS:
         return RHS_BUILTINS[spec]
-    if spec.startswith("file:"):
-        path = spec[5:]
-        data = _read_table(path)
-        idx = _match_vertices(msh, data[:, :2], path)
-        nodal = np.zeros((msh.num_vertices, 3))
-        nodal[idx] = data[:, 2:]
-        fld = femcore.ModeField(msh, 0, nodal.astype(complex))
+    path = spec.removeprefix("file:")
+    data = _read_table(path)
+    idx = _match_vertices(msh, data[:, :2], path)
+    nodal = np.zeros((msh.num_vertices, 3))
+    nodal[idx] = data[:, 2:]
+    fld = femcore.ModeField(msh, 0, nodal.astype(complex))
 
-        def f(r, th, z):
-            vals = femcore.interpolate(fld, np.stack(np.broadcast_arrays(r, z), axis=-1)).real
-            return vals[..., 0], vals[..., 1], vals[..., 2]
+    def f(r, th, z):
+        vals = femcore.interpolate(fld, np.stack(np.broadcast_arrays(r, z), axis=-1)).real
+        return vals[..., 0], vals[..., 1], vals[..., 2]
 
-        return f
-    raise UsageError(
-        f"unknown rhs {spec!r}; builtins: {', '.join(sorted(RHS_BUILTINS))} or file:<csv>"
-    )
+    return f
 
 
 def _read_table(path):
@@ -366,8 +364,6 @@ def cmd_meshgen(cfg, out):
 
 
 def cmd_singular(cfg, k, out):
-    if abs(k) > 2:
-        raise UsageError(f"--k must lie in [-2, 2] (|k| > 2 reuses mode +-2), got {k}")
     msh, corner = build_mesh(cfg)
     if corner is None:
         raise UsageError("singular bases need a domain with a reentrant corner")
@@ -406,7 +402,7 @@ def _solve(cfg):
         corner=corner,
         tol=cfg.tol,
         samples=cfg.theta_samples,
-        threads=cfg.thread_count(),
+        threads=cfg.threads,
     )
     return msh, corner, sol
 
@@ -437,9 +433,6 @@ def cmd_solve(cfg):
 
 
 def cmd_synthesize(cfg, azimuths):
-    # fewer than 3 azimuths give wedges of zero volume
-    if azimuths < 3:
-        raise UsageError(f"theta-samples must be >= 3, got {azimuths}")
     msh, corner, sol = _solve(cfg)
     T = azimuths
     thetas, points, fields_cyl = solver.sample_3d(sol, T)
@@ -459,12 +452,9 @@ def cmd_synthesize(cfg, azimuths):
 def cmd_convergence(cfg):
     from . import manufactured
 
-    space = cfg.space()
-    if cfg.levels < 2:
-        raise UsageError(f"levels must be >= 2 to fit a rate, got {cfg.levels}")
     ks = [cfg.k] if cfg.k is not None else [0, 1, 2]
     hs = [0.2 * 0.5 ** lev for lev in range(cfg.levels)]
-    study = manufactured.convergence_study(space, ks, hs, cfg.tol)
+    study = manufactured.convergence_study(cfg.space(), ks, hs, cfg.tol)
     rows = []
     for k, (errs, rate_l2, rate_en) in study.items():
         for h, (l2, en) in zip(hs, errs):
@@ -499,7 +489,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(p):
     p.add_argument("--config", help="key = value configuration file")
-    p.add_argument("--domain", choices=["rectangle", "lshape"], help="built-in domain")
+    p.add_argument("--domain", help="built-in domain: rectangle or lshape (default lshape)")
     p.add_argument("--mesh-file", dest="mesh_file", help="load mesh from file instead")
     p.add_argument("--h", type=float, help="nominal mesh size")
     p.add_argument("--rmin", type=float)
@@ -508,10 +498,10 @@ def _add_common(p):
     p.add_argument("--zmax", type=float)
     p.add_argument("--corner-r", dest="corner_r", type=float, help="L-shape corner radius")
     p.add_argument("--corner-z", dest="corner_z", type=float, help="L-shape corner height")
-    p.add_argument("--field", choices=["electric", "magnetic"])
+    p.add_argument("--field", help="electric or magnetic (default magnetic)")
     p.add_argument("--tol", type=float, help="iterative solver tolerance")
     p.add_argument("--outdir", help="output directory")
-    p.add_argument("--threads", type=int, help="mode-solve thread count")
+    p.add_argument("--threads", type=int, help="mode-solve thread count (default 1)")
 
 
 def make_parser():
@@ -524,7 +514,9 @@ def make_parser():
 
     p = sub.add_parser("singular", help="compute and export a singular basis")
     _add_common(p)
-    p.add_argument("--k", type=int, required=True, help="Fourier mode")
+    # every mode |k| > 2 reuses the basis of mode +-2
+    p.add_argument("--k", type=int, required=True, choices=range(-2, 3),
+                   help="Fourier mode, |k| <= 2")
     p.add_argument("--out", help="output prefix")
 
     p = sub.add_parser("solve", help="solve all modes and export fields")

@@ -146,18 +146,10 @@ class ModeField:
             values = np.zeros((mesh.num_vertices, 3), dtype=complex)
         self.values = np.asarray(values, dtype=complex).reshape(mesh.num_vertices, 3)
 
-    def copy(self):
-        return ModeField(self.mesh, self.k, self.values.copy())
-
     def __add__(self, other):
         if self.mesh is not other.mesh:
             raise ValueError("fields live on different meshes")
         return ModeField(self.mesh, self.k, self.values + other.values)
-
-    def __mul__(self, scalar):
-        return ModeField(self.mesh, self.k, self.values * scalar)
-
-    __rmul__ = __mul__
 
 
 def _locate(mesh, points, tol=1e-12):

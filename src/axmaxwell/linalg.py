@@ -7,7 +7,7 @@ Everything here assumes Hermitian positive definite matrices on the free
 degrees of freedom, which the constrained weighted div-curl forms provide.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,13 +153,13 @@ class Multigrid:
 
 @dataclass
 class CGInfo:
-    """longest_stall: the most consecutive iterations of one pass without a
-    new residual minimum, which a converged solve kept below STALL_WINDOW."""
+    """What a converged solve reports (a failed one raises SolverError):
+    its iterations, its true relative residual, and longest_stall, the most
+    consecutive iterations of one pass without a new residual minimum,
+    which stayed below STALL_WINDOW."""
 
     iterations: int
     residual: float
-    converged: bool
-    history: list = field(default_factory=list)
     longest_stall: int = 0
 
 
@@ -177,9 +177,7 @@ def solve_hpd(A, b, tol=1e-10, maxit=None, *, hierarchy=None):
     SolverError when maxit iterations (both passes together) are exhausted
     or when the recursive residual has made no new minimum for STALL_WINDOW
     iterations of a pass; CGInfo.longest_stall is the longest such run
-    over both passes.  The info history records the preconditioned
-    residual norm sqrt(r^H M^-1 r) at the start of each pass and once per
-    iteration.
+    over both passes.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be finite and lie in (0, 1), got {tol!r}")
@@ -189,7 +187,7 @@ def solve_hpd(A, b, tol=1e-10, maxit=None, *, hierarchy=None):
         maxit = 20 * max(n, 1)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return np.zeros(n, dtype=complex), CGInfo(0, 0.0, True)
+        return np.zeros(n, dtype=complex), CGInfo(0, 0.0)
     inv_diag = _inverse_diagonal(A)
     if hierarchy is None:
         def precondition(r):
@@ -199,13 +197,11 @@ def solve_hpd(A, b, tol=1e-10, maxit=None, *, hierarchy=None):
             return hierarchy.cycle(A, inv_diag, r)
     x = np.zeros(n, dtype=complex)
     r = b.copy()
-    history = []
     it = longest_stall = 0
     for _ in range(2):
         z = precondition(r)
         rho = np.vdot(r, z).real
         p = z.copy()
-        history.append(np.sqrt(max(rho, 0.0)))
         resid = best = np.linalg.norm(r) / bnorm
         since_best = 0
         while resid > tol:
@@ -237,7 +233,6 @@ def solve_hpd(A, b, tol=1e-10, maxit=None, *, hierarchy=None):
             rho_next = np.vdot(r, z).real
             p = z + (rho_next / rho) * p
             rho = rho_next
-            history.append(np.sqrt(max(rho, 0.0)))
             resid = np.linalg.norm(r) / bnorm
             it += 1
             if resid < best:
@@ -248,7 +243,7 @@ def solve_hpd(A, b, tol=1e-10, maxit=None, *, hierarchy=None):
         r = b - A.matvec(x)
         resid = float(np.linalg.norm(r) / bnorm)
         if resid <= tol:
-            return x, CGInfo(it, resid, True, history, longest_stall)
+            return x, CGInfo(it, resid, longest_stall)
     raise SolverError(
         f"CG reached tol {tol:.3e} on its recursive residual, but the true "
         f"residual is {resid:.3e} after a restart",

@@ -67,7 +67,7 @@ class CornerDescriptor:
 
 @dataclass(frozen=True)
 class ConicalDescriptor:
-    """A conical vertex on the axis: position (0, z) and aperture in (0, pi)."""
+    """A conical vertex on the axis at (r, z) = (0, z), aperture in (0, pi)."""
 
     z: float
     aperture: float
@@ -75,10 +75,6 @@ class ConicalDescriptor:
     def __post_init__(self):
         if not 0.0 < self.aperture < math.pi:
             raise MeshError(f"conical aperture must lie in (0, pi), got {self.aperture}")
-
-    @property
-    def position(self):
-        return (0.0, self.z)
 
 
 class TriangleMesh:

@@ -82,7 +82,8 @@ class FourierSolution:
 
 
 def _theta_grid(N, samples):
-    M = 4 * N + 1 if samples is None else int(samples)
+    # 5 samples at N = 0: mode 0 is the mean, not the value at theta = 0
+    M = 4 * max(N, 1) + 1 if samples is None else int(samples)
     if M < 4 * N + 1:
         raise ValueError(f"need at least 4N+1 = {4 * N + 1} theta samples, got {M}")
     return np.arange(M) * (_TWO_PI / M)
@@ -152,8 +153,8 @@ def analyze_rhs(f, N, points, samples=None):
     (M, 1), and returns three real components that broadcast to (M, P);
     each is projected onto the modes by two real matrix products, and no
     complex sample array is built.  Returns {k: (P, 3) complex array}, one
-    array per mode.  M must meet the anti-aliasing bound M >= 4N + 1
-    (default exactly that).
+    array per mode.  M must meet the anti-aliasing bound M >= 4N + 1; the
+    default is M = 4 max(N, 1) + 1, which is 5 at N = 0.
     """
     return _analyze_data(f, N, points, samples, True)
 

@@ -202,30 +202,51 @@ def test_bad_number_is_usage_error(tmp_path, capsys, option, value):
     assert not (tmp_path / "summary.csv").exists()
 
 
-@pytest.mark.parametrize("config, env, name", [
+@pytest.mark.parametrize("config, flag, message", [
     ("threads = 0\n", None, "threads"),
-    ("", "0", "AXMAXWELL_THREADS"),
-    ("", "-1", "AXMAXWELL_THREADS"),
-    ("", "two", "AXMAXWELL_THREADS"),
-    ("", "1.5", "AXMAXWELL_THREADS"),
+    ("threads = two\n", None, "threads: invalid literal"),
+    ("threads = 1.5\n", None, "threads: invalid literal"),
+    ("threads = 2\n", "0", "threads must be >= 1, got 0"),
 ])
-def test_bad_thread_count_is_usage_error(tmp_path, capsys, monkeypatch, config, env, name):
-    """A thread count below 1 or an AXMAXWELL_THREADS that is not an integer
-    fails before any work, naming where the count came from."""
-    if env is None:
-        monkeypatch.delenv("AXMAXWELL_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("AXMAXWELL_THREADS", env)
+def test_bad_thread_count_is_usage_error(tmp_path, capsys, config, flag, message):
+    """A thread count below 1 or one that is not an integer, from the
+    config file or from --threads over it, fails before any work."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
     rc = main([
         "solve", "--config", str(cfg), "--domain", "lshape", "--h", "0.2",
         "--modes", "2", "--outdir", str(tmp_path),
-    ])
+    ] + (["--threads", flag] if flag else []))
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: usage:") and name in err
+    assert err.startswith("error: usage:") and message in err
     assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("config, command", [
+    ("field = foo\n", ["meshgen"]),
+    ("domain = foo\n", ["solve"]),
+    ("", ["solve", "--rhs", "nope"]),
+    ("", ["singular", "--k", "5"]),
+    ("", ["synthesize", "--theta-samples", "2"]),
+    ("levels = 1\n", ["convergence"]),
+    ("", ["solve", "--modes", "1", "--theta-samples", "2"]),
+    ("", ["solve", "--field", "foo"]),
+    ("", ["solve", "--threads", "0"]),
+], ids=["config-field", "config-domain", "rhs", "singular-k", "azimuths", "config-levels",
+        "theta-samples", "field", "threads"])
+def test_bad_option_fails_before_outdir_exists(tmp_path, capsys, config, command):
+    """Every option value, from a flag or from the config file, is checked
+    before --outdir is created: a bad one exits 1 with one usage line and
+    leaves no directory behind."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    outdir = tmp_path / "out"
+    rc = main(command + ["--config", str(cfg), "--h", "0.2", "--outdir", str(outdir)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: usage:") and "\n" not in err.strip()
+    assert not outdir.exists()
 
 
 def test_unknown_rhs_fails(tmp_path):

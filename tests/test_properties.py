@@ -102,7 +102,7 @@ def test_binary_mesh_file_raises_only_mesh_error(tmp_path, data):
 # -- configuration ---------------------------------------------------------------
 
 _CONFIG_KEYS = [f.replace("_", "-") for f in RunConfig.__dataclass_fields__] + [
-    "space", "thread_count", "__class__", "unknown", ""
+    "space", "azimuths", "__class__", "unknown", ""
 ]
 _CONFIG_LINE = st.one_of(
     st.tuples(st.sampled_from(_CONFIG_KEYS), _NUMBER).map(" = ".join),
@@ -119,7 +119,7 @@ def _config_or_usage_error(tmp_path, data):
         cfg = build_config(argparse.Namespace(config=str(path)))
     except UsageError:
         return
-    assert 0.0 < cfg.tol < 1.0 and cfg.modes >= 0
+    assert 0.0 < cfg.tol < 1.0 and cfg.modes >= 0 and cfg.threads >= 1
 
 
 @FUZZ

@@ -354,8 +354,7 @@ def _corner_report(corner):
     )
 
 
-def cmd_meshgen(cfg, out):
-    msh, corner = build_mesh(cfg)
+def cmd_meshgen(cfg, msh, corner, out):
     path = os.path.join(cfg.outdir, out or "mesh.txt")
     meshmod.save_mesh(msh, path)
     print(f"wrote {path}: {msh.num_vertices} vertices, {msh.num_triangles} triangles")
@@ -363,10 +362,7 @@ def cmd_meshgen(cfg, out):
     return 0
 
 
-def cmd_singular(cfg, k, out):
-    msh, corner = build_mesh(cfg)
-    if corner is None:
-        raise UsageError("singular bases need a domain with a reentrant corner")
+def cmd_singular(cfg, msh, corner, k, out):
     quad = MeshQuadrature(msh, corner)
     system = modal_ops.assemble_systems(msh, cfg.space(), [k], quad, corner)[k]
     basis = singular.compute_basis(system, corner, tol=cfg.tol)
@@ -391,10 +387,8 @@ def cmd_singular(cfg, k, out):
     return 0
 
 
-def _solve(cfg):
-    msh, corner = build_mesh(cfg)
-    f = resolve_rhs(cfg.rhs, msh)
-    sol = solver.solve_axisymmetric(
+def _solve(cfg, msh, corner, f):
+    return solver.solve_axisymmetric(
         msh,
         cfg.space(),
         f,
@@ -404,11 +398,10 @@ def _solve(cfg):
         samples=cfg.theta_samples,
         threads=cfg.threads,
     )
-    return msh, corner, sol
 
 
-def cmd_solve(cfg):
-    msh, corner, sol = _solve(cfg)
+def cmd_solve(cfg, msh, corner, f):
+    sol = _solve(cfg, msh, corner, f)
     rows = []
     for k in range(-cfg.modes, cfg.modes + 1):
         # the data are real: mode -k is the conjugate of the stored mode k
@@ -432,8 +425,8 @@ def cmd_solve(cfg):
     return 0
 
 
-def cmd_synthesize(cfg, azimuths):
-    msh, corner, sol = _solve(cfg)
+def cmd_synthesize(cfg, msh, corner, f, azimuths):
+    sol = _solve(cfg, msh, corner, f)
     T = azimuths
     thetas, points, fields_cyl = solver.sample_3d(sol, T)
     nv = msh.num_vertices
@@ -548,20 +541,24 @@ def main(argv=None):
         if args.command == "verify":
             return cmd_verify()
         cfg = build_config(args)
-        # every other command writes into outdir: an unusable one fails
-        # here, before any work
+        # every input is read before outdir exists, so a bad one leaves no
+        # directory behind; an unusable outdir fails next, before any work
+        if args.command != "convergence":
+            msh, corner = build_mesh(cfg)
+        if args.command == "singular" and corner is None:
+            raise UsageError("singular bases need a domain with a reentrant corner")
+        if args.command in ("solve", "synthesize"):
+            f = resolve_rhs(cfg.rhs, msh)
         os.makedirs(cfg.outdir, exist_ok=True)
         if args.command == "meshgen":
-            return cmd_meshgen(cfg, args.out)
+            return cmd_meshgen(cfg, msh, corner, args.out)
         if args.command == "singular":
-            return cmd_singular(cfg, args.k, args.out)
+            return cmd_singular(cfg, msh, corner, args.k, args.out)
         if args.command == "solve":
-            return cmd_solve(cfg)
+            return cmd_solve(cfg, msh, corner, f)
         if args.command == "synthesize":
-            return cmd_synthesize(cfg, args.azimuths)
-        if args.command == "convergence":
-            return cmd_convergence(cfg)
-        raise UsageError(f"unknown command {args.command!r}")
+            return cmd_synthesize(cfg, msh, corner, f, args.azimuths)
+        return cmd_convergence(cfg)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 1

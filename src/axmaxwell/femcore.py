@@ -20,16 +20,14 @@ Wall edges must be axis-aligned (the generators only produce such meshes).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import AXIS, WALL, MeshError
+from .mesh import WALL, MeshError
 
 SPACE_X = "X"  # electric: tangential trace clamped on the wall
 SPACE_Y = "Y"  # magnetic: normal trace clamped on the wall
-
-FREE, ZERO, TIE = 0, 1, 2
 
 _GEOM_TOL = 1e-12
 _LOCATE_PAIRS = 1 << 14  # point-triangle pairs _locate tests at once
@@ -206,66 +204,48 @@ def _dof(vertex, comp):
 
 @dataclass
 class ConstraintSet:
-    """Essential constraints for one (mode, space) pair.
+    """Essential constraints for one (mode, space) pair, as the map from the
+    free dofs onto every nodal dof (dof = 3 * vertex + component):
 
-    kind[dof] is FREE, ZERO or TIE; tied dofs satisfy
-    value[dof] = coeff[dof] * value[master[dof]] with a free master.
+      index  (n_dofs,)  free index of each dof, -1 for a zero-constrained dof
+      coeff  (n_dofs,)  value[dof] = coeff[dof] * x[index[dof]]: 1 for a free
+                        dof, i*sign(k) for the u_theta slave of an axis tie,
+                        0 for a zero-constrained dof
+      free   (n_free,)  the dof of each free index
+
+    A tie slave carries its vertex's u_r free index, so one gather expands
+    free coefficients x into the nodal field.
     """
 
     mesh: object
     k: int
     space: str
-    kind: np.ndarray
-    master: np.ndarray
+    index: np.ndarray
     coeff: np.ndarray
-    free_index: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.free_index is None:
-            self.free_index = -np.ones(len(self.kind), dtype=np.int64)
-            free = np.where(self.kind == FREE)[0]
-            self.free_index[free] = np.arange(free.size)
+    free: np.ndarray
 
     @property
     def n_dofs(self):
-        return len(self.kind)
+        return len(self.index)
 
     @property
     def n_free(self):
-        return int((self.kind == FREE).sum())
-
-    def targets(self):
-        """Per dof: (free index it maps to, mapping coefficient).
-
-        Zero-constrained dofs map to index -1 with coefficient 0.
-        """
-        tgt = np.where(self.kind == TIE, self.master, np.arange(self.n_dofs))
-        fidx = self.free_index[tgt]
-        coeff = np.where(self.kind == TIE, self.coeff, 1.0 + 0.0j)
-        coeff = np.where(self.kind == ZERO, 0.0, coeff)
-        fidx = np.where(self.kind == ZERO, -1, fidx)
-        return fidx, coeff
+        return len(self.free)
 
     def expand(self, xfree):
         """Nodal values of the field represented by free-dof coefficients."""
-        fidx, coeff = self.targets()
         vals = np.zeros(self.n_dofs, dtype=complex)
-        ok = fidx >= 0
-        vals[ok] = coeff[ok] * np.asarray(xfree)[fidx[ok]]
+        ok = self.index >= 0
+        vals[ok] = self.coeff[ok] * np.asarray(xfree)[self.index[ok]]
         return ModeField(self.mesh, self.k, vals.reshape(-1, 3))
 
     def free_values(self, fld):
         """Free-dof coefficients read off a nodal field."""
-        vals = np.asarray(fld.values, dtype=complex).ravel()
-        return vals[self.kind == FREE]
+        return np.asarray(fld.values, dtype=complex).ravel()[self.free]
 
     def apply(self, fld):
         """Project a nodal field onto the constrained space (idempotent)."""
-        vals = np.asarray(fld.values, dtype=complex).ravel().copy()
-        vals[self.kind == ZERO] = 0.0
-        tied = np.where(self.kind == TIE)[0]
-        vals[tied] = self.coeff[tied] * vals[self.master[tied]]
-        return ModeField(self.mesh, self.k, vals.reshape(-1, 3))
+        return self.expand(self.free_values(fld))
 
 
 def _wall_components(mesh):
@@ -298,37 +278,38 @@ def build_constraints(mesh, k, space):
     if space not in (SPACE_X, SPACE_Y):
         raise ValueError(f"space must be '{SPACE_X}' or '{SPACE_Y}'")
     n = 3 * mesh.num_vertices
-    kind = np.zeros(n, dtype=np.int8)
-    master = np.arange(n, dtype=np.int64)
+    zero = np.zeros(n, dtype=bool)
+    master = np.arange(n, dtype=np.int64)  # a tie slave's master is its vertex's u_r
     coeff = np.ones(n, dtype=complex)
 
     tang, norm = _wall_components(mesh)
     for v, comps in (tang if space == SPACE_X else norm).items():
         for c in comps:
-            kind[_dof(v, c)] = ZERO
+            zero[_dof(v, c)] = True
         if space == SPACE_X:
-            kind[_dof(v, 1)] = ZERO
+            zero[_dof(v, 1)] = True
 
     for v in mesh.axis_vertices():
         v = int(v)
         if k == 0:
-            kind[_dof(v, 0)] = ZERO
-            kind[_dof(v, 1)] = ZERO
+            zero[[_dof(v, 0), _dof(v, 1)]] = True
         elif abs(k) == 1:
-            kind[_dof(v, 2)] = ZERO
-            if kind[_dof(v, 1)] == ZERO or kind[_dof(v, 0)] == ZERO:
+            zero[_dof(v, 2)] = True
+            if zero[_dof(v, 1)] or zero[_dof(v, 0)]:
                 # a wall condition already pins one side of the tie
-                kind[_dof(v, 0)] = ZERO
-                kind[_dof(v, 1)] = ZERO
+                zero[[_dof(v, 0), _dof(v, 1)]] = True
             else:
-                kind[_dof(v, 1)] = TIE
                 master[_dof(v, 1)] = _dof(v, 0)
                 coeff[_dof(v, 1)] = 1j * np.sign(k)
         else:
-            for c in range(3):
-                kind[_dof(v, c)] = ZERO
+            zero[3 * v:3 * v + 3] = True
 
-    return ConstraintSet(mesh, int(k), space, kind, master, coeff)
+    free = np.flatnonzero(~zero & (master == np.arange(n)))
+    index = -np.ones(n, dtype=np.int64)
+    index[free] = np.arange(free.size)
+    index = np.where(zero, -1, index[master])
+    coeff[zero] = 0.0
+    return ConstraintSet(mesh, int(k), space, index, coeff, free)
 
 
 def lift_boundary(constraints, g):
@@ -347,6 +328,6 @@ def lift_boundary(constraints, g):
     bad = ~np.isfinite(vals).all(axis=1)
     if bad.any():
         raise ValueError(f"boundary trace not finite at vertex {int(boundary[bad][0])}")
-    zero = constraints.kind.reshape(-1, 3)[boundary] == ZERO
+    zero = constraints.index.reshape(-1, 3)[boundary] < 0
     out[boundary] = np.where(zero, vals, 0.0)
     return ModeField(mesh, constraints.k, out)

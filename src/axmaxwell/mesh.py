@@ -334,11 +334,11 @@ def coarsen(mesh):
 def classify_boundary(mesh):
     """Detect reentrant corners of a mesh; returns a list of descriptors.
 
-    The boundary tags themselves are recomputed from the geometry (edges
-    with both endpoints at r = 0 are axis), so the operation is idempotent.
-    Wall vertices with interior angle > pi + ANGLE_TOL become corners; the
-    interior angle is the sum of the incident triangle angles, which is
-    robust for conforming meshes.
+    The boundary tags are read from mesh.boundary_tags as given, and the
+    mesh is not changed, so the operation is idempotent.  Wall vertices
+    with interior angle > pi + ANGLE_TOL become corners; the interior angle
+    is the sum of the incident triangle angles, which is robust for
+    conforming meshes.
     """
     verts = mesh.vertices
     angle_sum = np.zeros(mesh.num_vertices)

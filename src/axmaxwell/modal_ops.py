@@ -45,7 +45,7 @@ import dataclasses
 import numpy as np
 
 from . import femcore
-from .femcore import FREE, MeshQuadrature, ModeField, gradients, _locate
+from .femcore import MeshQuadrature, ModeField, gradients, _locate
 from .linalg import HermitianSparse, Level, Multigrid, Transfer, scatter
 from .mesh import coarsen
 
@@ -252,10 +252,9 @@ class _Reduction:
     reduced matrix and the scatter slots into it, computed once."""
 
     def __init__(self, mesh, constraints):
-        fidx, coeff = constraints.targets()
         gdofs = _global_dofs(mesh)
-        fidx = fidx[gdofs]  # (nt, 9)
-        self.coeff = coeff[gdofs]
+        fidx = constraints.index[gdofs]  # (nt, 9)
+        self.coeff = constraints.coeff[gdofs]
         n = self.n = constraints.n_free
         rows = np.broadcast_to(fidx[:, :, None], (len(gdofs), 9, 9))
         cols = np.broadcast_to(fidx[:, None, :], (len(gdofs), 9, 9))
@@ -292,8 +291,8 @@ class ModeSystem:
     The matrix is E(k) of the workspace ws of the quadrature quad reduced
     on the free dofs of the constraint set.  Given base, an assembled mode
     +-2 system of the same space, a |k| > 2 system takes its quadrature and
-    reuses its constraint class (targets and pattern; the class of |k| >= 2
-    depends neither on k nor on its sign) and its matrix is
+    reuses its constraint class (free-dof map and pattern; the class of
+    |k| >= 2 depends neither on k nor on its sign) and its matrix is
     shifted_system(base, k); otherwise quad is required.
 
     hierarchy is the multigrid preconditioner of the matrix (None: Jacobi)
@@ -405,15 +404,12 @@ def transfer(fine, coarse, parents):
     fine vertex averages its two parents) and read the fine free dofs.  The
     interpolant of a constrained coarse field is constrained on the fine
     mesh, so this is the exact embedding of the coarse space."""
-    fidx, coeff = coarse.targets()
-    dofs = np.flatnonzero(fine.kind == FREE)
-    vertex, comp = np.divmod(dofs, 3)
+    vertex, comp = np.divmod(fine.free, 3)
     pv = parents[vertex]
     cdofs = 3 * pv + comp[:, None]
-    index = fidx[cdofs]
-    weight = np.where(pv[:, :1] == pv[:, 1:], [1.0, 0.0], 0.5) * coeff[cdofs]
-    weight[index < 0] = 0.0
-    index[index < 0] = 0
+    index = coarse.index[cdofs]
+    weight = np.where(pv[:, :1] == pv[:, 1:], [1.0, 0.0], 0.5) * coarse.coeff[cdofs]
+    index[index < 0] = 0  # a zero-constrained dof has weight 0: any free dof will do
     return Transfer(index, weight, coarse.n_free)
 
 

@@ -148,22 +148,16 @@ class SingularBasis:
         return ws.point_values(self.regular.values) + self.principal.values(ws.xy)
 
 
-def compute_basis(system, corner, tol=1e-10, allow_high_mode=False):
+def compute_basis(system, corner, tol=1e-10):
     """Compute the singular complement basis on an assembled mode system.
 
     The system gives the mesh, mode and space; its quadrature should
     subdivide the triangles at the corner (MeshQuadrature(mesh, corner)).
-    The same system serves the mode solve, so it is only read here.  Modes
-    beyond |k| = 2 are redundant (the singular subspaces coincide for all
-    |k| >= 2) and are rejected unless allow_high_mode is set, which is used
-    to cross-check the reuse of the mode-2 basis at higher modes.
+    The same system serves the mode solve, so it is only read here.  The
+    solver computes the bases of |k| <= 2 only, since the singular subspaces
+    coincide for all |k| >= 2; a direct |k| > 2 basis cross-checks that.
     """
     mesh, k, space = system.mesh, system.k, system.space
-    if abs(k) > 2 and not allow_high_mode:
-        raise ValueError(
-            f"|k| <= 2 suffices for the singular bases (got k={k}); "
-            "pass allow_high_mode=True to force a direct computation"
-        )
     pp = principal_for(space, corner)
     lift = femcore.lift_boundary(
         system.constraints, lambda pts: -_guarded_values(pp, mesh, pts)

@@ -70,9 +70,7 @@ def _lshape_system(h, k, space):
 @lru_cache(maxsize=None)
 def _lshape_basis(h, k, space):
     _, corner = _lshape(h)
-    return singular.compute_basis(
-        _lshape_system(h, k, space), corner, tol=SOLVER_TOL, allow_high_mode=abs(k) > 2
-    )
+    return singular.compute_basis(_lshape_system(h, k, space), corner, tol=SOLVER_TOL)
 
 
 def _random_constrained(system, rng):

@@ -249,6 +249,26 @@ def test_bad_option_fails_before_outdir_exists(tmp_path, capsys, config, command
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--h", "0"],
+    ["singular", "--domain", "rectangle", "--h", "0.25", "--k", "0"],
+    ["solve", "--h", "0.5", "--rhs", "file:{table}"],
+], ids=["mesh-size", "no-corner", "short-table"])
+def test_bad_input_fails_before_outdir_exists(tmp_path, capsys, command):
+    """The mesh, the corner a singular basis needs and a --rhs table are
+    read before --outdir is created: a bad one exits 1 with one error line
+    and leaves no directory behind."""
+    table = tmp_path / "rhs.csv"
+    table.write_text("r,z,f_r,f_theta,f_z\n0,0,0,0,1\n")
+    outdir = tmp_path / "out"
+    argv = [a.format(table=table) for a in command]
+    rc = main(argv + ["--outdir", str(outdir)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "\n" not in err.strip()
+    assert not outdir.exists()
+
+
 def test_unknown_rhs_fails(tmp_path):
     rc = main([
         "solve", "--domain", "rectangle", "--h", "0.5", "--rhs", "nope",

@@ -8,9 +8,6 @@ from axmaxwell import femcore, mesh
 from axmaxwell.femcore import (
     SPACE_X,
     SPACE_Y,
-    FREE,
-    TIE,
-    ZERO,
     MeshQuadrature,
     ModeField,
     build_constraints,
@@ -126,13 +123,58 @@ def test_interpolate_outside_raises(rect):
         interpolate(fld, (2.5, 0.5))
 
 
+def _is_zero(cs, dof):
+    return cs.index[dof] == -1 and cs.coeff[dof] == 0.0
+
+
+def _is_free(cs, dof):
+    return cs.index[dof] >= 0 and cs.free[cs.index[dof]] == dof
+
+
+def _tie_slaves(cs):
+    """Dofs that map onto a free index other than their own."""
+    return np.setdiff1d(np.flatnonzero(cs.index >= 0), cs.free)
+
+
+@pytest.mark.parametrize("space", [SPACE_X, SPACE_Y])
+@pytest.mark.parametrize("k", [0, 1, -1, 2, 5])
+def test_constraint_encoding(lshape, rng, space, k):
+    """The free-dof map of every space and mode class on the L-shape, whose
+    axis ends are wall corners."""
+    msh, _ = lshape
+    cs = build_constraints(msh, k, space)
+    assert cs.n_dofs == 3 * msh.num_vertices
+    assert np.array_equal(cs.index[cs.free], np.arange(cs.n_free))
+    assert np.all(cs.coeff[cs.free] == 1.0)
+    zero = cs.index < 0
+    assert zero.any()
+    assert np.all(cs.index[zero] == -1)
+    assert np.all(cs.coeff[zero] == 0.0)
+    assert np.all(cs.coeff[~zero] != 0.0)
+    slaves = _tie_slaves(cs)
+    if abs(k) == 1:
+        assert len(slaves) > 0
+        assert np.all(slaves % 3 == 1)  # u_theta of an axis vertex
+        assert np.all(msh.vertices[slaves // 3, 0] == 0.0)
+        assert np.array_equal(cs.free[cs.index[slaves]], slaves - 1)  # its u_r
+        assert np.all(cs.coeff[slaves] == 1j * np.sign(k))
+    else:
+        assert len(slaves) == 0
+    shape = (msh.num_vertices, 3)
+    fld = ModeField(msh, k, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    once = cs.apply(fld)
+    assert np.array_equal(cs.apply(once).values, once.values)
+    x = cs.free_values(fld)
+    assert np.array_equal(cs.free_values(cs.expand(x)), x)
+
+
 @pytest.mark.parametrize("space", [SPACE_X, SPACE_Y])
 def test_axis_constraints_high_mode(lshape, space):
     msh, _ = lshape
     cs = build_constraints(msh, 2, space)
     for v in msh.axis_vertices():
         for c in range(3):
-            assert cs.kind[3 * int(v) + c] == ZERO
+            assert _is_zero(cs, 3 * int(v) + c)
 
 
 def test_axis_tie_matches_cartesian_unit_field(lshape):
@@ -143,9 +185,7 @@ def test_axis_tie_matches_cartesian_unit_field(lshape):
     vals[:, 0] = 0.5
     vals[:, 1] = 0.5j
     fld = ModeField(msh, 1, vals)
-    interior_axis = [
-        int(v) for v in msh.axis_vertices() if cs.kind[3 * int(v) + 1] == TIE
-    ]
+    interior_axis = (_tie_slaves(cs) // 3).tolist()
     assert interior_axis, "expected tied axis vertices for |k| = 1"
     projected = cs.apply(fld)
     for v in interior_axis:
@@ -162,9 +202,9 @@ def test_wall_constraints_magnetic_vertical_edge():
     ]
     assert on_right
     for v in on_right:
-        assert cs.kind[3 * v + 0] == ZERO  # normal component u_r
-        assert cs.kind[3 * v + 1] == FREE
-        assert cs.kind[3 * v + 2] == FREE
+        assert _is_zero(cs, 3 * v + 0)  # normal component u_r
+        assert _is_free(cs, 3 * v + 1)
+        assert _is_free(cs, 3 * v + 2)
 
 
 def test_apply_is_idempotent(lshape, rng):
@@ -184,9 +224,10 @@ def test_tie_masters_are_free(lshape):
     msh, _ = lshape
     for k in (1, -1):
         cs = build_constraints(msh, k, SPACE_Y)
-        tied = np.where(cs.kind == TIE)[0]
+        tied = _tie_slaves(cs)
         assert len(tied) > 0
-        assert np.all(cs.kind[cs.master[tied]] == FREE)
+        masters = cs.free[cs.index[tied]]
+        assert all(_is_free(cs, m) for m in masters)
 
 
 def test_lift_zero_trace_gives_zero(lshape):
@@ -219,7 +260,7 @@ def test_lift_principal_trace(lshape):
     for v in nz:
         expected = trace(msh.vertices[v][None, :])[0]
         for c in range(3):
-            if cs.kind[3 * v + c] == ZERO:
+            if _is_zero(cs, 3 * v + c):
                 assert lift.values[v, c] == pytest.approx(expected[c], abs=1e-14)
             else:
                 assert lift.values[v, c] == 0.0

@@ -1,6 +1,27 @@
+import os
+import subprocess
+import sys
+
 import axmaxwell
 
 
 def test_every_exported_name_resolves():
     for name in axmaxwell.__all__:
         assert getattr(axmaxwell, name) is not None, name
+
+
+def test_import_loads_only_numpy_and_the_standard_library():
+    """Importing the package and its command line, in a fresh interpreter,
+    loads no third-party module but numpy, and no thread pool."""
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import axmaxwell, axmaxwell.cli_io\n"
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    added = set(out.stdout.split())
+    assert {"axmaxwell", "numpy"} <= added
+    assert not added - sys.stdlib_module_names - {"axmaxwell", "numpy"}
+    assert "concurrent" not in added

@@ -191,7 +191,7 @@ def test_exit_code_matches_error_class(monkeypatch, capsys, error, message):
     """1 for usage and invalid input, 2 for numerical failures, 3 for I/O,
     with one stderr line naming the class."""
 
-    def fail(cfg, out):
+    def fail(*args):
         raise error(message)
 
     monkeypatch.setattr(cli_io, "cmd_meshgen", fail)

@@ -150,10 +150,55 @@ class ModeField:
         return ModeField(self.mesh, self.k, self.values + other.values)
 
 
+def _candidates(verts, tol, num_points):
+    """Uniform grid over the triangles' bounding boxes, padded so that every
+    point _locate finds inside a triangle lies in its box: returns (origin,
+    size, shape, start, cand), the triangles whose box meets cell c being
+    cand[start[c]:start[c + 1]], in increasing order.  Points that fit one
+    block of pairs with every triangle get one cell, which holds them all."""
+    nt = len(verts)
+    if num_points * nt <= _LOCATE_PAIRS:
+        return np.zeros(2), 1.0, np.ones(2, dtype=np.int64), np.array([0, nt]), np.arange(nt)
+    lo, hi = verts.min(axis=1), verts.max(axis=1)
+    # coordinates >= -tol keep a point within 2 tol times the extent of the
+    # box; the rest of the pad covers the round-off of the coordinates
+    pad = (hi - lo).max(axis=1, keepdims=True) * (4.0 * tol + 1e-8)
+    lo, hi = lo - pad, hi + pad
+    origin, span = lo.min(axis=0), hi.max(axis=0) - lo.min(axis=0)
+    size = math.sqrt(span[0] * span[1] / nt) or 1.0  # about one triangle per cell
+    shape = (span // size).astype(np.int64) + 1
+    first = _cell(lo, origin, size, shape)
+    last = _cell(hi, origin, size, shape)
+    wide = last[:, 0] - first[:, 0] + 1
+    count = wide * (last[:, 1] - first[:, 1] + 1)
+    tri, local = _expand(count)
+    cell = (first[tri, 1] + local // wide[tri]) * shape[0] + first[tri, 0] + local % wide[tri]
+    order = np.argsort(cell, kind="stable")  # stable: triangles stay in order
+    start = np.searchsorted(cell[order], np.arange(shape.prod() + 1))
+    return origin, size, shape, start, tri[order]
+
+
+def _expand(counts):
+    """(owner, offset) of every slot when item i owns counts[i] slots."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _cell(xy, origin, size, shape):
+    """Grid cell (i, j) of points (n, 2), clipped to the grid; a point that is
+    not finite goes to cell (0, 0), where no triangle contains it."""
+    ij = np.floor((xy - origin) / size)
+    ij[~np.isfinite(ij)] = 0.0
+    return np.clip(ij, 0, shape - 1).astype(np.int64)
+
+
 def _locate(mesh, points, tol=1e-12):
     """First triangle containing each point and the barycentric coordinates:
     a point (2,) gives (index, (3,)), points (..., 2) give arrays (...) and
-    (..., 3).  Point-triangle pairs are tested in blocks of _LOCATE_PAIRS."""
+    (..., 3).  Each point is tested only against the triangles whose padded
+    bounding box meets its grid cell (see _candidates), which include every
+    triangle containing it; the pairs are tested in blocks of about
+    _LOCATE_PAIRS."""
     pts = np.asarray(points, dtype=float)
     flat = pts.reshape(-1, 2)
     verts = mesh.vertices[mesh.triangles]
@@ -161,22 +206,34 @@ def _locate(mesh, points, tol=1e-12):
     d1 = verts[:, 1] - v0
     d2 = verts[:, 2] - v0
     det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    origin, size, shape, start, cand = _candidates(verts, tol, len(flat))
+    ij = _cell(flat, origin, size, shape)
+    cell = ij[:, 1] * shape[0] + ij[:, 0]
+    count = start[cell + 1] - start[cell]
+    ends = np.cumsum(count)
     tri = np.empty(len(flat), dtype=np.int64)
     lam = np.empty((len(flat), 3))
-    step = max(1, _LOCATE_PAIRS // len(det))
-    for start in range(0, len(flat), step):
-        dp = flat[start:start + step, None, :] - v0
-        l1 = (dp[..., 0] * d2[:, 1] - dp[..., 1] * d2[:, 0]) / det
-        l2 = (d1[:, 0] * dp[..., 1] - d1[:, 1] * dp[..., 0]) / det
+    lo = 0
+    while lo < len(flat):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - count[lo] + _LOCATE_PAIRS)))
+        # pairs grouped by point, each point's candidates in increasing order
+        point, offset = _expand(count[lo:hi])
+        point += lo
+        t = cand[start[cell[point]] + offset]
+        dp = flat[point] - v0[t]
+        l1 = (dp[:, 0] * d2[t, 1] - dp[:, 1] * d2[t, 0]) / det[t]
+        l2 = (d1[t, 0] * dp[:, 1] - d1[t, 1] * dp[:, 0]) / det[t]
         l0 = 1.0 - l1 - l2
-        inside = (l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol)
-        t = inside.argmax(axis=1)
-        rows = np.arange(len(t))
-        if not inside[rows, t].all():
-            p = flat[start + np.argmin(inside[rows, t])]
+        inside = np.flatnonzero((l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol))
+        first = inside[np.unique(point[inside], return_index=True)[1]]
+        if len(first) < hi - lo:
+            missing = np.ones(hi - lo, dtype=bool)
+            missing[point[first] - lo] = False
+            p = flat[lo + np.argmax(missing)]
             raise ValueError(f"point {tuple(p)} lies outside the mesh")
-        tri[start:start + step] = t
-        lam[start:start + step] = np.stack([l0[rows, t], l1[rows, t], l2[rows, t]], axis=1)
+        tri[lo:hi] = t[first]
+        lam[lo:hi] = np.stack([l0[first], l1[first], l2[first]], axis=1)
+        lo = hi
     if pts.ndim == 1:
         return int(tri[0]), lam[0]
     return tri.reshape(pts.shape[:-1]), lam.reshape(pts.shape[:-1] + (3,))

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import modal_ops, singular
 from .femcore import MeshQuadrature, ModeField
-from .linalg import solve_bordered, solve_hpd
+from .linalg import CGInfo, solve_bordered, solve_hpd
 
 _TWO_PI = 2.0 * math.pi
 _NORM = 1.0 / math.sqrt(_TWO_PI)
@@ -37,13 +37,17 @@ class ModeRecord:
     """Solution of one mode k >= 0: regular field, singular coefficient,
     basis.  For real data mode -k is the conjugate of this one.
 
-    cg is the CGInfo of the one CG solve of the mode, on the bordered
-    matrix for the bordered path.  energy is the basis energy a_k(s, s) at
-    this mode, 0.0 without a basis.
+    coeff is always complex (0j without a basis), so that conj(coeff) of
+    mode -k carries the sign of its zero imaginary part.  cg is the CGInfo
+    of the one CG solve of the mode, on the bordered matrix for the
+    bordered path; a mode whose right-hand side meets the stopping rule at
+    x = 0 makes no CG call, and its CGInfo has 0 iterations and residual
+    ||rhs|| / F (see solve_axisymmetric).  energy is the basis energy
+    a_k(s, s) at this mode, 0.0 without a basis.
     """
 
     field: ModeField
-    coeff: complex = 0.0
+    coeff: complex = 0j
     basis: object = None
     cg: object = None
     energy: float = 0.0
@@ -202,9 +206,9 @@ def sample_3d(solution, n_theta):
 # -- single-mode solvers ----------------------------------------------------------
 
 
-def _pair(system, data, basis):
+def _pair(system, data, basis, load=None):
     """What both mode solves share: check the data, build the system's load
-    and pair the data with the basis operators.
+    (unless given) and pair the data with the basis operators.
 
     data holds the mode's samples (f_r, f_theta, f_z, g) at the quadrature
     points of the system, one (Q, 4) array.  Returns (load, bop, energy,
@@ -218,7 +222,8 @@ def _pair(system, data, basis):
         raise ValueError(f"mode data must have shape {shape}, got {data.shape}")
     if not np.all(np.isfinite(data)):
         raise ValueError("right-hand side is not finite at a quadrature point")
-    load = system.functional(data)
+    if load is None:
+        load = system.functional(data)
     if basis is None:
         return load, None, 0.0, 0.0
     if basis.space != system.space:
@@ -231,30 +236,52 @@ def _pair(system, data, basis):
     return load, bop, energy, numer
 
 
-def solve_mode_orthogonal(system, data, basis=None, tol=1e-10):
+def _unsolved(rhs, floor, tol):
+    """CGInfo of x = 0 for the CG system with right-hand side rhs when x = 0
+    meets the stopping rule ||rhs - A x|| <= tol * max(||rhs||, floor),
+    else None.  Its residual is the true residual of x = 0 over the floor,
+    ||rhs|| / floor (0.0 for rhs = 0)."""
+    norm = np.linalg.norm(rhs)
+    if norm == 0.0:
+        return CGInfo(0, 0.0)
+    resid = norm / floor if floor > 0.0 else math.inf
+    return CGInfo(0, float(resid)) if resid <= tol else None
+
+
+def solve_mode_orthogonal(system, data, basis=None, tol=1e-10, *, load=None, floor=0.0):
     """Mode solve for |k| <= 2 (or any mode without a singular basis) on the
     assembled mode system, with the (Q, 4) data of the mode (see _pair);
-    basis may be None.
+    basis may be None, and load is the system's load of data when the
+    caller has formed it already.
 
     The singular coefficient comes from pairing the data against the basis
     operators; the regular part solves the constrained system with the full
-    (f, g) load.  Returns a ModeRecord.
+    (f, g) load.  The mode stops at ||b - A x|| <= tol * max(||b||, floor):
+    a load of norm at most tol * floor makes no CG call and gives an exactly
+    zero regular part, while the coefficient is still the pairing; any other
+    load is solved by CG to tol * ||b||.  Returns a ModeRecord.
     """
-    load, _, energy, numer = _pair(system, data, basis)
-    coeff = numer / energy if basis is not None else 0.0
+    load, _, energy, numer = _pair(system, data, basis, load)
+    coeff = numer / energy if basis is not None else 0j
+    info = _unsolved(load, floor, tol)
+    if info is not None:
+        return ModeRecord(ModeField(system.mesh, system.k), coeff, basis, info, energy)
     x, info = solve_hpd(system.matrix, load, tol=tol, hierarchy=system.hierarchy)
     return ModeRecord(system.constraints.expand(x), coeff, basis, info, energy)
 
 
-def solve_mode_bordered(system, data, basis, tol=1e-10):
+def solve_mode_bordered(system, data, basis, tol=1e-10, *, load=None, floor=0.0):
     """Mode solve for |k| > 2 reusing the mode sign(k)*2 singular basis.
 
     system is the mode-k system on the constraint class of the mode-2
-    system (ModeSystem(mesh, k, space, base=system2)) and data the (Q, 4)
-    data of the mode; the non-orthogonal coupling of the reused basis
-    enters as a rank-one border, and one CG solve on the bordered matrix
-    [[K, y], [y^H, alpha]], with alpha = a_k(s, s), gives the regular part
-    and C^k together.
+    system (ModeSystem(mesh, k, space, base=system2)), data the (Q, 4)
+    data of the mode and load, optionally, the system's load of data; the
+    non-orthogonal coupling of the reused basis enters as a rank-one
+    border, and one CG solve on the bordered matrix [[K, y], [y^H, alpha]],
+    with alpha = a_k(s, s), gives the regular part and C^k together.  When
+    the bordered right-hand side [b; f_s] has norm at most tol * floor, x = 0
+    meets the stopping rule (see solve_mode_orthogonal): no CG call, a zero
+    regular part and C^k = 0j.
     """
     k = system.k
     if abs(k) <= 2:
@@ -262,7 +289,10 @@ def solve_mode_bordered(system, data, basis, tol=1e-10):
     base_k = 2 if k > 0 else -2
     if basis.k != base_k:
         raise ValueError(f"expected the mode {base_k} basis, got mode {basis.k}")
-    load, bop, alpha, f_s = _pair(system, data, basis)
+    load, bop, alpha, f_s = _pair(system, data, basis, load)
+    info = _unsolved(np.append(load, f_s), floor, tol)
+    if info is not None:
+        return ModeRecord(ModeField(system.mesh, k), 0j, basis, info, alpha)
     # coupling a_k(s, v) of the reused basis s with the regular test fields:
     # the mode-k (curl, div) of s (discrete regular part plus analytic
     # principal part) paired with those of the test fields
@@ -302,13 +332,23 @@ def solve_axisymmetric(
     analyze_rhs).  Modes k = 0..N are analysed and solved; the data are
     real, so mode -k is the conjugate of mode k and is not stored.
 
+    Every mode stops against the whole data: ||b_k - A_k x_k|| <=
+    tol * max(||b_k||, F), with F = ||b|| / sqrt(2N + 1) the fair share of
+    the Parseval norm ||b||^2 = ||b_0||^2 + 2 sum_{k=1..N} ||b_k||^2 of the
+    regular loads of all 2N + 1 modes.  The loads b_k are formed once, before
+    the mode loop; a mode whose CG right-hand side has norm at most tol * F
+    meets the rule at x = 0 and makes no CG call, and every other mode is
+    solved by CG to tol * ||rhs|| as its own problem (see the mode solvers).
+    The basis solves keep tol per solve, since C^k depends on them.
+
     Each mode system k <= 2 is assembled once, on one quadrature, and
     serves both its singular basis and its mode solve; each k > 2 system
     is built in its mode's solve, on the constraint class of the mode-2
-    system.  The first assembly builds the quadrature's operator workspace,
-    which the mode threads only read.  On a large mesh that nests, the multigrid
-    hierarchies and the coarse workspaces are built with the systems, also
-    before the threads fan out (see modal_ops.assemble_systems).
+    system, whose reduction forms its load.  The first assembly builds the
+    quadrature's operator workspace, which the mode threads only read.  On
+    a large mesh that nests, the multigrid hierarchies and the coarse
+    workspaces are built with the systems, also before the threads fan out
+    (see modal_ops.assemble_systems).
     """
     quad = MeshQuadrature(mesh, corner)
     pts = quad.xy
@@ -317,20 +357,33 @@ def solve_axisymmetric(
     systems = modal_ops.assemble_systems(
         mesh, space, range(min(N, 2) + 1), quad, corner, shift=N > 2
     )
+
+    def mode_data(k, drop=False):
+        # the mode's (Q, 4) rows (f, g), packed only while they are used
+        take = dict.pop if drop else dict.get
+        data = np.zeros((len(pts), 4), dtype=complex)
+        data[:, :3] = take(fmodes, k)
+        data[:, 3] = take(gmodes, k, 0.0)
+        return data
+
+    loads = {}
+    for k in range(N + 1):
+        system = systems[min(k, 2)]  # a |k| > 2 mode shares the mode-2 reduction
+        loads[k] = system.reduction.functional(system.ws.op_adjoint(mode_data(k), k))
+    norms = [np.linalg.norm(loads[k]) for k in range(N + 1)]
+    floor = math.sqrt((norms[0] ** 2 + 2.0 * sum(n * n for n in norms[1:])) / (2 * N + 1))
     bases = compute_bases(systems, corner, tol=tol) if corner is not None else {}
 
     def solve_one(k):
-        # each mode's data is read once: drop it from the shared dicts and
-        # pack it as the mode's (Q, 4) rows (f, g) only for its solve
-        data = np.zeros((len(pts), 4), dtype=complex)
-        data[:, :3] = fmodes.pop(k)
-        data[:, 3] = gmodes.pop(k, 0.0)
+        # each mode's data and load are read once: drop them from the dicts
+        data, load = mode_data(k, drop=True), loads.pop(k)
+        rule = dict(tol=tol, load=load, floor=floor)
         if k <= 2:
-            return solve_mode_orthogonal(systems[k], data, bases.get(k), tol=tol)
+            return solve_mode_orthogonal(systems[k], data, bases.get(k), **rule)
         system = modal_ops.ModeSystem(mesh, k, space, base=systems[2])
         if corner is None:
-            return solve_mode_orthogonal(system, data, tol=tol)
-        return solve_mode_bordered(system, data, bases[2], tol=tol)
+            return solve_mode_orthogonal(system, data, **rule)
+        return solve_mode_bordered(system, data, bases[2], **rule)
 
     modes = range(N + 1)
     records = {}

@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -96,6 +97,54 @@ def test_negative_mode_files_are_exact_conjugates(tmp_path):
     for k in range(1, N + 1):
         assert complex(by_k[-k][1]) == complex(by_k[k][1]).conjugate()
         assert by_k[-k][2:] == by_k[k][2:]
+
+
+def _bits(c):
+    return struct.pack("<dd", c.real, c.imag)
+
+
+@pytest.mark.parametrize("domain, modes", [("rectangle", 2), ("lshape", 4)])
+def test_summary_lists_conjugate_coefficient_bits(tmp_path, domain, modes):
+    """C_-k is conj(C_k) bit for bit, the sign of a zero imaginary part
+    included: on the rectangle, where no basis exists and every C_k is 0j,
+    and on the L-shape, whose mode 4 is round-off of the bandlimited data
+    and is not solved (C_4 = 0j)."""
+    rc = main([
+        "solve", "--domain", domain, "--h", "0.1", "--modes", str(modes),
+        "--rhs", "bandlimited", "--outdir", str(tmp_path),
+    ])
+    assert rc == 0
+    header, rows = read_csv(tmp_path / "summary.csv")
+    by_k = {int(row[0]): dict(zip(header, row)) for row in rows}
+    for k in range(1, modes + 1):
+        c = complex(by_k[k]["C_k"])
+        assert _bits(complex(by_k[-k]["C_k"])) == _bits(c.conjugate()), k
+    if domain == "rectangle":
+        assert all(by_k[k]["C_k"] == "0+0j" for k in range(modes + 1))
+    else:
+        assert int(by_k[4]["iterations"]) == 0 and by_k[4]["C_k"] == "0+0j"
+        assert by_k[-4]["C_k"] == "0-0j"
+
+
+def test_round_off_modes_keep_every_residual_within_tol(tmp_path):
+    """With modes 4..6 round-off of the bandlimited data, every summary.csv
+    residual is at most tol, and two mode threads write the same bytes as
+    one."""
+    tol = 1e-10
+    args = [
+        "solve", "--domain", "lshape", "--h", "0.1", "--modes", "6",
+        "--rhs", "bandlimited", "--tol", repr(tol),
+    ]
+    assert main(args + ["--threads", "1", "--outdir", str(tmp_path / "a")]) == 0
+    assert main(args + ["--threads", "2", "--outdir", str(tmp_path / "b")]) == 0
+    header, rows = read_csv(tmp_path / "a" / "summary.csv")
+    by_k = {int(row[0]): dict(zip(header, row)) for row in rows}
+    assert all(float(row["residual"]) <= tol for row in by_k.values())
+    assert [int(by_k[k]["iterations"]) == 0 for k in range(7)] == [False] * 4 + [True] * 3
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
 def test_bordered_modes_report_cg_diagnostics(tmp_path):

@@ -123,6 +123,56 @@ def test_interpolate_outside_raises(rect):
         interpolate(fld, (2.5, 0.5))
 
 
+def _locate_all_pairs(msh, pts, tol=1e-12):
+    """Every point against every triangle: the lowest-index triangle whose
+    barycentric coordinates all reach -tol, and those coordinates."""
+    verts = msh.vertices[msh.triangles]
+    v0 = verts[:, 0]
+    d1 = verts[:, 1] - v0
+    d2 = verts[:, 2] - v0
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    dp = pts[:, None, :] - v0
+    l1 = (dp[..., 0] * d2[:, 1] - dp[..., 1] * d2[:, 0]) / det
+    l2 = (d1[:, 0] * dp[..., 1] - d1[:, 1] * dp[..., 0]) / det
+    l0 = 1.0 - l1 - l2
+    inside = (l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol)
+    assert inside.any(axis=1).all()
+    t = inside.argmax(axis=1)
+    rows = np.arange(len(pts))
+    return t, np.stack([l0[rows, t], l1[rows, t], l2[rows, t]], axis=1)
+
+
+@pytest.mark.parametrize("h", [0.2, 0.05])
+def test_locate_matches_the_all_pairs_scan(h, rng):
+    """_locate tests each point against the triangles of its grid cell only,
+    and still returns the lowest-index containing triangle and the same
+    barycentric bits as the all-pairs scan, on shared vertices and edges of
+    the L-shape too; a point outside the mesh raises."""
+    msh, _ = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, h)
+    tris = msh.vertices[msh.triangles]
+    edges = np.concatenate([0.5 * (tris[:, i] + tris[:, (i + 1) % 3]) for i in range(3)])
+    thirds = (2.0 * tris[:, 0] + tris[:, 1]) / 3.0
+    # just off the edges, within the tolerance of the triangles on both sides
+    nudged = np.concatenate([edges + d for d in ([1e-14, 0.0], [0.0, -1e-14])])
+    cloud = rng.uniform(0.0, 1.0, (4000, 2))
+    cloud = cloud[(cloud[:, 0] <= 0.5) | (cloud[:, 1] >= 0.5)]  # the L without the notch
+    pts = np.concatenate([msh.vertices, edges, nudged, thirds, cloud, MeshQuadrature(msh).xy])
+    t, lam = femcore._locate(msh, pts)
+    t_ref, lam_ref = _locate_all_pairs(msh, pts)
+    assert np.array_equal(t, t_ref)
+    assert lam.tobytes() == lam_ref.tobytes()
+    # one point, and a (..., 2) stack, locate as in the flat call
+    one = femcore._locate(msh, pts[5])
+    assert one[0] == t[5] and one[1].tobytes() == lam[5].tobytes()
+    t2, lam2 = femcore._locate(msh, pts[:10].reshape(5, 2, 2))
+    assert np.array_equal(t2.ravel(), t[:10])
+    assert lam2.reshape(-1, 3).tobytes() == lam[:10].tobytes()
+    for bad in ((0.75, 0.25), (1.5, 0.2), (np.nan, 0.5)):
+        with pytest.raises(ValueError) as err:
+            femcore._locate(msh, np.vstack([pts[:100], bad, (0.8, 0.1), pts[100:]]))
+        assert str(err.value) == f"point {tuple(np.array(bad))} lies outside the mesh"
+
+
 def _is_zero(cs, dof):
     return cs.index[dof] == -1 and cs.coeff[dof] == 0.0
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from axmaxwell import femcore, manufactured, mesh, modal_ops, singular, solver
+from axmaxwell import femcore, linalg, manufactured, mesh, modal_ops, singular, solver
 from axmaxwell.cli_io import RHS_BUILTINS
 from axmaxwell.femcore import SPACE_X, SPACE_Y, MeshQuadrature, ModeField
 
@@ -357,6 +357,94 @@ def test_full_solve_threads_deterministic(lshape):
         assert np.array_equal(
             sol1.records[k].total_nodal(), sol2.records[k].total_nodal()
         )
+
+
+def _spy_cg(monkeypatch):
+    """Record the right-hand side of every linalg.solve_hpd call, bordered
+    solves included."""
+    calls = []
+    plain = linalg.solve_hpd
+
+    def spy(A, b, *args, **kwargs):
+        calls.append(np.array(b))
+        return plain(A, b, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "solve_hpd", spy)
+    monkeypatch.setattr(solver, "solve_hpd", spy)
+    return calls
+
+
+def test_zero_and_round_off_modes_make_no_cg_call(rect, monkeypatch):
+    """cos(theta) e_z data fill mode 1 only: modes 0 and 2 are round-off of
+    the analysis, and their loads meet the stopping rule at x = 0 against
+    the whole data.  Only mode 1 calls CG; the others report 0 iterations,
+    a residual ||b_k|| / F <= tol and an exactly zero field."""
+    tol = 1e-10
+    calls = _spy_cg(monkeypatch)
+    sol = solver.solve_axisymmetric(
+        rect, SPACE_Y, lambda r, th, z: (0.0, 0.0, r * np.cos(th)), N=2, tol=tol
+    )
+    assert len(calls) == 1
+    assert sol.records[1].cg.iterations > 0
+    # F = ||b|| / sqrt(5), ||b||^2 = ||b_0||^2 + 2 ||b_1||^2 + 2 ||b_2||^2
+    quad = MeshQuadrature(rect)
+    systems = modal_ops.assemble_systems(rect, SPACE_Y, range(3), quad)
+    fmodes = solver.analyze_rhs(lambda r, th, z: (0.0, 0.0, r * np.cos(th)), 2, quad.xy)
+    norms = [np.linalg.norm(systems[k].functional(np.c_[fmodes[k], np.zeros(len(quad.xy))]))
+             for k in range(3)]
+    floor = math.sqrt((norms[0] ** 2 + 2 * norms[1] ** 2 + 2 * norms[2] ** 2) / 5)
+    for k in (0, 2):
+        rec = sol.records[k]
+        assert rec.cg.iterations == 0
+        assert rec.cg.residual == pytest.approx(norms[k] / floor, rel=1e-9, abs=0.0)
+        assert 0.0 < rec.cg.residual <= tol
+        assert np.all(rec.field.values == 0.0) and not np.signbit(rec.field.values.real).any()
+    # a mode of exactly zero data next to a mode of real data
+    data = np.zeros((len(quad.xy), 4), dtype=complex)
+    data[:, 2] = quad.xy[:, 0]
+    floor = np.linalg.norm(systems[1].functional(data))
+    calls.clear()
+    rec = solver.solve_mode_orthogonal(systems[0], np.zeros_like(data), tol=tol, floor=floor)
+    assert calls == [] and rec.cg == linalg.CGInfo(0, 0.0)
+    assert np.all(rec.field.values == 0.0) and rec.coeff == 0j
+
+
+@pytest.mark.parametrize("share", [1.0, 1e-3])
+def test_mode_with_its_share_solves_as_plain_cg(lshape, lshape_quad, rng, share):
+    """A mode whose load is at least tol times the floor is solved by the
+    same CG call as without the rule, bit for bit: at its fair share and
+    well below it."""
+    msh, _ = lshape
+    system = modal_ops.assemble_a_k(msh, 1, SPACE_Y, quad=lshape_quad)
+    data = rng.normal(size=(len(lshape_quad.xy), 4)) + 1j * rng.normal(size=(len(lshape_quad.xy), 4))
+    load = system.functional(data)
+    floor = np.linalg.norm(load) / share
+    rec = solver.solve_mode_orthogonal(system, data, tol=1e-10, load=load, floor=floor)
+    x, info = linalg.solve_hpd(system.matrix, load, tol=1e-10, hierarchy=system.hierarchy)
+    assert rec.cg == info and info.iterations > 0
+    assert rec.field.values.tobytes() == system.constraints.expand(x).values.tobytes()
+
+
+def test_skipped_bordered_mode_is_zero(lshape, lshape_quad, monkeypatch):
+    """A bordered mode whose right-hand side [b; f_s] is round-off against
+    the floor makes no CG call and returns a zero field and C^k = 0j."""
+    msh, corner = lshape
+    sys2 = modal_ops.assemble_a_k(msh, 2, SPACE_Y, quad=lshape_quad)
+    b2 = singular.compute_basis(sys2, corner)
+    sys4 = modal_ops.ModeSystem(msh, 4, SPACE_Y, base=sys2)
+    data = 1e-13 * b2.op_arrays(sys4.ws, 4)
+    rhs = np.append(sys4.functional(data), np.einsum(
+        "q,qa,qa->", sys4.ws.wr, data, b2.op_arrays(sys4.ws, 4).conj()))
+    calls = _spy_cg(monkeypatch)
+    rec = solver.solve_mode_bordered(sys4, data, b2, tol=1e-10, floor=1.0)
+    assert calls == []
+    assert np.all(rec.field.values == 0.0)
+    assert type(rec.coeff) is complex and rec.coeff == 0j
+    assert rec.cg == linalg.CGInfo(0, float(np.linalg.norm(rhs)))
+    assert 0.0 < rec.cg.residual <= 1e-10
+    # the same data against a floor it exceeds is solved
+    rec = solver.solve_mode_bordered(sys4, data, b2, tol=1e-10, floor=1e-6)
+    assert len(calls) == 1 and rec.cg.iterations > 0 and abs(rec.coeff - 1e-13) <= 1e-15
 
 
 def test_full_solve_assembles_each_system_once(lshape, rect, monkeypatch):

@@ -65,7 +65,8 @@ def test_traced_file_rhs_calls_data_once(monkeypatch, tmp_path):
 def test_traced_high_mode_solve_shares_the_mode_two_class(monkeypatch, tmp_path):
     """Three assemblies (k = 0, 1, 2) serve every mode: each |k| > 2 mode is
     one shifted matrix on the mode-2 class, and every CG solve meets its
-    tolerance on the true residual."""
+    tolerance on the true residual.  The bandlimited data fill modes 0..3,
+    so mode 4 is round-off: it builds its system but makes no CG call."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import layers
 
@@ -85,9 +86,10 @@ def test_traced_high_mode_solve_shares_the_mode_two_class(monkeypatch, tmp_path)
     assert summary["modal_ops.shift_calls"] == 2
     assert summary["solver.modes_orthogonal"] == 3
     assert summary["solver.modes_bordered"] == 2
-    # one CG solve per mode and basis: 3 bases, 3 orthogonal, 2 bordered
-    assert summary["linalg.cg_calls"] == 8
-    assert summary["linalg.bordered_calls"] == 2
+    # one CG solve per basis and solved mode: 3 bases, 3 orthogonal, 1
+    # bordered (mode 3; mode 4 meets the stopping rule at x = 0)
+    assert summary["linalg.cg_calls"] == 7
+    assert summary["linalg.bordered_calls"] == 1
     assert summary["linalg.true_resid_max"] <= tol
 
 

@@ -159,7 +159,6 @@ class RunConfig:
     theta_samples: int = None
     levels: int = 3
     outdir: str = "."
-    threads: int = 1
     k: int = None
 
     def space(self):
@@ -221,8 +220,6 @@ def build_config(args):
         raise UsageError(f"tol must lie in (0, 1), got {cfg.tol!r}")
     if cfg.levels < 2:
         raise UsageError(f"levels must be >= 2 to fit a rate, got {cfg.levels}")
-    if cfg.threads < 1:
-        raise UsageError(f"threads must be >= 1, got {cfg.threads}")
     # synthesize --theta-samples: fewer than 3 azimuths give wedges of zero volume
     if getattr(args, "azimuths", 3) < 3:
         raise UsageError(f"theta-samples must be >= 3, got {args.azimuths}")
@@ -388,16 +385,8 @@ def cmd_singular(cfg, msh, corner, k, out):
 
 
 def _solve(cfg, msh, corner, f):
-    return solver.solve_axisymmetric(
-        msh,
-        cfg.space(),
-        f,
-        N=cfg.modes,
-        corner=corner,
-        tol=cfg.tol,
-        samples=cfg.theta_samples,
-        threads=cfg.threads,
-    )
+    return solver.solve_axisymmetric(msh, cfg.space(), f, N=cfg.modes, corner=corner,
+                                     tol=cfg.tol, samples=cfg.theta_samples)
 
 
 def cmd_solve(cfg, msh, corner, f):
@@ -494,7 +483,7 @@ def _add_common(p):
     p.add_argument("--field", help="electric or magnetic (default magnetic)")
     p.add_argument("--tol", type=float, help="iterative solver tolerance")
     p.add_argument("--outdir", help="output directory")
-    p.add_argument("--threads", type=int, help="mode-solve thread count (default 1)")
+    p.add_argument("--threads", type=int, choices=[1], help="only 1, for existing command lines")
 
 
 def make_parser():

@@ -232,11 +232,8 @@ class OperatorWorkspace:
 
 
 def workspace(quad):
-    """The operator workspace of quad, built on first use and kept on it.
-
-    Build it before sharing the quadrature between threads; afterwards it is
-    only read.
-    """
+    """The operator workspace of quad, built on first use and kept on it;
+    afterwards it is only read."""
     if quad.operators is None:
         quad.operators = OperatorWorkspace(quad)
     return quad.operators
@@ -300,7 +297,7 @@ class ModeSystem:
     base; assemble_systems sets both before it returns the system.  A
     |k| > 2 system shifts each coarse system of its base, so it has a
     hierarchy of its own.  Nothing writes to a system afterwards, so one
-    system serves the singular basis and the mode solve, from any thread.
+    system serves the singular basis and the mode solve.
     """
 
     def __init__(self, mesh, k, space, quad=None, base=None):
@@ -354,8 +351,7 @@ def assemble_systems(mesh, space, modes, quad, corner=None, shift=False):
 
     The hierarchies are built after all fine systems, and the coarse
     quadratures are dropped after them unless kept: the coarse workspaces
-    then never coexist with the temporaries of a fine assembly.  Everything
-    is built here, before any thread shares the systems.
+    then never coexist with the temporaries of a fine assembly.
     """
     systems = {k: assemble_a_k(mesh, k, space, quad=quad) for k in modes}
     levels = None

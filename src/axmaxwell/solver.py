@@ -313,17 +313,7 @@ def compute_bases(systems, corner, tol=1e-10):
     }
 
 
-def solve_axisymmetric(
-    mesh,
-    space,
-    f,
-    g=None,
-    N=5,
-    corner=None,
-    tol=1e-10,
-    samples=None,
-    threads=1,
-):
+def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samples=None):
     """Solve the 3D problem by modes: analyze the data, solve each mode,
     and collect a FourierSolution.
 
@@ -345,10 +335,10 @@ def solve_axisymmetric(
     serves both its singular basis and its mode solve; each k > 2 system
     is built in its mode's solve, on the constraint class of the mode-2
     system, whose reduction forms its load.  The first assembly builds the
-    quadrature's operator workspace, which the mode threads only read.  On
-    a large mesh that nests, the multigrid hierarchies and the coarse
-    workspaces are built with the systems, also before the threads fan out
-    (see modal_ops.assemble_systems).
+    quadrature's operator workspace; on a large mesh that nests, the
+    multigrid hierarchies and the coarse workspaces are built with the
+    systems (see modal_ops.assemble_systems).  The modes are then solved
+    one after another, in order of k.
     """
     quad = MeshQuadrature(mesh, corner)
     pts = quad.xy
@@ -385,18 +375,7 @@ def solve_axisymmetric(
             return solve_mode_orthogonal(system, data, **rule)
         return solve_mode_bordered(system, data, bases[2], **rule)
 
-    modes = range(N + 1)
-    records = {}
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for k, rec in zip(modes, pool.map(solve_one, modes)):
-                records[k] = rec
-    else:
-        for k in modes:
-            records[k] = solve_one(k)
-    return FourierSolution(mesh, space, N, records)
+    return FourierSolution(mesh, space, N, {k: solve_one(k) for k in range(N + 1)})
 
 
 # -- error measurement ---------------------------------------------------------------

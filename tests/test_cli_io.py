@@ -128,23 +128,17 @@ def test_summary_lists_conjugate_coefficient_bits(tmp_path, domain, modes):
 
 def test_round_off_modes_keep_every_residual_within_tol(tmp_path):
     """With modes 4..6 round-off of the bandlimited data, every summary.csv
-    residual is at most tol, and two mode threads write the same bytes as
-    one."""
+    residual is at most tol."""
     tol = 1e-10
     args = [
         "solve", "--domain", "lshape", "--h", "0.1", "--modes", "6",
         "--rhs", "bandlimited", "--tol", repr(tol),
     ]
-    assert main(args + ["--threads", "1", "--outdir", str(tmp_path / "a")]) == 0
-    assert main(args + ["--threads", "2", "--outdir", str(tmp_path / "b")]) == 0
-    header, rows = read_csv(tmp_path / "a" / "summary.csv")
+    assert main(args + ["--outdir", str(tmp_path)]) == 0
+    header, rows = read_csv(tmp_path / "summary.csv")
     by_k = {int(row[0]): dict(zip(header, row)) for row in rows}
     assert all(float(row["residual"]) <= tol for row in by_k.values())
     assert [int(by_k[k]["iterations"]) == 0 for k in range(7)] == [False] * 4 + [True] * 3
-    names = sorted(p.name for p in (tmp_path / "a").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
-    for name in names:
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
 def test_bordered_modes_report_cg_diagnostics(tmp_path):
@@ -239,6 +233,7 @@ def test_unknown_flag_fails_with_usage_code(capsys):
 @pytest.mark.parametrize("option, value", [
     ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"), ("--tol", "1"),
     ("--modes", "-1"), ("--h", "nan"), ("--threads", "0"), ("--threads", "-2"),
+    ("--threads", "2"),
 ])
 def test_bad_number_is_usage_error(tmp_path, capsys, option, value):
     rc = main([
@@ -251,25 +246,26 @@ def test_bad_number_is_usage_error(tmp_path, capsys, option, value):
     assert not (tmp_path / "summary.csv").exists()
 
 
-@pytest.mark.parametrize("config, flag, message", [
-    ("threads = 0\n", None, "threads"),
-    ("threads = two\n", None, "threads: invalid literal"),
-    ("threads = 1.5\n", None, "threads: invalid literal"),
-    ("threads = 2\n", "0", "threads must be >= 1, got 0"),
-])
-def test_bad_thread_count_is_usage_error(tmp_path, capsys, config, flag, message):
-    """A thread count below 1 or one that is not an integer, from the
-    config file or from --threads over it, fails before any work."""
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(config)
+@pytest.mark.parametrize("argv, message", [
+    (["--threads", "2"], "threads"),
+    (["--threads", "0"], "threads"),
+    (["--threads", "-2"], "threads"),
+    (["--threads", "1.5"], "threads"),
+    (["--config", "run.cfg"], "unknown config key 'threads'"),
+], ids=["2", "0", "-2", "1.5", "config"])
+def test_bad_thread_count_is_usage_error(tmp_path, capsys, monkeypatch, argv, message):
+    """--threads accepts only 1, kept for existing command lines, and the
+    config file has no threads key: anything else fails before any work."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("threads = 1\n")
+    outdir = tmp_path / "out"
     rc = main([
-        "solve", "--config", str(cfg), "--domain", "lshape", "--h", "0.2",
-        "--modes", "2", "--outdir", str(tmp_path),
-    ] + (["--threads", flag] if flag else []))
+        "solve", "--domain", "lshape", "--h", "0.2", "--modes", "2", "--outdir", str(outdir),
+    ] + argv)
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: usage:") and message in err
-    assert not (tmp_path / "summary.csv").exists()
+    assert err.startswith("error: usage:") and message in err and "\n" not in err.strip()
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("config, command", [
@@ -282,8 +278,9 @@ def test_bad_thread_count_is_usage_error(tmp_path, capsys, config, flag, message
     ("", ["solve", "--modes", "1", "--theta-samples", "2"]),
     ("", ["solve", "--field", "foo"]),
     ("", ["solve", "--threads", "0"]),
+    ("", ["solve", "--threads", "2"]),
 ], ids=["config-field", "config-domain", "rhs", "singular-k", "azimuths", "config-levels",
-        "theta-samples", "field", "threads"])
+        "theta-samples", "field", "threads", "threads-2"])
 def test_bad_option_fails_before_outdir_exists(tmp_path, capsys, config, command):
     """Every option value, from a flag or from the config file, is checked
     before --outdir is created: a bad one exits 1 with one usage line and

@@ -137,16 +137,11 @@ def test_large_nested_mesh_builds_one_hierarchy_per_system():
     assert system.hierarchy.coarsest_inverse.shape == (system.hierarchy.levels[-1].matrix.n,) * 2
 
 
-def test_threaded_multigrid_solve_is_deterministic(monkeypatch):
-    """Mode threads share the hierarchies and the kept coarse mode-2 systems
-    they shift; the solution is bitwise that of one thread."""
+def test_multigrid_full_solve_converges_fast(monkeypatch):
+    """Every mode, the |k| > 2 ones on the shifted coarse mode-2 systems
+    included, is solved under multigrid in at most 20 iterations."""
     monkeypatch.setattr(modal_ops, "MULTIGRID_MIN_DOFS", 0)
     msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.05)
-    sols = [
-        solver.solve_axisymmetric(msh, SPACE_Y, RHS_BUILTINS["bandlimited"], N=5, corner=corner,
-                                  threads=threads)
-        for threads in (1, 4)
-    ]
+    sol = solver.solve_axisymmetric(msh, SPACE_Y, RHS_BUILTINS["bandlimited"], N=5, corner=corner)
     for k in range(6):
-        assert sols[0].records[k].cg.iterations <= 20
-        assert np.array_equal(sols[0].records[k].total_nodal(), sols[1].records[k].total_nodal())
+        assert sol.records[k].cg.iterations <= 20

@@ -119,7 +119,7 @@ def _config_or_usage_error(tmp_path, data):
         cfg = build_config(argparse.Namespace(config=str(path)))
     except UsageError:
         return
-    assert 0.0 < cfg.tol < 1.0 and cfg.modes >= 0 and cfg.threads >= 1
+    assert 0.0 < cfg.tol < 1.0 and cfg.modes >= 0
 
 
 @FUZZ

@@ -345,20 +345,6 @@ def test_full_solve_rejects_data_not_finite(rect):
         solver.solve_axisymmetric(rect, SPACE_Y, f, N=2)
 
 
-def test_full_solve_threads_deterministic(lshape):
-    msh, corner = lshape
-    sol1 = solver.solve_axisymmetric(
-        msh, SPACE_Y, _bandlimited, N=5, corner=corner, threads=1
-    )
-    sol2 = solver.solve_axisymmetric(
-        msh, SPACE_Y, _bandlimited, N=5, corner=corner, threads=4
-    )
-    for k in range(6):
-        assert np.array_equal(
-            sol1.records[k].total_nodal(), sol2.records[k].total_nodal()
-        )
-
-
 def _spy_cg(monkeypatch):
     """Record the right-hand side of every linalg.solve_hpd call, bordered
     solves included."""
@@ -449,8 +435,8 @@ def test_skipped_bordered_mode_is_zero(lshape, lshape_quad, monkeypatch):
 
 def test_full_solve_assembles_each_system_once(lshape, rect, monkeypatch):
     """The bases and the mode solves share the k = 0, 1, 2 systems, and the
-    k-independent operator workspace is built once, before the threads fan
-    out; with or without a corner, |k| > 2 modes assemble nothing anew."""
+    k-independent operator workspace is built once; with or without a
+    corner, |k| > 2 modes assemble nothing anew."""
     msh, corner = lshape
     calls = {}
 
@@ -467,9 +453,7 @@ def test_full_solve_assembles_each_system_once(lshape, rect, monkeypatch):
         counted(name)
     for case_mesh, case_corner in ((msh, corner), (rect, None)):
         calls.clear()
-        solver.solve_axisymmetric(
-            case_mesh, SPACE_Y, _bandlimited, N=5, corner=case_corner, threads=4,
-        )
+        solver.solve_axisymmetric(case_mesh, SPACE_Y, _bandlimited, N=5, corner=case_corner)
         assert calls == {"assemble_a_k": 3, "OperatorWorkspace": 1}
 
 

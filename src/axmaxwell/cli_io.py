@@ -1,7 +1,8 @@
 """Command-line drivers and exporters (legacy VTK, CSV).
 
 Subcommands: meshgen, singular, solve, synthesize, convergence, verify.
-Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 I/O failure.
+Exit codes: 0 success, 1 usage error, 2 numerical failure or memory
+exhausted, 3 I/O failure.
 Every failure prints a single machine-readable line on stderr.
 """
 
@@ -220,6 +221,10 @@ def build_config(args):
         raise UsageError(f"tol must lie in (0, 1), got {cfg.tol!r}")
     if cfg.levels < 2:
         raise UsageError(f"levels must be >= 2 to fit a rate, got {cfg.levels}")
+    try:  # convergence_study meshes the unit square at every h of the ladder
+        meshmod.grid_segments(_ladder_h(cfg.levels - 1), (0.0, 1.0), (0.0, 1.0))
+    except MeshError as exc:
+        raise UsageError(f"levels too large: the finest mesh of the ladder: {exc}") from None
     # synthesize --theta-samples: fewer than 3 azimuths give wedges of zero volume
     if getattr(args, "azimuths", 3) < 3:
         raise UsageError(f"theta-samples must be >= 3, got {args.azimuths}")
@@ -241,6 +246,23 @@ def build_mesh(cfg):
     if len(corners) > 1:
         raise UsageError("meshes with more than one reentrant corner are not supported")
     return msh, (corners[0] if corners else None)
+
+
+def _check_sizes(cfg, msh, azimuths=None):
+    """Check against mesh.MAX_ENTRIES, before any of them exists, the largest
+    arrays of a run's analysis, M x Q samples (Q <= 28 nt: a triangle at the
+    corner carries 4 x 7 quadrature points) and the (N + 1) x M projection,
+    and of its synthesis at T azimuths, T x nv x 3 values and T x nt x 6
+    wedge indices."""
+    M = solver.theta_samples(cfg.modes, cfg.theta_samples)
+    sizes = {"analysis samples M x Q": M * 28 * msh.num_triangles,
+             "projection (N + 1) x M": (cfg.modes + 1) * M,
+             "synthesis T x max(3 nv, 6 nt)":
+                 (azimuths or 0) * max(3 * msh.num_vertices, 6 * msh.num_triangles)}
+    for what, entries in sizes.items():
+        if entries > meshmod.MAX_ENTRIES:
+            raise UsageError(f"{what} = {entries} entries, more than MAX_ENTRIES = "
+                             f"{meshmod.MAX_ENTRIES}")
 
 
 # -- built-in right-hand sides -----------------------------------------------------
@@ -431,11 +453,16 @@ def cmd_synthesize(cfg, msh, corner, f, azimuths):
     return 0
 
 
+def _ladder_h(level):
+    """Mesh size of the convergence ladder at level (0 coarsest): 0.2 / 2**level."""
+    return math.ldexp(0.2, -level)
+
+
 def cmd_convergence(cfg):
     from . import manufactured
 
     ks = [cfg.k] if cfg.k is not None else [0, 1, 2]
-    hs = [0.2 * 0.5 ** lev for lev in range(cfg.levels)]
+    hs = [_ladder_h(lev) for lev in range(cfg.levels)]
     study = manufactured.convergence_study(cfg.space(), ks, hs, cfg.tol)
     rows = []
     for k, (errs, rate_l2, rate_en) in study.items():
@@ -537,6 +564,7 @@ def main(argv=None):
         if args.command == "singular" and corner is None:
             raise UsageError("singular bases need a domain with a reentrant corner")
         if args.command in ("solve", "synthesize"):
+            _check_sizes(cfg, msh, getattr(args, "azimuths", None))
             f = resolve_rhs(cfg.rhs, msh)
         os.makedirs(cfg.outdir, exist_ok=True)
         if args.command == "meshgen":
@@ -560,6 +588,9 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: memory: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

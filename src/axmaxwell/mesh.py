@@ -22,6 +22,11 @@ _TAG_VALUES = {"axis": AXIS, "wall": WALL}
 _AXIS_SNAP = 1e-14
 # reentrancy threshold guard: generated polygons have exact right angles
 ANGLE_TOL = 1e-6
+# the most entries of any array that a run's options size: the vertices of a
+# generated grid here, and the analysis, projection and synthesis arrays of
+# the command line (cli_io); far above the largest array of the benchmark
+# workloads, 9 x 90,594 analysis samples
+MAX_ENTRIES = 20_000_000
 
 
 class MeshError(ValueError):
@@ -200,15 +205,41 @@ def _snap_axis(coords):
     return out
 
 
-def _grid_lines(lo, hi, h, anchors=()):
-    """Split [lo, hi] into near-uniform cells of size about h, forcing the
-    anchor coordinates onto grid lines."""
-    stops = sorted({lo, hi, *anchors})
-    lines = [lo]
-    for a, b in zip(stops[:-1], stops[1:]):
-        n = max(1, round((b - a) / h))
-        lines.extend(a + (b - a) * (i + 1) / n for i in range(n))
-    return np.array(lines)
+def grid_segments(h, rspan, zspan):
+    """Count the grid of a generated mesh before any of its arrays exists.
+
+    Each span (lo, hi, *anchors) is split at its anchors, which become grid
+    lines, and each piece [a, b] into n = max(1, round((b - a) / h)) cells
+    of size about h.  Returns the (a, b, n) pieces of r and of z.  A mesh
+    size that is not positive, a (b - a) / h that is not finite or a grid
+    of more than MAX_ENTRIES vertices is a MeshError.
+    """
+    if not h > 0.0:
+        raise MeshError(f"mesh size h must be positive, got {h!r}")
+    axes = []
+    for lo, hi, *anchors in (rspan, zspan):
+        stops = sorted({lo, hi, *anchors})
+        pieces = []
+        for a, b in zip(stops[:-1], stops[1:]):
+            cells = (b - a) / h
+            if not math.isfinite(cells):
+                raise MeshError(f"h = {h!r} is too small for [{a!r}, {b!r}]: "
+                                f"(b - a) / h is not finite")
+            pieces.append((a, b, max(1, round(cells))))
+        axes.append(pieces)
+    nr, nz = (1 + sum(n for _, _, n in pieces) for pieces in axes)
+    if nr * nz > MAX_ENTRIES:
+        raise MeshError(f"h = {h!r} asks for more than MAX_ENTRIES = {MAX_ENTRIES} grid vertices")
+    return axes
+
+
+def _grid_lines(pieces):
+    """The grid lines of one axis of grid_segments: its first end, then
+    a + (b - a) * i / n for i = 1..n of each piece (a, b, n), evaluated in
+    this order."""
+    return np.concatenate([[pieces[0][0]]] + [
+        a + (b - a) * np.arange(1, n + 1) / n for a, b, n in pieces
+    ])
 
 
 def _structured_arrays(rlines, zlines, keep=None):
@@ -253,12 +284,9 @@ def gen_rectangle(rmin, rmax, zmin, zmax, h):
 
     Edges on r = rmin are tagged as axis exactly when rmin = 0.
     """
-    if h <= 0.0:
-        raise MeshError("mesh size h must be positive")
     if not (0.0 <= rmin < rmax) or not zmin < zmax:
         raise MeshError("need 0 <= rmin < rmax and zmin < zmax")
-    rlines = _grid_lines(rmin, rmax, h)
-    zlines = _grid_lines(zmin, zmax, h)
+    rlines, zlines = map(_grid_lines, grid_segments(h, (rmin, rmax), (zmin, zmax)))
     return _structured_mesh(rlines, zlines, h)
 
 
@@ -270,14 +298,11 @@ def gen_lshape(r_c, z_c, rmax=1.0, zmin=0.0, zmax=1.0, h=0.1):
     circular edge passes through the corner.  Returns the mesh together with
     the corner descriptor (interior angle 3*pi/2, alpha = 2/3, a = r_c).
     """
-    if h <= 0.0:
-        raise MeshError("mesh size h must be positive")
     if not (0.0 < r_c < rmax and zmin < z_c < zmax):
         raise MeshError("corner must lie strictly inside the bounding box, off the axis")
     if h > min(r_c, rmax - r_c, z_c - zmin, zmax - z_c):
         raise MeshError("h too large to resolve the corner")
-    rlines = _grid_lines(0.0, rmax, h, anchors=(r_c,))
-    zlines = _grid_lines(zmin, zmax, h, anchors=(z_c,))
+    rlines, zlines = map(_grid_lines, grid_segments(h, (0.0, rmax, r_c), (zmin, zmax, z_c)))
     rmid = 0.5 * (rlines[:-1] + rlines[1:])
     zmid = 0.5 * (zlines[:-1] + zlines[1:])
     mesh = _structured_mesh(

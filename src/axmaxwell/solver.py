@@ -85,9 +85,14 @@ class FourierSolution:
 # -- Fourier analysis ------------------------------------------------------------
 
 
-def _theta_grid(N, samples):
+def theta_samples(N, samples=None):
+    """The analysis sample count M: samples, by default 4 max(N, 1) + 1."""
     # 5 samples at N = 0: mode 0 is the mean, not the value at theta = 0
-    M = 4 * max(N, 1) + 1 if samples is None else int(samples)
+    return 4 * max(N, 1) + 1 if samples is None else int(samples)
+
+
+def _theta_grid(N, samples):
+    M = theta_samples(N, samples)
     if M < 4 * N + 1:
         raise ValueError(f"need at least 4N+1 = {4 * N + 1} theta samples, got {M}")
     return np.arange(M) * (_TWO_PI / M)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from axmaxwell import cli_io, mesh, modal_ops, singular, solver
+from axmaxwell import cli_io, manufactured, mesh, modal_ops, singular, solver
 from axmaxwell.cli_io import main, write_csv, write_vtk
 from axmaxwell.femcore import SPACE_Y
 
@@ -313,6 +313,84 @@ def test_bad_input_fails_before_outdir_exists(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "\n" not in err.strip()
     assert not outdir.exists()
+
+
+_MESH_STEPS = ((mesh, "_grid_lines"), (mesh, "_structured_arrays"))
+_RUN_STEPS = ((solver, "solve_axisymmetric"), (manufactured, "convergence_study"))
+
+
+@pytest.mark.parametrize("command, cls, blocked", [
+    (["solve", "--domain", "rectangle", "--h", "1e-9", "--modes", "0"], "invalid-input",
+     _MESH_STEPS + _RUN_STEPS),
+    (["solve", "--domain", "rectangle", "--h", "0.1", "--rmax", "1e300"], "invalid-input",
+     _MESH_STEPS + _RUN_STEPS),
+    (["solve", "--domain", "rectangle", "--h", "1e-10", "--rmax", "1e308"], "invalid-input",
+     _MESH_STEPS + _RUN_STEPS),
+    (["solve", "--h", "0.1", "--modes", "100000000"], "usage", _RUN_STEPS),
+    (["solve", "--h", "0.1", "--modes", "2", "--theta-samples", "100000000"], "usage",
+     _RUN_STEPS),
+    (["synthesize", "--h", "0.1", "--modes", "1", "--theta-samples", "100000000"], "usage",
+     _RUN_STEPS),
+    (["convergence", "--levels", "40"], "usage", _MESH_STEPS + _RUN_STEPS),
+    (["convergence", "--levels", "1" + "0" * 400], "usage", _MESH_STEPS + _RUN_STEPS),
+], ids=["rect-h", "rect-rmax", "rect-overflow", "modes", "analysis-samples", "azimuths",
+        "levels", "levels-huge"])
+def test_oversized_run_fails_before_outdir_exists(tmp_path, capsys, monkeypatch, command, cls,
+                                                  blocked):
+    """A mesh, analysis, synthesis or convergence ladder larger than
+    mesh.MAX_ENTRIES allows exits 1 with one error line, leaves no
+    directory behind and allocates next to nothing.  Each step that would
+    allocate by the options fails when reached, so a size check that does
+    not fire fails the test instead of exhausting memory."""
+    def reached(*args, **kwargs):
+        raise AssertionError("an allocating step was reached")
+
+    for module, name in blocked:
+        monkeypatch.setattr(module, name, reached)
+    outdir = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        rc = main(command + ["--outdir", str(outdir)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cls}:") and "\n" not in err.strip()
+    assert not outdir.exists()
+    assert peak < 10e6
+
+
+def test_largest_run_under_the_limit_passes_the_size_check(monkeypatch):
+    """The analysis sizes are compared with MAX_ENTRIES as they are: M x Q
+    with Q = 28 nt, (N + 1) x M, and T x max(3 nv, 6 nt) for a synthesis."""
+    msh, _ = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.1)
+    cfg = cli_io.RunConfig(modes=3)  # M = 13
+    limit = 13 * 28 * msh.num_triangles
+    monkeypatch.setattr(mesh, "MAX_ENTRIES", limit)
+    cli_io._check_sizes(cfg, msh)
+    cli_io._check_sizes(cfg, msh, limit // (6 * msh.num_triangles))
+    with pytest.raises(cli_io.UsageError, match="synthesis"):
+        cli_io._check_sizes(cfg, msh, limit // (6 * msh.num_triangles) + 1)
+    monkeypatch.setattr(mesh, "MAX_ENTRIES", limit - 1)
+    with pytest.raises(cli_io.UsageError, match="analysis samples"):
+        cli_io._check_sizes(cfg, msh)
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 215. GiB for an array"),
+     "Unable to allocate 215. GiB for an array"),
+    (MemoryError(), "out of memory"),
+])
+def test_memory_error_is_one_line(tmp_path, capsys, monkeypatch, exc, message):
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(solver, "solve_axisymmetric", exhausted)
+    rc = main(["solve", "--h", "0.2", "--modes", "1", "--outdir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: memory: {message}\n"
 
 
 def test_unknown_rhs_fails(tmp_path):

@@ -165,3 +165,66 @@ def test_generators_match_the_cell_loop(h):
     assert np.array_equal(msh.triangles, tris)
     rr, zz = np.meshgrid(rl, zl, indexing="ij")
     assert np.array_equal(msh.vertices, np.column_stack([rr.ravel(), zz.ravel()])[used])
+
+
+def _grid_lines_reference(lo, hi, h, anchors=()):
+    """The list the generators used to build one axis's grid lines with."""
+    stops = sorted({lo, hi, *anchors})
+    lines = [lo]
+    for a, b in zip(stops[:-1], stops[1:]):
+        n = max(1, round((b - a) / h))
+        lines.extend(a + (b - a) * (i + 1) / n for i in range(n))
+    return np.array(lines)
+
+
+def test_grid_lines_match_the_list_construction_bitwise():
+    rng = np.random.default_rng(3)
+    cases = [(0, 1, 0.25, ()), (0.0, 1.0, 0.0125, (0.5,)), (-1.0, 1.0, 0.21, ()),
+             (0.0, 1.0, 0.13, (0.5,)), (0.0, 2.0, 0.3, (1e-15, 1.999))]
+    for _ in range(2000):
+        lo = float(rng.uniform(-5.0, 5.0)) if rng.random() < 0.7 else 0.0
+        hi = lo + float(rng.uniform(1e-3, 10.0))
+        anchors = tuple(float(a) for a in rng.uniform(lo, hi, rng.integers(0, 3)))
+        cases.append((lo, hi, (hi - lo) / float(rng.uniform(0.5, 300.0)), anchors))
+    for lo, hi, h, anchors in cases:
+        rpieces, _ = mesh.grid_segments(h, (lo, hi, *anchors), (0.0, 1.0))
+        got, want = mesh._grid_lines(rpieces), _grid_lines_reference(lo, hi, h, anchors)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (lo, hi, h, anchors)
+
+
+@pytest.fixture
+def no_grid_arrays(monkeypatch):
+    """Fail when a generator reaches a grid array: a size check that does not
+    fire must fail the test, not exhaust memory."""
+    def reached(*args, **kwargs):
+        raise AssertionError("a grid array was built")
+
+    monkeypatch.setattr(mesh, "_grid_lines", reached)
+    monkeypatch.setattr(mesh, "_structured_arrays", reached)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: mesh.gen_rectangle(0.0, 1.0, 0.0, 1.0, 1e-9), "MAX_ENTRIES"),
+    (lambda: mesh.gen_rectangle(0.0, 1e300, 0.0, 1.0, 0.1), "MAX_ENTRIES"),
+    (lambda: mesh.gen_rectangle(0.0, 1e308, 0.0, 1.0, 1e-10), "not finite"),
+    (lambda: mesh.gen_rectangle(0.0, 1.0, -1e308, 1e308, 1.0), "not finite"),
+    (lambda: mesh.gen_rectangle(0.0, 1.0, 0.0, 1.0, float("nan")), "positive"),
+    (lambda: mesh.gen_rectangle(0.0, 1.0, 0.0, 1.0, 0.0), "positive"),
+    (lambda: mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 1e-5), "MAX_ENTRIES"),
+    (lambda: mesh.gen_lshape(0.5, 0.5, 1e300, 0.0, 1.0, 0.1), "MAX_ENTRIES"),
+], ids=["rect-h", "rect-rmax", "rect-overflow", "rect-span-overflow", "rect-nan", "rect-zero",
+        "lshape-h", "lshape-rmax"])
+def test_oversized_grid_fails_before_any_array(no_grid_arrays, make, message):
+    with pytest.raises(MeshError, match=message):
+        make()
+
+
+def test_grid_at_the_size_limit_is_counted_exactly(no_grid_arrays, monkeypatch):
+    """The vertex count nr * nz is compared with MAX_ENTRIES: a 5 x 5 grid
+    passes a limit of 25 and fails one of 24."""
+    monkeypatch.setattr(mesh, "MAX_ENTRIES", 25)
+    rpieces, zpieces = mesh.grid_segments(0.25, (0.0, 1.0), (0.0, 1.0))
+    assert rpieces == zpieces == [(0.0, 1.0, 4)]
+    monkeypatch.setattr(mesh, "MAX_ENTRIES", 24)
+    with pytest.raises(MeshError, match="MAX_ENTRIES = 24"):
+        mesh.grid_segments(0.25, (0.0, 1.0), (0.0, 1.0))

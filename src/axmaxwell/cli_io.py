@@ -23,6 +23,7 @@ _FLOAT_FMT = "%.17g"
 _WRITE_ROWS = 4096  # rows _write_rows formats per write
 _MATCH_PAIRS = 1 << 14  # row-vertex pairs resolve_rhs compares at once
 _TABLE_COLUMNS = ["r", "z", "f_r", "f_theta", "f_z"]
+_COMPONENTS = ("r", "theta", "z")
 
 
 class UsageError(ValueError):
@@ -44,7 +45,7 @@ def _vtk_scalar_arrays(name, values):
     if values.ndim == 1:
         comps = [("", values)]
     else:
-        comps = [(f"_{c}", values[:, i]) for i, c in enumerate(("r", "theta", "z"))]
+        comps = [(f"_{c}", values[:, i]) for i, c in enumerate(_COMPONENTS)]
     for suffix, col in comps:
         col = np.asarray(col, dtype=complex)
         out.append((f"{name}{suffix}_re", col.real))
@@ -53,17 +54,32 @@ def _vtk_scalar_arrays(name, values):
     return out
 
 
+def _check_vtk_fields(sections):
+    """Check the data of a VTK file before the file is opened: sections are
+    (count, {name: values}) pairs; each field must have shape (count,) or
+    (count, 3), and the scalar arrays the fields split into (see
+    _vtk_scalar_arrays) must have distinct names across the file.  A failed
+    check raises ValueError."""
+    stems = set()
+    for count, field_map in sections:
+        for name, values in (field_map or {}).items():
+            shape = np.shape(values)
+            if shape not in ((count,), (count, 3)):
+                raise ValueError(f"field {name!r} has shape {shape}, expected "
+                                 f"({count},) or ({count}, 3)")
+            for stem in [name] if len(shape) == 1 else [f"{name}_{c}" for c in _COMPONENTS]:
+                if stem in stems:
+                    raise ValueError(f"duplicate VTK array name {stem + '_re'!r}")
+                stems.add(stem)
+
+
 def write_vtk(msh, point_fields, path, cell_fields=None, title="axmaxwell export"):
     """Legacy ASCII VTK unstructured grid of the meridian mesh.
 
     point_fields/cell_fields map names to (n,) or (n, 3) arrays (complex
     allowed; split into _re/_im scalar arrays).
     """
-    names = []
-    for name, _ in list(point_fields.items()) + list((cell_fields or {}).items()):
-        if name in names:
-            raise ValueError(f"duplicate field name {name!r}")
-        names.append(name)
+    _check_vtk_fields([(msh.num_vertices, point_fields), (msh.num_triangles, cell_fields)])
     with open(path, "w") as fp:
         fp.write("# vtk DataFile Version 3.0\n")
         fp.write(title + "\n")
@@ -100,11 +116,13 @@ def _write_vtk_data(fp, field_map):
                 fp.write(f"{_FLOAT_FMT}\n" % v)
 
 
-def write_vtk_wedges(points, wedges, point_fields, path, title="axmaxwell 3d export"):
-    """Legacy ASCII VTK of a revolved grid; cells are 6-node wedges."""
+def write_vtk_wedges(points, wedges, point_fields, path):
+    """Legacy ASCII VTK of a revolved grid; cells are 6-node wedges.
+    point_fields is as in write_vtk."""
+    _check_vtk_fields([(len(points), point_fields)])
     with open(path, "w") as fp:
         fp.write("# vtk DataFile Version 3.0\n")
-        fp.write(title + "\n")
+        fp.write("axmaxwell 3d export\n")
         fp.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         fp.write(f"POINTS {len(points)} double\n")
         for x, y, z in points:
@@ -381,11 +399,11 @@ def cmd_meshgen(cfg, msh, corner, out):
     return 0
 
 
-def cmd_singular(cfg, msh, corner, k, out):
+def cmd_singular(cfg, msh, corner, out):
     quad = MeshQuadrature(msh, corner)
-    system = modal_ops.assemble_systems(msh, cfg.space(), [k], quad, corner)[k]
+    system = modal_ops.assemble_systems(msh, cfg.space(), [cfg.k], quad, corner)[cfg.k]
     basis = singular.compute_basis(system, corner, tol=cfg.tol)
-    prefix = os.path.join(cfg.outdir, out or f"basis_k{k}_{cfg.field}")
+    prefix = os.path.join(cfg.outdir, out or f"basis_k{cfg.k}_{cfg.field}")
     centers = msh.vertices[msh.triangles].mean(axis=1)
     principal_cells = basis.principal.values(centers)
     write_vtk(
@@ -393,12 +411,12 @@ def cmd_singular(cfg, msh, corner, k, out):
         {"basis_total": basis.total_nodal(), "basis_regular": basis.regular.values},
         prefix + ".vtk",
         cell_fields={"principal": principal_cells},
-        title=f"singular basis k={k} {cfg.field}",
+        title=f"singular basis k={cfg.k} {cfg.field}",
     )
     write_csv(
         prefix + "_diag.csv",
         ["k", "field", "iterations", "residual", "energy", "curl_norm_sq"],
-        [[k, cfg.field, basis.cg.iterations, basis.cg.residual, basis.energy,
+        [[cfg.k, cfg.field, basis.cg.iterations, basis.cg.residual, basis.energy,
           basis.curl_norm_sq]],
     )
     print(f"wrote {prefix}.vtk and {prefix}_diag.csv")
@@ -570,7 +588,7 @@ def main(argv=None):
         if args.command == "meshgen":
             return cmd_meshgen(cfg, msh, corner, args.out)
         if args.command == "singular":
-            return cmd_singular(cfg, msh, corner, args.k, args.out)
+            return cmd_singular(cfg, msh, corner, args.out)
         if args.command == "solve":
             return cmd_solve(cfg, msh, corner, f)
         if args.command == "synthesize":

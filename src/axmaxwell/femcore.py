@@ -150,7 +150,7 @@ class ModeField:
         return ModeField(self.mesh, self.k, self.values + other.values)
 
 
-def _candidates(verts, tol, num_points):
+def _candidates(verts, num_points):
     """Uniform grid over the triangles' bounding boxes, padded so that every
     point _locate finds inside a triangle lies in its box: returns (origin,
     size, shape, start, cand), the triangles whose box meets cell c being
@@ -160,9 +160,9 @@ def _candidates(verts, tol, num_points):
     if num_points * nt <= _LOCATE_PAIRS:
         return np.zeros(2), 1.0, np.ones(2, dtype=np.int64), np.array([0, nt]), np.arange(nt)
     lo, hi = verts.min(axis=1), verts.max(axis=1)
-    # coordinates >= -tol keep a point within 2 tol times the extent of the
-    # box; the rest of the pad covers the round-off of the coordinates
-    pad = (hi - lo).max(axis=1, keepdims=True) * (4.0 * tol + 1e-8)
+    # coordinates >= -_GEOM_TOL keep a point within 2 _GEOM_TOL times the
+    # extent of the box; the rest of the pad covers their round-off
+    pad = (hi - lo).max(axis=1, keepdims=True) * (4.0 * _GEOM_TOL + 1e-8)
     lo, hi = lo - pad, hi + pad
     origin, span = lo.min(axis=0), hi.max(axis=0) - lo.min(axis=0)
     size = math.sqrt(span[0] * span[1] / nt) or 1.0  # about one triangle per cell
@@ -192,7 +192,7 @@ def _cell(xy, origin, size, shape):
     return np.clip(ij, 0, shape - 1).astype(np.int64)
 
 
-def _locate(mesh, points, tol=1e-12):
+def _locate(mesh, points):
     """First triangle containing each point and the barycentric coordinates:
     a point (2,) gives (index, (3,)), points (..., 2) give arrays (...) and
     (..., 3).  Each point is tested only against the triangles whose padded
@@ -206,7 +206,7 @@ def _locate(mesh, points, tol=1e-12):
     d1 = verts[:, 1] - v0
     d2 = verts[:, 2] - v0
     det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    origin, size, shape, start, cand = _candidates(verts, tol, len(flat))
+    origin, size, shape, start, cand = _candidates(verts, len(flat))
     ij = _cell(flat, origin, size, shape)
     cell = ij[:, 1] * shape[0] + ij[:, 0]
     count = start[cell + 1] - start[cell]
@@ -224,7 +224,7 @@ def _locate(mesh, points, tol=1e-12):
         l1 = (dp[:, 0] * d2[t, 1] - dp[:, 1] * d2[t, 0]) / det[t]
         l2 = (d1[t, 0] * dp[:, 1] - d1[t, 1] * dp[:, 0]) / det[t]
         l0 = 1.0 - l1 - l2
-        inside = np.flatnonzero((l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol))
+        inside = np.flatnonzero((l0 >= -_GEOM_TOL) & (l1 >= -_GEOM_TOL) & (l2 >= -_GEOM_TOL))
         first = inside[np.unique(point[inside], return_index=True)[1]]
         if len(first) < hi - lo:
             missing = np.ones(hi - lo, dtype=bool)

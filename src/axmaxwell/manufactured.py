@@ -107,14 +107,16 @@ def rectangle_magnetic():
     return ManufacturedField("rectangle_magnetic", u, ops)
 
 
-def lshape_magnetic(r_c=0.5, z_c=0.5):
+def lshape_magnetic():
     """Normal-trace-free smooth field on the L-shaped meridian domain.
 
-    The stream function r^2 (1-r) (r-r_c) z (1-z) (z-z_c) vanishes on every
-    boundary line of the domain, so both meridian components carry zero
-    normal trace on the wall; all components vanish at the axis (valid for
-    |k| >= 2, in particular the stabilized modes).
+    The stream function r^2 (1-r) (r-r_c) z (1-z) (z-z_c), with the corner
+    (r_c, z_c) = (0.5, 0.5), vanishes on every boundary line of the domain,
+    so both meridian components carry zero normal trace on the wall; all
+    components vanish at the axis (valid for |k| >= 2, in particular the
+    stabilized modes).
     """
+    r_c = z_c = 0.5
 
     def parts(p):
         r, z = p[:, 0], p[:, 1]
@@ -148,21 +150,17 @@ def lshape_magnetic(r_c=0.5, z_c=0.5):
     return ManufacturedField("lshape_magnetic", u, ops)
 
 
-def for_space(space):
-    """The rectangle field of space: electric for X, magnetic otherwise."""
-    return rectangle_electric() if space == "X" else rectangle_magnetic()
-
-
 def convergence_study(space, ks, hs, tol):
     """Manufactured convergence of the orthogonal mode solve on the unit
-    square: for each mode k the (l2, energy) errors against for_space(space)
-    on the rectangle meshes of sizes hs, and the rates fitted to them in
-    log-log.  Each mesh and quadrature is built once and serves every mode.
+    square: for each mode k the (l2, energy) errors against the rectangle
+    field of space (electric for X, magnetic otherwise) on the rectangle
+    meshes of sizes hs, and the rates fitted to them in log-log.  Each mesh
+    and quadrature is built once and serves every mode.
 
     Returns {k: (errors, l2 rate, energy rate)}, one (l2, energy) pair of
     errors per h.
     """
-    mf = for_space(space)
+    mf = rectangle_electric() if space == "X" else rectangle_magnetic()
     errs = {k: [] for k in ks}
     for h in hs:
         msh = meshmod.gen_rectangle(0.0, 1.0, 0.0, 1.0, h)
@@ -172,7 +170,7 @@ def convergence_study(space, ks, hs, tol):
             exact = mf.ops(quad.xy, k)
             system = modal_ops.assemble_a_k(msh, k, space, quad=quad)
             rec = solver.solve_mode_orthogonal(system, exact, tol=tol)
-            errs[k].append(solver.error_norms(rec.field, u, quad, exact_ops=exact, k=k))
+            errs[k].append(solver.error_norms(rec.field, u, quad, exact_ops=exact))
     logs = np.log(hs)
     out = {}
     for k, e in errs.items():

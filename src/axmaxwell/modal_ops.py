@@ -101,22 +101,21 @@ def eval_grad_k(mesh, w, k, point):
     return np.array([dw[0], 1j * k * wval / point[0], dw[1]])
 
 
-def _eval_ops(field, point, k):
-    """D_k of a ModeField at an interior point with r > 0, (4,)."""
-    k = field.k if k is None else k
+def _eval_ops(field, point):
+    """D_k of a ModeField at an interior point with r > 0, (4,), k its mode."""
     lam, vals, grads = _local_data(field.mesh, field.values, point)
     grad_u = vals.T @ grads
-    return np.einsum("acd,cd->a", GRAD, grad_u) + _over_r_rows(k) @ (lam @ vals / point[0])
+    return np.einsum("acd,cd->a", GRAD, grad_u) + _over_r_rows(field.k) @ (lam @ vals / point[0])
 
 
-def eval_div_k(field, point, k=None):
-    """div_k of a ModeField at an interior point with r > 0."""
-    return _eval_ops(field, point, k)[3]
+def eval_div_k(field, point):
+    """div_k of a ModeField at an interior point with r > 0, k its mode."""
+    return _eval_ops(field, point)[3]
 
 
-def eval_curl_k(field, point, k=None):
-    """curl_k of a ModeField at an interior point with r > 0."""
-    return _eval_ops(field, point, k)[:3]
+def eval_curl_k(field, point):
+    """curl_k of a ModeField at an interior point with r > 0, k its mode."""
+    return _eval_ops(field, point)[:3]
 
 
 # -- quadrature-level operator data ---------------------------------------------

@@ -28,7 +28,6 @@ import numpy as np
 from . import femcore
 from .femcore import ModeField
 from .linalg import CGInfo, solve_hpd
-from .special import find_beta
 
 EDGE_ELECTRIC = "edge_electric"
 EDGE_MAGNETIC = "edge_magnetic"
@@ -41,13 +40,11 @@ class PrincipalPart:
     """Analytic principal part of one reentrant edge, electric or magnetic."""
 
     kind: str
-    corner: object = None
+    corner: object
 
     def __post_init__(self):
         if self.kind not in (EDGE_ELECTRIC, EDGE_MAGNETIC):
             raise ValueError(f"unknown principal part kind {self.kind!r}")
-        if self.corner is None:
-            raise ValueError("edge principal parts need a corner descriptor")
         if not 0.5 < self.corner.alpha < 1.0:
             raise ValueError("edge principal parts require a reentrant corner")
 
@@ -104,11 +101,6 @@ def _guarded_values(pp, mesh, points):
     return vals
 
 
-def principal_for(space, corner):
-    kind = EDGE_ELECTRIC if space == femcore.SPACE_X else EDGE_MAGNETIC
-    return PrincipalPart(kind, corner=corner)
-
-
 @dataclass
 class SingularBasis:
     """One singular complement function: analytic principal part plus the
@@ -124,18 +116,11 @@ class SingularBasis:
     energy: float = 0.0
     curl_norm_sq: float = 0.0
 
-    @property
-    def mesh(self):
-        return self.regular.mesh
-
-    def principal_nodal(self):
-        """Principal part sampled at the vertices, zeroed at the corner."""
-        return _guarded_values(self.principal, self.mesh, self.mesh.vertices)
-
     def total_nodal(self):
         """Nodal values of principal + regular; the corner vertex carries
         only the regular value (the principal part diverges there)."""
-        return self.regular.values + self.principal_nodal()
+        msh = self.regular.mesh
+        return self.regular.values + _guarded_values(self.principal, msh, msh.vertices)
 
     def op_arrays(self, ws, k):
         """(curl_k, div_k) of the total basis at the quadrature points of the
@@ -158,7 +143,7 @@ def compute_basis(system, corner, tol=1e-10):
     coincide for all |k| >= 2; a direct |k| > 2 basis cross-checks that.
     """
     mesh, k, space = system.mesh, system.k, system.space
-    pp = principal_for(space, corner)
+    pp = PrincipalPart(EDGE_ELECTRIC if space == femcore.SPACE_X else EDGE_MAGNETIC, corner)
     lift = femcore.lift_boundary(
         system.constraints, lambda pts: -_guarded_values(pp, mesh, pts)
     )
@@ -173,17 +158,14 @@ def compute_basis(system, corner, tol=1e-10):
     return basis
 
 
-def singular_dimensions(corners, cones=(), k=0, space=femcore.SPACE_X, beta=None):
+def singular_dimensions(corners, cones, k, space, beta):
     """Dimension of the singular subspace for one mode and field kind.
 
     Every reentrant edge contributes one basis function for all modes and
     both kinds; conical vertices contribute only to the electric mode 0,
-    and only when their aperture exceeds pi/beta.
+    and only when their aperture exceeds pi/beta (beta from the special module).
     """
     n_edges = sum(1 for c in corners if c.reentrant)
     if space == femcore.SPACE_X and k == 0:
-        if beta is None:
-            beta = find_beta()
-        threshold = math.pi / beta
-        n_edges += sum(1 for cone in cones if cone.aperture > threshold)
+        n_edges += sum(1 for cone in cones if cone.aperture > math.pi / beta)
     return n_edges

@@ -386,20 +386,19 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
 # -- error measurement ---------------------------------------------------------------
 
 
-def error_norms(fld, exact, quad, exact_ops=None, k=None):
-    """Weighted L2 and a_k-energy distance of a nodal field to an exact one,
-    on the quadrature quad.
+def error_norms(fld, exact, quad, exact_ops=None):
+    """Weighted L2 and a_k-energy distance of a nodal field of mode k to an
+    exact one, on the quadrature quad.
 
     exact holds the exact field values at the quadrature points, (Q, 3),
     and exact_ops the exact mode-k rows (curl_k, div_k) there, (Q, 4) (zero
     when omitted, so passing exact=0 measures the field's own norms).
     Returns (l2, energy).
     """
-    k = fld.k if k is None else k
     ws = modal_ops.workspace(quad)
     pv = ws.point_values(fld.values) - exact
     l2 = math.sqrt(abs(np.sum(ws.wr[:, None] * np.abs(pv) ** 2)))
-    opv = ws.op_values(fld.values, k)
+    opv = ws.op_values(fld.values, fld.k)
     if exact_ops is not None:
         opv -= exact_ops
     energy = math.sqrt(abs(np.sum(ws.wr[:, None] * np.abs(opv) ** 2)))

@@ -493,19 +493,22 @@ def test_vtk_geometry_only(tmp_path, rect):
     assert np.array_equal(cells, np.column_stack([np.full(nt, 3), rect.triangles]))
 
 
-def _vtk_per_row(msh, point_fields, cell_fields, title):
-    """The legacy VTK text of a meridian mesh, formatted one value or row at a
-    time: %.17g for floats, %d for ints."""
-    nv, nt = msh.num_vertices, msh.num_triangles
+def _vtk_per_row(points, cells, cell_type, point_fields, cell_fields, title):
+    """The legacy VTK text of points (n, 3) and cells (m, c) of one cell type,
+    formatted one value or row at a time: %.17g for floats, %d for ints; a
+    data section is written only when it has fields."""
+    n, m = len(points), len(cells)
     lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID",
-             f"POINTS {nv} double"]
-    lines += ["%.17g %.17g 0" % (r, z) for r, z in msh.vertices]
-    lines.append(f"CELLS {nt} {4 * nt}")
-    lines += ["3 %d %d %d" % (i, j, k) for i, j, k in msh.triangles]
-    lines.append(f"CELL_TYPES {nt}")
-    lines += ["5"] * nt
-    for section, count, field_map in (("POINT_DATA", nv, point_fields),
-                                      ("CELL_DATA", nt, cell_fields)):
+             f"POINTS {n} double"]
+    lines += ["%.17g %.17g %.17g" % (x, y, z) for x, y, z in points]
+    lines.append(f"CELLS {m} {m * (1 + cells.shape[1])}")
+    lines += [" ".join("%d" % i for i in (len(cell), *cell)) for cell in cells]
+    lines.append(f"CELL_TYPES {m}")
+    lines += [str(cell_type)] * m
+    for section, count, field_map in (("POINT_DATA", n, point_fields),
+                                      ("CELL_DATA", m, cell_fields)):
+        if not field_map:
+            continue
         lines.append(f"{section} {count}")
         for name, values in field_map.items():
             columns = [("", values)] if values.ndim == 1 else [
@@ -529,9 +532,28 @@ def test_vtk_matches_per_row_formatting(tmp_path, rng):
     cell = rng.normal(size=nt) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=nt))
     path = tmp_path / "big.vtk"
     write_vtk(msh, {"field": point}, path, cell_fields={"principal": cell}, title="t")
-    expected = _vtk_per_row(msh, {"field": point}, {"principal": cell}, "t")
+    expected = _vtk_per_row(np.column_stack([msh.vertices, np.zeros(nv)]), msh.triangles, 5,
+                            {"field": point}, {"principal": cell}, "t")
     assert path.read_text() == expected
     assert "field_theta_im" not in expected and "principal_im" in expected
+
+
+def test_vtk_wedges_match_per_row_formatting(tmp_path, rng):
+    """write_vtk_wedges gives the same bytes as formatting each row on its
+    own: more points and wedges than one block, a -0.0 coordinate (written
+    -0), negative values and int64 wedge indices."""
+    n, m = 5000, 4500
+    assert min(n, m) > cli_io._WRITE_ROWS
+    points = rng.normal(size=(n, 3))
+    points[0, 0] = points[1, 2] = -0.0
+    wedges = rng.integers(0, n, size=(m, 6), dtype=np.int64)
+    fields = {"field": rng.normal(size=(n, 3)),
+              "phase": rng.normal(size=n) + 1j * rng.normal(size=n)}
+    path = tmp_path / "wedges.vtk"
+    cli_io.write_vtk_wedges(points, wedges, fields, path)
+    expected = _vtk_per_row(points, wedges, 13, fields, {}, "axmaxwell 3d export")
+    assert path.read_text() == expected
+    assert "\n-0 " in expected and "phase_im" in expected
 
 
 def test_vtk_point_count_matches(tmp_path, rect, rng):
@@ -549,6 +571,44 @@ def test_duplicate_field_names_rejected(tmp_path, rect):
     with pytest.raises(ValueError):
         write_vtk(rect, {"a": np.zeros(rect.num_vertices)}, tmp_path / "x.vtk",
                   cell_fields={"a": np.zeros(rect.num_triangles)})
+
+
+def _write_meridian(fields_of, path):
+    msh = mesh.gen_rectangle(0.0, 1.0, 0.0, 1.0, 0.5)
+    assert msh.num_vertices == 9
+    write_vtk(msh, fields_of(msh.num_vertices), path)
+
+
+def _write_wedges(fields_of, path):
+    cli_io.write_vtk_wedges(np.zeros((4, 3)), np.array([[0, 1, 2, 1, 2, 3]]), fields_of(4), path)
+
+
+@pytest.mark.parametrize("write", [_write_meridian, _write_wedges])
+@pytest.mark.parametrize("fields_of, message", [
+    (lambda n: {"a": np.zeros(n - 1)}, "shape"),
+    (lambda n: {"a": np.zeros(n + 1)}, "shape"),
+    (lambda n: {"a": np.zeros((n, 2))}, "shape"),
+    (lambda n: {"a": np.zeros((n, 4))}, "shape"),
+    (lambda n: {"a": np.zeros((n, 3, 1))}, "shape"),
+    (lambda n: {"a": np.zeros((n, 3)), "a_r": np.zeros(n)}, "'a_r_re'"),
+    (lambda n: {"a_theta": np.zeros(n), "a": np.ones((n, 3), dtype=complex)}, "'a_theta_re'"),
+], ids=["short", "long", "two-columns", "four-columns", "three-axes", "split-name",
+        "split-name-first"])
+def test_bad_vtk_fields_fail_before_the_file_opens(tmp_path, write, fields_of, message):
+    """Both writers check every field's shape against its section's count and
+    the scalar array names across the file before they open it, so a bad
+    field leaves no file behind."""
+    path = tmp_path / "x.vtk"
+    with pytest.raises(ValueError, match=message):
+        write(fields_of, path)
+    assert not path.exists()
+
+
+def test_bad_vtk_cell_field_fails_before_the_file_opens(tmp_path, rect):
+    path = tmp_path / "x.vtk"
+    with pytest.raises(ValueError, match=f"expected \\({rect.num_triangles},\\)"):
+        write_vtk(rect, {}, path, cell_fields={"c": np.zeros(rect.num_vertices)})
+    assert not path.exists()
 
 
 def test_tabulated_rhs_round_trip(tmp_path):

@@ -491,7 +491,7 @@ def test_interpolation_error_ratio():
         msh = mesh.gen_rectangle(0.0, 1.0, 0.0, 1.0, h)
         quad = MeshQuadrature(msh)
         fld = ModeField(msh, 0, mf.u(msh.vertices))
-        l2, _ = solver.error_norms(fld, mf.u(quad.xy), quad, k=0)
+        l2, _ = solver.error_norms(fld, mf.u(quad.xy), quad)
         errs.append(l2)
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
 

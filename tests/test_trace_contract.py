@@ -1,9 +1,12 @@
-"""The benchmark tracer in perfbench/ wraps functions of the package by name;
-installing it fails when a refactor unbinds one of them."""
+"""The benchmark in perfbench/ wraps functions of the package by name and
+reads the files the package writes; installing its tracer fails when a
+refactor unbinds one of the functions, and reading fails when a writer
+changes the format."""
 
 import pathlib
 
 import numpy as np
+import pytest
 
 from axmaxwell import cli_io, mesh
 
@@ -143,3 +146,31 @@ def test_every_workload_command_line_parses(monkeypatch, tmp_path):
         cli_io._check_sizes(cfg, msh, getattr(args, "azimuths", None))
         assert cfg.modes == workloads.modes(name)
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, files, copies", [
+    (["solve", "--rhs", "bandlimited", "--modes", "3"],
+     [f"mode_{s}{k}.vtk" for k in range(4) for s in "mp" if (s, k) != ("m", 0)], 1),
+    (["synthesize", "--rhs", "bandlimited", "--modes", "3", "--theta-samples", "5"],
+     ["field3d.vtk"], 5),
+])
+def test_benchmark_reads_every_vtk_output(monkeypatch, tmp_path, argv, files, copies):
+    """perfbench/outputs.read_vtk, the reader of the benchmark's output check,
+    reads every VTK file solve and synthesize write, with the mesh's counts
+    and finite values; a writer change that the benchmark could not read
+    fails here."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import outputs
+
+    msh, _ = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.2)
+    out = tmp_path / "out"
+    assert cli_io.main(argv + ["--h", "0.2", "--outdir", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("*.vtk")) == sorted(files)
+    for name in files:
+        vtk = outputs.read_vtk(out / name)
+        assert vtk["points"] == copies * msh.num_vertices
+        assert vtk["cells"] == copies * msh.num_triangles
+        assert len(vtk["coords"]) == 3 * vtk["points"]
+        assert vtk["arrays"] and np.isfinite(vtk["coords"]).all()
+        for values in vtk["arrays"].values():
+            assert len(values) == vtk["points"] and np.isfinite(values).all()

@@ -232,9 +232,10 @@ def build_config(args):
                          f"{', '.join(sorted(RHS_BUILTINS))} or file:<csv>")
     if cfg.modes < 0:
         raise UsageError(f"modes must be >= 0, got {cfg.modes}")
-    if cfg.theta_samples is not None and cfg.theta_samples < 4 * cfg.modes + 1:
-        raise UsageError(f"theta-samples must be >= 4 * modes + 1 = {4 * cfg.modes + 1}, "
-                         f"got {cfg.theta_samples}")
+    try:
+        solver.theta_samples(cfg.modes, cfg.theta_samples)
+    except ValueError as exc:
+        raise UsageError(f"theta-samples: {exc}") from None
     if not 0.0 < cfg.tol < 1.0:
         raise UsageError(f"tol must lie in (0, 1), got {cfg.tol!r}")
     if cfg.levels < 2:
@@ -268,12 +269,12 @@ def build_mesh(cfg):
 
 def _check_sizes(cfg, msh, azimuths=None):
     """Check against mesh.MAX_ENTRIES, before any of them exists, the largest
-    arrays of a run's analysis, M x Q samples (Q <= 28 nt: a triangle at the
-    corner carries 4 x 7 quadrature points) and the (N + 1) x M projection,
-    and of its synthesis at T azimuths, T x nv x 3 values and T x nt x 6
-    wedge indices."""
+    arrays of a run's analysis, M x Q samples (Q <= nt times
+    femcore.MAX_TRIANGLE_POINTS) and the (N + 1) x M projection, and of its
+    synthesis at T azimuths, T x nv x 3 values and T x nt x 6 wedge
+    indices."""
     M = solver.theta_samples(cfg.modes, cfg.theta_samples)
-    sizes = {"analysis samples M x Q": M * 28 * msh.num_triangles,
+    sizes = {"analysis samples M x Q": M * femcore.MAX_TRIANGLE_POINTS * msh.num_triangles,
              "projection (N + 1) x M": (cfg.modes + 1) * M,
              "synthesis T x max(3 nv, 6 nt)":
                  (azimuths or 0) * max(3 * msh.num_vertices, 6 * msh.num_triangles)}

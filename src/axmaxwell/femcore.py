@@ -66,6 +66,8 @@ _SUB_CORNERS = [
     np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
 ]
 
+MAX_TRIANGLE_POINTS = len(_SUB_CORNERS) * len(default_rule().weights)  # on a subdivided triangle
+
 
 class MeshQuadrature:
     """Flattened quadrature data over all elements of a mesh.

@@ -1,32 +1,56 @@
 """Polynomial manufactured solutions for convergence and consistency runs.
 
-Each case provides a smooth field satisfying the essential conditions of
-its space on the stated domain for every mode k, together with its
-closed-form mode-k operator rows D_k u = (curl_k u, div_k u).  All
-components vanish fast enough at the axis that the 1/r factors stay
-polynomial, so quadrature is exact and observed rates are clean.
+Each case is a smooth field satisfying the essential conditions of its
+space on the stated domain for every mode k.  Its components are sums of
+polynomial products p(r) q(z) with p(0) = 0, so the 1/r factors of its
+mode-k rows D_k u = (curl_k u, div_k u) stay polynomial, quadrature is
+exact and observed rates are clean.
 """
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from . import mesh as meshmod, modal_ops, solver
 from .femcore import MeshQuadrature
 
+_X = Polynomial([0.0, 1.0])  # the identity, for writing p(r) and q(z)
+
 
 class ManufacturedField:
-    """Bundle of callables: u(points) -> (P, 3) and ops(points, k) -> (P, 4),
-    the rows (curl_r, curl_theta, curl_z, div) of D_k u."""
+    """A field given by terms, three lists (u_r, u_theta, u_z) of (p, q)
+    Polynomial pairs: u_c(r, z) = sum of p(r) q(z) over the pairs of c,
+    every p(0) = 0.  u(points) -> (P, 3) and ops(points, k) -> (P, 4), the
+    rows (curl_r, curl_theta, curl_z, div) of D_k u, both complex."""
 
-    def __init__(self, name, u, ops):
+    def __init__(self, name, terms):
         self.name = name
-        self._u = u
-        self._ops = ops
+        self.terms = terms
+
+    def _parts(self, points):
+        """(4, 3, P) array: u, d_r u, d_z u and u / r of each component."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        r, z = pts[:, 0], pts[:, 1]
+        out = np.zeros((4, 3, len(pts)))
+        for c, terms in enumerate(self.terms):
+            for p, q in terms:
+                pr, qz = p(r), q(z)
+                # p(0) = 0: p / r keeps the coefficients of r^1 and up
+                out[:, c] += (pr * qz, p.deriv()(r) * qz, pr * q.deriv()(z),
+                              Polynomial(p.coef[1:])(r) * qz)
+        return out
 
     def u(self, points):
-        return self._u(np.atleast_2d(np.asarray(points, dtype=float)))
+        return self._parts(points)[0].T.astype(complex, order="C")
 
     def ops(self, points, k):
-        return self._ops(np.atleast_2d(np.asarray(points, dtype=float)), k)
+        _, d_r, d_z, over_r = self._parts(points)
+        ik = 1j * k
+        return np.column_stack([
+            ik * over_r[2] - d_z[1],
+            d_z[0] - d_r[2],
+            d_r[1] + over_r[1] - ik * over_r[0],
+            d_r[0] + over_r[0] + ik * over_r[1] + d_z[2],
+        ])
 
 
 def rectangle_electric():
@@ -37,74 +61,24 @@ def rectangle_electric():
     axial bubbles; every component vanishes at the axis, which satisfies
     the axis rules of all modes simultaneously.
     """
+    R, Z = _X ** 2 * (1 - _X), _X * (1 - _X)
+    terms = ([(R.deriv(), Z)],                          # u_r
+             [(_X * (1 - _X), Z)],                      # u_theta
+             [(R, Z.deriv()), (R * (1 - _X), 1 + _X)])  # u_z
+    return ManufacturedField("rectangle_electric", terms)
 
-    def parts(p):
-        r, z = p[:, 0], p[:, 1]
-        R = r * r * (1 - r)
-        dR = 2 * r - 3 * r * r
-        ddR = 2 - 6 * r
-        Z = z * (1 - z)
-        dZ = 1 - 2 * z
-        E = r * r * (1 - r) ** 2
-        dE = 2 * r * (1 - r) ** 2 - 2 * r * r * (1 - r)
-        T = r * (1 - r)
-        dT = 1 - 2 * r
-        return r, z, R, dR, ddR, Z, dZ, E, dE, T, dT
 
-    def u(p):
-        r, z, R, dR, ddR, Z, dZ, E, dE, T, dT = parts(p)
-        out = np.zeros((len(p), 3), dtype=complex)
-        out[:, 0] = dR * Z
-        out[:, 1] = T * Z
-        out[:, 2] = R * dZ + E * (1 + z)
-        return out
-
-    def ops(p, k):
-        r, z, R, dR, ddR, Z, dZ, E, dE, T, dT = parts(p)
-        out = np.zeros((len(p), 4), dtype=complex)
-        # u_z / r = (r - r^2) dZ + r (1-r)^2 (1+z)
-        out[:, 0] = 1j * k * ((r - r * r) * dZ + r * (1 - r) ** 2 * (1 + z)) - T * dZ
-        out[:, 1] = dR * dZ - (dR * dZ + dE * (1 + z))
-        out[:, 2] = dT * Z + (1 - r) * Z - 1j * k * (2 - 3 * r) * Z
-        # u_r / r = (2 - 3r) Z, u_theta / r = (1 - r) Z
-        out[:, 3] = ddR * Z + (2 - 3 * r) * Z + 1j * k * (1 - r) * Z + R * (-2.0) + E
-        return out
-
-    return ManufacturedField("rectangle_electric", u, ops)
+def _stream(name, R, Z):
+    """The field (R Z', R' Z, -R' Z) of the stream function R(r) Z(z): its
+    meridian part has zero normal trace wherever R Z vanishes."""
+    dR = R.deriv()
+    return ManufacturedField(name, ([(R, Z.deriv())], [(dR, Z)], [(-dR, Z)]))
 
 
 def rectangle_magnetic():
     """Normal-trace-free field on the unit-square meridian rectangle,
     driven by the stream function psi = r^2 (1-r) z (1-z)."""
-
-    def parts(p):
-        r, z = p[:, 0], p[:, 1]
-        P = r * r * (1 - r)
-        dP = 2 * r - 3 * r * r
-        ddP = 2 - 6 * r
-        Z = z * (1 - z)
-        dZ = 1 - 2 * z
-        return r, z, P, dP, ddP, Z, dZ
-
-    def u(p):
-        r, z, P, dP, ddP, Z, dZ = parts(p)
-        out = np.zeros((len(p), 3), dtype=complex)
-        out[:, 0] = P * dZ
-        out[:, 1] = dP * Z
-        out[:, 2] = -dP * Z
-        return out
-
-    def ops(p, k):
-        r, z, P, dP, ddP, Z, dZ = parts(p)
-        out = np.zeros((len(p), 4), dtype=complex)
-        out[:, 0] = -1j * k * (2 - 3 * r) * Z - dP * dZ
-        out[:, 1] = P * (-2.0) + ddP * Z
-        out[:, 2] = ddP * Z + (2 - 3 * r) * Z - 1j * k * (r - r * r) * dZ
-        # P / r = r - r^2, dP / r = 2 - 3r
-        out[:, 3] = (r - r * r) * dZ + 1j * k * (2 - 3 * r) * Z
-        return out
-
-    return ManufacturedField("rectangle_magnetic", u, ops)
+    return _stream("rectangle_magnetic", _X ** 2 * (1 - _X), _X * (1 - _X))
 
 
 def lshape_magnetic():
@@ -117,37 +91,8 @@ def lshape_magnetic():
     stabilized modes).
     """
     r_c = z_c = 0.5
-
-    def parts(p):
-        r, z = p[:, 0], p[:, 1]
-        R = -(r ** 4) + (1 + r_c) * r ** 3 - r_c * r * r
-        dR = -4 * r ** 3 + 3 * (1 + r_c) * r * r - 2 * r_c * r
-        ddR = -12 * r * r + 6 * (1 + r_c) * r - 2 * r_c
-        R_over_r = -(r ** 3) + (1 + r_c) * r * r - r_c * r
-        dR_over_r = -4 * r * r + 3 * (1 + r_c) * r - 2 * r_c
-        Z = -(z ** 3) + (1 + z_c) * z * z - z_c * z
-        dZ = -3 * z * z + 2 * (1 + z_c) * z - z_c
-        ddZ = -6 * z + 2 * (1 + z_c)
-        return R, dR, ddR, R_over_r, dR_over_r, Z, dZ, ddZ
-
-    def u(p):
-        R, dR, ddR, Rr, dRr, Z, dZ, ddZ = parts(p)
-        out = np.zeros((len(p), 3), dtype=complex)
-        out[:, 0] = R * dZ
-        out[:, 1] = dR * Z
-        out[:, 2] = -dR * Z
-        return out
-
-    def ops(p, k):
-        R, dR, ddR, Rr, dRr, Z, dZ, ddZ = parts(p)
-        out = np.zeros((len(p), 4), dtype=complex)
-        out[:, 0] = -1j * k * dRr * Z - dR * dZ
-        out[:, 1] = R * ddZ + ddR * Z
-        out[:, 2] = ddR * Z + dRr * Z - 1j * k * Rr * dZ
-        out[:, 3] = Rr * dZ + 1j * k * dRr * Z
-        return out
-
-    return ManufacturedField("lshape_magnetic", u, ops)
+    return _stream("lshape_magnetic", _X ** 2 * (1 - _X) * (_X - r_c),
+                   _X * (1 - _X) * (_X - z_c))
 
 
 def convergence_study(space, ks, hs, tol):

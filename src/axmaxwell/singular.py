@@ -48,47 +48,35 @@ class PrincipalPart:
         if not 0.5 < self.corner.alpha < 1.0:
             raise ValueError("edge principal parts require a reentrant corner")
 
-    def values(self, points):
-        """Component triples (u_r, u_theta, u_z) at (r, z) points, (P, 3)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+    def _frame(self, pts):
+        """rho^(alpha-1) and (s, c) = (sin T, cos T), T = (alpha-1) phi - phi0,
+        at (P, 2) points of the corner's polar coordinates (rho, phi); the
+        magnetic part is the electric one turned a quarter, (s, c) -> (c, -s)."""
         c = self.corner
         rho, phi = c.local_coords(pts)
         if np.any(rho == 0.0):
             raise ValueError("principal part evaluated at the corner")
         theta = (c.alpha - 1.0) * phi - c.phi0
-        amp = -(pts[:, 0] / c.a) * c.alpha * rho ** (c.alpha - 1.0)
-        out = np.zeros((len(pts), 3))
-        if self.kind == EDGE_ELECTRIC:
-            out[:, 0] = amp * np.sin(theta)
-            out[:, 2] = amp * np.cos(theta)
-        else:
-            out[:, 0] = amp * np.cos(theta)
-            out[:, 2] = -amp * np.sin(theta)
-        return out
+        s, co = np.sin(theta), np.cos(theta)
+        if self.kind == EDGE_MAGNETIC:
+            s, co = co, -s
+        return rho ** (c.alpha - 1.0), s, co
+
+    def values(self, points):
+        """Component triples (u_r, u_theta, u_z) at (r, z) points, (P, 3)."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        g, s, c = self._frame(pts)
+        amp = -(pts[:, 0] / self.corner.a) * self.corner.alpha * g
+        return np.column_stack([amp * s, np.zeros_like(amp), amp * c])
 
     def ops(self, points, k):
         """Closed-form D_k rows (curl_k, div_k) of the principal part,
         (P, 4) complex."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        c = self.corner
-        rho, phi = c.local_coords(pts)
-        if np.any(rho == 0.0):
-            raise ValueError("principal part evaluated at the corner")
-        theta = (c.alpha - 1.0) * phi - c.phi0
-        amp = (c.alpha / c.a) * rho ** (c.alpha - 1.0)
+        g, s, c = self._frame(pts)
+        amp = (self.corner.alpha / self.corner.a) * g
         ik = 1j * k
-        out = np.zeros((len(pts), 4), dtype=complex)
-        if self.kind == EDGE_ELECTRIC:
-            out[:, 0] = -ik * amp * np.cos(theta)
-            out[:, 1] = amp * np.cos(theta)
-            out[:, 2] = ik * amp * np.sin(theta)
-            out[:, 3] = -2.0 * amp * np.sin(theta)
-        else:
-            out[:, 0] = ik * amp * np.sin(theta)
-            out[:, 1] = -amp * np.sin(theta)
-            out[:, 2] = ik * amp * np.cos(theta)
-            out[:, 3] = -2.0 * amp * np.cos(theta)
-        return out
+        return np.column_stack([-ik * amp * c, amp * c, ik * amp * s, -2.0 * amp * s])
 
 
 def _guarded_values(pp, mesh, points):

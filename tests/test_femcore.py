@@ -88,6 +88,7 @@ def test_corner_subdivision_refines_near_corner():
     plain = MeshQuadrature(lm)
     refined = MeshQuadrature(lm, corner)
     assert len(refined.tri) > len(plain.tri)
+    assert np.bincount(refined.tri).max() == femcore.MAX_TRIANGLE_POINTS == 28
     # total weight (area) is preserved by the subdivision
     assert refined.w.sum() == pytest.approx(plain.w.sum(), rel=1e-13)
 

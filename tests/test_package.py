@@ -12,16 +12,20 @@ def test_every_exported_name_resolves():
 
 def test_import_loads_only_numpy_and_the_standard_library():
     """Importing the package and its command line, in a fresh interpreter,
-    loads no third-party module but numpy, and no thread pool."""
+    loads no third-party module but numpy, and no thread pool; the
+    manufactured fields and the acceptance suite, with numpy.polynomial,
+    load only when the convergence and verify commands run."""
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import axmaxwell, axmaxwell.cli_io\n"
-        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
-    added = set(out.stdout.split())
+    loaded = set(out.stdout.split())
+    added = {m.split(".")[0] for m in loaded}
     assert {"axmaxwell", "numpy"} <= added
     assert not added - sys.stdlib_module_names - {"axmaxwell", "numpy"}
     assert "concurrent" not in added
+    assert not loaded & {"axmaxwell.manufactured", "axmaxwell.verification", "numpy.polynomial"}

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from axmaxwell import femcore, linalg, manufactured, mesh, modal_ops, singular, solver
+from axmaxwell import (femcore, linalg, manufactured, mesh, modal_ops, singular, solver,
+                       verification)
 from axmaxwell.cli_io import RHS_BUILTINS
 from axmaxwell.femcore import SPACE_X, SPACE_Y, MeshQuadrature, ModeField
 
@@ -71,6 +72,9 @@ def test_analyze_samples_returns_modes_zero_to_n(rng):
 def test_analyze_aliasing_guard():
     with pytest.raises(ValueError):
         solver.analyze_rhs(lambda r, th, z: (0, 0, 0), 3, [(0.5, 0.5)], samples=10)
+    with pytest.raises(ValueError, match="4N"):
+        solver.theta_samples(3, 12)
+    assert solver.theta_samples(3, 13) == solver.theta_samples(3) == 13
 
 
 @pytest.mark.parametrize("name", ["cos_theta_ez", "bandlimited"])
@@ -482,6 +486,23 @@ def test_error_norms_of_zero_exact(rect, rng):
     assert l2 == pytest.approx(want_l2, rel=1e-12)
     want_energy = math.sqrt(abs(modal_ops.a_k_direct(fld, fld, 1, quad)))
     assert energy == pytest.approx(want_energy, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["rectangle_electric", "rectangle_magnetic", "lshape_magnetic"])
+def test_manufactured_ops_are_d_k_of_u(name):
+    """ops(points, k) matches central differences of u, with its u / r
+    terms, at interior quadrature points of the field's domain."""
+    mf = getattr(manufactured, name)()
+    if name.startswith("lshape"):
+        msh, _ = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.25)
+    else:
+        msh = mesh.gen_rectangle(0.0, 1.0, 0.0, 1.0, 0.25)
+    pts = MeshQuadrature(msh).xy
+    assert len(pts) >= 50
+    for k in range(-3, 4):
+        ops = mf.ops(pts, k)
+        fd = verification.fd_ops(lambda p: mf.u(p).T, pts, k, 1e-5).T
+        assert np.abs(ops - fd).max() <= 1e-6 * np.abs(ops).max()
 
 
 def test_interpolation_error_ratio():

@@ -414,11 +414,13 @@ def cmd_singular(cfg, msh, corner, out):
         cell_fields={"principal": principal_cells},
         title=f"singular basis k={cfg.k} {cfg.field}",
     )
+    # a_k(s, s) and its curl part (curl_k s, curl_k s), from one evaluation
+    bop, wr = basis.op_arrays(system.ws, cfg.k), system.ws.wr[:, None]
     write_csv(
         prefix + "_diag.csv",
         ["k", "field", "iterations", "residual", "energy", "curl_norm_sq"],
-        [[cfg.k, cfg.field, basis.cg.iterations, basis.cg.residual, basis.energy,
-          basis.curl_norm_sq]],
+        [[cfg.k, cfg.field, basis.cg.iterations, basis.cg.residual,
+          float(np.sum(wr * np.abs(bop) ** 2)), float(np.sum(wr * np.abs(bop[:, :3]) ** 2))]],
     )
     print(f"wrote {prefix}.vtk and {prefix}_diag.csv")
     print(_corner_report(corner))

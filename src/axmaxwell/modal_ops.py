@@ -465,6 +465,20 @@ def form_C(u, v, quad):
     return complex(np.sum(quad.w * integrand / quad.r))
 
 
+def _sampled(u, quad):
+    """Values (Q, 3) and gradients (Q, 3, 2) of the P1 field u at the
+    quadrature points, from its nodal values and the triangle gradients."""
+    G = gradients(quad.mesh)[quad.tri]
+    vals = np.asarray(u.values, dtype=complex)[quad.mesh.triangles[quad.tri]]  # (Q, 3, 3)
+    return np.einsum("qi,qic->qc", quad.bary, vals), np.einsum("qic,qij->qcj", vals, G)
+
+
+def _components(u, keep):
+    """Mode-0 copy of the field u with the components not in the (r, theta,
+    z) mask keep set to zero."""
+    return ModeField(u.mesh, 0, np.where(keep, u.values, 0.0))
+
+
 def form_flux(u, v, quad):
     """Divergence form of the first-order boundary coupling.
 
@@ -474,14 +488,8 @@ def form_flux(u, v, quad):
     |k| = 1 regularity ties.  Appears in the decomposition of a_k with the
     factor ik.
     """
-    G = gradients(quad.mesh)[quad.tri]
-    tri = quad.mesh.triangles[quad.tri]
-    uvals = np.asarray(u.values, dtype=complex)[tri]  # (Q, 3, 3)
-    vvals = np.asarray(v.values, dtype=complex)[tri]
-    up = np.einsum("qi,qic->qc", quad.bary, uvals)
-    vp = np.einsum("qi,qic->qc", quad.bary, vvals).conj()
-    dup = np.einsum("qic,qij->qcj", uvals, G)
-    dvp = np.einsum("qic,qij->qcj", vvals, G).conj()
+    up, dup = _sampled(u, quad)
+    vp, dvp = (a.conj() for a in _sampled(v, quad))
     integrand = (
         dup[:, 1, 0] * vp[:, 0]
         + up[:, 1] * dvp[:, 0, 0]
@@ -495,23 +503,12 @@ def form_flux(u, v, quad):
     return complex(np.sum(quad.w * integrand))
 
 
-def _meridian_only(u):
-    vals = u.values.copy()
-    vals[:, 1] = 0.0
-    return ModeField(u.mesh, 0, vals)
-
-
 def form_scalar_curl(u, v, quad):
     """(curl u_theta, curl v_theta) with the scalar-field meridian curl
     curl w = (-dw/dz, (1/r) d(r w)/dr) in the r-weighted pairing."""
-    G = gradients(quad.mesh)[quad.tri]
-    tri = quad.mesh.triangles[quad.tri]
-    ut = np.asarray(u.values, dtype=complex)[tri][:, :, 1]
-    vt = np.asarray(v.values, dtype=complex)[tri][:, :, 1]
-    upt = np.einsum("qi,qi->q", quad.bary, ut)
-    vpt = np.einsum("qi,qi->q", quad.bary, vt).conj()
-    dut = np.einsum("qi,qij->qj", ut, G)
-    dvt = np.einsum("qi,qij->qj", vt, G).conj()
+    up, dup = _sampled(u, quad)
+    vp, dvp = (a.conj() for a in _sampled(v, quad))
+    upt, vpt, dut, dvt = up[:, 1], vp[:, 1], dup[:, 1], dvp[:, 1]
     comp_r = (-dut[:, 1]) * (-dvt[:, 1])
     comp_z = (dut[:, 0] + upt / quad.r) * (dvt[:, 0] + vpt / quad.r)
     return complex(np.sum(quad.w * quad.r * (comp_r + comp_z)))
@@ -526,19 +523,13 @@ def a_k_via_decomposition(u, v, k, quad):
     form (see form_flux), which also captures the axis flux carried by the
     |k| = 1 regularity ties.
     """
-    mesh = quad.mesh
-    um = _meridian_only(u)
-    vm = _meridian_only(v)
+    meridian, theta = [True, False, True], [False, True, False]
+    um, vm = _components(u, meridian), _components(v, meridian)
     total = a_k_direct(um, vm, 0, quad)
     total += (k * k) * form_over_r2(um, vm, quad)
     total += form_scalar_curl(u, v, quad)
-    theta_u = ModeField(mesh, 0, np.column_stack([
-        np.zeros(mesh.num_vertices, complex), u.values[:, 1], np.zeros(mesh.num_vertices, complex)
-    ]))
-    theta_v = ModeField(mesh, 0, np.column_stack([
-        np.zeros(mesh.num_vertices, complex), v.values[:, 1], np.zeros(mesh.num_vertices, complex)
-    ]))
-    total += (k * k) * form_over_r2(theta_u, theta_v, quad)
+    tu, tv = _components(u, theta), _components(v, theta)
+    total += (k * k) * form_over_r2(tu, tv, quad)
     total += 1j * k * form_C(u, v, quad)
     total += 1j * k * form_flux(u, v, quad)
     return total

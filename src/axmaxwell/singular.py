@@ -89,20 +89,18 @@ def _guarded_values(pp, mesh, points):
     return vals
 
 
-@dataclass
+@dataclass(frozen=True)
 class SingularBasis:
     """One singular complement function: analytic principal part plus the
-    computed regular nodal correction, with the CG solve of the correction,
-    the basis energy a_k(s, s) and the curl part of it, (curl_k s, curl_k s),
-    at its own mode."""
+    computed regular nodal correction, with the CG solve of the correction.
+    It holds only what defines the basis: a_k(s, s) is paired where the
+    basis is used and kept on the mode's ModeRecord."""
 
     k: int
     space: str
     principal: PrincipalPart
     regular: ModeField
     cg: CGInfo = None
-    energy: float = 0.0
-    curl_norm_sq: float = 0.0
 
     def total_nodal(self):
         """Nodal values of principal + regular; the corner vertex carries
@@ -129,6 +127,9 @@ def compute_basis(system, corner, tol=1e-10):
     The same system serves the mode solve, so it is only read here.  The
     solver computes the bases of |k| <= 2 only, since the singular subspaces
     coincide for all |k| >= 2; a direct |k| > 2 basis cross-checks that.
+    Only the lift's right-hand side evaluates the basis operators here;
+    the mode solve pairs them with the data and keeps a_k(s, s) on its
+    ModeRecord.
     """
     mesh, k, space = system.mesh, system.k, system.space
     pp = PrincipalPart(EDGE_ELECTRIC if space == femcore.SPACE_X else EDGE_MAGNETIC, corner)
@@ -139,11 +140,7 @@ def compute_basis(system, corner, tol=1e-10):
     # as its regular part, paired with those of the test fields
     rhs = -system.functional(SingularBasis(k, space, pp, lift).op_arrays(system.ws, k))
     x, info = solve_hpd(system.matrix, rhs, tol=tol, hierarchy=system.hierarchy)
-    basis = SingularBasis(k, space, pp, system.constraints.expand(x) + lift, info)
-    bop = basis.op_arrays(system.ws, k)
-    basis.energy = float(np.sum(system.ws.wr[:, None] * np.abs(bop) ** 2))
-    basis.curl_norm_sq = float(np.sum(system.ws.wr[:, None] * np.abs(bop[:, :3]) ** 2))
-    return basis
+    return SingularBasis(k, space, pp, system.constraints.expand(x) + lift, info)
 
 
 def singular_dimensions(corners, cones, k, space, beta):

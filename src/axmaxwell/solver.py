@@ -43,7 +43,9 @@ class ModeRecord:
     bordered path; a mode whose right-hand side meets the stopping rule at
     x = 0 makes no CG call, and its CGInfo has 0 iterations and residual
     ||rhs|| / F (see solve_axisymmetric).  energy is the basis energy
-    a_k(s, s) at this mode, 0.0 without a basis.
+    a_k(s, s) at this mode (0.0 without a basis), paired from the one
+    evaluation of the basis operators in the mode solve; the basis itself
+    stores none.
     """
 
     field: ModeField
@@ -266,8 +268,12 @@ def solve_mode_orthogonal(system, data, basis=None, tol=1e-10, *, load=None, flo
     (f, g) load.  The mode stops at ||b - A x|| <= tol * max(||b||, floor):
     a load of norm at most tol * floor makes no CG call and gives an exactly
     zero regular part, while the coefficient is still the pairing; any other
-    load is solved by CG to tol * ||b||.  Returns a ModeRecord.
+    load is solved by CG to tol * ||b||.  A basis of another mode is not
+    a_k-orthogonal to the regular space and raises ValueError.  Returns a
+    ModeRecord.
     """
+    if basis is not None and basis.k != system.k:
+        raise ValueError(f"expected the mode {system.k} basis, got mode {basis.k}")
     load, _, energy, numer = _pair(system, data, basis, load)
     coeff = numer / energy if basis is not None else 0j
     info = _unsolved(load, floor, tol)

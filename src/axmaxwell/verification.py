@@ -230,8 +230,9 @@ def criterion_6_homogeneity():
         for k in (0, 1, -1, 2, -2):
             system = _lshape_system(h, k, space)
             basis = _lshape_basis(h, k, space)
-            resid = system.functional(basis.op_arrays(system.ws, k))
-            bnorm = math.sqrt(basis.energy)
+            bop = basis.op_arrays(system.ws, k)
+            resid = system.functional(bop)
+            bnorm = math.sqrt(float(np.sum(system.ws.wr[:, None] * np.abs(bop) ** 2)))
             for _ in range(50):
                 v = _random_constrained(system, rng)
                 vnorm = math.sqrt(abs(modal_ops.a_k_direct(v, v, k, system.quad)))
@@ -255,7 +256,7 @@ def criterion_7_singular_only():
             )
             reg_energy = abs(modal_ops.a_k_direct(rec.field, rec.field, k, system.quad))
             worst_c = max(worst_c, abs(rec.coeff - 1.0))
-            worst_e = max(worst_e, reg_energy / basis.energy)
+            worst_e = max(worst_e, reg_energy / rec.energy)
     ok = worst_c <= SINGULAR_COEFF_TOL and worst_e <= SINGULAR_ENERGY_RATIO
     return CriterionResult(
         7,

@@ -176,6 +176,31 @@ def test_bordered_modes_report_the_basis_energy(tmp_path, lshape, lshape_quad):
         assert float(by_k[k]["basis_energy"]) == alpha
 
 
+def test_singular_and_solve_report_one_basis_energy(tmp_path, lshape, lshape_quad):
+    """singular's diag energy and curl_norm_sq are the weighted sums of the
+    basis operators at its mode, and the energy is the basis_energy that
+    solve reports for modes +-1 on the same mesh and field."""
+    rc = main([
+        "singular", "--h", "0.1", "--k", "1", "--outdir", str(tmp_path), "--out", "b",
+    ])
+    assert rc == 0
+    rc = main(["solve", "--h", "0.1", "--modes", "2", "--outdir", str(tmp_path / "s")])
+    assert rc == 0
+    header, rows = read_csv(tmp_path / "b_diag.csv")
+    diag = dict(zip(header, rows[0]))
+    msh, corner = lshape
+    system = modal_ops.assemble_a_k(msh, 1, SPACE_Y, quad=lshape_quad)
+    basis = singular.compute_basis(system, corner)
+    bop, wr = basis.op_arrays(system.ws, 1), system.ws.wr[:, None]
+    assert float(diag["energy"]) == float(np.sum(wr * np.abs(bop) ** 2))
+    assert float(diag["curl_norm_sq"]) == float(np.sum(wr * np.abs(bop[:, :3]) ** 2))
+    assert 0.0 < float(diag["curl_norm_sq"]) < float(diag["energy"])
+    header, rows = read_csv(tmp_path / "s" / "summary.csv")
+    by_k = {int(row[0]): dict(zip(header, row)) for row in rows}
+    for k in (1, -1):
+        assert float(by_k[k]["basis_energy"]) == float(diag["energy"])
+
+
 @pytest.mark.parametrize("levels", ["1", "0", "-1"])
 def test_convergence_needs_two_levels(tmp_path, capsys, levels):
     rc = main([

@@ -139,8 +139,9 @@ def test_basis_homogeneous_formulation(lshape, lshape_quad, space, k, rng):
     msh, corner = lshape
     system = modal_ops.assemble_a_k(msh, k, space, quad=lshape_quad)
     basis = compute_basis(system, corner)
-    resid = system.functional(basis.op_arrays(system.ws, k))
-    bnorm = math.sqrt(basis.energy)
+    bop = basis.op_arrays(system.ws, k)
+    resid = system.functional(bop)
+    bnorm = math.sqrt(float(np.sum(system.ws.wr[:, None] * np.abs(bop) ** 2)))
     for _ in range(20):
         raw = ModeField(
             msh, k,
@@ -225,14 +226,10 @@ def test_dimension_bookkeeping(lshape):
 
 
 def test_basis_record(lshape, lshape_quad):
-    """The basis carries its CG solve, its energy a_k(s, s) and the curl
-    part of it, both from the operators of the basis at its own mode."""
+    """The basis carries the CG solve of its regular correction; its energy
+    is paired where it is used (see test_solver and test_cli_io)."""
     msh, corner = lshape
     system = modal_ops.assemble_a_k(msh, 2, SPACE_X, quad=lshape_quad)
     basis = compute_basis(system, corner, tol=1e-10)
     assert 0 < basis.cg.iterations
     assert 0.0 < basis.cg.residual <= 1e-10
-    weighted = system.ws.wr[:, None] * np.abs(basis.op_arrays(system.ws, 2)) ** 2
-    assert basis.energy == float(np.sum(weighted))
-    assert basis.curl_norm_sq == float(np.sum(weighted[:, :3]))
-    assert 0.0 < basis.curl_norm_sq < basis.energy

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -161,16 +162,16 @@ def test_singular_only_manufactured(lshape, lshape_quad, space):
     rec = solver.solve_mode_orthogonal(system, bop, basis)
     assert abs(rec.coeff - 1.0) <= 1e-6
     reg_energy = abs(modal_ops.a_k_direct(rec.field, rec.field, k, lshape_quad))
-    assert reg_energy <= 1e-6 * basis.energy
+    assert reg_energy <= 1e-6 * rec.energy
     # the record: one CG solve, C^k over the basis energy
-    assert rec.energy == basis.energy
+    assert rec.energy == float(np.sum(system.ws.wr[:, None] * np.abs(bop) ** 2))
     assert rec.cg.iterations > 0
     assert rec.cg.residual <= 1e-10
     # a posteriori orthogonality used to decouple the coefficient
     bcurl = bop[:, :3]
     rcurl = system.ws.op_values(rec.field.values, k)[:, :3]
     cross = abs(np.sum(system.ws.wr[:, None] * rcurl * bcurl.conj()))
-    curl_norm = basis.curl_norm_sq
+    curl_norm = float(np.sum(system.ws.wr[:, None] * np.abs(bop[:, :3]) ** 2))
     assert cross <= 1e-6 * curl_norm
 
 
@@ -230,6 +231,23 @@ def test_bordered_rejects_low_modes(lshape, lshape_quad):
     b2 = singular.compute_basis(sys2, corner)
     with pytest.raises(ValueError):
         solver.solve_mode_bordered(sys2, np.zeros((len(lshape_quad.xy), 4)), b2)
+
+
+def test_orthogonal_rejects_a_basis_of_another_mode(lshape, lshape_quad):
+    """A basis is a_k-orthogonal to the regular space of its own mode only,
+    so pairing the data with another mode's basis gives a wrong C^k."""
+    msh, corner = lshape
+    sys2 = modal_ops.assemble_a_k(msh, 2, SPACE_Y, quad=lshape_quad)
+    sys3 = modal_ops.ModeSystem(msh, 3, SPACE_Y, base=sys2)
+    sys1 = modal_ops.assemble_a_k(msh, 1, SPACE_Y, quad=lshape_quad)
+    sys_m1 = modal_ops.assemble_a_k(msh, -1, SPACE_Y, quad=lshape_quad)
+    b2 = singular.compute_basis(sys2, corner)
+    b_m1 = singular.compute_basis(sys_m1, corner)
+    zero = np.zeros((len(lshape_quad.xy), 4), dtype=complex)
+    for system, basis in ((sys3, b2), (sys1, b_m1)):
+        match = f"expected the mode {system.k} basis, got mode {basis.k}"
+        with pytest.raises(ValueError, match=match):
+            solver.solve_mode_orthogonal(system, zero, basis)
 
 
 def test_mode_solves_reject_malformed_data(lshape, lshape_quad):
@@ -459,6 +477,30 @@ def test_full_solve_assembles_each_system_once(lshape, rect, monkeypatch):
         calls.clear()
         solver.solve_axisymmetric(case_mesh, SPACE_Y, _bandlimited, N=5, corner=case_corner)
         assert calls == {"assemble_a_k": 3, "OperatorWorkspace": 1}
+
+
+def test_full_solve_forms_each_basis_once_per_use(lshape, lshape_quad, monkeypatch):
+    """An N = 2 solve evaluates each basis's operators once for its lift and
+    once for its mode's pairing, and the record keeps that pairing's
+    a_k(s, s); the basis itself is frozen and stores no energy."""
+    msh, corner = lshape
+    op_arrays, calls = singular.SingularBasis.op_arrays, []
+
+    def counted(self, ws, k):
+        calls.append(k)
+        return op_arrays(self, ws, k)
+
+    monkeypatch.setattr(singular.SingularBasis, "op_arrays", counted)
+    sol = solver.solve_axisymmetric(msh, SPACE_Y, _bandlimited, N=2, corner=corner)
+    assert len(calls) <= 6
+    monkeypatch.undo()
+    ws = modal_ops.workspace(lshape_quad)
+    for k, rec in sol.records.items():
+        basis = rec.basis
+        assert basis.k == k
+        assert rec.energy == float(np.sum(ws.wr[:, None] * np.abs(basis.op_arrays(ws, k)) ** 2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sol.records[1].basis.cg = None
 
 
 def test_fourier_solution_requires_all_modes(rect):

@@ -242,19 +242,37 @@ def _global_dofs(mesh):
     return (3 * mesh.triangles[:, :, None] + np.arange(3)).reshape(-1, 9)
 
 
-class _Reduction:
-    """Reduction of local element data onto the free dofs of one
-    constraint set: per-element coefficients, the CSR pattern of the
-    reduced matrix and the scatter slots into it, computed once."""
+class LoadScatter:
+    """Load scatter of one constraint set, which every class needs and which
+    is cheap: the constraint coefficients of each element's local dofs and
+    their free-dof slots (n: none).  An assembled system shares it."""
 
-    def __init__(self, mesh, constraints):
-        gdofs = _global_dofs(mesh)
+    def __init__(self, constraints):
+        self.constraints = constraints
+        gdofs = _global_dofs(constraints.mesh)
         fidx = constraints.index[gdofs]  # (nt, 9)
         self.coeff = constraints.coeff[gdofs]
         n = self.n = constraints.n_free
-        rows = np.broadcast_to(fidx[:, :, None], (len(gdofs), 9, 9))
-        cols = np.broadcast_to(fidx[:, None, :], (len(gdofs), 9, 9))
-        keep = (rows >= 0) & (cols >= 0)
+        self.fslots = np.where(fidx >= 0, fidx, n).astype(np.int32).ravel()
+
+    def functional(self, per_dof_local):
+        """Free-dof functional from per-triangle local test functionals."""
+        vals = per_dof_local * np.conj(self.coeff)
+        return scatter(self.fslots, vals.ravel(), self.n)
+
+
+class _Pattern:
+    """CSR pattern of the reduced matrix of a load scatter's constraint set
+    and the slot of every element entry in it, which only an assembled class
+    needs."""
+
+    def __init__(self, load_scatter):
+        self.scatter = load_scatter
+        n = load_scatter.n
+        fidx = load_scatter.fslots.reshape(-1, 9).astype(np.int64)  # n: no free dof
+        rows = np.broadcast_to(fidx[:, :, None], (len(fidx), 9, 9))
+        cols = np.broadcast_to(fidx[:, None, :], (len(fidx), 9, 9))
+        keep = (rows < n) & (cols < n)
         keys, inverse = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
         if len(keys) >= np.iinfo(np.int32).max:
             raise ValueError(f"{len(keys)} nonzeros exceed the int32 scatter slots")
@@ -264,32 +282,27 @@ class _Reduction:
         slots = np.full(keep.shape, len(keys), dtype=np.int32)
         slots[keep] = inverse
         self.slots = slots.ravel()
-        self.fslots = np.where(fidx >= 0, fidx, n).astype(np.int32).ravel()
 
     def matrix(self, elem):
         """Reduced matrix from per-triangle 9x9 element matrices, which are
         scaled by the constraint coefficients in place."""
-        ci = self.coeff
+        ci = self.scatter.coeff
         elem *= np.conj(ci)[:, :, None]
         elem *= ci[:, None, :]
         data = scatter(self.slots, elem.ravel(), len(self.indices))
-        return HermitianSparse(self.indptr, self.indices, data, self.n)
-
-    def functional(self, per_dof_local):
-        """Free-dof functional from per-triangle local test functionals."""
-        vals = per_dof_local * np.conj(self.coeff)
-        return scatter(self.fslots, vals.ravel(), self.n)
+        return HermitianSparse(self.indptr, self.indices, data, self.scatter.n)
 
 
 class ModeSystem:
     """Assembled constrained system for one (mode, space) pair.
 
     The matrix is E(k) of the workspace ws of the quadrature quad reduced
-    on the free dofs of the constraint set.  Given base, an assembled mode
-    +-2 system of the same space, a |k| > 2 system takes its quadrature and
-    reuses its constraint class (free-dof map and pattern; the class of
-    |k| >= 2 depends neither on k nor on its sign) and its matrix is
-    shifted_system(base, k); otherwise quad is required.
+    on the free dofs of the constraint set (its load scatter, given or built
+    here, and the pattern).  Given base, an assembled mode +-2 system of the
+    same space, a |k| > 2 system takes its quadrature and reuses its
+    constraint class (scatter and pattern; the class of |k| >= 2 depends
+    neither on k nor on its sign) and its matrix is shifted_system(base,
+    k); otherwise quad is required.
 
     hierarchy is the multigrid preconditioner of the matrix (None: Jacobi)
     and coarse the coarse systems kept for the |k| > 2 systems on this
@@ -299,7 +312,7 @@ class ModeSystem:
     system serves the singular basis and the mode solve.
     """
 
-    def __init__(self, mesh, k, space, quad=None, base=None):
+    def __init__(self, mesh, k, space, quad=None, base=None, load_scatter=None):
         self.mesh = mesh
         self.k = int(k)
         self.space = space
@@ -310,16 +323,17 @@ class ModeSystem:
                 raise ValueError("a mode system needs its quadrature")
             self.quad = quad
             self.ws = workspace(quad)
-            self.constraints = femcore.build_constraints(mesh, k, space)
-            self.reduction = _Reduction(mesh, self.constraints)
-            self.matrix = self.reduction.matrix(self.ws.element_matrices(self.k))
+            self.scatter = load_scatter or LoadScatter(femcore.build_constraints(mesh, k, space))
+            self.constraints = self.scatter.constraints
+            self.pattern = _Pattern(self.scatter)
+            self.matrix = self.pattern.matrix(self.ws.element_matrices(self.k))
         else:
             if base.space != space:
                 raise ValueError("base system is of another space")
             self.quad = base.quad
             self.ws = base.ws
             self.constraints = dataclasses.replace(base.constraints, k=self.k)
-            self.reduction = base.reduction
+            self.scatter, self.pattern = base.scatter, base.pattern
             self.matrix = shifted_system(base, k)
             if base.coarse:
                 shifted = [ModeSystem(c.mesh, k, space, base=c) for c in base.coarse]
@@ -332,19 +346,21 @@ class ModeSystem:
         """(f, curl_k v) + (g, div_k v) over the free test dofs v, from the
         (Q, 4) samples vec = (f_r, f_theta, f_z, g) at the quadrature points
         (see OperatorWorkspace.op_adjoint)."""
-        return self.reduction.functional(self.ws.op_adjoint(vec, self.k))
+        return self.scatter.functional(self.ws.op_adjoint(vec, self.k))
 
 
-def assemble_a_k(mesh, k, space, quad):
-    """Assemble the constrained a_k system on the quadrature quad; the
-    matrix acts on free dofs."""
-    return ModeSystem(mesh, k, space, quad=quad)
+def assemble_a_k(mesh, k, space, quad, load_scatter=None):
+    """Assemble the constrained a_k system on the quadrature quad (and the
+    load scatter of its constraints, if given); the matrix acts on free
+    dofs."""
+    return ModeSystem(mesh, k, space, quad=quad, load_scatter=load_scatter)
 
 
-def assemble_systems(mesh, space, modes, quad, corner=None, shift=False):
+def assemble_systems(mesh, space, modes, quad, corner=None, shift=False, scatters=None):
     """The a_k systems of modes on one quadrature, keyed by k, each with its
     multigrid hierarchy when it has at least MULTIGRID_MIN_DOFS free dofs
-    and the mesh nests (see coarse_levels).  With shift, the mode +-2
+    and the mesh nests (see coarse_levels).  scatters, optionally, holds
+    the load scatters of the systems, keyed by k.  With shift, the mode +-2
     systems keep their coarse systems, so that the |k| > 2 systems on them
     shift every level.
 
@@ -352,7 +368,8 @@ def assemble_systems(mesh, space, modes, quad, corner=None, shift=False):
     quadratures are dropped after them unless kept: the coarse workspaces
     then never coexist with the temporaries of a fine assembly.
     """
-    systems = {k: assemble_a_k(mesh, k, space, quad=quad) for k in modes}
+    scatters = scatters or {}
+    systems = {k: assemble_a_k(mesh, k, space, quad, scatters.get(k)) for k in modes}
     levels = None
     for k, system in systems.items():
         if system.matrix.n >= MULTIGRID_MIN_DOFS:
@@ -556,4 +573,4 @@ def shifted_system(system2, k):
         raise ValueError("shifted assembly expects a mode +-2 base system")
     if abs(k) <= 2:
         raise ValueError("shifted assembly serves |k| > 2")
-    return system2.reduction.matrix(system2.ws.element_matrices(int(k)))
+    return system2.pattern.matrix(system2.ws.element_matrices(int(k)))

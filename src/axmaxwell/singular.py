@@ -21,7 +21,7 @@ on the wall.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -119,7 +119,23 @@ class SingularBasis:
         return ws.point_values(self.regular.values) + self.principal.values(ws.xy)
 
 
-def compute_basis(system, corner, tol=1e-10):
+def lift_basis(constraints, load_scatter, ws, corner):
+    """(S + lift, rhs, E_up) of a basis solve, formed before its system
+    exists from one evaluation of the operators of S + lift: the principal
+    part S with its boundary lift on the constraint set as regular part,
+    the right-hand side -a_k(S + lift, v) over the free test dofs v of the
+    load scatter, and E_up = a_k(S + lift, S + lift), which bounds a_k(s, s)
+    of the solved basis s (CG from x = 0 only lowers the energy)."""
+    mesh, k, space = constraints.mesh, constraints.k, constraints.space
+    pp = PrincipalPart(EDGE_ELECTRIC if space == femcore.SPACE_X else EDGE_MAGNETIC, corner)
+    lift = femcore.lift_boundary(constraints, lambda pts: -_guarded_values(pp, mesh, pts))
+    lifted = SingularBasis(k, space, pp, lift)
+    ops = lifted.op_arrays(ws, k)
+    e_up = float(np.sum(ws.wr[:, None] * np.abs(ops) ** 2))
+    return lifted, -load_scatter.functional(ws.op_adjoint(ops, k)), e_up
+
+
+def compute_basis(system, corner, tol=1e-10, lifted=None):
     """Compute the singular complement basis on an assembled mode system.
 
     The system gives the mesh, mode and space; its quadrature should
@@ -127,20 +143,15 @@ def compute_basis(system, corner, tol=1e-10):
     The same system serves the mode solve, so it is only read here.  The
     solver computes the bases of |k| <= 2 only, since the singular subspaces
     coincide for all |k| >= 2; a direct |k| > 2 basis cross-checks that.
-    Only the lift's right-hand side evaluates the basis operators here;
-    the mode solve pairs them with the data and keeps a_k(s, s) on its
-    ModeRecord.
+    lifted is the system's lift_basis, formed here unless the caller has
+    (the solver does, for its stopping rule).  The mode solve pairs the
+    basis operators with the data and keeps a_k(s, s) on its ModeRecord.
     """
-    mesh, k, space = system.mesh, system.k, system.space
-    pp = PrincipalPart(EDGE_ELECTRIC if space == femcore.SPACE_X else EDGE_MAGNETIC, corner)
-    lift = femcore.lift_boundary(
-        system.constraints, lambda pts: -_guarded_values(pp, mesh, pts)
-    )
-    # -a_k(S + lift, v): the operators of the principal part with the lift
-    # as its regular part, paired with those of the test fields
-    rhs = -system.functional(SingularBasis(k, space, pp, lift).op_arrays(system.ws, k))
+    if lifted is None:
+        lifted = lift_basis(system.constraints, system.scatter, system.ws, corner)
+    start, rhs, _ = lifted
     x, info = solve_hpd(system.matrix, rhs, tol=tol, hierarchy=system.hierarchy)
-    return SingularBasis(k, space, pp, system.constraints.expand(x) + lift, info)
+    return replace(start, regular=system.constraints.expand(x) + start.regular, cg=info)
 
 
 def singular_dimensions(corners, cones, k, space, beta):

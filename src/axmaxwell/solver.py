@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modal_ops, singular
-from .femcore import MeshQuadrature, ModeField
+from .femcore import MeshQuadrature, ModeField, build_constraints
 from .linalg import CGInfo, solve_bordered, solve_hpd
 
 _TWO_PI = 2.0 * math.pi
@@ -42,7 +42,8 @@ class ModeRecord:
     of the one CG solve of the mode, on the bordered matrix for the
     bordered path; a mode whose right-hand side meets the stopping rule at
     x = 0 makes no CG call, and its CGInfo has 0 iterations and residual
-    ||rhs|| / F (see solve_axisymmetric).  energy is the basis energy
+    ||rhs|| / F (bound / F, and no basis, for a mode k <= 2 skipped before
+    its system exists; see solve_axisymmetric).  energy is the basis energy
     a_k(s, s) at this mode (0.0 without a basis), paired from the one
     evaluation of the basis operators in the mode solve; the basis itself
     stores none.
@@ -245,12 +246,11 @@ def _pair(system, data, basis, load=None):
     return load, bop, energy, numer
 
 
-def _unsolved(rhs, floor, tol):
-    """CGInfo of x = 0 for the CG system with right-hand side rhs when x = 0
-    meets the stopping rule ||rhs - A x|| <= tol * max(||rhs||, floor),
-    else None.  Its residual is the true residual of x = 0 over the floor,
-    ||rhs|| / floor (0.0 for rhs = 0)."""
-    norm = np.linalg.norm(rhs)
+def _unsolved(norm, floor, tol):
+    """CGInfo of x = 0 for a CG system whose right-hand side has norm norm
+    when x = 0 meets the stopping rule ||rhs - A x|| <= tol * max(||rhs||,
+    floor), else None.  Its residual is the true residual of x = 0 over the
+    floor, norm / floor (0.0 for norm = 0)."""
     if norm == 0.0:
         return CGInfo(0, 0.0)
     resid = norm / floor if floor > 0.0 else math.inf
@@ -276,7 +276,7 @@ def solve_mode_orthogonal(system, data, basis=None, tol=1e-10, *, load=None, flo
         raise ValueError(f"expected the mode {system.k} basis, got mode {basis.k}")
     load, _, energy, numer = _pair(system, data, basis, load)
     coeff = numer / energy if basis is not None else 0j
-    info = _unsolved(load, floor, tol)
+    info = _unsolved(np.linalg.norm(load), floor, tol)
     if info is not None:
         return ModeRecord(ModeField(system.mesh, system.k), coeff, basis, info, energy)
     x, info = solve_hpd(system.matrix, load, tol=tol, hierarchy=system.hierarchy)
@@ -303,7 +303,7 @@ def solve_mode_bordered(system, data, basis, tol=1e-10, *, load=None, floor=0.0)
     if basis.k != base_k:
         raise ValueError(f"expected the mode {base_k} basis, got mode {basis.k}")
     load, bop, alpha, f_s = _pair(system, data, basis, load)
-    info = _unsolved(np.append(load, f_s), floor, tol)
+    info = _unsolved(np.linalg.norm(np.append(load, f_s)), floor, tol)
     if info is not None:
         return ModeRecord(ModeField(system.mesh, k), 0j, basis, info, alpha)
     # coupling a_k(s, v) of the reused basis s with the regular test fields:
@@ -319,11 +319,9 @@ def solve_mode_bordered(system, data, basis, tol=1e-10, *, load=None, floor=0.0)
 # -- full solve --------------------------------------------------------------------
 
 
-def compute_bases(systems, corner, tol=1e-10):
-    """Singular basis of every assembled |k| <= 2 mode system, keyed by k."""
-    return {
-        k: singular.compute_basis(system, corner, tol=tol) for k, system in systems.items()
-    }
+def compute_bases(systems, lifted, corner, tol=1e-10):
+    """Singular basis of every assembled |k| <= 2 system from its lift_basis, keyed by k."""
+    return {k: singular.compute_basis(s, corner, tol, lifted[k]) for k, s in systems.items()}
 
 
 def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samples=None):
@@ -338,28 +336,31 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
     Every mode stops against the whole data: ||b_k - A_k x_k|| <=
     tol * max(||b_k||, F), with F = ||b|| / sqrt(2N + 1) the fair share of
     the Parseval norm ||b||^2 = ||b_0||^2 + 2 sum_{k=1..N} ||b_k||^2 of the
-    regular loads of all 2N + 1 modes.  The loads b_k are formed once, before
-    the mode loop; a mode whose CG right-hand side has norm at most tol * F
-    meets the rule at x = 0 and makes no CG call, and every other mode is
-    solved by CG to tol * ||rhs|| as its own problem (see the mode solvers).
+    regular loads of all 2N + 1 modes, each formed once, before any matrix,
+    on the load scatter of its class (mode 2's for |k| > 2).  A mode whose
+    CG right-hand side has norm at most tol * F makes no CG call; every
+    other mode is solved by CG to tol * ||rhs|| (see the mode solvers).
     The basis solves keep tol per solve, since C^k depends on them.
 
-    Each mode system k <= 2 is assembled once, on one quadrature, and
-    serves both its singular basis and its mode solve; each k > 2 system
-    is built in its mode's solve, on the constraint class of the mode-2
-    system, whose reduction forms its load.  The first assembly builds the
-    quadrature's operator workspace; on a large mesh that nests, the
-    multigrid hierarchies and the coarse workspaces are built with the
-    systems (see modal_ops.assemble_systems).  The modes are then solved
-    one after another, in order of k.
+    A mode k <= 2 is skipped before its system exists when the bound
+    sqrt(||b_k||^2 + ||d_k||^2 E_up) of its bordered right-hand side
+    [b_k; f_s] is at most tol * F: |f_s| <= ||d_k|| sqrt(E_up), with ||d_k||
+    the r-weighted norm of its (Q, 4) data (Cauchy-Schwarz; E_up from
+    singular.lift_basis, 0 without a corner).  It gets no system and no
+    basis: a zero field, C^k = 0j, energy 0.0 and CGInfo(0, bound / F).
+    Every other system k <= 2, and the mode-2 one whenever N > 2, is
+    assembled once, with its multigrid hierarchy on a large mesh that nests
+    (see modal_ops.assemble_systems), and serves its basis and its mode
+    solve; each k > 2 system is built in its mode's solve, on the class of
+    the mode-2 system.  The modes are solved in order of k.
     """
     quad = MeshQuadrature(mesh, corner)
     pts = quad.xy
     fmodes = analyze_rhs(f, N, pts, samples)
     gmodes = analyze_scalar_rhs(g, N, pts, samples) if g is not None else {}
-    systems = modal_ops.assemble_systems(
-        mesh, space, range(min(N, 2) + 1), quad, corner, shift=N > 2
-    )
+    ws = modal_ops.workspace(quad)  # after the analysis: none of its temporaries coexist
+    low = range(min(N, 2) + 1)
+    scatters = {k: modal_ops.LoadScatter(build_constraints(mesh, k, space)) for k in low}
 
     def mode_data(k, drop=False):
         # the mode's (Q, 4) rows (f, g), packed only while they are used
@@ -369,17 +370,27 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
         data[:, 3] = take(gmodes, k, 0.0)
         return data
 
-    loads = {}
+    loads, fs_bounds, lifted = {}, {}, {}
     for k in range(N + 1):
-        system = systems[min(k, 2)]  # a |k| > 2 mode shares the mode-2 reduction
-        loads[k] = system.reduction.functional(system.ws.op_adjoint(mode_data(k), k))
+        data = mode_data(k)
+        loads[k] = scatters[min(k, 2)].functional(ws.op_adjoint(data, k))
+        if k <= 2 and corner is not None:
+            lifted[k] = singular.lift_basis(scatters[k].constraints, scatters[k], ws, corner)
+            fs_bounds[k] = math.sqrt(np.sum(ws.wr[:, None] * np.abs(data) ** 2) * lifted[k][2])
+    del data  # packed again for its mode's solve
     norms = [np.linalg.norm(loads[k]) for k in range(N + 1)]
     floor = math.sqrt((norms[0] ** 2 + 2.0 * sum(n * n for n in norms[1:])) / (2 * N + 1))
-    bases = compute_bases(systems, corner, tol=tol) if corner is not None else {}
+    skipped = {k: _unsolved(math.hypot(norms[k], fs_bounds.get(k, 0.0)), floor, tol) for k in low}
+    solved = [k for k in low if skipped[k] is None or (k == 2 and N > 2)]
+    systems = modal_ops.assemble_systems(mesh, space, solved, quad, corner, N > 2, scatters)
+    bases = compute_bases(systems, lifted, corner, tol=tol) if corner is not None else {}
+    del lifted
 
     def solve_one(k):
         # each mode's data and load are read once: drop them from the dicts
         data, load = mode_data(k, drop=True), loads.pop(k)
+        if k <= 2 and skipped[k] is not None:
+            return ModeRecord(ModeField(mesh, k), 0j, None, skipped[k], 0.0)
         rule = dict(tol=tol, load=load, floor=floor)
         if k <= 2:
             return solve_mode_orthogonal(systems[k], data, bases.get(k), **rule)

@@ -503,6 +503,230 @@ def test_full_solve_forms_each_basis_once_per_use(lshape, lshape_quad, monkeypat
         sol.records[1].basis.cg = None
 
 
+_cos_theta_ez = RHS_BUILTINS["cos_theta_ez"]
+
+
+def _axisymmetric(r, th, z):
+    return (r * z, r * (1.0 - r), 1.0 - r * r)
+
+
+def _rule_bounds(msh, corner, space, f, N):
+    """bound / F of the skip rule for every mode k <= 2, formed here from
+    the loads, the data and the lifted principal parts: bound^2 =
+    ||b_k||^2 + ||d_k||^2 a_k(S + lift, S + lift), F the fair share of the
+    Parseval norm of all loads."""
+    quad = MeshQuadrature(msh, corner)
+    ws = modal_ops.workspace(quad)
+    fmodes = solver.analyze_rhs(f, N, quad.xy)
+    kind = singular.EDGE_ELECTRIC if space == SPACE_X else singular.EDGE_MAGNETIC
+    pp = singular.PrincipalPart(kind, corner)
+    systems = {k: modal_ops.assemble_a_k(msh, k, space, quad) for k in range(min(N, 2) + 1)}
+    bounds, norms = {}, []
+    for k in range(N + 1):
+        system = systems[k] if k <= 2 else modal_ops.ModeSystem(msh, k, space, base=systems[2])
+        data = np.c_[fmodes[k], np.zeros(len(quad.xy))]
+        norms.append(np.linalg.norm(system.functional(data)))
+        if k <= 2:
+            lift = femcore.lift_boundary(
+                system.constraints, lambda pts: -singular._guarded_values(pp, msh, pts))
+            ops = singular.SingularBasis(k, space, pp, lift).op_arrays(ws, k)
+            e_up = np.sum(ws.wr[:, None] * np.abs(ops) ** 2)
+            bounds[k] = math.sqrt(norms[k] ** 2 + np.sum(ws.wr[:, None] * np.abs(data) ** 2) * e_up)
+    F = math.sqrt((norms[0] ** 2 + 2 * sum(b * b for b in norms[1:])) / (2 * N + 1))
+    return {k: b / F for k, b in bounds.items()}, F
+
+
+def _spy_build(monkeypatch):
+    """Record the mode of every assembly and basis solve and count the
+    evaluations of basis operators."""
+    calls = {"assemble_a_k": [], "compute_basis": [], "op_arrays": 0}
+    assemble, basis, op_arrays = (
+        modal_ops.assemble_a_k, singular.compute_basis, singular.SingularBasis.op_arrays)
+
+    def assembled(msh, k, *args, **kwargs):
+        calls["assemble_a_k"].append(k)
+        return assemble(msh, k, *args, **kwargs)
+
+    def based(system, *args, **kwargs):
+        calls["compute_basis"].append(system.k)
+        return basis(system, *args, **kwargs)
+
+    def evaluated(self, ws, k):
+        calls["op_arrays"] += 1
+        return op_arrays(self, ws, k)
+
+    monkeypatch.setattr(modal_ops, "assemble_a_k", assembled)
+    monkeypatch.setattr(singular, "compute_basis", based)
+    monkeypatch.setattr(singular.SingularBasis, "op_arrays", evaluated)
+    return calls
+
+
+def _assert_skipped(rec, resid):
+    assert type(rec.coeff) is complex and rec.coeff == 0j
+    assert not rec.field.values.any() and not np.signbit(rec.field.values.real).any()
+    assert rec.basis is None and rec.energy == 0.0
+    assert rec.cg.iterations == 0 and rec.cg.residual == pytest.approx(resid, rel=1e-9, abs=0.0)
+
+
+def test_round_off_modes_are_skipped_before_their_system(lshape, lshape_quad, monkeypatch):
+    """cos(theta) e_z data fill mode 1 only.  Modes 0 and 2 meet the rule
+    before any matrix exists: one assembly, one basis solve and at most
+    four evaluations of basis operators (three lifts and the mode-1
+    pairing).  Mode 1 is solved bit for bit as on its own system and basis,
+    with the same load and floor.  With N = 3 the mode-2 system and basis
+    are built for the bordered mode 3, and mode 2 is still skipped; exactly
+    zero data build nothing."""
+    msh, corner = lshape
+    tol = 1e-10
+    resid, F = _rule_bounds(msh, corner, SPACE_X, _cos_theta_ez, 2)
+    calls = _spy_build(monkeypatch)
+    sol = solver.solve_axisymmetric(msh, SPACE_X, _cos_theta_ez, N=2, corner=corner, tol=tol)
+    assert calls == {"assemble_a_k": [1], "compute_basis": [1], "op_arrays": calls["op_arrays"]}
+    assert calls["op_arrays"] <= 4
+    monkeypatch.undo()
+    for k in (0, 2):
+        assert resid[k] <= tol
+        _assert_skipped(sol.records[k], resid[k])
+    system = modal_ops.assemble_a_k(msh, 1, SPACE_X, quad=lshape_quad)
+    basis = singular.compute_basis(system, corner, tol=tol)
+    fmode = solver.analyze_rhs(_cos_theta_ez, 2, lshape_quad.xy)[1]
+    data = np.c_[fmode, np.zeros(len(fmode))]
+    load = system.functional(data)
+    ref = solver.solve_mode_orthogonal(system, data, basis, tol=tol, load=load, floor=F)
+    rec = sol.records[1]
+    assert rec.cg == ref.cg and rec.cg.iterations > 0
+    assert rec.coeff == ref.coeff and rec.energy == ref.energy
+    assert rec.field.values.tobytes() == ref.field.values.tobytes()
+    assert rec.basis.regular.values.tobytes() == basis.regular.values.tobytes()
+
+    calls = _spy_build(monkeypatch)
+    sol = solver.solve_axisymmetric(msh, SPACE_X, _cos_theta_ez, N=3, corner=corner, tol=tol)
+    assert calls["assemble_a_k"] == [1, 2] and calls["compute_basis"] == [1, 2]
+    _assert_skipped(sol.records[2], _rule_bounds(msh, corner, SPACE_X, _cos_theta_ez, 3)[0][2])
+    assert sol.records[3].basis.k == 2
+
+    for N in (2, 3):
+        monkeypatch.undo()
+        calls = _spy_build(monkeypatch)
+        sol = solver.solve_axisymmetric(msh, SPACE_X, lambda r, th, z: (0.0, 0.0, 0.0), N=N,
+                                        corner=corner, tol=tol)
+        assert calls["assemble_a_k"] == [2] * (N > 2)
+        for rec in sol.records.values():
+            assert rec.cg == linalg.CGInfo(0, 0.0) and rec.coeff == 0j
+            assert not rec.field.values.any()
+
+
+@pytest.mark.parametrize("share", [10.0, 0.1])
+def test_skip_rule_edge(lshape, monkeypatch, share):
+    """eps times axisymmetric data added to cos(theta) e_z data, with eps
+    set so that mode 0's bound / F is share * tol: at 10 tol mode 0 is
+    assembled and solved, at 0.1 tol it is skipped.  A rule that skips a
+    mode with real data fails the first case."""
+    msh, corner = lshape
+    tol = 1e-10
+    ax_resid, ax_F = _rule_bounds(msh, corner, SPACE_X, _axisymmetric, 2)
+    cos_F = _rule_bounds(msh, corner, SPACE_X, _cos_theta_ez, 2)[1]
+    # mode 0's bound grows as eps, while F stays about that of the cos data
+    eps = share * tol / (ax_resid[0] * ax_F / cos_F)
+
+    def f(r, th, z):
+        return tuple(c + eps * a for c, a in zip(_cos_theta_ez(r, th, z), _axisymmetric(r, th, z)))
+
+    resid = _rule_bounds(msh, corner, SPACE_X, f, 2)[0]
+    assert resid[0] == pytest.approx(share * tol, rel=0.05)
+    calls = _spy_build(monkeypatch)
+    sol = solver.solve_axisymmetric(msh, SPACE_X, f, N=2, corner=corner, tol=tol)
+    if share > 1.0:
+        assert calls["assemble_a_k"] == [0, 1] and calls["compute_basis"] == [0, 1]
+        assert sol.records[0].basis.k == 0 and sol.records[0].energy > 0.0
+        assert sol.records[0].coeff != 0.0  # the data pair with the basis
+    else:
+        assert calls["assemble_a_k"] == [1] and calls["compute_basis"] == [1]
+        _assert_skipped(sol.records[0], resid[0])
+
+
+def _odd_data(r, th, z):
+    """bandlimited-like data with only modes +-1 and +-3: modes 0, 2 and 4
+    are round-off of the analysis."""
+    return (
+        0.5 * r * r * (1 - r) * z * (1 - z) * np.cos(th),
+        r * (1 - r) * (0.3 * np.sin(th) + 0.1 * np.cos(3 * th)),
+        0.4 * z * (1 - z) * np.cos(3 * th),
+    )
+
+
+@pytest.mark.parametrize("h", [0.2, 0.1])
+@pytest.mark.parametrize("space", [SPACE_X, SPACE_Y])
+def test_full_solve_matches_the_dense_bordered_galerkin_solution(h, space):
+    """Path-independent oracle: each mode's Galerkin solution on V_reg +
+    span(S + lift), from one dense bordered solve, against the C^k and total
+    field of solve_axisymmetric, whichever path it took (orthogonal,
+    bordered or skipped).
+
+    The dense system is M z = rhs, M = [[K, y], [y^H, alpha]], with K the
+    free-dof matrix of a_k, y = a_k(S + lift, v), alpha = a_k(S + lift,
+    S + lift), rhs = [b_k; f_s] and S + lift the lifted principal part of
+    the mode (of mode 2 for k > 2).  A solution u = u_reg + C s, with s =
+    S + lift + x_b, is z = [u_reg + C x_b; C].  The solver stops every CG
+    solve at tol times its right-hand side or tol * F: the regular part at
+    ||b_k - K u_reg|| <= tol max(||b_k||, F), the basis at ||y + K x_b||
+    <= tol ||y||, a bordered mode at tol max(||rhs||, F) in the basis s,
+    whose change of coordinates has norm at most 1 + ||x_b||, and a skipped
+    mode has ||rhs|| <= tol F.  Writing out the residual of z in M for
+    each path bounds all of them by
+
+      rho = tol (1 + ||x_b||)^2 (max(||rhs||, F) + ||y|| (|C| + ||u_reg||)),
+
+    so ||z - z*|| <= rho ||M^-1|| = rho kappa(M) / ||M||.  C^k differs by
+    at most that, and the total nodal field by at most that times
+    1 + max |S + lift| (expand has coefficients of modulus <= 1).  A mode
+    returned as exactly zero must meet the rule with its true [b_k; f_s].
+    """
+    tol, N = 1e-10, 4
+    msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, h)
+    quad = MeshQuadrature(msh, corner)
+    ws = modal_ops.workspace(quad)
+    kind = singular.EDGE_ELECTRIC if space == SPACE_X else singular.EDGE_MAGNETIC
+    pp = singular.PrincipalPart(kind, corner)
+    dense = {}
+    for k in range(N + 1):
+        system = modal_ops.assemble_a_k(msh, k, space, quad)
+        lift = femcore.lift_boundary(  # of mode 2 for k > 2: the class of |k| >= 2
+            system.constraints, lambda pts: -singular._guarded_values(pp, msh, pts))
+        s0 = singular.SingularBasis(min(k, 2), space, pp, lift)
+        ops = s0.op_arrays(ws, k)
+        K, y = system.matrix.to_dense(), system.functional(ops)
+        n = len(y)
+        M = np.empty((n + 1, n + 1), dtype=complex)
+        M[:n, :n], M[:n, n], M[n, :n] = K, y, y.conj()
+        M[n, n] = np.sum(ws.wr[:, None] * np.abs(ops) ** 2)
+        lam_min = np.abs(np.linalg.eigvalsh(M)).min()  # ||M^-1|| = kappa(M) / ||M||
+        dense[k] = (M, lam_min, np.linalg.solve(K, -y), y, s0, ops, system)
+    for f in (_bandlimited, _odd_data):
+        sol = solver.solve_axisymmetric(msh, space, f, N=N, corner=corner, tol=tol)
+        fmodes = solver.analyze_rhs(f, N, quad.xy)
+        rhs = {}
+        for k, (M, lam_min, x_b, y, s0, ops, system) in dense.items():
+            data = np.c_[fmodes[k], np.zeros(len(quad.xy))]
+            f_s = np.einsum("q,qa,qa->", ws.wr, data, ops.conj())
+            rhs[k] = np.append(system.functional(data), f_s)
+        norms = [np.linalg.norm(rhs[k][:-1]) for k in range(N + 1)]
+        F = math.sqrt((norms[0] ** 2 + 2 * sum(b * b for b in norms[1:])) / (2 * N + 1))
+        for k, (M, lam_min, x_b, y, s0, ops, system) in dense.items():
+            rec = sol.records[k]
+            z = np.linalg.solve(M, rhs[k])
+            u_reg = np.linalg.norm(system.constraints.free_values(rec.field))
+            rho = tol * (1 + np.linalg.norm(x_b)) ** 2 * (
+                max(np.linalg.norm(rhs[k]), F) + np.linalg.norm(y) * (abs(rec.coeff) + u_reg))
+            bound = rho / lam_min
+            assert abs(rec.coeff - z[-1]) <= bound, (f.__name__, k)
+            exact = system.constraints.expand(z[:-1]).values + z[-1] * s0.total_nodal()
+            err = np.abs(rec.total_nodal() - exact).max()
+            assert err <= bound * (1 + np.abs(s0.total_nodal()).max()), (f.__name__, k)
+            if rec.coeff == 0 and not rec.field.values.any():
+                assert np.linalg.norm(rhs[k]) <= tol * F, (f.__name__, k)
+
+
 def test_fourier_solution_requires_all_modes(rect):
     rec = solver.ModeRecord(ModeField(rect, 0))
     with pytest.raises(ValueError):

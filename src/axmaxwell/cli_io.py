@@ -20,10 +20,11 @@ from .linalg import SolverError
 from .mesh import MeshError
 
 _FLOAT_FMT = "%.17g"
-_WRITE_ROWS = 4096  # rows _write_rows formats per write
+_WRITE_ROWS = 4096  # rows _row_blocks formats per block of text
 _MATCH_PAIRS = 1 << 14  # row-vertex pairs resolve_rhs compares at once
 _TABLE_COLUMNS = ["r", "z", "f_r", "f_theta", "f_z"]
 _COMPONENTS = ("r", "theta", "z")
+_CELL_TYPES = {3: 5, 6: 13}  # VTK triangle and wedge, by node count
 
 
 class UsageError(ValueError):
@@ -41,27 +42,25 @@ def _vtk_scalar_arrays(name, values):
     somewhere (mode-0 quantities stay compact).
     """
     values = np.asarray(values)
-    out = []
     if values.ndim == 1:
         comps = [("", values)]
     else:
         comps = [(f"_{c}", values[:, i]) for i, c in enumerate(_COMPONENTS)]
     for suffix, col in comps:
         col = np.asarray(col, dtype=complex)
-        out.append((f"{name}{suffix}_re", col.real))
+        yield f"{name}{suffix}_re", col.real
         if np.any(col.imag != 0.0):
-            out.append((f"{name}{suffix}_im", col.imag))
-    return out
+            yield f"{name}{suffix}_im", col.imag
 
 
 def _check_vtk_fields(sections):
     """Check the data of a VTK file before the file is opened: sections are
-    (count, {name: values}) pairs; each field must have shape (count,) or
-    (count, 3), and the scalar arrays the fields split into (see
+    (keyword, count, {name: values}) triples; each field must have shape
+    (count,) or (count, 3), and the scalar arrays the fields split into (see
     _vtk_scalar_arrays) must have distinct names across the file.  A failed
     check raises ValueError."""
     stems = set()
-    for count, field_map in sections:
+    for _, count, field_map in sections:
         for name, values in (field_map or {}).items():
             shape = np.shape(values)
             if shape not in ((count,), (count, 3)):
@@ -73,68 +72,65 @@ def _check_vtk_fields(sections):
                 stems.add(stem)
 
 
-def write_vtk(msh, point_fields, path, cell_fields=None, title="axmaxwell export"):
+def write_vtk(msh, point_fields, path, cell_fields=None, title="axmaxwell export", *,
+              geometry=None):
     """Legacy ASCII VTK unstructured grid of the meridian mesh.
 
     point_fields/cell_fields map names to (n,) or (n, 3) arrays (complex
-    allowed; split into _re/_im scalar arrays).
+    allowed; split into _re/_im scalar arrays).  geometry, when given, is
+    the mesh's text "".join(_grid(msh.vertices, msh.triangles)).
     """
-    _check_vtk_fields([(msh.num_vertices, point_fields), (msh.num_triangles, cell_fields)])
-    with open(path, "w") as fp:
-        fp.write("# vtk DataFile Version 3.0\n")
-        fp.write(title + "\n")
-        fp.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
-        fp.write(f"POINTS {msh.num_vertices} double\n")
-        _write_rows(fp, f"{_FLOAT_FMT} {_FLOAT_FMT} 0\n", msh.vertices)
-        nt = msh.num_triangles
-        fp.write(f"CELLS {nt} {4 * nt}\n")
-        _write_rows(fp, "3 %d %d %d\n", msh.triangles)
-        fp.write(f"CELL_TYPES {nt}\n")
-        fp.write("5\n" * nt)
-        if point_fields:
-            fp.write(f"POINT_DATA {msh.num_vertices}\n")
-            _write_vtk_data(fp, point_fields)
-        if cell_fields:
-            fp.write(f"CELL_DATA {nt}\n")
-            _write_vtk_data(fp, cell_fields)
-
-
-def _write_rows(fp, fmt, rows):
-    """Write each row of the (n, m) array rows as fmt, which holds m
-    conversions, _WRITE_ROWS rows per write; the values pass through
-    tolist(), so the text equals that of formatting each row on its own."""
-    for start in range(0, len(rows), _WRITE_ROWS):
-        block = rows[start:start + _WRITE_ROWS]
-        fp.write((fmt * len(block)) % tuple(block.ravel().tolist()))
-
-
-def _write_vtk_data(fp, field_map):
-    for name, values in field_map.items():
-        for arr_name, col in _vtk_scalar_arrays(name, values):
-            fp.write(f"SCALARS {arr_name} double 1\nLOOKUP_TABLE default\n")
-            for v in col:
-                fp.write(f"{_FLOAT_FMT}\n" % v)
+    grid = _grid(msh.vertices, msh.triangles) if geometry is None else [geometry]
+    _write_grid(path, title, grid, [("POINT_DATA", msh.num_vertices, point_fields),
+                                    ("CELL_DATA", msh.num_triangles, cell_fields)])
 
 
 def write_vtk_wedges(points, wedges, point_fields, path):
     """Legacy ASCII VTK of a revolved grid; cells are 6-node wedges.
     point_fields is as in write_vtk."""
-    _check_vtk_fields([(len(points), point_fields)])
+    _write_grid(path, "axmaxwell 3d export", _grid(points, wedges),
+                [("POINT_DATA", len(points), point_fields)])
+
+
+def _grid(points, cells):
+    """The POINTS, CELLS and CELL_TYPES sections of a legacy VTK grid as text
+    blocks; (n, 2) meridian points (r, z) are written as (r, z, 0), and the
+    cells are triangles or wedges."""
+    dim, (m, size) = points.shape[1], cells.shape
+    yield f"POINTS {len(points)} double\n"
+    yield from _row_blocks(" ".join([_FLOAT_FMT] * dim + ["0"] * (3 - dim)) + "\n", points)
+    yield f"CELLS {m} {(1 + size) * m}\n"
+    yield from _row_blocks(f"{size}" + " %d" * size + "\n", cells)
+    yield f"CELL_TYPES {m}\n" + f"{_CELL_TYPES[size]}\n" * m
+
+
+def _row_blocks(fmt, rows):
+    """Text of the rows of an (n, m) array, each row as fmt, which holds m
+    conversions, in blocks of _WRITE_ROWS rows; the values pass through
+    tolist(), so the text equals that of formatting each row on its own."""
+    for start in range(0, len(rows), _WRITE_ROWS):
+        block = rows[start:start + _WRITE_ROWS]
+        yield (fmt * len(block)) % tuple(block.ravel().tolist())
+
+
+def _write_grid(path, title, geometry, sections):
+    """Write a legacy VTK file of geometry text blocks and the scalar arrays
+    of each (keyword, count, fields) section, once the fields pass
+    _check_vtk_fields.  A column that is +0.0 everywhere is written as "0"
+    rows without formatting; -0.0 formats as -0, so its sign bit is read."""
+    _check_vtk_fields(sections)
     with open(path, "w") as fp:
-        fp.write("# vtk DataFile Version 3.0\n")
-        fp.write("axmaxwell 3d export\n")
-        fp.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
-        fp.write(f"POINTS {len(points)} double\n")
-        for x, y, z in points:
-            fp.write(f"{_FLOAT_FMT} {_FLOAT_FMT} {_FLOAT_FMT}\n" % (x, y, z))
-        fp.write(f"CELLS {len(wedges)} {7 * len(wedges)}\n")
-        for w in wedges:
-            fp.write("6 " + " ".join(str(int(i)) for i in w) + "\n")
-        fp.write(f"CELL_TYPES {len(wedges)}\n")
-        fp.write("13\n" * len(wedges))
-        if point_fields:
-            fp.write(f"POINT_DATA {len(points)}\n")
-            _write_vtk_data(fp, point_fields)
+        fp.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n")
+        fp.writelines(geometry)
+        for keyword, count, field_map in sections:
+            if not field_map:
+                continue
+            fp.write(f"{keyword} {count}\n")
+            for name, values in field_map.items():
+                for arr_name, col in _vtk_scalar_arrays(name, values):
+                    fp.write(f"SCALARS {arr_name} double 1\nLOOKUP_TABLE default\n")
+                    zero = not col.any() and not np.signbit(col).any()
+                    fp.writelines(["0\n" * count] if zero else _row_blocks(f"{_FLOAT_FMT}\n", col))
 
 
 def write_csv(path, header, rows):
@@ -434,6 +430,7 @@ def _solve(cfg, msh, corner, f):
 
 def cmd_solve(cfg, msh, corner, f):
     sol = _solve(cfg, msh, corner, f)
+    geometry = "".join(_grid(msh.vertices, msh.triangles))  # once for all 2N + 1 files
     rows = []
     for k in range(-cfg.modes, cfg.modes + 1):
         # the data are real: mode -k is the conjugate of the stored mode k
@@ -446,6 +443,7 @@ def cmd_solve(cfg, msh, corner, f):
             {"field": total},
             os.path.join(cfg.outdir, f"mode_{'m' if k < 0 else 'p'}{abs(k)}.vtk"),
             title=f"mode {k} {cfg.field}",
+            geometry=geometry,
         )
         rows.append([k, complex(coeff), rec.cg.iterations, rec.cg.residual, rec.energy])
     write_csv(

@@ -119,20 +119,19 @@ class SingularBasis:
         return ws.point_values(self.regular.values) + self.principal.values(ws.xy)
 
 
-def lift_basis(constraints, load_scatter, ws, corner):
-    """(S + lift, rhs, E_up) of a basis solve, formed before its system
-    exists from one evaluation of the operators of S + lift: the principal
-    part S with its boundary lift on the constraint set as regular part,
-    the right-hand side -a_k(S + lift, v) over the free test dofs v of the
-    load scatter, and E_up = a_k(S + lift, S + lift), which bounds a_k(s, s)
-    of the solved basis s (CG from x = 0 only lowers the energy)."""
+def lift_basis(constraints, ws, corner):
+    """(S + lift, ops, E_up) of a basis solve, formed before its system
+    exists: the principal part S with its boundary lift on the constraint
+    set as regular part, ops its (Q, 4) D_k rows on ws, evaluated once, and
+    E_up = a_k(S + lift, S + lift), which bounds a_k(s, s) of the solved
+    basis s (CG from x = 0 only lowers the energy).  The solve's right-hand
+    side -a_k(S + lift, v) is -scatter.functional(ws.op_adjoint(ops, k))."""
     mesh, k, space = constraints.mesh, constraints.k, constraints.space
     pp = PrincipalPart(EDGE_ELECTRIC if space == femcore.SPACE_X else EDGE_MAGNETIC, corner)
     lift = femcore.lift_boundary(constraints, lambda pts: -_guarded_values(pp, mesh, pts))
     lifted = SingularBasis(k, space, pp, lift)
     ops = lifted.op_arrays(ws, k)
-    e_up = float(np.sum(ws.wr[:, None] * np.abs(ops) ** 2))
-    return lifted, -load_scatter.functional(ws.op_adjoint(ops, k)), e_up
+    return lifted, ops, float(np.sum(ws.wr[:, None] * np.abs(ops) ** 2))
 
 
 def compute_basis(system, corner, tol=1e-10, lifted=None):
@@ -143,13 +142,14 @@ def compute_basis(system, corner, tol=1e-10, lifted=None):
     The same system serves the mode solve, so it is only read here.  The
     solver computes the bases of |k| <= 2 only, since the singular subspaces
     coincide for all |k| >= 2; a direct |k| > 2 basis cross-checks that.
-    lifted is the system's lift_basis, formed here unless the caller has
-    (the solver does, for its stopping rule).  The mode solve pairs the
-    basis operators with the data and keeps a_k(s, s) on its ModeRecord.
+    lifted is (S + lift, right-hand side) from lift_basis, formed here
+    unless the caller has (the solver does).  The mode solve pairs the basis
+    operators with the data and keeps a_k(s, s) on its ModeRecord.
     """
     if lifted is None:
-        lifted = lift_basis(system.constraints, system.scatter, system.ws, corner)
-    start, rhs, _ = lifted
+        start, ops, _ = lift_basis(system.constraints, system.ws, corner)
+        lifted = start, -system.functional(ops)
+    start, rhs = lifted
     x, info = solve_hpd(system.matrix, rhs, tol=tol, hierarchy=system.hierarchy)
     return replace(start, regular=system.constraints.expand(x) + start.regular, cg=info)
 

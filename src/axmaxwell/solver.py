@@ -346,8 +346,9 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
     sqrt(||b_k||^2 + ||d_k||^2 E_up) of its bordered right-hand side
     [b_k; f_s] is at most tol * F: |f_s| <= ||d_k|| sqrt(E_up), with ||d_k||
     the r-weighted norm of its (Q, 4) data (Cauchy-Schwarz; E_up from
-    singular.lift_basis, 0 without a corner).  It gets no system and no
-    basis: a zero field, C^k = 0j, energy 0.0 and CGInfo(0, bound / F).
+    singular.lift_basis, 0 without a corner).  It gets no system, no basis
+    and no basis right-hand side: a zero field, C^k = 0j, energy 0.0 and
+    CGInfo(0, bound / F).
     Every other system k <= 2, and the mode-2 one whenever N > 2, is
     assembled once, with its multigrid hierarchy on a large mesh that nests
     (see modal_ops.assemble_systems), and serves its basis and its mode
@@ -370,18 +371,27 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
         data[:, 3] = take(gmodes, k, 0.0)
         return data
 
-    loads, fs_bounds, lifted = {}, {}, {}
+    loads, dnorms = {}, {}
     for k in range(N + 1):
         data = mode_data(k)
         loads[k] = scatters[min(k, 2)].functional(ws.op_adjoint(data, k))
         if k <= 2 and corner is not None:
-            lifted[k] = singular.lift_basis(scatters[k].constraints, scatters[k], ws, corner)
-            fs_bounds[k] = math.sqrt(np.sum(ws.wr[:, None] * np.abs(data) ** 2) * lifted[k][2])
+            dnorms[k] = np.sum(ws.wr[:, None] * np.abs(data) ** 2)
     del data  # packed again for its mode's solve
     norms = [np.linalg.norm(loads[k]) for k in range(N + 1)]
     floor = math.sqrt((norms[0] ** 2 + 2.0 * sum(n * n for n in norms[1:])) / (2 * N + 1))
-    skipped = {k: _unsolved(math.hypot(norms[k], fs_bounds.get(k, 0.0)), floor, tol) for k in low}
-    solved = [k for k in low if skipped[k] is None or (k == 2 and N > 2)]
+    skipped, lifted, solved = {}, {}, []
+    for k in low:
+        ops, fs_bound = None, 0.0
+        if corner is not None:
+            start, ops, e_up = singular.lift_basis(scatters[k].constraints, ws, corner)
+            fs_bound = math.sqrt(dnorms[k] * e_up)
+        skipped[k] = _unsolved(math.hypot(norms[k], fs_bound), floor, tol)
+        if skipped[k] is None or (k == 2 and N > 2):  # mode 2's basis serves k > 2
+            solved.append(k)
+            if ops is not None:  # the basis right-hand side, for solved modes only
+                lifted[k] = start, -scatters[k].functional(ws.op_adjoint(ops, k))
+    del ops  # no (Q, 4) lift rows reach the assembly
     systems = modal_ops.assemble_systems(mesh, space, solved, quad, corner, N > 2, scatters)
     bases = compute_bases(systems, lifted, corner, tol=tol) if corner is not None else {}
     del lifted

@@ -581,6 +581,84 @@ def test_vtk_wedges_match_per_row_formatting(tmp_path, rng):
     assert "\n-0 " in expected and "phase_im" in expected
 
 
+def _signed_zero_fields(n, rng):
+    """Columns of +0.0, of -0.0 and of +-0.0 with one nonzero value, and a
+    complex field whose imaginary part is -0.0 everywhere."""
+    mixed = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    mixed[n // 2] = 1.5
+    neg_im = np.empty((n, 3), dtype=complex)
+    neg_im.real, neg_im.imag = rng.normal(size=(n, 3)), -0.0
+    return {"plus": np.zeros(n), "minus": np.full(n, -0.0), "mixed": mixed, "neg_im": neg_im}
+
+
+def _assert_signed_zeros(text, n):
+    assert "SCALARS plus_re double 1\nLOOKUP_TABLE default\n" + "0\n" * n in text
+    assert "SCALARS minus_re double 1\nLOOKUP_TABLE default\n" + "-0\n" * n in text
+    assert "\n1.5\n" in text and "_im " not in text
+
+
+@pytest.mark.parametrize("handed_in", [False, True])
+def test_vtk_signed_zero_columns_match_per_row_formatting(tmp_path, rect, rng, handed_in):
+    """write_vtk with point and cell fields, as cmd_singular writes them: a
+    +0.0 column is written 0, a -0.0 column -0, a mixed column as
+    formatted, and an imaginary part of -0.0 everywhere gets no _im array.
+    The bytes equal the per-row reference whether the geometry text is
+    handed in, as cmd_solve does, or formatted by the writer."""
+    nv, nt = rect.num_vertices, rect.num_triangles
+    point = _signed_zero_fields(nv, rng)
+    cell = {f"c_{name}": v for name, v in _signed_zero_fields(nt, rng).items()}
+    geometry = "".join(cli_io._grid(rect.vertices, rect.triangles)) if handed_in else None
+    path = tmp_path / "zeros.vtk"
+    write_vtk(rect, point, path, cell_fields=cell, title="t", geometry=geometry)
+    text = path.read_text()
+    assert text == _vtk_per_row(np.column_stack([rect.vertices, np.zeros(nv)]), rect.triangles,
+                                5, point, cell, "t")
+    _assert_signed_zeros(text, nv)
+    assert "SCALARS c_minus_re double 1\nLOOKUP_TABLE default\n" + "-0\n" * nt in text
+
+
+def test_vtk_wedges_signed_zero_columns_match_per_row_formatting(tmp_path, rng):
+    """write_vtk_wedges writes the signed-zero columns as write_vtk does."""
+    n = 50
+    points, wedges = rng.normal(size=(n, 3)), rng.integers(0, n, size=(40, 6))
+    fields = _signed_zero_fields(n, rng)
+    path = tmp_path / "zeros.vtk"
+    cli_io.write_vtk_wedges(points, wedges, fields, path)
+    text = path.read_text()
+    assert text == _vtk_per_row(points, wedges, 13, fields, {}, "axmaxwell 3d export")
+    _assert_signed_zeros(text, n)
+
+
+def test_solve_and_synthesize_files_match_per_row_formatting(tmp_path):
+    """End to end: every mode file of a solve whose modes 0 and 2 are
+    skipped (all-zero files) and whose k < 0 files are conjugates equals
+    the per-row text of its record, and field3d.vtk of a synthesize equals
+    the per-row text of its points, wedges and field."""
+    msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.2)
+    nv, N, T = msh.num_vertices, 3, 4
+    common = ["--h", "0.2", "--rhs", "cos_theta_ez", "--modes", str(N)]
+    assert main(["solve", *common, "--outdir", str(tmp_path / "s")]) == 0
+    assert main(["synthesize", *common, "--theta-samples", str(T),
+                 "--outdir", str(tmp_path / "t")]) == 0
+    f = cli_io.RHS_BUILTINS["cos_theta_ez"]
+    sol = solver.solve_axisymmetric(msh, SPACE_Y, f, N=N, corner=corner, tol=1e-10)
+    assert sol.records[0].cg.iterations == 0 and not sol.records[0].total_nodal().any()
+    points = np.column_stack([msh.vertices, np.zeros(nv)])
+    for k in range(-N, N + 1):
+        total = sol.records[abs(k)].total_nodal()
+        total = np.conj(total) if k < 0 else total
+        path = tmp_path / "s" / f"mode_{'m' if k < 0 else 'p'}{abs(k)}.vtk"
+        expected = _vtk_per_row(points, msh.triangles, 5, {"field": total}, {},
+                                f"mode {k} magnetic")
+        assert path.read_text() == expected, k
+    _, xyz, cyl = solver.sample_3d(sol, T)
+    wedges = np.array([[t * nv + i for i in tri] + [(t + 1) % T * nv + i for i in tri]
+                       for t in range(T) for tri in msh.triangles])
+    expected = _vtk_per_row(xyz.reshape(-1, 3), wedges, 13, {"field": cyl.reshape(-1, 3)}, {},
+                            "axmaxwell 3d export")
+    assert (tmp_path / "t" / "field3d.vtk").read_text() == expected
+
+
 def test_vtk_point_count_matches(tmp_path, rect, rng):
     path = tmp_path / "f.vtk"
     vals = rng.normal(size=(rect.num_vertices, 3)) + 1j * rng.normal(size=(rect.num_vertices, 3))

@@ -538,10 +538,12 @@ def _rule_bounds(msh, corner, space, f, N):
 
 def _spy_build(monkeypatch):
     """Record the mode of every assembly and basis solve and count the
-    evaluations of basis operators."""
-    calls = {"assemble_a_k": [], "compute_basis": [], "op_arrays": 0}
-    assemble, basis, op_arrays = (
-        modal_ops.assemble_a_k, singular.compute_basis, singular.SingularBasis.op_arrays)
+    evaluations of basis operators and of op_adjoint, through which every
+    load and basis right-hand side is formed."""
+    calls = {"assemble_a_k": [], "compute_basis": [], "op_arrays": 0, "op_adjoint": 0}
+    assemble, basis, op_arrays, op_adjoint = (
+        modal_ops.assemble_a_k, singular.compute_basis, singular.SingularBasis.op_arrays,
+        modal_ops.OperatorWorkspace.op_adjoint)
 
     def assembled(msh, k, *args, **kwargs):
         calls["assemble_a_k"].append(k)
@@ -555,9 +557,14 @@ def _spy_build(monkeypatch):
         calls["op_arrays"] += 1
         return op_arrays(self, ws, k)
 
+    def paired(self, vec, k):
+        calls["op_adjoint"] += 1
+        return op_adjoint(self, vec, k)
+
     monkeypatch.setattr(modal_ops, "assemble_a_k", assembled)
     monkeypatch.setattr(singular, "compute_basis", based)
     monkeypatch.setattr(singular.SingularBasis, "op_arrays", evaluated)
+    monkeypatch.setattr(modal_ops.OperatorWorkspace, "op_adjoint", paired)
     return calls
 
 
@@ -572,16 +579,19 @@ def test_round_off_modes_are_skipped_before_their_system(lshape, lshape_quad, mo
     """cos(theta) e_z data fill mode 1 only.  Modes 0 and 2 meet the rule
     before any matrix exists: one assembly, one basis solve and at most
     four evaluations of basis operators (three lifts and the mode-1
-    pairing).  Mode 1 is solved bit for bit as on its own system and basis,
-    with the same load and floor.  With N = 3 the mode-2 system and basis
-    are built for the bordered mode 3, and mode 2 is still skipped; exactly
-    zero data build nothing."""
+    pairing).  op_adjoint forms the N + 1 loads and the basis right-hand
+    side of mode 1 only: a skipped mode whose basis nobody reads gets none.
+    Mode 1 is solved bit for bit as on its own system and basis, with the
+    same load and floor.  With N = 3 the mode-2 system and basis are built
+    for the bordered mode 3, and mode 2 is still skipped; exactly zero data
+    build nothing but the mode-2 basis that N = 3 needs."""
     msh, corner = lshape
     tol = 1e-10
     resid, F = _rule_bounds(msh, corner, SPACE_X, _cos_theta_ez, 2)
     calls = _spy_build(monkeypatch)
     sol = solver.solve_axisymmetric(msh, SPACE_X, _cos_theta_ez, N=2, corner=corner, tol=tol)
-    assert calls == {"assemble_a_k": [1], "compute_basis": [1], "op_arrays": calls["op_arrays"]}
+    assert calls == {"assemble_a_k": [1], "compute_basis": [1], "op_arrays": calls["op_arrays"],
+                     "op_adjoint": 3 + 1}
     assert calls["op_arrays"] <= 4
     monkeypatch.undo()
     for k in (0, 2):
@@ -602,6 +612,7 @@ def test_round_off_modes_are_skipped_before_their_system(lshape, lshape_quad, mo
     calls = _spy_build(monkeypatch)
     sol = solver.solve_axisymmetric(msh, SPACE_X, _cos_theta_ez, N=3, corner=corner, tol=tol)
     assert calls["assemble_a_k"] == [1, 2] and calls["compute_basis"] == [1, 2]
+    assert calls["op_adjoint"] == 4 + 2  # mode 3 is round-off: no coupling is formed
     _assert_skipped(sol.records[2], _rule_bounds(msh, corner, SPACE_X, _cos_theta_ez, 3)[0][2])
     assert sol.records[3].basis.k == 2
 
@@ -611,6 +622,7 @@ def test_round_off_modes_are_skipped_before_their_system(lshape, lshape_quad, mo
         sol = solver.solve_axisymmetric(msh, SPACE_X, lambda r, th, z: (0.0, 0.0, 0.0), N=N,
                                         corner=corner, tol=tol)
         assert calls["assemble_a_k"] == [2] * (N > 2)
+        assert calls["op_adjoint"] == (N + 1) + (N > 2)
         for rec in sol.records.values():
             assert rec.cg == linalg.CGInfo(0, 0.0) and rec.coeff == 0j
             assert not rec.field.values.any()

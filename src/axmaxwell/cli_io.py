@@ -398,8 +398,8 @@ def cmd_meshgen(cfg, msh, corner, out):
 
 def cmd_singular(cfg, msh, corner, out):
     quad = MeshQuadrature(msh, corner)
-    system = modal_ops.assemble_systems(msh, cfg.space(), [cfg.k], quad, corner)[cfg.k]
-    basis = singular.compute_basis(system, corner, tol=cfg.tol)
+    system = modal_ops.assemble_systems(cfg.space(), [cfg.k], quad)[cfg.k]
+    basis = singular.compute_basis(system, tol=cfg.tol)
     prefix = os.path.join(cfg.outdir, out or f"basis_k{cfg.k}_{cfg.field}")
     centers = msh.vertices[msh.triangles].mean(axis=1)
     principal_cells = basis.principal.values(centers)
@@ -411,12 +411,12 @@ def cmd_singular(cfg, msh, corner, out):
         title=f"singular basis k={cfg.k} {cfg.field}",
     )
     # a_k(s, s) and its curl part (curl_k s, curl_k s), from one evaluation
-    bop, wr = basis.op_arrays(system.ws, cfg.k), system.ws.wr[:, None]
+    bop, ws = basis.op_arrays(system.ws, cfg.k), system.ws
     write_csv(
         prefix + "_diag.csv",
         ["k", "field", "iterations", "residual", "energy", "curl_norm_sq"],
         [[cfg.k, cfg.field, basis.cg.iterations, basis.cg.residual,
-          float(np.sum(wr * np.abs(bop) ** 2)), float(np.sum(wr * np.abs(bop[:, :3]) ** 2))]],
+          float(ws.norm_sq(bop)), float(ws.norm_sq(bop[:, :3]))]],
     )
     print(f"wrote {prefix}.vtk and {prefix}_diag.csv")
     print(_corner_report(corner))

@@ -78,6 +78,7 @@ class MeshQuadrature:
       xy     (Q,2)  physical (r, z) coordinates
       w      (Q,)   weight including the element area (but not the r factor)
       r      (Q,)   radial coordinate, strictly positive
+      corner        the corner whose triangles are subdivided, or None
       operators     k-independent operator data (modal_ops.workspace),
                     built on first use
 
@@ -109,6 +110,7 @@ class MeshQuadrature:
                 bary.append(pts)
                 wts.append(0.25 * areas[t] * rule.weights)
         self.mesh = mesh
+        self.corner = corner
         self.tri = np.concatenate(tri_idx)
         self.bary = np.concatenate(bary, axis=0)
         self.w = np.concatenate(wts)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # CG raises once its residual has made no new minimum for this many
-# iterations; healthy solves have shown at most 49 (Jacobi, h = 0.0125)
+# iterations; healthy Jacobi solves stalled for up to 110 (h = 0.00625)
 STALL_WINDOW = 200
 # damping of the Jacobi smoother of the V-cycle, and its sweeps per side;
 # the smoother contracts, and the cycle stays positive definite, while

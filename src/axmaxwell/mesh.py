@@ -168,10 +168,7 @@ class TriangleMesh:
             raise MeshError("duplicated triangle")
         # conformity: every edge shared by at most two triangles, and the
         # declared boundary must coincide with the once-used edges
-        edges = _triangle_edges(self.triangles)
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        se = edges[order]
-        uniq_e, counts = np.unique(se, axis=0, return_counts=True)
+        uniq_e, counts = _edge_counts(self.triangles)
         if np.any(counts > 2):
             raise MeshError("non-conforming triangulation: edge used more than twice")
         boundary = uniq_e[counts == 1]
@@ -189,11 +186,12 @@ class TriangleMesh:
             raise MeshError("axis-tagged edge off the axis r = 0")
 
 
-def _triangle_edges(triangles):
+def _edge_counts(triangles):
+    """Distinct (low, high) vertex pairs of the edges, sorted, and their use counts."""
     e = np.concatenate(
         [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]], axis=0
     )
-    return np.sort(e, axis=1)
+    return np.unique(np.sort(e, axis=1), axis=0, return_counts=True)
 
 
 # -- generators -------------------------------------------------------------
@@ -271,8 +269,7 @@ def _structured_mesh(rlines, zlines, h, keep=None):
 
 
 def _boundary_from_triangles(verts, tris):
-    edges = _triangle_edges(tris)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
+    uniq, counts = _edge_counts(tris)
     bnd = uniq[counts == 1]
     on_axis = (verts[bnd[:, 0], 0] == 0.0) & (verts[bnd[:, 1], 0] == 0.0)
     tags = np.where(on_axis, AXIS, WALL)

@@ -40,6 +40,7 @@ with the transfers between the constrained spaces (see ModeSystem and
 multigrid); linalg.solve_hpd uses it as the preconditioner.
 """
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -221,6 +222,10 @@ class OperatorWorkspace:
             local[tris] = self.G[tris] @ grad + self.lor[idx].transpose(0, 2, 1) @ (wv @ rows)
         return local.reshape(-1, 9)
 
+    def norm_sq(self, rows):
+        """sum_q w r |rows_q|^2 of point rows (Q, m), the r-weighted norm^2."""
+        return np.sum(self.wr[:, None] * np.abs(rows) ** 2)
+
     def point_values(self, values):
         """Field values at the quadrature points, (Q, 3)."""
         u = np.asarray(values, dtype=complex).reshape(-1, 3)
@@ -296,51 +301,43 @@ class _Pattern:
 class ModeSystem:
     """Assembled constrained system for one (mode, space) pair.
 
-    The matrix is E(k) of the workspace ws of the quadrature quad reduced
-    on the free dofs of the constraint set (its load scatter, given or built
-    here, and the pattern).  Given base, an assembled mode +-2 system of the
-    same space, a |k| > 2 system takes its quadrature and reuses its
-    constraint class (scatter and pattern; the class of |k| >= 2 depends
-    neither on k nor on its sign) and its matrix is shifted_system(base,
-    k); otherwise quad is required.
+    The load scatter gives the mesh, mode, space and constraint set; the
+    matrix is E(k) of the workspace ws of the quadrature quad reduced on
+    the free dofs of that set.  A |k| > 2 system is shifted from a mode
+    +-2 one (shifted).
 
     hierarchy is the multigrid preconditioner of the matrix (None: Jacobi)
-    and coarse the coarse systems kept for the |k| > 2 systems on this
-    base; assemble_systems sets both before it returns the system.  A
-    |k| > 2 system shifts each coarse system of its base, so it has a
-    hierarchy of its own.  Nothing writes to a system afterwards, so one
-    system serves the singular basis and the mode solve.
+    and coarse the coarse systems kept for the |k| > 2 systems shifted from
+    this one; assemble_systems sets both before it returns the system.
+    Nothing writes to a system afterwards, so one system serves the
+    singular basis and the mode solve.
     """
 
-    def __init__(self, mesh, k, space, quad=None, base=None, load_scatter=None):
-        self.mesh = mesh
-        self.k = int(k)
-        self.space = space
-        self.hierarchy = None
-        self.coarse = []
-        if base is None:
-            if quad is None:
-                raise ValueError("a mode system needs its quadrature")
-            self.quad = quad
-            self.ws = workspace(quad)
-            self.scatter = load_scatter or LoadScatter(femcore.build_constraints(mesh, k, space))
-            self.constraints = self.scatter.constraints
-            self.pattern = _Pattern(self.scatter)
-            self.matrix = self.pattern.matrix(self.ws.element_matrices(self.k))
-        else:
-            if base.space != space:
-                raise ValueError("base system is of another space")
-            self.quad = base.quad
-            self.ws = base.ws
-            self.constraints = dataclasses.replace(base.constraints, k=self.k)
-            self.scatter, self.pattern = base.scatter, base.pattern
-            self.matrix = shifted_system(base, k)
-            if base.coarse:
-                shifted = [ModeSystem(c.mesh, k, space, base=c) for c in base.coarse]
-                self.hierarchy = Multigrid([
-                    Level(c.matrix, level.transfer)
-                    for c, level in zip(shifted, base.hierarchy.levels)
-                ])
+    def __init__(self, scatter, quad):
+        self.constraints = c = scatter.constraints
+        if quad.mesh is not c.mesh:
+            raise ValueError("quadrature and constraints are on different meshes")
+        self.mesh, self.k, self.space = c.mesh, c.k, c.space
+        self.quad = quad
+        self.ws = workspace(quad)
+        self.scatter = scatter
+        self.pattern = _Pattern(scatter)
+        self.matrix = self.pattern.matrix(self.ws.element_matrices(self.k))
+        self.hierarchy, self.coarse = None, []
+
+    def shifted(self, k):
+        """The mode-k system, |k| > 2, on the quadrature, scatter and pattern
+        of this mode +-2 system (the class of |k| >= 2 depends neither on k
+        nor on its sign): shifted_system of it and of each coarse system."""
+        out = copy.copy(self)
+        out.matrix = shifted_system(self, k)
+        out.k = int(k)
+        out.constraints = dataclasses.replace(self.constraints, k=out.k)
+        out.hierarchy, out.coarse = None, []
+        if self.coarse:
+            out.hierarchy = Multigrid([Level(shifted_system(c, k), level.transfer)
+                                       for c, level in zip(self.coarse, self.hierarchy.levels)])
+        return out
 
     def functional(self, vec):
         """(f, curl_k v) + (g, div_k v) over the free test dofs v, from the
@@ -351,30 +348,30 @@ class ModeSystem:
 
 def assemble_a_k(mesh, k, space, quad, load_scatter=None):
     """Assemble the constrained a_k system on the quadrature quad (and the
-    load scatter of its constraints, if given); the matrix acts on free
-    dofs."""
-    return ModeSystem(mesh, k, space, quad=quad, load_scatter=load_scatter)
+    load scatter of its constraints, built here unless given); the matrix
+    acts on free dofs."""
+    return ModeSystem(load_scatter or LoadScatter(femcore.build_constraints(mesh, k, space)), quad)
 
 
-def assemble_systems(mesh, space, modes, quad, corner=None, shift=False, scatters=None):
+def assemble_systems(space, modes, quad, shift=False, scatters=None):
     """The a_k systems of modes on one quadrature, keyed by k, each with its
     multigrid hierarchy when it has at least MULTIGRID_MIN_DOFS free dofs
     and the mesh nests (see coarse_levels).  scatters, optionally, holds
     the load scatters of the systems, keyed by k.  With shift, the mode +-2
-    systems keep their coarse systems, so that the |k| > 2 systems on them
-    shift every level.
+    systems keep their coarse systems, so that the |k| > 2 systems shifted
+    from them shift every level.
 
     The hierarchies are built after all fine systems, and the coarse
     quadratures are dropped after them unless kept: the coarse workspaces
     then never coexist with the temporaries of a fine assembly.
     """
     scatters = scatters or {}
-    systems = {k: assemble_a_k(mesh, k, space, quad, scatters.get(k)) for k in modes}
+    systems = {k: assemble_a_k(quad.mesh, k, space, quad, scatters.get(k)) for k in modes}
     levels = None
     for k, system in systems.items():
         if system.matrix.n >= MULTIGRID_MIN_DOFS:
             if levels is None:
-                levels = coarse_levels(mesh, corner)
+                levels = coarse_levels(quad)
             system.hierarchy, system.coarse = multigrid(system, levels, shift and abs(k) == 2)
     return systems
 
@@ -382,12 +379,12 @@ def assemble_systems(mesh, space, modes, quad, corner=None, shift=False, scatter
 # -- multigrid hierarchy ----------------------------------------------------------
 
 
-def coarse_levels(mesh, corner=None):
-    """The nested coarser meshes of mesh, finest first, as (mesh, parents,
-    quad) triples: parents maps the vertices of the next finer mesh onto
-    the coarse one (see mesh.coarsen), and every mode system on the level
-    shares the quadrature quad, which subdivides at corner like the fine
-    one and comes with its operator workspace.
+def coarse_levels(quad):
+    """The nested coarser meshes of quad's mesh, finest first, as (mesh,
+    parents, quad) triples: parents maps the vertices of the next finer mesh
+    onto the coarse one (see mesh.coarsen), and every mode system on the
+    level shares its quadrature, which subdivides at quad's corner like the
+    fine one and comes with its operator workspace.
 
     Coarsening stops at the first mesh with at most _COARSEST_VERTICES
     vertices.  When the mesh does not nest that far (a mesh file that is
@@ -395,7 +392,7 @@ def coarse_levels(mesh, corner=None):
     the list is empty and every system keeps Jacobi.
     """
     nested = []
-    msh = mesh
+    msh = quad.mesh
     while msh.num_vertices > _COARSEST_VERTICES:
         step = coarsen(msh)
         if step is None:
@@ -404,9 +401,9 @@ def coarse_levels(mesh, corner=None):
         nested.append((msh, parents))
     levels = []
     for msh, parents in nested:
-        quad = MeshQuadrature(msh, corner)
-        workspace(quad)
-        levels.append((msh, parents, quad))
+        level = MeshQuadrature(msh, quad.corner)
+        workspace(level)
+        levels.append((msh, parents, level))
     return levels
 
 

@@ -28,6 +28,7 @@ import numpy as np
 from . import femcore
 from .femcore import ModeField
 from .linalg import CGInfo, solve_hpd
+from .modal_ops import workspace
 
 EDGE_ELECTRIC = "edge_electric"
 EDGE_MAGNETIC = "edge_magnetic"
@@ -119,35 +120,37 @@ class SingularBasis:
         return ws.point_values(self.regular.values) + self.principal.values(ws.xy)
 
 
-def lift_basis(constraints, ws, corner):
+def lift_basis(constraints, quad):
     """(S + lift, ops, E_up) of a basis solve, formed before its system
-    exists: the principal part S with its boundary lift on the constraint
-    set as regular part, ops its (Q, 4) D_k rows on ws, evaluated once, and
-    E_up = a_k(S + lift, S + lift), which bounds a_k(s, s) of the solved
-    basis s (CG from x = 0 only lowers the energy).  The solve's right-hand
-    side -a_k(S + lift, v) is -scatter.functional(ws.op_adjoint(ops, k))."""
+    exists: the principal part S at quad.corner (ValueError without one)
+    with its boundary lift on the constraint set as regular part, ops its
+    (Q, 4) D_k rows at the points of quad, evaluated once, and E_up =
+    a_k(S + lift, S + lift), which bounds a_k(s, s) of the solved basis s
+    (CG from x = 0 only lowers the energy).  The solve's right-hand side
+    -a_k(S + lift, v) is -scatter.functional(ws.op_adjoint(ops, k))."""
+    if quad.corner is None:  # the basis integrands go like rho^(alpha-1) at the corner
+        raise ValueError("a singular basis needs a quadrature subdivided at its corner")
     mesh, k, space = constraints.mesh, constraints.k, constraints.space
-    pp = PrincipalPart(EDGE_ELECTRIC if space == femcore.SPACE_X else EDGE_MAGNETIC, corner)
+    pp = PrincipalPart(EDGE_ELECTRIC if space == femcore.SPACE_X else EDGE_MAGNETIC, quad.corner)
     lift = femcore.lift_boundary(constraints, lambda pts: -_guarded_values(pp, mesh, pts))
     lifted = SingularBasis(k, space, pp, lift)
+    ws = workspace(quad)
     ops = lifted.op_arrays(ws, k)
-    return lifted, ops, float(np.sum(ws.wr[:, None] * np.abs(ops) ** 2))
+    return lifted, ops, float(ws.norm_sq(ops))
 
 
-def compute_basis(system, corner, tol=1e-10, lifted=None):
-    """Compute the singular complement basis on an assembled mode system.
-
-    The system gives the mesh, mode and space; its quadrature should
-    subdivide the triangles at the corner (MeshQuadrature(mesh, corner)).
-    The same system serves the mode solve, so it is only read here.  The
-    solver computes the bases of |k| <= 2 only, since the singular subspaces
-    coincide for all |k| >= 2; a direct |k| > 2 basis cross-checks that.
-    lifted is (S + lift, right-hand side) from lift_basis, formed here
-    unless the caller has (the solver does).  The mode solve pairs the basis
-    operators with the data and keeps a_k(s, s) on its ModeRecord.
-    """
+def compute_basis(system, tol=1e-10, lifted=None):
+    """Compute the singular complement basis on an assembled mode system,
+    which gives the mesh, mode, space and, through its quadrature, the
+    corner (see lift_basis); it serves the mode solve too, so it is only
+    read here.  The solver computes the bases of |k| <= 2 only, since the
+    singular subspaces coincide for all |k| >= 2; a direct |k| > 2 basis
+    cross-checks that.  lifted is (S + lift, right-hand side) from
+    lift_basis, formed here unless the caller has (the solver does).  The
+    mode solve pairs the basis operators with the data and keeps a_k(s, s)
+    on its ModeRecord."""
     if lifted is None:
-        start, ops, _ = lift_basis(system.constraints, system.ws, corner)
+        start, ops, _ = lift_basis(system.constraints, system.quad)
         lifted = start, -system.functional(ops)
     start, rhs = lifted
     x, info = solve_hpd(system.matrix, rhs, tol=tol, hierarchy=system.hierarchy)

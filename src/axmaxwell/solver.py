@@ -239,7 +239,7 @@ def _pair(system, data, basis, load=None):
     if basis.space != system.space:
         raise ValueError("basis space does not match the system")
     bop = basis.op_arrays(system.ws, system.k)
-    energy = float(np.sum(system.ws.wr[:, None] * np.abs(bop) ** 2))
+    energy = float(system.ws.norm_sq(bop))
     if energy <= 0.0 or not np.isfinite(energy):
         raise ArithmeticError("singular basis has no energy; basis is broken")
     numer = complex(np.einsum("q,qa,qa->", system.ws.wr, data, bop.conj()))
@@ -287,7 +287,7 @@ def solve_mode_bordered(system, data, basis, tol=1e-10, *, load=None, floor=0.0)
     """Mode solve for |k| > 2 reusing the mode sign(k)*2 singular basis.
 
     system is the mode-k system on the constraint class of the mode-2
-    system (ModeSystem(mesh, k, space, base=system2)), data the (Q, 4)
+    system (system2.shifted(k)), data the (Q, 4)
     data of the mode and load, optionally, the system's load of data; the
     non-orthogonal coupling of the reused basis enters as a rank-one
     border, and one CG solve on the bordered matrix [[K, y], [y^H, alpha]],
@@ -319,9 +319,9 @@ def solve_mode_bordered(system, data, basis, tol=1e-10, *, load=None, floor=0.0)
 # -- full solve --------------------------------------------------------------------
 
 
-def compute_bases(systems, lifted, corner, tol=1e-10):
+def compute_bases(systems, lifted, tol=1e-10):
     """Singular basis of every assembled |k| <= 2 system from its lift_basis, keyed by k."""
-    return {k: singular.compute_basis(s, corner, tol, lifted[k]) for k, s in systems.items()}
+    return {k: singular.compute_basis(s, tol, lifted[k]) for k, s in systems.items()}
 
 
 def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samples=None):
@@ -352,8 +352,8 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
     Every other system k <= 2, and the mode-2 one whenever N > 2, is
     assembled once, with its multigrid hierarchy on a large mesh that nests
     (see modal_ops.assemble_systems), and serves its basis and its mode
-    solve; each k > 2 system is built in its mode's solve, on the class of
-    the mode-2 system.  The modes are solved in order of k.
+    solve; each k > 2 system is shifted from the mode-2 system in its
+    mode's solve.  The modes are solved in order of k.
     """
     quad = MeshQuadrature(mesh, corner)
     pts = quad.xy
@@ -376,7 +376,7 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
         data = mode_data(k)
         loads[k] = scatters[min(k, 2)].functional(ws.op_adjoint(data, k))
         if k <= 2 and corner is not None:
-            dnorms[k] = np.sum(ws.wr[:, None] * np.abs(data) ** 2)
+            dnorms[k] = ws.norm_sq(data)
     del data  # packed again for its mode's solve
     norms = [np.linalg.norm(loads[k]) for k in range(N + 1)]
     floor = math.sqrt((norms[0] ** 2 + 2.0 * sum(n * n for n in norms[1:])) / (2 * N + 1))
@@ -384,7 +384,7 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
     for k in low:
         ops, fs_bound = None, 0.0
         if corner is not None:
-            start, ops, e_up = singular.lift_basis(scatters[k].constraints, ws, corner)
+            start, ops, e_up = singular.lift_basis(scatters[k].constraints, quad)
             fs_bound = math.sqrt(dnorms[k] * e_up)
         skipped[k] = _unsolved(math.hypot(norms[k], fs_bound), floor, tol)
         if skipped[k] is None or (k == 2 and N > 2):  # mode 2's basis serves k > 2
@@ -392,8 +392,8 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
             if ops is not None:  # the basis right-hand side, for solved modes only
                 lifted[k] = start, -scatters[k].functional(ws.op_adjoint(ops, k))
     del ops  # no (Q, 4) lift rows reach the assembly
-    systems = modal_ops.assemble_systems(mesh, space, solved, quad, corner, N > 2, scatters)
-    bases = compute_bases(systems, lifted, corner, tol=tol) if corner is not None else {}
+    systems = modal_ops.assemble_systems(space, solved, quad, N > 2, scatters)
+    bases = compute_bases(systems, lifted, tol=tol) if corner is not None else {}
     del lifted
 
     def solve_one(k):
@@ -404,7 +404,7 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
         rule = dict(tol=tol, load=load, floor=floor)
         if k <= 2:
             return solve_mode_orthogonal(systems[k], data, bases.get(k), **rule)
-        system = modal_ops.ModeSystem(mesh, k, space, base=systems[2])
+        system = systems[2].shifted(k)
         if corner is None:
             return solve_mode_orthogonal(system, data, **rule)
         return solve_mode_bordered(system, data, bases[2], **rule)
@@ -426,9 +426,9 @@ def error_norms(fld, exact, quad, exact_ops=None):
     """
     ws = modal_ops.workspace(quad)
     pv = ws.point_values(fld.values) - exact
-    l2 = math.sqrt(abs(np.sum(ws.wr[:, None] * np.abs(pv) ** 2)))
+    l2 = math.sqrt(abs(ws.norm_sq(pv)))
     opv = ws.op_values(fld.values, fld.k)
     if exact_ops is not None:
         opv -= exact_ops
-    energy = math.sqrt(abs(np.sum(ws.wr[:, None] * np.abs(opv) ** 2)))
+    energy = math.sqrt(abs(ws.norm_sq(opv)))
     return l2, energy

@@ -69,8 +69,7 @@ def _lshape_system(h, k, space):
 
 @lru_cache(maxsize=None)
 def _lshape_basis(h, k, space):
-    _, corner = _lshape(h)
-    return singular.compute_basis(_lshape_system(h, k, space), corner, tol=SOLVER_TOL)
+    return singular.compute_basis(_lshape_system(h, k, space), tol=SOLVER_TOL)
 
 
 def _random_constrained(system, rng):
@@ -232,7 +231,7 @@ def criterion_6_homogeneity():
             basis = _lshape_basis(h, k, space)
             bop = basis.op_arrays(system.ws, k)
             resid = system.functional(bop)
-            bnorm = math.sqrt(float(np.sum(system.ws.wr[:, None] * np.abs(bop) ** 2)))
+            bnorm = math.sqrt(float(system.ws.norm_sq(bop)))
             for _ in range(50):
                 v = _random_constrained(system, rng)
                 vnorm = math.sqrt(abs(modal_ops.a_k_direct(v, v, k, system.quad)))
@@ -267,7 +266,6 @@ def criterion_7_singular_only():
 
 
 def _bordered_vs_orthogonal(h):
-    msh, _ = _lshape(h)
     quad = _lshape_quad(h)
     mf = manufactured.lshape_magnetic()
     b2 = _lshape_basis(h, 2, femcore.SPACE_Y)
@@ -276,13 +274,13 @@ def _bordered_vs_orthogonal(h):
     sys3 = _lshape_system(h, 3, femcore.SPACE_Y)
     c0 = 0.7 - 0.2j
     data = mf.ops(quad.xy, 3) + c0 * b2.principal.ops(quad.xy, 3)
-    sysk = modal_ops.ModeSystem(msh, 3, femcore.SPACE_Y, base=sys2)
+    sysk = sys2.shifted(3)
     rec_b = solver.solve_mode_bordered(sysk, data, b2, tol=SOLVER_TOL)
     rec_o = solver.solve_mode_orthogonal(sys3, data, b3, tol=SOLVER_TOL)
     pv_b = rec_b.point_values(sys3.ws)
     pv_o = rec_o.point_values(sys3.ws)
-    num = math.sqrt(abs(np.sum(sys3.ws.wr[:, None] * np.abs(pv_b - pv_o) ** 2)))
-    den = math.sqrt(abs(np.sum(sys3.ws.wr[:, None] * np.abs(pv_o) ** 2)))
+    num = math.sqrt(abs(sys3.ws.norm_sq(pv_b - pv_o)))
+    den = math.sqrt(abs(sys3.ws.norm_sq(pv_o)))
     return num / den, rec_b.cg
 
 

@@ -165,10 +165,10 @@ def test_bordered_modes_report_the_basis_energy(tmp_path, lshape, lshape_quad):
     assert rc == 0
     header, rows = read_csv(tmp_path / "summary.csv")
     by_k = {int(row[0]): dict(zip(header, row)) for row in rows}
-    msh, corner = lshape
+    msh, _ = lshape
     system2 = modal_ops.assemble_a_k(msh, 2, SPACE_Y, quad=lshape_quad)
-    basis2 = singular.compute_basis(system2, corner)
-    system3 = modal_ops.ModeSystem(msh, 3, SPACE_Y, base=system2)
+    basis2 = singular.compute_basis(system2)
+    system3 = system2.shifted(3)
     bop = basis2.op_arrays(system3.ws, 3)
     alpha = float(np.sum(system3.ws.wr[:, None] * np.abs(bop) ** 2))
     assert header[-1] == "basis_energy"
@@ -188,9 +188,9 @@ def test_singular_and_solve_report_one_basis_energy(tmp_path, lshape, lshape_qua
     assert rc == 0
     header, rows = read_csv(tmp_path / "b_diag.csv")
     diag = dict(zip(header, rows[0]))
-    msh, corner = lshape
+    msh, _ = lshape
     system = modal_ops.assemble_a_k(msh, 1, SPACE_Y, quad=lshape_quad)
-    basis = singular.compute_basis(system, corner)
+    basis = singular.compute_basis(system)
     bop, wr = basis.op_arrays(system.ws, 1), system.ws.wr[:, None]
     assert float(diag["energy"]) == float(np.sum(wr * np.abs(bop) ** 2))
     assert float(diag["curl_norm_sq"]) == float(np.sum(wr * np.abs(bop[:, :3]) ** 2))

@@ -185,7 +185,11 @@ def test_shifted_matrix_equals_fresh_assembly(lshape, lshape_quad):
     for space, base_k, ks in ((SPACE_Y, 2, (3, 5, 24)), (SPACE_X, 2, (3,)), (SPACE_X, -2, (-3,))):
         sys2 = modal_ops.assemble_a_k(msh, base_k, space, quad=lshape_quad)
         for k in ks:
-            shifted = modal_ops.shifted_system(sys2, k)
+            system = sys2.shifted(k)
+            assert system.k == system.constraints.k == k and sys2.k == base_k
+            assert system.scatter is sys2.scatter and system.pattern is sys2.pattern
+            assert system.quad is sys2.quad
+            shifted = system.matrix
             assert np.array_equal(shifted.indptr, sys2.matrix.indptr)
             assert np.array_equal(shifted.indices, sys2.matrix.indices)
             fresh = modal_ops.assemble_a_k(msh, k, space, quad=lshape_quad)
@@ -195,6 +199,28 @@ def test_shifted_matrix_equals_fresh_assembly(lshape, lshape_quad):
             assert np.array_equal(shifted.indptr, fresh.matrix.indptr)
             assert np.array_equal(shifted.indices, fresh.matrix.indices)
             assert np.array_equal(shifted.data, fresh.matrix.data)
+
+
+def test_shifted_serves_high_modes_of_a_mode_two_system(lshape, lshape_quad):
+    msh, _ = lshape
+    sys1 = modal_ops.assemble_a_k(msh, 1, SPACE_Y, quad=lshape_quad)
+    sys2 = modal_ops.assemble_a_k(msh, -2, SPACE_Y, quad=lshape_quad)
+    for base in (sys1, sys2.shifted(-3)):
+        with pytest.raises(ValueError, match="expects a mode"):
+            base.shifted(4)
+    for k in (-2, 0, 1, 2):
+        with pytest.raises(ValueError, match=r"serves \|k\| > 2"):
+            sys2.shifted(k)
+
+
+def test_mode_system_reads_its_class_from_the_scatter(lshape, lshape_quad, rect):
+    msh, _ = lshape
+    scatter = modal_ops.LoadScatter(femcore.build_constraints(msh, -1, SPACE_X))
+    system = modal_ops.ModeSystem(scatter, lshape_quad)
+    assert system.mesh is msh and (system.k, system.space) == (-1, SPACE_X)
+    assert system.constraints is scatter.constraints and system.scatter is scatter
+    with pytest.raises(ValueError, match="different meshes"):
+        modal_ops.ModeSystem(scatter, MeshQuadrature(rect))
 
 
 def test_load_builds_no_per_point_pairings():

@@ -13,7 +13,8 @@ from axmaxwell.linalg import solve_hpd
 @pytest.fixture(scope="module")
 def lshape05():
     msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.05)
-    return msh, corner, MeshQuadrature(msh, corner), modal_ops.coarse_levels(msh, corner)
+    quad = MeshQuadrature(msh, corner)
+    return msh, corner, quad, modal_ops.coarse_levels(quad)
 
 
 def test_lshape_coarsens_onto_the_generated_coarse_mesh():
@@ -91,11 +92,11 @@ def test_multigrid_cg_matches_jacobi_cg(lshape05, space, k):
 def test_shifted_system_shifts_every_level(lshape05, monkeypatch):
     """A |k| > 2 system on a mode-2 base that kept its coarse systems has the
     base's transfers and, per level, the coarse mode-k matrix."""
-    msh, corner, quad, levels = lshape05
+    _, _, quad, levels = lshape05
     monkeypatch.setattr(modal_ops, "MULTIGRID_MIN_DOFS", 0)
-    system2 = modal_ops.assemble_systems(msh, SPACE_Y, [2], quad, corner, shift=True)[2]
+    system2 = modal_ops.assemble_systems(SPACE_Y, [2], quad, shift=True)[2]
     assert len(system2.coarse) == 1
-    system5 = modal_ops.ModeSystem(msh, 5, SPACE_Y, base=system2)
+    system5 = system2.shifted(5)
     assert len(system5.hierarchy.levels) == 1
     level = system5.hierarchy.levels[0]
     coarse_mesh, _, coarse_quad = levels[0]
@@ -111,11 +112,11 @@ def test_small_or_unnested_meshes_keep_jacobi(lshape05):
     """Below MULTIGRID_MIN_DOFS, or on a mesh that does not nest, a system
     has no hierarchy and solves exactly as Jacobi-CG."""
     msh, corner, quad, _ = lshape05
-    system = modal_ops.assemble_systems(msh, SPACE_X, [1], quad, corner)[1]
+    system = modal_ops.assemble_systems(SPACE_X, [1], quad)[1]
     assert system.matrix.n < modal_ops.MULTIGRID_MIN_DOFS
     assert system.hierarchy is None
     rect = mesh.gen_rectangle(0.0, 1.0, 0.0, 1.0, 1.0 / 29)
-    unnested = modal_ops.assemble_systems(rect, SPACE_Y, [0], MeshQuadrature(rect))[0]
+    unnested = modal_ops.assemble_systems(SPACE_Y, [0], MeshQuadrature(rect))[0]
     assert unnested.matrix.n >= modal_ops.MULTIGRID_MIN_DOFS
     assert unnested.hierarchy is None
     sol = solver.solve_axisymmetric(
@@ -129,8 +130,9 @@ def test_small_or_unnested_meshes_keep_jacobi(lshape05):
 
 def test_large_nested_mesh_builds_one_hierarchy_per_system():
     msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.025)
-    assert [m.num_vertices for m, _, _ in modal_ops.coarse_levels(msh, corner)] == [341, 96]
-    system = modal_ops.assemble_systems(msh, SPACE_X, [1], MeshQuadrature(msh, corner), corner)[1]
+    quad = MeshQuadrature(msh, corner)
+    assert [m.num_vertices for m, _, _ in modal_ops.coarse_levels(quad)] == [341, 96]
+    system = modal_ops.assemble_systems(SPACE_X, [1], quad)[1]
     assert system.matrix.n >= modal_ops.MULTIGRID_MIN_DOFS
     assert len(system.hierarchy.levels) == 2
     assert system.coarse == []

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from axmaxwell import femcore, mesh, modal_ops, singular, special
+from axmaxwell import femcore, mesh, modal_ops, singular, solver, special
 from axmaxwell.femcore import SPACE_X, SPACE_Y, MeshQuadrature, ModeField
 from axmaxwell.mesh import ConicalDescriptor, CornerDescriptor
 from axmaxwell.singular import (
@@ -136,9 +136,9 @@ def test_eval_at_corner_raises():
 @pytest.mark.parametrize("space", [SPACE_X, SPACE_Y])
 @pytest.mark.parametrize("k", [0, 1, -2])
 def test_basis_homogeneous_formulation(lshape, lshape_quad, space, k, rng):
-    msh, corner = lshape
+    msh, _ = lshape
     system = modal_ops.assemble_a_k(msh, k, space, quad=lshape_quad)
-    basis = compute_basis(system, corner)
+    basis = compute_basis(system)
     bop = basis.op_arrays(system.ws, k)
     resid = system.functional(bop)
     bnorm = math.sqrt(float(np.sum(system.ws.wr[:, None] * np.abs(bop) ** 2)))
@@ -154,10 +154,10 @@ def test_basis_homogeneous_formulation(lshape, lshape_quad, space, k, rng):
 
 
 def test_mode_zero_basis_is_real(lshape, lshape_quad):
-    msh, corner = lshape
+    msh, _ = lshape
     for space in (SPACE_X, SPACE_Y):
         system = modal_ops.assemble_a_k(msh, 0, space, quad=lshape_quad)
-        basis = compute_basis(system, corner)
+        basis = compute_basis(system)
         scale = np.abs(basis.regular.values).max()
         assert np.abs(basis.regular.values.imag).max() <= 1e-10 * scale
 
@@ -165,7 +165,7 @@ def test_mode_zero_basis_is_real(lshape, lshape_quad):
 def test_basis_trace_cancels_principal(lshape, lshape_quad):
     msh, corner = lshape
     system = modal_ops.assemble_a_k(msh, 0, SPACE_Y, quad=lshape_quad)
-    basis = compute_basis(system, corner)
+    basis = compute_basis(system)
     cs = femcore.build_constraints(msh, 0, SPACE_Y)
     guard = 1e-6
     for v in np.unique(msh.boundary_edges[msh.boundary_tags == mesh.WALL]):
@@ -201,7 +201,7 @@ def test_total_basis_leaves_h1(lshape):
     for h in (0.4, 0.2, 0.1, 0.05):
         msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, h)
         quad = MeshQuadrature(msh, corner)
-        basis = compute_basis(modal_ops.assemble_a_k(msh, 0, SPACE_Y, quad=quad), corner)
+        basis = compute_basis(modal_ops.assemble_a_k(msh, 0, SPACE_Y, quad=quad))
         seminorms.append(h1_seminorm(msh, basis.total_nodal()))
         vals = np.zeros((msh.num_vertices, 3), dtype=complex)
         vals[:, 0] = msh.vertices[:, 0] * msh.vertices[:, 1]
@@ -228,8 +228,86 @@ def test_dimension_bookkeeping(lshape):
 def test_basis_record(lshape, lshape_quad):
     """The basis carries the CG solve of its regular correction; its energy
     is paired where it is used (see test_solver and test_cli_io)."""
-    msh, corner = lshape
+    msh, _ = lshape
     system = modal_ops.assemble_a_k(msh, 2, SPACE_X, quad=lshape_quad)
-    basis = compute_basis(system, corner, tol=1e-10)
+    basis = compute_basis(system, tol=1e-10)
     assert 0 < basis.cg.iterations
     assert 0.0 < basis.cg.residual <= 1e-10
+
+
+def test_basis_needs_a_quadrature_subdivided_at_the_corner(lshape):
+    """The basis integrands behave like rho^(alpha-1) at the corner: on a
+    quadrature without the corner subdivision C^k would move by about 1e-3
+    (h = 0.05), so a basis is refused there."""
+    msh, _ = lshape
+    plain = MeshQuadrature(msh)
+    assert plain.corner is None
+    system = modal_ops.assemble_a_k(msh, 1, SPACE_Y, quad=plain)
+    with pytest.raises(ValueError, match="corner"):
+        compute_basis(system)
+    with pytest.raises(ValueError, match="corner"):
+        singular.lift_basis(system.constraints, plain)
+
+
+# u = chi(rho) S: the principal part S of the space, cut off by a C^2
+# quintic smoothstep chi of the distance rho to the corner, 1 up to
+# _CUT_IN and 0 from _CUT_OUT on, so u vanishes near the axis and the outer
+# walls and u - S is H^1 near the corner
+_CUT_IN, _CUT_OUT = 0.15, 0.4
+
+
+def _cutoff(rho):
+    """chi(rho) and d chi / d rho."""
+    t = np.clip((rho - _CUT_IN) / (_CUT_OUT - _CUT_IN), 0.0, 1.0)
+    chi = 1.0 - t ** 3 * (10.0 - 15.0 * t + 6.0 * t * t)
+    return chi, -30.0 * (t * (1.0 - t)) ** 2 / (_CUT_OUT - _CUT_IN)
+
+
+def _cut_ops(pp, pts, k):
+    """D_k (chi S) at (P, 2) points: chi D_k S plus the derivatives of chi,
+    which enter curl_theta and div only, since S_theta = 0."""
+    d = pts - np.asarray(pp.corner.position)
+    rho = np.hypot(d[:, 0], d[:, 1])
+    chi, dchi = _cutoff(rho)
+    d_r, d_z = dchi * d[:, 0] / rho, dchi * d[:, 1] / rho
+    s = pp.values(pts)
+    ops = chi[:, None] * pp.ops(pts, k)
+    ops[:, 1] += d_z * s[:, 0] - d_r * s[:, 2]
+    ops[:, 3] += d_r * s[:, 0] + d_z * s[:, 2]
+    return ops
+
+
+def _cut_data(pp, N):
+    """(f, g) = (curl, div) of the real 3D field U = sum_{k=0..N} chi S
+    cos(k theta): the mode-k rows D_k (chi S) of each term, revolved as
+    Re(D_k (chi S) e^(ik theta))."""
+
+    def rows(r, th, z):
+        pts = np.column_stack([np.ravel(r), np.ravel(z)])
+        return sum(np.real(_cut_ops(pp, pts, k)[None] * np.exp(1j * k * th)[:, :, None])
+                   for k in range(N + 1))  # (M, P, 4)
+
+    return (lambda r, th, z: tuple(np.moveaxis(rows(r, th, z)[:, :, :3], 2, 0)),
+            lambda r, th, z: rows(r, th, z)[:, :, 3])
+
+
+@pytest.mark.parametrize("space", [SPACE_X, SPACE_Y])
+def test_exact_singular_solution_gives_its_coefficients(space):
+    """The solution of the data of U = sum_k chi S cos(k theta) is chi S per
+    mode, whose singular part is S itself: C^k = 1 times the mode weight,
+    sqrt(2 pi) for k = 0 and sqrt(pi / 2) for k >= 1 (1/sqrt(2 pi)
+    convention).  N = 3 covers the orthogonal modes, the bordered mode 3 on
+    the mode-2 basis and divergence data g.  The error of C^k is that of an
+    energy pairing, O(h^2): it falls by at least 2^1.8 per halving."""
+    N = 3
+    kind = EDGE_ELECTRIC if space == SPACE_X else EDGE_MAGNETIC
+    want = np.array([math.sqrt(2.0 * math.pi)] + [math.sqrt(0.5 * math.pi)] * N)
+    errors = []
+    for h in (0.1, 0.05, 0.025):
+        msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, h)
+        f, g = _cut_data(PrincipalPart(kind, corner), N)
+        sol = solver.solve_axisymmetric(msh, space, f, g, N=N, corner=corner, tol=1e-12)
+        got = np.array([sol.records[k].coeff for k in range(N + 1)])
+        errors.append(np.abs(got / want - 1.0))
+    for coarse, fine in zip(errors[:-1], errors[1:]):
+        assert np.all(np.log2(coarse / fine) >= 1.8), (coarse, fine)

@@ -143,9 +143,9 @@ def test_analysis_peak_memory_and_separate_mode_arrays():
 
 
 def test_zero_data_gives_zero_solution(lshape, lshape_quad):
-    msh, corner = lshape
+    msh, _ = lshape
     system = modal_ops.assemble_a_k(msh, 1, SPACE_Y, quad=lshape_quad)
-    basis = singular.compute_basis(system, corner)
+    basis = singular.compute_basis(system)
     zero = np.zeros((len(lshape_quad.xy), 4), dtype=complex)
     rec = solver.solve_mode_orthogonal(system, zero, basis)
     assert np.all(rec.field.values == 0.0)
@@ -154,10 +154,10 @@ def test_zero_data_gives_zero_solution(lshape, lshape_quad):
 
 @pytest.mark.parametrize("space", [SPACE_X, SPACE_Y])
 def test_singular_only_manufactured(lshape, lshape_quad, space):
-    msh, corner = lshape
+    msh, _ = lshape
     k = -1
     system = modal_ops.assemble_a_k(msh, k, space, quad=lshape_quad)
-    basis = singular.compute_basis(system, corner)
+    basis = singular.compute_basis(system)
     bop = basis.op_arrays(system.ws, k)
     rec = solver.solve_mode_orthogonal(system, bop, basis)
     assert abs(rec.coeff - 1.0) <= 1e-6
@@ -176,10 +176,10 @@ def test_singular_only_manufactured(lshape, lshape_quad, space):
 
 
 def test_regular_only_manufactured(lshape, lshape_quad, rng):
-    msh, corner = lshape
+    msh, _ = lshape
     k, space = 1, SPACE_Y
     system = modal_ops.assemble_a_k(msh, k, space, quad=lshape_quad)
-    basis = singular.compute_basis(system, corner)
+    basis = singular.compute_basis(system)
     raw = ModeField(
         msh, k, rng.normal(size=(msh.num_vertices, 3)) + 1j * rng.normal(size=(msh.num_vertices, 3))
     )
@@ -192,10 +192,10 @@ def test_regular_only_manufactured(lshape, lshape_quad, rng):
 
 
 def test_bordered_zero_data(lshape, lshape_quad):
-    msh, corner = lshape
+    msh, _ = lshape
     sys2 = modal_ops.assemble_a_k(msh, 2, SPACE_Y, quad=lshape_quad)
-    b2 = singular.compute_basis(sys2, corner)
-    sys4 = modal_ops.ModeSystem(msh, 4, SPACE_Y, base=sys2)
+    b2 = singular.compute_basis(sys2)
+    sys4 = sys2.shifted(4)
     zero = np.zeros((len(lshape_quad.xy), 4), dtype=complex)
     rec = solver.solve_mode_bordered(sys4, zero, b2)
     assert np.all(np.abs(rec.field.values) <= 1e-14)
@@ -203,17 +203,17 @@ def test_bordered_zero_data(lshape, lshape_quad):
 
 
 def test_bordered_recovers_known_combination(lshape, lshape_quad, rng):
-    msh, corner = lshape
+    msh, _ = lshape
     sys2 = modal_ops.assemble_a_k(msh, 2, SPACE_Y, quad=lshape_quad)
-    b2 = singular.compute_basis(sys2, corner)
-    sysk = modal_ops.ModeSystem(msh, 3, SPACE_Y, quad=lshape_quad)
+    b2 = singular.compute_basis(sys2)
+    sysk = modal_ops.assemble_a_k(msh, 3, SPACE_Y, quad=lshape_quad)
     raw = ModeField(
         msh, 3, rng.normal(size=(msh.num_vertices, 3)) + 1j * rng.normal(size=(msh.num_vertices, 3))
     )
     w = sysk.constraints.apply(raw)
     c0 = -0.4 + 1.1j
     vec = sysk.ws.op_values(w.values, 3) + c0 * b2.op_arrays(sysk.ws, 3)
-    rec = solver.solve_mode_bordered(modal_ops.ModeSystem(msh, 3, SPACE_Y, base=sys2), vec, b2)
+    rec = solver.solve_mode_bordered(sys2.shifted(3), vec, b2)
     assert abs(rec.coeff - c0) <= 0.02 * abs(c0)
     # the record: one CG solve on the bordered matrix, whose last diagonal
     # entry alpha is the energy a_3(s, s) of the reused mode-2 basis
@@ -226,9 +226,9 @@ def test_bordered_recovers_known_combination(lshape, lshape_quad, rng):
 
 
 def test_bordered_rejects_low_modes(lshape, lshape_quad):
-    msh, corner = lshape
+    msh, _ = lshape
     sys2 = modal_ops.assemble_a_k(msh, 2, SPACE_Y, quad=lshape_quad)
-    b2 = singular.compute_basis(sys2, corner)
+    b2 = singular.compute_basis(sys2)
     with pytest.raises(ValueError):
         solver.solve_mode_bordered(sys2, np.zeros((len(lshape_quad.xy), 4)), b2)
 
@@ -236,13 +236,13 @@ def test_bordered_rejects_low_modes(lshape, lshape_quad):
 def test_orthogonal_rejects_a_basis_of_another_mode(lshape, lshape_quad):
     """A basis is a_k-orthogonal to the regular space of its own mode only,
     so pairing the data with another mode's basis gives a wrong C^k."""
-    msh, corner = lshape
+    msh, _ = lshape
     sys2 = modal_ops.assemble_a_k(msh, 2, SPACE_Y, quad=lshape_quad)
-    sys3 = modal_ops.ModeSystem(msh, 3, SPACE_Y, base=sys2)
+    sys3 = sys2.shifted(3)
     sys1 = modal_ops.assemble_a_k(msh, 1, SPACE_Y, quad=lshape_quad)
     sys_m1 = modal_ops.assemble_a_k(msh, -1, SPACE_Y, quad=lshape_quad)
-    b2 = singular.compute_basis(sys2, corner)
-    b_m1 = singular.compute_basis(sys_m1, corner)
+    b2 = singular.compute_basis(sys2)
+    b_m1 = singular.compute_basis(sys_m1)
     zero = np.zeros((len(lshape_quad.xy), 4), dtype=complex)
     for system, basis in ((sys3, b2), (sys1, b_m1)):
         match = f"expected the mode {system.k} basis, got mode {basis.k}"
@@ -254,10 +254,10 @@ def test_mode_solves_reject_malformed_data(lshape, lshape_quad):
     """Mode data are one (Q, 4) array of finite samples at the system's
     quadrature points: data sampled on another quadrature or split into
     (f, g) would otherwise be read in part, and NaN would solve to NaN."""
-    msh, corner = lshape
+    msh, _ = lshape
     sys2 = modal_ops.assemble_a_k(msh, 2, SPACE_Y, quad=lshape_quad)
-    b2 = singular.compute_basis(sys2, corner)
-    sys3 = modal_ops.ModeSystem(msh, 3, SPACE_Y, base=sys2)
+    b2 = singular.compute_basis(sys2)
+    sys3 = sys2.shifted(3)
     Q = len(lshape_quad.xy)
     bad_nan = np.zeros((Q, 4), dtype=complex)
     bad_nan[Q // 2, 3] = np.nan
@@ -274,7 +274,7 @@ def test_mode_solves_reject_malformed_data(lshape, lshape_quad):
 
 
 def test_conjugate_mode_symmetry(lshape, lshape_quad):
-    msh, corner = lshape
+    msh, _ = lshape
     k, space = 1, SPACE_Y
 
     def f(r, th, z):
@@ -287,7 +287,7 @@ def test_conjugate_mode_symmetry(lshape, lshape_quad):
     recs = {}
     for kk in (k, -k):
         system = modal_ops.assemble_a_k(msh, kk, space, quad=lshape_quad)
-        basis = singular.compute_basis(system, corner)
+        basis = singular.compute_basis(system)
         recs[kk] = solver.solve_mode_orthogonal(system, data[kk], basis)
     tot_p = recs[k].total_nodal()
     tot_m = recs[-k].total_nodal()
@@ -334,8 +334,8 @@ def test_full_solve_with_divergence_data(rect):
     quad = MeshQuadrature(rect)
     fmodes = solver.analyze_rhs(_bandlimited, N, quad.xy)
     gmodes = solver.analyze_scalar_rhs(_divergence_data, N, quad.xy)
-    systems = modal_ops.assemble_systems(rect, SPACE_Y, range(3), quad, shift=True)
-    systems[3] = modal_ops.ModeSystem(rect, 3, SPACE_Y, base=systems[2])
+    systems = modal_ops.assemble_systems(SPACE_Y, range(3), quad, shift=True)
+    systems[3] = systems[2].shifted(3)
     for k in range(N + 1):
         data = np.zeros((len(quad.xy), 4), dtype=complex)
         data[:, :3] = fmodes[k]
@@ -396,7 +396,7 @@ def test_zero_and_round_off_modes_make_no_cg_call(rect, monkeypatch):
     assert sol.records[1].cg.iterations > 0
     # F = ||b|| / sqrt(5), ||b||^2 = ||b_0||^2 + 2 ||b_1||^2 + 2 ||b_2||^2
     quad = MeshQuadrature(rect)
-    systems = modal_ops.assemble_systems(rect, SPACE_Y, range(3), quad)
+    systems = modal_ops.assemble_systems(SPACE_Y, range(3), quad)
     fmodes = solver.analyze_rhs(lambda r, th, z: (0.0, 0.0, r * np.cos(th)), 2, quad.xy)
     norms = [np.linalg.norm(systems[k].functional(np.c_[fmodes[k], np.zeros(len(quad.xy))]))
              for k in range(3)]
@@ -436,10 +436,10 @@ def test_mode_with_its_share_solves_as_plain_cg(lshape, lshape_quad, rng, share)
 def test_skipped_bordered_mode_is_zero(lshape, lshape_quad, monkeypatch):
     """A bordered mode whose right-hand side [b; f_s] is round-off against
     the floor makes no CG call and returns a zero field and C^k = 0j."""
-    msh, corner = lshape
+    msh, _ = lshape
     sys2 = modal_ops.assemble_a_k(msh, 2, SPACE_Y, quad=lshape_quad)
-    b2 = singular.compute_basis(sys2, corner)
-    sys4 = modal_ops.ModeSystem(msh, 4, SPACE_Y, base=sys2)
+    b2 = singular.compute_basis(sys2)
+    sys4 = sys2.shifted(4)
     data = 1e-13 * b2.op_arrays(sys4.ws, 4)
     rhs = np.append(sys4.functional(data), np.einsum(
         "q,qa,qa->", sys4.ws.wr, data, b2.op_arrays(sys4.ws, 4).conj()))
@@ -523,7 +523,7 @@ def _rule_bounds(msh, corner, space, f, N):
     systems = {k: modal_ops.assemble_a_k(msh, k, space, quad) for k in range(min(N, 2) + 1)}
     bounds, norms = {}, []
     for k in range(N + 1):
-        system = systems[k] if k <= 2 else modal_ops.ModeSystem(msh, k, space, base=systems[2])
+        system = systems[k] if k <= 2 else systems[2].shifted(k)
         data = np.c_[fmodes[k], np.zeros(len(quad.xy))]
         norms.append(np.linalg.norm(system.functional(data)))
         if k <= 2:
@@ -598,7 +598,7 @@ def test_round_off_modes_are_skipped_before_their_system(lshape, lshape_quad, mo
         assert resid[k] <= tol
         _assert_skipped(sol.records[k], resid[k])
     system = modal_ops.assemble_a_k(msh, 1, SPACE_X, quad=lshape_quad)
-    basis = singular.compute_basis(system, corner, tol=tol)
+    basis = singular.compute_basis(system, tol=tol)
     fmode = solver.analyze_rhs(_cos_theta_ez, 2, lshape_quad.xy)[1]
     data = np.c_[fmode, np.zeros(len(fmode))]
     load = system.functional(data)

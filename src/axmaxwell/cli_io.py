@@ -253,6 +253,8 @@ def build_mesh(cfg):
     elif cfg.domain == "rectangle":
         msh = meshmod.gen_rectangle(cfg.rmin, cfg.rmax, cfg.zmin, cfg.zmax, cfg.h)
         corners = []
+    elif cfg.rmin != 0.0:  # the L-shape always starts on the axis
+        raise UsageError(f"rmin must be 0 on the lshape domain, got {cfg.rmin!r}")
     else:
         msh, corner = meshmod.gen_lshape(
             cfg.corner_r, cfg.corner_z, cfg.rmax, cfg.zmin, cfg.zmax, cfg.h

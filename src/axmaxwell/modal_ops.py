@@ -4,7 +4,6 @@ div-curl form a_k together with its load functionals.
 For mode k the cylindrical operators act on a field w = (w_r, w_theta, w_z)
 defined on the meridian plane as
 
-  grad_k w = (dw/dr, ik w / r, dw/dz)                       (scalar w)
   div_k  w = (1/r) d(r w_r)/dr + ik w_theta / r + dw_z/dz
   curl_k w = (ik w_z / r - dw_theta/dz,
               dw_r/dz - dw_z/dr,
@@ -16,9 +15,9 @@ written once, as three constant tensors:
 
   D_k u = GRAD : grad u + (OVER_R + i k IK_R) (u / r),
 
-with grad u the (r, z) derivatives of the three components.  The pointwise
-evaluators, the operator values at quadrature points, their adjoint (the
-load pairings) and the element matrices all apply these tensors.
+with grad u the (r, z) derivatives of the three components.  The operator
+values at quadrature points, their adjoint (the load pairings) and the
+element matrices all apply these tensors.
 
 Mode k enters only through the i k / r terms, so the element matrices of
 a_k are E(k) = E00 + k^2 E11 + i k A with real arrays built once per
@@ -46,7 +45,7 @@ import dataclasses
 import numpy as np
 
 from . import femcore
-from .femcore import MeshQuadrature, ModeField, gradients, _locate
+from .femcore import MeshQuadrature, ModeField, gradients
 from .linalg import HermitianSparse, Level, Multigrid, Transfer, scatter
 from .mesh import coarsen
 
@@ -82,41 +81,6 @@ IK_R[2, 0] = -1.0  # curl_z: -ik u_r / r
 def _over_r_rows(k):
     """OVER_R + i k IK_R, the (4, 3) rows acting on u / r."""
     return OVER_R + (1j * k) * IK_R
-
-
-def _local_data(mesh, field_values, point):
-    if point[0] <= 0.0:
-        raise ValueError("mode-k operators are singular at r = 0")
-    t, lam = _locate(mesh, point)
-    tri = mesh.triangles[t]
-    vals = np.asarray(field_values, dtype=complex)[tri]
-    grads = gradients(mesh)[t]
-    return lam, vals, grads
-
-
-def eval_grad_k(mesh, w, k, point):
-    """grad_k of a scalar P1 field at an interior point with r > 0."""
-    lam, vals, grads = _local_data(mesh, np.asarray(w, dtype=complex).reshape(-1, 1), point)
-    wval = lam @ vals[:, 0]
-    dw = vals[:, 0] @ grads
-    return np.array([dw[0], 1j * k * wval / point[0], dw[1]])
-
-
-def _eval_ops(field, point):
-    """D_k of a ModeField at an interior point with r > 0, (4,), k its mode."""
-    lam, vals, grads = _local_data(field.mesh, field.values, point)
-    grad_u = vals.T @ grads
-    return np.einsum("acd,cd->a", GRAD, grad_u) + _over_r_rows(field.k) @ (lam @ vals / point[0])
-
-
-def eval_div_k(field, point):
-    """div_k of a ModeField at an interior point with r > 0, k its mode."""
-    return _eval_ops(field, point)[3]
-
-
-def eval_curl_k(field, point):
-    """curl_k of a ModeField at an interior point with r > 0, k its mode."""
-    return _eval_ops(field, point)[:3]
 
 
 # -- quadrature-level operator data ---------------------------------------------

@@ -434,6 +434,18 @@ def test_missing_corner_is_usage_error(tmp_path):
     assert rc == 1
 
 
+def test_rmin_on_lshape_is_usage_error(tmp_path, capsys):
+    """The L-shape starts on the axis: an rmin other than 0 is a usage
+    error raised before the output directory exists."""
+    outdir = tmp_path / "out"
+    rc = main(["solve", "--domain", "lshape", "--rmin", "0.3", "--h", "0.2",
+               "--outdir", str(outdir)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: usage:") and "rmin" in err
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("k", ["3", "-5"])
 def test_singular_high_mode_is_usage_error(tmp_path, capsys, k):
     """The bases of |k| > 2 are those of mode +-2: asking for one is a

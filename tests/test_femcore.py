@@ -13,6 +13,7 @@ from axmaxwell.femcore import (
     build_constraints,
     default_rule,
     interpolate,
+    interpolate_scalar,
     lift_boundary,
 )
 from axmaxwell.mesh import MeshError
@@ -109,6 +110,7 @@ def test_interpolate_reproduces_linear(rect):
     vals[:, 0] = rect.vertices[:, 0]
     fld = ModeField(rect, 0, vals)
     assert interpolate(fld, (0.43, 0.69))[0] == pytest.approx(0.43, abs=1e-14)
+    assert interpolate_scalar(rect, vals[:, 0], (0.43, 0.69)) == pytest.approx(0.43, abs=1e-14)
 
 
 def test_interpolate_at_vertex(rect, rng):

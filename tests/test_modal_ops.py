@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from axmaxwell import femcore, mesh, modal_ops
+from axmaxwell import femcore, mesh, modal_ops, verification
 from axmaxwell.femcore import SPACE_X, SPACE_Y, MeshQuadrature, ModeField
 
 
@@ -16,53 +16,61 @@ def _random_constrained(msh, k, space, rng):
     return cs.apply(raw)
 
 
-def test_eval_div_of_radial_field(rect):
-    vals = np.zeros((rect.num_vertices, 3), dtype=complex)
-    vals[:, 0] = rect.vertices[:, 0]
-    fld = ModeField(rect, 3, vals)
-    for pt in [(0.3, 0.7), (0.9, 0.2)]:
-        assert modal_ops.eval_div_k(fld, pt) == pytest.approx(2.0)
+@pytest.fixture(scope="module")
+def rect_quad(rect):
+    return MeshQuadrature(rect)
 
 
-def test_eval_curl_of_axial_swirl(rect):
-    vals = np.zeros((rect.num_vertices, 3), dtype=complex)
-    vals[:, 2] = rect.vertices[:, 0]
-    fld = ModeField(rect, 2, vals)
-    got = modal_ops.eval_curl_k(fld, (0.4, 0.6))
-    assert got == pytest.approx([2j, -1.0, 0.0])
+def _nodal(msh, column, values):
+    vals = np.zeros((msh.num_vertices, 3), dtype=complex)
+    vals[:, column] = values
+    return vals
 
 
-def test_eval_grad_of_height(rect):
-    w = rect.vertices[:, 1].astype(complex)
-    pt = (0.5, 0.3)
-    got = modal_ops.eval_grad_k(rect, w, 4, pt)
-    assert got == pytest.approx([0.0, 4j * 0.3 / 0.5, 1.0])
+def test_eval_div_of_radial_field(rect, rect_quad):
+    opv = modal_ops.workspace(rect_quad).op_values(_nodal(rect, 0, rect.vertices[:, 0]), 3)
+    assert opv[:, 3] == pytest.approx(np.full(len(opv), 2.0))
 
 
-def test_eval_on_axis_raises(rect):
-    fld = ModeField(rect, 1)
-    with pytest.raises(ValueError):
-        modal_ops.eval_div_k(fld, (0.0, 0.5))
+def test_eval_curl_of_axial_swirl(rect, rect_quad):
+    opv = modal_ops.workspace(rect_quad).op_values(_nodal(rect, 2, rect.vertices[:, 0]), 2)
+    assert opv[:, :3] == pytest.approx(np.broadcast_to([2j, -1.0, 0.0], (len(opv), 3)))
+
+
+def test_eval_grad_of_height(rect, rect_quad):
+    """D_k of (0, 0, w) holds grad_k w = (dw/dr, ik w / r, dw/dz) as
+    (-curl_theta, curl_r, div): for w = z and k = 4, (4i z / r, 0, 0, 1)."""
+    opv = modal_ops.workspace(rect_quad).op_values(_nodal(rect, 2, rect.vertices[:, 1]), 4)
+    r, z = rect_quad.xy.T
+    want = np.zeros((len(opv), 4), dtype=complex)
+    want[:, 0], want[:, 3] = 4j * z / r, 1.0
+    assert np.abs(opv - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("k", [0, 1, -2, 5])
 def test_op_values_match_pointwise_operators(lshape, lshape_quad, rng, k):
-    """The chunked kernel and the pointwise oracle of criterion 2 agree at
-    the quadrature points of plain and corner-subdivided triangles."""
+    """The chunked kernel agrees with the pointwise rows of criterion 2,
+    central differences of the interpolated field, at every quadrature
+    point of plain and corner-subdivided triangles."""
     msh, _ = lshape
-    ws = modal_ops.workspace(lshape_quad)
+    counts = np.bincount(lshape_quad.tri, minlength=msh.num_triangles)
+    assert counts.min() < counts.max()
     fld = ModeField(
         msh, k, rng.normal(size=(msh.num_vertices, 3)) + 1j * rng.normal(size=(msh.num_vertices, 3))
     )
-    opv = ws.op_values(fld.values, k)
-    counts = np.bincount(lshape_quad.tri, minlength=msh.num_triangles)
-    subdivided = np.flatnonzero(counts > counts.min())
-    assert subdivided.size
-    for t in np.r_[subdivided, 0, msh.num_triangles // 2, msh.num_triangles - 1]:
-        for q in np.flatnonzero(lshape_quad.tri == t):
-            point = lshape_quad.xy[q]
-            want = np.r_[modal_ops.eval_curl_k(fld, point), modal_ops.eval_div_k(fld, point)]
-            assert np.abs(opv[q] - want).max() <= 1e-12 * np.abs(want).max()
+    opv = modal_ops.workspace(lshape_quad).op_values(fld.values, k)
+    fd = verification.fd_ops(lambda p: femcore.interpolate(fld, p).T, lshape_quad.xy, k, 1e-6).T
+    scale = np.maximum(1.0, np.abs(femcore.interpolate(fld, lshape_quad.xy)).max(axis=1))
+    assert (np.abs(opv - fd).max(axis=1) / scale).max() <= 1e-6
+
+
+def test_criterion_2_fails_on_negated_mode(monkeypatch):
+    """Criterion 2 checks the kernel the solves run: op_values fed -k
+    instead of k fails it."""
+    op_values = modal_ops.OperatorWorkspace.op_values
+    monkeypatch.setattr(modal_ops.OperatorWorkspace, "op_values",
+                        lambda self, values, k: op_values(self, values, -k))
+    assert not verification.criterion_2_operator_oracle().passed
 
 
 def test_matrix_is_hermitian(lshape, lshape_quad):

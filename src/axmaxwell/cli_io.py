@@ -10,7 +10,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -153,34 +152,22 @@ def write_csv(path, header, rows):
 
 
 _SPACES = {"electric": femcore.SPACE_X, "magnetic": femcore.SPACE_Y}
-_DOMAINS = ("rectangle", "lshape")
-
-
-@dataclass
-class RunConfig:
-    domain: str = "lshape"
-    mesh_file: str = None
-    h: float = 0.1
-    rmin: float = 0.0
-    rmax: float = 1.0
-    zmin: float = 0.0
-    zmax: float = 1.0
-    corner_r: float = 0.5
-    corner_z: float = 0.5
-    field: str = "magnetic"
-    rhs: str = "bandlimited"
-    modes: int = 5
-    tol: float = 1e-10
-    theta_samples: int = None
-    levels: int = 3
-    outdir: str = "."
-    k: int = None
-
-    def space(self):
-        return _SPACES[self.field]
+# the mesh settings each mesh source reads; every other one keeps its default
+_MESH_SOURCES = {
+    "--mesh-file": ("mesh_file",),
+    "--domain rectangle": ("domain", "h", "rmin", "rmax", "zmin", "zmax"),
+    "--domain lshape": ("domain", "h", "rmax", "zmin", "zmax", "corner_r", "corner_z"),
+}
+_MESH_SETTINGS = set().union(*_MESH_SOURCES.values())
+# flags without a config key: the file itself, an output name, the
+# parse-only thread count and the azimuths of synthesize
+_FLAG_ONLY = ("help", "config", "out", "threads", "azimuths")
 
 
 def load_config(path):
+    """The key = value pairs of a config file, '-' in a key read as '_'.  A
+    file that cannot be opened raises OSError; a non-UTF-8 file or a line
+    without '=' is a usage error."""
     out = {}
     try:
         with open(path) as fp:
@@ -192,90 +179,104 @@ def load_config(path):
                     raise UsageError(f"{path}:{lineno}: expected key = value")
                 key, val = (s.strip() for s in line.split("=", 1))
                 out[key.replace("-", "_")] = val
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     return out
 
 
-def build_config(args):
-    cfg = RunConfig()
-    overrides = {}
+def _config_keys(command):
+    """{key: flag} of the settings the config file of a command's parser may
+    hold: every flag but the flag-only ones and a required one, whose value
+    always comes from the command line."""
+    return {a.dest: a.option_strings[0] for a in command._actions
+            if a.option_strings and not a.required and a.dest not in _FLAG_ONLY}
+
+
+def parse_args(argv=None):
+    """The checked settings of a command line.  The values of its --config
+    file pass through the command's parser as flags placed before the
+    command line's own, so argparse converts and checks them and the flags
+    win.  A key the command does not read, a value out of range and a mesh
+    setting its mesh source does not read are usage errors."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = make_parser()
+    args = parser.parse_args(argv)
+    command = parser.commands[args.command]
     if getattr(args, "config", None):
-        overrides.update(load_config(args.config))
-    for f in fields(RunConfig):
-        val = getattr(args, f.name, None)
-        if val is not None:
-            overrides[f.name] = val
-    types = {f.name: f.type for f in fields(RunConfig)}
-    for key, val in overrides.items():
-        if key not in types:
-            raise UsageError(f"unknown config key {key!r}")
-        if isinstance(val, str) and types[key] in (float, int):
-            try:
-                val = types[key](val)
-            except ValueError as exc:
-                raise UsageError(f"{key}: {exc}") from exc
-        setattr(cfg, key, val)
-    for f in fields(RunConfig):
-        if f.type is float and not np.isfinite(getattr(cfg, f.name)):
-            raise UsageError(f"{f.name} must be finite, got {getattr(cfg, f.name)!r}")
-    if cfg.domain not in _DOMAINS:
-        raise UsageError(f"domain must be one of {', '.join(_DOMAINS)}, got {cfg.domain!r}")
-    if cfg.field not in _SPACES:
-        raise UsageError(f"field must be one of {', '.join(_SPACES)}, got {cfg.field!r}")
-    if cfg.rhs not in RHS_BUILTINS and not cfg.rhs.startswith("file:"):
-        raise UsageError(f"unknown rhs {cfg.rhs!r}; builtins: "
+        keys, settings = _config_keys(command), []
+        for key, val in load_config(args.config).items():
+            if key not in keys:
+                raise UsageError(f"unknown config key {key!r} for {args.command}")
+            settings.append(f"{keys[key]}={val}")
+        try:
+            args = parser.parse_args([args.command, *settings, *argv[1:]])
+        except UsageError as exc:
+            raise UsageError(f"{args.config}: {exc}") from None
+    _check_values(args)
+    if "mesh_file" in args:
+        source = "--mesh-file" if args.mesh_file else f"--domain {args.domain}"
+        unread = [a.option_strings[0] for a in command._actions
+                  if a.dest in _MESH_SETTINGS and a.dest not in _MESH_SOURCES[source]
+                  and getattr(args, a.dest) != a.default]
+        if unread:
+            raise UsageError(f"{source} does not read {', '.join(unread)}")
+    return args
+
+
+def _check_values(args):
+    """The value checks argparse does not make, of the settings args has."""
+    for key, val in vars(args).items():
+        if isinstance(val, float) and not math.isfinite(val):
+            raise UsageError(f"{key} must be finite, got {val!r}")
+    if "rhs" in args and args.rhs not in RHS_BUILTINS and not args.rhs.startswith("file:"):
+        raise UsageError(f"unknown rhs {args.rhs!r}; builtins: "
                          f"{', '.join(sorted(RHS_BUILTINS))} or file:<csv>")
-    if cfg.modes < 0:
-        raise UsageError(f"modes must be >= 0, got {cfg.modes}")
-    try:
-        solver.theta_samples(cfg.modes, cfg.theta_samples)
-    except ValueError as exc:
-        raise UsageError(f"theta-samples: {exc}") from None
-    if not 0.0 < cfg.tol < 1.0:
-        raise UsageError(f"tol must lie in (0, 1), got {cfg.tol!r}")
-    if cfg.levels < 2:
-        raise UsageError(f"levels must be >= 2 to fit a rate, got {cfg.levels}")
-    try:  # convergence_study meshes the unit square at every h of the ladder
-        meshmod.grid_segments(_ladder_h(cfg.levels - 1), (0.0, 1.0), (0.0, 1.0))
-    except MeshError as exc:
-        raise UsageError(f"levels too large: the finest mesh of the ladder: {exc}") from None
+    if "modes" in args:
+        if args.modes < 0:
+            raise UsageError(f"modes must be >= 0, got {args.modes}")
+        try:
+            solver.theta_samples(args.modes, getattr(args, "theta_samples", None))
+        except ValueError as exc:
+            raise UsageError(f"theta-samples: {exc}") from None
+    if "tol" in args and not 0.0 < args.tol < 1.0:
+        raise UsageError(f"tol must lie in (0, 1), got {args.tol!r}")
+    if "levels" in args:
+        if args.levels < 2:
+            raise UsageError(f"levels must be >= 2 to fit a rate, got {args.levels}")
+        try:  # convergence_study meshes the unit square at every h of the ladder
+            meshmod.grid_segments(_ladder_h(args.levels - 1), (0.0, 1.0), (0.0, 1.0))
+        except MeshError as exc:
+            raise UsageError(f"levels too large: the finest mesh of the ladder: {exc}") from None
     # synthesize --theta-samples: fewer than 3 azimuths give wedges of zero volume
     if getattr(args, "azimuths", 3) < 3:
         raise UsageError(f"theta-samples must be >= 3, got {args.azimuths}")
-    return cfg
 
 
-def build_mesh(cfg):
-    if cfg.mesh_file:
-        msh = meshmod.load_mesh(cfg.mesh_file)
-        corners = meshmod.classify_boundary(msh)
-    elif cfg.domain == "rectangle":
-        msh = meshmod.gen_rectangle(cfg.rmin, cfg.rmax, cfg.zmin, cfg.zmax, cfg.h)
-        corners = []
-    elif cfg.rmin != 0.0:  # the L-shape always starts on the axis
-        raise UsageError(f"rmin must be 0 on the lshape domain, got {cfg.rmin!r}")
-    else:
-        msh, corner = meshmod.gen_lshape(
-            cfg.corner_r, cfg.corner_z, cfg.rmax, cfg.zmin, cfg.zmax, cfg.h
-        )
-        corners = [corner]
+def build_mesh(args):
+    """(mesh, reentrant corner or None) of the mesh source of args."""
+    if not args.mesh_file:
+        if args.domain == "rectangle":
+            return meshmod.gen_rectangle(args.rmin, args.rmax, args.zmin, args.zmax, args.h), None
+        return meshmod.gen_lshape(args.corner_r, args.corner_z, args.rmax, args.zmin, args.zmax,
+                                  args.h)
+    msh = meshmod.load_mesh(args.mesh_file)
+    corners = meshmod.classify_boundary(msh)
     if len(corners) > 1:
         raise UsageError("meshes with more than one reentrant corner are not supported")
     return msh, (corners[0] if corners else None)
 
 
-def _check_sizes(cfg, msh, azimuths=None):
+def _check_sizes(args, msh):
     """Check against mesh.MAX_ENTRIES, before any of them exists, the largest
     arrays of a run's analysis, M x Q samples (Q <= nt times
-    femcore.MAX_TRIANGLE_POINTS) and the (N + 1) x M projection, and of its
+    femcore.MAX_TRIANGLE_POINTS) and the (N + 1) x M projection, and of the
     synthesis at T azimuths, T x nv x 3 values and T x nt x 6 wedge
     indices."""
-    M = solver.theta_samples(cfg.modes, cfg.theta_samples)
+    M = solver.theta_samples(args.modes, getattr(args, "theta_samples", None))
     sizes = {"analysis samples M x Q": M * femcore.MAX_TRIANGLE_POINTS * msh.num_triangles,
-             "projection (N + 1) x M": (cfg.modes + 1) * M,
+             "projection (N + 1) x M": (args.modes + 1) * M,
              "synthesis T x max(3 nv, 6 nt)":
-                 (azimuths or 0) * max(3 * msh.num_vertices, 6 * msh.num_triangles)}
+                 getattr(args, "azimuths", 0) * max(3 * msh.num_vertices, 6 * msh.num_triangles)}
     for what, entries in sizes.items():
         if entries > meshmod.MAX_ENTRIES:
             raise UsageError(f"{what} = {entries} entries, more than MAX_ENTRIES = "
@@ -390,34 +391,29 @@ def _corner_report(corner):
     )
 
 
-def cmd_meshgen(cfg, msh, corner, out):
-    path = os.path.join(cfg.outdir, out or "mesh.txt")
+def cmd_meshgen(args, msh, corner):
+    path = os.path.join(args.outdir, args.out)
     meshmod.save_mesh(msh, path)
     print(f"wrote {path}: {msh.num_vertices} vertices, {msh.num_triangles} triangles")
     print(_corner_report(corner))
     return 0
 
 
-def cmd_singular(cfg, msh, corner, out):
+def cmd_singular(args, msh, corner):
     quad = MeshQuadrature(msh, corner)
-    system = modal_ops.assemble_systems(cfg.space(), [cfg.k], quad)[cfg.k]
-    basis = singular.compute_basis(system, tol=cfg.tol)
-    prefix = os.path.join(cfg.outdir, out or f"basis_k{cfg.k}_{cfg.field}")
-    centers = msh.vertices[msh.triangles].mean(axis=1)
-    principal_cells = basis.principal.values(centers)
-    write_vtk(
-        msh,
-        {"basis_total": basis.total_nodal(), "basis_regular": basis.regular.values},
-        prefix + ".vtk",
-        cell_fields={"principal": principal_cells},
-        title=f"singular basis k={cfg.k} {cfg.field}",
-    )
+    system = modal_ops.assemble_systems(_SPACES[args.field], [args.k], quad)[args.k]
+    basis = singular.compute_basis(system, tol=args.tol)
+    prefix = os.path.join(args.outdir, args.out or f"basis_k{args.k}_{args.field}")
+    principal_cells = basis.principal.values(msh.vertices[msh.triangles].mean(axis=1))
+    write_vtk(msh, {"basis_total": basis.total_nodal(), "basis_regular": basis.regular.values},
+              prefix + ".vtk", cell_fields={"principal": principal_cells},
+              title=f"singular basis k={args.k} {args.field}")
     # a_k(s, s) and its curl part (curl_k s, curl_k s), from one evaluation
-    bop, ws = basis.op_arrays(system.ws, cfg.k), system.ws
+    bop, ws = basis.op_arrays(system.ws, args.k), system.ws
     write_csv(
         prefix + "_diag.csv",
         ["k", "field", "iterations", "residual", "energy", "curl_norm_sq"],
-        [[cfg.k, cfg.field, basis.cg.iterations, basis.cg.residual,
+        [[args.k, args.field, basis.cg.iterations, basis.cg.residual,
           float(ws.norm_sq(bop)), float(ws.norm_sq(bop[:, :3]))]],
     )
     print(f"wrote {prefix}.vtk and {prefix}_diag.csv")
@@ -425,51 +421,41 @@ def cmd_singular(cfg, msh, corner, out):
     return 0
 
 
-def _solve(cfg, msh, corner, f):
-    return solver.solve_axisymmetric(msh, cfg.space(), f, N=cfg.modes, corner=corner,
-                                     tol=cfg.tol, samples=cfg.theta_samples)
+def _solve(args, msh, corner, f):
+    return solver.solve_axisymmetric(msh, _SPACES[args.field], f, N=args.modes, corner=corner,
+                                     tol=args.tol, samples=getattr(args, "theta_samples", None))
 
 
-def cmd_solve(cfg, msh, corner, f):
-    sol = _solve(cfg, msh, corner, f)
+def cmd_solve(args, msh, corner, f):
+    sol = _solve(args, msh, corner, f)
     geometry = "".join(_grid(msh.vertices, msh.triangles))  # once for all 2N + 1 files
     rows = []
-    for k in range(-cfg.modes, cfg.modes + 1):
+    for k in range(-args.modes, args.modes + 1):
         # the data are real: mode -k is the conjugate of the stored mode k
         rec = sol.records[abs(k)]
         total, coeff = rec.total_nodal(), rec.coeff
         if k < 0:
             total, coeff = np.conj(total), np.conj(coeff)
-        write_vtk(
-            msh,
-            {"field": total},
-            os.path.join(cfg.outdir, f"mode_{'m' if k < 0 else 'p'}{abs(k)}.vtk"),
-            title=f"mode {k} {cfg.field}",
-            geometry=geometry,
-        )
+        write_vtk(msh, {"field": total},
+                  os.path.join(args.outdir, f"mode_{'m' if k < 0 else 'p'}{abs(k)}.vtk"),
+                  title=f"mode {k} {args.field}", geometry=geometry)
         rows.append([k, complex(coeff), rec.cg.iterations, rec.cg.residual, rec.energy])
-    write_csv(
-        os.path.join(cfg.outdir, "summary.csv"),
-        ["k", "C_k", "iterations", "residual", "basis_energy"],
-        rows,
-    )
-    print(f"wrote {2 * cfg.modes + 1} mode files and summary.csv in {cfg.outdir}")
+    write_csv(os.path.join(args.outdir, "summary.csv"),
+              ["k", "C_k", "iterations", "residual", "basis_energy"], rows)
+    print(f"wrote {2 * args.modes + 1} mode files and summary.csv in {args.outdir}")
     return 0
 
 
-def cmd_synthesize(cfg, msh, corner, f, azimuths):
-    sol = _solve(cfg, msh, corner, f)
-    T = azimuths
-    thetas, points, fields_cyl = solver.sample_3d(sol, T)
-    nv = msh.num_vertices
+def cmd_synthesize(args, msh, corner, f):
+    sol = _solve(args, msh, corner, f)
+    T, nv = args.azimuths, msh.num_vertices
+    _, points, fields_cyl = solver.sample_3d(sol, T)
     pts = points.reshape(-1, 3)
-    cur = (np.arange(T) * nv)[:, None, None]
-    nxt = (((np.arange(T) + 1) % T) * nv)[:, None, None]
-    tri = msh.triangles[None, :, :]
-    wedges = np.concatenate([cur + tri, nxt + tri], axis=2).reshape(-1, 6)
-    data = fields_cyl.reshape(-1, 3)
-    path = os.path.join(cfg.outdir, "field3d.vtk")
-    write_vtk_wedges(pts, wedges, {"field": data}, path)
+    ring = (np.arange(T) * nv)[:, None, None]  # ring t's wedges join it to ring (t + 1) mod T
+    wedges = np.concatenate([ring + msh.triangles, (ring + nv) % (T * nv) + msh.triangles],
+                            axis=2).reshape(-1, 6)
+    path = os.path.join(args.outdir, "field3d.vtk")
+    write_vtk_wedges(pts, wedges, {"field": fields_cyl.reshape(-1, 3)}, path)
     print(f"wrote {path}: {len(pts)} points, {len(wedges)} wedges")
     return 0
 
@@ -479,18 +465,18 @@ def _ladder_h(level):
     return math.ldexp(0.2, -level)
 
 
-def cmd_convergence(cfg):
+def cmd_convergence(args):
     from . import manufactured
 
-    ks = [cfg.k] if cfg.k is not None else [0, 1, 2]
-    hs = [_ladder_h(lev) for lev in range(cfg.levels)]
-    study = manufactured.convergence_study(cfg.space(), ks, hs, cfg.tol)
+    ks = [args.k] if args.k is not None else [0, 1, 2]
+    hs = [_ladder_h(lev) for lev in range(args.levels)]
+    study = manufactured.convergence_study(_SPACES[args.field], ks, hs, args.tol)
     rows = []
     for k, (errs, rate_l2, rate_en) in study.items():
         for h, (l2, en) in zip(hs, errs):
             rows.append([k, h, l2, en, rate_l2, rate_en])
         print(f"k={k}: fitted L2 rate {rate_l2:.3f}, energy rate {rate_en:.3f}")
-    path = os.path.join(cfg.outdir, "convergence.csv")
+    path = os.path.join(args.outdir, "convergence.csv")
     write_csv(path, ["k", "h", "l2_error", "energy_error", "l2_rate", "energy_rate"], rows)
     print(f"wrote {path}")
     return 0
@@ -517,86 +503,90 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(p):
-    p.add_argument("--config", help="key = value configuration file")
-    p.add_argument("--domain", help="built-in domain: rectangle or lshape (default lshape)")
-    p.add_argument("--mesh-file", dest="mesh_file", help="load mesh from file instead")
-    p.add_argument("--h", type=float, help="nominal mesh size")
-    p.add_argument("--rmin", type=float)
-    p.add_argument("--rmax", type=float)
-    p.add_argument("--zmin", type=float)
-    p.add_argument("--zmax", type=float)
-    p.add_argument("--corner-r", dest="corner_r", type=float, help="L-shape corner radius")
-    p.add_argument("--corner-z", dest="corner_z", type=float, help="L-shape corner height")
-    p.add_argument("--field", help="electric or magnetic (default magnetic)")
-    p.add_argument("--tol", type=float, help="iterative solver tolerance")
-    p.add_argument("--outdir", help="output directory")
-    p.add_argument("--threads", type=int, choices=[1], help="only 1, for existing command lines")
+class _Help(argparse.HelpFormatter):
+    """Help text ending in the declared default of a flag that has one."""
+
+    def _get_help_string(self, action):
+        return action.help + ("" if action.default in (None, argparse.SUPPRESS) else
+                              " (default %(default)s)")
+
+
+def _add_mesh(p):
+    p.add_argument("--domain", choices=("rectangle", "lshape"), default="lshape",
+                   help="built-in domain")
+    p.add_argument("--mesh-file", help="load the mesh from this file instead")
+    for name, default, what in (
+            ("h", 0.1, "nominal mesh size"), ("rmin", 0.0, "rectangle: inner radius"),
+            ("rmax", 1.0, "outer radius"), ("zmin", 0.0, "bottom"), ("zmax", 1.0, "top"),
+            ("corner-r", 0.5, "L-shape: corner radius"),
+            ("corner-z", 0.5, "L-shape: corner height")):
+        p.add_argument(f"--{name}", type=float, default=default, help=what)
+
+
+def _add_field(p):
+    p.add_argument("--field", choices=tuple(_SPACES), default="magnetic", help="field kind")
+    p.add_argument("--tol", type=float, default=1e-10, help="iterative solver tolerance")
+
+
+def _add_solve(p):
+    p.add_argument("--rhs", default="bandlimited", help="named built-in data or file:<csv>")
+    p.add_argument("--modes", type=int, default=5, help="truncation order N")
+    p.add_argument("--threads", type=int, choices=[1], default=1, help="1 only: serial solve")
 
 
 def make_parser():
-    parser = _Parser(prog="axmaxwell", description=__doc__)
+    """The parser of every command, each declaring exactly the flags it reads;
+    parser.commands maps a command's name to its parser."""
+    parser = _Parser(prog="axmaxwell", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
-    p = sub.add_parser("meshgen", help="generate a meridian mesh file")
-    _add_common(p)
-    p.add_argument("--out", help="mesh file name (default mesh.txt)")
+    def command(name, help, *groups):
+        p = sub.add_parser(name, help=help, allow_abbrev=False, formatter_class=_Help)
+        p.add_argument("--config", help="key = value file of this command's settings; flags win")
+        p.add_argument("--outdir", default=".", help="output directory")
+        for add in groups:
+            add(p)
+        return p
 
-    p = sub.add_parser("singular", help="compute and export a singular basis")
-    _add_common(p)
+    p = command("meshgen", "generate a meridian mesh file", _add_mesh)
+    p.add_argument("--out", default="mesh.txt", help="mesh file name")
+    p = command("singular", "compute and export a singular basis", _add_mesh, _add_field)
     # every mode |k| > 2 reuses the basis of mode +-2
     p.add_argument("--k", type=int, required=True, choices=range(-2, 3),
                    help="Fourier mode, |k| <= 2")
-    p.add_argument("--out", help="output prefix")
-
-    p = sub.add_parser("solve", help="solve all modes and export fields")
-    _add_common(p)
-    p.add_argument("--rhs", help="named built-in data or file:<csv>")
-    p.add_argument("--modes", type=int, help="truncation order N")
-    p.add_argument("--theta-samples", dest="theta_samples", type=int)
-
-    p = sub.add_parser("synthesize", help="solve and export the revolved 3D field")
-    _add_common(p)
-    p.add_argument("--rhs")
-    p.add_argument("--modes", type=int)
-    # sets the output azimuths only; the analysis keeps its own sample count
+    p.add_argument("--out", help="output prefix (default basis_k<k>_<field>)")
+    p = command("solve", "solve all modes and export fields", _add_mesh, _add_field, _add_solve)
+    p.add_argument("--theta-samples", type=int, help="analysis samples (default 4 max(N, 1) + 1)")
+    p = command("synthesize", "solve and export the revolved 3D field", _add_mesh, _add_field,
+                _add_solve)
+    # sets the output azimuths only; the analysis keeps its default grid
     p.add_argument("--theta-samples", dest="azimuths", type=int, default=16,
-                   help="azimuths of the revolved output (default 16)")
-
-    p = sub.add_parser("convergence", help="manufactured convergence study")
-    _add_common(p)
-    p.add_argument("--levels", type=int, help="number of refinements")
-    p.add_argument("--k", type=int, help="single mode (default 0,1,2)")
-
-    sub.add_parser("verify", help="run the acceptance property suite")
+                   help="azimuths of the revolved output")
+    p = command("convergence", "manufactured convergence study", _add_field)
+    p.add_argument("--levels", type=int, default=3, help="number of meshes of the ladder")
+    p.add_argument("--k", type=int, help="single mode (default 0, 1 and 2)")
+    sub.add_parser("verify", help="run the acceptance property suite", allow_abbrev=False)
     return parser
 
 
 def main(argv=None):
     try:
-        args = make_parser().parse_args(argv)
+        args = parse_args(argv)
         if args.command == "verify":
             return cmd_verify()
-        cfg = build_config(args)
         # every input is read before outdir exists, so a bad one leaves no
         # directory behind; an unusable outdir fails next, before any work
-        if args.command != "convergence":
-            msh, corner = build_mesh(cfg)
-        if args.command == "singular" and corner is None:
+        inputs = build_mesh(args) if "mesh_file" in args else ()
+        if args.command == "singular" and inputs[1] is None:
             raise UsageError("singular bases need a domain with a reentrant corner")
-        if args.command in ("solve", "synthesize"):
-            _check_sizes(cfg, msh, getattr(args, "azimuths", None))
-            f = resolve_rhs(cfg.rhs, msh)
-        os.makedirs(cfg.outdir, exist_ok=True)
-        if args.command == "meshgen":
-            return cmd_meshgen(cfg, msh, corner, args.out)
-        if args.command == "singular":
-            return cmd_singular(cfg, msh, corner, args.out)
-        if args.command == "solve":
-            return cmd_solve(cfg, msh, corner, f)
-        if args.command == "synthesize":
-            return cmd_synthesize(cfg, msh, corner, f, args.azimuths)
-        return cmd_convergence(cfg)
+        if "rhs" in args:
+            _check_sizes(args, inputs[0])
+            inputs += (resolve_rhs(args.rhs, inputs[0]),)
+        os.makedirs(args.outdir, exist_ok=True)
+        run = {"meshgen": cmd_meshgen, "singular": cmd_singular, "solve": cmd_solve,
+               "synthesize": cmd_synthesize, "convergence": cmd_convergence}[args.command]
+        return run(args, *inputs)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 1

@@ -1,5 +1,8 @@
+import itertools
+import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,30 +296,81 @@ def test_bad_thread_count_is_usage_error(tmp_path, capsys, monkeypatch, argv, me
     assert not outdir.exists()
 
 
-@pytest.mark.parametrize("config, command", [
-    ("field = foo\n", ["meshgen"]),
-    ("domain = foo\n", ["solve"]),
-    ("", ["solve", "--rhs", "nope"]),
-    ("", ["singular", "--k", "5"]),
-    ("", ["synthesize", "--theta-samples", "2"]),
-    ("levels = 1\n", ["convergence"]),
-    ("", ["solve", "--modes", "1", "--theta-samples", "2"]),
-    ("", ["solve", "--field", "foo"]),
-    ("", ["solve", "--threads", "0"]),
-    ("", ["solve", "--threads", "2"]),
+@pytest.mark.parametrize("config, command, named", [
+    ("field = foo\n", ["solve", "--h", "0.2"], "field"),
+    ("domain = foo\n", ["solve", "--h", "0.2"], "domain"),
+    ("", ["solve", "--h", "0.2", "--rhs", "nope"], "rhs"),
+    ("", ["singular", "--h", "0.2", "--k", "5"], "--k"),
+    ("", ["synthesize", "--h", "0.2", "--theta-samples", "2"], "theta-samples"),
+    ("levels = 1\n", ["convergence"], "levels"),
+    ("", ["solve", "--h", "0.2", "--modes", "1", "--theta-samples", "2"], "theta-samples"),
+    ("", ["solve", "--h", "0.2", "--field", "foo"], "field"),
+    ("", ["solve", "--h", "0.2", "--threads", "0"], "threads"),
+    ("", ["solve", "--h", "0.2", "--threads", "2"], "threads"),
 ], ids=["config-field", "config-domain", "rhs", "singular-k", "azimuths", "config-levels",
         "theta-samples", "field", "threads", "threads-2"])
-def test_bad_option_fails_before_outdir_exists(tmp_path, capsys, config, command):
+def test_bad_option_fails_before_outdir_exists(tmp_path, capsys, config, command, named):
     """Every option value, from a flag or from the config file, is checked
-    before --outdir is created: a bad one exits 1 with one usage line and
-    leaves no directory behind."""
+    before --outdir is created: a bad one exits 1 with one usage line that
+    names it and leaves no directory behind.  Each command gets only flags
+    it reads, so the bad value is the only fault."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
     outdir = tmp_path / "out"
-    rc = main(command + ["--config", str(cfg), "--h", "0.2", "--outdir", str(outdir)])
+    rc = main(command + ["--config", str(cfg), "--outdir", str(outdir)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: usage:") and "\n" not in err.strip()
+    assert err.startswith("error: usage:") and "\n" not in err.strip() and named in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("config, command, named", [
+    ("", ["convergence", "--h", "0.2"], "--h"),
+    ("", ["convergence", "--mesh-file", "{mesh}"], "--mesh-file"),
+    ("", ["meshgen", "--field", "electric"], "--field"),
+    ("", ["solve", "--h", "0.25", "--mode", "1"], "--mode"),
+    ("modes = 2\n", ["meshgen"], "'modes' for meshgen"),
+    ("k = 3\n", ["solve"], "'k' for solve"),
+    ("theta_samples = 13\n", ["synthesize", "--modes", "3"], "'theta_samples' for synthesize"),
+    ("k = 1\n", ["singular", "--k", "1"], "'k' for singular"),
+    ("", ["meshgen", "--domain", "rectangle", "--corner-r", "0.3"], "--corner-r"),
+    ("", ["meshgen", "--mesh-file", "{mesh}", "--h", "0.2"], "--h"),
+    ("", ["meshgen", "--mesh-file", "{mesh}", "--domain", "rectangle"], "--domain"),
+], ids=["convergence-h", "convergence-mesh-file", "meshgen-field", "abbreviation",
+        "meshgen-modes", "solve-k", "synthesize-theta-samples", "singular-k",
+        "rectangle-corner", "mesh-file-h", "mesh-file-domain"])
+def test_setting_the_command_does_not_read_is_usage_error(tmp_path, capsys, config, command,
+                                                          named):
+    """A flag the command does not declare (an abbreviation included), a
+    config key it does not read and a mesh setting its mesh source does not
+    read exit 1 with one usage line naming it, before --outdir exists."""
+    mesh.save_mesh(mesh.gen_rectangle(0.0, 1.0, 0.0, 1.0, 0.5), tmp_path / "m.txt")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    outdir = tmp_path / "out"
+    argv = [a.format(mesh=tmp_path / "m.txt") for a in command]
+    rc = main(argv + ["--config", str(cfg), "--outdir", str(outdir)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: usage:") and "\n" not in err.strip() and named in err
+    assert not outdir.exists()
+
+
+def test_lshape_takes_rmin_at_its_default(tmp_path):
+    """--rmin is not read by the L-shape, which starts on the axis; its
+    declared default 0 is accepted."""
+    assert main(["meshgen", "--domain", "lshape", "--rmin", "0", "--h", "0.5",
+                 "--outdir", str(tmp_path)]) == 0
+
+
+def test_missing_config_file_is_io_error(tmp_path, capsys):
+    """A config file that cannot be opened exits 3, like a mesh file or a
+    table, before --outdir exists."""
+    outdir = tmp_path / "out"
+    rc = main(["solve", "--config", str(tmp_path / "none.cfg"), "--outdir", str(outdir)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: io:") and "none.cfg" in err and "\n" not in err.strip()
     assert not outdir.exists()
 
 
@@ -390,16 +444,20 @@ def test_largest_run_under_the_limit_passes_the_size_check(monkeypatch):
     """The analysis sizes are compared with MAX_ENTRIES as they are: M x Q
     with Q = 28 nt, (N + 1) x M, and T x max(3 nv, 6 nt) for a synthesis."""
     msh, _ = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.1)
-    cfg = cli_io.RunConfig(modes=3)  # M = 13
     limit = 13 * 28 * msh.num_triangles
+
+    def synthesize(azimuths):  # M = 13
+        return cli_io.parse_args(["synthesize", "--modes", "3", "--theta-samples", str(azimuths)])
+
+    solve = cli_io.parse_args(["solve", "--modes", "3"])  # M = 13
     monkeypatch.setattr(mesh, "MAX_ENTRIES", limit)
-    cli_io._check_sizes(cfg, msh)
-    cli_io._check_sizes(cfg, msh, limit // (6 * msh.num_triangles))
+    cli_io._check_sizes(solve, msh)
+    cli_io._check_sizes(synthesize(limit // (6 * msh.num_triangles)), msh)
     with pytest.raises(cli_io.UsageError, match="synthesis"):
-        cli_io._check_sizes(cfg, msh, limit // (6 * msh.num_triangles) + 1)
+        cli_io._check_sizes(synthesize(limit // (6 * msh.num_triangles) + 1), msh)
     monkeypatch.setattr(mesh, "MAX_ENTRIES", limit - 1)
     with pytest.raises(cli_io.UsageError, match="analysis samples"):
-        cli_io._check_sizes(cfg, msh)
+        cli_io._check_sizes(solve, msh)
 
 
 @pytest.mark.parametrize("exc, message", [
@@ -502,6 +560,43 @@ def test_help_documents_flags(capsys):
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "--outdir" in out or cmd == "verify"
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+_TABLE_HEADER = "| flag | meshgen | singular | solve | synthesize | convergence | meaning |"
+
+
+def _readme_flags():
+    """{command: {flag: default cell}} of the README flag table; an empty
+    cell is a flag the command does not declare."""
+    lines = _README.read_text().splitlines()
+    start = lines.index(_TABLE_HEADER)
+    commands = [c.strip() for c in _TABLE_HEADER.strip("|").split("|")][1:-1]
+    table = {command: {} for command in commands}
+    for line in itertools.takewhile(lambda ln: ln.startswith("|"), lines[start + 2:]):
+        cells = [c.strip().strip("`") for c in line.strip("|").split("|")]
+        for command, cell in zip(commands, cells[1:-1]):
+            if cell:
+                table[command][cells[0]] = cell
+    return table
+
+
+def test_readme_lists_the_flags_of_every_command(capsys):
+    """The README flag table holds, per command, exactly the flags of its
+    --help and each flag's declared default ("unset" for none)."""
+    table = _readme_flags()
+    parsers = cli_io.make_parser().commands
+    assert sorted(table) == sorted(set(parsers) - {"verify"})
+    for command, flags in table.items():
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        listed = re.findall(r"^ +(?:-h, )?(--[\w-]+)", capsys.readouterr().out, re.M)
+        assert sorted(flags) == sorted(set(listed) - {"--help"}), command
+        for action in parsers[command]._actions:
+            if action.dest != "help":
+                want = ("required" if action.required else
+                        "unset" if action.default is None else str(action.default))
+                assert flags[action.option_strings[0]] == want, (command, action.dest)
 
 
 def test_csv_round_trip(tmp_path):

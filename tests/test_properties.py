@@ -2,7 +2,6 @@
 CLI maps every error class onto its exit code, and the Fourier analysis
 recovers the modes of real trigonometric polynomials."""
 
-import argparse
 import math
 
 import numpy as np
@@ -11,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from axmaxwell import cli_io, mesh, solver
-from axmaxwell.cli_io import RunConfig, UsageError, build_config, load_config, main
+from axmaxwell.cli_io import UsageError, load_config, main
 from axmaxwell.linalg import SolverError
 from axmaxwell.mesh import MeshError
 
@@ -101,8 +100,11 @@ def test_binary_mesh_file_raises_only_mesh_error(tmp_path, data):
 
 # -- configuration ---------------------------------------------------------------
 
-_CONFIG_KEYS = [f.replace("_", "-") for f in RunConfig.__dataclass_fields__] + [
-    "space", "azimuths", "__class__", "unknown", ""
+_COMMANDS = {"meshgen": [], "singular": ["--k", "1"], "solve": [], "synthesize": [],
+             "convergence": []}
+_CONFIG_KEYS = sorted({key.replace("_", "-") for command in cli_io.make_parser().commands.values()
+                       for key in cli_io._config_keys(command)}) + [
+    "space", "azimuths", "threads", "theta-samples", "__class__", "unknown", ""
 ]
 _CONFIG_LINE = st.one_of(
     st.tuples(st.sampled_from(_CONFIG_KEYS), _NUMBER).map(" = ".join),
@@ -111,27 +113,30 @@ _CONFIG_LINE = st.one_of(
 )
 
 
-def _config_or_usage_error(tmp_path, data):
+def _config_or_usage_error(tmp_path, data, command):
+    """A config file either gives the command checked settings, each of its
+    keys one the command reads, or is a usage error."""
     path = tmp_path / "fuzz.cfg"
     path.write_bytes(data)
     try:
-        load_config(path)
-        cfg = build_config(argparse.Namespace(config=str(path)))
+        keys = load_config(path)
+        args = cli_io.parse_args([command, *_COMMANDS[command], "--config", str(path)])
     except UsageError:
         return
-    assert 0.0 < cfg.tol < 1.0 and cfg.modes >= 0
+    assert set(keys) <= set(cli_io._config_keys(cli_io.make_parser().commands[command]))
+    assert 0.0 < getattr(args, "tol", 0.5) < 1.0 and getattr(args, "modes", 0) >= 0
 
 
 @FUZZ
-@given(lines=st.lists(_CONFIG_LINE, max_size=6))
-def test_fuzzed_config_raises_only_usage_error(tmp_path, lines):
-    _config_or_usage_error(tmp_path, "\n".join(lines).encode("utf-8", "surrogatepass"))
+@given(lines=st.lists(_CONFIG_LINE, max_size=6), command=st.sampled_from(sorted(_COMMANDS)))
+def test_fuzzed_config_raises_only_usage_error(tmp_path, lines, command):
+    _config_or_usage_error(tmp_path, "\n".join(lines).encode("utf-8", "surrogatepass"), command)
 
 
 @FUZZ
-@given(data=st.binary(max_size=64))
-def test_binary_config_raises_only_usage_error(tmp_path, data):
-    _config_or_usage_error(tmp_path, data)
+@given(data=st.binary(max_size=64), command=st.sampled_from(sorted(_COMMANDS)))
+def test_binary_config_raises_only_usage_error(tmp_path, data, command):
+    _config_or_usage_error(tmp_path, data, command)
 
 
 # -- file: tables -------------------------------------------------------------------
@@ -211,9 +216,11 @@ def test_exit_code_matches_error_class(monkeypatch, capsys, error, message):
     (b"mesh-file = does-not-exist.axmesh\n", 3),
 ])
 def test_config_errors_reach_their_exit_code(tmp_path, capsys, content, code):
+    """Run on solve, which reads h, modes and mesh_file: each of those cases
+    fails on its value, not on its key."""
     path = tmp_path / "run.cfg"
     path.write_bytes(content)
-    rc = main(["meshgen", "--config", str(path), "--outdir", str(tmp_path)])
+    rc = main(["solve", "--config", str(path), "--outdir", str(tmp_path)])
     assert rc == code
     assert capsys.readouterr().err.startswith("error: io:" if code == 3 else "error: usage:")
 

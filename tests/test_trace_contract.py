@@ -132,19 +132,19 @@ def test_traced_multigrid_solve(monkeypatch, tmp_path):
 
 
 def test_every_workload_command_line_parses(monkeypatch, tmp_path):
-    """Every benchmark command line passes the parser, build_config and the
-    size checks on its mesh; nothing is solved.  A command-line change that
-    would make a workload a usage error fails here, not in the benchmark."""
+    """Every benchmark command line passes the parser, its value checks and
+    the size checks on its mesh; nothing is solved.  A command-line change
+    that would make a workload a usage error fails here, not in the
+    benchmark."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
     for name in workloads.WORKLOADS:
         argv = workloads.argv_for(name, str(tmp_path / name), str(tmp_path / workloads.TABLE))
-        args = cli_io.make_parser().parse_args(argv)
-        cfg = cli_io.build_config(args)
-        msh, _ = cli_io.build_mesh(cfg)
-        cli_io._check_sizes(cfg, msh, getattr(args, "azimuths", None))
-        assert cfg.modes == workloads.modes(name)
+        args = cli_io.parse_args(argv)
+        msh, _ = cli_io.build_mesh(args)
+        cli_io._check_sizes(args, msh)
+        assert args.modes == workloads.modes(name)
     assert not any(tmp_path.iterdir())
 
 

@@ -16,7 +16,6 @@ AXIS = 0
 WALL = 1
 
 _TAG_NAMES = {AXIS: "axis", WALL: "wall"}
-_TAG_VALUES = {"axis": AXIS, "wall": WALL}
 
 # generated coordinates below this magnitude snap to exactly r = 0
 _AXIS_SNAP = 1e-14
@@ -85,16 +84,17 @@ class ConicalDescriptor:
 class TriangleMesh:
     """Conforming triangulation of the meridian domain.
 
-    Arrays are frozen after construction; meshes may be shared freely.
+    The boundary comes from the triangles: boundary_edges holds the edges of
+    exactly one triangle as (low, high) rows in lexicographic order, boundary_tags
+    is AXIS for an edge with both ends on r = 0 and WALL for any other.  Arrays
+    are frozen after construction; meshes may be shared freely.
     """
 
-    def __init__(self, vertices, triangles, boundary_edges, boundary_tags, h):
+    def __init__(self, vertices, triangles, h):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
-        self.boundary_edges = np.ascontiguousarray(boundary_edges, dtype=np.int64)
-        self.boundary_tags = np.ascontiguousarray(boundary_tags, dtype=np.int64)
         self.h = float(h)
-        self._validate()
+        self.boundary_edges, self.boundary_tags = self._checked_boundary()
         for arr in (self.vertices, self.triangles, self.boundary_edges, self.boundary_tags):
             arr.setflags(write=False)
 
@@ -132,8 +132,6 @@ class TriangleMesh:
         return (
             np.array_equal(self.vertices, other.vertices)
             and np.array_equal(self.triangles, other.triangles)
-            and np.array_equal(self.boundary_edges, other.boundary_edges)
-            and np.array_equal(self.boundary_tags, other.boundary_tags)
         )
 
     def __repr__(self):
@@ -144,7 +142,8 @@ class TriangleMesh:
 
     # -- validation --------------------------------------------------------
 
-    def _validate(self):
+    def _checked_boundary(self):
+        """Check the arrays; return the boundary edges and their tags."""
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (n, 2) array")
         if not np.all(np.isfinite(self.vertices)):
@@ -162,36 +161,28 @@ class TriangleMesh:
         if np.any(areas <= 0.0):
             bad = int(np.argmax(areas <= 0.0))
             raise MeshError(f"triangle {bad} is degenerate or not counterclockwise")
-        key = np.sort(self.triangles, axis=1)
-        uniq = np.unique(key, axis=0)
-        if uniq.shape[0] != self.num_triangles:
-            raise MeshError("duplicated triangle")
-        # conformity: every edge shared by at most two triangles, and the
-        # declared boundary must coincide with the once-used edges
-        uniq_e, counts = _edge_counts(self.triangles)
-        if np.any(counts > 2):
-            raise MeshError("non-conforming triangulation: edge used more than twice")
-        boundary = uniq_e[counts == 1]
-        declared = np.sort(self.boundary_edges, axis=1)
-        if boundary.shape[0] != declared.shape[0] or not np.array_equal(
-            boundary, declared[np.lexsort((declared[:, 1], declared[:, 0]))]
-        ):
-            raise MeshError("declared boundary does not match triangulation boundary")
+        # one table of the directed edges (a, b), keyed a * nv + b: no
+        # direction repeats in a conforming counterclockwise mesh, while a
+        # duplicated triangle, a fold and an edge of three triangles each
+        # repeat one; the boundary edges are those whose reverse is absent
+        tail = self.triangles.ravel()
+        head = self.triangles[:, [1, 2, 0]].ravel()
+        keys = np.sort(tail * nv + head)
+        repeat = np.flatnonzero(keys[1:] == keys[:-1])
+        if len(repeat):
+            a, b = divmod(int(keys[repeat[0]]), nv)
+            raise MeshError(f"non-conforming triangulation: edge {a} -> {b} is traversed twice "
+                            "(a duplicated triangle, a fold or an edge of three triangles)")
+        reverse = head * nv + tail
+        once = keys[np.minimum(np.searchsorted(keys, reverse), len(keys) - 1)] != reverse
+        low, high = np.minimum(tail, head)[once], np.maximum(tail, head)[once]
+        edges = np.column_stack(np.divmod(np.sort(low * nv + high), nv))
         # closed loop: every boundary vertex has exactly two incident edges
-        counts_v = np.bincount(boundary.ravel(), minlength=nv)
+        counts_v = np.bincount(edges.ravel(), minlength=nv)
         if np.any((counts_v != 0) & (counts_v != 2)):
             raise MeshError("boundary is not a single closed loop")
-        axis_edges = self.boundary_edges[self.boundary_tags == AXIS]
-        if axis_edges.size and np.any(self.vertices[np.unique(axis_edges), 0] != 0.0):
-            raise MeshError("axis-tagged edge off the axis r = 0")
-
-
-def _edge_counts(triangles):
-    """Distinct (low, high) vertex pairs of the edges, sorted, and their use counts."""
-    e = np.concatenate(
-        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]], axis=0
-    )
-    return np.unique(np.sort(e, axis=1), axis=0, return_counts=True)
+        on_axis = (self.vertices[edges, 0] == 0.0).all(axis=1)
+        return edges, np.where(on_axis, AXIS, WALL)
 
 
 # -- generators -------------------------------------------------------------
@@ -262,20 +253,6 @@ def _structured_arrays(rlines, zlines, keep=None):
     return verts[used], remap[tris]
 
 
-def _structured_mesh(rlines, zlines, h, keep=None):
-    verts, tris = _structured_arrays(rlines, zlines, keep)
-    edges, tags = _boundary_from_triangles(verts, tris)
-    return TriangleMesh(verts, tris, edges, tags, h)
-
-
-def _boundary_from_triangles(verts, tris):
-    uniq, counts = _edge_counts(tris)
-    bnd = uniq[counts == 1]
-    on_axis = (verts[bnd[:, 0], 0] == 0.0) & (verts[bnd[:, 1], 0] == 0.0)
-    tags = np.where(on_axis, AXIS, WALL)
-    return bnd, tags
-
-
 def gen_rectangle(rmin, rmax, zmin, zmax, h):
     """Structured triangulation of the rectangle [rmin, rmax] x [zmin, zmax].
 
@@ -284,7 +261,7 @@ def gen_rectangle(rmin, rmax, zmin, zmax, h):
     if not (0.0 <= rmin < rmax) or not zmin < zmax:
         raise MeshError("need 0 <= rmin < rmax and zmin < zmax")
     rlines, zlines = map(_grid_lines, grid_segments(h, (rmin, rmax), (zmin, zmax)))
-    return _structured_mesh(rlines, zlines, h)
+    return TriangleMesh(*_structured_arrays(rlines, zlines), h)
 
 
 def gen_lshape(r_c, z_c, rmax=1.0, zmin=0.0, zmax=1.0, h=0.1):
@@ -302,9 +279,8 @@ def gen_lshape(r_c, z_c, rmax=1.0, zmin=0.0, zmax=1.0, h=0.1):
     rlines, zlines = map(_grid_lines, grid_segments(h, (0.0, rmax, r_c), (zmin, zmax, z_c)))
     rmid = 0.5 * (rlines[:-1] + rlines[1:])
     zmid = 0.5 * (zlines[:-1] + zlines[1:])
-    mesh = _structured_mesh(
-        rlines, zlines, h, keep=~((rmid[:, None] > r_c) & (zmid[None, :] < z_c))
-    )
+    keep = ~((rmid[:, None] > r_c) & (zmid[None, :] < z_c))
+    mesh = TriangleMesh(*_structured_arrays(rlines, zlines, keep), h)
     corners = classify_boundary(mesh)
     if len(corners) != 1:
         raise MeshError(f"expected exactly one reentrant corner, found {len(corners)}")
@@ -315,7 +291,7 @@ def coarsen(mesh):
     """The mesh of which mesh is the uniform (midpoint) refinement, or None.
 
     Only structured meshes nest: mesh must be, array for array, the
-    triangulation _structured_mesh makes of its own grid lines, with every
+    triangulation _structured_arrays makes of its own grid lines, with every
     2 x 2 block of grid cells wholly inside or wholly outside the domain.
     Returns (coarse, parents) with coarse on every second grid line and
     parents (nv, 2) holding, per vertex of mesh, the two coarse vertices
@@ -337,12 +313,7 @@ def coarsen(mesh):
     verts, tris = _structured_arrays(rl, zl, np.repeat(np.repeat(keep, 2, axis=0), 2, axis=1))
     if not (np.array_equal(verts, mesh.vertices) and np.array_equal(tris, mesh.triangles)):
         return None
-    # the boundary edges match the triangles (TriangleMesh checks it); the
-    # coarse tags come from the geometry, so the fine ones must as well
-    on_axis = (mesh.vertices[mesh.boundary_edges, 0] == 0.0).all(axis=1)
-    if not np.array_equal(mesh.boundary_tags, np.where(on_axis, AXIS, WALL)):
-        return None
-    coarse = _structured_mesh(rl[::2], zl[::2], 2.0 * mesh.h, keep)
+    coarse = TriangleMesh(*_structured_arrays(rl[::2], zl[::2], keep), 2.0 * mesh.h)
     grid = -np.ones((len(rl) // 2 + 1, len(zl) // 2 + 1), dtype=np.int64)
     grid[np.searchsorted(rl[::2], coarse.vertices[:, 0]),
          np.searchsorted(zl[::2], coarse.vertices[:, 1])] = np.arange(coarse.num_vertices)
@@ -356,8 +327,8 @@ def coarsen(mesh):
 def classify_boundary(mesh):
     """Detect reentrant corners of a mesh; returns a list of descriptors.
 
-    The boundary tags are read from mesh.boundary_tags as given, and the
-    mesh is not changed, so the operation is idempotent.  Wall vertices
+    The boundary tags are those TriangleMesh derives from the geometry, and
+    the mesh is not changed, so the operation is idempotent.  Wall vertices
     with interior angle > pi + ANGLE_TOL become corners; the interior angle
     is the sum of the incident triangle angles, which is robust for
     conforming meshes.
@@ -474,22 +445,31 @@ def load_mesh(path):
     try:
         verts = np.array(block("vertices", 2, float), dtype=float).reshape(-1, 2)
         tris = np.array(block("triangles", 3, int), dtype=np.int64).reshape(-1, 3)
-        bnd_rows = block("boundary", 3, str)
-        edges = np.array([(int(i), int(j)) for i, j, _ in bnd_rows], dtype=np.int64)
+        listed = [(int(i), int(j), tag) for i, j, tag in block("boundary", 3, str)]
         p = verts[tris]  # a vertex index past the end raises IndexError
     except MeshError:
         raise
     except (ValueError, OverflowError, IndexError) as exc:
         raise MeshError(f"{path}: {exc}") from exc
-    tags = []
-    for *_, tag in bnd_rows:
-        if tag not in _TAG_VALUES:
+    for *_, tag in listed:
+        if tag not in _TAG_NAMES.values():
             raise MeshError(f"{path}: unknown boundary tag {tag!r}")
-        tags.append(_TAG_VALUES[tag])
     if pos != len(lines):
         raise MeshError(f"{path}: trailing data after boundary block")
-    edges = edges.reshape(-1, 2)
-    tags = np.array(tags, dtype=np.int64)
     lengths = [np.hypot(*(p[:, a] - p[:, b]).T) for a, b in ((0, 1), (1, 2), (2, 0))]
     h = float(np.median(np.concatenate(lengths))) if len(tris) else 1.0
-    return TriangleMesh(verts, tris, edges, tags, h)
+    msh = TriangleMesh(verts, tris, h)
+    # the boundary block must list, in any order, the boundary of the triangles
+    derived = {(int(i), int(j)): _TAG_NAMES[int(tag)]
+               for (i, j), tag in zip(msh.boundary_edges, msh.boundary_tags)}
+    for i, j, tag in listed:
+        want = derived.pop((min(i, j), max(i, j)), None)
+        if want is None:
+            raise MeshError(f"{path}: boundary row {i} {j} repeats or is not an edge of one triangle")
+        if tag != want:
+            raise MeshError(f"{path}: boundary edge {i} {j} is tagged {tag}, but lies on the {want}: "
+                            "axis edges are those with both ends on r = 0")
+    if derived:
+        i, j = next(iter(derived))
+        raise MeshError(f"{path}: boundary block lacks boundary edge {i} {j}")
+    return msh

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import re
 import struct
@@ -29,6 +30,17 @@ def test_meshgen_writes_loadable_mesh(tmp_path, capsys):
     assert "alpha 0.666666666667" in out
     m = mesh.load_mesh(tmp_path / "m.txt")
     assert m.num_vertices == 96
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--h", "0.05"], "93ed9bc9a60237e2bbda558a4c72c1d848349255ea795cb7e2de24f6af5801b3"),
+    (["--domain", "rectangle", "--h", "0.1"],
+     "0a4ff63c4c15fba8af3e2526bd2e5ddc51fab0dc08b6489db0304c6361c81ac5"),
+], ids=["lshape", "rectangle"])
+def test_meshgen_file_bytes_are_pinned(tmp_path, argv, digest):
+    """The SHA-256 of the mesh files meshgen writes, boundary block included."""
+    assert main(["meshgen", *argv, "--outdir", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "mesh.txt").read_bytes()).hexdigest() == digest
 
 
 def test_singular_subcommand(tmp_path):

@@ -51,9 +51,7 @@ def exact_triangle_integral(verts, p, q):
 
 
 def _one_triangle_mesh(verts):
-    edges = [(0, 1), (1, 2), (2, 0)]
-    tags = [mesh.WALL] * 3
-    return mesh.TriangleMesh(np.array(verts), np.array([[0, 1, 2]]), np.array(edges), np.array(tags), 1.0)
+    return mesh.TriangleMesh(np.array(verts), np.array([[0, 1, 2]]), 1.0)
 
 
 def test_rule_is_degree_five_and_interior():

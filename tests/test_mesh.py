@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -228,3 +229,126 @@ def test_grid_at_the_size_limit_is_counted_exactly(no_grid_arrays, monkeypatch):
     monkeypatch.setattr(mesh, "MAX_ENTRIES", 24)
     with pytest.raises(MeshError, match="MAX_ENTRIES = 24"):
         mesh.grid_segments(0.25, (0.0, 1.0), (0.0, 1.0))
+
+
+# -- the boundary TriangleMesh derives ---------------------------------------------
+
+
+def _boundary_reference(verts, tris):
+    """The construction the generators used to hand TriangleMesh its boundary:
+    the once-used rows of a row-wise unique over the sorted edges, tagged
+    axis when both ends lie on r = 0."""
+    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    uniq, counts = np.unique(np.sort(edges, axis=1), axis=0, return_counts=True)
+    bnd = uniq[counts == 1]
+    on_axis = (verts[bnd[:, 0], 0] == 0.0) & (verts[bnd[:, 1], 0] == 0.0)
+    return bnd, np.where(on_axis, AXIS, WALL)
+
+
+def _assert_reference_boundary(msh):
+    edges, tags = _boundary_reference(msh.vertices, msh.triangles)
+    assert msh.boundary_edges.dtype == edges.dtype and np.array_equal(msh.boundary_edges, edges)
+    assert msh.boundary_tags.dtype == tags.dtype and np.array_equal(msh.boundary_tags, tags)
+
+
+@pytest.mark.parametrize("h", [0.2, 0.1, 0.05, 0.03, 0.025, 0.0125])
+@pytest.mark.parametrize("make", [
+    lambda h: mesh.gen_rectangle(0.0, 1.0, 0.0, 1.0, h),
+    lambda h: mesh.gen_rectangle(0.2, 1.0, -0.5, 1.0, h),
+    lambda h: mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, h)[0],
+    lambda h: mesh.gen_lshape(0.3, 0.6, 1.0, 0.0, 1.0, h)[0],
+], ids=["rect-axis", "rect-off-axis", "lshape", "lshape-off-centre"])
+def test_derived_boundary_matches_the_once_used_edges(make, h):
+    """Every generated mesh and every level coarsen makes of it."""
+    msh = make(h)
+    while msh is not None:
+        _assert_reference_boundary(msh)
+        msh = (mesh.coarsen(msh) or (None,))[0]
+
+
+@pytest.mark.parametrize("verts, tris, message", [
+    # 2 and 3 lie on the same side of edge 0-1: the second triangle folds onto the first
+    (np.array([[0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.8, 0.5]]), [[0, 1, 2], [0, 1, 3]],
+     "edge 0 -> 1 is traversed twice"),
+    # edge 0-1 is a side of three triangles
+    (np.array([[0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.7, -1.0], [0.6, 0.5]]),
+     [[0, 1, 2], [1, 0, 3], [0, 1, 4]], "edge 0 -> 1 is traversed twice"),
+    # the same triangle twice, its vertices rotated
+    (np.array([[0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.5, 1.0]]), [[0, 1, 2], [0, 2, 3], [2, 3, 0]],
+     "edge 0 -> 2 is traversed twice"),
+], ids=["fold", "three-triangles", "rotated-duplicate"])
+def test_repeated_directed_edge_is_rejected(verts, tris, message):
+    with pytest.raises(MeshError, match="^non-conforming triangulation: " + re.escape(message)):
+        mesh.TriangleMesh(verts, np.array(tris), 1.0)
+
+
+def test_pinched_boundary_is_rejected():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [2.0, 1.0], [2.0, 2.0]])
+    with pytest.raises(MeshError, match="^boundary is not a single closed loop$"):
+        mesh.TriangleMesh(verts, np.array([[0, 1, 2], [2, 3, 4]]), 1.0)
+
+
+def _write_with_boundary(msh, path, rows):
+    """Save msh, its boundary block replaced by rows of (i, j, tag)."""
+    mesh.save_mesh(msh, path)
+    text = path.read_text()
+    head = text[: text.index("boundary ")]
+    path.write_text(head + f"boundary {len(rows)}\n" + "".join(f"{i} {j} {t}\n" for i, j, t in rows))
+
+
+def _file_rows(msh):
+    return [(int(i), int(j), "axis" if t == AXIS else "wall")
+            for (i, j), t in zip(msh.boundary_edges, msh.boundary_tags)]
+
+
+def test_boundary_block_is_a_set(tmp_path):
+    """Rows in any order, each edge either way round, load to the same mesh."""
+    msh = mesh.gen_rectangle(0.0, 1.0, 0.0, 1.0, 0.5)
+    path = tmp_path / "m.axmesh"
+    _write_with_boundary(msh, path, [(j, i, t) for i, j, t in reversed(_file_rows(msh))])
+    back = mesh.load_mesh(path)
+    assert back == msh
+    assert np.array_equal(back.boundary_edges, msh.boundary_edges)
+    assert np.array_equal(back.boundary_tags, msh.boundary_tags)
+
+
+@pytest.mark.parametrize("tagged, lies_on", [("wall", "axis"), ("axis", "wall")])
+def test_load_rejects_mistagged_boundary_edge(tmp_path, tagged, lies_on):
+    """An r = 0 edge tagged wall (the axis is geometry, not input) and an
+    off-axis edge tagged axis."""
+    msh = mesh.gen_rectangle(0.0, 1.0, 0.0, 1.0, 0.5)
+    rows = _file_rows(msh)
+    k = next(n for n, row in enumerate(rows) if row[2] == lies_on)
+    i, j, _ = rows[k]
+    path = tmp_path / "m.axmesh"
+    _write_with_boundary(msh, path, rows[:k] + [(i, j, tagged)] + rows[k + 1:])
+    with pytest.raises(MeshError, match=re.escape(
+            f"{path}: boundary edge {i} {j} is tagged {tagged}, but lies on the {lies_on}: "
+            "axis edges are those with both ends on r = 0")):
+        mesh.load_mesh(path)
+
+
+def test_load_rejects_boundary_block_without_an_edge(tmp_path):
+    msh = mesh.gen_rectangle(0.0, 1.0, 0.0, 1.0, 0.5)
+    rows = _file_rows(msh)
+    path = tmp_path / "m.axmesh"
+    _write_with_boundary(msh, path, rows[:2] + rows[3:])
+    i, j, _ = rows[2]
+    with pytest.raises(MeshError, match=re.escape(
+            f"{path}: boundary block lacks boundary edge {i} {j}")):
+        mesh.load_mesh(path)
+
+
+@pytest.mark.parametrize("extra", ["interior", "repeat"])
+def test_load_rejects_boundary_block_with_an_extra_edge(tmp_path, extra):
+    msh = mesh.gen_rectangle(0.0, 1.0, 0.0, 1.0, 0.5)
+    rows = _file_rows(msh)
+    # the diagonal of the first cell is a side of two triangles
+    row = (int(msh.triangles[0, 0]), int(msh.triangles[0, 2]), "wall")
+    if extra == "repeat":
+        row = rows[1]
+    path = tmp_path / "m.axmesh"
+    _write_with_boundary(msh, path, rows + [row])
+    with pytest.raises(MeshError, match=re.escape(
+            f"{path}: boundary row {row[0]} {row[1]} repeats or is not an edge of one triangle")):
+        mesh.load_mesh(path)

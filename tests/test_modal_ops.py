@@ -120,10 +120,7 @@ def test_pure_divergence_load_closed_form():
     # single off-axis triangle, g = 1, k = 0:
     # load(v, r-comp) = d_r(lam_v) * int r + int lam_v; load(v, z) = d_z(lam_v) * int r
     verts = [(0.6, 0.1), (1.4, 0.2), (0.9, 1.0)]
-    edges = [(0, 1), (1, 2), (2, 0)]
-    m = mesh.TriangleMesh(
-        np.array(verts), np.array([[0, 1, 2]]), np.array(edges), np.array([mesh.WALL] * 3), 1.0
-    )
+    m = mesh.TriangleMesh(np.array(verts), np.array([[0, 1, 2]]), 1.0)
     quad = MeshQuadrature(m)
     # the unreduced pairing of op_adjoint: on one triangle the local dofs
     # are the global ones

@@ -39,8 +39,7 @@ def test_meshes_that_do_not_nest_give_no_coarsening(tmp_path):
         np.stack([tri[:, 0, 0], tri[:, 0, 1], tri[:, 1, 2]], axis=1),
         np.stack([tri[:, 0, 1], tri[:, 0, 2], tri[:, 1, 2]], axis=1),
     ], axis=1).reshape(-1, 3)
-    other = mesh.TriangleMesh(rect.vertices, flipped, rect.boundary_edges, rect.boundary_tags,
-                              rect.h)
+    other = mesh.TriangleMesh(rect.vertices, flipped, rect.h)
     assert mesh.coarsen(other) is None
     # a saved generated mesh nests like the generated one
     path = tmp_path / "mesh.axmesh"

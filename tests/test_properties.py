@@ -98,6 +98,48 @@ def test_binary_mesh_file_raises_only_mesh_error(tmp_path, data):
     _load_or_mesh_error(tmp_path, data)
 
 
+# -- derived boundaries ------------------------------------------------------------
+
+
+@st.composite
+def kept_cells(draw):
+    """A boolean mask of kept cells on a grid of up to 6 x 6 cells, one kept at least."""
+    nr, nz = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = draw(st.lists(st.booleans(), min_size=nr * nz, max_size=nr * nz).filter(any))
+    return np.array(cells).reshape(nr, nz)
+
+
+def _once_used_boundary(verts, tris):
+    """The boundary the generators used to hand TriangleMesh, with the checks it
+    then passed: the once-used rows of a row-wise unique over the sorted edges,
+    tagged axis when both ends lie on r = 0; None for a rejected mesh."""
+    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    uniq, counts = np.unique(np.sort(edges, axis=1), axis=0, return_counts=True)
+    bnd = uniq[counts == 1]
+    per_vertex = np.bincount(bnd.ravel(), minlength=len(verts))
+    if np.any(counts > 2) or np.any((per_vertex != 0) & (per_vertex != 2)):
+        return None
+    on_axis = (verts[bnd[:, 0], 0] == 0.0) & (verts[bnd[:, 1], 0] == 0.0)
+    return bnd, np.where(on_axis, mesh.AXIS, mesh.WALL)
+
+
+@FUZZ
+@given(keep=kept_cells(), rmin=st.sampled_from([0.0, 0.2]))
+def test_derived_boundary_agrees_with_the_once_used_edges(keep, rmin):
+    nr, nz = keep.shape
+    verts, tris = mesh._structured_arrays(np.linspace(rmin, 1.0, nr + 1),
+                                          np.linspace(-1.0, 1.0, nz + 1), keep)
+    want = _once_used_boundary(verts, tris)
+    try:
+        msh = mesh.TriangleMesh(verts, tris, 0.1)
+    except MeshError:
+        assert want is None
+        return
+    assert want is not None
+    for got, ref in zip((msh.boundary_edges, msh.boundary_tags), want):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
 # -- configuration ---------------------------------------------------------------
 
 _COMMANDS = {"meshgen": [], "singular": ["--k", "1"], "solve": [], "synthesize": [],

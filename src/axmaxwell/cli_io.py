@@ -72,23 +72,29 @@ def _check_vtk_fields(sections):
 
 
 def write_vtk(msh, point_fields, path, cell_fields=None, title="axmaxwell export", *,
-              geometry=None):
-    """Legacy ASCII VTK unstructured grid of the meridian mesh.
+              geometry=None, data=None):
+    """Legacy ASCII VTK unstructured grid of the meridian mesh; returns its data text.
 
     point_fields/cell_fields map names to (n,) or (n, 3) arrays (complex
     allowed; split into _re/_im scalar arrays).  geometry, when given, is
-    the mesh's text "".join(_grid(msh.vertices, msh.triangles)).
+    the mesh's text "".join(_grid(msh.vertices, msh.triangles)), and data
+    the text of the data sections, written instead of that of the fields.
     """
+    sections = [("POINT_DATA", msh.num_vertices, point_fields),
+                ("CELL_DATA", msh.num_triangles, cell_fields)]
+    _check_vtk_fields(sections)
+    data = "".join(_data_text(sections)) if data is None else data
     grid = _grid(msh.vertices, msh.triangles) if geometry is None else [geometry]
-    _write_grid(path, title, grid, [("POINT_DATA", msh.num_vertices, point_fields),
-                                    ("CELL_DATA", msh.num_triangles, cell_fields)])
+    _write_grid(path, title, grid, [data])
+    return data
 
 
 def write_vtk_wedges(points, wedges, point_fields, path):
     """Legacy ASCII VTK of a revolved grid; cells are 6-node wedges.
     point_fields is as in write_vtk."""
-    _write_grid(path, "axmaxwell 3d export", _grid(points, wedges),
-                [("POINT_DATA", len(points), point_fields)])
+    sections = [("POINT_DATA", len(points), point_fields)]
+    _check_vtk_fields(sections)
+    _write_grid(path, "axmaxwell 3d export", _grid(points, wedges), _data_text(sections))
 
 
 def _grid(points, cells):
@@ -112,24 +118,38 @@ def _row_blocks(fmt, rows):
         yield (fmt * len(block)) % tuple(block.ravel().tolist())
 
 
-def _write_grid(path, title, geometry, sections):
-    """Write a legacy VTK file of geometry text blocks and the scalar arrays
-    of each (keyword, count, fields) section, once the fields pass
-    _check_vtk_fields.  A column that is +0.0 everywhere is written as "0"
-    rows without formatting; -0.0 formats as -0, so its sign bit is read."""
-    _check_vtk_fields(sections)
+def _write_grid(path, title, geometry, data):
+    """Write a legacy VTK file of geometry and data text blocks."""
     with open(path, "w") as fp:
         fp.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n")
         fp.writelines(geometry)
-        for keyword, count, field_map in sections:
-            if not field_map:
-                continue
-            fp.write(f"{keyword} {count}\n")
-            for name, values in field_map.items():
-                for arr_name, col in _vtk_scalar_arrays(name, values):
-                    fp.write(f"SCALARS {arr_name} double 1\nLOOKUP_TABLE default\n")
-                    zero = not col.any() and not np.signbit(col).any()
-                    fp.writelines(["0\n" * count] if zero else _row_blocks(f"{_FLOAT_FMT}\n", col))
+        fp.writelines(data)
+
+
+def _data_text(sections):
+    """Text blocks of the scalar arrays of each (keyword, count, fields) section;
+    a +0.0 column is "0" rows, unformatted (-0.0 formats as -0)."""
+    for keyword, count, field_map in sections:
+        if not field_map:
+            continue
+        yield f"{keyword} {count}\n"
+        for name, values in field_map.items():
+            for arr_name, col in _vtk_scalar_arrays(name, values):
+                yield f"SCALARS {arr_name} double 1\nLOOKUP_TABLE default\n"
+                zero = not col.any() and not np.signbit(col).any()
+                yield from ["0\n" * count] if zero else _row_blocks(f"{_FLOAT_FMT}\n", col)
+
+
+def _conjugate_text(data):
+    """Data text of the conjugates of the point fields whose data text is data:
+    each _im row with its leading '-' toggled (%.17g of -v is '-' + v's text)."""
+    head, *arrays = data.split("SCALARS ")
+    for i, arr in enumerate(arrays):
+        top, rows = arr.split("\nLOOKUP_TABLE default")
+        if top.split()[0].endswith("_im"):
+            rows = rows[:-1].replace("\n-", "\n+").replace("\n", "\n-").replace("\n-+", "\n")
+            arrays[i] = f"{top}\nLOOKUP_TABLE default{rows}\n"
+    return "SCALARS ".join([head, *arrays])
 
 
 def write_csv(path, header, rows):
@@ -429,19 +449,17 @@ def _solve(args, msh, corner, f):
 def cmd_solve(args, msh, corner, f):
     sol = _solve(args, msh, corner, f)
     geometry = "".join(_grid(msh.vertices, msh.triangles))  # once for all 2N + 1 files
-    rows = []
-    for k in range(-args.modes, args.modes + 1):
-        # the data are real: mode -k is the conjugate of the stored mode k
-        rec = sol.records[abs(k)]
-        total, coeff = rec.total_nodal(), rec.coeff
-        if k < 0:
-            total, coeff = np.conj(total), np.conj(coeff)
-        write_vtk(msh, {"field": total},
-                  os.path.join(args.outdir, f"mode_{'m' if k < 0 else 'p'}{abs(k)}.vtk"),
-                  title=f"mode {k} {args.field}", geometry=geometry)
-        rows.append([k, complex(coeff), rec.cg.iterations, rec.cg.residual, rec.energy])
+    rows = {}
+    for k, rec in sol.records.items():
+        data = write_vtk(msh, {"field": rec.total_nodal()}, os.path.join(args.outdir, f"mode_p{k}.vtk"),
+                         title=f"mode {k} {args.field}", geometry=geometry)
+        rows[k] = [k, complex(rec.coeff), rec.cg.iterations, rec.cg.residual, rec.energy]
+        if k > 0:  # the data are real: mode -k is the conjugate of mode k, written from its text
+            write_vtk(msh, None, os.path.join(args.outdir, f"mode_m{k}.vtk"),
+                      title=f"mode {-k} {args.field}", geometry=geometry, data=_conjugate_text(data))
+            rows[-k] = [-k, complex(np.conj(rec.coeff)), *rows[k][2:]]
     write_csv(os.path.join(args.outdir, "summary.csv"),
-              ["k", "C_k", "iterations", "residual", "basis_energy"], rows)
+              ["k", "C_k", "iterations", "residual", "basis_energy"], [rows[j] for j in sorted(rows)])
     print(f"wrote {2 * args.modes + 1} mode files and summary.csv in {args.outdir}")
     return 0
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import WALL, MeshError
+from .mesh import WALL, MeshError, unique
 
 SPACE_X = "X"  # electric: tangential trace clamped on the wall
 SPACE_Y = "Y"  # magnetic: normal trace clamped on the wall
@@ -82,7 +82,8 @@ class MeshQuadrature:
       operators     k-independent operator data (modal_ops.workspace),
                     built on first use
 
-    The points of each triangle are contiguous.
+    The points of each triangle are contiguous, and triangles with equal
+    point counts follow one another in triangle order (plain, then refined).
     """
 
     def __init__(self, mesh, corner=None):
@@ -384,7 +385,7 @@ def lift_boundary(constraints, g):
     """
     mesh = constraints.mesh
     out = np.zeros((mesh.num_vertices, 3), dtype=complex)
-    boundary = np.unique(mesh.boundary_edges)
+    boundary = unique(mesh.boundary_edges)
     vals = np.asarray(g(mesh.vertices[boundary]), dtype=complex).reshape(len(boundary), 3)
     bad = ~np.isfinite(vals).all(axis=1)
     if bad.any():

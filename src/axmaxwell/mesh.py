@@ -32,6 +32,12 @@ class MeshError(ValueError):
     """Invalid mesh data (geometry, conformity or file format)."""
 
 
+def unique(a):
+    """np.unique(a), the sorted distinct entries, without numpy 2.4's numpy.ma import."""
+    a = np.sort(a, axis=None)
+    return a[np.r_[True, a[1:] != a[:-1]][:a.size]]
+
+
 @dataclass(frozen=True)
 class CornerDescriptor:
     """A reentrant corner of the meridian domain.
@@ -116,10 +122,7 @@ class TriangleMesh:
 
     def axis_vertices(self):
         """Vertices lying on axis-tagged edges."""
-        if len(self.boundary_edges) == 0:
-            return np.zeros(0, dtype=np.int64)
-        on_axis = self.boundary_edges[self.boundary_tags == AXIS]
-        return np.unique(on_axis)
+        return unique(self.boundary_edges[self.boundary_tags == AXIS])
 
     def diameter(self):
         lo = self.vertices.min(axis=0)
@@ -247,7 +250,7 @@ def _structured_arrays(rlines, zlines, keep=None):
     tris = (cells if keep is None else cells[keep]).reshape(-1, 3)
     if not len(tris):
         raise MeshError("h too large: no cells generated")
-    used = np.unique(tris)
+    used = unique(tris)
     remap = -np.ones(nr * nz, dtype=np.int64)
     remap[used] = np.arange(len(used))
     return verts[used], remap[tris]
@@ -298,8 +301,8 @@ def coarsen(mesh):
     whose midpoint it is (the same vertex twice for a coarse vertex), so
     that P1 interpolation onto mesh averages the two parents.
     """
-    rl = np.unique(mesh.vertices[:, 0])
-    zl = np.unique(mesh.vertices[:, 1])
+    rl = unique(mesh.vertices[:, 0])
+    zl = unique(mesh.vertices[:, 1])
     if len(rl) < 3 or len(zl) < 3 or len(rl) % 2 == 0 or len(zl) % 2 == 0:
         return None
     ri = np.searchsorted(rl, mesh.vertices[:, 0])
@@ -458,7 +461,10 @@ def load_mesh(path):
         raise MeshError(f"{path}: trailing data after boundary block")
     lengths = [np.hypot(*(p[:, a] - p[:, b]).T) for a, b in ((0, 1), (1, 2), (2, 0))]
     h = float(np.median(np.concatenate(lengths))) if len(tris) else 1.0
-    msh = TriangleMesh(verts, tris, h)
+    try:
+        msh = TriangleMesh(verts, tris, h)
+    except MeshError as exc:
+        raise MeshError(f"{path}: {exc}") from exc
     # the boundary block must list, in any order, the boundary of the triangles
     derived = {(int(i), int(j)): _TAG_NAMES[int(tag)]
                for (i, j), tag in zip(msh.boundary_edges, msh.boundary_tags)}

@@ -76,6 +76,8 @@ OVER_R[2, 1] = OVER_R[3, 0] = 1.0  # curl_z: u_theta / r, div: u_r / r
 IK_R = np.zeros((_NOPS, 3))
 IK_R[0, 2] = IK_R[3, 1] = 1.0  # curl_r: ik u_z / r, div: ik u_theta / r
 IK_R[2, 0] = -1.0  # curl_z: -ik u_r / r
+# GRAD as a ((derivative, component), row) matrix, for grad u flattened alike
+_GRAD_DC = GRAD.transpose(2, 1, 0).reshape(6, _NOPS)
 
 
 def _over_r_rows(k):
@@ -107,13 +109,16 @@ class OperatorWorkspace:
       E(k) = E00 + k^2 E11 + i k A,
       E00 = D0^T W D0,   E11 = R1^T W R1,   A = D0^T W R1 - R1^T W D0.
 
-    D0 and R1 exist only per chunk of triangles, while E00, E11 and A are
-    formed.  Attributes: G (nt, 3, 2), lor (Q, 3) lambda / r, wr (Q,), the
-    chunks and the (nt, 9, 9) arrays E00, E11 and A, all real, plus the
-    quadrature's tri, bary and xy and the mesh triangles.  Built once per
-    quadrature (see workspace) and only read afterwards; the methods take
-    the mode k: op_values applies D_k to nodal fields at the points and
-    op_adjoint, its adjoint, pairs point samples with the local test dofs.
+    D0 and R1 exist only per chunk (triangle ids, slice of points, n) of
+    m triangles of n points each, one run of points: its per-point data
+    are slices reshaped to (m, n, ...), and the real factors G, lambda / r
+    and w r act on float views of complex arrays.  Attributes: G (nt, 3,
+    2), lor (Q, 3) lambda / r, wr (Q,), the chunks and the (nt, 9, 9)
+    arrays E00, E11 and A, all real, plus the quadrature's tri, bary and
+    xy and the mesh triangles.  Built once per quadrature (see workspace)
+    and only read afterwards; the methods take the mode k: op_values
+    applies D_k to nodal fields at the points and op_adjoint, its adjoint,
+    pairs point samples with the local test dofs.
     """
 
     def __init__(self, quad):
@@ -124,32 +129,35 @@ class OperatorWorkspace:
         self.G = gradients(mesh)
         self.lor = quad.bary / quad.r[:, None]
         self.wr = quad.w * quad.r
-        # points of one triangle are contiguous in the quadrature: chunks of
-        # triangles with equal point counts, as (triangle ids, point indices)
+        # runs of consecutive triangles with equal point counts, in chunks
         tri = quad.tri
         starts = np.flatnonzero(np.r_[True, tri[1:] != tri[:-1]])
         counts = np.diff(np.r_[starts, len(tri)])
+        runs = np.flatnonzero(np.r_[True, counts[1:] != counts[:-1], True])
         self.num_triangles = nt = mesh.num_triangles
         self.chunks = []
-        for n in np.unique(counts):
-            first = starts[counts == n]
-            for s in range(0, len(first), _CHUNK_TRIANGLES):
-                part = first[s:s + _CHUNK_TRIANGLES]
-                self.chunks.append((tri[part], part[:, None] + np.arange(n)))
-        self.E00 = np.empty((nt, 9, 9))
-        self.E11 = np.empty((nt, 9, 9))
-        self.A = np.empty((nt, 9, 9))
-        for tris, idx in self.chunks:
-            m, n = idx.shape
-            # (m, n, row, local vertex, component), rows of all points stacked
-            lor = self.lor[idx][:, :, None, :, None]
-            grad = np.einsum("acd,mld->malc", GRAD, self.G[tris])[:, None]
-            d0 = (grad + lor * OVER_R[:, None, :]).reshape(m, n * _NOPS, 9)
-            r1 = (lor * IK_R[:, None, :]).reshape(m, n * _NOPS, 9)
-            w = np.repeat(self.wr[idx], _NOPS, axis=1)[:, :, None]
-            wd0 = d0 * w
+        for a, b in zip(runs[:-1], runs[1:]):
+            n = counts[a]
+            for s in range(a, b, _CHUNK_TRIANGLES):
+                first = starts[s:min(s + _CHUNK_TRIANGLES, b)]
+                self.chunks.append((tri[first], slice(first[0], first[0] + len(first) * n), n))
+        self.E00, self.E11, self.A = (np.empty((nt, 9, 9)) for _ in range(3))
+        for tris, points, n in self.chunks:
+            m = len(tris)
+            # (m, n, row, local vertex, component); GRAD's part of D0 is per triangle
+            lor = self.lor[points].reshape(m, n, 3)
+            grad = np.zeros((m, 1, _NOPS, 3, 3))
+            for a, c, d in zip(*np.nonzero(GRAD)):
+                grad[:, 0, a, :, c] += GRAD[a, c, d] * self.G[tris, :, d]
+            d0 = np.repeat(grad, n, axis=1)
+            r1 = np.zeros_like(d0)
+            for tensor, out in ((OVER_R, d0), (IK_R, r1)):
+                for a, c in zip(*np.nonzero(tensor)):
+                    out[:, :, a, :, c] += tensor[a, c] * lor
+            w = self.wr[points].reshape(m, n, 1, 1, 1)  # then the rows of all points stacked
+            d0, r1, wd0, wr1 = (x.reshape(m, n * _NOPS, 9) for x in (d0, r1, d0 * w, r1 * w))
             self.E00[tris] = d0.transpose(0, 2, 1) @ wd0
-            self.E11[tris] = r1.transpose(0, 2, 1) @ (r1 * w)
+            self.E11[tris] = r1.transpose(0, 2, 1) @ wr1
             cross = wd0.transpose(0, 2, 1) @ r1
             self.A[tris] = cross - cross.transpose(0, 2, 1)
 
@@ -166,11 +174,13 @@ class OperatorWorkspace:
         u = np.asarray(values, dtype=complex).reshape(-1, 3)
         rows = _over_r_rows(k).T
         out = np.empty((len(self.tri), _NOPS), dtype=complex)
-        for tris, idx in self.chunks:
-            local = u[self.triangles[tris]]  # (m, local vertex, component)
-            grad_u = local.transpose(0, 2, 1) @ self.G[tris]
-            grad = np.einsum("acd,mcd->ma", GRAD, grad_u)
-            out[idx] = grad[:, None] + (self.lor[idx] @ local) @ rows
+        for tris, points, n in self.chunks:
+            m = len(tris)
+            local = u[self.triangles[tris]].view(float)  # (m, local vertex, (component, re/im))
+            grad_u = self.G[tris].transpose(0, 2, 1) @ local
+            grad = (_GRAD_DC.T @ grad_u.reshape(m, 6, 2)).view(complex).reshape(m, 1, _NOPS)
+            u_r = (self.lor[points].reshape(m, n, 3) @ local).reshape(-1, 6).view(complex)
+            np.add(grad, (u_r @ rows).reshape(m, n, _NOPS), out=out[points].reshape(m, n, _NOPS))
         return out
 
     def op_adjoint(self, vec, k):
@@ -179,12 +189,16 @@ class OperatorWorkspace:
         (nt, 9).  The gradient part pairs the per-triangle sum of w r vec,
         so no per-point array of pairings is built."""
         rows = np.conj(_over_r_rows(k))
-        local = np.empty((self.num_triangles, 3, 3), dtype=complex)
-        for tris, idx in self.chunks:
-            wv = vec[idx] * self.wr[idx][:, :, None]  # (m, n, 4)
-            grad = np.einsum("ma,acd->mdc", wv.sum(axis=1), GRAD)
-            local[tris] = self.G[tris] @ grad + self.lor[idx].transpose(0, 2, 1) @ (wv @ rows)
-        return local.reshape(-1, 9)
+        vec = np.ascontiguousarray(vec, dtype=complex).view(float)
+        local = np.empty((self.num_triangles, 3, 6))
+        for tris, points, n in self.chunks:
+            m = len(tris)
+            wv = (vec[points] * self.wr[points, None]).reshape(m, n, 2 * _NOPS)
+            grad = (_GRAD_DC @ wv.sum(axis=1).reshape(m, _NOPS, 2)).reshape(m, 2, 6)
+            pairs = (wv.reshape(-1, 2 * _NOPS).view(complex) @ rows).view(float).reshape(m, n, 6)
+            lor = self.lor[points].reshape(m, n, 3)
+            local[tris] = self.G[tris] @ grad + lor.transpose(0, 2, 1) @ pairs
+        return local.view(complex).reshape(-1, 9)
 
     def norm_sq(self, rows):
         """sum_q w r |rows_q|^2 of point rows (Q, m), the r-weighted norm^2."""
@@ -194,8 +208,9 @@ class OperatorWorkspace:
         """Field values at the quadrature points, (Q, 3)."""
         u = np.asarray(values, dtype=complex).reshape(-1, 3)
         out = np.empty((len(self.tri), 3), dtype=complex)
-        for tris, idx in self.chunks:
-            out[idx] = self.bary[idx] @ u[self.triangles[tris]]
+        for tris, points, n in self.chunks:
+            bary = self.bary[points].reshape(len(tris), n, 3)
+            out[points] = (bary @ u[self.triangles[tris]].view(float)).view(complex).reshape(-1, 3)
         return out
 
 

@@ -352,3 +352,14 @@ def test_load_rejects_boundary_block_with_an_extra_edge(tmp_path, extra):
     with pytest.raises(MeshError, match=re.escape(
             f"{path}: boundary row {row[0]} {row[1]} repeats or is not an edge of one triangle")):
         mesh.load_mesh(path)
+
+
+def test_load_names_the_file_in_a_triangle_mesh_error(tmp_path):
+    """A mesh file whose one triangle is clockwise fails in TriangleMesh,
+    and the message names the file."""
+    path = tmp_path / "cw.axmesh"
+    path.write_text("axmesh 1\nvertices 3\n0.5 0\n1 1\n1 0\ntriangles 1\n0 1 2\n"
+                    "boundary 3\n0 1 wall\n1 2 wall\n2 0 wall\n")
+    with pytest.raises(MeshError, match=re.escape(
+            f"{path}: triangle 0 is degenerate or not counterclockwise")):
+        mesh.load_mesh(path)

@@ -265,3 +265,104 @@ def test_workspace_keeps_at_most_three_columns_per_point(lshape_quad):
     for name, value in vars(ws).items():
         if isinstance(value, np.ndarray) and len(value) == Q:
             assert value.size <= 3 * Q, name
+
+
+# -- the workspace kernels against their gather-based reference ---------------
+
+
+@pytest.fixture(scope="module", params=["lshape", "rectangle"])
+def kernel_quad(request):
+    """The L-shape at h = 0.05 (7- and 28-point triangles, several chunks)
+    and the off-axis rectangle with rmin 0.2 (7-point triangles only)."""
+    if request.param == "lshape":
+        return MeshQuadrature(*mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.05))
+    return MeshQuadrature(mesh.gen_rectangle(0.2, 1.0, 0.0, 1.0, 0.1))
+
+
+def _gather_chunks(quad):
+    """(triangle ids, (m, n) point indices) of the triangles with n points
+    each, at most 1024 triangles at a time."""
+    tri = quad.tri
+    starts = np.flatnonzero(np.r_[True, tri[1:] != tri[:-1]])
+    counts = np.diff(np.r_[starts, len(tri)])
+    chunks = []
+    for n in np.unique(counts):
+        first = starts[counts == n]
+        for s in range(0, len(first), 1024):
+            part = first[s:s + 1024]
+            chunks.append((tri[part], part[:, None] + np.arange(n)))
+    return chunks
+
+
+def _reference_kernels(quad, values, vec, k):
+    """op_values, op_adjoint and point_values as gathers of the points of
+    each chunk, with complex products and einsum contractions of GRAD."""
+    G, lor, wr = femcore.gradients(quad.mesh), quad.bary / quad.r[:, None], quad.w * quad.r
+    triangles, GRAD = quad.mesh.triangles, modal_ops.GRAD
+    u = np.asarray(values, dtype=complex).reshape(-1, 3)
+    rows = modal_ops.OVER_R + (1j * k) * modal_ops.IK_R
+    opv = np.empty((len(quad.tri), 4), dtype=complex)
+    adj = np.empty((quad.mesh.num_triangles, 3, 3), dtype=complex)
+    pv = np.empty((len(quad.tri), 3), dtype=complex)
+    for tris, idx in _gather_chunks(quad):
+        local = u[triangles[tris]]
+        grad = np.einsum("acd,mcd->ma", GRAD, local.transpose(0, 2, 1) @ G[tris])
+        opv[idx] = grad[:, None] + (lor[idx] @ local) @ rows.T
+        wv = vec[idx] * wr[idx][:, :, None]
+        grad = np.einsum("ma,acd->mdc", wv.sum(axis=1), GRAD)
+        adj[tris] = G[tris] @ grad + lor[idx].transpose(0, 2, 1) @ (wv @ np.conj(rows))
+        pv[idx] = quad.bary[idx] @ local
+    return opv, adj.reshape(-1, 9), pv
+
+
+def _reference_blocks(quad):
+    """E00, E11 and A from D0 and R1 formed by broadcasts of the tensors."""
+    G, lor, wr = femcore.gradients(quad.mesh), quad.bary / quad.r[:, None], quad.w * quad.r
+    nt = quad.mesh.num_triangles
+    E00, E11, A = np.empty((nt, 9, 9)), np.empty((nt, 9, 9)), np.empty((nt, 9, 9))
+    for tris, idx in _gather_chunks(quad):
+        m, n = idx.shape
+        lr = lor[idx][:, :, None, :, None]
+        grad = np.einsum("acd,mld->malc", modal_ops.GRAD, G[tris])[:, None]
+        d0 = (grad + lr * modal_ops.OVER_R[:, None, :]).reshape(m, n * 4, 9)
+        r1 = (lr * modal_ops.IK_R[:, None, :]).reshape(m, n * 4, 9)
+        w = np.repeat(wr[idx], 4, axis=1)[:, :, None]
+        wd0 = d0 * w
+        E00[tris] = d0.transpose(0, 2, 1) @ wd0
+        E11[tris] = r1.transpose(0, 2, 1) @ (r1 * w)
+        cross = wd0.transpose(0, 2, 1) @ r1
+        A[tris] = cross - cross.transpose(0, 2, 1)
+    return E00, E11, A
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_kernels_equal_their_gather_reference_bit_for_bit(kernel_quad):
+    """Every workspace kernel gives the bits of its reference, signs of
+    zero included, for random complex fields and samples."""
+    ws = modal_ops.workspace(kernel_quad)
+    rng = np.random.default_rng(36)
+    nv, Q = kernel_quad.mesh.num_vertices, len(kernel_quad.tri)
+    for name, block in zip(("E00", "E11", "A"), _reference_blocks(kernel_quad)):
+        assert _same_bits(getattr(ws, name), block), name
+    for k in (0, 1, -1, 2, -2, 3, 7):
+        values = rng.normal(size=(nv, 3)) + 1j * rng.normal(size=(nv, 3))
+        vec = rng.normal(size=(Q, 4)) + 1j * rng.normal(size=(Q, 4))
+        opv, adj, pv = _reference_kernels(kernel_quad, values, vec, k)
+        assert _same_bits(ws.op_values(values, k), opv), k
+        assert _same_bits(ws.op_adjoint(vec, k), adj), k
+        assert _same_bits(ws.point_values(values), pv), k
+
+
+def test_chunks_are_consecutive_runs_of_points(kernel_quad):
+    """The chunk slices cover the points 0..Q once and in order, and each
+    holds n consecutive points of every one of its triangles."""
+    ws = modal_ops.workspace(kernel_quad)
+    stop = 0
+    for tris, points, n in ws.chunks:
+        assert points.start == stop and points.step in (None, 1)
+        assert np.array_equal(kernel_quad.tri[points].reshape(-1, n), np.repeat(tris[:, None], n, 1))
+        stop = points.stop
+    assert stop == len(kernel_quad.tri)

@@ -29,3 +29,18 @@ def test_import_loads_only_numpy_and_the_standard_library():
     assert not added - sys.stdlib_module_names - {"axmaxwell", "numpy"}
     assert "concurrent" not in added
     assert not loaded & {"axmaxwell.manufactured", "axmaxwell.verification", "numpy.polynomial"}
+
+
+def test_a_solve_loads_no_masked_arrays(tmp_path):
+    """A small solve, in a fresh interpreter, never imports numpy.ma (with
+    numpy 2.4, np.unique without a return_* flag would)."""
+    probe = (
+        "import sys\n"
+        "from axmaxwell.cli_io import main\n"
+        "assert main(['solve', '--h', '0.2', '--outdir', sys.argv[1]]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.stdout.split()[-1] == "False"

@@ -73,11 +73,11 @@ class HermitianSparse:
 
 def scatter(slots, vals, size):
     """Sums of the complex vals per slot in [0, size); slot == size drops
-    a value.  Values add in their order, so the result is reproducible."""
-    out = np.empty(size, dtype=complex)
-    out.real = np.bincount(slots, vals.real, size + 1)[:size]
-    out.imag = np.bincount(slots, vals.imag, size + 1)[:size]
-    return out
+    a value.  Values add in their order (np.add.at, which copies neither
+    slots nor vals), so the result is reproducible."""
+    out = np.zeros(size + 1, dtype=complex)
+    np.add.at(out, slots, vals)
+    return out[:size]
 
 
 def _inverse_diagonal(A):

@@ -160,6 +160,10 @@ class TriangleMesh:
             raise MeshError("mesh has no triangles")
         if self.triangles.min() < 0 or self.triangles.max() >= nv:
             raise MeshError("triangle vertex index out of range")
+        used = np.zeros(nv, dtype=bool)
+        used[self.triangles] = True
+        if not used.all():
+            raise MeshError(f"vertex {int(np.argmin(used))} is used by no triangle")
         areas = self.triangle_areas()
         if np.any(areas <= 0.0):
             bad = int(np.argmax(areas <= 0.0))
@@ -167,7 +171,8 @@ class TriangleMesh:
         # one table of the directed edges (a, b), keyed a * nv + b: no
         # direction repeats in a conforming counterclockwise mesh, while a
         # duplicated triangle, a fold and an edge of three triangles each
-        # repeat one; the boundary edges are those whose reverse is absent
+        # repeat one; then an edge whose undirected key low * nv + high
+        # occurs once has no reverse: it is a boundary edge
         tail = self.triangles.ravel()
         head = self.triangles[:, [1, 2, 0]].ravel()
         keys = np.sort(tail * nv + head)
@@ -176,14 +181,24 @@ class TriangleMesh:
             a, b = divmod(int(keys[repeat[0]]), nv)
             raise MeshError(f"non-conforming triangulation: edge {a} -> {b} is traversed twice "
                             "(a duplicated triangle, a fold or an edge of three triangles)")
-        reverse = head * nv + tail
-        once = keys[np.minimum(np.searchsorted(keys, reverse), len(keys) - 1)] != reverse
-        low, high = np.minimum(tail, head)[once], np.maximum(tail, head)[once]
-        edges = np.column_stack(np.divmod(np.sort(low * nv + high), nv))
+        und = np.sort(np.minimum(tail, head) * nv + np.maximum(tail, head))
+        bnd = und[np.r_[und[1:] != und[:-1], True] & np.r_[True, und[1:] != und[:-1]]]
+        edges = np.column_stack(np.divmod(bnd, nv))
+        forward = keys[np.minimum(np.searchsorted(keys, bnd), len(keys) - 1)] == bnd
+        tail, head = np.where(forward, edges.T, edges.T[::-1])  # the boundary edges, directed
         # closed loop: every boundary vertex has exactly two incident edges
         counts_v = np.bincount(edges.ravel(), minlength=nv)
         if np.any((counts_v != 0) & (counts_v != 2)):
             raise MeshError("boundary is not a single closed loop")
+        # so each boundary vertex has one outgoing boundary edge: following
+        # them walks the loops, and one loop is one piece without holes
+        succ, loops = dict(zip(tail.tolist(), head.tolist())), 0
+        while succ:
+            loops, v = loops + 1, next(iter(succ))
+            while v in succ:
+                v = succ.pop(v)
+        if loops > 1:
+            raise MeshError(f"boundary is {loops} loops, not one: the mesh has a hole or several pieces")
         on_axis = (self.vertices[edges, 0] == 0.0).all(axis=1)
         return edges, np.where(on_axis, AXIS, WALL)
 

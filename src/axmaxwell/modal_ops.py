@@ -20,11 +20,12 @@ values at quadrature points, their adjoint (the load pairings) and the
 element matrices all apply these tensors.
 
 Mode k enters only through the i k / r terms, so the element matrices of
-a_k are E(k) = E00 + k^2 E11 + i k A with real arrays built once per
-quadrature (OperatorWorkspace).  Every mode matrix is E(k) reduced on the
-free dofs of its constraint class; the |k| >= 2 class depends neither on k
-nor on its sign, so the |k| > 2 matrices of the bordered path reuse the
-pattern of the assembled mode-2 system (shifted_system).  The shift identity
+a_k are E(k) = E00 + k^2 E11 + i k A with real blocks formed per chunk of
+triangles, kept only where mode +-2 systems are shifted (OperatorWorkspace).
+Every mode matrix is E(k) reduced on the free dofs of its constraint class,
+on a CSR pattern expanded from the vertex pairs; the |k| >= 2 class depends
+neither on k nor on its sign, so the |k| > 2 matrices of the bordered path
+reuse the pattern of the mode-2 system (shifted_system).  The shift identity
 
   a_k(u, v) = a_2(u, v) + (k^2 - 4) (u/r, v/r) + i (k - 2) C(u, v),
 
@@ -89,6 +90,8 @@ def _over_r_rows(k):
 
 # triangles per chunk of the per-triangle sums, to bound their temporaries
 _CHUNK_TRIANGLES = 1024
+# triangles per chunk of the element blocks, the largest temporaries of an assembly
+_BLOCK_TRIANGLES = 128
 
 
 class OperatorWorkspace:
@@ -112,13 +115,16 @@ class OperatorWorkspace:
     D0 and R1 exist only per chunk (triangle ids, slice of points, n) of
     m triangles of n points each, one run of points: its per-point data
     are slices reshaped to (m, n, ...), and the real factors G, lambda / r
-    and w r act on float views of complex arrays.  Attributes: G (nt, 3,
-    2), lor (Q, 3) lambda / r, wr (Q,), the chunks and the (nt, 9, 9)
-    arrays E00, E11 and A, all real, plus the quadrature's tri, bary and
-    xy and the mesh triangles.  Built once per quadrature (see workspace)
-    and only read afterwards; the methods take the mode k: op_values
-    applies D_k to nodal fields at the points and op_adjoint, its adjoint,
-    pairs point samples with the local test dofs.
+    and w r act on float views of complex arrays.  E00, E11 and A are
+    formed per block chunk, of at most _BLOCK_TRIANGLES triangles, and kept
+    only after keep_blocks.  Attributes: G (nt, 3, 2), lor (Q, 3) lambda /
+    r, wr (Q,), the chunks and block chunks, all real, blocks (None unless
+    kept), the distinct vertex pairs of the element entries, pairs, as (row
+    vertices, column vertices) and pair_of (nt * 9,), the pair of each
+    entry, plus the quadrature's tri, bary and xy and the mesh triangles.
+    Built once per quadrature (see workspace); the methods take the mode
+    k: op_values applies D_k to nodal fields at the points and op_adjoint,
+    its adjoint, pairs point samples with the local test dofs.
     """
 
     def __init__(self, quad):
@@ -134,38 +140,55 @@ class OperatorWorkspace:
         starts = np.flatnonzero(np.r_[True, tri[1:] != tri[:-1]])
         counts = np.diff(np.r_[starts, len(tri)])
         runs = np.flatnonzero(np.r_[True, counts[1:] != counts[:-1], True])
-        self.num_triangles = nt = mesh.num_triangles
-        self.chunks = []
-        for a, b in zip(runs[:-1], runs[1:]):
-            n = counts[a]
-            for s in range(a, b, _CHUNK_TRIANGLES):
-                first = starts[s:min(s + _CHUNK_TRIANGLES, b)]
-                self.chunks.append((tri[first], slice(first[0], first[0] + len(first) * n), n))
-        self.E00, self.E11, self.A = (np.empty((nt, 9, 9)) for _ in range(3))
-        for tris, points, n in self.chunks:
-            m = len(tris)
-            # (m, n, row, local vertex, component); GRAD's part of D0 is per triangle
-            lor = self.lor[points].reshape(m, n, 3)
-            grad = np.zeros((m, 1, _NOPS, 3, 3))
-            for a, c, d in zip(*np.nonzero(GRAD)):
-                grad[:, 0, a, :, c] += GRAD[a, c, d] * self.G[tris, :, d]
-            d0 = np.repeat(grad, n, axis=1)
-            r1 = np.zeros_like(d0)
-            for tensor, out in ((OVER_R, d0), (IK_R, r1)):
-                for a, c in zip(*np.nonzero(tensor)):
-                    out[:, :, a, :, c] += tensor[a, c] * lor
-            w = self.wr[points].reshape(m, n, 1, 1, 1)  # then the rows of all points stacked
-            d0, r1, wd0, wr1 = (x.reshape(m, n * _NOPS, 9) for x in (d0, r1, d0 * w, r1 * w))
-            self.E00[tris] = d0.transpose(0, 2, 1) @ wd0
-            self.E11[tris] = r1.transpose(0, 2, 1) @ wr1
-            cross = wd0.transpose(0, 2, 1) @ r1
-            self.A[tris] = cross - cross.transpose(0, 2, 1)
+        self.num_triangles = mesh.num_triangles
+
+        def chunks(size):
+            out = []
+            for a, b in zip(runs[:-1], runs[1:]):
+                n = counts[a]
+                for s in range(a, b, size):
+                    first = starts[s:min(s + size, b)]
+                    out.append((tri[first], slice(first[0], first[0] + len(first) * n), n))
+            return out
+        self.chunks, self.block_chunks = chunks(_CHUNK_TRIANGLES), chunks(_BLOCK_TRIANGLES)
+        pairs = (mesh.triangles[:, :, None] * mesh.num_vertices + mesh.triangles[:, None, :]).ravel()
+        pairs, pair_of = np.unique(pairs, return_inverse=True)
+        self.pairs, self.pair_of = np.divmod(pairs, mesh.num_vertices), pair_of.astype(np.int32)
+        self.blocks = None
+
+    def _blocks(self, tris, points, n):
+        """E00, E11 and A of one chunk, (m, 9, 9) each."""
+        m = len(tris)
+        # (m, n, row, local vertex, component); GRAD's part of D0 is per triangle
+        lor = self.lor[points].reshape(m, n, 3)
+        grad = np.zeros((m, 1, _NOPS, 3, 3))
+        for a, c, d in zip(*np.nonzero(GRAD)):
+            grad[:, 0, a, :, c] += GRAD[a, c, d] * self.G[tris, :, d]
+        d0 = np.repeat(grad, n, axis=1)
+        r1 = np.zeros_like(d0)
+        for tensor, out in ((OVER_R, d0), (IK_R, r1)):
+            for a, c in zip(*np.nonzero(tensor)):
+                out[:, :, a, :, c] += tensor[a, c] * lor
+        w = self.wr[points].reshape(m, n, 1, 1, 1)  # then the rows of all points stacked
+        d0, r1, wd0, wr1 = (x.reshape(m, n * _NOPS, 9) for x in (d0, r1, d0 * w, r1 * w))
+        e00, e11, cross = (x.transpose(0, 2, 1) @ y for x, y in ((d0, wd0), (r1, wr1), (wd0, r1)))
+        return e00, e11, cross - cross.transpose(0, 2, 1)
+
+    def keep_blocks(self):
+        """Form E00, E11 and A once, per chunk, and keep them: for a workspace
+        whose mode +-2 systems are shifted to |k| > 2 modes."""
+        if self.blocks is None:
+            self.blocks = [self._blocks(*chunk) for chunk in self.block_chunks]
 
     def element_matrices(self, k):
         """Per-triangle 9x9 Hermitian element matrices of a_k, E(k), as a new
-        array (summed in place: one complex temporary fewer)."""
-        out = (1j * k) * self.A
-        out += self.E00 + (k * k) * self.E11
+        array formed chunk by chunk, from the kept blocks if there are any."""
+        out = np.empty((self.num_triangles, 9, 9), dtype=complex)
+        blocks = self.blocks or (self._blocks(*chunk) for chunk in self.block_chunks)
+        for (tris, _, _), (e00, e11, a) in zip(self.block_chunks, blocks):
+            part = (1j * k) * a
+            part += e00 + (k * k) * e11
+            out[tris] = part
         return out
 
     def op_values(self, values, k):
@@ -222,10 +245,6 @@ def workspace(quad):
     return quad.operators
 
 
-def _global_dofs(mesh):
-    return (3 * mesh.triangles[:, :, None] + np.arange(3)).reshape(-1, 9)
-
-
 class LoadScatter:
     """Load scatter of one constraint set, which every class needs and which
     is cheap: the constraint coefficients of each element's local dofs and
@@ -233,7 +252,7 @@ class LoadScatter:
 
     def __init__(self, constraints):
         self.constraints = constraints
-        gdofs = _global_dofs(constraints.mesh)
+        gdofs = (3 * constraints.mesh.triangles[:, :, None] + np.arange(3)).reshape(-1, 9)
         fidx = constraints.index[gdofs]  # (nt, 9)
         self.coeff = constraints.coeff[gdofs]
         n = self.n = constraints.n_free
@@ -248,24 +267,26 @@ class LoadScatter:
 class _Pattern:
     """CSR pattern of the reduced matrix of a load scatter's constraint set
     and the slot of every element entry in it, which only an assembled class
-    needs."""
+    needs.  Both come from the workspace's vertex pairs: each expands to
+    its 3x3 dof pairs through the class's free index."""
 
-    def __init__(self, load_scatter):
+    def __init__(self, load_scatter, ws):
         self.scatter = load_scatter
-        n = load_scatter.n
-        fidx = load_scatter.fslots.reshape(-1, 9).astype(np.int64)  # n: no free dof
-        rows = np.broadcast_to(fidx[:, :, None], (len(fidx), 9, 9))
-        cols = np.broadcast_to(fidx[:, None, :], (len(fidx), 9, 9))
-        keep = (rows < n) & (cols < n)
-        keys, inverse = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+        c = load_scatter.constraints
+        n = c.n_free
+        a, b = (3 * v[:, None] + np.arange(3) for v in ws.pairs)
+        rows, cols = c.index[a][:, :, None], c.index[b][:, None, :]
+        keep = (rows >= 0) & (cols >= 0)  # (pair, row component, column component)
+        keys, inverse = np.unique((rows * n + cols)[keep], return_inverse=True)
         if len(keys) >= np.iinfo(np.int32).max:
             raise ValueError(f"{len(keys)} nonzeros exceed the int32 scatter slots")
         self.indptr = np.searchsorted(keys, np.arange(n + 1) * n)
         self.indices = keys % n
-        # int32 slots halve the largest arrays a system keeps
+        # int32 slots halve the largest arrays a system keeps; the entry
+        # (t, 3 i + a, 3 j + b) reads the slot (pair_of[t, i, j], a, b)
         slots = np.full(keep.shape, len(keys), dtype=np.int32)
         slots[keep] = inverse
-        self.slots = slots.ravel()
+        self.slots = slots[ws.pair_of.reshape(-1, 3, 3)].transpose(0, 1, 3, 2, 4).ravel()
 
     def matrix(self, elem):
         """Reduced matrix from per-triangle 9x9 element matrices, which are
@@ -300,7 +321,7 @@ class ModeSystem:
         self.quad = quad
         self.ws = workspace(quad)
         self.scatter = scatter
-        self.pattern = _Pattern(scatter)
+        self.pattern = _Pattern(scatter, self.ws)
         self.matrix = self.pattern.matrix(self.ws.element_matrices(self.k))
         self.hierarchy, self.coarse = None, []
 
@@ -337,20 +358,23 @@ def assemble_systems(space, modes, quad, shift=False, scatters=None):
     multigrid hierarchy when it has at least MULTIGRID_MIN_DOFS free dofs
     and the mesh nests (see coarse_levels).  scatters, optionally, holds
     the load scatters of the systems, keyed by k.  With shift, the mode +-2
-    systems keep their coarse systems, so that the |k| > 2 systems shifted
-    from them shift every level.
+    systems keep their coarse systems and every workspace keeps its element
+    blocks, the fine one from before any system: the |k| > 2 systems shifted
+    from them shift every level without forming the blocks again.
 
     The hierarchies are built after all fine systems, and the coarse
     quadratures are dropped after them unless kept: the coarse workspaces
     then never coexist with the temporaries of a fine assembly.
     """
     scatters = scatters or {}
+    if shift:
+        workspace(quad).keep_blocks()
     systems = {k: assemble_a_k(quad.mesh, k, space, quad, scatters.get(k)) for k in modes}
     levels = None
     for k, system in systems.items():
         if system.matrix.n >= MULTIGRID_MIN_DOFS:
             if levels is None:
-                levels = coarse_levels(quad)
+                levels = coarse_levels(quad, shift)
             system.hierarchy, system.coarse = multigrid(system, levels, shift and abs(k) == 2)
     return systems
 
@@ -358,12 +382,13 @@ def assemble_systems(space, modes, quad, shift=False, scatters=None):
 # -- multigrid hierarchy ----------------------------------------------------------
 
 
-def coarse_levels(quad):
+def coarse_levels(quad, keep_blocks=False):
     """The nested coarser meshes of quad's mesh, finest first, as (mesh,
     parents, quad) triples: parents maps the vertices of the next finer mesh
     onto the coarse one (see mesh.coarsen), and every mode system on the
     level shares its quadrature, which subdivides at quad's corner like the
-    fine one and comes with its operator workspace.
+    fine one; with keep_blocks its operator workspace keeps its element
+    blocks (see assemble_systems).
 
     Coarsening stops at the first mesh with at most _COARSEST_VERTICES
     vertices.  When the mesh does not nest that far (a mesh file that is
@@ -381,7 +406,8 @@ def coarse_levels(quad):
     levels = []
     for msh, parents in nested:
         level = MeshQuadrature(msh, quad.corner)
-        workspace(level)
+        if keep_blocks:
+            workspace(level).keep_blocks()
         levels.append((msh, parents, level))
     return levels
 

@@ -346,9 +346,9 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
     sqrt(||b_k||^2 + ||d_k||^2 E_up) of its bordered right-hand side
     [b_k; f_s] is at most tol * F: |f_s| <= ||d_k|| sqrt(E_up), with ||d_k||
     the r-weighted norm of its (Q, 4) data (Cauchy-Schwarz; E_up from
-    singular.lift_basis, 0 without a corner).  It gets no system, no basis
-    and no basis right-hand side: a zero field, C^k = 0j, energy 0.0 and
-    CGInfo(0, bound / F).
+    singular.lift_basis, 0 without a corner).  Its data and load are dropped
+    there: it gets no system, basis or basis right-hand side, but a zero
+    field, C^k = 0j, energy 0.0 and CGInfo(0, bound / F).
     Every other system k <= 2, and the mode-2 one whenever N > 2, is
     assembled once, with its multigrid hierarchy on a large mesh that nests
     (see modal_ops.assemble_systems), and serves its basis and its mode
@@ -387,6 +387,9 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
             start, ops, e_up = singular.lift_basis(scatters[k].constraints, quad)
             fs_bound = math.sqrt(dnorms[k] * e_up)
         skipped[k] = _unsolved(math.hypot(norms[k], fs_bound), floor, tol)
+        if skipped[k] is not None:  # nothing of the mode's data is read again
+            del fmodes[k], loads[k]
+            gmodes.pop(k, None)
         if skipped[k] is None or (k == 2 and N > 2):  # mode 2's basis serves k > 2
             solved.append(k)
             if ops is not None:  # the basis right-hand side, for solved modes only
@@ -397,10 +400,10 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
     del lifted
 
     def solve_one(k):
-        # each mode's data and load are read once: drop them from the dicts
-        data, load = mode_data(k, drop=True), loads.pop(k)
         if k <= 2 and skipped[k] is not None:
             return ModeRecord(ModeField(mesh, k), 0j, None, skipped[k], 0.0)
+        # each mode's data and load are read once: drop them from the dicts
+        data, load = mode_data(k, drop=True), loads.pop(k)
         rule = dict(tol=tol, load=load, floor=floor)
         if k <= 2:
             return solve_mode_orthogonal(systems[k], data, bases.get(k), **rule)

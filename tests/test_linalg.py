@@ -9,6 +9,7 @@ from axmaxwell.linalg import (
     HermitianSparse,
     SolverError,
     augmented,
+    scatter,
     solve_bordered,
     solve_hpd,
 )
@@ -276,3 +277,19 @@ def test_degenerate_coupling_with_consistent_data_solves():
     b = np.concatenate([F, [f]])
     resid = b - _dense_augmented(K, y, alpha) @ np.concatenate([x, [c]])
     assert np.linalg.norm(resid) <= 1e-13 * np.linalg.norm(b)
+
+
+def test_scatter_adds_each_slot_in_order():
+    """scatter gives the bits of the sequential loop out[slot] += value, from
+    +0.0 and signed zeros included, and drops the values of slot == size."""
+    rng = np.random.default_rng(7)
+    size, count = 40, 3000
+    slots = rng.integers(0, size + 1, count).astype(np.int32)
+    vals = (rng.normal(size=count) + 1j * rng.normal(size=count)) * 10.0 ** rng.integers(-9, 9, count)
+    vals[slots == 3] = complex(-0.0, -0.0)
+    want = np.zeros((size + 1, 2))
+    for slot, value in zip(slots.tolist(), vals.tolist()):
+        want[slot, 0] += value.real
+        want[slot, 1] += value.imag
+    got = scatter(slots, vals, size)
+    assert got.shape == (size,) and got.tobytes() == want[:size].tobytes()

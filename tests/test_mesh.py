@@ -288,6 +288,27 @@ def test_pinched_boundary_is_rejected():
         mesh.TriangleMesh(verts, np.array([[0, 1, 2], [2, 3, 4]]), 1.0)
 
 
+@pytest.mark.parametrize("keep", [
+    # two cells at opposite corners of a 3 x 3 grid, sharing no vertex
+    [[1, 0, 0], [0, 0, 0], [0, 0, 1]],
+    # the 3 x 3 grid without its centre cell
+    [[1, 1, 1], [1, 0, 1], [1, 1, 1]],
+], ids=["two-pieces", "hole"])
+def test_boundary_of_several_loops_is_rejected(keep):
+    lines = np.linspace(0.0, 1.0, 4)
+    verts, tris = mesh._structured_arrays(lines, lines, np.array(keep, dtype=bool))
+    with pytest.raises(MeshError, match="^boundary is 2 loops, not one: "
+                       "the mesh has a hole or several pieces$"):
+        mesh.TriangleMesh(verts, tris, 1.0)
+
+
+def test_unused_vertex_is_rejected():
+    msh = mesh.gen_rectangle(0.0, 1.0, 0.0, 1.0, 0.1)
+    verts = np.vstack([msh.vertices, [5.0, 5.0]])
+    with pytest.raises(MeshError, match="^vertex 121 is used by no triangle$"):
+        mesh.TriangleMesh(verts, msh.triangles, msh.h)
+
+
 def _write_with_boundary(msh, path, rows):
     """Save msh, its boundary block replaced by rows of (i, j, tag)."""
     mesh.save_mesh(msh, path)

@@ -341,13 +341,21 @@ def _same_bits(a, b):
 
 def test_kernels_equal_their_gather_reference_bit_for_bit(kernel_quad):
     """Every workspace kernel gives the bits of its reference, signs of
-    zero included, for random complex fields and samples."""
+    zero included, for random complex fields and samples; the element
+    matrices E(k) alike from a workspace that keeps its blocks and from
+    one that forms them per chunk."""
     ws = modal_ops.workspace(kernel_quad)
+    kept = modal_ops.OperatorWorkspace(kernel_quad)
+    kept.keep_blocks()
+    assert ws.blocks is None and kept.blocks is not None
+    E00, E11, A = _reference_blocks(kernel_quad)
     rng = np.random.default_rng(36)
     nv, Q = kernel_quad.mesh.num_vertices, len(kernel_quad.tri)
-    for name, block in zip(("E00", "E11", "A"), _reference_blocks(kernel_quad)):
-        assert _same_bits(getattr(ws, name), block), name
     for k in (0, 1, -1, 2, -2, 3, 7):
+        want = (1j * k) * A
+        want += E00 + (k * k) * E11
+        assert _same_bits(ws.element_matrices(k), want), k
+        assert _same_bits(kept.element_matrices(k), want), k
         values = rng.normal(size=(nv, 3)) + 1j * rng.normal(size=(nv, 3))
         vec = rng.normal(size=(Q, 4)) + 1j * rng.normal(size=(Q, 4))
         opv, adj, pv = _reference_kernels(kernel_quad, values, vec, k)
@@ -357,12 +365,71 @@ def test_kernels_equal_their_gather_reference_bit_for_bit(kernel_quad):
 
 
 def test_chunks_are_consecutive_runs_of_points(kernel_quad):
-    """The chunk slices cover the points 0..Q once and in order, and each
-    holds n consecutive points of every one of its triangles."""
+    """The slices of the chunks, and those of the block chunks, cover the
+    points 0..Q once and in order, and each holds n consecutive points of
+    every one of its triangles."""
     ws = modal_ops.workspace(kernel_quad)
-    stop = 0
-    for tris, points, n in ws.chunks:
-        assert points.start == stop and points.step in (None, 1)
-        assert np.array_equal(kernel_quad.tri[points].reshape(-1, n), np.repeat(tris[:, None], n, 1))
-        stop = points.stop
-    assert stop == len(kernel_quad.tri)
+    for chunks in (ws.chunks, ws.block_chunks):
+        stop = 0
+        for tris, points, n in chunks:
+            assert points.start == stop and points.step in (None, 1)
+            assert np.array_equal(kernel_quad.tri[points].reshape(-1, n), np.repeat(tris[:, None], n, 1))
+            stop = points.stop
+        assert stop == len(kernel_quad.tri)
+
+
+# -- the CSR pattern from vertex pairs, and what an assembly holds -------------
+
+
+def _reference_pattern(load_scatter):
+    """indptr, indices and slots from the sorted (row, column) keys of all
+    nt x 81 element entries."""
+    n = load_scatter.n
+    fidx = load_scatter.fslots.reshape(-1, 9).astype(np.int64)  # n: no free dof
+    rows = np.broadcast_to(fidx[:, :, None], (len(fidx), 9, 9))
+    cols = np.broadcast_to(fidx[:, None, :], (len(fidx), 9, 9))
+    keep = (rows < n) & (cols < n)
+    keys, inverse = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+    slots = np.full(keep.shape, len(keys), dtype=np.int32)
+    slots[keep] = inverse
+    return np.searchsorted(keys, np.arange(n + 1) * n), keys % n, slots.ravel()
+
+
+@pytest.mark.parametrize("space", [SPACE_X, SPACE_Y])
+@pytest.mark.parametrize("k", [0, 1, -1, 2])
+def test_pattern_from_vertex_pairs_equals_the_entry_keys(lshape, lshape_quad, space, k):
+    """On the L-shape, whose axis vertices tie u_r and u_theta for |k| = 1,
+    the pattern built from the vertex pairs is that of the element entries."""
+    msh, _ = lshape
+    scatter = modal_ops.LoadScatter(femcore.build_constraints(msh, k, space))
+    pattern = modal_ops._Pattern(scatter, modal_ops.workspace(lshape_quad))
+    if abs(k) == 1:
+        assert np.any(np.bincount(scatter.constraints.index[scatter.constraints.index >= 0]) > 1)
+    for got, want in zip((pattern.indptr, pattern.indices, pattern.slots), _reference_pattern(scatter)):
+        assert _same_bits(got, want)
+
+
+def test_assembly_keeps_no_element_arrays():
+    """Without shifts a workspace keeps no (nt, 9, 9) array.  E(k) peaks at
+    its own size plus the chunk temporaries, and an assembly, workspace
+    included, below three complex (nt, 9, 9) arrays: E(k), its int32 slots,
+    the pattern and the matrix (h = 0.0125)."""
+    msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.0125)
+    quad = MeshQuadrature(msh, corner)
+    size = msh.num_triangles * 81 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        system = modal_ops.assemble_a_k(msh, 1, SPACE_Y, quad=quad)
+        assembly = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        tracemalloc.start()
+        system.ws.element_matrices(3)
+        elem = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert assembly < 3 * size
+    assert elem < 1.25 * size
+    held = [v for value in vars(system.ws).values()
+            for v in (value if isinstance(value, (tuple, list)) else [value])]
+    assert system.ws.blocks is None
+    assert not any(isinstance(v, np.ndarray) and v.shape == (msh.num_triangles, 9, 9) for v in held)

@@ -95,6 +95,8 @@ def test_shifted_system_shifts_every_level(lshape05, monkeypatch):
     monkeypatch.setattr(modal_ops, "MULTIGRID_MIN_DOFS", 0)
     system2 = modal_ops.assemble_systems(SPACE_Y, [2], quad, shift=True)[2]
     assert len(system2.coarse) == 1
+    # the shifted levels form E(k) from blocks kept once
+    assert system2.ws.blocks is not None and system2.coarse[0].ws.blocks is not None
     system5 = system2.shifted(5)
     assert len(system5.hierarchy.levels) == 1
     level = system5.hierarchy.levels[0]
@@ -134,7 +136,7 @@ def test_large_nested_mesh_builds_one_hierarchy_per_system():
     system = modal_ops.assemble_systems(SPACE_X, [1], quad)[1]
     assert system.matrix.n >= modal_ops.MULTIGRID_MIN_DOFS
     assert len(system.hierarchy.levels) == 2
-    assert system.coarse == []
+    assert system.coarse == [] and system.ws.blocks is None
     assert system.hierarchy.coarsest_inverse.shape == (system.hierarchy.levels[-1].matrix.n,) * 2
 
 

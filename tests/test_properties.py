@@ -111,13 +111,28 @@ def kept_cells(draw):
 
 def _once_used_boundary(verts, tris):
     """The boundary the generators used to hand TriangleMesh, with the checks it
-    then passed: the once-used rows of a row-wise unique over the sorted edges,
-    tagged axis when both ends lie on r = 0; None for a rejected mesh."""
+    then passed, and one piece without holes: the once-used rows of a row-wise
+    unique over the sorted edges, tagged axis when both ends lie on r = 0;
+    None for a rejected mesh."""
     edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
     uniq, counts = np.unique(np.sort(edges, axis=1), axis=0, return_counts=True)
     bnd = uniq[counts == 1]
     per_vertex = np.bincount(bnd.ravel(), minlength=len(verts))
     if np.any(counts > 2) or np.any((per_vertex != 0) & (per_vertex != 2)):
+        return None
+    # one loop: a search along the undirected boundary edges reaches every
+    # boundary vertex
+    nbrs = {}
+    for a, b in bnd.tolist():
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    reached, todo = set(), [int(bnd[0, 0])]
+    while todo:
+        v = todo.pop()
+        if v not in reached:
+            reached.add(v)
+            todo.extend(nbrs[v])
+    if len(reached) != len(nbrs):
         return None
     on_axis = (verts[bnd[:, 0], 0] == 0.0) & (verts[bnd[:, 1], 0] == 0.0)
     return bnd, np.where(on_axis, mesh.AXIS, mesh.WALL)

@@ -280,6 +280,7 @@ def build_mesh(args):
         return meshmod.gen_lshape(args.corner_r, args.corner_z, args.rmax, args.zmin, args.zmax,
                                   args.h)
     msh = meshmod.load_mesh(args.mesh_file)
+    femcore.wall_components(msh)  # a wall edge that is not axis-aligned is a MeshError
     corners = meshmod.classify_boundary(msh)
     if len(corners) > 1:
         raise UsageError("meshes with more than one reentrant corner are not supported")

@@ -16,7 +16,8 @@ coefficients:
   axis, |k| = 1:   u_z = 0 and the tie u_theta = i*sign(k)*u_r
   axis, |k| >= 2:  u_r = u_theta = u_z = 0
 
-Wall edges must be axis-aligned (the generators only produce such meshes).
+Wall edges must be axis-aligned: wall_components checks it, and the command
+line runs it on a mesh file before any output exists.
 """
 
 import math
@@ -260,10 +261,6 @@ def interpolate_scalar(mesh, nodal, points):
 # -- constraints ---------------------------------------------------------------
 
 
-def _dof(vertex, comp):
-    return 3 * vertex + comp
-
-
 @dataclass
 class ConstraintSet:
     """Essential constraints for one (mode, space) pair, as the map from the
@@ -310,64 +307,54 @@ class ConstraintSet:
         return self.expand(self.free_values(fld))
 
 
-def _wall_components(mesh):
-    """Constrained component sets per wall vertex: (tangential, normal).
-
-    For axis-aligned edges the meridian tangential/normal components are
-    single coordinates; a vertex incident to both a horizontal and a
-    vertical wall edge collects both.
+def wall_components(mesh):
+    """The wall edges (E, 2) and, per edge, the component of its meridian
+    tangent and that of its normal: u_r (0) and u_z (2) for a horizontal
+    edge, u_z and u_r for a vertical one.  A wall edge that is neither is a
+    MeshError.
     """
-    tang = {}
-    norm = {}
-    for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        if tag != WALL:
-            continue
-        d = mesh.vertices[j] - mesh.vertices[i]
-        if abs(d[1]) <= _GEOM_TOL * max(1.0, abs(d[0])):
-            t_comp, n_comp = 0, 2  # horizontal edge: tangent e_r, normal e_z
-        elif abs(d[0]) <= _GEOM_TOL * max(1.0, abs(d[1])):
-            t_comp, n_comp = 2, 0  # vertical edge: tangent e_z, normal e_r
-        else:
-            raise MeshError("wall edges must be axis-aligned")
-        for v in (int(i), int(j)):
-            tang.setdefault(v, set()).add(t_comp)
-            norm.setdefault(v, set()).add(n_comp)
-    return tang, norm
+    edges = mesh.boundary_edges[mesh.boundary_tags == WALL]
+    d = np.abs(mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]])
+    horizontal = d[:, 1] <= _GEOM_TOL * np.maximum(1.0, d[:, 0])
+    vertical = d[:, 0] <= _GEOM_TOL * np.maximum(1.0, d[:, 1])
+    if not np.all(horizontal | vertical):
+        raise MeshError("wall edges must be axis-aligned")
+    tangential = np.where(horizontal, 0, 2)
+    return edges, tangential, 2 - tangential
 
 
 def build_constraints(mesh, k, space):
     """Essential constraints of the discrete X_(k) or Y_(k) space."""
     if space not in (SPACE_X, SPACE_Y):
         raise ValueError(f"space must be '{SPACE_X}' or '{SPACE_Y}'")
-    n = 3 * mesh.num_vertices
-    zero = np.zeros(n, dtype=bool)
-    master = np.arange(n, dtype=np.int64)  # a tie slave's master is its vertex's u_r
-    coeff = np.ones(n, dtype=complex)
+    nv = mesh.num_vertices
+    # (vertex, component) views of the dofs 3 * vertex + component
+    zero = np.zeros((nv, 3), dtype=bool)
+    master = np.arange(3 * nv, dtype=np.int64).reshape(nv, 3)  # a tie slave's: its vertex's u_r
+    coeff = np.ones((nv, 3), dtype=complex)
 
-    tang, norm = _wall_components(mesh)
-    for v, comps in (tang if space == SPACE_X else norm).items():
-        for c in comps:
-            zero[_dof(v, c)] = True
-        if space == SPACE_X:
-            zero[_dof(v, 1)] = True
+    edges, tangential, normal = wall_components(mesh)
+    zero[edges, (tangential if space == SPACE_X else normal)[:, None]] = True
+    if space == SPACE_X:
+        zero[edges, 1] = True
 
-    for v in mesh.axis_vertices():
-        v = int(v)
-        if k == 0:
-            zero[[_dof(v, 0), _dof(v, 1)]] = True
-        elif abs(k) == 1:
-            zero[_dof(v, 2)] = True
-            if zero[_dof(v, 1)] or zero[_dof(v, 0)]:
-                # a wall condition already pins one side of the tie
-                zero[[_dof(v, 0), _dof(v, 1)]] = True
-            else:
-                master[_dof(v, 1)] = _dof(v, 0)
-                coeff[_dof(v, 1)] = 1j * np.sign(k)
-        else:
-            zero[3 * v:3 * v + 3] = True
+    axis = mesh.axis_vertices()
+    if k == 0:
+        zero[axis, :2] = True
+    elif abs(k) == 1:
+        zero[axis, 2] = True
+        # a wall condition that pins one side of the tie pins both
+        pinned = zero[axis, :2].any(axis=1)
+        zero[axis[pinned], :2] = True
+        tied = axis[~pinned]
+        master[tied, 1] = 3 * tied
+        coeff[tied, 1] = 1j * np.sign(k)
+    else:
+        zero[axis] = True
 
-    free = np.flatnonzero(~zero & (master == np.arange(n)))
-    index = -np.ones(n, dtype=np.int64)
+    zero, master, coeff = zero.ravel(), master.ravel(), coeff.ravel()
+    free = np.flatnonzero(~zero & (master == np.arange(zero.size)))
+    index = -np.ones(zero.size, dtype=np.int64)
     index[free] = np.arange(free.size)
     index = np.where(zero, -1, index[master])
     coeff[zero] = 0.0

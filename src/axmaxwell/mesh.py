@@ -91,8 +91,10 @@ class TriangleMesh:
     """Conforming triangulation of the meridian domain.
 
     The boundary comes from the triangles: boundary_edges holds the edges of
-    exactly one triangle as (low, high) rows in lexicographic order, boundary_tags
-    is AXIS for an edge with both ends on r = 0 and WALL for any other.  Arrays
+    exactly one triangle, each directed as in its triangle, so that the domain
+    lies on its left and the rows make one counterclockwise loop; the rows are
+    in the lexicographic order of their (low, high) pairs.  boundary_tags is
+    AXIS for an edge with both ends on r = 0 and WALL for any other.  Arrays
     are frozen after construction; meshes may be shared freely.
     """
 
@@ -183,9 +185,10 @@ class TriangleMesh:
                             "(a duplicated triangle, a fold or an edge of three triangles)")
         und = np.sort(np.minimum(tail, head) * nv + np.maximum(tail, head))
         bnd = und[np.r_[und[1:] != und[:-1], True] & np.r_[True, und[1:] != und[:-1]]]
-        edges = np.column_stack(np.divmod(bnd, nv))
+        low, high = np.divmod(bnd, nv)
         forward = keys[np.minimum(np.searchsorted(keys, bnd), len(keys) - 1)] == bnd
-        tail, head = np.where(forward, edges.T, edges.T[::-1])  # the boundary edges, directed
+        edges = np.column_stack(np.where(forward, (low, high), (high, low)))  # as in their triangle
+        tail, head = edges.T
         # closed loop: every boundary vertex has exactly two incident edges
         counts_v = np.bincount(edges.ravel(), minlength=nv)
         if np.any((counts_v != 0) & (counts_v != 2)):
@@ -345,58 +348,37 @@ def coarsen(mesh):
 def classify_boundary(mesh):
     """Detect reentrant corners of a mesh; returns a list of descriptors.
 
-    The boundary tags are those TriangleMesh derives from the geometry, and
-    the mesh is not changed, so the operation is idempotent.  Wall vertices
-    with interior angle > pi + ANGLE_TOL become corners; the interior angle
-    is the sum of the incident triangle angles, which is robust for
-    conforming meshes.
+    Each boundary vertex has one leaving and one entering boundary edge, and
+    the domain lies on their left: sweeping counterclockwise from the leaving
+    edge (the phi0 ray) crosses the domain and reaches the entering edge
+    after the interior angle.  Wall vertices with interior angle > pi +
+    ANGLE_TOL become corners, in increasing vertex order.  An axis vertex
+    never does: the domain lies in r >= 0, so its interior angle is at most
+    pi.  A slit tip, where the loop runs back along itself, is a MeshError.
+    The mesh is not changed, so the operation is idempotent.
     """
-    verts = mesh.vertices
-    angle_sum = np.zeros(mesh.num_vertices)
-    for loc in range(3):
-        a = mesh.triangles[:, loc]
-        b = mesh.triangles[:, (loc + 1) % 3]
-        c = mesh.triangles[:, (loc + 2) % 3]
-        u = verts[b] - verts[a]
-        v = verts[c] - verts[a]
-        cross = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
-        dot = (u * v).sum(axis=1)
-        np.add.at(angle_sum, a, np.arctan2(np.abs(cross), dot))
+    tail, head = mesh.boundary_edges.T
+    d = mesh.vertices[head] - mesh.vertices[tail]
+    # per vertex, the angle of its leaving edge and that of its entering edge
+    # reversed; both are 0 off the boundary, where theta is then 0
+    phi0, back = np.zeros((2, mesh.num_vertices))
+    phi0[tail] = np.arctan2(d[:, 1], d[:, 0])
+    back[head] = np.arctan2(-d[:, 1], -d[:, 0])
+    theta = np.mod(back - phi0, 2.0 * math.pi)
+    slit = tail[theta[tail] <= 0.0]
+    if len(slit):
+        raise MeshError(f"the boundary turns back on itself at vertex {slit.min()}: "
+                        "a slit tip (interior angle 2 pi) is not supported")
+    reentrant = np.flatnonzero(theta > math.pi + ANGLE_TOL)
+    ambiguous = reentrant[theta[reentrant] - math.pi <= 10 * ANGLE_TOL]
+    if len(ambiguous):
+        raise MeshError(f"ambiguous interior angle at vertex {ambiguous[0]}")
     corners = []
-    incident = {}
-    for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        for v in (int(i), int(j)):
-            incident.setdefault(v, []).append((int(i) + int(j) - v, tag))
-    for v in sorted(incident):
-        theta = angle_sum[v]
-        if theta <= math.pi + ANGLE_TOL:
-            continue
-        if abs(theta - math.pi) <= 10 * ANGLE_TOL and theta > math.pi:
-            raise MeshError(f"ambiguous interior angle at vertex {v}")
-        nbrs = incident[v]
-        if any(tag == AXIS for _, tag in nbrs):
-            raise MeshError("reentrant corner on the axis is not supported")
-        d = [verts[w] - verts[v] for w, _ in nbrs]
-        psi = [math.atan2(dv[1], dv[0]) for dv in d]
-        # the phi0 ray is the incident wall edge whose counterclockwise sweep
-        # by the interior angle crosses the domain and reaches the other edge
-        if math.isclose((psi[1] - psi[0]) % (2 * math.pi), theta, abs_tol=1e-9):
-            phi0 = psi[0]
-        elif math.isclose((psi[0] - psi[1]) % (2 * math.pi), theta, abs_tol=1e-9):
-            phi0 = psi[1]
-        else:
-            raise MeshError(f"incident wall edges at vertex {v} do not bound the corner")
-        r_c = float(verts[v, 0])
-        corners.append(
-            CornerDescriptor(
-                corner_vertex=v,
-                position=(r_c, float(verts[v, 1])),
-                interior_angle=float(theta),
-                alpha=math.pi / float(theta),
-                phi0=float(phi0),
-                a=r_c,
-            )
-        )
+    for v in reentrant.tolist():
+        angle = float(theta[v])
+        r_c, z_c = map(float, mesh.vertices[v])
+        corners.append(CornerDescriptor(corner_vertex=v, position=(r_c, z_c), interior_angle=angle,
+                                        alpha=math.pi / angle, phi0=float(phi0[v]), a=r_c))
     return corners
 
 
@@ -418,7 +400,7 @@ def save_mesh(mesh, path):
         for i, j, k in mesh.triangles:
             fp.write(f"{i} {j} {k}\n")
         fp.write(f"boundary {len(mesh.boundary_edges)}\n")
-        for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+        for (i, j), tag in zip(np.sort(mesh.boundary_edges, axis=1), mesh.boundary_tags):
             fp.write(f"{i} {j} {_TAG_NAMES[int(tag)]}\n")
 
 
@@ -482,7 +464,7 @@ def load_mesh(path):
         raise MeshError(f"{path}: {exc}") from exc
     # the boundary block must list, in any order, the boundary of the triangles
     derived = {(int(i), int(j)): _TAG_NAMES[int(tag)]
-               for (i, j), tag in zip(msh.boundary_edges, msh.boundary_tags)}
+               for (i, j), tag in zip(np.sort(msh.boundary_edges, axis=1), msh.boundary_tags)}
     for i, j, tag in listed:
         want = derived.pop((min(i, j), max(i, j)), None)
         if want is None:

@@ -390,15 +390,23 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
     ["solve", "--h", "0"],
     ["singular", "--domain", "rectangle", "--h", "0.25", "--k", "0"],
     ["solve", "--h", "0.5", "--rhs", "file:{table}"],
-], ids=["mesh-size", "no-corner", "short-table"])
+    ["solve", "--mesh-file", "{slanted}"],
+    ["singular", "--mesh-file", "{slanted}", "--k", "0"],
+], ids=["mesh-size", "no-corner", "short-table", "slanted-wall", "slanted-wall-singular"])
 def test_bad_input_fails_before_outdir_exists(tmp_path, capsys, command):
     """The mesh, the corner a singular basis needs and a --rhs table are
     read before --outdir is created: a bad one exits 1 with one error line
-    and leaves no directory behind."""
+    and leaves no directory behind.  A mesh file's wall edges must be
+    axis-aligned: this L-shape, its reentrant corner at (0.5, 0.5), has a
+    slanted wall edge from (1, 0.5) to (1.2, 1)."""
     table = tmp_path / "rhs.csv"
     table.write_text("r,z,f_r,f_theta,f_z\n0,0,0,0,1\n")
+    slanted = tmp_path / "slanted.axmesh"
+    verts = np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.5], [1.0, 0.5], [1.2, 1.0], [0.0, 1.0]])
+    tris = np.array([[0, 1, 2], [0, 2, 5], [2, 3, 4], [2, 4, 5]])
+    mesh.save_mesh(mesh.TriangleMesh(verts, tris, 0.5), slanted)
     outdir = tmp_path / "out"
-    argv = [a.format(table=table) for a in command]
+    argv = [a.format(table=table, slanted=slanted) for a in command]
     rc = main(argv + ["--outdir", str(outdir)])
     assert rc == 1
     err = capsys.readouterr().err

@@ -245,10 +245,23 @@ def _boundary_reference(verts, tris):
     return bnd, np.where(on_axis, AXIS, WALL)
 
 
+def _assert_directed_loop(msh):
+    """Every boundary row is an edge of a triangle, directed as in it, and the
+    shoelace area of the rows is positive: the loop runs counterclockwise."""
+    tris = msh.triangles
+    directed = set(map(tuple, np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]],
+                                              tris[:, [2, 0]]]).tolist()))
+    assert set(map(tuple, msh.boundary_edges.tolist())) <= directed
+    p, q = msh.vertices[msh.boundary_edges[:, 0]], msh.vertices[msh.boundary_edges[:, 1]]
+    assert (p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]).sum() > 0.0
+
+
 def _assert_reference_boundary(msh):
     edges, tags = _boundary_reference(msh.vertices, msh.triangles)
-    assert msh.boundary_edges.dtype == edges.dtype and np.array_equal(msh.boundary_edges, edges)
+    got = np.sort(msh.boundary_edges, axis=1)
+    assert got.dtype == edges.dtype and np.array_equal(got, edges)
     assert msh.boundary_tags.dtype == tags.dtype and np.array_equal(msh.boundary_tags, tags)
+    _assert_directed_loop(msh)
 
 
 @pytest.mark.parametrize("h", [0.2, 0.1, 0.05, 0.03, 0.025, 0.0125])
@@ -318,8 +331,9 @@ def _write_with_boundary(msh, path, rows):
 
 
 def _file_rows(msh):
+    """The boundary rows save_mesh writes: (low, high, tag)."""
     return [(int(i), int(j), "axis" if t == AXIS else "wall")
-            for (i, j), t in zip(msh.boundary_edges, msh.boundary_tags)]
+            for (i, j), t in zip(np.sort(msh.boundary_edges, axis=1), msh.boundary_tags)]
 
 
 def test_boundary_block_is_a_set(tmp_path):
@@ -384,3 +398,100 @@ def test_load_names_the_file_in_a_triangle_mesh_error(tmp_path):
     with pytest.raises(MeshError, match=re.escape(
             f"{path}: triangle 0 is degenerate or not counterclockwise")):
         mesh.load_mesh(path)
+
+
+# -- the corners classify_boundary reads off the boundary loop ----------------------
+
+
+def _corner_reference(msh):
+    """The construction classify_boundary used to detect corners with: the
+    interior angle of a boundary vertex as the sum of its triangles' angles,
+    and phi0 as the incident edge whose counterclockwise sweep by that angle
+    reaches the other one."""
+    verts = msh.vertices
+    angle_sum = np.zeros(msh.num_vertices)
+    for loc in range(3):
+        a = msh.triangles[:, loc]
+        b = msh.triangles[:, (loc + 1) % 3]
+        c = msh.triangles[:, (loc + 2) % 3]
+        u = verts[b] - verts[a]
+        v = verts[c] - verts[a]
+        cross = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+        dot = (u * v).sum(axis=1)
+        np.add.at(angle_sum, a, np.arctan2(np.abs(cross), dot))
+    corners = []
+    incident = {}
+    for (i, j), tag in zip(msh.boundary_edges, msh.boundary_tags):
+        for v in (int(i), int(j)):
+            incident.setdefault(v, []).append((int(i) + int(j) - v, tag))
+    for v in sorted(incident):
+        theta = angle_sum[v]
+        if theta <= math.pi + mesh.ANGLE_TOL:
+            continue
+        if abs(theta - math.pi) <= 10 * mesh.ANGLE_TOL and theta > math.pi:
+            raise MeshError(f"ambiguous interior angle at vertex {v}")
+        nbrs = incident[v]
+        if any(tag == AXIS for _, tag in nbrs):
+            raise MeshError("reentrant corner on the axis is not supported")
+        psi = [math.atan2(*(verts[w] - verts[v])[::-1]) for w, _ in nbrs]
+        if math.isclose((psi[1] - psi[0]) % (2 * math.pi), theta, abs_tol=1e-9):
+            phi0 = psi[0]
+        elif math.isclose((psi[0] - psi[1]) % (2 * math.pi), theta, abs_tol=1e-9):
+            phi0 = psi[1]
+        else:
+            raise MeshError(f"incident wall edges at vertex {v} do not bound the corner")
+        r_c = float(verts[v, 0])
+        corners.append(mesh.CornerDescriptor(
+            corner_vertex=v, position=(r_c, float(verts[v, 1])), interior_angle=float(theta),
+            alpha=math.pi / float(theta), phi0=float(phi0), a=r_c))
+    return corners
+
+
+@pytest.mark.parametrize("h", [0.2, 0.1, 0.05, 0.025, 0.0125, 0.01, 0.0045])
+def test_corners_match_the_angle_sums(h):
+    msh, _ = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, h)
+    got, want = mesh.classify_boundary(msh), _corner_reference(msh)
+    assert len(got) == 1 and got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("r_c, z_c, h", [(0.3, 0.6, 0.0125), (0.7, 0.2, 0.025), (0.7, 0.2, 0.0125)])
+def test_corner_angle_where_the_sum_was_one_ulp_high(r_c, z_c, h):
+    """The loop reads 3 pi / 2 as the float 2 pi - pi / 2; the angle sum of
+    these corners came out one ulp above it."""
+    msh, corner = mesh.gen_lshape(r_c, z_c, 1.0, 0.0, 1.0, h)
+    assert corner.position == (r_c, z_c)
+    assert (corner.interior_angle, corner.alpha) == (4.71238898038469, 0.6666666666666666)
+    [old] = _corner_reference(msh)
+    assert (old.interior_angle, old.alpha) == (4.712388980384691, 0.6666666666666665)
+    assert (old.corner_vertex, old.position, old.phi0, old.a) == (
+        corner.corner_vertex, corner.position, corner.phi0, corner.a)
+
+
+def test_ambiguous_interior_angle_is_rejected():
+    """A bottom wall vertex raised by 2e-6 over a half-width of 0.5 turns
+    the loop by 2 atan(4e-6), about 8e-6 rad past pi: above ANGLE_TOL and
+    within 10 ANGLE_TOL of pi."""
+    verts = np.array([[0.5, 0.0], [1.0, 2e-6], [1.5, 0.0], [1.5, 1.0], [0.5, 1.0]])
+    msh = mesh.TriangleMesh(verts, np.array([[0, 1, 4], [1, 3, 4], [1, 2, 3]]), 0.5)
+    with pytest.raises(MeshError, match="^ambiguous interior angle at vertex 1$"):
+        mesh.classify_boundary(msh)
+    with pytest.raises(MeshError, match="^ambiguous interior angle at vertex 1$"):
+        _corner_reference(msh)
+
+
+def test_slit_tip_is_rejected():
+    """The square [0.5, 1.5] x [0, 1] cut along z = 0.5 from r = 1.5 to the
+    tip (1, 0.5), the cut's end doubled as vertices 3 and 9: the loop runs
+    back along itself at vertex 8, where the angle sum found no edge pair
+    bounding 2 pi."""
+    verts = np.array([[0.5, 0.0], [1.0, 0.0], [1.5, 0.0], [1.5, 0.5], [1.5, 1.0], [1.0, 1.0],
+                      [0.5, 1.0], [0.5, 0.5], [1.0, 0.5], [1.5, 0.5]])
+    tris = np.array([[0, 1, 8], [0, 8, 7], [1, 2, 3], [1, 3, 8], [8, 9, 4], [8, 4, 5],
+                     [7, 8, 5], [7, 5, 6]])
+    msh = mesh.TriangleMesh(verts, tris, 0.5)
+    with pytest.raises(MeshError, match=re.escape(
+            "the boundary turns back on itself at vertex 8: "
+            "a slit tip (interior angle 2 pi) is not supported")):
+        mesh.classify_boundary(msh)
+    with pytest.raises(MeshError, match="^incident wall edges at vertex 8 do not bound the corner$"):
+        _corner_reference(msh)

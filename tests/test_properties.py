@@ -13,6 +13,7 @@ from axmaxwell import cli_io, mesh, solver
 from axmaxwell.cli_io import UsageError, load_config, main
 from axmaxwell.linalg import SolverError
 from axmaxwell.mesh import MeshError
+from test_mesh import _assert_directed_loop, _corner_reference
 
 FUZZ = settings(
     max_examples=150, deadline=None, database=None,
@@ -151,8 +152,40 @@ def test_derived_boundary_agrees_with_the_once_used_edges(keep, rmin):
         assert want is None
         return
     assert want is not None
-    for got, ref in zip((msh.boundary_edges, msh.boundary_tags), want):
+    for got, ref in zip((np.sort(msh.boundary_edges, axis=1), msh.boundary_tags), want):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    _assert_directed_loop(msh)
+
+
+def _corners_or_error(classify, msh):
+    try:
+        return classify(msh)
+    except MeshError as exc:
+        return str(exc)
+
+
+@FUZZ
+@given(keep=kept_cells(), rmin=st.sampled_from([0.0, 0.2]))
+def test_corners_agree_with_the_angle_sums(keep, rmin):
+    """The same corner vertices, phi0 and errors as the angle-sum
+    construction, the interior angle and alpha within one ulp of it."""
+    nr, nz = keep.shape
+    verts, tris = mesh._structured_arrays(np.linspace(rmin, 1.0, nr + 1),
+                                          np.linspace(-1.0, 1.0, nz + 1), keep)
+    try:
+        msh = mesh.TriangleMesh(verts, tris, 0.1)
+    except MeshError:
+        return
+    got = _corners_or_error(mesh.classify_boundary, msh)
+    want = _corners_or_error(_corner_reference, msh)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert [(c.corner_vertex, c.position, c.phi0, c.a) for c in got] == [
+        (c.corner_vertex, c.position, c.phi0, c.a) for c in want]
+    for c, ref in zip(got, want):
+        assert abs(c.interior_angle - ref.interior_angle) <= math.ulp(ref.interior_angle)
+        assert abs(c.alpha - ref.alpha) <= math.ulp(ref.alpha)
 
 
 # -- configuration ---------------------------------------------------------------

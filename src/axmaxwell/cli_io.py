@@ -280,7 +280,10 @@ def build_mesh(args):
         return meshmod.gen_lshape(args.corner_r, args.corner_z, args.rmax, args.zmin, args.zmax,
                                   args.h)
     msh = meshmod.load_mesh(args.mesh_file)
-    femcore.wall_components(msh)  # a wall edge that is not axis-aligned is a MeshError
+    try:
+        femcore.wall_components(msh)
+    except MeshError as exc:
+        raise MeshError(f"{args.mesh_file}: {exc}") from exc
     corners = meshmod.classify_boundary(msh)
     if len(corners) > 1:
         raise UsageError("meshes with more than one reentrant corner are not supported")

@@ -37,43 +37,31 @@ _LOCATE_PAIRS = 1 << 14  # point-triangle pairs _locate tests at once
 # -- quadrature ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Barycentric points/weights on the reference triangle (weights sum to 1)."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-
-def default_rule():
-    """Degree-5, 7-point rule; all points strictly interior."""
-    s15 = math.sqrt(15.0)
-    a = (6.0 - s15) / 21.0
-    b = (6.0 + s15) / 21.0
-    pts = [(1 / 3, 1 / 3, 1 / 3)]
-    wts = [9.0 / 40.0]
-    for c, w in ((a, (155.0 - s15) / 1200.0), (b, (155.0 + s15) / 1200.0)):
-        pts += [(1 - 2 * c, c, c), (c, 1 - 2 * c, c), (c, c, 1 - 2 * c)]
-        wts += [w, w, w]
-    return QuadratureRule(np.array(pts), np.array(wts))
-
-
-_SUB_CORNERS = [
-    # midpoint subdivision of the reference triangle, rows = barycentric
-    # coordinates of the sub-triangle corners
-    np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]]),
-    np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]]),
-    np.array([[0.5, 0.0, 0.5], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]),
-    np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
-]
-
-MAX_TRIANGLE_POINTS = len(_SUB_CORNERS) * len(default_rule().weights)  # on a subdivided triangle
+# degree-5, 7-point rule: barycentric points (7, 3), all strictly interior,
+# the centroid and two orbits (1 - 2c, c, c), and weights summing to 1
+_S15 = math.sqrt(15.0)
+RULE_POINTS = np.array([(1 / 3, 1 / 3, 1 / 3)] + [np.roll((1 - 2 * c, c, c), i)
+                       for c in ((6.0 - _S15) / 21.0, (6.0 + _S15) / 21.0) for i in range(3)])
+RULE_WEIGHTS = np.repeat([9.0 / 40.0, (155.0 - _S15) / 1200.0, (155.0 + _S15) / 1200.0], [1, 3, 3])
+# the rule on the 4-way midpoint subdivision of the triangle, the rows of
+# each sub-triangle's corners being their barycentric coordinates; the
+# weights scale by the area ratio 0.25, a power of two, so exactly
+_SUB_CORNERS = 0.5 * np.array([[[2, 0, 0], [1, 1, 0], [1, 0, 1]], [[1, 1, 0], [0, 2, 0], [0, 1, 1]],
+                               [[1, 0, 1], [0, 1, 1], [0, 0, 2]], [[1, 1, 0], [0, 1, 1], [1, 0, 1]]])
+SUB_POINTS = np.concatenate([RULE_POINTS @ sub for sub in _SUB_CORNERS])
+SUB_WEIGHTS = np.tile(0.25 * RULE_WEIGHTS, len(_SUB_CORNERS))
+MAX_TRIANGLE_POINTS = len(SUB_WEIGHTS)  # on a subdivided triangle
 
 
 class MeshQuadrature:
-    """Flattened quadrature data over all elements of a mesh.
+    """Flattened quadrature data over all elements of a mesh: the 7-point
+    rule on each plain triangle, the 28-point subdivided rule on each
+    triangle within h of the corner.
 
     Attributes (Q = total number of points):
+      runs          [(plain triangles, 7), (corner triangles, 28)]: each
+                    run's triangles in increasing order with their point
+                    count; a run may be empty
       tri    (Q,)   owning triangle index
       bary   (Q,3)  barycentric coordinates within the owning triangle
       xy     (Q,2)  physical (r, z) coordinates
@@ -83,39 +71,24 @@ class MeshQuadrature:
       operators     k-independent operator data (modal_ops.workspace),
                     built on first use
 
-    The points of each triangle are contiguous, and triangles with equal
-    point counts follow one another in triangle order (plain, then refined).
+    The points follow the runs: those of a run's triangle i are the n
+    consecutive ones from the run's start plus i * n.
     """
 
     def __init__(self, mesh, corner=None):
-        rule = default_rule()
         areas = mesh.triangle_areas()
-        nt = mesh.num_triangles
-        refined = np.zeros(nt, dtype=bool)
+        refined = np.zeros(mesh.num_triangles, dtype=bool)
         if corner is not None:
             pos = np.asarray(corner.position)
             d = np.linalg.norm(mesh.vertices[mesh.triangles] - pos, axis=2).min(axis=1)
             refined = d <= mesh.h + _GEOM_TOL
-        tri_idx = []
-        bary = []
-        wts = []
-        plain = np.where(~refined)[0]
-        if plain.size:
-            nq = len(rule.weights)
-            tri_idx.append(np.repeat(plain, nq))
-            bary.append(np.tile(rule.points, (plain.size, 1)))
-            wts.append(np.outer(areas[plain], rule.weights).ravel())
-        for t in np.where(refined)[0]:
-            for sub in _SUB_CORNERS:
-                pts = rule.points @ sub  # rule points in parent barycentric coords
-                tri_idx.append(np.full(len(rule.weights), t))
-                bary.append(pts)
-                wts.append(0.25 * areas[t] * rule.weights)
-        self.mesh = mesh
-        self.corner = corner
-        self.tri = np.concatenate(tri_idx)
-        self.bary = np.concatenate(bary, axis=0)
-        self.w = np.concatenate(wts)
+        rules = [(np.flatnonzero(~refined), RULE_POINTS, RULE_WEIGHTS),
+                 (np.flatnonzero(refined), SUB_POINTS, SUB_WEIGHTS)]
+        self.mesh, self.corner = mesh, corner
+        self.runs = [(tris, len(weights)) for tris, _, weights in rules]
+        self.tri = np.concatenate([np.repeat(tris, len(weights)) for tris, _, weights in rules])
+        self.bary = np.concatenate([np.tile(points, (len(tris), 1)) for tris, points, _ in rules])
+        self.w = np.concatenate([np.outer(areas[tris], weights).ravel() for tris, _, weights in rules])
         corners = mesh.vertices[mesh.triangles[self.tri]]
         self.xy = np.einsum("qi,qij->qj", self.bary, corners)
         self.r = self.xy[:, 0]
@@ -310,15 +283,16 @@ class ConstraintSet:
 def wall_components(mesh):
     """The wall edges (E, 2) and, per edge, the component of its meridian
     tangent and that of its normal: u_r (0) and u_z (2) for a horizontal
-    edge, u_z and u_r for a vertical one.  A wall edge that is neither is a
-    MeshError.
+    edge, u_z and u_r for a vertical one.  The first wall edge that is
+    neither is named in a MeshError.
     """
     edges = mesh.boundary_edges[mesh.boundary_tags == WALL]
     d = np.abs(mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]])
     horizontal = d[:, 1] <= _GEOM_TOL * np.maximum(1.0, d[:, 0])
     vertical = d[:, 0] <= _GEOM_TOL * np.maximum(1.0, d[:, 1])
     if not np.all(horizontal | vertical):
-        raise MeshError("wall edges must be axis-aligned")
+        i, j = edges[np.argmin(horizontal | vertical)]
+        raise MeshError(f"wall edge {i} -> {j} is not axis-aligned")
     tangential = np.where(horizontal, 0, 2)
     return edges, tangential, 2 - tangential
 

@@ -14,6 +14,7 @@ import numpy as np
 # CG raises once its residual has made no new minimum for this many
 # iterations; healthy Jacobi solves stalled for up to 110 (h = 0.00625)
 STALL_WINDOW = 200
+_EPS = np.finfo(float).eps  # a relative residual below it is round-off
 # damping of the Jacobi smoother of the V-cycle, and its sweeps per side;
 # the smoother contracts, and the cycle stays positive definite, while
 # _OMEGA times the largest eigenvalue of D^-1 A stays below 2.  That
@@ -172,12 +173,13 @@ def solve_hpd(A, b, tol=1e-10, maxit=None, *, hierarchy=None):
     Jacobi.  Once the recursive residual reaches tol the true one is
     recomputed; if it is above tol, CG restarts once from x with r = b - Ax,
     and raises SolverError carrying the true residual if that pass ends
-    above tol too.  Returns (x, CGInfo), CGInfo.residual being the true
-    residual; raises ValueError unless 0 < tol < 1 (NaN included) and
-    SolverError when maxit iterations (both passes together) are exhausted
-    or when the recursive residual has made no new minimum for STALL_WINDOW
-    iterations of a pass; CGInfo.longest_stall is the longest such run
-    over both passes.
+    above tol too.  A p^H A p that is not positive ends a pass too once the
+    recursive residual is below _EPS.  Returns (x, CGInfo), CGInfo.residual
+    being the true residual; raises ValueError unless 0 < tol < 1 (NaN
+    included) and SolverError when maxit iterations (both passes together)
+    are exhausted or when the recursive residual has made no new minimum
+    for STALL_WINDOW iterations of a pass; CGInfo.longest_stall is the
+    longest such run over both passes.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be finite and lie in (0, 1), got {tol!r}")
@@ -221,6 +223,8 @@ def solve_hpd(A, b, tol=1e-10, maxit=None, *, hierarchy=None):
             q = A.matvec(p)
             denom = np.vdot(p, q).real
             if denom <= 0.0:
+                if resid < _EPS:  # round-off, not indefiniteness: the true residual decides
+                    break
                 raise SolverError(
                     "CG breakdown: matrix is not positive definite on the free dofs",
                     residual=resid,
@@ -241,12 +245,13 @@ def solve_hpd(A, b, tol=1e-10, maxit=None, *, hierarchy=None):
                 since_best += 1
                 longest_stall = max(longest_stall, since_best)
         r = b - A.matvec(x)
-        resid = float(np.linalg.norm(r) / bnorm)
+        recursive, resid = resid, float(np.linalg.norm(r) / bnorm)
         if resid <= tol:
             return x, CGInfo(it, resid, longest_stall)
+    ended = f"stopped at round-off ({recursive:.3e})" if recursive < _EPS else f"reached tol {tol:.3e}"
     raise SolverError(
-        f"CG reached tol {tol:.3e} on its recursive residual, but the true "
-        f"residual is {resid:.3e} after a restart",
+        f"CG {ended} on its recursive residual, but the true residual is {resid:.3e} "
+        f"(tol {tol:.3e}) after a restart",
         residual=resid,
         iterations=it,
     )

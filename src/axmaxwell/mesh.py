@@ -432,8 +432,10 @@ def load_mesh(path):
             raise MeshError(f"{path}: expected '{name} N' block header")
         try:
             n = int(head[1])
-        except ValueError as exc:
-            raise MeshError(f"{path}: bad {name} count") from exc
+        except ValueError:
+            n = -1
+        if n < 0:
+            raise MeshError(f"{path}: bad {name} count")
         rows = []
         for _ in range(n):
             parts = take().split()

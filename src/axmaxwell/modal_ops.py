@@ -113,7 +113,8 @@ class OperatorWorkspace:
       E00 = D0^T W D0,   E11 = R1^T W R1,   A = D0^T W R1 - R1^T W D0.
 
     D0 and R1 exist only per chunk (triangle ids, slice of points, n) of
-    m triangles of n points each, one run of points: its per-point data
+    m triangles of n points each, a slice of one of the quadrature's runs
+    (quad.runs) of at most _CHUNK_TRIANGLES triangles: its per-point data
     are slices reshaped to (m, n, ...), and the real factors G, lambda / r
     and w r act on float views of complex arrays.  E00, E11 and A are
     formed per block chunk, of at most _BLOCK_TRIANGLES triangles, and kept
@@ -121,7 +122,7 @@ class OperatorWorkspace:
     r, wr (Q,), the chunks and block chunks, all real, blocks (None unless
     kept), the distinct vertex pairs of the element entries, pairs, as (row
     vertices, column vertices) and pair_of (nt * 9,), the pair of each
-    entry, plus the quadrature's tri, bary and xy and the mesh triangles.
+    entry, plus the quadrature's bary and xy and the mesh triangles.
     Built once per quadrature (see workspace); the methods take the mode
     k: op_values applies D_k to nodal fields at the points and op_adjoint,
     its adjoint, pairs point samples with the local test dofs.
@@ -130,25 +131,20 @@ class OperatorWorkspace:
     def __init__(self, quad):
         mesh = quad.mesh
         # the arrays, not the quadrature: it holds this workspace
-        self.tri, self.bary, self.xy = quad.tri, quad.bary, quad.xy
+        self.bary, self.xy = quad.bary, quad.xy
         self.triangles = mesh.triangles
         self.G = gradients(mesh)
         self.lor = quad.bary / quad.r[:, None]
         self.wr = quad.w * quad.r
-        # runs of consecutive triangles with equal point counts, in chunks
-        tri = quad.tri
-        starts = np.flatnonzero(np.r_[True, tri[1:] != tri[:-1]])
-        counts = np.diff(np.r_[starts, len(tri)])
-        runs = np.flatnonzero(np.r_[True, counts[1:] != counts[:-1], True])
         self.num_triangles = mesh.num_triangles
 
         def chunks(size):
-            out = []
-            for a, b in zip(runs[:-1], runs[1:]):
-                n = counts[a]
-                for s in range(a, b, size):
-                    first = starts[s:min(s + size, b)]
-                    out.append((tri[first], slice(first[0], first[0] + len(first) * n), n))
+            out, start = [], 0
+            for tris, n in quad.runs:
+                for s in range(0, len(tris), size):
+                    part = tris[s:s + size]
+                    out.append((part, slice(start + s * n, start + (s + len(part)) * n), n))
+                start += len(tris) * n
             return out
         self.chunks, self.block_chunks = chunks(_CHUNK_TRIANGLES), chunks(_BLOCK_TRIANGLES)
         pairs = (mesh.triangles[:, :, None] * mesh.num_vertices + mesh.triangles[:, None, :]).ravel()
@@ -196,7 +192,7 @@ class OperatorWorkspace:
         points, (Q, 4), formed per chunk of triangles."""
         u = np.asarray(values, dtype=complex).reshape(-1, 3)
         rows = _over_r_rows(k).T
-        out = np.empty((len(self.tri), _NOPS), dtype=complex)
+        out = np.empty((len(self.wr), _NOPS), dtype=complex)
         for tris, points, n in self.chunks:
             m = len(tris)
             local = u[self.triangles[tris]].view(float)  # (m, local vertex, (component, re/im))
@@ -230,7 +226,7 @@ class OperatorWorkspace:
     def point_values(self, values):
         """Field values at the quadrature points, (Q, 3)."""
         u = np.asarray(values, dtype=complex).reshape(-1, 3)
-        out = np.empty((len(self.tri), 3), dtype=complex)
+        out = np.empty((len(self.wr), 3), dtype=complex)
         for tris, points, n in self.chunks:
             bary = self.bary[points].reshape(len(tris), n, 3)
             out[points] = (bary @ u[self.triangles[tris]].view(float)).view(complex).reshape(-1, 3)

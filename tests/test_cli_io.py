@@ -411,6 +411,8 @@ def test_bad_input_fails_before_outdir_exists(tmp_path, capsys, command):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "\n" not in err.strip()
+    if "{slanted}" in command:
+        assert err == f"error: invalid-input: {slanted}: wall edge 3 -> 4 is not axis-aligned\n"
     assert not outdir.exists()
 
 
@@ -969,6 +971,19 @@ def test_unreachable_tolerance_is_numerical_failure(tmp_path, capsys):
                "--outdir", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: numerical:")
+    assert not (tmp_path / "summary.csv").exists()
+
+
+def test_tolerance_below_round_off_is_not_a_breakdown(tmp_path, capsys):
+    """At tol = 1e-200 the recursive residual falls to where p^H A p
+    underflows: the pass ends there, and the solve fails on its true
+    residual (exit 2), not as a matrix that is not positive definite."""
+    rc = main(["solve", "--h", "0.2", "--modes", "2", "--tol", "1e-200",
+               "--outdir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical: CG stopped at round-off")
+    assert "the true residual is" in err and "positive definite" not in err
     assert not (tmp_path / "summary.csv").exists()
 
 

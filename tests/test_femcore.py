@@ -4,14 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from axmaxwell import femcore, mesh
+from axmaxwell import femcore, mesh, modal_ops
 from axmaxwell.femcore import (
     SPACE_X,
     SPACE_Y,
     MeshQuadrature,
     ModeField,
     build_constraints,
-    default_rule,
     interpolate,
     interpolate_scalar,
     lift_boundary,
@@ -55,9 +54,20 @@ def _one_triangle_mesh(verts):
 
 
 def test_rule_is_degree_five_and_interior():
-    rule = default_rule()
-    assert rule.weights.sum() == pytest.approx(1.0, abs=1e-15)
-    assert np.all(rule.points > 0.0)
+    """The 7-point rule and its subdivision integrate every barycentric
+    monomial of degree <= 5 over the reference triangle of area 1 exactly,
+    2 a! b! c! / (a + b + c + 2)!, at strictly interior points."""
+    for points, weights in ((femcore.RULE_POINTS, femcore.RULE_WEIGHTS),
+                            (femcore.SUB_POINTS, femcore.SUB_WEIGHTS)):
+        assert weights.sum() == pytest.approx(1.0, abs=1e-15)
+        assert np.all(points > 0.0) and np.allclose(points.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        for degree in range(6):
+            for a, b, c in _multinomials(degree, 3):
+                moments = math.factorial(a) * math.factorial(b) * math.factorial(c)
+                want = 2.0 * moments / math.factorial(degree + 2)
+                got = weights @ (points[:, 0] ** a * points[:, 1] ** b * points[:, 2] ** c)
+                assert got == pytest.approx(want, rel=1e-14, abs=1e-16)
+    assert femcore.MAX_TRIANGLE_POINTS == len(femcore.SUB_WEIGHTS) == 4 * len(femcore.RULE_WEIGHTS) == 28
 
 
 def test_quadrature_exact_for_weighted_monomials():
@@ -90,6 +100,87 @@ def test_corner_subdivision_refines_near_corner():
     assert np.bincount(refined.tri).max() == femcore.MAX_TRIANGLE_POINTS == 28
     # total weight (area) is preserved by the subdivision
     assert refined.w.sum() == pytest.approx(plain.w.sum(), rel=1e-13)
+
+
+def _quadrature_reference(msh, corner):
+    """The construction MeshQuadrature used to build its points with, the
+    7-point rule rebuilt per call and a loop over each corner triangle and
+    each of its four sub-triangles, and the chunk plans OperatorWorkspace
+    used to recover from tri: returns tri, bary, w, xy and chunks(size)."""
+    s15 = math.sqrt(15.0)
+    a, b = (6.0 - s15) / 21.0, (6.0 + s15) / 21.0
+    pts, wts = [(1 / 3, 1 / 3, 1 / 3)], [9.0 / 40.0]
+    for c, wc in ((a, (155.0 - s15) / 1200.0), (b, (155.0 + s15) / 1200.0)):
+        pts += [(1 - 2 * c, c, c), (c, 1 - 2 * c, c), (c, c, 1 - 2 * c)]
+        wts += [wc, wc, wc]
+    points, weights = np.array(pts), np.array(wts)
+    subs = [np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]]),
+            np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]]),
+            np.array([[0.5, 0.0, 0.5], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]),
+            np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])]
+    areas = msh.triangle_areas()
+    refined = np.zeros(msh.num_triangles, dtype=bool)
+    if corner is not None:
+        d = np.linalg.norm(msh.vertices[msh.triangles] - np.asarray(corner.position), axis=2).min(axis=1)
+        refined = d <= msh.h + 1e-12
+    plain = np.where(~refined)[0]
+    tri_idx, bary, w = [], [], []
+    if plain.size:
+        tri_idx.append(np.repeat(plain, len(weights)))
+        bary.append(np.tile(points, (plain.size, 1)))
+        w.append(np.outer(areas[plain], weights).ravel())
+    for t in np.where(refined)[0]:
+        for sub in subs:
+            tri_idx.append(np.full(len(weights), t))
+            bary.append(points @ sub)
+            w.append(0.25 * areas[t] * weights)
+    tri, bary, w = np.concatenate(tri_idx), np.concatenate(bary, axis=0), np.concatenate(w)
+    xy = np.einsum("qi,qij->qj", bary, msh.vertices[msh.triangles[tri]])
+    starts = np.flatnonzero(np.r_[True, tri[1:] != tri[:-1]])
+    counts = np.diff(np.r_[starts, len(tri)])
+    runs = np.flatnonzero(np.r_[True, counts[1:] != counts[:-1], True])
+
+    def chunks(size):
+        out = []
+        for lo, hi in zip(runs[:-1], runs[1:]):
+            n = counts[lo]
+            for s in range(lo, hi, size):
+                first = starts[s:min(s + size, hi)]
+                out.append((tri[first], slice(first[0], first[0] + len(first) * n), n))
+        return out
+    return tri, bary, w, xy, chunks
+
+
+def _lshapes_and_rectangle():
+    for h in (0.2, 0.1, 0.05, 0.025, 0.0125):
+        for r_c, z_c in ((0.3, 0.6), (0.7, 0.2)):
+            yield pytest.param(lambda h=h, r_c=r_c, z_c=z_c: mesh.gen_lshape(r_c, z_c, 1.0, 0.0, 1.0, h),
+                               id=f"lshape-{r_c}-{z_c}-{h}")
+    yield pytest.param(lambda: (mesh.gen_rectangle(0.0, 1.0, 0.0, 1.0, 0.1), None), id="rectangle")
+
+
+@pytest.mark.parametrize("make", _lshapes_and_rectangle())
+def test_quadrature_layout_equals_its_reference_bit_for_bit(make):
+    """tri, bary, w and xy, and both chunk plans of the workspace, equal
+    those of the per-triangle construction bit for bit, with and without
+    the corner: the subdivided weights scale by 0.25, a power of two, so
+    0.25 * area * w and area * (0.25 * w) are the same float."""
+    msh, corner = make()
+    for at in {None, corner}:
+        quad = MeshQuadrature(msh, at)
+        tri, bary, w, xy, chunks = _quadrature_reference(msh, at)
+        for got, want in ((quad.tri, tri), (quad.bary, bary), (quad.w, w), (quad.xy, xy)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert [n for _, n in quad.runs] == [7, 28]
+        ws = modal_ops.OperatorWorkspace(quad)
+        for plan, size in ((ws.chunks, modal_ops._CHUNK_TRIANGLES),
+                           (ws.block_chunks, modal_ops._BLOCK_TRIANGLES)):
+            want = chunks(size)
+            assert len(plan) == len(want)
+            for (tris, points, n), (tris_want, points_want, n_want) in zip(plan, want):
+                assert tris.dtype == tris_want.dtype and tris.tobytes() == tris_want.tobytes()
+                assert (points, n) == (points_want, n_want)
 
 
 def test_interpolate_partition_of_unity(rect):

@@ -172,6 +172,14 @@ def test_cg_rejects_tolerance_outside_unit_interval(tol):
         solve_hpd(A, np.ones(5), tol=tol)
 
 
+def test_indefinite_matrix_breaks_down():
+    """[[1, 2], [2, 1]] has eigenvalues 3 and -1: with b = (1, -1) the first
+    search direction has p^H A p = -2 at a residual far above round-off."""
+    A = _from_coo([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 2.0, 2.0, 1.0], 2)
+    with pytest.raises(SolverError, match="^CG breakdown: matrix is not positive definite"):
+        solve_hpd(A, np.array([1.0, -1.0]))
+
+
 def test_zero_diagonal_is_rejected():
     A = _from_coo([0, 1], [1, 0], [1.0, 1.0], 2)
     with pytest.raises(SolverError):

@@ -389,6 +389,20 @@ def test_load_rejects_boundary_block_with_an_extra_edge(tmp_path, extra):
         mesh.load_mesh(path)
 
 
+_ONE_TRIANGLE = "vertices 3\n0.5 0\n1 0\n1 1\ntriangles 1\n0 1 2\nboundary 3\n0 1 wall\n1 2 wall\n0 2 wall\n"
+
+
+@pytest.mark.parametrize("name, count", [("vertices", 3), ("triangles", 1), ("boundary", 3)])
+def test_load_rejects_a_negative_block_count(tmp_path, name, count):
+    """A negative count is a bad count, not a block read as empty."""
+    path = tmp_path / "neg.axmesh"
+    path.write_text("axmesh 1\n" + _ONE_TRIANGLE.replace(f"{name} {count}", f"{name} -{count}"))
+    with pytest.raises(MeshError, match=f"^{re.escape(str(path))}: bad {name} count$"):
+        mesh.load_mesh(path)
+    path.write_text("axmesh 1\n" + _ONE_TRIANGLE)
+    mesh.load_mesh(path)
+
+
 def test_load_names_the_file_in_a_triangle_mesh_error(tmp_path):
     """A mesh file whose one triangle is clockwise fails in TriangleMesh,
     and the message names the file."""

@@ -1,6 +1,12 @@
+import importlib
+import inspect
 import os
+import pathlib
+import re
 import subprocess
 import sys
+
+import pytest
 
 import axmaxwell
 
@@ -44,3 +50,21 @@ def test_a_solve_loads_no_masked_arrays(tmp_path):
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert out.stdout.split()[-1] == "False"
+
+
+_README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize("module, name", [
+    ("cli_io", "write_vtk"), ("cli_io", "write_vtk_wedges"), ("solver", "solve_axisymmetric"),
+    ("solver", "error_norms"), ("femcore", "lift_boundary"), ("singular", "singular_dimensions"),
+])
+def test_readme_signatures_match_the_code(module, name):
+    """Every `name(...)` span of README spells the function's signature as
+    inspect.signature gives it, up to whitespace."""
+    fn = getattr(importlib.import_module(f"axmaxwell.{module}"), name)
+    spans = re.findall(rf"`({name}\([^`]*\))`", _README.read_text())
+    assert spans, f"README does not spell out {name}"
+    want = name + str(inspect.signature(fn))
+    for span in spans:
+        assert " ".join(span.split()) == want

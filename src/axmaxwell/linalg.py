@@ -53,7 +53,8 @@ class HermitianSparse:
         x = np.asarray(x, dtype=complex)
         if self.nnz == 0:
             return np.zeros(self.n, dtype=complex)
-        prod = self.data * x[self.indices]
+        prod = x[self.indices]
+        np.multiply(self.data, prod, out=prod)  # one temporary; data * x, not x * data, keeps the bits
         out = np.add.reduceat(prod, self._starts)
         out[self._empty] = 0.0
         return out
@@ -173,13 +174,13 @@ def solve_hpd(A, b, tol=1e-10, maxit=None, *, hierarchy=None):
     Jacobi.  Once the recursive residual reaches tol the true one is
     recomputed; if it is above tol, CG restarts once from x with r = b - Ax,
     and raises SolverError carrying the true residual if that pass ends
-    above tol too.  A p^H A p that is not positive ends a pass too once the
-    recursive residual is below _EPS.  Returns (x, CGInfo), CGInfo.residual
-    being the true residual; raises ValueError unless 0 < tol < 1 (NaN
-    included) and SolverError when maxit iterations (both passes together)
-    are exhausted or when the recursive residual has made no new minimum
-    for STALL_WINDOW iterations of a pass; CGInfo.longest_stall is the
-    longest such run over both passes.
+    above tol too.  A p^H A p that is not positive ends a pass once the
+    recursive residual is below _EPS, and no restart follows.  Returns (x,
+    CGInfo), CGInfo.residual being the true residual; raises ValueError
+    unless 0 < tol < 1 (NaN included) and SolverError when maxit iterations
+    (both passes together) are exhausted or when the recursive residual has
+    made no new minimum for STALL_WINDOW iterations of a pass;
+    CGInfo.longest_stall is the longest such run over both passes.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be finite and lie in (0, 1), got {tol!r}")
@@ -200,7 +201,7 @@ def solve_hpd(A, b, tol=1e-10, maxit=None, *, hierarchy=None):
     x = np.zeros(n, dtype=complex)
     r = b.copy()
     it = longest_stall = 0
-    for _ in range(2):
+    for restarted in (False, True):
         z = precondition(r)
         rho = np.vdot(r, z).real
         p = z.copy()
@@ -248,10 +249,12 @@ def solve_hpd(A, b, tol=1e-10, maxit=None, *, hierarchy=None):
         recursive, resid = resid, float(np.linalg.norm(r) / bnorm)
         if resid <= tol:
             return x, CGInfo(it, resid, longest_stall)
+        if recursive > tol:  # the pass stopped at round-off: a restart cannot do better
+            break
     ended = f"stopped at round-off ({recursive:.3e})" if recursive < _EPS else f"reached tol {tol:.3e}"
     raise SolverError(
         f"CG {ended} on its recursive residual, but the true residual is {resid:.3e} "
-        f"(tol {tol:.3e}) after a restart",
+        f"(tol {tol:.3e})" + (" after a restart" if restarted else ""),
         residual=resid,
         iterations=it,
     )

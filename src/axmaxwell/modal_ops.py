@@ -22,10 +22,10 @@ element matrices all apply these tensors.
 Mode k enters only through the i k / r terms, so the element matrices of
 a_k are E(k) = E00 + k^2 E11 + i k A with real blocks formed per chunk of
 triangles, kept only where mode +-2 systems are shifted (OperatorWorkspace).
-Every mode matrix is E(k) reduced on the free dofs of its constraint class,
-on a CSR pattern expanded from the vertex pairs; the |k| >= 2 class depends
-neither on k nor on its sign, so the |k| > 2 matrices of the bordered path
-reuse the pattern of the mode-2 system (shifted_system).  The shift identity
+Every mode matrix is E(k), range by range, reduced on the free dofs of its
+class on a CSR pattern expanded from the vertex pairs; the |k| >= 2 class
+depends neither on k nor on its sign, so the |k| > 2 matrices of the
+bordered path reuse the mode-2 pattern (shifted_system).  The shift identity
 
   a_k(u, v) = a_2(u, v) + (k^2 - 4) (u/r, v/r) + i (k - 2) C(u, v),
 
@@ -90,7 +90,7 @@ def _over_r_rows(k):
 
 # triangles per chunk of the per-triangle sums, to bound their temporaries
 _CHUNK_TRIANGLES = 1024
-# triangles per chunk of the element blocks, the largest temporaries of an assembly
+# triangles per range of the element blocks, the largest temporaries of an assembly
 _BLOCK_TRIANGLES = 128
 
 
@@ -117,15 +117,16 @@ class OperatorWorkspace:
     (quad.runs) of at most _CHUNK_TRIANGLES triangles: its per-point data
     are slices reshaped to (m, n, ...), and the real factors G, lambda / r
     and w r act on float views of complex arrays.  E00, E11 and A are
-    formed per block chunk, of at most _BLOCK_TRIANGLES triangles, and kept
-    only after keep_blocks.  Attributes: G (nt, 3, 2), lor (Q, 3) lambda /
-    r, wr (Q,), the chunks and block chunks, all real, blocks (None unless
-    kept), the distinct vertex pairs of the element entries, pairs, as (row
-    vertices, column vertices) and pair_of (nt * 9,), the pair of each
-    entry, plus the quadrature's bary and xy and the mesh triangles.
-    Built once per quadrature (see workspace); the methods take the mode
-    k: op_values applies D_k to nodal fields at the points and op_adjoint,
-    its adjoint, pairs point samples with the local test dofs.
+    formed per chunk of each range of at most _BLOCK_TRIANGLES triangles,
+    and kept only after keep_blocks.  Attributes: G (nt, 3, 2), lor (Q, 3)
+    lambda / r, wr (Q,), the chunks and ranges, all real, blocks (None
+    unless kept), the distinct vertex pairs of the element entries, pairs,
+    as (row vertices, column vertices) and pair_of (nt * 9,), the pair of
+    each entry, plus the quadrature's bary, xy and runs and the mesh
+    triangles.  Built once per quadrature (see workspace); the methods take
+    the mode k: element_range forms E(k) of a range, op_values applies D_k
+    to nodal fields at the points and op_adjoint pairs point samples with
+    the local test dofs.
     """
 
     def __init__(self, quad):
@@ -136,17 +137,9 @@ class OperatorWorkspace:
         self.G = gradients(mesh)
         self.lor = quad.bary / quad.r[:, None]
         self.wr = quad.w * quad.r
-        self.num_triangles = mesh.num_triangles
-
-        def chunks(size):
-            out, start = [], 0
-            for tris, n in quad.runs:
-                for s in range(0, len(tris), size):
-                    part = tris[s:s + size]
-                    out.append((part, slice(start + s * n, start + (s + len(part)) * n), n))
-                start += len(tris) * n
-            return out
-        self.chunks, self.block_chunks = chunks(_CHUNK_TRIANGLES), chunks(_BLOCK_TRIANGLES)
+        self.runs, nt = quad.runs, mesh.num_triangles
+        self.num_triangles, self.chunks = nt, self.chunks_of(slice(0, nt), _CHUNK_TRIANGLES)
+        self.ranges = [slice(t, min(t + _BLOCK_TRIANGLES, nt)) for t in range(0, nt, _BLOCK_TRIANGLES)]
         pairs = (mesh.triangles[:, :, None] * mesh.num_vertices + mesh.triangles[:, None, :]).ravel()
         pairs, pair_of = np.unique(pairs, return_inverse=True)
         self.pairs, self.pair_of = np.divmod(pairs, mesh.num_vertices), pair_of.astype(np.int32)
@@ -165,26 +158,41 @@ class OperatorWorkspace:
         for tensor, out in ((OVER_R, d0), (IK_R, r1)):
             for a, c in zip(*np.nonzero(tensor)):
                 out[:, :, a, :, c] += tensor[a, c] * lor
-        w = self.wr[points].reshape(m, n, 1, 1, 1)  # then the rows of all points stacked
-        d0, r1, wd0, wr1 = (x.reshape(m, n * _NOPS, 9) for x in (d0, r1, d0 * w, r1 * w))
-        e00, e11, cross = (x.transpose(0, 2, 1) @ y for x, y in ((d0, wd0), (r1, wr1), (wd0, r1)))
-        return e00, e11, cross - cross.transpose(0, 2, 1)
+        w = np.repeat(self.wr[points], _NOPS).reshape(m, n * _NOPS, 1)  # the rows of all points stacked
+        d0, r1 = d0.reshape(m, n * _NOPS, 9), r1.reshape(m, n * _NOPS, 9)
+        wd0 = d0 * w
+        e00, cross = d0.transpose(0, 2, 1) @ wd0, wd0.transpose(0, 2, 1) @ r1
+        del d0, wd0  # before the weighted copy of r1
+        return e00, r1.transpose(0, 2, 1) @ (r1 * w), cross - cross.transpose(0, 2, 1)
+
+    def chunks_of(self, triangles, size):
+        """The chunks of the triangles in a slice, at most size each, run by run."""
+        out, start = [], 0
+        for tris, n in self.runs:
+            i, j = np.searchsorted(tris, (triangles.start, triangles.stop))
+            for s in range(i, j, size):
+                part = tris[s:min(s + size, j)]
+                out.append((part, slice(start + s * n, start + (s + len(part)) * n), n))
+            start += len(tris) * n
+        return out
 
     def keep_blocks(self):
-        """Form E00, E11 and A once, per chunk, and keep them: for a workspace
-        whose mode +-2 systems are shifted to |k| > 2 modes."""
+        """Form E00, E11 and A once, per chunk of each range, and keep them:
+        for a workspace whose mode +-2 systems are shifted to |k| > 2 modes."""
         if self.blocks is None:
-            self.blocks = [self._blocks(*chunk) for chunk in self.block_chunks]
+            self.blocks = [[self._blocks(*c) for c in self.chunks_of(r, _BLOCK_TRIANGLES)]
+                           for r in self.ranges]
 
-    def element_matrices(self, k):
-        """Per-triangle 9x9 Hermitian element matrices of a_k, E(k), as a new
-        array formed chunk by chunk, from the kept blocks if there are any."""
-        out = np.empty((self.num_triangles, 9, 9), dtype=complex)
-        blocks = self.blocks or (self._blocks(*chunk) for chunk in self.block_chunks)
-        for (tris, _, _), (e00, e11, a) in zip(self.block_chunks, blocks):
+    def element_range(self, i, k):
+        """E(k), the 9x9 Hermitian element matrices of a_k, of range i as a new
+        (m, 9, 9) array in triangle order, from the kept blocks if there are any."""
+        triangles = self.ranges[i]
+        out = np.empty((triangles.stop - triangles.start, 9, 9), dtype=complex)
+        for j, (tris, points, n) in enumerate(self.chunks_of(triangles, _BLOCK_TRIANGLES)):
+            e00, e11, a = self.blocks[i][j] if self.blocks else self._blocks(tris, points, n)
             part = (1j * k) * a
             part += e00 + (k * k) * e11
-            out[tris] = part
+            out[tris - triangles.start] = part
         return out
 
     def op_values(self, values, k):
@@ -262,9 +270,9 @@ class LoadScatter:
 
 class _Pattern:
     """CSR pattern of the reduced matrix of a load scatter's constraint set
-    and the slot of every element entry in it, which only an assembled class
-    needs.  Both come from the workspace's vertex pairs: each expands to
-    its 3x3 dof pairs through the class's free index."""
+    and the slot of every element entry in it, which only an assembly and
+    a shift read.  Both come from the workspace's vertex pairs: each expands
+    to its 3x3 dof pairs through the class's free index."""
 
     def __init__(self, load_scatter, ws):
         self.scatter = load_scatter
@@ -284,14 +292,17 @@ class _Pattern:
         slots[keep] = inverse
         self.slots = slots[ws.pair_of.reshape(-1, 3, 3)].transpose(0, 1, 3, 2, 4).ravel()
 
-    def matrix(self, elem):
-        """Reduced matrix from per-triangle 9x9 element matrices, which are
-        scaled by the constraint coefficients in place."""
+    def matrix(self, ws, k):
+        """Reduced matrix of a_k from E(k) of the workspace ws, each range
+        scaled by the constraint coefficients and added in triangle order."""
         ci = self.scatter.coeff
-        elem *= np.conj(ci)[:, :, None]
-        elem *= ci[:, None, :]
-        data = scatter(self.slots, elem.ravel(), len(self.indices))
-        return HermitianSparse(self.indptr, self.indices, data, self.scatter.n)
+        data = np.zeros(len(self.indices) + 1, dtype=complex)  # the last slot takes no free dof's entries
+        for i, tris in enumerate(ws.ranges):
+            elem = ws.element_range(i, k) * np.conj(ci[tris])[:, :, None]
+            elem *= ci[tris, None, :]
+            np.add.at(data, self.slots[81 * tris.start:81 * tris.stop], elem.ravel())
+            del elem  # before the next range's blocks
+        return HermitianSparse(self.indptr, self.indices, data[:-1], self.scatter.n)
 
 
 class ModeSystem:
@@ -318,7 +329,7 @@ class ModeSystem:
         self.ws = workspace(quad)
         self.scatter = scatter
         self.pattern = _Pattern(scatter, self.ws)
-        self.matrix = self.pattern.matrix(self.ws.element_matrices(self.k))
+        self.matrix = self.pattern.matrix(self.ws, self.k)
         self.hierarchy, self.coarse = None, []
 
     def shifted(self, k):
@@ -353,10 +364,10 @@ def assemble_systems(space, modes, quad, shift=False, scatters=None):
     """The a_k systems of modes on one quadrature, keyed by k, each with its
     multigrid hierarchy when it has at least MULTIGRID_MIN_DOFS free dofs
     and the mesh nests (see coarse_levels).  scatters, optionally, holds
-    the load scatters of the systems, keyed by k.  With shift, the mode +-2
-    systems keep their coarse systems and every workspace keeps its element
-    blocks, the fine one from before any system: the |k| > 2 systems shifted
-    from them shift every level without forming the blocks again.
+    the load scatters of the systems, keyed by k.  Only with shift do the
+    mode +-2 systems keep their coarse systems and pattern slots, and every
+    workspace its element blocks, the fine one from before any system: the
+    |k| > 2 systems shifted from them form no blocks again.
 
     The hierarchies are built after all fine systems, and the coarse
     quadratures are dropped after them unless kept: the coarse workspaces
@@ -365,7 +376,11 @@ def assemble_systems(space, modes, quad, shift=False, scatters=None):
     scatters = scatters or {}
     if shift:
         workspace(quad).keep_blocks()
-    systems = {k: assemble_a_k(quad.mesh, k, space, quad, scatters.get(k)) for k in modes}
+    systems = {}
+    for k in modes:
+        systems[k] = assemble_a_k(quad.mesh, k, space, quad, scatters.get(k))
+        if not (shift and abs(k) == 2):  # only shifted_system reads the slots again
+            systems[k].pattern.slots = None
     levels = None
     for k, system in systems.items():
         if system.matrix.n >= MULTIGRID_MIN_DOFS:
@@ -571,4 +586,4 @@ def shifted_system(system2, k):
         raise ValueError("shifted assembly expects a mode +-2 base system")
     if abs(k) <= 2:
         raise ValueError("shifted assembly serves |k| > 2")
-    return system2.pattern.matrix(system2.ws.element_matrices(int(k)))
+    return system2.pattern.matrix(system2.ws, int(k))

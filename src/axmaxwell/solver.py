@@ -274,7 +274,8 @@ def solve_mode_orthogonal(system, data, basis=None, tol=1e-10, *, load=None, flo
     """
     if basis is not None and basis.k != system.k:
         raise ValueError(f"expected the mode {system.k} basis, got mode {basis.k}")
-    load, _, energy, numer = _pair(system, data, basis, load)
+    load, bop, energy, numer = _pair(system, data, basis, load)
+    del data, bop  # no (Q, 4) array of the mode lives through its CG
     coeff = numer / energy if basis is not None else 0j
     info = _unsolved(np.linalg.norm(load), floor, tol)
     if info is not None:
@@ -310,6 +311,7 @@ def solve_mode_bordered(system, data, basis, tol=1e-10, *, load=None, floor=0.0)
     # the mode-k (curl, div) of s (discrete regular part plus analytic
     # principal part) paired with those of the test fields
     coupling = system.functional(bop)
+    del data, bop  # no (Q, 4) array of the mode lives through its CG
     x, coeff, info = solve_bordered(
         system.matrix, coupling, alpha, load, f_s, tol=tol, hierarchy=system.hierarchy
     )
@@ -346,9 +348,10 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
     sqrt(||b_k||^2 + ||d_k||^2 E_up) of its bordered right-hand side
     [b_k; f_s] is at most tol * F: |f_s| <= ||d_k|| sqrt(E_up), with ||d_k||
     the r-weighted norm of its (Q, 4) data (Cauchy-Schwarz; E_up from
-    singular.lift_basis, 0 without a corner).  Its data and load are dropped
-    there: it gets no system, basis or basis right-hand side, but a zero
-    field, C^k = 0j, energy 0.0 and CGInfo(0, bound / F).
+    singular.lift_basis, 0 without a corner).  Its data, load and (unless
+    N > 2 and k = 2) load scatter are dropped there: it gets no system, basis
+    or basis right-hand side, but a zero field, C^k = 0j, energy 0.0 and
+    CGInfo(0, bound / F).
     Every other system k <= 2, and the mode-2 one whenever N > 2, is
     assembled once, with its multigrid hierarchy on a large mesh that nests
     (see modal_ops.assemble_systems), and serves its basis and its mode
@@ -394,6 +397,8 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
             solved.append(k)
             if ops is not None:  # the basis right-hand side, for solved modes only
                 lifted[k] = start, -scatters[k].functional(ws.op_adjoint(ops, k))
+        else:  # no system of its class is built
+            del scatters[k]
     del ops  # no (Q, 4) lift rows reach the assembly
     systems = modal_ops.assemble_systems(space, solved, quad, N > 2, scatters)
     bases = compute_bases(systems, lifted, tol=tol) if corner is not None else {}
@@ -402,15 +407,11 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
     def solve_one(k):
         if k <= 2 and skipped[k] is not None:
             return ModeRecord(ModeField(mesh, k), 0j, None, skipped[k], 0.0)
-        # each mode's data and load are read once: drop them from the dicts
-        data, load = mode_data(k, drop=True), loads.pop(k)
-        rule = dict(tol=tol, load=load, floor=floor)
-        if k <= 2:
-            return solve_mode_orthogonal(systems[k], data, bases.get(k), **rule)
-        system = systems[2].shifted(k)
-        if corner is None:
-            return solve_mode_orthogonal(system, data, **rule)
-        return solve_mode_bordered(system, data, bases[2], **rule)
+        system = systems[k] if k <= 2 else systems[2].shifted(k)
+        solve = solve_mode_bordered if k > 2 and corner is not None else solve_mode_orthogonal
+        # data and load leave their dicts, and the data go unbound: the solve frees them before its CG
+        return solve(system, mode_data(k, drop=True), bases.get(min(k, 2)), tol=tol,
+                     load=loads.pop(k), floor=floor)
 
     return FourierSolution(mesh, space, N, {k: solve_one(k) for k in range(N + 1)})
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from axmaxwell import cli_io, manufactured, mesh, modal_ops, singular, solver
+from axmaxwell import cli_io, linalg, manufactured, mesh, modal_ops, singular, solver
 from axmaxwell.cli_io import main, write_csv, write_vtk
 from axmaxwell.femcore import SPACE_Y
 
@@ -985,6 +985,34 @@ def test_tolerance_below_round_off_is_not_a_breakdown(tmp_path, capsys):
     assert err.startswith("error: numerical: CG stopped at round-off")
     assert "the true residual is" in err and "positive definite" not in err
     assert not (tmp_path / "summary.csv").exists()
+
+
+def test_a_pass_stopped_at_round_off_is_final(tmp_path, capsys, monkeypatch):
+    """At tol = 1e-200 the first basis CG stops at round-off, and that pass
+    is final: its matvecs are its iterations, the one that stopped it and
+    the true residual's, with no restart after them, and the message gives
+    that pass's recursive residual, which is not 0."""
+    matvec, solve_hpd = linalg.HermitianSparse.matvec, linalg.solve_hpd
+    counted, failed = [], []
+    monkeypatch.setattr(linalg.HermitianSparse, "matvec", lambda A, x: counted.append(1) or matvec(A, x))
+
+    def counting_solve_hpd(A, b, **kw):
+        start = len(counted)
+        try:
+            return solve_hpd(A, b, **kw)
+        except linalg.SolverError as err:
+            failed.append((err, len(counted) - start))
+            raise
+
+    monkeypatch.setattr(singular, "solve_hpd", counting_solve_hpd)
+    rc = main(["solve", "--h", "0.2", "--modes", "2", "--tol", "1e-200",
+               "--outdir", str(tmp_path)])
+    assert rc == 2
+    [(err, matvecs)] = failed
+    assert matvecs == err.iterations + 2
+    recursive = float(re.search(r"stopped at round-off \((\S+)\)", str(err)).group(1))
+    assert 0.0 < recursive < np.finfo(float).eps
+    assert str(err) in capsys.readouterr().err and "restart" not in str(err)
 
 
 def test_verify_command_passes(capsys):

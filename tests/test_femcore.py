@@ -106,7 +106,8 @@ def _quadrature_reference(msh, corner):
     """The construction MeshQuadrature used to build its points with, the
     7-point rule rebuilt per call and a loop over each corner triangle and
     each of its four sub-triangles, and the chunk plans OperatorWorkspace
-    used to recover from tri: returns tri, bary, w, xy and chunks(size)."""
+    used to recover from tri: returns tri, bary, w, xy and chunks(size,
+    lo_tri, hi_tri), those of the triangles lo_tri <= t < hi_tri."""
     s15 = math.sqrt(15.0)
     a, b = (6.0 - s15) / 21.0, (6.0 + s15) / 21.0
     pts, wts = [(1 / 3, 1 / 3, 1 / 3)], [9.0 / 40.0]
@@ -140,12 +141,13 @@ def _quadrature_reference(msh, corner):
     counts = np.diff(np.r_[starts, len(tri)])
     runs = np.flatnonzero(np.r_[True, counts[1:] != counts[:-1], True])
 
-    def chunks(size):
+    def chunks(size, lo_tri=0, hi_tri=msh.num_triangles):
         out = []
         for lo, hi in zip(runs[:-1], runs[1:]):
             n = counts[lo]
-            for s in range(lo, hi, size):
-                first = starts[s:min(s + size, hi)]
+            inside = starts[lo:hi][(tri[starts[lo:hi]] >= lo_tri) & (tri[starts[lo:hi]] < hi_tri)]
+            for s in range(0, len(inside), size):
+                first = inside[s:s + size]
                 out.append((tri[first], slice(first[0], first[0] + len(first) * n), n))
         return out
     return tri, bary, w, xy, chunks
@@ -161,8 +163,8 @@ def _lshapes_and_rectangle():
 
 @pytest.mark.parametrize("make", _lshapes_and_rectangle())
 def test_quadrature_layout_equals_its_reference_bit_for_bit(make):
-    """tri, bary, w and xy, and both chunk plans of the workspace, equal
-    those of the per-triangle construction bit for bit, with and without
+    """tri, bary, w and xy, the chunks of the workspace and those of each
+    of its ranges equal those of the per-triangle construction bit for bit, with and without
     the corner: the subdivided weights scale by 0.25, a power of two, so
     0.25 * area * w and area * (0.25 * w) are the same float."""
     msh, corner = make()
@@ -174,9 +176,10 @@ def test_quadrature_layout_equals_its_reference_bit_for_bit(make):
             assert got.tobytes() == want.tobytes()
         assert [n for _, n in quad.runs] == [7, 28]
         ws = modal_ops.OperatorWorkspace(quad)
-        for plan, size in ((ws.chunks, modal_ops._CHUNK_TRIANGLES),
-                           (ws.block_chunks, modal_ops._BLOCK_TRIANGLES)):
-            want = chunks(size)
+        size, nt = modal_ops._BLOCK_TRIANGLES, msh.num_triangles
+        assert ws.ranges == [slice(t, min(t + size, nt)) for t in range(0, nt, size)]
+        for plan, want in [(ws.chunks, chunks(modal_ops._CHUNK_TRIANGLES))] + [
+                (ws.chunks_of(r, size), chunks(size, r.start, r.stop)) for r in ws.ranges]:
             assert len(plan) == len(want)
             for (tris, points, n), (tris_want, points_want, n_want) in zip(plan, want):
                 assert tris.dtype == tris_want.dtype and tris.tobytes() == tris_want.tobytes()

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from axmaxwell import femcore, mesh, modal_ops, verification
+from axmaxwell import femcore, linalg, mesh, modal_ops, verification
 from axmaxwell.femcore import SPACE_X, SPACE_Y, MeshQuadrature, ModeField
 
 
@@ -341,21 +341,11 @@ def _same_bits(a, b):
 
 def test_kernels_equal_their_gather_reference_bit_for_bit(kernel_quad):
     """Every workspace kernel gives the bits of its reference, signs of
-    zero included, for random complex fields and samples; the element
-    matrices E(k) alike from a workspace that keeps its blocks and from
-    one that forms them per chunk."""
+    zero included, for random complex fields and samples."""
     ws = modal_ops.workspace(kernel_quad)
-    kept = modal_ops.OperatorWorkspace(kernel_quad)
-    kept.keep_blocks()
-    assert ws.blocks is None and kept.blocks is not None
-    E00, E11, A = _reference_blocks(kernel_quad)
     rng = np.random.default_rng(36)
     nv, Q = kernel_quad.mesh.num_vertices, len(kernel_quad.tri)
     for k in (0, 1, -1, 2, -2, 3, 7):
-        want = (1j * k) * A
-        want += E00 + (k * k) * E11
-        assert _same_bits(ws.element_matrices(k), want), k
-        assert _same_bits(kept.element_matrices(k), want), k
         values = rng.normal(size=(nv, 3)) + 1j * rng.normal(size=(nv, 3))
         vec = rng.normal(size=(Q, 4)) + 1j * rng.normal(size=(Q, 4))
         opv, adj, pv = _reference_kernels(kernel_quad, values, vec, k)
@@ -364,18 +354,59 @@ def test_kernels_equal_their_gather_reference_bit_for_bit(kernel_quad):
         assert _same_bits(ws.point_values(values), pv), k
 
 
+@pytest.mark.parametrize("space", [SPACE_X, SPACE_Y])
+def test_assembled_matrices_equal_the_element_order_scatter_bit_for_bit(kernel_quad, space):
+    """Every matrix, assembled or shifted, holds the bits of E(k) from the
+    reference blocks, scaled by the constraint coefficients and scattered
+    in element order (linalg.scatter) on the reference pattern: E(k) formed
+    range by range and from kept blocks alike."""
+    msh = kernel_quad.mesh
+    kept = MeshQuadrature(msh, kernel_quad.corner)
+    modal_ops.workspace(kept).keep_blocks()
+    assert modal_ops.workspace(kernel_quad).blocks is None
+    E00, E11, A = _reference_blocks(kernel_quad)
+    for k in (0, 1, -1, 2, -2, 3, 7):
+        scatter = modal_ops.LoadScatter(femcore.build_constraints(msh, k, space))
+        elem = (1j * k) * A
+        elem += E00 + (k * k) * E11
+        elem *= np.conj(scatter.coeff)[:, :, None]
+        elem *= scatter.coeff[:, None, :]
+        indptr, indices, slots = _reference_pattern(scatter)
+        want = linalg.scatter(slots, elem.ravel(), len(indices))
+        for quad in (kernel_quad, kept):
+            matrices = [modal_ops.ModeSystem(scatter, quad).matrix]
+            if abs(k) > 2:
+                system2 = modal_ops.assemble_a_k(msh, 2 * np.sign(k), space, quad)
+                matrices.append(modal_ops.shifted_system(system2, k))
+            for got in matrices:
+                assert _same_bits(got.indptr, indptr) and _same_bits(got.indices, indices), k
+                assert _same_bits(got.data, want), k
+
+
 def test_chunks_are_consecutive_runs_of_points(kernel_quad):
-    """The slices of the chunks, and those of the block chunks, cover the
-    points 0..Q once and in order, and each holds n consecutive points of
-    every one of its triangles."""
+    """The slices of the chunks cover the points 0..Q once and in order,
+    and each holds n consecutive points of every one of its triangles.
+    The ranges cover the triangles 0..nt once and in order, at most
+    _BLOCK_TRIANGLES each, and the chunks of a range, one per run that
+    meets it, hold its triangles."""
     ws = modal_ops.workspace(kernel_quad)
-    for chunks in (ws.chunks, ws.block_chunks):
-        stop = 0
+    stop = 0
+    for tris, points, n in ws.chunks:
+        assert points.start == stop and points.step in (None, 1)
+        assert np.array_equal(kernel_quad.tri[points].reshape(-1, n), np.repeat(tris[:, None], n, 1))
+        stop = points.stop
+    assert stop == len(kernel_quad.tri)
+    stop = 0
+    for triangles in ws.ranges:
+        assert triangles.start == stop and 0 < triangles.stop - stop <= modal_ops._BLOCK_TRIANGLES
+        chunks = ws.chunks_of(triangles, modal_ops._BLOCK_TRIANGLES)
+        assert len({n for _, _, n in chunks}) == len(chunks) > 0
+        tris = np.sort(np.concatenate([tris for tris, _, _ in chunks]))
+        assert np.array_equal(tris, np.arange(triangles.start, triangles.stop))
         for tris, points, n in chunks:
-            assert points.start == stop and points.step in (None, 1)
             assert np.array_equal(kernel_quad.tri[points].reshape(-1, n), np.repeat(tris[:, None], n, 1))
-            stop = points.stop
-        assert stop == len(kernel_quad.tri)
+        stop = triangles.stop
+    assert stop == kernel_quad.mesh.num_triangles
 
 
 # -- the CSR pattern from vertex pairs, and what an assembly holds -------------
@@ -410,10 +441,10 @@ def test_pattern_from_vertex_pairs_equals_the_entry_keys(lshape, lshape_quad, sp
 
 
 def test_assembly_keeps_no_element_arrays():
-    """Without shifts a workspace keeps no (nt, 9, 9) array.  E(k) peaks at
-    its own size plus the chunk temporaries, and an assembly, workspace
-    included, below three complex (nt, 9, 9) arrays: E(k), its int32 slots,
-    the pattern and the matrix (h = 0.0125)."""
+    """Without shifts a workspace keeps no (nt, 9, 9) array, and no whole
+    E(k) exists: with its pattern built, forming a matrix peaks below half
+    a complex (nt, 9, 9) array (the matrix data and one range of E(k)), and
+    an assembly, workspace included, below three (h = 0.0125)."""
     msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.0125)
     quad = MeshQuadrature(msh, corner)
     size = msh.num_triangles * 81 * np.dtype(complex).itemsize
@@ -421,14 +452,15 @@ def test_assembly_keeps_no_element_arrays():
     try:
         system = modal_ops.assemble_a_k(msh, 1, SPACE_Y, quad=quad)
         assembly = tracemalloc.get_traced_memory()[1]
+        pattern = modal_ops._Pattern(system.scatter, system.ws)
         tracemalloc.stop()
         tracemalloc.start()
-        system.ws.element_matrices(3)
-        elem = tracemalloc.get_traced_memory()[1]
+        pattern.matrix(system.ws, 1)
+        matrix = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert assembly < 3 * size
-    assert elem < 1.25 * size
+    assert matrix < 0.5 * size
     held = [v for value in vars(system.ws).values()
             for v in (value if isinstance(value, (tuple, list)) else [value])]
     assert system.ws.blocks is None

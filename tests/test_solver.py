@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -805,3 +806,43 @@ def test_convergence_spot_check():
     assert rate_en == pytest.approx(math.log2(errs[0][1] / errs[1][1]), rel=1e-12)
     assert rate_l2 >= 1.8
     assert rate_en >= 0.9
+
+
+def test_a_mode_cg_starts_without_the_point_arrays_of_its_mode(lshape, monkeypatch):
+    """When the CG of a mode starts, the (Q, 4) data and basis rows of the
+    mode are dead, on the orthogonal path (k = 1) and the bordered one
+    (k = 3).  The mode-1 system, which is not shifted, holds no pattern
+    slots, the mode-2 one keeps them for its shifts, and the load scatter
+    of mode 0, skipped and serving no |k| > 2 mode, is released."""
+    msh, corner = lshape
+    scatters, rows, starts = {}, [], []
+
+    class Scatter(modal_ops.LoadScatter):
+        def __init__(self, constraints):
+            super().__init__(constraints)
+            scatters.setdefault(constraints.k, weakref.ref(self))
+
+    pair, solve_hpd, assemble = solver._pair, linalg.solve_hpd, modal_ops.assemble_systems
+
+    def recording_pair(system, data, basis, load=None):
+        out = pair(system, data, basis, load)
+        rows.append((weakref.ref(data), weakref.ref(out[1])))
+        return out
+
+    def checking_solve_hpd(A, b, **kw):
+        data, bop = rows[-1]
+        starts.append((data() is None, bop() is None, scatters[0]() is None))
+        return solve_hpd(A, b, **kw)
+
+    systems = {}
+    monkeypatch.setattr(modal_ops, "LoadScatter", Scatter)
+    monkeypatch.setattr(modal_ops, "assemble_systems",
+                        lambda *a: systems.update(assemble(*a)) or systems)
+    monkeypatch.setattr(solver, "_pair", recording_pair)
+    monkeypatch.setattr(solver, "solve_hpd", checking_solve_hpd)
+    monkeypatch.setattr(linalg, "solve_hpd", checking_solve_hpd)
+    sol = solver.solve_axisymmetric(msh, SPACE_Y, _odd_data, N=3, corner=corner)
+    assert [sol.records[k].cg.iterations > 0 for k in range(4)] == [False, True, False, True]
+    assert starts == [(True, True, True)] * 2
+    assert sorted(systems) == [1, 2] and systems[1].pattern.slots is None
+    assert systems[2].pattern.slots is not None and scatters[2]() is not None

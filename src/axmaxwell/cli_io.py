@@ -94,21 +94,16 @@ def write_vtk_wedges(points, wedges, point_fields, path):
     point_fields is as in write_vtk."""
     sections = [("POINT_DATA", len(points), point_fields)]
     _check_vtk_fields(sections)
-    # a z repeats once per azimuth: format each distinct one (by bits: -0.0 is not 0.0) once
-    bits, inverse = np.unique(points[:, 2].view(np.int64), return_inverse=True)
-    rows = points.astype(object)
-    rows[:, 2] = np.array([_FLOAT_FMT % z for z in bits.view(float).tolist()], dtype=object)[inverse]
-    grid = _grid(rows, wedges, f"{_FLOAT_FMT} {_FLOAT_FMT} %s\n")
-    _write_grid(path, "axmaxwell 3d export", grid, _data_text(sections))
+    _write_grid(path, "axmaxwell 3d export", _grid(points, wedges), _data_text(sections))
 
 
-def _grid(points, cells, fmt=None):
+def _grid(points, cells):
     """The POINTS, CELLS and CELL_TYPES sections of a legacy VTK grid as text
-    blocks; (n, 2) meridian points (r, z) are written as (r, z, 0), rows as
-    fmt if given (else %.17g each), and the cells are triangles or wedges."""
+    blocks; (n, 2) meridian points (r, z) are written as (r, z, 0), and the
+    cells are triangles or wedges."""
     dim, (m, size) = points.shape[1], cells.shape
     yield f"POINTS {len(points)} double\n"
-    yield from _row_blocks(fmt or " ".join([_FLOAT_FMT] * dim + ["0"] * (3 - dim)) + "\n", points)
+    yield from _row_blocks(" ".join([_FLOAT_FMT] * dim + ["0"] * (3 - dim)) + "\n", points)
     yield f"CELLS {m} {(1 + size) * m}\n"
     yield from _row_blocks(f"{size}" + " %d" * size + "\n", cells)
     yield f"CELL_TYPES {m}\n" + f"{_CELL_TYPES[size]}\n" * m

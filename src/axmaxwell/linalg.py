@@ -174,13 +174,13 @@ def solve_hpd(A, b, tol=1e-10, maxit=None, *, hierarchy=None):
     Jacobi.  Once the recursive residual reaches tol the true one is
     recomputed; if it is above tol, CG restarts once from x with r = b - Ax,
     and raises SolverError carrying the true residual if that pass ends
-    above tol too.  A p^H A p that is not positive ends a pass once the
-    recursive residual is below _EPS, and no restart follows.  Returns (x,
-    CGInfo), CGInfo.residual being the true residual; raises ValueError
-    unless 0 < tol < 1 (NaN included) and SolverError when maxit iterations
-    (both passes together) are exhausted or when the recursive residual has
-    made no new minimum for STALL_WINDOW iterations of a pass;
-    CGInfo.longest_stall is the longest such run over both passes.
+    above tol too.  A pass ends at round-off, and no restart follows, when
+    p^H A p <= 0 with the recursive residual below _EPS, or when rho or that
+    residual underflows to 0.  Returns (x, CGInfo) with the true residual;
+    raises ValueError unless 0 < tol < 1 (NaN included) and SolverError when
+    maxit iterations (both passes together) are exhausted or when the
+    recursive residual has made no new minimum for STALL_WINDOW iterations
+    of a pass; CGInfo.longest_stall is the longest such run over both passes.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be finite and lie in (0, 1), got {tol!r}")
@@ -207,7 +207,8 @@ def solve_hpd(A, b, tol=1e-10, maxit=None, *, hierarchy=None):
         p = z.copy()
         resid = best = np.linalg.norm(r) / bnorm
         since_best = 0
-        while resid > tol:
+        round_off = rho == 0.0  # a step would divide by it
+        while resid > tol and not round_off:
             if it >= maxit:
                 raise SolverError(
                     f"CG did not converge in {maxit} iterations (residual {resid:.3e})",
@@ -225,6 +226,7 @@ def solve_hpd(A, b, tol=1e-10, maxit=None, *, hierarchy=None):
             denom = np.vdot(p, q).real
             if denom <= 0.0:
                 if resid < _EPS:  # round-off, not indefiniteness: the true residual decides
+                    round_off = True
                     break
                 raise SolverError(
                     "CG breakdown: matrix is not positive definite on the free dofs",
@@ -238,7 +240,9 @@ def solve_hpd(A, b, tol=1e-10, maxit=None, *, hierarchy=None):
             rho_next = np.vdot(r, z).real
             p = z + (rho_next / rho) * p
             rho = rho_next
-            resid = np.linalg.norm(r) / bnorm
+            recursive = np.linalg.norm(r) / bnorm
+            round_off = rho == 0.0 or recursive == 0.0  # underflow; resid stays the last nonzero
+            resid = recursive or resid
             it += 1
             if resid < best:
                 best, since_best = resid, 0
@@ -249,9 +253,9 @@ def solve_hpd(A, b, tol=1e-10, maxit=None, *, hierarchy=None):
         recursive, resid = resid, float(np.linalg.norm(r) / bnorm)
         if resid <= tol:
             return x, CGInfo(it, resid, longest_stall)
-        if recursive > tol:  # the pass stopped at round-off: a restart cannot do better
+        if round_off:  # a restart cannot do better
             break
-    ended = f"stopped at round-off ({recursive:.3e})" if recursive < _EPS else f"reached tol {tol:.3e}"
+    ended = f"stopped at round-off ({recursive:.3e})" if round_off else f"reached tol {tol:.3e}"
     raise SolverError(
         f"CG {ended} on its recursive residual, but the true residual is {resid:.3e} "
         f"(tol {tol:.3e})" + (" after a restart" if restarted else ""),

@@ -710,6 +710,30 @@ def test_vtk_wedges_match_per_row_formatting(tmp_path, rng):
     assert "\n-0 " in expected and "phase_im" in expected
 
 
+def test_vtk_wedges_hold_no_whole_grid_array(tmp_path, rng):
+    """On a revolved grid of synthesize's size (64 azimuths of the 1,281
+    L-shape vertices) write_vtk_wedges makes text block by block: its traced
+    peak stays below twice the points' own bytes."""
+    msh, _ = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.025)
+    T, nv = 64, msh.num_vertices
+    assert nv == 1281
+    theta = np.arange(T) * (2.0 * np.pi / T)
+    r, z = msh.vertices.T
+    points = np.stack([np.outer(np.cos(theta), r), np.outer(np.sin(theta), r),
+                       np.broadcast_to(z, (T, nv))], axis=2).reshape(-1, 3)
+    ring = (np.arange(T) * nv)[:, None, None]
+    wedges = np.concatenate([ring + msh.triangles, (ring + nv) % (T * nv) + msh.triangles],
+                            axis=2).reshape(-1, 6)
+    fields = {"field": rng.normal(size=(T * nv, 3))}
+    tracemalloc.start()
+    try:
+        cli_io.write_vtk_wedges(points, wedges, fields, tmp_path / "field3d.vtk")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * points.nbytes
+
+
 def _signed_zero_fields(n, rng):
     """Columns of +0.0, of -0.0 and of +-0.0 with one nonzero value, and a
     complex field whose imaginary part is -0.0 everywhere."""

@@ -124,6 +124,33 @@ def test_converged_means_true_residual_below_tol(rng):
     assert info.residual <= 1e-12
 
 
+class LoggedJacobi:
+    """Jacobi as a solve_hpd hierarchy that keeps a copy of every residual
+    CG preconditions: each pass's first residual, then one per iteration,
+    so a solve's passes are len(residuals) - iterations."""
+
+    def __init__(self):
+        self.residuals = []
+
+    def cycle(self, A, inv_diag, r):
+        self.residuals.append(r.copy())
+        return inv_diag * r
+
+
+def test_a_pass_that_reached_tol_restarts():
+    """At tol = 3e-16 the first pass reaches tol on its recursive residual
+    while the true residual is above it: that pass did not end at round-off,
+    so CG restarts from x, and the second pass converges."""
+    rng = np.random.default_rng(0)
+    A, dense = _random_hpd(10, rng)
+    b = rng.normal(size=10) + 1j * rng.normal(size=10)
+    jacobi = LoggedJacobi()
+    x, info = solve_hpd(A, b, tol=3e-16, hierarchy=jacobi)
+    assert len(jacobi.residuals) - info.iterations == 2
+    assert info.residual <= 3e-16
+    assert np.linalg.norm(b - dense @ x) <= 1e-15 * np.linalg.norm(b)
+
+
 def test_recursive_residual_below_round_off_raises():
     """At tol = 1e-17 CG's recursive residual reaches tol, but the true
     residual of x stays near 1e-14: a restart cannot reach tol either."""

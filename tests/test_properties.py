@@ -3,6 +3,8 @@ CLI maps every error class onto its exit code, and the Fourier analysis
 recovers the modes of real trigonometric polynomials."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +13,9 @@ from hypothesis import strategies as st
 
 from axmaxwell import cli_io, mesh, solver
 from axmaxwell.cli_io import UsageError, load_config, main
-from axmaxwell.linalg import SolverError
+from axmaxwell.linalg import SolverError, solve_hpd
 from axmaxwell.mesh import MeshError
+from test_linalg import LoggedJacobi, _random_hpd
 from test_mesh import _assert_directed_loop, _corner_reference
 
 FUZZ = settings(
@@ -344,3 +347,39 @@ def test_analysis_recovers_real_trig_polynomial(case):
     scale = np.abs(coeffs).max()
     for k in range(N + 1):
         assert np.abs(modes[k] - coeffs[k]).max() <= 1e-12 * scale
+
+
+# -- CG down to underflow ------------------------------------------------------------
+
+
+@FUZZ
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), exponent=st.floats(-300.0, -1.0))
+def test_cg_below_round_off_fails_on_a_finite_residual(n, seed, exponent):
+    """Down to tol = 1e-300, CG on an HPD matrix converges with its true
+    residual at most tol, or raises SolverError with a finite residual, and
+    warns of nothing.  A residual or rho that has underflowed to 0 ends the
+    solve: no step and no restart follows it, and a round-off message gives
+    the last nonzero recursive residual."""
+    tol = 10.0 ** exponent
+    rng = np.random.default_rng(seed)
+    A, dense = _random_hpd(n, rng)
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    jacobi = LoggedJacobi()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            x, info = solve_hpd(A, b, tol=tol, hierarchy=jacobi)
+            iterations = info.iterations
+        except SolverError as err:
+            assert math.isfinite(err.residual) and err.residual > tol
+            round_off = re.search(r"stopped at round-off \((\S+)\)", str(err))
+            assert round_off is None or 0.0 < float(round_off.group(1)) < math.inf
+            iterations = err.iterations
+        else:
+            assert info.residual <= tol
+            assert np.linalg.norm(b - dense @ x) <= (info.residual + 1e-14) * np.linalg.norm(b)
+    assert len(jacobi.residuals) - iterations in (1, 2)  # passes
+    inv_diag = 1.0 / A.diagonal().real
+    underflowed = [np.linalg.norm(r) == 0.0 or np.vdot(r, inv_diag * r).real == 0.0
+                   for r in jacobi.residuals]
+    assert not any(underflowed[:-1])

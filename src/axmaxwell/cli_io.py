@@ -432,13 +432,15 @@ def cmd_singular(args, msh, corner):
     write_vtk(msh, {"basis_total": basis.total_nodal(), "basis_regular": basis.regular.values},
               prefix + ".vtk", cell_fields={"principal": principal_cells},
               title=f"singular basis k={args.k} {args.field}")
-    # a_k(s, s) and its curl part (curl_k s, curl_k s), from one evaluation
-    bop, ws = basis.op_arrays(system.ws, args.k), system.ws
+    # a_k(s, s) and its curl part (curl_k s, curl_k s), summed as the solve sums them
+    ws, energy, curl = system.ws, 0.0, 0.0
+    for points, rows in basis.op_chunks(ws, args.k):
+        energy += ws.norm_sq(rows, points)
+        curl += ws.norm_sq(rows[:, :3], points)
     write_csv(
         prefix + "_diag.csv",
         ["k", "field", "iterations", "residual", "energy", "curl_norm_sq"],
-        [[args.k, args.field, basis.cg.iterations, basis.cg.residual,
-          float(ws.norm_sq(bop)), float(ws.norm_sq(bop[:, :3]))]],
+        [[args.k, args.field, basis.cg.iterations, basis.cg.residual, float(energy), float(curl)]],
     )
     print(f"wrote {prefix}.vtk and {prefix}_diag.csv")
     print(_corner_report(corner))

@@ -22,6 +22,8 @@ _EPS = np.finfo(float).eps  # a relative residual below it is round-off
 # 1.99 (h = 0.05) for the bordered matrices of k = 3..24, both spaces
 _OMEGA = 0.6
 _SWEEPS = 2
+_BLOCK_ROWS = 2048  # rows per block of a matvec: its products exist one block at a time
+_SMALL_NORM = np.sqrt(np.finfo(float).tiny) / _EPS  # below it, eps ||b|| squares to a subnormal
 
 
 class SolverError(RuntimeError):
@@ -41,9 +43,11 @@ class HermitianSparse:
         self.indices = np.asarray(indices, dtype=np.int64)
         self.data = np.asarray(data, dtype=complex)
         self.n = int(n)
-        # matvec's reduceat offsets and the empty rows they misreport
-        self._starts = np.minimum(self.indptr[:-1], max(len(self.data) - 1, 0))
-        self._empty = np.flatnonzero(np.diff(self.indptr) == 0)
+        # matvec's blocks of _BLOCK_ROWS rows with entries: entries, offsets, rows (or their slice)
+        rows, ptr = np.flatnonzero(np.diff(self.indptr)), self.indptr
+        self._blocks = [(slice(ptr[r[0]], ptr[r[-1] + 1]), ptr[r] - ptr[r[0]],
+                         slice(r[0], r[-1] + 1) if r[-1] - r[0] == len(r) - 1 else r)
+                        for r in np.split(rows, np.arange(_BLOCK_ROWS, len(rows), _BLOCK_ROWS)) if len(r)]
 
     @property
     def nnz(self):
@@ -51,12 +55,11 @@ class HermitianSparse:
 
     def matvec(self, x):
         x = np.asarray(x, dtype=complex)
-        if self.nnz == 0:
-            return np.zeros(self.n, dtype=complex)
-        prod = x[self.indices]
-        np.multiply(self.data, prod, out=prod)  # one temporary; data * x, not x * data, keeps the bits
-        out = np.add.reduceat(prod, self._starts)
-        out[self._empty] = 0.0
+        out = np.zeros(self.n, dtype=complex)
+        for entries, offsets, rows in self._blocks:
+            prod = x[self.indices[entries]]
+            np.multiply(self.data[entries], prod, out=prod)  # data * x, not x * data, keeps the bits
+            out[rows] = np.add.reduceat(prod, offsets)
         return out
 
     def diagonal(self):
@@ -176,21 +179,27 @@ def solve_hpd(A, b, tol=1e-10, maxit=None, *, hierarchy=None):
     and raises SolverError carrying the true residual if that pass ends
     above tol too.  A pass ends at round-off, and no restart follows, when
     p^H A p <= 0 with the recursive residual below _EPS, or when rho or that
-    residual underflows to 0.  Returns (x, CGInfo) with the true residual;
-    raises ValueError unless 0 < tol < 1 (NaN included) and SolverError when
-    maxit iterations (both passes together) are exhausted or when the
-    recursive residual has made no new minimum for STALL_WINDOW iterations
-    of a pass; CGInfo.longest_stall is the longest such run over both passes.
+    residual underflows to 0.  A b with ||b|| < _SMALL_NORM is solved as
+    2^-e b, its largest entry in [0.5, 1), and x scaled back by 2^e (exact).
+    Returns (x, CGInfo) with the true residual; raises ValueError unless
+    0 < tol < 1 (NaN included) and SolverError when maxit iterations (both
+    passes together) are exhausted or when the recursive residual has made
+    no new minimum for STALL_WINDOW iterations of a pass;
+    CGInfo.longest_stall is the longest such run over both passes.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be finite and lie in (0, 1), got {tol!r}")
-    b = np.asarray(b, dtype=complex)
+    b = np.ascontiguousarray(b, dtype=complex)
     n = A.n
     if maxit is None:
         maxit = 20 * max(n, 1)
     bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(n, dtype=complex), CGInfo(0, 0.0)
+    if bnorm < _SMALL_NORM:  # zero, or so small that residual norms underflow
+        if not b.any():
+            return np.zeros(n, dtype=complex), CGInfo(0, 0.0)
+        e = int(np.frexp(np.abs(b).max())[1])  # 2^-e b has its largest entry in [0.5, 1)
+        x, info = solve_hpd(A, np.ldexp(b.view(float), -e).view(complex), tol, maxit, hierarchy=hierarchy)
+        return np.ldexp(x.view(float), e).view(complex), info
     inv_diag = _inverse_diagonal(A)
     if hierarchy is None:
         def precondition(r):

@@ -48,7 +48,7 @@ import numpy as np
 from . import femcore
 from .femcore import MeshQuadrature, ModeField, gradients
 from .linalg import HermitianSparse, Level, Multigrid, Transfer, scatter
-from .mesh import coarsen
+from .mesh import coarsen, unique
 
 # operator component rows used throughout: (curl_r, curl_theta, curl_z, div)
 _NOPS = 4
@@ -124,9 +124,9 @@ class OperatorWorkspace:
     as (row vertices, column vertices) and pair_of (nt * 9,), the pair of
     each entry, plus the quadrature's bary, xy and runs and the mesh
     triangles.  Built once per quadrature (see workspace); the methods take
-    the mode k: element_range forms E(k) of a range, op_values applies D_k
-    to nodal fields at the points and op_adjoint pairs point samples with
-    the local test dofs.
+    the mode k: element_range forms E(k) of a range, op_chunks applies D_k
+    to nodal fields and adjoint_chunks pairs point samples with the local
+    test dofs, chunk by chunk (op_values, op_adjoint: all points at once).
     """
 
     def __init__(self, quad):
@@ -195,41 +195,55 @@ class OperatorWorkspace:
             out[tris - triangles.start] = part
         return out
 
-    def op_values(self, values, k):
+    def op_chunks(self, values, k):
         """D_k u = (curl_k, div_k) of a nodal field u at the quadrature
-        points, (Q, 4), formed per chunk of triangles."""
+        points, chunk by chunk: a (points, (P, 4) rows) pair per chunk."""
         u = np.asarray(values, dtype=complex).reshape(-1, 3)
         rows = _over_r_rows(k).T
-        out = np.empty((len(self.wr), _NOPS), dtype=complex)
         for tris, points, n in self.chunks:
-            m = len(tris)
             local = u[self.triangles[tris]].view(float)  # (m, local vertex, (component, re/im))
-            grad_u = self.G[tris].transpose(0, 2, 1) @ local
-            grad = (_GRAD_DC.T @ grad_u.reshape(m, 6, 2)).view(complex).reshape(m, 1, _NOPS)
-            u_r = (self.lor[points].reshape(m, n, 3) @ local).reshape(-1, 6).view(complex)
-            np.add(grad, (u_r @ rows).reshape(m, n, _NOPS), out=out[points].reshape(m, n, _NOPS))
+            grad = _GRAD_DC.T @ (self.G[tris].transpose(0, 2, 1) @ local).reshape(-1, 6, 2)
+            u_r = (self.lor[points].reshape(-1, n, 3) @ local).reshape(-1, 6).view(complex)
+            out = (u_r @ rows).reshape(-1, n, _NOPS)
+            out += grad.view(complex).reshape(-1, 1, _NOPS)
+            del local, u_r  # only the rows live while the caller reads them
+            yield points, out.reshape(-1, _NOPS)
+
+    def op_values(self, values, k):
+        """D_k u at all quadrature points, (Q, 4): op_chunks filled in."""
+        out = np.empty((len(self.wr), _NOPS), dtype=complex)
+        for points, rows in self.op_chunks(values, k):
+            out[points] = rows
         return out
 
-    def op_adjoint(self, vec, k):
-        """Adjoint of op_values: the pairings sum_q w r vec . conj(D_k phi_j)
-        of samples vec (Q, 4) with the local test dofs j of each triangle,
-        (nt, 9).  The gradient part pairs the per-triangle sum of w r vec,
-        so no per-point array of pairings is built."""
+    def adjoint_chunks(self, chunks, k, sums=None):
+        """Adjoint of op_chunks: the pairings sum_q w r vec . conj(D_k phi_j)
+        of samples vec, (P, 4) rows per chunk in chunk order, with the local
+        test dofs j of each triangle, (nt, 9), appending each chunk's norm_sq
+        to the list sums if given.  The gradient part pairs the per-triangle
+        sum of w r vec, so no per-point array of pairings is built."""
         rows = np.conj(_over_r_rows(k))
-        vec = np.ascontiguousarray(vec, dtype=complex).view(float)
         local = np.empty((self.num_triangles, 3, 6))
-        for tris, points, n in self.chunks:
+        for (tris, points, n), vec in zip(self.chunks, chunks, strict=True):
             m = len(tris)
-            wv = (vec[points] * self.wr[points, None]).reshape(m, n, 2 * _NOPS)
+            if sums is not None:
+                sums.append(self.norm_sq(vec, points))
+            wv = np.ascontiguousarray(vec, dtype=complex).view(float) * self.wr[points, None]
+            wv = wv.reshape(m, n, 2 * _NOPS)
             grad = (_GRAD_DC @ wv.sum(axis=1).reshape(m, _NOPS, 2)).reshape(m, 2, 6)
             pairs = (wv.reshape(-1, 2 * _NOPS).view(complex) @ rows).view(float).reshape(m, n, 6)
             lor = self.lor[points].reshape(m, n, 3)
             local[tris] = self.G[tris] @ grad + lor.transpose(0, 2, 1) @ pairs
+            del vec, wv, pairs  # before the next chunk's rows are formed
         return local.view(complex).reshape(-1, 9)
 
-    def norm_sq(self, rows):
-        """sum_q w r |rows_q|^2 of point rows (Q, m), the r-weighted norm^2."""
-        return np.sum(self.wr[:, None] * np.abs(rows) ** 2)
+    def op_adjoint(self, vec, k):
+        """adjoint_chunks of samples vec (Q, 4) at all quadrature points."""
+        return self.adjoint_chunks((vec[points] for _, points, _ in self.chunks), k)
+
+    def norm_sq(self, rows, points=slice(None)):
+        """sum_q w r |rows_q|^2 of rows (P, m) at the points (all by default)."""
+        return np.sum(self.wr[points, None] * np.abs(rows) ** 2)
 
     def point_values(self, values):
         """Field values at the quadrature points, (Q, 3)."""
@@ -278,19 +292,23 @@ class _Pattern:
         self.scatter = load_scatter
         c = load_scatter.constraints
         n = c.n_free
-        a, b = (3 * v[:, None] + np.arange(3) for v in ws.pairs)
-        rows, cols = c.index[a][:, :, None], c.index[b][:, None, :]
-        keep = (rows >= 0) & (cols >= 0)  # (pair, row component, column component)
-        keys, inverse = np.unique((rows * n + cols)[keep], return_inverse=True)
+        rows, cols = (c.index[3 * v[:, None] + np.arange(3)] for v in ws.pairs)
+        keep = (rows[:, :, None] >= 0) & (cols[:, None, :] >= 0)  # (pair, row, column component)
+        entries = (rows[:, :, None] * n + cols[:, None, :])[keep]
+        del rows, cols
+        keys = unique(entries)
         if len(keys) >= np.iinfo(np.int32).max:
             raise ValueError(f"{len(keys)} nonzeros exceed the int32 scatter slots")
-        self.indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-        self.indices = keys % n
-        # int32 slots halve the largest arrays a system keeps; the entry
-        # (t, 3 i + a, 3 j + b) reads the slot (pair_of[t, i, j], a, b)
+        # int32 slots halve the largest arrays a system keeps
         slots = np.full(keep.shape, len(keys), dtype=np.int32)
-        slots[keep] = inverse
-        self.slots = slots[ws.pair_of.reshape(-1, 3, 3)].transpose(0, 1, 3, 2, 4).ravel()
+        slots[keep] = np.searchsorted(keys, entries)
+        del entries
+        self.indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        self.indices = np.remainder(keys, n, out=keys)
+        # the entry (t, 3 i + a, 3 j + b) reads the slot (pair_of[t, i, j], a, b)
+        self.slots = np.empty(81 * ws.num_triangles, dtype=np.int32)
+        for i, pair in enumerate(ws.pair_of.reshape(-1, 3, 3).transpose(1, 0, 2)):
+            self.slots.reshape(-1, 3, 3, 3, 3)[:, i] = slots[pair].transpose(0, 2, 1, 3)
 
     def matrix(self, ws, k):
         """Reduced matrix of a_k from E(k) of the workspace ws, each range

@@ -109,10 +109,15 @@ class SingularBasis:
         msh = self.regular.mesh
         return self.regular.values + _guarded_values(self.principal, msh, msh.vertices)
 
+    def op_chunks(self, ws, k):
+        """(curl_k, div_k) of the total basis per chunk of the workspace ws,
+        as ws.op_chunks: regular part discrete, principal part analytic."""
+        for points, rows in ws.op_chunks(self.regular.values, k):
+            rows += self.principal.ops(ws.xy[points], k)
+            yield points, rows
+
     def op_arrays(self, ws, k):
-        """(curl_k, div_k) of the total basis at the quadrature points of the
-        workspace ws, (Q, 4): regular part discrete, principal part
-        analytic."""
+        """op_chunks at all quadrature points of ws, (Q, 4), bit for bit."""
         return ws.op_values(self.regular.values, k) + self.principal.ops(ws.xy, k)
 
     def point_arrays(self, ws):
@@ -121,22 +126,22 @@ class SingularBasis:
 
 
 def lift_basis(constraints, quad):
-    """(S + lift, ops, E_up) of a basis solve, formed before its system
+    """(S + lift, pairings, E_up) of a basis solve, formed before its system
     exists: the principal part S at quad.corner (ValueError without one)
-    with its boundary lift on the constraint set as regular part, ops its
-    (Q, 4) D_k rows at the points of quad, evaluated once, and E_up =
-    a_k(S + lift, S + lift), which bounds a_k(s, s) of the solved basis s
-    (CG from x = 0 only lowers the energy).  The solve's right-hand side
-    -a_k(S + lift, v) is -scatter.functional(ws.op_adjoint(ops, k))."""
+    with its boundary lift on the constraint set as regular part, and from
+    one chunked evaluation of its D_k rows at the points of quad their
+    op_adjoint pairings (nt, 9) and E_up = a_k(S + lift, S + lift), which
+    bounds a_k(s, s) of the solved basis s (CG from x = 0 only lowers the
+    energy).  The solve's right-hand side is -scatter.functional(pairings)."""
     if quad.corner is None:  # the basis integrands go like rho^(alpha-1) at the corner
         raise ValueError("a singular basis needs a quadrature subdivided at its corner")
     mesh, k, space = constraints.mesh, constraints.k, constraints.space
     pp = PrincipalPart(EDGE_ELECTRIC if space == femcore.SPACE_X else EDGE_MAGNETIC, quad.corner)
     lift = femcore.lift_boundary(constraints, lambda pts: -_guarded_values(pp, mesh, pts))
     lifted = SingularBasis(k, space, pp, lift)
-    ws = workspace(quad)
-    ops = lifted.op_arrays(ws, k)
-    return lifted, ops, float(ws.norm_sq(ops))
+    ws, energy = workspace(quad), []
+    pairings = ws.adjoint_chunks((rows for _, rows in lifted.op_chunks(ws, k)), k, energy)
+    return lifted, pairings, float(sum(energy))
 
 
 def compute_basis(system, tol=1e-10, lifted=None):
@@ -150,8 +155,8 @@ def compute_basis(system, tol=1e-10, lifted=None):
     mode solve pairs the basis operators with the data and keeps a_k(s, s)
     on its ModeRecord."""
     if lifted is None:
-        start, ops, _ = lift_basis(system.constraints, system.quad)
-        lifted = start, -system.functional(ops)
+        start, pairings, _ = lift_basis(system.constraints, system.quad)
+        lifted = start, -system.scatter.functional(pairings)
     start, rhs = lifted
     x, info = solve_hpd(system.matrix, rhs, tol=tol, hierarchy=system.hierarchy)
     return replace(start, regular=system.constraints.expand(x) + start.regular, cg=info)

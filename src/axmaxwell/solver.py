@@ -221,10 +221,10 @@ def _pair(system, data, basis, load=None):
     (unless given) and pair the data with the basis operators.
 
     data holds the mode's samples (f_r, f_theta, f_z, g) at the quadrature
-    points of the system, one (Q, 4) array.  Returns (load, bop, energy,
-    numer): bop the mode-k (curl, div) of the basis at the quadrature
-    points, energy = a_k(s, s) and numer the data paired with bop; without
-    a basis (load, None, 0.0, 0.0).
+    points of the system, one (Q, 4) array.  Returns (load, energy, numer):
+    energy = a_k(s, s) and numer the data paired with the mode-k (curl,
+    div) of the basis, both summed chunk by chunk over its rows (see
+    SingularBasis.op_chunks); without a basis (load, 0.0, 0.0).
     """
     data = np.asarray(data)
     shape = (len(system.ws.wr), 4)
@@ -235,15 +235,16 @@ def _pair(system, data, basis, load=None):
     if load is None:
         load = system.functional(data)
     if basis is None:
-        return load, None, 0.0, 0.0
+        return load, 0.0, 0.0
     if basis.space != system.space:
         raise ValueError("basis space does not match the system")
-    bop = basis.op_arrays(system.ws, system.k)
-    energy = float(system.ws.norm_sq(bop))
+    ws, energy, numer = system.ws, 0.0, 0j
+    for points, rows in basis.op_chunks(ws, system.k):
+        energy += ws.norm_sq(rows, points)
+        numer += np.einsum("q,qa,qa->", ws.wr[points], data[points], rows.conj())
     if energy <= 0.0 or not np.isfinite(energy):
         raise ArithmeticError("singular basis has no energy; basis is broken")
-    numer = complex(np.einsum("q,qa,qa->", system.ws.wr, data, bop.conj()))
-    return load, bop, energy, numer
+    return load, float(energy), complex(numer)
 
 
 def _unsolved(norm, floor, tol):
@@ -274,8 +275,8 @@ def solve_mode_orthogonal(system, data, basis=None, tol=1e-10, *, load=None, flo
     """
     if basis is not None and basis.k != system.k:
         raise ValueError(f"expected the mode {system.k} basis, got mode {basis.k}")
-    load, bop, energy, numer = _pair(system, data, basis, load)
-    del data, bop  # no (Q, 4) array of the mode lives through its CG
+    load, energy, numer = _pair(system, data, basis, load)
+    del data  # no (Q, 4) array of the mode lives through its CG
     coeff = numer / energy if basis is not None else 0j
     info = _unsolved(np.linalg.norm(load), floor, tol)
     if info is not None:
@@ -303,15 +304,16 @@ def solve_mode_bordered(system, data, basis, tol=1e-10, *, load=None, floor=0.0)
     base_k = 2 if k > 0 else -2
     if basis.k != base_k:
         raise ValueError(f"expected the mode {base_k} basis, got mode {basis.k}")
-    load, bop, alpha, f_s = _pair(system, data, basis, load)
+    load, alpha, f_s = _pair(system, data, basis, load)
+    del data  # no (Q, 4) array of the mode lives through its CG
     info = _unsolved(np.linalg.norm(np.append(load, f_s)), floor, tol)
     if info is not None:
         return ModeRecord(ModeField(system.mesh, k), 0j, basis, info, alpha)
     # coupling a_k(s, v) of the reused basis s with the regular test fields:
     # the mode-k (curl, div) of s (discrete regular part plus analytic
-    # principal part) paired with those of the test fields
-    coupling = system.functional(bop)
-    del data, bop  # no (Q, 4) array of the mode lives through its CG
+    # principal part) paired, chunk by chunk, with those of the test fields
+    coupling = system.scatter.functional(system.ws.adjoint_chunks(
+        (rows for _, rows in basis.op_chunks(system.ws, k)), k))
     x, coeff, info = solve_bordered(
         system.matrix, coupling, alpha, load, f_s, tol=tol, hierarchy=system.hierarchy
     )
@@ -359,47 +361,41 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
     mode's solve.  The modes are solved in order of k.
     """
     quad = MeshQuadrature(mesh, corner)
-    pts = quad.xy
-    fmodes = analyze_rhs(f, N, pts, samples)
-    gmodes = analyze_scalar_rhs(g, N, pts, samples) if g is not None else {}
+    fmodes = analyze_rhs(f, N, quad.xy, samples)
+    gmodes = analyze_scalar_rhs(g, N, quad.xy, samples) if g is not None else {}
     ws = modal_ops.workspace(quad)  # after the analysis: none of its temporaries coexist
     low = range(min(N, 2) + 1)
     scatters = {k: modal_ops.LoadScatter(build_constraints(mesh, k, space)) for k in low}
 
-    def mode_data(k, drop=False):
-        # the mode's (Q, 4) rows (f, g), packed only while they are used
+    def mode_data(k, points=slice(None), drop=False):
+        # the mode's rows (f, g) at the points, packed only while they are used
         take = dict.pop if drop else dict.get
-        data = np.zeros((len(pts), 4), dtype=complex)
-        data[:, :3] = take(fmodes, k)
-        data[:, 3] = take(gmodes, k, 0.0)
-        return data
+        f, g = take(fmodes, k)[points], take(gmodes, k, None)
+        return np.concatenate([f, np.zeros((len(f), 1)) if g is None else g[points, None]], axis=1)
 
-    loads, dnorms = {}, {}
-    for k in range(N + 1):
-        data = mode_data(k)
-        loads[k] = scatters[min(k, 2)].functional(ws.op_adjoint(data, k))
-        if k <= 2 and corner is not None:
-            dnorms[k] = ws.norm_sq(data)
-    del data  # packed again for its mode's solve
+    loads, dnorms = {}, {k: [] for k in low if corner is not None}
+    for k in range(N + 1):  # packed chunk by chunk for the load and, for a bound, ||d_k||^2
+        rows = (mode_data(k, points) for _, points, _ in ws.chunks)
+        loads[k] = scatters[min(k, 2)].functional(ws.adjoint_chunks(rows, k, dnorms.get(k)))
     norms = [np.linalg.norm(loads[k]) for k in range(N + 1)]
     floor = math.sqrt((norms[0] ** 2 + 2.0 * sum(n * n for n in norms[1:])) / (2 * N + 1))
     skipped, lifted, solved = {}, {}, []
     for k in low:
-        ops, fs_bound = None, 0.0
+        pairings, fs_bound = None, 0.0
         if corner is not None:
-            start, ops, e_up = singular.lift_basis(scatters[k].constraints, quad)
-            fs_bound = math.sqrt(dnorms[k] * e_up)
+            start, pairings, e_up = singular.lift_basis(scatters[k].constraints, quad)
+            fs_bound = math.sqrt(sum(dnorms[k]) * e_up)
         skipped[k] = _unsolved(math.hypot(norms[k], fs_bound), floor, tol)
         if skipped[k] is not None:  # nothing of the mode's data is read again
             del fmodes[k], loads[k]
             gmodes.pop(k, None)
         if skipped[k] is None or (k == 2 and N > 2):  # mode 2's basis serves k > 2
             solved.append(k)
-            if ops is not None:  # the basis right-hand side, for solved modes only
-                lifted[k] = start, -scatters[k].functional(ws.op_adjoint(ops, k))
+            if pairings is not None:  # the basis right-hand side, for solved modes only
+                lifted[k] = start, -scatters[k].functional(pairings)
         else:  # no system of its class is built
             del scatters[k]
-    del ops  # no (Q, 4) lift rows reach the assembly
+    del pairings  # none reaches the assembly
     systems = modal_ops.assemble_systems(space, solved, quad, N > 2, scatters)
     bases = compute_bases(systems, lifted, tol=tol) if corner is not None else {}
     del lifted

@@ -11,6 +11,7 @@ import pytest
 from axmaxwell import cli_io, linalg, manufactured, mesh, modal_ops, singular, solver
 from axmaxwell.cli_io import main, write_csv, write_vtk
 from axmaxwell.femcore import SPACE_Y
+from test_solver import _chunked_norm_sq
 
 
 def read_csv(path):
@@ -184,8 +185,7 @@ def test_bordered_modes_report_the_basis_energy(tmp_path, lshape, lshape_quad):
     system2 = modal_ops.assemble_a_k(msh, 2, SPACE_Y, quad=lshape_quad)
     basis2 = singular.compute_basis(system2)
     system3 = system2.shifted(3)
-    bop = basis2.op_arrays(system3.ws, 3)
-    alpha = float(np.sum(system3.ws.wr[:, None] * np.abs(bop) ** 2))
+    alpha = _chunked_norm_sq(system3.ws, basis2.op_arrays(system3.ws, 3))
     assert header[-1] == "basis_energy"
     for k in (3, -3):
         assert float(by_k[k]["basis_energy"]) == alpha
@@ -193,8 +193,9 @@ def test_bordered_modes_report_the_basis_energy(tmp_path, lshape, lshape_quad):
 
 def test_singular_and_solve_report_one_basis_energy(tmp_path, lshape, lshape_quad):
     """singular's diag energy and curl_norm_sq are the weighted sums of the
-    basis operators at its mode, and the energy is the basis_energy that
-    solve reports for modes +-1 on the same mesh and field."""
+    basis operators at its mode, summed chunk by chunk, and the energy is
+    the basis_energy that solve reports for modes +-1 on the same mesh and
+    field."""
     rc = main([
         "singular", "--h", "0.1", "--k", "1", "--outdir", str(tmp_path), "--out", "b",
     ])
@@ -206,9 +207,9 @@ def test_singular_and_solve_report_one_basis_energy(tmp_path, lshape, lshape_qua
     msh, _ = lshape
     system = modal_ops.assemble_a_k(msh, 1, SPACE_Y, quad=lshape_quad)
     basis = singular.compute_basis(system)
-    bop, wr = basis.op_arrays(system.ws, 1), system.ws.wr[:, None]
-    assert float(diag["energy"]) == float(np.sum(wr * np.abs(bop) ** 2))
-    assert float(diag["curl_norm_sq"]) == float(np.sum(wr * np.abs(bop[:, :3]) ** 2))
+    bop = basis.op_arrays(system.ws, 1)
+    assert float(diag["energy"]) == _chunked_norm_sq(system.ws, bop)
+    assert float(diag["curl_norm_sq"]) == _chunked_norm_sq(system.ws, bop[:, :3])
     assert 0.0 < float(diag["curl_norm_sq"]) < float(diag["energy"])
     header, rows = read_csv(tmp_path / "s" / "summary.csv")
     by_k = {int(row[0]): dict(zip(header, row)) for row in rows}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from axmaxwell import mesh, modal_ops
+from axmaxwell import linalg, mesh, modal_ops
 from axmaxwell.cli_io import RHS_BUILTINS
 from axmaxwell.femcore import SPACE_Y, MeshQuadrature
 from axmaxwell.linalg import (
@@ -63,6 +63,50 @@ def test_matvec_matches_dense(rng):
     assert np.allclose(A.matvec(x), dense @ x, rtol=1e-13)
 
 
+def test_matvec_with_trailing_empty_rows():
+    """The last row with entries sums all of them when empty rows follow it."""
+    A = HermitianSparse([0, 2, 2, 2], [0, 1], [1.0, 2.0], 3)
+    assert A.matvec(np.ones(3)).tolist() == [3.0, 0.0, 0.0]
+
+
+def _whole_matvec(A, x):
+    """A x as one gather, one multiply (data first) and one reduceat over
+    every row with entries."""
+    prod = x[A.indices]
+    np.multiply(A.data, prod, out=prod)
+    out = np.zeros(A.n, dtype=complex)
+    rows = np.flatnonzero(np.diff(A.indptr))
+    if len(rows):
+        out[rows] = np.add.reduceat(prod, A.indptr[rows])
+    return out
+
+
+@pytest.mark.parametrize("block", [None, 5])
+def test_blocked_matvec_equals_the_whole_array_product_bit_for_bit(monkeypatch, block):
+    """The matvec, _BLOCK_ROWS rows at a time, holds the bits of the
+    whole-array product: with empty rows spread out, a block's worth of
+    them, the last rows or every row empty, for n below, at and above the
+    block size, and for an augmented matrix with its dense last row."""
+    if block is not None:
+        monkeypatch.setattr(linalg, "_BLOCK_ROWS", block)
+    size, rng = linalg._BLOCK_ROWS, np.random.default_rng(42)
+    for n in (1, size - 1, size, size + 1, 3 * size + 2):
+        for empty in ((), range(0, n, 3), range(size, min(2 * size, n)), range(max(n - 2, 0), n),
+                      range(n)):
+            counts = rng.integers(1, 30, n)
+            counts[list(empty)] = 0
+            rows = np.repeat(np.arange(n), counts)
+            vals = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
+            A = _from_coo(rows, rng.integers(0, n, len(rows)), vals, n)
+            y = rng.normal(size=n) + 1j * rng.normal(size=n)
+            for M in (A, augmented(A, y, 2.0 + n)):
+                x = rng.normal(size=M.n) + 1j * rng.normal(size=M.n)
+                got = M.matvec(x)
+                assert got.tobytes() == _whole_matvec(M, x).tobytes(), (n, empty)
+                if M.n <= 100:
+                    assert np.allclose(got, M.to_dense() @ x, rtol=1e-12, atol=1e-12)
+
+
 def test_identity_converges_immediately():
     A = _from_coo(range(5), range(5), np.ones(5), 5)
     b = np.arange(1.0, 6.0, dtype=complex)
@@ -76,6 +120,25 @@ def test_zero_rhs_needs_no_iterations():
     x, info = solve_hpd(A, np.zeros(4))
     assert np.all(x == 0.0)
     assert info.iterations == 0
+
+
+def test_cg_scales_a_right_hand_side_whose_norm_underflows():
+    """s b for s in [1e-300, 1e-140], on the 10x10 _random_hpd matrix (seed
+    0): a norm of s b, or of its residuals near round-off, would underflow,
+    so CG solves 2^-e s b, its largest entry in [0.5, 1), and returns that
+    solution times 2^e, bit for bit.  Each scale converges with a nonzero
+    true residual to s times the solution of b."""
+    rng = np.random.default_rng(0)
+    A, _ = _random_hpd(10, rng)
+    b = rng.normal(size=10) + 1j * rng.normal(size=10)
+    x1, _ = solve_hpd(A, b, tol=1e-10)
+    for s in 10.0 ** np.arange(-300, -139, 5):
+        x, info = solve_hpd(A, s * b, tol=1e-10)
+        e = np.frexp(np.abs(s * b).max())[1]
+        ref_x, ref_info = solve_hpd(A, s * b * 2.0 ** -e, tol=1e-10)
+        assert info == ref_info and 0.0 < info.residual <= 1e-10, s
+        assert x.tobytes() == (ref_x * 2.0 ** e).tobytes(), s
+        assert np.abs(x / s - x1).max() <= 1e-8 * np.abs(x1).max(), s
 
 
 def test_cg_matches_dense_solve(rng):

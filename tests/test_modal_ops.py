@@ -440,6 +440,25 @@ def test_pattern_from_vertex_pairs_equals_the_entry_keys(lshape, lshape_quad, sp
         assert _same_bits(got, want)
 
 
+def test_pattern_peaks_below_twice_what_it_keeps():
+    """The pattern finds its keys by one sort and writes the int32 slots
+    straight into their (t, 3 i + a, 3 j + b) layout: building it peaks
+    below twice its indptr, indices and slots (the L-shape at h = 0.0125;
+    np.unique and a gathered, transposed copy of the slots peaked at 3.6
+    times)."""
+    msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.0125)
+    ws = modal_ops.workspace(MeshQuadrature(msh, corner))
+    scatter = modal_ops.LoadScatter(femcore.build_constraints(msh, 1, SPACE_X))
+    tracemalloc.start()
+    try:
+        pattern = modal_ops._Pattern(scatter, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = pattern.indptr.nbytes + pattern.indices.nbytes + pattern.slots.nbytes
+    assert peak < 2 * kept, peak / kept
+
+
 def test_assembly_keeps_no_element_arrays():
     """Without shifts a workspace keeps no (nt, 9, 9) array, and no whole
     E(k) exists: with its pattern built, forming a matrix peaks below half

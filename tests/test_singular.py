@@ -235,6 +235,28 @@ def test_basis_record(lshape, lshape_quad):
     assert 0.0 < basis.cg.residual <= 1e-10
 
 
+@pytest.mark.parametrize("h", [0.1, 0.0125])
+def test_basis_rows_by_chunk_equal_the_whole_arrays_bit_for_bit(h):
+    """Each chunk of a basis's rows holds the bits of the whole regular rows
+    plus the principal rows at all points, sliced to the chunk, and
+    op_arrays fills them in."""
+    msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, h)
+    quad = MeshQuadrature(msh, corner)
+    ws = modal_ops.workspace(quad)
+    rng = np.random.default_rng(7)
+    for k, space in ((0, SPACE_X), (1, SPACE_Y), (-2, SPACE_X), (3, SPACE_Y)):
+        pp = PrincipalPart(EDGE_ELECTRIC if space == SPACE_X else EDGE_MAGNETIC, corner)
+        regular = ModeField(msh, k, rng.normal(size=(msh.num_vertices, 3))
+                            + 1j * rng.normal(size=(msh.num_vertices, 3)))
+        basis = singular.SingularBasis(k, space, pp, regular)
+        whole = ws.op_values(regular.values, k) + pp.ops(ws.xy, k)
+        chunks = list(basis.op_chunks(ws, k))
+        assert [points for points, _ in chunks] == [points for _, points, _ in ws.chunks]
+        for points, rows in chunks:
+            assert rows.tobytes() == whole[points].tobytes(), (h, k)
+        assert basis.op_arrays(ws, k).tobytes() == whole.tobytes()
+
+
 def test_basis_needs_a_quadrature_subdivided_at_the_corner(lshape):
     """The basis integrands behave like rho^(alpha-1) at the corner: on a
     quadrature without the corner subdivision C^k would move by about 1e-3

@@ -14,6 +14,18 @@ from axmaxwell.femcore import SPACE_X, SPACE_Y, MeshQuadrature, ModeField
 TWO_PI = 2.0 * math.pi
 
 
+def _chunked_sum(ws, term):
+    """term(points) of each chunk of the workspace ws, added in chunk order:
+    how a_k(s, s), E_up, ||d_k||^2 and the pairing of the data with the
+    basis are summed."""
+    return sum(term(points) for _, points, _ in ws.chunks)
+
+
+def _chunked_norm_sq(ws, rows):
+    """sum_q w r |rows_q|^2 of (Q, m) rows, summed chunk by chunk."""
+    return float(_chunked_sum(ws, lambda p: np.sum(ws.wr[p, None] * np.abs(rows[p]) ** 2)))
+
+
 def test_analyze_single_harmonic():
     # f = cos(theta) e_z: only modes +-1, coefficient pi / sqrt(2 pi)
     calls = []
@@ -165,7 +177,7 @@ def test_singular_only_manufactured(lshape, lshape_quad, space):
     reg_energy = abs(modal_ops.a_k_direct(rec.field, rec.field, k, lshape_quad))
     assert reg_energy <= 1e-6 * rec.energy
     # the record: one CG solve, C^k over the basis energy
-    assert rec.energy == float(np.sum(system.ws.wr[:, None] * np.abs(bop) ** 2))
+    assert rec.energy == _chunked_norm_sq(system.ws, bop)
     assert rec.cg.iterations > 0
     assert rec.cg.residual <= 1e-10
     # a posteriori orthogonality used to decouple the coefficient
@@ -220,8 +232,7 @@ def test_bordered_recovers_known_combination(lshape, lshape_quad, rng):
     # entry alpha is the energy a_3(s, s) of the reused mode-2 basis
     assert rec.cg.iterations > 0
     assert rec.cg.residual <= 1e-10
-    bop = b2.op_arrays(sysk.ws, 3)
-    assert rec.energy == float(np.sum(sysk.ws.wr[:, None] * np.abs(bop) ** 2))
+    assert rec.energy == _chunked_norm_sq(sysk.ws, b2.op_arrays(sysk.ws, 3))
     scale = np.abs(w.values).max()
     assert np.abs(rec.field.values - w.values).max() <= 1e-6 * scale
 
@@ -441,9 +452,10 @@ def test_skipped_bordered_mode_is_zero(lshape, lshape_quad, monkeypatch):
     sys2 = modal_ops.assemble_a_k(msh, 2, SPACE_Y, quad=lshape_quad)
     b2 = singular.compute_basis(sys2)
     sys4 = sys2.shifted(4)
-    data = 1e-13 * b2.op_arrays(sys4.ws, 4)
-    rhs = np.append(sys4.functional(data), np.einsum(
-        "q,qa,qa->", sys4.ws.wr, data, b2.op_arrays(sys4.ws, 4).conj()))
+    bop = b2.op_arrays(sys4.ws, 4)
+    data = 1e-13 * bop
+    f_s = _chunked_sum(sys4.ws, lambda p: np.einsum("q,qa,qa->", sys4.ws.wr[p], data[p], bop[p].conj()))
+    rhs = np.append(sys4.functional(data), f_s)
     calls = _spy_cg(monkeypatch)
     rec = solver.solve_mode_bordered(sys4, data, b2, tol=1e-10, floor=1.0)
     assert calls == []
@@ -482,16 +494,16 @@ def test_full_solve_assembles_each_system_once(lshape, rect, monkeypatch):
 
 def test_full_solve_forms_each_basis_once_per_use(lshape, lshape_quad, monkeypatch):
     """An N = 2 solve evaluates each basis's operators once for its lift and
-    once for its mode's pairing, and the record keeps that pairing's
-    a_k(s, s); the basis itself is frozen and stores no energy."""
+    once for its mode's pairing, chunk by chunk, and the record keeps that
+    pairing's a_k(s, s); the basis itself is frozen and stores no energy."""
     msh, corner = lshape
-    op_arrays, calls = singular.SingularBasis.op_arrays, []
+    op_chunks, calls = singular.SingularBasis.op_chunks, []
 
     def counted(self, ws, k):
         calls.append(k)
-        return op_arrays(self, ws, k)
+        return op_chunks(self, ws, k)
 
-    monkeypatch.setattr(singular.SingularBasis, "op_arrays", counted)
+    monkeypatch.setattr(singular.SingularBasis, "op_chunks", counted)
     sol = solver.solve_axisymmetric(msh, SPACE_Y, _bandlimited, N=2, corner=corner)
     assert len(calls) <= 6
     monkeypatch.undo()
@@ -499,7 +511,7 @@ def test_full_solve_forms_each_basis_once_per_use(lshape, lshape_quad, monkeypat
     for k, rec in sol.records.items():
         basis = rec.basis
         assert basis.k == k
-        assert rec.energy == float(np.sum(ws.wr[:, None] * np.abs(basis.op_arrays(ws, k)) ** 2))
+        assert rec.energy == _chunked_norm_sq(ws, basis.op_arrays(ws, k))
     with pytest.raises(dataclasses.FrozenInstanceError):
         sol.records[1].basis.cg = None
 
@@ -539,12 +551,13 @@ def _rule_bounds(msh, corner, space, f, N):
 
 def _spy_build(monkeypatch):
     """Record the mode of every assembly and basis solve and count the
-    evaluations of basis operators and of op_adjoint, through which every
-    load and basis right-hand side is formed."""
-    calls = {"assemble_a_k": [], "compute_basis": [], "op_arrays": 0, "op_adjoint": 0}
-    assemble, basis, op_arrays, op_adjoint = (
-        modal_ops.assemble_a_k, singular.compute_basis, singular.SingularBasis.op_arrays,
-        modal_ops.OperatorWorkspace.op_adjoint)
+    evaluations of basis operators (op_chunks) and the free-dof functionals
+    of the load scatters, through which every load, basis right-hand side
+    and bordered coupling is formed."""
+    calls = {"assemble_a_k": [], "compute_basis": [], "op_chunks": 0, "functional": 0}
+    assemble, basis, op_chunks, functional = (
+        modal_ops.assemble_a_k, singular.compute_basis, singular.SingularBasis.op_chunks,
+        modal_ops.LoadScatter.functional)
 
     def assembled(msh, k, *args, **kwargs):
         calls["assemble_a_k"].append(k)
@@ -555,17 +568,17 @@ def _spy_build(monkeypatch):
         return basis(system, *args, **kwargs)
 
     def evaluated(self, ws, k):
-        calls["op_arrays"] += 1
-        return op_arrays(self, ws, k)
+        calls["op_chunks"] += 1
+        return op_chunks(self, ws, k)
 
-    def paired(self, vec, k):
-        calls["op_adjoint"] += 1
-        return op_adjoint(self, vec, k)
+    def reduced(self, per_dof_local):
+        calls["functional"] += 1
+        return functional(self, per_dof_local)
 
     monkeypatch.setattr(modal_ops, "assemble_a_k", assembled)
     monkeypatch.setattr(singular, "compute_basis", based)
-    monkeypatch.setattr(singular.SingularBasis, "op_arrays", evaluated)
-    monkeypatch.setattr(modal_ops.OperatorWorkspace, "op_adjoint", paired)
+    monkeypatch.setattr(singular.SingularBasis, "op_chunks", evaluated)
+    monkeypatch.setattr(modal_ops.LoadScatter, "functional", reduced)
     return calls
 
 
@@ -580,8 +593,9 @@ def test_round_off_modes_are_skipped_before_their_system(lshape, lshape_quad, mo
     """cos(theta) e_z data fill mode 1 only.  Modes 0 and 2 meet the rule
     before any matrix exists: one assembly, one basis solve and at most
     four evaluations of basis operators (three lifts and the mode-1
-    pairing).  op_adjoint forms the N + 1 loads and the basis right-hand
-    side of mode 1 only: a skipped mode whose basis nobody reads gets none.
+    pairing).  The load scatters form the N + 1 loads and the basis
+    right-hand side of mode 1 only: a skipped mode whose basis nobody reads
+    gets none.
     Mode 1 is solved bit for bit as on its own system and basis, with the
     same load and floor.  With N = 3 the mode-2 system and basis are built
     for the bordered mode 3, and mode 2 is still skipped; exactly zero data
@@ -591,9 +605,9 @@ def test_round_off_modes_are_skipped_before_their_system(lshape, lshape_quad, mo
     resid, F = _rule_bounds(msh, corner, SPACE_X, _cos_theta_ez, 2)
     calls = _spy_build(monkeypatch)
     sol = solver.solve_axisymmetric(msh, SPACE_X, _cos_theta_ez, N=2, corner=corner, tol=tol)
-    assert calls == {"assemble_a_k": [1], "compute_basis": [1], "op_arrays": calls["op_arrays"],
-                     "op_adjoint": 3 + 1}
-    assert calls["op_arrays"] <= 4
+    assert calls == {"assemble_a_k": [1], "compute_basis": [1], "op_chunks": calls["op_chunks"],
+                     "functional": 3 + 1}
+    assert calls["op_chunks"] <= 4
     monkeypatch.undo()
     for k in (0, 2):
         assert resid[k] <= tol
@@ -613,7 +627,7 @@ def test_round_off_modes_are_skipped_before_their_system(lshape, lshape_quad, mo
     calls = _spy_build(monkeypatch)
     sol = solver.solve_axisymmetric(msh, SPACE_X, _cos_theta_ez, N=3, corner=corner, tol=tol)
     assert calls["assemble_a_k"] == [1, 2] and calls["compute_basis"] == [1, 2]
-    assert calls["op_adjoint"] == 4 + 2  # mode 3 is round-off: no coupling is formed
+    assert calls["functional"] == 4 + 2  # mode 3 is round-off: no coupling is formed
     _assert_skipped(sol.records[2], _rule_bounds(msh, corner, SPACE_X, _cos_theta_ez, 3)[0][2])
     assert sol.records[3].basis.k == 2
 
@@ -623,7 +637,7 @@ def test_round_off_modes_are_skipped_before_their_system(lshape, lshape_quad, mo
         sol = solver.solve_axisymmetric(msh, SPACE_X, lambda r, th, z: (0.0, 0.0, 0.0), N=N,
                                         corner=corner, tol=tol)
         assert calls["assemble_a_k"] == [2] * (N > 2)
-        assert calls["op_adjoint"] == (N + 1) + (N > 2)
+        assert calls["functional"] == (N + 1) + (N > 2)
         for rec in sol.records.values():
             assert rec.cg == linalg.CGInfo(0, 0.0) and rec.coeff == 0j
             assert not rec.field.values.any()
@@ -809,9 +823,9 @@ def test_convergence_spot_check():
 
 
 def test_a_mode_cg_starts_without_the_point_arrays_of_its_mode(lshape, monkeypatch):
-    """When the CG of a mode starts, the (Q, 4) data and basis rows of the
-    mode are dead, on the orthogonal path (k = 1) and the bordered one
-    (k = 3).  The mode-1 system, which is not shifted, holds no pattern
+    """When the CG of a mode starts, the (Q, 4) data of the mode and every
+    chunk of its basis rows are dead, on the orthogonal path (k = 1) and the
+    bordered one (k = 3).  The mode-1 system, which is not shifted, holds no pattern
     slots, the mode-2 one keeps them for its shifts, and the load scatter
     of mode 0, skipped and serving no |k| > 2 mode, is released."""
     msh, corner = lshape
@@ -823,15 +837,19 @@ def test_a_mode_cg_starts_without_the_point_arrays_of_its_mode(lshape, monkeypat
             scatters.setdefault(constraints.k, weakref.ref(self))
 
     pair, solve_hpd, assemble = solver._pair, linalg.solve_hpd, modal_ops.assemble_systems
+    op_chunks, data = singular.SingularBasis.op_chunks, []
 
-    def recording_pair(system, data, basis, load=None):
-        out = pair(system, data, basis, load)
-        rows.append((weakref.ref(data), weakref.ref(out[1])))
-        return out
+    def recording_pair(system, mode_data, basis, load=None):
+        data.append(weakref.ref(mode_data))
+        return pair(system, mode_data, basis, load)
+
+    def recording_chunks(self, ws, k):
+        for points, chunk in op_chunks(self, ws, k):
+            rows.append(weakref.ref(chunk))
+            yield points, chunk
 
     def checking_solve_hpd(A, b, **kw):
-        data, bop = rows[-1]
-        starts.append((data() is None, bop() is None, scatters[0]() is None))
+        starts.append((data[-1]() is None, all(r() is None for r in rows), scatters[0]() is None))
         return solve_hpd(A, b, **kw)
 
     systems = {}
@@ -839,6 +857,7 @@ def test_a_mode_cg_starts_without_the_point_arrays_of_its_mode(lshape, monkeypat
     monkeypatch.setattr(modal_ops, "assemble_systems",
                         lambda *a: systems.update(assemble(*a)) or systems)
     monkeypatch.setattr(solver, "_pair", recording_pair)
+    monkeypatch.setattr(singular.SingularBasis, "op_chunks", recording_chunks)
     monkeypatch.setattr(solver, "solve_hpd", checking_solve_hpd)
     monkeypatch.setattr(linalg, "solve_hpd", checking_solve_hpd)
     sol = solver.solve_axisymmetric(msh, SPACE_Y, _odd_data, N=3, corner=corner)
@@ -846,3 +865,59 @@ def test_a_mode_cg_starts_without_the_point_arrays_of_its_mode(lshape, monkeypat
     assert starts == [(True, True, True)] * 2
     assert sorted(systems) == [1, 2] and systems[1].pattern.slots is None
     assert systems[2].pattern.slots is not None and scatters[2]() is not None
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_lift_and_pair_hold_no_whole_basis_rows():
+    """lift_basis and _pair form the basis rows chunk by chunk: each peaks
+    less than one (Q, 4) complex array above its inputs (the L-shape at
+    h = 0.0125, 67,536 points), output included."""
+    msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.0125)
+    quad = MeshQuadrature(msh, corner)
+    scatter = modal_ops.LoadScatter(femcore.build_constraints(msh, 1, SPACE_X))
+    system = modal_ops.ModeSystem(scatter, quad)
+    data = np.ones((len(quad.xy), 4), dtype=complex)
+    load = system.functional(data)
+
+    def traced(step):
+        tracemalloc.start()
+        try:
+            return step(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (lifted, _, _), lift = traced(lambda: singular.lift_basis(scatter.constraints, quad))
+    _, pair = traced(lambda: solver._pair(system, data, lifted, load))
+    assert lift < data.nbytes and pair < data.nbytes, (lift, pair)
+
+
+def test_the_loads_form_no_whole_mode_rows(monkeypatch):
+    """The loads and ||d_k||^2 of all modes are formed from each mode's data
+    packed chunk by chunk: from the workspace to the first lift, the traced
+    peak stays less than one (Q, 4) complex array above what is then kept
+    (the L-shape at h = 0.0125, N = 2)."""
+    msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.0125)
+    workspace, seen = modal_ops.workspace, []
+
+    def tracing_workspace(quad):
+        ws = workspace(quad)
+        if not tracemalloc.is_tracing():
+            tracemalloc.start()
+        return ws
+
+    def stop(constraints, quad):
+        seen.append((tracemalloc.get_traced_memory(), len(quad.xy)))
+        raise _Stop
+
+    monkeypatch.setattr(modal_ops, "workspace", tracing_workspace)
+    monkeypatch.setattr(singular, "lift_basis", stop)
+    try:
+        with pytest.raises(_Stop):
+            solver.solve_axisymmetric(msh, SPACE_X, _bandlimited, N=2, corner=corner)
+    finally:
+        tracemalloc.stop()
+    [((kept, peak), Q)] = seen
+    assert peak - kept < Q * 4 * np.dtype(complex).itemsize

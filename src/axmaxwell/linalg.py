@@ -43,10 +43,9 @@ class HermitianSparse:
         self.indices = np.asarray(indices, dtype=np.int64)
         self.data = np.asarray(data, dtype=complex)
         self.n = int(n)
-        # matvec's blocks of _BLOCK_ROWS rows with entries: entries, offsets, rows (or their slice)
+        # matvec's blocks of _BLOCK_ROWS rows with entries: entries, offsets, rows
         rows, ptr = np.flatnonzero(np.diff(self.indptr)), self.indptr
-        self._blocks = [(slice(ptr[r[0]], ptr[r[-1] + 1]), ptr[r] - ptr[r[0]],
-                         slice(r[0], r[-1] + 1) if r[-1] - r[0] == len(r) - 1 else r)
+        self._blocks = [(slice(ptr[r[0]], ptr[r[-1] + 1]), ptr[r] - ptr[r[0]], r)
                         for r in np.split(rows, np.arange(_BLOCK_ROWS, len(rows), _BLOCK_ROWS)) if len(r)]
 
     @property
@@ -180,11 +179,12 @@ def solve_hpd(A, b, tol=1e-10, maxit=None, *, hierarchy=None):
     above tol too.  A pass ends at round-off, and no restart follows, when
     p^H A p <= 0 with the recursive residual below _EPS, or when rho or that
     residual underflows to 0.  A b with ||b|| < _SMALL_NORM is solved as
-    2^-e b, its largest entry in [0.5, 1), and x scaled back by 2^e (exact).
-    Returns (x, CGInfo) with the true residual; raises ValueError unless
-    0 < tol < 1 (NaN included) and SolverError when maxit iterations (both
-    passes together) are exhausted or when the recursive residual has made
-    no new minimum for STALL_WINDOW iterations of a pass;
+    2^-e b, its largest entry in [0.5, 1), and x scaled back by 2^e, exact
+    unless an entry of x is subnormal (it rounds, unseen in the CGInfo of
+    the scaled solve).  Returns (x, CGInfo) with the true residual; raises
+    ValueError unless 0 < tol < 1 (NaN included) and SolverError when maxit
+    iterations (both passes together) are exhausted or when the recursive
+    residual has made no new minimum for STALL_WINDOW iterations of a pass;
     CGInfo.longest_stall is the longest such run over both passes.
     """
     if not 0.0 < tol < 1.0:

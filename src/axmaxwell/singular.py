@@ -117,8 +117,11 @@ class SingularBasis:
             yield points, rows
 
     def op_arrays(self, ws, k):
-        """op_chunks at all quadrature points of ws, (Q, 4), bit for bit."""
-        return ws.op_values(self.regular.values, k) + self.principal.ops(ws.xy, k)
+        """op_chunks at all quadrature points of ws, (Q, 4): op_chunks filled in."""
+        out = np.empty((len(ws.wr), 4), dtype=complex)
+        for points, rows in self.op_chunks(ws, k):
+            out[points] = rows
+        return out
 
     def point_arrays(self, ws):
         """Total basis values at the quadrature points of ws, (Q, 3)."""

@@ -141,6 +141,27 @@ def test_cg_scales_a_right_hand_side_whose_norm_underflows():
         assert np.abs(x / s - x1).max() <= 1e-8 * np.abs(x1).max(), s
 
 
+def test_cg_rounds_a_solution_below_the_normal_range_once():
+    """With b near the normal range's floor and eigenvalues near 1e13 the
+    solution lies among the subnormals: its entries round once, in the
+    scaling back by 2^e, so x is 2^e times the solve of 2^-e b bit for bit
+    and within half a subnormal spacing of that solve's exact scaling; the
+    CGInfo is the scaled solve's and does not show the rounding."""
+    rng = np.random.default_rng(0)
+    A, _ = _random_hpd(10, rng)
+    A.data *= 1e12
+    b = 1e-307 * (rng.normal(size=10) + 1j * rng.normal(size=10))
+    x, info = solve_hpd(A, b, tol=1e-10)
+    e = np.frexp(np.abs(b).max())[1]
+    ref_x, ref_info = solve_hpd(A, b * 2.0 ** -e, tol=1e-10)
+    assert info == ref_info and 0.0 < info.residual <= 1e-10
+    assert x.tobytes() == np.ldexp(ref_x.view(float), e).view(complex).tobytes()
+    tiny, sub = np.finfo(float).tiny, np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(x.view(float)) < tiny) and x.any()  # every part subnormal or zero
+    up = 2.0 ** 200  # both sides scaled into the normal range exactly
+    assert np.abs(x.view(float) * up - ref_x.view(float) * (2.0 ** e * up)).max() <= sub * up / 2
+
+
 def test_cg_matches_dense_solve(rng):
     A, dense = _random_hpd(30, rng)
     b = rng.normal(size=30) + 1j * rng.normal(size=30)

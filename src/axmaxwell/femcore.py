@@ -51,6 +51,8 @@ _SUB_CORNERS = 0.5 * np.array([[[2, 0, 0], [1, 1, 0], [1, 0, 1]], [[1, 1, 0], [0
 SUB_POINTS = np.concatenate([RULE_POINTS @ sub for sub in _SUB_CORNERS])
 SUB_WEIGHTS = np.tile(0.25 * RULE_WEIGHTS, len(_SUB_CORNERS))
 MAX_TRIANGLE_POINTS = len(SUB_WEIGHTS)  # on a subdivided triangle
+# the barycentric points of a triangle of a quadrature run, by its point count
+RULE_OF = {len(points): points for points in (RULE_POINTS, SUB_POINTS)}
 
 
 class MeshQuadrature:
@@ -63,7 +65,6 @@ class MeshQuadrature:
                     run's triangles in increasing order with their point
                     count; a run may be empty
       tri    (Q,)   owning triangle index
-      bary   (Q,3)  barycentric coordinates within the owning triangle
       xy     (Q,2)  physical (r, z) coordinates
       w      (Q,)   weight including the element area (but not the r factor)
       r      (Q,)   radial coordinate, strictly positive
@@ -72,7 +73,8 @@ class MeshQuadrature:
                     built on first use
 
     The points follow the runs: those of a run's triangle i are the n
-    consecutive ones from the run's start plus i * n.
+    consecutive ones from the run's start plus i * n, at the barycentric
+    coordinates RULE_OF[n], which no per-point array repeats.
     """
 
     def __init__(self, mesh, corner=None):
@@ -87,10 +89,9 @@ class MeshQuadrature:
         self.mesh, self.corner = mesh, corner
         self.runs = [(tris, len(weights)) for tris, _, weights in rules]
         self.tri = np.concatenate([np.repeat(tris, len(weights)) for tris, _, weights in rules])
-        self.bary = np.concatenate([np.tile(points, (len(tris), 1)) for tris, points, _ in rules])
         self.w = np.concatenate([np.outer(areas[tris], weights).ravel() for tris, _, weights in rules])
-        corners = mesh.vertices[mesh.triangles[self.tri]]
-        self.xy = np.einsum("qi,qij->qj", self.bary, corners)
+        bary = np.concatenate([np.tile(points, (len(tris), 1)) for tris, points, _ in rules])
+        self.xy = np.einsum("qi,qij->qj", bary, mesh.vertices[mesh.triangles[self.tri]])
         self.r = self.xy[:, 0]
         if np.any(self.r <= 0.0):
             raise MeshError("quadrature point on or beyond the axis")

@@ -24,6 +24,7 @@ _OMEGA = 0.6
 _SWEEPS = 2
 _BLOCK_ROWS = 2048  # rows per block of a matvec: its products exist one block at a time
 _SMALL_NORM = np.sqrt(np.finfo(float).tiny) / _EPS  # below it, eps ||b|| squares to a subnormal
+_LARGE_NORM = np.sqrt(np.finfo(float).max) * _EPS  # above it, ||b|| / eps squares beyond the floats
 
 
 class SolverError(RuntimeError):
@@ -178,10 +179,11 @@ def solve_hpd(A, b, tol=1e-10, maxit=None, *, hierarchy=None):
     and raises SolverError carrying the true residual if that pass ends
     above tol too.  A pass ends at round-off, and no restart follows, when
     p^H A p <= 0 with the recursive residual below _EPS, or when rho or that
-    residual underflows to 0.  A b with ||b|| < _SMALL_NORM is solved as
-    2^-e b, its largest entry in [0.5, 1), and x scaled back by 2^e, exact
-    unless an entry of x is subnormal (it rounds, unseen in the CGInfo of
-    the scaled solve).  Returns (x, CGInfo) with the true residual; raises
+    residual underflows to 0.  A b with ||b|| < _SMALL_NORM, or finite with
+    ||b|| > _LARGE_NORM, is solved as 2^-e b, its largest real or imaginary
+    part in [0.5, 1), and x scaled back by 2^e, exact unless an entry of x
+    is subnormal (it rounds, unseen in the CGInfo of the scaled solve) or
+    overflows (SolverError).  Returns (x, CGInfo) with the true residual; raises
     ValueError unless 0 < tol < 1 (NaN included) and SolverError when maxit
     iterations (both passes together) are exhausted or when the recursive
     residual has made no new minimum for STALL_WINDOW iterations of a pass;
@@ -193,12 +195,15 @@ def solve_hpd(A, b, tol=1e-10, maxit=None, *, hierarchy=None):
     n = A.n
     if maxit is None:
         maxit = 20 * max(n, 1)
-    bnorm = np.linalg.norm(b)
-    if bnorm < _SMALL_NORM:  # zero, or so small that residual norms underflow
+    with np.errstate(over="ignore"):  # inf: scaled below
+        bnorm = np.linalg.norm(b)
+    if bnorm < _SMALL_NORM or bnorm > _LARGE_NORM and np.isfinite(b).all():  # residual norms under/overflow
         if not b.any():
             return np.zeros(n, dtype=complex), CGInfo(0, 0.0)
-        e = int(np.frexp(np.abs(b).max())[1])  # 2^-e b has its largest entry in [0.5, 1)
+        e = int(np.frexp(np.abs(b.view(float)).max())[1])  # 2^-e b's largest part is in [0.5, 1)
         x, info = solve_hpd(A, np.ldexp(b.view(float), -e).view(complex), tol, maxit, hierarchy=hierarchy)
+        if e > 0 and np.abs(x.view(float)).max() >= np.ldexp(1.0, np.finfo(float).maxexp - e):
+            raise SolverError("CG solution overflows", residual=info.residual, iterations=info.iterations)
         return np.ldexp(x.view(float), e).view(complex), info
     inv_diag = _inverse_diagonal(A)
     if hierarchy is None:

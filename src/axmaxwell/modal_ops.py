@@ -119,26 +119,28 @@ class OperatorWorkspace:
     and w r act on float views of complex arrays.  E00, E11 and A are
     formed per chunk of each range of at most _BLOCK_TRIANGLES triangles,
     and kept only after keep_blocks.  Attributes: G (nt, 3, 2), lor (Q, 3)
-    lambda / r, wr (Q,), the chunks and ranges, all real, blocks (None
-    unless kept), the distinct vertex pairs of the element entries, pairs,
-    as (row vertices, column vertices) and pair_of (nt * 9,), the pair of
-    each entry, plus the quadrature's bary, xy and runs and the mesh
-    triangles.  Built once per quadrature (see workspace); the methods take
-    the mode k: element_range forms E(k) of a range, op_chunks applies D_k
-    to nodal fields and adjoint_chunks pairs point samples with the local
-    test dofs, chunk by chunk (op_values, op_adjoint: all points at once).
+    lambda / r, formed run by run from the rule points (femcore.RULE_OF),
+    wr (Q,), the chunks and ranges, all real, blocks (None unless kept),
+    the distinct vertex pairs of the element entries, pairs, as (row
+    vertices, column vertices) and pair_of (nt * 9,), the pair of each
+    entry, plus the quadrature's xy and runs and the mesh triangles.  Built
+    once per quadrature (see workspace); the methods take the mode k:
+    element_range forms E(k) of a range, op_chunks applies D_k to nodal
+    fields and adjoint_chunks pairs point samples with the local test dofs,
+    chunk by chunk (op_values, op_adjoint: all points at once).
     """
 
     def __init__(self, quad):
         mesh = quad.mesh
         # the arrays, not the quadrature: it holds this workspace
-        self.bary, self.xy = quad.bary, quad.xy
-        self.triangles = mesh.triangles
+        self.xy, self.triangles = quad.xy, mesh.triangles
         self.G = gradients(mesh)
-        self.lor = quad.bary / quad.r[:, None]
         self.wr = quad.w * quad.r
         self.runs, nt = quad.runs, mesh.num_triangles
         self.num_triangles, self.chunks = nt, self.chunks_of(slice(0, nt), _CHUNK_TRIANGLES)
+        self.lor = np.empty((len(quad.r), 3))
+        for _, points, n in self.chunks:
+            self.lor[points] = (femcore.RULE_OF[n] / quad.r[points].reshape(-1, n, 1)).reshape(-1, 3)
         self.ranges = [slice(t, min(t + _BLOCK_TRIANGLES, nt)) for t in range(0, nt, _BLOCK_TRIANGLES)]
         pairs = (mesh.triangles[:, :, None] * mesh.num_vertices + mesh.triangles[:, None, :]).ravel()
         pairs, pair_of = np.unique(pairs, return_inverse=True)
@@ -237,21 +239,30 @@ class OperatorWorkspace:
             del vec, wv, pairs  # before the next chunk's rows are formed
         return local.view(complex).reshape(-1, 9)
 
-    def op_adjoint(self, vec, k):
-        """adjoint_chunks of samples vec (Q, 4) at all quadrature points."""
-        return self.adjoint_chunks((vec[points] for _, points, _ in self.chunks), k)
+    def samples(self, vec):
+        """vec[points] per chunk, of point samples vec (Q, m) or an object read
+        alike (solver.ModeData); a chunk that is not finite raises ValueError."""
+        for _, points, _ in self.chunks:
+            rows = vec[points]
+            if not np.all(np.isfinite(rows)):
+                raise ValueError("right-hand side is not finite at a quadrature point")
+            yield rows
+
+    def op_adjoint(self, vec, k, sums=None):
+        """adjoint_chunks of the samples of vec (Q, 4) at all quadrature points."""
+        return self.adjoint_chunks(self.samples(vec), k, sums)
 
     def norm_sq(self, rows, points=slice(None)):
         """sum_q w r |rows_q|^2 of rows (P, m) at the points (all by default)."""
         return np.sum(self.wr[points, None] * np.abs(rows) ** 2)
 
     def point_values(self, values):
-        """Field values at the quadrature points, (Q, 3)."""
+        """Field values at the quadrature points, (Q, 3), from the rule points."""
         u = np.asarray(values, dtype=complex).reshape(-1, 3)
         out = np.empty((len(self.wr), 3), dtype=complex)
         for tris, points, n in self.chunks:
-            bary = self.bary[points].reshape(len(tris), n, 3)
-            out[points] = (bary @ u[self.triangles[tris]].view(float)).view(complex).reshape(-1, 3)
+            local = u[self.triangles[tris]].view(float)  # (m, local vertex, (component, re/im))
+            out[points] = (femcore.RULE_OF[n] @ local).view(complex).reshape(-1, 3)
         return out
 
 
@@ -265,20 +276,20 @@ def workspace(quad):
 
 class LoadScatter:
     """Load scatter of one constraint set, which every class needs and which
-    is cheap: the constraint coefficients of each element's local dofs and
-    their free-dof slots (n: none).  An assembled system shares it."""
+    is cheap: the int32 free-dof slots of each element's local dofs (n:
+    none), whose constraint coefficients are gathered per use.  An
+    assembled system shares it."""
 
     def __init__(self, constraints):
         self.constraints = constraints
-        gdofs = (3 * constraints.mesh.triangles[:, :, None] + np.arange(3)).reshape(-1, 9)
-        fidx = constraints.index[gdofs]  # (nt, 9)
-        self.coeff = constraints.coeff[gdofs]
         n = self.n = constraints.n_free
+        fidx = constraints.index.reshape(-1, 3)[constraints.mesh.triangles].reshape(-1, 9)
         self.fslots = np.where(fidx >= 0, fidx, n).astype(np.int32).ravel()
 
     def functional(self, per_dof_local):
         """Free-dof functional from per-triangle local test functionals."""
-        vals = per_dof_local * np.conj(self.coeff)
+        c = self.constraints
+        vals = per_dof_local * np.conj(c.coeff.reshape(-1, 3)[c.mesh.triangles]).reshape(-1, 9)
         return scatter(self.fslots, vals.ravel(), self.n)
 
 
@@ -313,11 +324,12 @@ class _Pattern:
     def matrix(self, ws, k):
         """Reduced matrix of a_k from E(k) of the workspace ws, each range
         scaled by the constraint coefficients and added in triangle order."""
-        ci = self.scatter.coeff
+        coeff = self.scatter.constraints.coeff.reshape(-1, 3)
         data = np.zeros(len(self.indices) + 1, dtype=complex)  # the last slot takes no free dof's entries
         for i, tris in enumerate(ws.ranges):
-            elem = ws.element_range(i, k) * np.conj(ci[tris])[:, :, None]
-            elem *= ci[tris, None, :]
+            ci = coeff[ws.triangles[tris]].reshape(-1, 9)
+            elem = ws.element_range(i, k) * np.conj(ci)[:, :, None]
+            elem *= ci[:, None, :]
             np.add.at(data, self.slots[81 * tris.start:81 * tris.stop], elem.ravel())
             del elem  # before the next range's blocks
         return HermitianSparse(self.indptr, self.indices, data[:-1], self.scatter.n)
@@ -367,7 +379,7 @@ class ModeSystem:
     def functional(self, vec):
         """(f, curl_k v) + (g, div_k v) over the free test dofs v, from the
         (Q, 4) samples vec = (f_r, f_theta, f_z, g) at the quadrature points
-        (see OperatorWorkspace.op_adjoint)."""
+        (see OperatorWorkspace.op_adjoint and samples)."""
         return self.scatter.functional(self.ws.op_adjoint(vec, self.k))
 
 
@@ -514,11 +526,11 @@ def form_C(u, v, quad):
 
 
 def _sampled(u, quad):
-    """Values (Q, 3) and gradients (Q, 3, 2) of the P1 field u at the
-    quadrature points, from its nodal values and the triangle gradients."""
-    G = gradients(quad.mesh)[quad.tri]
+    """Values (Q, 3) (point_values) and gradients (Q, 3, 2) of the P1 field u
+    at the quadrature points, the latter from the triangle gradients."""
+    ws = workspace(quad)
     vals = np.asarray(u.values, dtype=complex)[quad.mesh.triangles[quad.tri]]  # (Q, 3, 3)
-    return np.einsum("qi,qic->qc", quad.bary, vals), np.einsum("qic,qij->qcj", vals, G)
+    return ws.point_values(u.values), np.einsum("qic,qij->qcj", vals, ws.G[quad.tri])
 
 
 def _components(u, keep):

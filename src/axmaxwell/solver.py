@@ -216,22 +216,32 @@ def sample_3d(solution, n_theta):
 # -- single-mode solvers ----------------------------------------------------------
 
 
+class ModeData:
+    """Mode data (f_r, f_theta, f_z, g) of shape (Q, 4) from the analysed f (Q, 3)
+    and g (Q,) or None (zero): data[points] packs the (P, 4) rows there."""
+
+    def __init__(self, f, g=None):
+        self.f, self.g, self.shape = f, g, (len(f), 4)
+
+    def __getitem__(self, points):
+        f = self.f[points]
+        return np.concatenate([f, np.zeros((len(f), 1)) if self.g is None else self.g[points, None]], axis=1)
+
+
 def _pair(system, data, basis, load=None):
     """What both mode solves share: check the data, build the system's load
     (unless given) and pair the data with the basis operators.
 
     data holds the mode's samples (f_r, f_theta, f_z, g) at the quadrature
-    points of the system, one (Q, 4) array.  Returns (load, energy, numer):
-    energy = a_k(s, s) and numer the data paired with the mode-k (curl,
-    div) of the basis, both summed chunk by chunk over its rows (see
+    points of the system, a (Q, 4) array or a ModeData, read and checked
+    chunk by chunk (OperatorWorkspace.samples).  Returns (load, energy,
+    numer): energy = a_k(s, s) and numer the data paired with the mode-k
+    (curl, div) of the basis, both summed chunk by chunk over its rows (see
     SingularBasis.op_chunks); without a basis (load, 0.0, 0.0).
     """
-    data = np.asarray(data)
     shape = (len(system.ws.wr), 4)
     if data.shape != shape:
         raise ValueError(f"mode data must have shape {shape}, got {data.shape}")
-    if not np.all(np.isfinite(data)):
-        raise ValueError("right-hand side is not finite at a quadrature point")
     if load is None:
         load = system.functional(data)
     if basis is None:
@@ -239,9 +249,9 @@ def _pair(system, data, basis, load=None):
     if basis.space != system.space:
         raise ValueError("basis space does not match the system")
     ws, energy, numer = system.ws, 0.0, 0j
-    for points, rows in basis.op_chunks(ws, system.k):
+    for (points, rows), chunk in zip(basis.op_chunks(ws, system.k), ws.samples(data), strict=True):
         energy += ws.norm_sq(rows, points)
-        numer += np.einsum("q,qa,qa->", ws.wr[points], data[points], rows.conj())
+        numer += np.einsum("q,qa,qa->", ws.wr[points], chunk, rows.conj())
     if energy <= 0.0 or not np.isfinite(energy):
         raise ArithmeticError("singular basis has no energy; basis is broken")
     return load, float(energy), complex(numer)
@@ -260,9 +270,9 @@ def _unsolved(norm, floor, tol):
 
 def solve_mode_orthogonal(system, data, basis=None, tol=1e-10, *, load=None, floor=0.0):
     """Mode solve for |k| <= 2 (or any mode without a singular basis) on the
-    assembled mode system, with the (Q, 4) data of the mode (see _pair);
-    basis may be None, and load is the system's load of data when the
-    caller has formed it already.
+    assembled mode system, with the data of the mode (see _pair); basis may
+    be None, and load is the system's load of data when the caller has
+    formed it already.
 
     The singular coefficient comes from pairing the data against the basis
     operators; the regular part solves the constrained system with the full
@@ -276,7 +286,7 @@ def solve_mode_orthogonal(system, data, basis=None, tol=1e-10, *, load=None, flo
     if basis is not None and basis.k != system.k:
         raise ValueError(f"expected the mode {system.k} basis, got mode {basis.k}")
     load, energy, numer = _pair(system, data, basis, load)
-    del data  # no (Q, 4) array of the mode lives through its CG
+    del data  # none of the mode's data lives through its CG
     coeff = numer / energy if basis is not None else 0j
     info = _unsolved(np.linalg.norm(load), floor, tol)
     if info is not None:
@@ -289,14 +299,13 @@ def solve_mode_bordered(system, data, basis, tol=1e-10, *, load=None, floor=0.0)
     """Mode solve for |k| > 2 reusing the mode sign(k)*2 singular basis.
 
     system is the mode-k system on the constraint class of the mode-2
-    system (system2.shifted(k)), data the (Q, 4)
-    data of the mode and load, optionally, the system's load of data; the
-    non-orthogonal coupling of the reused basis enters as a rank-one
-    border, and one CG solve on the bordered matrix [[K, y], [y^H, alpha]],
-    with alpha = a_k(s, s), gives the regular part and C^k together.  When
-    the bordered right-hand side [b; f_s] has norm at most tol * floor, x = 0
-    meets the stopping rule (see solve_mode_orthogonal): no CG call, a zero
-    regular part and C^k = 0j.
+    system (system2.shifted(k)), data the mode's data (see _pair) and load,
+    optionally, the system's load of data; the non-orthogonal coupling of
+    the reused basis enters as a rank-one border, and one CG solve on the
+    bordered matrix [[K, y], [y^H, alpha]], with alpha = a_k(s, s), gives
+    the regular part and C^k together.  When the bordered right-hand side
+    [b; f_s] has norm at most tol * floor, x = 0 meets the stopping rule
+    (see solve_mode_orthogonal): no CG call, a zero regular part and C^k = 0j.
     """
     k = system.k
     if abs(k) <= 2:
@@ -305,7 +314,7 @@ def solve_mode_bordered(system, data, basis, tol=1e-10, *, load=None, floor=0.0)
     if basis.k != base_k:
         raise ValueError(f"expected the mode {base_k} basis, got mode {basis.k}")
     load, alpha, f_s = _pair(system, data, basis, load)
-    del data  # no (Q, 4) array of the mode lives through its CG
+    del data  # none of the mode's data lives through its CG
     info = _unsolved(np.linalg.norm(np.append(load, f_s)), floor, tol)
     if info is not None:
         return ModeRecord(ModeField(system.mesh, k), 0j, basis, info, alpha)
@@ -344,7 +353,9 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
     on the load scatter of its class (mode 2's for |k| > 2).  A mode whose
     CG right-hand side has norm at most tol * F makes no CG call; every
     other mode is solved by CG to tol * ||rhs|| (see the mode solvers).
-    The basis solves keep tol per solve, since C^k depends on them.
+    The basis solves keep tol per solve, since C^k depends on them.  The
+    loads read the data first, and data that are not finite raise
+    ValueError there, before any lift or assembly.
 
     A mode k <= 2 is skipped before its system exists when the bound
     sqrt(||b_k||^2 + ||d_k||^2 E_up) of its bordered right-hand side
@@ -366,17 +377,10 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
     ws = modal_ops.workspace(quad)  # after the analysis: none of its temporaries coexist
     low = range(min(N, 2) + 1)
     scatters = {k: modal_ops.LoadScatter(build_constraints(mesh, k, space)) for k in low}
-
-    def mode_data(k, points=slice(None), drop=False):
-        # the mode's rows (f, g) at the points, packed only while they are used
-        take = dict.pop if drop else dict.get
-        f, g = take(fmodes, k)[points], take(gmodes, k, None)
-        return np.concatenate([f, np.zeros((len(f), 1)) if g is None else g[points, None]], axis=1)
-
     loads, dnorms = {}, {k: [] for k in low if corner is not None}
-    for k in range(N + 1):  # packed chunk by chunk for the load and, for a bound, ||d_k||^2
-        rows = (mode_data(k, points) for _, points, _ in ws.chunks)
-        loads[k] = scatters[min(k, 2)].functional(ws.adjoint_chunks(rows, k, dnorms.get(k)))
+    for k in range(N + 1):  # packed and checked per chunk for the load and, for a bound, ||d_k||^2
+        loads[k] = scatters[min(k, 2)].functional(
+            ws.op_adjoint(ModeData(fmodes[k], gmodes.get(k)), k, dnorms.get(k)))
     norms = [np.linalg.norm(loads[k]) for k in range(N + 1)]
     floor = math.sqrt((norms[0] ** 2 + 2.0 * sum(n * n for n in norms[1:])) / (2 * N + 1))
     skipped, lifted, solved = {}, {}, []
@@ -406,8 +410,8 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
         system = systems[k] if k <= 2 else systems[2].shifted(k)
         solve = solve_mode_bordered if k > 2 and corner is not None else solve_mode_orthogonal
         # data and load leave their dicts, and the data go unbound: the solve frees them before its CG
-        return solve(system, mode_data(k, drop=True), bases.get(min(k, 2)), tol=tol,
-                     load=loads.pop(k), floor=floor)
+        return solve(system, ModeData(fmodes.pop(k), gmodes.pop(k, None)), bases.get(min(k, 2)),
+                     tol=tol, load=loads.pop(k), floor=floor)
 
     return FourierSolution(mesh, space, N, {k: solve_one(k) for k in range(N + 1)})
 

@@ -163,19 +163,27 @@ def _lshapes_and_rectangle():
 
 @pytest.mark.parametrize("make", _lshapes_and_rectangle())
 def test_quadrature_layout_equals_its_reference_bit_for_bit(make):
-    """tri, bary, w and xy, the chunks of the workspace and those of each
-    of its ranges equal those of the per-triangle construction bit for bit, with and without
-    the corner: the subdivided weights scale by 0.25, a power of two, so
-    0.25 * area * w and area * (0.25 * w) are the same float."""
+    """tri, w and xy, the chunks of the workspace and those of each of its
+    ranges equal those of the per-triangle construction bit for bit, with
+    and without the corner: the subdivided weights scale by 0.25, a power
+    of two, so 0.25 * area * w and area * (0.25 * w) are the same float.
+    The barycentric coordinates of each chunk's points are the rule points
+    of its run, femcore.RULE_OF[n], and the workspace's lambda / r is the
+    construction's bary / r, bit for bit."""
     msh, corner = make()
     for at in {None, corner}:
         quad = MeshQuadrature(msh, at)
         tri, bary, w, xy, chunks = _quadrature_reference(msh, at)
-        for got, want in ((quad.tri, tri), (quad.bary, bary), (quad.w, w), (quad.xy, xy)):
+        for got, want in ((quad.tri, tri), (quad.w, w), (quad.xy, xy)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
         assert [n for _, n in quad.runs] == [7, 28]
         ws = modal_ops.OperatorWorkspace(quad)
+        for _, points, n in ws.chunks:
+            rule = np.tile(femcore.RULE_OF[n], ((points.stop - points.start) // n, 1))
+            assert bary[points].tobytes() == rule.tobytes()
+        lor = bary / quad.r[:, None]
+        assert ws.lor.dtype == lor.dtype and ws.lor.tobytes() == lor.tobytes()
         size, nt = modal_ops._BLOCK_TRIANGLES, msh.num_triangles
         assert ws.ranges == [slice(t, min(t + size, nt)) for t in range(0, nt, size)]
         for plan, want in [(ws.chunks, chunks(modal_ops._CHUNK_TRIANGLES))] + [

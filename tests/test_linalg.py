@@ -141,6 +141,18 @@ def test_cg_scales_a_right_hand_side_whose_norm_underflows():
         assert np.abs(x / s - x1).max() <= 1e-8 * np.abs(x1).max(), s
 
 
+def test_cg_raises_on_a_solution_that_overflows():
+    """A finite b near the top of the floats and eigenvalues near 1e-12:
+    the scaled solve converges, but its solution times 2^e overflows, and
+    that is a SolverError, not an infinite x reported as converged."""
+    rng = np.random.default_rng(0)
+    A, _ = _random_hpd(10, rng)
+    A.data *= 1e-12
+    b = 1e300 * (rng.normal(size=10) + 1j * rng.normal(size=10))
+    with pytest.raises(SolverError, match="overflows"):
+        solve_hpd(A, b, tol=1e-10)
+
+
 def test_cg_rounds_a_solution_below_the_normal_range_once():
     """With b near the normal range's floor and eigenvalues near 1e13 the
     solution lies among the subnormals: its entries round once, in the

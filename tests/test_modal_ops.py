@@ -6,6 +6,7 @@ import pytest
 
 from axmaxwell import femcore, linalg, mesh, modal_ops, verification
 from axmaxwell.femcore import SPACE_X, SPACE_Y, MeshQuadrature, ModeField
+from test_femcore import _quadrature_reference
 
 
 def _random_constrained(msh, k, space, rng):
@@ -267,6 +268,30 @@ def test_workspace_keeps_at_most_three_columns_per_point(lshape_quad):
             assert value.size <= 3 * Q, name
 
 
+def test_quadrature_and_workspace_hold_no_barycentric_array(lshape_quad):
+    """The barycentric coordinates of the points are the rule points of
+    their run (femcore.RULE_OF), so neither the quadrature nor its
+    workspace keeps a (Q, 3) array of them: the one (Q, 3) array of the
+    two is the workspace's lambda / r."""
+    ws = modal_ops.workspace(lshape_quad)
+    Q = len(lshape_quad.tri)
+    held = [(owner, name) for owner, obj in (("quad", lshape_quad), ("ws", ws))
+            for name, value in vars(obj).items()
+            if isinstance(value, np.ndarray) and value.shape == (Q, 3)]
+    assert held == [("ws", "lor")]
+
+
+@pytest.mark.parametrize("space", [SPACE_X, SPACE_Y])
+def test_load_scatter_keeps_four_bytes_per_local_dof(lshape, space):
+    """A load scatter keeps the int32 free-dof slot of each local dof and
+    no more: the constraint coefficients are gathered where they are used."""
+    msh, _ = lshape
+    for k in (0, 1, -1, 2):
+        scatter = modal_ops.LoadScatter(femcore.build_constraints(msh, k, space))
+        held = sum(v.nbytes for v in vars(scatter).values() if isinstance(v, np.ndarray))
+        assert held <= 4 * 9 * msh.num_triangles, k
+
+
 # -- the workspace kernels against their gather-based reference ---------------
 
 
@@ -294,10 +319,17 @@ def _gather_chunks(quad):
     return chunks
 
 
+def _reference_bary(quad):
+    """The barycentric coordinates (Q, 3) of the points of quad, from the
+    per-triangle construction of the quadrature."""
+    return _quadrature_reference(quad.mesh, quad.corner)[1]
+
+
 def _reference_kernels(quad, values, vec, k):
     """op_values, op_adjoint and point_values as gathers of the points of
     each chunk, with complex products and einsum contractions of GRAD."""
-    G, lor, wr = femcore.gradients(quad.mesh), quad.bary / quad.r[:, None], quad.w * quad.r
+    bary = _reference_bary(quad)
+    G, lor, wr = femcore.gradients(quad.mesh), bary / quad.r[:, None], quad.w * quad.r
     triangles, GRAD = quad.mesh.triangles, modal_ops.GRAD
     u = np.asarray(values, dtype=complex).reshape(-1, 3)
     rows = modal_ops.OVER_R + (1j * k) * modal_ops.IK_R
@@ -311,13 +343,14 @@ def _reference_kernels(quad, values, vec, k):
         wv = vec[idx] * wr[idx][:, :, None]
         grad = np.einsum("ma,acd->mdc", wv.sum(axis=1), GRAD)
         adj[tris] = G[tris] @ grad + lor[idx].transpose(0, 2, 1) @ (wv @ np.conj(rows))
-        pv[idx] = quad.bary[idx] @ local
+        pv[idx] = bary[idx] @ local
     return opv, adj.reshape(-1, 9), pv
 
 
 def _reference_blocks(quad):
     """E00, E11 and A from D0 and R1 formed by broadcasts of the tensors."""
-    G, lor, wr = femcore.gradients(quad.mesh), quad.bary / quad.r[:, None], quad.w * quad.r
+    lor = _reference_bary(quad) / quad.r[:, None]
+    G, wr = femcore.gradients(quad.mesh), quad.w * quad.r
     nt = quad.mesh.num_triangles
     E00, E11, A = np.empty((nt, 9, 9)), np.empty((nt, 9, 9)), np.empty((nt, 9, 9))
     for tris, idx in _gather_chunks(quad):
@@ -365,12 +398,14 @@ def test_assembled_matrices_equal_the_element_order_scatter_bit_for_bit(kernel_q
     modal_ops.workspace(kept).keep_blocks()
     assert modal_ops.workspace(kernel_quad).blocks is None
     E00, E11, A = _reference_blocks(kernel_quad)
+    gdofs = (3 * msh.triangles[:, :, None] + np.arange(3)).reshape(-1, 9)
     for k in (0, 1, -1, 2, -2, 3, 7):
         scatter = modal_ops.LoadScatter(femcore.build_constraints(msh, k, space))
+        coeff = scatter.constraints.coeff[gdofs]
         elem = (1j * k) * A
         elem += E00 + (k * k) * E11
-        elem *= np.conj(scatter.coeff)[:, :, None]
-        elem *= scatter.coeff[:, None, :]
+        elem *= np.conj(coeff)[:, :, None]
+        elem *= coeff[:, None, :]
         indptr, indices, slots = _reference_pattern(scatter)
         want = linalg.scatter(slots, elem.ravel(), len(indices))
         for quad in (kernel_quad, kept):

@@ -383,3 +383,26 @@ def test_cg_below_round_off_fails_on_a_finite_residual(n, seed, exponent):
     underflowed = [np.linalg.norm(r) == 0.0 or np.vdot(r, inv_diag * r).real == 0.0
                    for r in jacobi.residuals]
     assert not any(underflowed[:-1])
+
+
+@FUZZ
+@given(exponent=st.floats(150.0, 300.0))
+def test_cg_scales_a_right_hand_side_whose_norm_overflows(exponent):
+    """s b for s in [1e150, 1e300], on the 10x10 _random_hpd matrix (seed
+    0): the squares of ||s b|| and of its residuals would overflow, so CG
+    solves 2^-e s b, its largest real or imaginary part in [0.5, 1), and
+    returns that solution times 2^e, bit for bit and without a warning.
+    Each scale converges to s times the solution of b."""
+    s = 10.0 ** exponent
+    rng = np.random.default_rng(0)
+    A, _ = _random_hpd(10, rng)
+    b = rng.normal(size=10) + 1j * rng.normal(size=10)
+    x1, _ = solve_hpd(A, b, tol=1e-10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, info = solve_hpd(A, s * b, tol=1e-10)
+    e = np.frexp(np.abs((s * b).view(float)).max())[1]
+    ref_x, ref_info = solve_hpd(A, np.ldexp((s * b).view(float), -e).view(complex), tol=1e-10)
+    assert info == ref_info and 0.0 < info.residual <= 1e-10
+    assert x.tobytes() == np.ldexp(ref_x.view(float), e).tobytes()
+    assert np.abs(x / s - x1).max() <= 1e-8 * np.abs(x1).max()

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from axmaxwell import (femcore, linalg, manufactured, mesh, modal_ops, singular, solver,
+from axmaxwell import (cli_io, femcore, linalg, manufactured, mesh, modal_ops, singular, solver,
                        verification)
 from axmaxwell.cli_io import RHS_BUILTINS
 from axmaxwell.femcore import SPACE_X, SPACE_Y, MeshQuadrature, ModeField
@@ -377,6 +377,28 @@ def test_full_solve_rejects_data_not_finite(rect):
 
     with pytest.raises(ValueError, match="not finite"):
         solver.solve_axisymmetric(rect, SPACE_Y, f, N=2)
+
+
+def test_data_not_finite_fail_before_any_lift_or_assembly(lshape, monkeypatch, tmp_path, capsys):
+    """The analysed modes are checked once, right after the analysis: NaN
+    data raise ValueError "not finite" before any basis is lifted or any
+    system assembled, and the command line exits 1 on them."""
+    msh, corner = lshape
+
+    def f(r, th, z):
+        return (np.where(r > 0.5, np.nan, 0.0), 0.0, np.cos(th))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached with data that are not finite")
+
+    monkeypatch.setattr(singular, "lift_basis", unreachable)
+    monkeypatch.setattr(modal_ops, "assemble_systems", unreachable)
+    with pytest.raises(ValueError, match="not finite"):
+        solver.solve_axisymmetric(msh, SPACE_Y, f, N=3, corner=corner)
+    monkeypatch.setitem(RHS_BUILTINS, "bandlimited", f)
+    argv = ["solve", "--h", "0.1", "--rhs", "bandlimited", "--modes", "3", "--outdir", str(tmp_path)]
+    assert cli_io.main(argv) == 1
+    assert "not finite" in capsys.readouterr().err
 
 
 def _spy_cg(monkeypatch):
@@ -822,14 +844,24 @@ def test_convergence_spot_check():
     assert rate_en >= 0.9
 
 
+def _numpy_buffer_sizes():
+    """The byte sizes of the numpy data buffers alive now, as tracemalloc
+    traces them."""
+    domain = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+    return {t.size for t in tracemalloc.take_snapshot().filter_traces([domain]).traces}
+
+
 def test_a_mode_cg_starts_without_the_point_arrays_of_its_mode(lshape, monkeypatch):
-    """When the CG of a mode starts, the (Q, 4) data of the mode and every
-    chunk of its basis rows are dead, on the orthogonal path (k = 1) and the
-    bordered one (k = 3).  The mode-1 system, which is not shifted, holds no pattern
-    slots, the mode-2 one keeps them for its shifts, and the load scatter
-    of mode 0, skipped and serving no |k| > 2 mode, is released."""
+    """When the CG of a mode starts, the data of the mode and every chunk of
+    its basis rows are dead, on the orthogonal path (k = 1) and the bordered
+    one (k = 3).  The data reach _pair as a solver.ModeData, packed per
+    chunk: no (Q, 4) complex array is alive there or when a CG starts.
+    The mode-1 system, which is not shifted, holds no pattern slots, the
+    mode-2 one keeps them for its shifts, and the load scatter of mode 0,
+    skipped and serving no |k| > 2 mode, is released."""
     msh, corner = lshape
-    scatters, rows, starts = {}, [], []
+    scatters, rows, starts, whole = {}, [], [], []
+    Q4 = len(MeshQuadrature(msh, corner).tri) * 4 * np.dtype(complex).itemsize
 
     class Scatter(modal_ops.LoadScatter):
         def __init__(self, constraints):
@@ -841,6 +873,7 @@ def test_a_mode_cg_starts_without_the_point_arrays_of_its_mode(lshape, monkeypat
 
     def recording_pair(system, mode_data, basis, load=None):
         data.append(weakref.ref(mode_data))
+        whole.append(isinstance(mode_data, solver.ModeData) and Q4 not in _numpy_buffer_sizes())
         return pair(system, mode_data, basis, load)
 
     def recording_chunks(self, ws, k):
@@ -850,6 +883,7 @@ def test_a_mode_cg_starts_without_the_point_arrays_of_its_mode(lshape, monkeypat
 
     def checking_solve_hpd(A, b, **kw):
         starts.append((data[-1]() is None, all(r() is None for r in rows), scatters[0]() is None))
+        whole.append(Q4 not in _numpy_buffer_sizes())
         return solve_hpd(A, b, **kw)
 
     systems = {}
@@ -860,9 +894,14 @@ def test_a_mode_cg_starts_without_the_point_arrays_of_its_mode(lshape, monkeypat
     monkeypatch.setattr(singular.SingularBasis, "op_chunks", recording_chunks)
     monkeypatch.setattr(solver, "solve_hpd", checking_solve_hpd)
     monkeypatch.setattr(linalg, "solve_hpd", checking_solve_hpd)
-    sol = solver.solve_axisymmetric(msh, SPACE_Y, _odd_data, N=3, corner=corner)
+    tracemalloc.start()
+    try:
+        sol = solver.solve_axisymmetric(msh, SPACE_Y, _odd_data, N=3, corner=corner)
+    finally:
+        tracemalloc.stop()
     assert [sol.records[k].cg.iterations > 0 for k in range(4)] == [False, True, False, True]
     assert starts == [(True, True, True)] * 2
+    assert whole == [True] * 4  # _pair and the CG of modes 1 and 3
     assert sorted(systems) == [1, 2] and systems[1].pattern.slots is None
     assert systems[2].pattern.slots is not None and scatters[2]() is not None
 

@@ -425,7 +425,8 @@ def cmd_meshgen(args, msh, corner):
 
 def cmd_singular(args, msh, corner):
     quad = MeshQuadrature(msh, corner)
-    system = modal_ops.assemble_systems(_SPACES[args.field], [args.k], quad)[args.k]
+    constraints = femcore.build_constraints(msh, args.k, _SPACES[args.field])
+    system = modal_ops.assemble_systems({args.k: constraints}, quad)[args.k]
     basis = singular.compute_basis(system, tol=args.tol)
     prefix = os.path.join(args.outdir, args.out or f"basis_k{args.k}_{args.field}")
     principal_cells = basis.principal.values(msh.vertices[msh.triangles].mean(axis=1))

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import scatter
 from .mesh import WALL, MeshError, unique
 
 SPACE_X = "X"  # electric: tangential trace clamped on the wall
@@ -245,9 +246,12 @@ class ConstraintSet:
                         dof, i*sign(k) for the u_theta slave of an axis tie,
                         0 for a zero-constrained dof
       free   (n_free,)  the dof of each free index
+      slots  (9 nt,)    int32 free index of each element-local dof (local
+                        dof 3 * local vertex + component), n_free for none
 
     A tie slave carries its vertex's u_r free index, so one gather expands
-    free coefficients x into the nodal field.
+    free coefficients x into the nodal field, and functional, its adjoint
+    gathered per element, forms loads.
     """
 
     mesh: object
@@ -256,6 +260,7 @@ class ConstraintSet:
     index: np.ndarray
     coeff: np.ndarray
     free: np.ndarray
+    slots: np.ndarray
 
     @property
     def n_dofs(self):
@@ -271,6 +276,12 @@ class ConstraintSet:
         ok = self.index >= 0
         vals[ok] = self.coeff[ok] * np.asarray(xfree)[self.index[ok]]
         return ModeField(self.mesh, self.k, vals.reshape(-1, 3))
+
+    def functional(self, per_dof_local):
+        """Free-dof functional of per-triangle local test functionals (nt, 9):
+        the adjoint of expand, its coefficients gathered per call."""
+        vals = per_dof_local * np.conj(self.coeff.reshape(-1, 3)[self.mesh.triangles]).reshape(-1, 9)
+        return scatter(self.slots, vals.ravel(), self.n_free)
 
     def free_values(self, fld):
         """Free-dof coefficients read off a nodal field."""
@@ -333,7 +344,8 @@ def build_constraints(mesh, k, space):
     index[free] = np.arange(free.size)
     index = np.where(zero, -1, index[master])
     coeff[zero] = 0.0
-    return ConstraintSet(mesh, int(k), space, index, coeff, free)
+    slots = np.where(index >= 0, index, free.size).astype(np.int32).reshape(-1, 3)[mesh.triangles].ravel()
+    return ConstraintSet(mesh, int(k), space, index, coeff, free, slots)
 
 
 def lift_boundary(constraints, g):

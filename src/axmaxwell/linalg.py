@@ -179,25 +179,28 @@ def solve_hpd(A, b, tol=1e-10, maxit=None, *, hierarchy=None):
     and raises SolverError carrying the true residual if that pass ends
     above tol too.  A pass ends at round-off, and no restart follows, when
     p^H A p <= 0 with the recursive residual below _EPS, or when rho or that
-    residual underflows to 0.  A b with ||b|| < _SMALL_NORM, or finite with
-    ||b|| > _LARGE_NORM, is solved as 2^-e b, its largest real or imaginary
-    part in [0.5, 1), and x scaled back by 2^e, exact unless an entry of x
-    is subnormal (it rounds, unseen in the CGInfo of the scaled solve) or
-    overflows (SolverError).  Returns (x, CGInfo) with the true residual; raises
-    ValueError unless 0 < tol < 1 (NaN included) and SolverError when maxit
-    iterations (both passes together) are exhausted or when the recursive
-    residual has made no new minimum for STALL_WINDOW iterations of a pass;
-    CGInfo.longest_stall is the longest such run over both passes.
+    residual underflows to 0.  A b with ||b|| < _SMALL_NORM or > _LARGE_NORM
+    (inf included) is solved as 2^-e b, its largest real or imaginary part
+    in [0.5, 1), and x scaled back by 2^e, exact unless an entry of x is
+    subnormal (it rounds, unseen in the CGInfo of the scaled solve) or
+    overflows (SolverError).  Returns (x, CGInfo) with the true residual;
+    raises ValueError, before any matvec, unless 0 < tol < 1 (NaN included)
+    and b is finite, and SolverError when maxit iterations (both passes
+    together) are exhausted or when the recursive residual has made no new
+    minimum for STALL_WINDOW iterations of a pass; CGInfo.longest_stall is
+    the longest such run over both passes.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be finite and lie in (0, 1), got {tol!r}")
     b = np.ascontiguousarray(b, dtype=complex)
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side is not finite")
     n = A.n
     if maxit is None:
         maxit = 20 * max(n, 1)
     with np.errstate(over="ignore"):  # inf: scaled below
         bnorm = np.linalg.norm(b)
-    if bnorm < _SMALL_NORM or bnorm > _LARGE_NORM and np.isfinite(b).all():  # residual norms under/overflow
+    if bnorm < _SMALL_NORM or bnorm > _LARGE_NORM:  # residual norms under/overflow
         if not b.any():
             return np.zeros(n, dtype=complex), CGInfo(0, 0.0)
         e = int(np.frexp(np.abs(b.view(float)).max())[1])  # 2^-e b's largest part is in [0.5, 1)

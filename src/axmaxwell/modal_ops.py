@@ -47,7 +47,7 @@ import numpy as np
 
 from . import femcore
 from .femcore import MeshQuadrature, ModeField, gradients
-from .linalg import HermitianSparse, Level, Multigrid, Transfer, scatter
+from .linalg import HermitianSparse, Level, Multigrid, Transfer
 from .mesh import coarsen, unique
 
 # operator component rows used throughout: (curl_r, curl_theta, curl_z, div)
@@ -274,34 +274,14 @@ def workspace(quad):
     return quad.operators
 
 
-class LoadScatter:
-    """Load scatter of one constraint set, which every class needs and which
-    is cheap: the int32 free-dof slots of each element's local dofs (n:
-    none), whose constraint coefficients are gathered per use.  An
-    assembled system shares it."""
-
-    def __init__(self, constraints):
-        self.constraints = constraints
-        n = self.n = constraints.n_free
-        fidx = constraints.index.reshape(-1, 3)[constraints.mesh.triangles].reshape(-1, 9)
-        self.fslots = np.where(fidx >= 0, fidx, n).astype(np.int32).ravel()
-
-    def functional(self, per_dof_local):
-        """Free-dof functional from per-triangle local test functionals."""
-        c = self.constraints
-        vals = per_dof_local * np.conj(c.coeff.reshape(-1, 3)[c.mesh.triangles]).reshape(-1, 9)
-        return scatter(self.fslots, vals.ravel(), self.n)
-
-
 class _Pattern:
-    """CSR pattern of the reduced matrix of a load scatter's constraint set
-    and the slot of every element entry in it, which only an assembly and
-    a shift read.  Both come from the workspace's vertex pairs: each expands
-    to its 3x3 dof pairs through the class's free index."""
+    """CSR pattern of the reduced matrix of a constraint set and the slot of
+    every element entry in it, which only an assembly and a shift read.
+    Both come from the workspace's vertex pairs: each expands to its 3x3
+    dof pairs through the class's free index."""
 
-    def __init__(self, load_scatter, ws):
-        self.scatter = load_scatter
-        c = load_scatter.constraints
+    def __init__(self, constraints, ws):
+        self.constraints = c = constraints
         n = c.n_free
         rows, cols = (c.index[3 * v[:, None] + np.arange(3)] for v in ws.pairs)
         keep = (rows[:, :, None] >= 0) & (cols[:, None, :] >= 0)  # (pair, row, column component)
@@ -324,7 +304,7 @@ class _Pattern:
     def matrix(self, ws, k):
         """Reduced matrix of a_k from E(k) of the workspace ws, each range
         scaled by the constraint coefficients and added in triangle order."""
-        coeff = self.scatter.constraints.coeff.reshape(-1, 3)
+        coeff = self.constraints.coeff.reshape(-1, 3)
         data = np.zeros(len(self.indices) + 1, dtype=complex)  # the last slot takes no free dof's entries
         for i, tris in enumerate(ws.ranges):
             ci = coeff[ws.triangles[tris]].reshape(-1, 9)
@@ -332,16 +312,15 @@ class _Pattern:
             elem *= ci[:, None, :]
             np.add.at(data, self.slots[81 * tris.start:81 * tris.stop], elem.ravel())
             del elem  # before the next range's blocks
-        return HermitianSparse(self.indptr, self.indices, data[:-1], self.scatter.n)
+        return HermitianSparse(self.indptr, self.indices, data[:-1], self.constraints.n_free)
 
 
 class ModeSystem:
     """Assembled constrained system for one (mode, space) pair.
 
-    The load scatter gives the mesh, mode, space and constraint set; the
-    matrix is E(k) of the workspace ws of the quadrature quad reduced on
-    the free dofs of that set.  A |k| > 2 system is shifted from a mode
-    +-2 one (shifted).
+    The constraint set gives the mesh, mode and space; the matrix is E(k)
+    of the workspace ws of the quadrature quad reduced on its free dofs.
+    A |k| > 2 system is shifted from a mode +-2 one (shifted).
 
     hierarchy is the multigrid preconditioner of the matrix (None: Jacobi)
     and coarse the coarse systems kept for the |k| > 2 systems shifted from
@@ -350,22 +329,22 @@ class ModeSystem:
     singular basis and the mode solve.
     """
 
-    def __init__(self, scatter, quad):
-        self.constraints = c = scatter.constraints
+    def __init__(self, constraints, quad):
+        self.constraints = c = constraints
         if quad.mesh is not c.mesh:
             raise ValueError("quadrature and constraints are on different meshes")
         self.mesh, self.k, self.space = c.mesh, c.k, c.space
         self.quad = quad
         self.ws = workspace(quad)
-        self.scatter = scatter
-        self.pattern = _Pattern(scatter, self.ws)
+        self.pattern = _Pattern(c, self.ws)
         self.matrix = self.pattern.matrix(self.ws, self.k)
         self.hierarchy, self.coarse = None, []
 
     def shifted(self, k):
-        """The mode-k system, |k| > 2, on the quadrature, scatter and pattern
-        of this mode +-2 system (the class of |k| >= 2 depends neither on k
-        nor on its sign): shifted_system of it and of each coarse system."""
+        """The mode-k system, |k| > 2, on the quadrature and pattern of this
+        mode +-2 system and its constraint arrays (the class of |k| >= 2
+        depends neither on k nor on its sign): shifted_system of it and of
+        each coarse system."""
         out = copy.copy(self)
         out.matrix = shifted_system(self, k)
         out.k = int(k)
@@ -380,35 +359,33 @@ class ModeSystem:
         """(f, curl_k v) + (g, div_k v) over the free test dofs v, from the
         (Q, 4) samples vec = (f_r, f_theta, f_z, g) at the quadrature points
         (see OperatorWorkspace.op_adjoint and samples)."""
-        return self.scatter.functional(self.ws.op_adjoint(vec, self.k))
+        return self.constraints.functional(self.ws.op_adjoint(vec, self.k))
 
 
-def assemble_a_k(mesh, k, space, quad, load_scatter=None):
-    """Assemble the constrained a_k system on the quadrature quad (and the
-    load scatter of its constraints, built here unless given); the matrix
-    acts on free dofs."""
-    return ModeSystem(load_scatter or LoadScatter(femcore.build_constraints(mesh, k, space)), quad)
+def assemble_a_k(mesh, k, space, quad, constraints=None):
+    """Assemble the constrained a_k system on the quadrature quad (and its
+    constraint set, built here unless given); the matrix acts on free dofs."""
+    return ModeSystem(constraints or femcore.build_constraints(mesh, k, space), quad)
 
 
-def assemble_systems(space, modes, quad, shift=False, scatters=None):
-    """The a_k systems of modes on one quadrature, keyed by k, each with its
-    multigrid hierarchy when it has at least MULTIGRID_MIN_DOFS free dofs
-    and the mesh nests (see coarse_levels).  scatters, optionally, holds
-    the load scatters of the systems, keyed by k.  Only with shift do the
-    mode +-2 systems keep their coarse systems and pattern slots, and every
-    workspace its element blocks, the fine one from before any system: the
-    |k| > 2 systems shifted from them form no blocks again.
+def assemble_systems(classes, quad, shift=False):
+    """The a_k systems of the constraint sets classes on one quadrature,
+    keyed by k like classes, each with its multigrid hierarchy when it has
+    at least MULTIGRID_MIN_DOFS free dofs and the mesh nests (see
+    coarse_levels).  Only with shift do the mode +-2 systems keep their
+    coarse systems and pattern slots, and every workspace its element
+    blocks, the fine one from before any system: the |k| > 2 systems
+    shifted from them form no blocks again.
 
     The hierarchies are built after all fine systems, and the coarse
     quadratures are dropped after them unless kept: the coarse workspaces
     then never coexist with the temporaries of a fine assembly.
     """
-    scatters = scatters or {}
     if shift:
         workspace(quad).keep_blocks()
     systems = {}
-    for k in modes:
-        systems[k] = assemble_a_k(quad.mesh, k, space, quad, scatters.get(k))
+    for k, c in classes.items():
+        systems[k] = assemble_a_k(quad.mesh, k, c.space, quad, c)
         if not (shift and abs(k) == 2):  # only shifted_system reads the slots again
             systems[k].pattern.slots = None
     levels = None

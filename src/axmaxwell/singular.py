@@ -135,7 +135,7 @@ def lift_basis(constraints, quad):
     one chunked evaluation of its D_k rows at the points of quad their
     op_adjoint pairings (nt, 9) and E_up = a_k(S + lift, S + lift), which
     bounds a_k(s, s) of the solved basis s (CG from x = 0 only lowers the
-    energy).  The solve's right-hand side is -scatter.functional(pairings)."""
+    energy).  The solve's right-hand side is -constraints.functional(pairings)."""
     if quad.corner is None:  # the basis integrands go like rho^(alpha-1) at the corner
         raise ValueError("a singular basis needs a quadrature subdivided at its corner")
     mesh, k, space = constraints.mesh, constraints.k, constraints.space
@@ -159,7 +159,7 @@ def compute_basis(system, tol=1e-10, lifted=None):
     on its ModeRecord."""
     if lifted is None:
         start, pairings, _ = lift_basis(system.constraints, system.quad)
-        lifted = start, -system.scatter.functional(pairings)
+        lifted = start, -system.constraints.functional(pairings)
     start, rhs = lifted
     x, info = solve_hpd(system.matrix, rhs, tol=tol, hierarchy=system.hierarchy)
     return replace(start, regular=system.constraints.expand(x) + start.regular, cg=info)

@@ -229,14 +229,15 @@ class ModeData:
 
 
 def _pair(system, data, basis, load=None):
-    """What both mode solves share: check the data, build the system's load
-    (unless given) and pair the data with the basis operators.
+    """What both mode solves share: check the data's shape, build the
+    system's load (unless given) and pair the data with the basis operators.
 
     data holds the mode's samples (f_r, f_theta, f_z, g) at the quadrature
-    points of the system, a (Q, 4) array or a ModeData, read and checked
-    chunk by chunk (OperatorWorkspace.samples).  Returns (load, energy,
-    numer): energy = a_k(s, s) and numer the data paired with the mode-k
-    (curl, div) of the basis, both summed chunk by chunk over its rows (see
+    points of the system, a (Q, 4) array or a ModeData; forming the load
+    reads and checks them (system.functional), so the pairing reads
+    data[points] unchecked.  Returns (load, energy, numer): energy =
+    a_k(s, s) and numer the data paired with the mode-k (curl, div) of the
+    basis, both summed chunk by chunk over its rows (see
     SingularBasis.op_chunks); without a basis (load, 0.0, 0.0).
     """
     shape = (len(system.ws.wr), 4)
@@ -249,9 +250,9 @@ def _pair(system, data, basis, load=None):
     if basis.space != system.space:
         raise ValueError("basis space does not match the system")
     ws, energy, numer = system.ws, 0.0, 0j
-    for (points, rows), chunk in zip(basis.op_chunks(ws, system.k), ws.samples(data), strict=True):
+    for points, rows in basis.op_chunks(ws, system.k):
         energy += ws.norm_sq(rows, points)
-        numer += np.einsum("q,qa,qa->", ws.wr[points], chunk, rows.conj())
+        numer += np.einsum("q,qa,qa->", ws.wr[points], data[points], rows.conj())
     if energy <= 0.0 or not np.isfinite(energy):
         raise ArithmeticError("singular basis has no energy; basis is broken")
     return load, float(energy), complex(numer)
@@ -272,7 +273,8 @@ def solve_mode_orthogonal(system, data, basis=None, tol=1e-10, *, load=None, flo
     """Mode solve for |k| <= 2 (or any mode without a singular basis) on the
     assembled mode system, with the data of the mode (see _pair); basis may
     be None, and load is the system's load of data when the caller has
-    formed it already.
+    formed it already: forming it read and checked the data, so they are
+    not checked again (see _pair).
 
     The singular coefficient comes from pairing the data against the basis
     operators; the regular part solves the constrained system with the full
@@ -321,7 +323,7 @@ def solve_mode_bordered(system, data, basis, tol=1e-10, *, load=None, floor=0.0)
     # coupling a_k(s, v) of the reused basis s with the regular test fields:
     # the mode-k (curl, div) of s (discrete regular part plus analytic
     # principal part) paired, chunk by chunk, with those of the test fields
-    coupling = system.scatter.functional(system.ws.adjoint_chunks(
+    coupling = system.constraints.functional(system.ws.adjoint_chunks(
         (rows for _, rows in basis.op_chunks(system.ws, k)), k))
     x, coeff, info = solve_bordered(
         system.matrix, coupling, alpha, load, f_s, tol=tol, hierarchy=system.hierarchy
@@ -350,7 +352,7 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
     tol * max(||b_k||, F), with F = ||b|| / sqrt(2N + 1) the fair share of
     the Parseval norm ||b||^2 = ||b_0||^2 + 2 sum_{k=1..N} ||b_k||^2 of the
     regular loads of all 2N + 1 modes, each formed once, before any matrix,
-    on the load scatter of its class (mode 2's for |k| > 2).  A mode whose
+    by the constraint set of its class (mode 2's for |k| > 2).  A mode whose
     CG right-hand side has norm at most tol * F makes no CG call; every
     other mode is solved by CG to tol * ||rhs|| (see the mode solvers).
     The basis solves keep tol per solve, since C^k depends on them.  The
@@ -362,7 +364,7 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
     [b_k; f_s] is at most tol * F: |f_s| <= ||d_k|| sqrt(E_up), with ||d_k||
     the r-weighted norm of its (Q, 4) data (Cauchy-Schwarz; E_up from
     singular.lift_basis, 0 without a corner).  Its data, load and (unless
-    N > 2 and k = 2) load scatter are dropped there: it gets no system, basis
+    N > 2 and k = 2) constraint set are dropped there: it gets no system, basis
     or basis right-hand side, but a zero field, C^k = 0j, energy 0.0 and
     CGInfo(0, bound / F).
     Every other system k <= 2, and the mode-2 one whenever N > 2, is
@@ -376,31 +378,29 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
     gmodes = analyze_scalar_rhs(g, N, quad.xy, samples) if g is not None else {}
     ws = modal_ops.workspace(quad)  # after the analysis: none of its temporaries coexist
     low = range(min(N, 2) + 1)
-    scatters = {k: modal_ops.LoadScatter(build_constraints(mesh, k, space)) for k in low}
+    classes = {k: build_constraints(mesh, k, space) for k in low}
     loads, dnorms = {}, {k: [] for k in low if corner is not None}
     for k in range(N + 1):  # packed and checked per chunk for the load and, for a bound, ||d_k||^2
-        loads[k] = scatters[min(k, 2)].functional(
+        loads[k] = classes[min(k, 2)].functional(
             ws.op_adjoint(ModeData(fmodes[k], gmodes.get(k)), k, dnorms.get(k)))
     norms = [np.linalg.norm(loads[k]) for k in range(N + 1)]
     floor = math.sqrt((norms[0] ** 2 + 2.0 * sum(n * n for n in norms[1:])) / (2 * N + 1))
-    skipped, lifted, solved = {}, {}, []
+    skipped, lifted = {}, {}
     for k in low:
         pairings, fs_bound = None, 0.0
         if corner is not None:
-            start, pairings, e_up = singular.lift_basis(scatters[k].constraints, quad)
+            start, pairings, e_up = singular.lift_basis(classes[k], quad)
             fs_bound = math.sqrt(sum(dnorms[k]) * e_up)
         skipped[k] = _unsolved(math.hypot(norms[k], fs_bound), floor, tol)
         if skipped[k] is not None:  # nothing of the mode's data is read again
             del fmodes[k], loads[k]
             gmodes.pop(k, None)
-        if skipped[k] is None or (k == 2 and N > 2):  # mode 2's basis serves k > 2
-            solved.append(k)
-            if pairings is not None:  # the basis right-hand side, for solved modes only
-                lifted[k] = start, -scatters[k].functional(pairings)
-        else:  # no system of its class is built
-            del scatters[k]
+        if skipped[k] is not None and not (k == 2 and N > 2):  # mode 2's basis serves k > 2
+            del classes[k]  # no system of its class is built
+        elif pairings is not None:  # the basis right-hand side, for solved modes only
+            lifted[k] = start, -classes[k].functional(pairings)
     del pairings  # none reaches the assembly
-    systems = modal_ops.assemble_systems(space, solved, quad, N > 2, scatters)
+    systems = modal_ops.assemble_systems(classes, quad, N > 2)
     bases = compute_bases(systems, lifted, tol=tol) if corner is not None else {}
     del lifted
 

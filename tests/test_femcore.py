@@ -373,6 +373,24 @@ def test_apply_is_idempotent(lshape, rng):
         assert np.abs(once.values - cs.apply(once).values).max() <= 1e-12
 
 
+@pytest.mark.parametrize("space", [SPACE_X, SPACE_Y])
+def test_functional_is_the_adjoint_of_expand(lshape, rng, space):
+    """functional, gathered per element, is the adjoint of expand gathered
+    at the local dofs: <L, u_local> = <functional(L), x> for u = expand(x),
+    with the tie coefficients i sign(k) of |k| = 1 conjugated and the
+    zero-constrained local dofs dropped."""
+    msh, _ = lshape
+    local = (3 * msh.triangles[:, :, None] + np.arange(3)).reshape(-1, 9)
+    for k in (0, 1, -1, 2, -2, 3):
+        cs = build_constraints(msh, k, space)
+        x = rng.normal(size=cs.n_free) + 1j * rng.normal(size=cs.n_free)
+        L = rng.normal(size=local.shape) + 1j * rng.normal(size=local.shape)
+        u_local = cs.expand(x).values.ravel()[local]
+        lhs, rhs = np.vdot(u_local, L), np.vdot(x, cs.functional(L))
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs), k
+        assert cs.slots.dtype == np.int32 and cs.slots.shape == (9 * msh.num_triangles,)
+
+
 def test_tie_masters_are_free(lshape):
     msh, _ = lshape
     for k in (1, -1):

@@ -141,6 +141,29 @@ def test_cg_scales_a_right_hand_side_whose_norm_underflows():
         assert np.abs(x / s - x1).max() <= 1e-8 * np.abs(x1).max(), s
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, np.inf)])
+def test_cg_rejects_a_right_hand_side_that_is_not_finite(bad, monkeypatch):
+    """A b with one entry that is not finite is bad input, not a numerical
+    failure: on the 10x10 _random_hpd matrix (seed 0) it raises ValueError
+    before any matvec and without a warning, also through the bordered
+    solve; it is not solved, scaled or restarted."""
+    rng = np.random.default_rng(0)
+    A, _ = _random_hpd(10, rng)
+    b = rng.normal(size=10) + 1j * rng.normal(size=10)
+    b[3] = bad
+    matvecs = []
+    matvec = HermitianSparse.matvec
+    monkeypatch.setattr(HermitianSparse, "matvec", lambda self, x: matvecs.append(1) or matvec(self, x))
+    with pytest.raises(ValueError, match="right-hand side is not finite"):
+        solve_hpd(A, b, tol=1e-10)
+    with pytest.raises(ValueError, match="right-hand side is not finite"):
+        solve_bordered(A, np.ones(10), 100.0, b, 1.0, tol=1e-10)
+    with pytest.raises(ValueError, match="right-hand side is not finite"):
+        solve_bordered(A, np.ones(10), 100.0, np.ones(10), bad, tol=1e-10)
+    assert matvecs == []
+
+
 def test_cg_raises_on_a_solution_that_overflows():
     """A finite b near the top of the floats and eigenvalues near 1e-12:
     the scaled solve converges, but its solution times 2^e overflows, and

@@ -193,7 +193,7 @@ def test_shifted_matrix_equals_fresh_assembly(lshape, lshape_quad):
         for k in ks:
             system = sys2.shifted(k)
             assert system.k == system.constraints.k == k and sys2.k == base_k
-            assert system.scatter is sys2.scatter and system.pattern is sys2.pattern
+            assert system.constraints.slots is sys2.constraints.slots and system.pattern is sys2.pattern
             assert system.quad is sys2.quad
             shifted = system.matrix
             assert np.array_equal(shifted.indptr, sys2.matrix.indptr)
@@ -205,6 +205,19 @@ def test_shifted_matrix_equals_fresh_assembly(lshape, lshape_quad):
             assert np.array_equal(shifted.indptr, fresh.matrix.indptr)
             assert np.array_equal(shifted.indices, fresh.matrix.indices)
             assert np.array_equal(shifted.data, fresh.matrix.data)
+
+
+def test_shifted_systems_share_the_constraint_arrays(lshape, lshape_quad):
+    """A shifted system's constraint set differs from the mode +-2 one only
+    in k: its slots, index and coeff are the same arrays, not copies, so
+    the 22 shifts of a many-mode run add none."""
+    msh, _ = lshape
+    sys2 = modal_ops.assemble_a_k(msh, -2, SPACE_Y, quad=lshape_quad)
+    for k in (-3, -7):
+        c = sys2.shifted(k).constraints
+        assert c.k == k and c is not sys2.constraints
+        for name in ("slots", "index", "coeff", "free"):
+            assert getattr(c, name) is getattr(sys2.constraints, name), name
 
 
 def test_shifted_serves_high_modes_of_a_mode_two_system(lshape, lshape_quad):
@@ -219,14 +232,14 @@ def test_shifted_serves_high_modes_of_a_mode_two_system(lshape, lshape_quad):
             sys2.shifted(k)
 
 
-def test_mode_system_reads_its_class_from_the_scatter(lshape, lshape_quad, rect):
+def test_mode_system_reads_its_class_from_the_constraint_set(lshape, lshape_quad, rect):
     msh, _ = lshape
-    scatter = modal_ops.LoadScatter(femcore.build_constraints(msh, -1, SPACE_X))
-    system = modal_ops.ModeSystem(scatter, lshape_quad)
+    constraints = femcore.build_constraints(msh, -1, SPACE_X)
+    system = modal_ops.ModeSystem(constraints, lshape_quad)
     assert system.mesh is msh and (system.k, system.space) == (-1, SPACE_X)
-    assert system.constraints is scatter.constraints and system.scatter is scatter
+    assert system.constraints is constraints and system.pattern.constraints is constraints
     with pytest.raises(ValueError, match="different meshes"):
-        modal_ops.ModeSystem(scatter, MeshQuadrature(rect))
+        modal_ops.ModeSystem(constraints, MeshQuadrature(rect))
 
 
 def test_load_builds_no_per_point_pairings():
@@ -283,12 +296,14 @@ def test_quadrature_and_workspace_hold_no_barycentric_array(lshape_quad):
 
 @pytest.mark.parametrize("space", [SPACE_X, SPACE_Y])
 def test_load_scatter_keeps_four_bytes_per_local_dof(lshape, space):
-    """A load scatter keeps the int32 free-dof slot of each local dof and
-    no more: the constraint coefficients are gathered where they are used."""
+    """For its loads a constraint set keeps the int32 free-dof slot of each
+    local dof and no more, beside its nodal map (index, coeff, free): the
+    constraint coefficients are gathered where they are used."""
     msh, _ = lshape
     for k in (0, 1, -1, 2):
-        scatter = modal_ops.LoadScatter(femcore.build_constraints(msh, k, space))
-        held = sum(v.nbytes for v in vars(scatter).values() if isinstance(v, np.ndarray))
+        constraints = femcore.build_constraints(msh, k, space)
+        held = sum(v.nbytes for name, v in vars(constraints).items()
+                   if isinstance(v, np.ndarray) and name not in ("index", "coeff", "free"))
         assert held <= 4 * 9 * msh.num_triangles, k
 
 
@@ -400,16 +415,16 @@ def test_assembled_matrices_equal_the_element_order_scatter_bit_for_bit(kernel_q
     E00, E11, A = _reference_blocks(kernel_quad)
     gdofs = (3 * msh.triangles[:, :, None] + np.arange(3)).reshape(-1, 9)
     for k in (0, 1, -1, 2, -2, 3, 7):
-        scatter = modal_ops.LoadScatter(femcore.build_constraints(msh, k, space))
-        coeff = scatter.constraints.coeff[gdofs]
+        constraints = femcore.build_constraints(msh, k, space)
+        coeff = constraints.coeff[gdofs]
         elem = (1j * k) * A
         elem += E00 + (k * k) * E11
         elem *= np.conj(coeff)[:, :, None]
         elem *= coeff[:, None, :]
-        indptr, indices, slots = _reference_pattern(scatter)
+        indptr, indices, slots = _reference_pattern(constraints)
         want = linalg.scatter(slots, elem.ravel(), len(indices))
         for quad in (kernel_quad, kept):
-            matrices = [modal_ops.ModeSystem(scatter, quad).matrix]
+            matrices = [modal_ops.ModeSystem(constraints, quad).matrix]
             if abs(k) > 2:
                 system2 = modal_ops.assemble_a_k(msh, 2 * np.sign(k), space, quad)
                 matrices.append(modal_ops.shifted_system(system2, k))
@@ -447,11 +462,11 @@ def test_chunks_are_consecutive_runs_of_points(kernel_quad):
 # -- the CSR pattern from vertex pairs, and what an assembly holds -------------
 
 
-def _reference_pattern(load_scatter):
+def _reference_pattern(constraints):
     """indptr, indices and slots from the sorted (row, column) keys of all
     nt x 81 element entries."""
-    n = load_scatter.n
-    fidx = load_scatter.fslots.reshape(-1, 9).astype(np.int64)  # n: no free dof
+    n = constraints.n_free
+    fidx = constraints.slots.reshape(-1, 9).astype(np.int64)  # n: no free dof
     rows = np.broadcast_to(fidx[:, :, None], (len(fidx), 9, 9))
     cols = np.broadcast_to(fidx[:, None, :], (len(fidx), 9, 9))
     keep = (rows < n) & (cols < n)
@@ -467,11 +482,11 @@ def test_pattern_from_vertex_pairs_equals_the_entry_keys(lshape, lshape_quad, sp
     """On the L-shape, whose axis vertices tie u_r and u_theta for |k| = 1,
     the pattern built from the vertex pairs is that of the element entries."""
     msh, _ = lshape
-    scatter = modal_ops.LoadScatter(femcore.build_constraints(msh, k, space))
-    pattern = modal_ops._Pattern(scatter, modal_ops.workspace(lshape_quad))
+    constraints = femcore.build_constraints(msh, k, space)
+    pattern = modal_ops._Pattern(constraints, modal_ops.workspace(lshape_quad))
     if abs(k) == 1:
-        assert np.any(np.bincount(scatter.constraints.index[scatter.constraints.index >= 0]) > 1)
-    for got, want in zip((pattern.indptr, pattern.indices, pattern.slots), _reference_pattern(scatter)):
+        assert np.any(np.bincount(constraints.index[constraints.index >= 0]) > 1)
+    for got, want in zip((pattern.indptr, pattern.indices, pattern.slots), _reference_pattern(constraints)):
         assert _same_bits(got, want)
 
 
@@ -483,10 +498,10 @@ def test_pattern_peaks_below_twice_what_it_keeps():
     times)."""
     msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.0125)
     ws = modal_ops.workspace(MeshQuadrature(msh, corner))
-    scatter = modal_ops.LoadScatter(femcore.build_constraints(msh, 1, SPACE_X))
+    constraints = femcore.build_constraints(msh, 1, SPACE_X)
     tracemalloc.start()
     try:
-        pattern = modal_ops._Pattern(scatter, ws)
+        pattern = modal_ops._Pattern(constraints, ws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -506,7 +521,7 @@ def test_assembly_keeps_no_element_arrays():
     try:
         system = modal_ops.assemble_a_k(msh, 1, SPACE_Y, quad=quad)
         assembly = tracemalloc.get_traced_memory()[1]
-        pattern = modal_ops._Pattern(system.scatter, system.ws)
+        pattern = modal_ops._Pattern(system.constraints, system.ws)
         tracemalloc.stop()
         tracemalloc.start()
         pattern.matrix(system.ws, 1)

@@ -93,7 +93,7 @@ def test_shifted_system_shifts_every_level(lshape05, monkeypatch):
     base's transfers and, per level, the coarse mode-k matrix."""
     _, _, quad, levels = lshape05
     monkeypatch.setattr(modal_ops, "MULTIGRID_MIN_DOFS", 0)
-    system2 = modal_ops.assemble_systems(SPACE_Y, [2], quad, shift=True)[2]
+    system2 = modal_ops.assemble_systems({2: build_constraints(quad.mesh, 2, SPACE_Y)}, quad, shift=True)[2]
     assert len(system2.coarse) == 1
     # the shifted levels form E(k) from blocks kept once
     assert system2.ws.blocks is not None and system2.coarse[0].ws.blocks is not None
@@ -113,11 +113,11 @@ def test_small_or_unnested_meshes_keep_jacobi(lshape05):
     """Below MULTIGRID_MIN_DOFS, or on a mesh that does not nest, a system
     has no hierarchy and solves exactly as Jacobi-CG."""
     msh, corner, quad, _ = lshape05
-    system = modal_ops.assemble_systems(SPACE_X, [1], quad)[1]
+    system = modal_ops.assemble_systems({1: build_constraints(msh, 1, SPACE_X)}, quad)[1]
     assert system.matrix.n < modal_ops.MULTIGRID_MIN_DOFS
     assert system.hierarchy is None
     rect = mesh.gen_rectangle(0.0, 1.0, 0.0, 1.0, 1.0 / 29)
-    unnested = modal_ops.assemble_systems(SPACE_Y, [0], MeshQuadrature(rect))[0]
+    unnested = modal_ops.assemble_systems({0: build_constraints(rect, 0, SPACE_Y)}, MeshQuadrature(rect))[0]
     assert unnested.matrix.n >= modal_ops.MULTIGRID_MIN_DOFS
     assert unnested.hierarchy is None
     sol = solver.solve_axisymmetric(
@@ -133,7 +133,7 @@ def test_large_nested_mesh_builds_one_hierarchy_per_system():
     msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.025)
     quad = MeshQuadrature(msh, corner)
     assert [m.num_vertices for m, _, _ in modal_ops.coarse_levels(quad)] == [341, 96]
-    system = modal_ops.assemble_systems(SPACE_X, [1], quad)[1]
+    system = modal_ops.assemble_systems({1: build_constraints(msh, 1, SPACE_X)}, quad)[1]
     assert system.matrix.n >= modal_ops.MULTIGRID_MIN_DOFS
     assert len(system.hierarchy.levels) == 2
     assert system.coarse == [] and system.ws.blocks is None

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import os
@@ -68,3 +69,23 @@ def test_readme_signatures_match_the_code(module, name):
     want = name + str(inspect.signature(fn))
     for span in spans:
         assert " ".join(span.split()) == want
+
+
+_SRC = pathlib.Path(axmaxwell.__file__).resolve().parent
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in _SRC.glob("*.py") if p.name != "__init__.py"))
+def test_modules_use_every_name_they_import(path):
+    """No module of the package imports a name it never reads (the package's
+    __init__ re-exports names and is exempt): read from its syntax tree,
+    a name counts as used where it is loaded, as a name or as the base of
+    an attribute, anywhere in the module."""
+    tree = ast.parse((_SRC / path).read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted((line, name) for name, line in imported.items() if name not in used)
+    assert not unused, f"{path} imports names it never uses: {unused}"

@@ -285,6 +285,24 @@ def test_mode_solves_reject_malformed_data(lshape, lshape_quad):
             solver.solve_mode_bordered(sys3, data, b2)
 
 
+def test_a_solve_reads_the_data_of_each_mode_once(monkeypatch):
+    """The loads loop reads and checks each mode's data, once per mode; a
+    mode solve given its load pairs the data with its basis unchecked, so
+    samples runs once per mode (the L-shape at h = 0.2, N = 3 with the
+    corner: four calls, where a second reading in each pairing made eight)."""
+    msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.2)
+    calls, samples = [], modal_ops.OperatorWorkspace.samples
+
+    def counted(self, vec):
+        calls.append(1)
+        return samples(self, vec)
+
+    monkeypatch.setattr(modal_ops.OperatorWorkspace, "samples", counted)
+    sol = solver.solve_axisymmetric(msh, SPACE_Y, RHS_BUILTINS["bandlimited"], N=3, corner=corner)
+    assert all(sol.records[k].basis is not None for k in range(4))
+    assert len(calls) == 4
+
+
 def test_conjugate_mode_symmetry(lshape, lshape_quad):
     msh, _ = lshape
     k, space = 1, SPACE_Y
@@ -346,7 +364,8 @@ def test_full_solve_with_divergence_data(rect):
     quad = MeshQuadrature(rect)
     fmodes = solver.analyze_rhs(_bandlimited, N, quad.xy)
     gmodes = solver.analyze_scalar_rhs(_divergence_data, N, quad.xy)
-    systems = modal_ops.assemble_systems(SPACE_Y, range(3), quad, shift=True)
+    systems = modal_ops.assemble_systems({k: femcore.build_constraints(rect, k, SPACE_Y) for k in range(3)},
+                                         quad, shift=True)
     systems[3] = systems[2].shifted(3)
     for k in range(N + 1):
         data = np.zeros((len(quad.xy), 4), dtype=complex)
@@ -430,7 +449,7 @@ def test_zero_and_round_off_modes_make_no_cg_call(rect, monkeypatch):
     assert sol.records[1].cg.iterations > 0
     # F = ||b|| / sqrt(5), ||b||^2 = ||b_0||^2 + 2 ||b_1||^2 + 2 ||b_2||^2
     quad = MeshQuadrature(rect)
-    systems = modal_ops.assemble_systems(SPACE_Y, range(3), quad)
+    systems = modal_ops.assemble_systems({k: femcore.build_constraints(rect, k, SPACE_Y) for k in range(3)}, quad)
     fmodes = solver.analyze_rhs(lambda r, th, z: (0.0, 0.0, r * np.cos(th)), 2, quad.xy)
     norms = [np.linalg.norm(systems[k].functional(np.c_[fmodes[k], np.zeros(len(quad.xy))]))
              for k in range(3)]
@@ -574,12 +593,12 @@ def _rule_bounds(msh, corner, space, f, N):
 def _spy_build(monkeypatch):
     """Record the mode of every assembly and basis solve and count the
     evaluations of basis operators (op_chunks) and the free-dof functionals
-    of the load scatters, through which every load, basis right-hand side
+    of the constraint sets, through which every load, basis right-hand side
     and bordered coupling is formed."""
     calls = {"assemble_a_k": [], "compute_basis": [], "op_chunks": 0, "functional": 0}
     assemble, basis, op_chunks, functional = (
         modal_ops.assemble_a_k, singular.compute_basis, singular.SingularBasis.op_chunks,
-        modal_ops.LoadScatter.functional)
+        femcore.ConstraintSet.functional)
 
     def assembled(msh, k, *args, **kwargs):
         calls["assemble_a_k"].append(k)
@@ -600,7 +619,7 @@ def _spy_build(monkeypatch):
     monkeypatch.setattr(modal_ops, "assemble_a_k", assembled)
     monkeypatch.setattr(singular, "compute_basis", based)
     monkeypatch.setattr(singular.SingularBasis, "op_chunks", evaluated)
-    monkeypatch.setattr(modal_ops.LoadScatter, "functional", reduced)
+    monkeypatch.setattr(femcore.ConstraintSet, "functional", reduced)
     return calls
 
 
@@ -615,7 +634,7 @@ def test_round_off_modes_are_skipped_before_their_system(lshape, lshape_quad, mo
     """cos(theta) e_z data fill mode 1 only.  Modes 0 and 2 meet the rule
     before any matrix exists: one assembly, one basis solve and at most
     four evaluations of basis operators (three lifts and the mode-1
-    pairing).  The load scatters form the N + 1 loads and the basis
+    pairing).  The constraint sets form the N + 1 loads and the basis
     right-hand side of mode 1 only: a skipped mode whose basis nobody reads
     gets none.
     Mode 1 is solved bit for bit as on its own system and basis, with the
@@ -857,19 +876,19 @@ def test_a_mode_cg_starts_without_the_point_arrays_of_its_mode(lshape, monkeypat
     one (k = 3).  The data reach _pair as a solver.ModeData, packed per
     chunk: no (Q, 4) complex array is alive there or when a CG starts.
     The mode-1 system, which is not shifted, holds no pattern slots, the
-    mode-2 one keeps them for its shifts, and the load scatter of mode 0,
+    mode-2 one keeps them for its shifts, and the constraint set of mode 0,
     skipped and serving no |k| > 2 mode, is released."""
     msh, corner = lshape
-    scatters, rows, starts, whole = {}, [], [], []
+    classes, rows, starts, whole = {}, [], [], []
     Q4 = len(MeshQuadrature(msh, corner).tri) * 4 * np.dtype(complex).itemsize
 
-    class Scatter(modal_ops.LoadScatter):
-        def __init__(self, constraints):
-            super().__init__(constraints)
-            scatters.setdefault(constraints.k, weakref.ref(self))
+    def recording_constraints(*args):
+        constraints = build(*args)
+        classes.setdefault(constraints.k, weakref.ref(constraints))
+        return constraints
 
     pair, solve_hpd, assemble = solver._pair, linalg.solve_hpd, modal_ops.assemble_systems
-    op_chunks, data = singular.SingularBasis.op_chunks, []
+    op_chunks, data, build = singular.SingularBasis.op_chunks, [], solver.build_constraints
 
     def recording_pair(system, mode_data, basis, load=None):
         data.append(weakref.ref(mode_data))
@@ -882,12 +901,12 @@ def test_a_mode_cg_starts_without_the_point_arrays_of_its_mode(lshape, monkeypat
             yield points, chunk
 
     def checking_solve_hpd(A, b, **kw):
-        starts.append((data[-1]() is None, all(r() is None for r in rows), scatters[0]() is None))
+        starts.append((data[-1]() is None, all(r() is None for r in rows), classes[0]() is None))
         whole.append(Q4 not in _numpy_buffer_sizes())
         return solve_hpd(A, b, **kw)
 
     systems = {}
-    monkeypatch.setattr(modal_ops, "LoadScatter", Scatter)
+    monkeypatch.setattr(solver, "build_constraints", recording_constraints)
     monkeypatch.setattr(modal_ops, "assemble_systems",
                         lambda *a: systems.update(assemble(*a)) or systems)
     monkeypatch.setattr(solver, "_pair", recording_pair)
@@ -903,7 +922,7 @@ def test_a_mode_cg_starts_without_the_point_arrays_of_its_mode(lshape, monkeypat
     assert starts == [(True, True, True)] * 2
     assert whole == [True] * 4  # _pair and the CG of modes 1 and 3
     assert sorted(systems) == [1, 2] and systems[1].pattern.slots is None
-    assert systems[2].pattern.slots is not None and scatters[2]() is not None
+    assert systems[2].pattern.slots is not None and classes[2]() is not None
 
 
 class _Stop(Exception):
@@ -916,8 +935,8 @@ def test_lift_and_pair_hold_no_whole_basis_rows():
     h = 0.0125, 67,536 points), output included."""
     msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.0125)
     quad = MeshQuadrature(msh, corner)
-    scatter = modal_ops.LoadScatter(femcore.build_constraints(msh, 1, SPACE_X))
-    system = modal_ops.ModeSystem(scatter, quad)
+    constraints = femcore.build_constraints(msh, 1, SPACE_X)
+    system = modal_ops.ModeSystem(constraints, quad)
     data = np.ones((len(quad.xy), 4), dtype=complex)
     load = system.functional(data)
 
@@ -928,7 +947,7 @@ def test_lift_and_pair_hold_no_whole_basis_rows():
         finally:
             tracemalloc.stop()
 
-    (lifted, _, _), lift = traced(lambda: singular.lift_basis(scatter.constraints, quad))
+    (lifted, _, _), lift = traced(lambda: singular.lift_basis(constraints, quad))
     _, pair = traced(lambda: solver._pair(system, data, lifted, load))
     assert lift < data.nbytes and pair < data.nbytes, (lift, pair)
 

@@ -218,18 +218,15 @@ class OperatorWorkspace:
             out[points] = rows
         return out
 
-    def adjoint_chunks(self, chunks, k, sums=None):
+    def adjoint_chunks(self, chunks, k):
         """Adjoint of op_chunks: the pairings sum_q w r vec . conj(D_k phi_j)
         of samples vec, (P, 4) rows per chunk in chunk order, with the local
-        test dofs j of each triangle, (nt, 9), appending each chunk's norm_sq
-        to the list sums if given.  The gradient part pairs the per-triangle
-        sum of w r vec, so no per-point array of pairings is built."""
+        test dofs j of each triangle, (nt, 9).  The gradient part pairs the
+        per-triangle sum of w r vec, so no per-point array of pairings is built."""
         rows = np.conj(_over_r_rows(k))
         local = np.empty((self.num_triangles, 3, 6))
         for (tris, points, n), vec in zip(self.chunks, chunks, strict=True):
             m = len(tris)
-            if sums is not None:
-                sums.append(self.norm_sq(vec, points))
             wv = np.ascontiguousarray(vec, dtype=complex).view(float) * self.wr[points, None]
             wv = wv.reshape(m, n, 2 * _NOPS)
             grad = (_GRAD_DC @ wv.sum(axis=1).reshape(m, _NOPS, 2)).reshape(m, 2, 6)
@@ -248,9 +245,9 @@ class OperatorWorkspace:
                 raise ValueError("right-hand side is not finite at a quadrature point")
             yield rows
 
-    def op_adjoint(self, vec, k, sums=None):
+    def op_adjoint(self, vec, k):
         """adjoint_chunks of the samples of vec (Q, 4) at all quadrature points."""
-        return self.adjoint_chunks(self.samples(vec), k, sums)
+        return self.adjoint_chunks(self.samples(vec), k)
 
     def norm_sq(self, rows, points=slice(None)):
         """sum_q w r |rows_q|^2 of rows (P, m) at the points (all by default)."""

@@ -28,7 +28,6 @@ import numpy as np
 from . import femcore
 from .femcore import ModeField
 from .linalg import CGInfo, solve_hpd
-from .modal_ops import workspace
 
 EDGE_ELECTRIC = "edge_electric"
 EDGE_MAGNETIC = "edge_magnetic"
@@ -116,6 +115,10 @@ class SingularBasis:
             rows += self.principal.ops(ws.xy[points], k)
             yield points, rows
 
+    def pairings(self, ws, k):
+        """Unreduced a_k(basis, v) of each triangle's local test dofs v, (nt, 9), chunk by chunk."""
+        return ws.adjoint_chunks((rows for _, rows in self.op_chunks(ws, k)), k)
+
     def op_arrays(self, ws, k):
         """op_chunks at all quadrature points of ws, (Q, 4): op_chunks filled in."""
         out = np.empty((len(ws.wr), 4), dtype=complex)
@@ -129,22 +132,18 @@ class SingularBasis:
 
 
 def lift_basis(constraints, quad):
-    """(S + lift, pairings, E_up) of a basis solve, formed before its system
-    exists: the principal part S at quad.corner (ValueError without one)
-    with its boundary lift on the constraint set as regular part, and from
-    one chunked evaluation of its D_k rows at the points of quad their
-    op_adjoint pairings (nt, 9) and E_up = a_k(S + lift, S + lift), which
-    bounds a_k(s, s) of the solved basis s (CG from x = 0 only lowers the
-    energy).  The solve's right-hand side is -constraints.functional(pairings)."""
+    """S + lift, the start of a basis solve, formed before its system exists
+    and not evaluated here: the principal part S at quad.corner (ValueError
+    without one) with its boundary lift on the constraint set as regular
+    part.  The solve's right-hand side is -constraints.functional of its
+    pairings, and a_k(S + lift, S + lift) bounds a_k(s, s) of the solved
+    basis s (CG from x = 0 only lowers the energy)."""
     if quad.corner is None:  # the basis integrands go like rho^(alpha-1) at the corner
         raise ValueError("a singular basis needs a quadrature subdivided at its corner")
     mesh, k, space = constraints.mesh, constraints.k, constraints.space
     pp = PrincipalPart(EDGE_ELECTRIC if space == femcore.SPACE_X else EDGE_MAGNETIC, quad.corner)
     lift = femcore.lift_boundary(constraints, lambda pts: -_guarded_values(pp, mesh, pts))
-    lifted = SingularBasis(k, space, pp, lift)
-    ws, energy = workspace(quad), []
-    pairings = ws.adjoint_chunks((rows for _, rows in lifted.op_chunks(ws, k)), k, energy)
-    return lifted, pairings, float(sum(energy))
+    return SingularBasis(k, space, pp, lift)
 
 
 def compute_basis(system, tol=1e-10, lifted=None):
@@ -153,13 +152,13 @@ def compute_basis(system, tol=1e-10, lifted=None):
     corner (see lift_basis); it serves the mode solve too, so it is only
     read here.  The solver computes the bases of |k| <= 2 only, since the
     singular subspaces coincide for all |k| >= 2; a direct |k| > 2 basis
-    cross-checks that.  lifted is (S + lift, right-hand side) from
-    lift_basis, formed here unless the caller has (the solver does).  The
+    cross-checks that.  lifted is (S + lift, right-hand side) from lift_basis
+    and pairings, formed here unless the caller has (the solver does).  The
     mode solve pairs the basis operators with the data and keeps a_k(s, s)
     on its ModeRecord."""
     if lifted is None:
-        start, pairings, _ = lift_basis(system.constraints, system.quad)
-        lifted = start, -system.constraints.functional(pairings)
+        start = lift_basis(system.constraints, system.quad)
+        lifted = start, -system.constraints.functional(start.pairings(system.ws, system.k))
     start, rhs = lifted
     x, info = solve_hpd(system.matrix, rhs, tol=tol, hierarchy=system.hierarchy)
     return replace(start, regular=system.constraints.expand(x) + start.regular, cg=info)

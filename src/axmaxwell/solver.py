@@ -320,11 +320,8 @@ def solve_mode_bordered(system, data, basis, tol=1e-10, *, load=None, floor=0.0)
     info = _unsolved(np.linalg.norm(np.append(load, f_s)), floor, tol)
     if info is not None:
         return ModeRecord(ModeField(system.mesh, k), 0j, basis, info, alpha)
-    # coupling a_k(s, v) of the reused basis s with the regular test fields:
-    # the mode-k (curl, div) of s (discrete regular part plus analytic
-    # principal part) paired, chunk by chunk, with those of the test fields
-    coupling = system.constraints.functional(system.ws.adjoint_chunks(
-        (rows for _, rows in basis.op_chunks(system.ws, k)), k))
+    # coupling a_k(s, v) of the reused basis s with the regular test fields
+    coupling = system.constraints.functional(basis.pairings(system.ws, k))
     x, coeff, info = solve_bordered(
         system.matrix, coupling, alpha, load, f_s, tol=tol, hierarchy=system.hierarchy
     )
@@ -332,6 +329,14 @@ def solve_mode_bordered(system, data, basis, tol=1e-10, *, load=None, floor=0.0)
 
 
 # -- full solve --------------------------------------------------------------------
+
+
+def _skip_bound(ws, norm, data, start):
+    """hypot(norm, ||d_k|| sqrt(E_up)) of a mode's data (a ModeData) and lift start
+    (see solve_axisymmetric), each square read and summed chunk by chunk in order."""
+    d_sq = sum(ws.norm_sq(data[points], points) for _, points, _ in ws.chunks)
+    e_up = sum(ws.norm_sq(rows, points) for points, rows in start.op_chunks(ws, start.k))
+    return math.hypot(norm, math.sqrt(d_sq * e_up))
 
 
 def compute_bases(systems, lifted, tol=1e-10):
@@ -359,14 +364,14 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
     loads read the data first, and data that are not finite raise
     ValueError there, before any lift or assembly.
 
-    A mode k <= 2 is skipped before its system exists when the bound
-    sqrt(||b_k||^2 + ||d_k||^2 E_up) of its bordered right-hand side
-    [b_k; f_s] is at most tol * F: |f_s| <= ||d_k|| sqrt(E_up), with ||d_k||
-    the r-weighted norm of its (Q, 4) data (Cauchy-Schwarz; E_up from
-    singular.lift_basis, 0 without a corner).  Its data, load and (unless
-    N > 2 and k = 2) constraint set are dropped there: it gets no system, basis
-    or basis right-hand side, but a zero field, C^k = 0j, energy 0.0 and
-    CGInfo(0, bound / F).
+    A mode k <= 2 whose load alone meets the rule is skipped before its
+    system exists if the bound sqrt(||b_k||^2 + ||d_k||^2 E_up) of its
+    bordered right-hand side [b_k; f_s] is at most tol * F too: |f_s| <=
+    ||d_k|| sqrt(E_up) (Cauchy-Schwarz), with ||d_k|| the r-weighted norm of
+    its data and E_up = a_k(S + lift, S + lift) >= a_k(s, s), 0 without a
+    corner.  Its data, load, lift and (unless N > 2 and k = 2) constraint
+    set are dropped there: it gets no system, basis or basis right-hand
+    side, but a zero field, C^k = 0j, energy 0.0 and CGInfo(0, bound / F).
     Every other system k <= 2, and the mode-2 one whenever N > 2, is
     assembled once, with its multigrid hierarchy on a large mesh that nests
     (see modal_ops.assemble_systems), and serves its basis and its mode
@@ -379,27 +384,25 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
     ws = modal_ops.workspace(quad)  # after the analysis: none of its temporaries coexist
     low = range(min(N, 2) + 1)
     classes = {k: build_constraints(mesh, k, space) for k in low}
-    loads, dnorms = {}, {k: [] for k in low if corner is not None}
-    for k in range(N + 1):  # packed and checked per chunk for the load and, for a bound, ||d_k||^2
-        loads[k] = classes[min(k, 2)].functional(
-            ws.op_adjoint(ModeData(fmodes[k], gmodes.get(k)), k, dnorms.get(k)))
+    loads = {k: classes[min(k, 2)].functional(ws.op_adjoint(ModeData(fmodes[k], gmodes.get(k)), k))
+             for k in range(N + 1)}  # each mode's data packed and checked per chunk
     norms = [np.linalg.norm(loads[k]) for k in range(N + 1)]
     floor = math.sqrt((norms[0] ** 2 + 2.0 * sum(n * n for n in norms[1:])) / (2 * N + 1))
     skipped, lifted = {}, {}
     for k in low:
-        pairings, fs_bound = None, 0.0
-        if corner is not None:
-            start, pairings, e_up = singular.lift_basis(classes[k], quad)
-            fs_bound = math.sqrt(sum(dnorms[k]) * e_up)
-        skipped[k] = _unsolved(math.hypot(norms[k], fs_bound), floor, tol)
+        start = singular.lift_basis(classes[k], quad) if corner is not None else None
+        skipped[k] = _unsolved(norms[k], floor, tol)
+        if skipped[k] is not None and start is not None:  # the load alone meets the rule
+            skipped[k] = _unsolved(_skip_bound(ws, norms[k], ModeData(fmodes[k], gmodes.get(k)), start),
+                                   floor, tol)
         if skipped[k] is not None:  # nothing of the mode's data is read again
             del fmodes[k], loads[k]
             gmodes.pop(k, None)
         if skipped[k] is not None and not (k == 2 and N > 2):  # mode 2's basis serves k > 2
             del classes[k]  # no system of its class is built
-        elif pairings is not None:  # the basis right-hand side, for solved modes only
-            lifted[k] = start, -classes[k].functional(pairings)
-    del pairings  # none reaches the assembly
+        elif start is not None:  # the basis right-hand side, for solved modes only
+            lifted[k] = start, -classes[k].functional(start.pairings(ws, k))
+    del start  # no lift of a dropped class reaches the assembly
     systems = modal_ops.assemble_systems(classes, quad, N > 2)
     bases = compute_bases(systems, lifted, tol=tol) if corner is not None else {}
     del lifted

@@ -59,14 +59,24 @@ _README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 @pytest.mark.parametrize("module, name", [
     ("cli_io", "write_vtk"), ("cli_io", "write_vtk_wedges"), ("solver", "solve_axisymmetric"),
     ("solver", "error_norms"), ("femcore", "lift_boundary"), ("singular", "singular_dimensions"),
+    ("modal_ops", "OperatorWorkspace.adjoint_chunks"), ("modal_ops", "OperatorWorkspace.op_adjoint"),
+    ("singular", "SingularBasis.pairings"), ("singular", "lift_basis"),
 ])
 def test_readme_signatures_match_the_code(module, name):
     """Every `name(...)` span of README spells the function's signature as
-    inspect.signature gives it, up to whitespace."""
-    fn = getattr(importlib.import_module(f"axmaxwell.{module}"), name)
-    spans = re.findall(rf"`({name}\([^`]*\))`", _README.read_text())
+    inspect.signature gives it, up to whitespace; a method `Class.name` may
+    be spelled with or without its class, and is compared without self."""
+    owner, _, attr = name.rpartition(".")
+    fn = importlib.import_module(f"axmaxwell.{module}")
+    for part in name.split("."):
+        fn = getattr(fn, part)
+    sig = inspect.signature(fn)
+    if owner:
+        sig = sig.replace(parameters=list(sig.parameters.values())[1:])
+    prefix = rf"(?:{owner}\.)?" if owner else ""
+    spans = re.findall(rf"`{prefix}({attr}\([^`]*\))`", _README.read_text())
     assert spans, f"README does not spell out {name}"
-    want = name + str(inspect.signature(fn))
+    want = attr + str(sig)
     for span in spans:
         assert " ".join(span.split()) == want
 

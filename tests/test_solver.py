@@ -534,9 +534,10 @@ def test_full_solve_assembles_each_system_once(lshape, rect, monkeypatch):
 
 
 def test_full_solve_forms_each_basis_once_per_use(lshape, lshape_quad, monkeypatch):
-    """An N = 2 solve evaluates each basis's operators once for its lift and
-    once for its mode's pairing, chunk by chunk, and the record keeps that
-    pairing's a_k(s, s); the basis itself is frozen and stores no energy."""
+    """An N = 2 solve evaluates each basis's operators once for the pairings
+    of its lift and once for its mode's pairing, chunk by chunk, and the
+    record keeps that pairing's a_k(s, s); the basis itself is frozen and
+    stores no energy."""
     msh, corner = lshape
     op_chunks, calls = singular.SingularBasis.op_chunks, []
 
@@ -633,7 +634,8 @@ def _assert_skipped(rec, resid):
 def test_round_off_modes_are_skipped_before_their_system(lshape, lshape_quad, monkeypatch):
     """cos(theta) e_z data fill mode 1 only.  Modes 0 and 2 meet the rule
     before any matrix exists: one assembly, one basis solve and at most
-    four evaluations of basis operators (three lifts and the mode-1
+    four evaluations of basis operators (the lifts of modes 0 and 2 for
+    their bounds, mode 1's for its right-hand side, and the mode-1
     pairing).  The constraint sets form the N + 1 loads and the basis
     right-hand side of mode 1 only: a skipped mode whose basis nobody reads
     gets none.
@@ -711,6 +713,98 @@ def test_skip_rule_edge(lshape, monkeypatch, share):
     else:
         assert calls["assemble_a_k"] == [1] and calls["compute_basis"] == [1]
         _assert_skipped(sol.records[0], resid[0])
+
+
+def _count_calls(monkeypatch, owner, name, calls):
+    """Count the calls of the method owner.name in calls[name]."""
+    method = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return method(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("rhs, N, counts", [
+    ("cos_theta_ez", 2, {"adjoint_chunks": 4, "op_chunks": 4, "pairings": 1}),
+    ("bandlimited", 3, {"adjoint_chunks": 8, "op_chunks": 8, "pairings": 4}),
+])
+def test_only_a_basis_that_is_solved_for_is_paired(monkeypatch, rhs, N, counts):
+    """The lift of a |k| <= 2 mode is paired with the test fields only for a
+    mode that gets a basis: with cos(theta) e_z data (the L-shape at h = 0.2,
+    N = 2) modes 0 and 2 are skipped, so adjoint_chunks runs for the 3 loads
+    and mode 1's basis right-hand side, and the basis rows are read for the
+    bounds of modes 0 and 2, mode 1's pairings and its _pair.  With
+    bandlimited data and N = 3 every mode is solved: 4 loads, 3 basis
+    right-hand sides and the coupling of mode 3, each basis right-hand side
+    and the coupling through SingularBasis.pairings."""
+    msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.2)
+    calls = {}
+    _count_calls(monkeypatch, modal_ops.OperatorWorkspace, "adjoint_chunks", calls)
+    for name in ("op_chunks", "pairings"):
+        _count_calls(monkeypatch, singular.SingularBasis, name, calls)
+    sol = solver.solve_axisymmetric(msh, SPACE_X, RHS_BUILTINS[rhs], N=N, corner=corner)
+    assert calls == counts
+    solved = [k for k, rec in sol.records.items() if rec.cg.iterations > 0]
+    assert solved == ([1] if N == 2 else list(range(N + 1)))
+
+
+def _at_assembly(monkeypatch, check):
+    """Call check(classes) when modal_ops.assemble_systems starts, with the
+    constraint classes it is given."""
+    assemble, seen = modal_ops.assemble_systems, []
+
+    def checking(classes, *args, **kwargs):
+        seen.append(check(classes))
+        return assemble(classes, *args, **kwargs)
+
+    monkeypatch.setattr(modal_ops, "assemble_systems", checking)
+    return seen
+
+
+def test_no_lift_of_a_dropped_class_reaches_the_assembly(lshape, monkeypatch):
+    """cos(theta) e_z data skip modes 0 and 2 (N = 2), and their classes are
+    dropped: when assemble_systems starts, neither of their lifts is alive,
+    while mode 1's, which its basis solve starts from, is."""
+    msh, corner = lshape
+    lift_basis, lifts = singular.lift_basis, {}
+
+    def recording(constraints, quad):
+        lifted = lift_basis(constraints, quad)
+        lifts[constraints.k] = weakref.ref(lifted)
+        return lifted
+
+    monkeypatch.setattr(singular, "lift_basis", recording)
+    seen = _at_assembly(monkeypatch, lambda classes: (
+        sorted(classes), {k: ref() is not None for k, ref in lifts.items()}))
+    solver.solve_axisymmetric(msh, SPACE_X, _cos_theta_ez, N=2, corner=corner)
+    assert seen == [([1], {0: False, 1: True, 2: False})]
+
+
+def test_the_data_of_a_skipped_mode_die_before_the_assembly(lshape, monkeypatch):
+    """The bound that skips modes 0 and 2 of cos(theta) e_z data, with
+    r cos(theta) divergence data (N = 2), reads their data chunk by chunk
+    and keeps nothing: when assemble_systems starts, their analysed f and g
+    are dead, and mode 1's are alive for its solve."""
+    msh, corner = lshape
+    modes = {}
+
+    def recording(analyze, name):
+        def analyzed(*args, **kwargs):
+            out = analyze(*args, **kwargs)
+            modes.update({(name, k): weakref.ref(a) for k, a in out.items()})
+            return out
+        return analyzed
+
+    monkeypatch.setattr(solver, "analyze_rhs", recording(solver.analyze_rhs, "f"))
+    monkeypatch.setattr(solver, "analyze_scalar_rhs", recording(solver.analyze_scalar_rhs, "g"))
+    seen = _at_assembly(monkeypatch, lambda classes: {
+        key: ref() is not None for key, ref in modes.items()})
+    sol = solver.solve_axisymmetric(msh, SPACE_X, _cos_theta_ez, lambda r, th, z: r * np.cos(th),
+                                    N=2, corner=corner)
+    assert [sol.records[k].cg.iterations > 0 for k in range(3)] == [False, True, False]
+    assert seen == [{(name, k): k == 1 for name in "fg" for k in range(3)}]
 
 
 def _odd_data(r, th, z):
@@ -930,9 +1024,9 @@ class _Stop(Exception):
 
 
 def test_lift_and_pair_hold_no_whole_basis_rows():
-    """lift_basis and _pair form the basis rows chunk by chunk: each peaks
-    less than one (Q, 4) complex array above its inputs (the L-shape at
-    h = 0.0125, 67,536 points), output included."""
+    """lift_basis with the pairings of its lift, and _pair, form the basis
+    rows chunk by chunk: each peaks less than one (Q, 4) complex array above
+    its inputs (the L-shape at h = 0.0125, 67,536 points), output included."""
     msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.0125)
     quad = MeshQuadrature(msh, corner)
     constraints = femcore.build_constraints(msh, 1, SPACE_X)
@@ -947,14 +1041,18 @@ def test_lift_and_pair_hold_no_whole_basis_rows():
         finally:
             tracemalloc.stop()
 
-    (lifted, _, _), lift = traced(lambda: singular.lift_basis(constraints, quad))
+    def lift_and_pair():
+        lifted = singular.lift_basis(constraints, quad)
+        return lifted, lifted.pairings(system.ws, 1)
+
+    (lifted, _), lift = traced(lift_and_pair)
     _, pair = traced(lambda: solver._pair(system, data, lifted, load))
     assert lift < data.nbytes and pair < data.nbytes, (lift, pair)
 
 
 def test_the_loads_form_no_whole_mode_rows(monkeypatch):
-    """The loads and ||d_k||^2 of all modes are formed from each mode's data
-    packed chunk by chunk: from the workspace to the first lift, the traced
+    """The loads of all modes are formed from each mode's data packed chunk
+    by chunk: from the workspace to the first lift, the traced
     peak stays less than one (Q, 4) complex array above what is then kept
     (the L-shape at h = 0.0125, N = 2)."""
     msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.0125)

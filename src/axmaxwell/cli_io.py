@@ -290,14 +290,14 @@ def build_mesh(args):
     return msh, (corners[0] if corners else None)
 
 
-def _check_sizes(args, msh):
+def _check_sizes(args, msh, corner):
     """Check against mesh.MAX_ENTRIES, before any of them exists, the largest
-    arrays of a run's analysis, M x Q samples (Q <= nt times
-    femcore.MAX_TRIANGLE_POINTS) and the (N + 1) x M projection, and of the
-    synthesis at T azimuths, T x nv x 3 values and T x nt x 6 wedge
-    indices."""
+    arrays of a run's analysis, M x Q samples (Q from femcore.quadrature_runs)
+    and the (N + 1) x M projection, and of the synthesis at T azimuths,
+    T x nv x 3 values and T x nt x 6 wedge indices."""
     M = solver.theta_samples(args.modes, getattr(args, "theta_samples", None))
-    sizes = {"analysis samples M x Q": M * femcore.MAX_TRIANGLE_POINTS * msh.num_triangles,
+    Q = sum(len(tris) * n for tris, n in femcore.quadrature_runs(msh, corner))
+    sizes = {"analysis samples M x Q": M * Q,
              "projection (N + 1) x M": (args.modes + 1) * M,
              "synthesis T x max(3 nv, 6 nt)":
                  getattr(args, "azimuths", 0) * max(3 * msh.num_vertices, 6 * msh.num_triangles)}
@@ -606,7 +606,7 @@ def main(argv=None):
         if args.command == "singular" and inputs[1] is None:
             raise UsageError("singular bases need a domain with a reentrant corner")
         if "rhs" in args:
-            _check_sizes(args, inputs[0])
+            _check_sizes(args, *inputs)
             inputs += (resolve_rhs(args.rhs, inputs[0]),)
         os.makedirs(args.outdir, exist_ok=True)
         run = {"meshgen": cmd_meshgen, "singular": cmd_singular, "solve": cmd_solve,

@@ -54,6 +54,7 @@ SUB_WEIGHTS = np.tile(0.25 * RULE_WEIGHTS, len(_SUB_CORNERS))
 MAX_TRIANGLE_POINTS = len(SUB_WEIGHTS)  # on a subdivided triangle
 # the barycentric points of a triangle of a quadrature run, by its point count
 RULE_OF = {len(points): points for points in (RULE_POINTS, SUB_POINTS)}
+_WEIGHTS_OF = {len(weights): weights for weights in (RULE_WEIGHTS, SUB_WEIGHTS)}
 
 
 class MeshQuadrature:
@@ -80,23 +81,25 @@ class MeshQuadrature:
 
     def __init__(self, mesh, corner=None):
         areas = mesh.triangle_areas()
-        refined = np.zeros(mesh.num_triangles, dtype=bool)
-        if corner is not None:
-            pos = np.asarray(corner.position)
-            d = np.linalg.norm(mesh.vertices[mesh.triangles] - pos, axis=2).min(axis=1)
-            refined = d <= mesh.h + _GEOM_TOL
-        rules = [(np.flatnonzero(~refined), RULE_POINTS, RULE_WEIGHTS),
-                 (np.flatnonzero(refined), SUB_POINTS, SUB_WEIGHTS)]
-        self.mesh, self.corner = mesh, corner
-        self.runs = [(tris, len(weights)) for tris, _, weights in rules]
-        self.tri = np.concatenate([np.repeat(tris, len(weights)) for tris, _, weights in rules])
-        self.w = np.concatenate([np.outer(areas[tris], weights).ravel() for tris, _, weights in rules])
-        bary = np.concatenate([np.tile(points, (len(tris), 1)) for tris, points, _ in rules])
+        self.mesh, self.corner, self.runs = mesh, corner, quadrature_runs(mesh, corner)
+        self.tri = np.concatenate([np.repeat(tris, n) for tris, n in self.runs])
+        self.w = np.concatenate([np.outer(areas[tris], _WEIGHTS_OF[n]).ravel() for tris, n in self.runs])
+        bary = np.concatenate([np.tile(RULE_OF[n], (len(tris), 1)) for tris, n in self.runs])
         self.xy = np.einsum("qi,qij->qj", bary, mesh.vertices[mesh.triangles[self.tri]])
         self.r = self.xy[:, 0]
         if np.any(self.r <= 0.0):
             raise MeshError("quadrature point on or beyond the axis")
         self.operators = None
+
+
+def quadrature_runs(mesh, corner):
+    """The runs of MeshQuadrature(mesh, corner), before any point array: the
+    triangles within h of the corner (None: none) take the subdivided rule."""
+    refined = np.zeros(mesh.num_triangles, dtype=bool)
+    if corner is not None:
+        d = np.linalg.norm(mesh.vertices[mesh.triangles] - np.asarray(corner.position), axis=2)
+        refined = d.min(axis=1) <= mesh.h + _GEOM_TOL
+    return [(np.flatnonzero(~refined), len(RULE_WEIGHTS)), (np.flatnonzero(refined), MAX_TRIANGLE_POINTS)]
 
 
 def gradients(mesh):

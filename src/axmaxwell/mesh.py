@@ -24,7 +24,7 @@ ANGLE_TOL = 1e-6
 # the most entries of any array that a run's options size: the vertices of a
 # generated grid here, and the analysis, projection and synthesis arrays of
 # the command line (cli_io); far above the largest array of the benchmark
-# workloads, 9 x 90,594 analysis samples
+# workloads, 9 x 67,536 analysis samples
 MAX_ENTRIES = 20_000_000
 
 

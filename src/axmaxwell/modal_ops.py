@@ -20,19 +20,19 @@ values at quadrature points, their adjoint (the load pairings) and the
 element matrices all apply these tensors.
 
 Mode k enters only through the i k / r terms, so the element matrices of
-a_k are E(k) = E00 + k^2 E11 + i k A with real blocks formed per chunk of
-triangles, kept only where mode +-2 systems are shifted (OperatorWorkspace).
-Every mode matrix is E(k), range by range, reduced on the free dofs of its
-class on a CSR pattern expanded from the vertex pairs; the |k| >= 2 class
-depends neither on k nor on its sign, so the |k| > 2 matrices of the
-bordered path reuse the mode-2 pattern (shifted_system).  The shift identity
+a_k are E(k) = E00 + k^2 E11 + i k A with real blocks formed per range of
+triangles (OperatorWorkspace), reduced range by range on the free dofs of
+a class on a CSR pattern expanded from the vertex pairs.  The |k| >= 2
+class depends neither on k nor on its sign, so the |k| > 2 matrices of the
+bordered path follow from a mode +-2 matrix, on its pattern, by the shift
+identity (shifted_system)
 
   a_k(u, v) = a_2(u, v) + (k^2 - 4) (u/r, v/r) + i (k - 2) C(u, v),
 
 valid on fields whose boundary terms vanish (all constrained fields of the
-|k| >= 2 spaces), and the integration-by-parts split of a_k into its k = 0
-part, 1/r^2 mass terms and first-order coupling terms are evaluated by
-independent forms as verification oracles.
+|k| >= 2 spaces).  It and the integration-by-parts split of a_k into its
+k = 0 part, 1/r^2 mass terms and first-order coupling terms are also
+evaluated by independent forms as verification oracles.
 
 A large system on a mesh that nests also carries a multigrid hierarchy:
 a_k of its mode and constraint class rediscretised on each coarser mesh,
@@ -110,24 +110,26 @@ class OperatorWorkspace:
     per-triangle 9x9 element matrices of a_k are
 
       E(k) = E00 + k^2 E11 + i k A,
-      E00 = D0^T W D0,   E11 = R1^T W R1,   A = D0^T W R1 - R1^T W D0.
+      E00 = D0^T W D0,   E11 = R1^T W R1 = m (x) I_3,   A = D0^T W R1 - R1^T W D0,
+
+    with m_ij = sum_q w r (lambda_i / r)(lambda_j / r) the (u/r, v/r) mass.
 
     D0 and R1 exist only per chunk (triangle ids, slice of points, n) of
     m triangles of n points each, a slice of one of the quadrature's runs
     (quad.runs) of at most _CHUNK_TRIANGLES triangles: its per-point data
     are slices reshaped to (m, n, ...), and the real factors G, lambda / r
     and w r act on float views of complex arrays.  E00, E11 and A are
-    formed per chunk of each range of at most _BLOCK_TRIANGLES triangles,
-    and kept only after keep_blocks.  Attributes: G (nt, 3, 2), lor (Q, 3)
-    lambda / r, formed run by run from the rule points (femcore.RULE_OF),
-    wr (Q,), the chunks and ranges, all real, blocks (None unless kept),
-    the distinct vertex pairs of the element entries, pairs, as (row
-    vertices, column vertices) and pair_of (nt * 9,), the pair of each
-    entry, plus the quadrature's xy and runs and the mesh triangles.  Built
-    once per quadrature (see workspace); the methods take the mode k:
-    element_range forms E(k) of a range, op_chunks applies D_k to nodal
-    fields and adjoint_chunks pairs point samples with the local test dofs,
-    chunk by chunk (op_values, op_adjoint: all points at once).
+    formed per chunk of a range of at most _BLOCK_TRIANGLES triangles and
+    never kept.  Attributes: G (nt, 3, 2), lor (Q, 3) lambda / r, formed run
+    by run from the rule points (femcore.RULE_OF), wr (Q,), the chunks and
+    ranges, all real, the distinct vertex pairs of the element entries,
+    pairs, as (row vertices, column vertices) and pair_of (nt * 9,), the
+    pair of each entry, plus the quadrature's xy and runs and the mesh
+    triangles.  Built once per quadrature (see workspace), then only read;
+    the methods take the mode k: element_range forms E(k) of a range,
+    op_chunks applies D_k to nodal fields and adjoint_chunks pairs point
+    samples with the local test dofs, chunk by chunk (op_values,
+    op_adjoint: all points at once).
     """
 
     def __init__(self, quad):
@@ -145,7 +147,11 @@ class OperatorWorkspace:
         pairs = (mesh.triangles[:, :, None] * mesh.num_vertices + mesh.triangles[:, None, :]).ravel()
         pairs, pair_of = np.unique(pairs, return_inverse=True)
         self.pairs, self.pair_of = np.divmod(pairs, mesh.num_vertices), pair_of.astype(np.int32)
-        self.blocks = None
+
+    def over_r2(self, points, m, n):
+        """The mass m of m triangles of n points each at the points, (m, 3, 3)."""
+        lor = self.lor[points].reshape(m, n, 3)
+        return lor.transpose(0, 2, 1) @ (lor * self.wr[points].reshape(m, n, 1))
 
     def _blocks(self, tris, points, n):
         """E00, E11 and A of one chunk, (m, 9, 9) each."""
@@ -164,8 +170,8 @@ class OperatorWorkspace:
         d0, r1 = d0.reshape(m, n * _NOPS, 9), r1.reshape(m, n * _NOPS, 9)
         wd0 = d0 * w
         e00, cross = d0.transpose(0, 2, 1) @ wd0, wd0.transpose(0, 2, 1) @ r1
-        del d0, wd0  # before the weighted copy of r1
-        return e00, r1.transpose(0, 2, 1) @ (r1 * w), cross - cross.transpose(0, 2, 1)
+        e11 = self.over_r2(points, m, n)[:, :, None, :, None] * np.eye(3)[:, None, :]
+        return e00, e11.reshape(m, 9, 9), cross - cross.transpose(0, 2, 1)
 
     def chunks_of(self, triangles, size):
         """The chunks of the triangles in a slice, at most size each, run by run."""
@@ -178,20 +184,12 @@ class OperatorWorkspace:
             start += len(tris) * n
         return out
 
-    def keep_blocks(self):
-        """Form E00, E11 and A once, per chunk of each range, and keep them:
-        for a workspace whose mode +-2 systems are shifted to |k| > 2 modes."""
-        if self.blocks is None:
-            self.blocks = [[self._blocks(*c) for c in self.chunks_of(r, _BLOCK_TRIANGLES)]
-                           for r in self.ranges]
-
-    def element_range(self, i, k):
-        """E(k), the 9x9 Hermitian element matrices of a_k, of range i as a new
-        (m, 9, 9) array in triangle order, from the kept blocks if there are any."""
-        triangles = self.ranges[i]
+    def element_range(self, triangles, k):
+        """E(k), the 9x9 Hermitian element matrices of a_k, of the triangles
+        of a range (a slice) as a new (m, 9, 9) array in triangle order."""
         out = np.empty((triangles.stop - triangles.start, 9, 9), dtype=complex)
-        for j, (tris, points, n) in enumerate(self.chunks_of(triangles, _BLOCK_TRIANGLES)):
-            e00, e11, a = self.blocks[i][j] if self.blocks else self._blocks(tris, points, n)
+        for tris, points, n in self.chunks_of(triangles, _BLOCK_TRIANGLES):
+            e00, e11, a = self._blocks(tris, points, n)
             part = (1j * k) * a
             part += e00 + (k * k) * e11
             out[tris - triangles.start] = part
@@ -273,7 +271,7 @@ def workspace(quad):
 
 class _Pattern:
     """CSR pattern of the reduced matrix of a constraint set and the slot of
-    every element entry in it, which only an assembly and a shift read.
+    every element entry in it, which only the assembly of a system reads.
     Both come from the workspace's vertex pairs: each expands to its 3x3
     dof pairs through the class's free index."""
 
@@ -303,27 +301,39 @@ class _Pattern:
         scaled by the constraint coefficients and added in triangle order."""
         coeff = self.constraints.coeff.reshape(-1, 3)
         data = np.zeros(len(self.indices) + 1, dtype=complex)  # the last slot takes no free dof's entries
-        for i, tris in enumerate(ws.ranges):
+        for tris in ws.ranges:
             ci = coeff[ws.triangles[tris]].reshape(-1, 9)
-            elem = ws.element_range(i, k) * np.conj(ci)[:, :, None]
+            elem = ws.element_range(tris, k) * np.conj(ci)[:, :, None]
             elem *= ci[:, None, :]
             np.add.at(data, self.slots[81 * tris.start:81 * tris.stop], elem.ravel())
             del elem  # before the next range's blocks
         return HermitianSparse(self.indptr, self.indices, data[:-1], self.constraints.n_free)
+
+    def mass(self, ws):
+        """The real (u/r, v/r) form on the pattern of a class whose free dofs
+        all have coefficient 1 (|k| >= 2): of each triangle's m (x) I_3 the
+        entries (3 i + a, 3 j + a), the others being 0, added in triangle order."""
+        m = np.empty((ws.num_triangles, 3, 3, 1))
+        for tris, points, n in ws.chunks:
+            m[tris, :, :, 0] = ws.over_r2(points, len(tris), n)
+        data = np.zeros(len(self.indices) + 1)
+        np.add.at(data, np.diagonal(self.slots.reshape(-1, 3, 3, 3, 3), axis1=2, axis2=4), m)  # (t, i, j, a)
+        return data[:-1]
 
 
 class ModeSystem:
     """Assembled constrained system for one (mode, space) pair.
 
     The constraint set gives the mesh, mode and space; the matrix is E(k)
-    of the workspace ws of the quadrature quad reduced on its free dofs.
-    A |k| > 2 system is shifted from a mode +-2 one (shifted).
+    of the workspace ws of the quadrature quad reduced on its free dofs,
+    and mass, on a mode +-2 system only, the (u/r, v/r) form on its pattern,
+    from which a |k| > 2 system is shifted (shifted).
 
     hierarchy is the multigrid preconditioner of the matrix (None: Jacobi)
     and coarse the coarse systems kept for the |k| > 2 systems shifted from
-    this one; assemble_systems sets both before it returns the system.
-    Nothing writes to a system afterwards, so one system serves the
-    singular basis and the mode solve.
+    this one; assemble_systems sets both, and drops an unused mass, before
+    it returns the system.  Nothing writes to a system afterwards, so one
+    system serves the singular basis and the mode solve.
     """
 
     def __init__(self, constraints, quad):
@@ -331,22 +341,21 @@ class ModeSystem:
         if quad.mesh is not c.mesh:
             raise ValueError("quadrature and constraints are on different meshes")
         self.mesh, self.k, self.space = c.mesh, c.k, c.space
-        self.quad = quad
-        self.ws = workspace(quad)
-        self.pattern = _Pattern(c, self.ws)
-        self.matrix = self.pattern.matrix(self.ws, self.k)
+        self.quad, self.ws = quad, workspace(quad)
+        pattern = _Pattern(c, self.ws)  # its int32 slots die with this call
+        self.matrix = pattern.matrix(self.ws, self.k)
+        self.mass = pattern.mass(self.ws) if abs(self.k) == 2 else None
         self.hierarchy, self.coarse = None, []
 
     def shifted(self, k):
-        """The mode-k system, |k| > 2, on the quadrature and pattern of this
-        mode +-2 system and its constraint arrays (the class of |k| >= 2
-        depends neither on k nor on its sign): shifted_system of it and of
-        each coarse system."""
+        """The mode-k system, |k| > 2, on the quadrature of this mode +-2
+        system and its constraint arrays (the class of |k| >= 2 depends
+        neither on k nor on its sign): shifted_system of it and of each
+        coarse system."""
         out = copy.copy(self)
-        out.matrix = shifted_system(self, k)
-        out.k = int(k)
+        out.matrix, out.k = shifted_system(self, k), int(k)
         out.constraints = dataclasses.replace(self.constraints, k=out.k)
-        out.hierarchy, out.coarse = None, []
+        out.hierarchy, out.coarse, out.mass = None, [], None
         if self.coarse:
             out.hierarchy = Multigrid([Level(shifted_system(c, k), level.transfer)
                                        for c, level in zip(self.coarse, self.hierarchy.levels)])
@@ -369,27 +378,23 @@ def assemble_systems(classes, quad, shift=False):
     """The a_k systems of the constraint sets classes on one quadrature,
     keyed by k like classes, each with its multigrid hierarchy when it has
     at least MULTIGRID_MIN_DOFS free dofs and the mesh nests (see
-    coarse_levels).  Only with shift do the mode +-2 systems keep their
-    coarse systems and pattern slots, and every workspace its element
-    blocks, the fine one from before any system: the |k| > 2 systems
-    shifted from them form no blocks again.
+    coarse_levels).  Only with shift do the mode +-2 systems keep their mass
+    and coarse systems, which the |k| > 2 systems shifted from them read.
 
     The hierarchies are built after all fine systems, and the coarse
     quadratures are dropped after them unless kept: the coarse workspaces
     then never coexist with the temporaries of a fine assembly.
     """
-    if shift:
-        workspace(quad).keep_blocks()
     systems = {}
     for k, c in classes.items():
         systems[k] = assemble_a_k(quad.mesh, k, c.space, quad, c)
-        if not (shift and abs(k) == 2):  # only shifted_system reads the slots again
-            systems[k].pattern.slots = None
+        if not shift:
+            systems[k].mass = None
     levels = None
     for k, system in systems.items():
         if system.matrix.n >= MULTIGRID_MIN_DOFS:
             if levels is None:
-                levels = coarse_levels(quad, shift)
+                levels = coarse_levels(quad)
             system.hierarchy, system.coarse = multigrid(system, levels, shift and abs(k) == 2)
     return systems
 
@@ -397,13 +402,12 @@ def assemble_systems(classes, quad, shift=False):
 # -- multigrid hierarchy ----------------------------------------------------------
 
 
-def coarse_levels(quad, keep_blocks=False):
+def coarse_levels(quad):
     """The nested coarser meshes of quad's mesh, finest first, as (mesh,
     parents, quad) triples: parents maps the vertices of the next finer mesh
     onto the coarse one (see mesh.coarsen), and every mode system on the
     level shares its quadrature, which subdivides at quad's corner like the
-    fine one; with keep_blocks its operator workspace keeps its element
-    blocks (see assemble_systems).
+    fine one.
 
     Coarsening stops at the first mesh with at most _COARSEST_VERTICES
     vertices.  When the mesh does not nest that far (a mesh file that is
@@ -418,13 +422,7 @@ def coarse_levels(quad, keep_blocks=False):
             return []
         msh, parents = step
         nested.append((msh, parents))
-    levels = []
-    for msh, parents in nested:
-        level = MeshQuadrature(msh, quad.corner)
-        if keep_blocks:
-            workspace(level).keep_blocks()
-        levels.append((msh, parents, level))
-    return levels
+    return [(msh, parents, MeshQuadrature(msh, quad.corner)) for msh, parents in nested]
 
 
 def transfer(fine, coarse, parents):
@@ -469,18 +467,14 @@ def multigrid(system, levels, keep_coarse=False):
 def a_k_direct(u, v, k, quad):
     """a_k(u, v) by quadrature of the mode-k operator formulas."""
     ws = workspace(quad)
-    uo = ws.op_values(u.values, k)
-    vo = ws.op_values(v.values, k)
+    uo, vo = (ws.op_values(f.values, k) for f in (u, v))
     return complex(np.sum(ws.wr[:, None] * uo * vo.conj()))
 
 
 def form_over_r2(u, v, quad):
     """(u / r, v / r) in the r-weighted pairing, all three components."""
-    ws = workspace(quad)
-    uv = ws.point_values(u.values)
-    vv = ws.point_values(v.values)
-    dots = np.einsum("qc,qc->q", uv, vv.conj())
-    return complex(np.sum(quad.w * dots / quad.r))
+    uv, vv = (workspace(quad).point_values(f.values) for f in (u, v))
+    return complex(np.sum(quad.w * np.einsum("qc,qc->q", uv, vv.conj()) / quad.r))
 
 
 def form_C(u, v, quad):
@@ -492,9 +486,7 @@ def form_C(u, v, quad):
     requirement that the decomposition of a_k and the mode-shift identity
     hold exactly; see a_k_via_decomposition.
     """
-    ws = workspace(quad)
-    uv = ws.point_values(u.values)
-    vv = ws.point_values(v.values)
+    uv, vv = (workspace(quad).point_values(f.values) for f in (u, v))
     integrand = 2.0 * (uv[:, 1] * vv[:, 0].conj() - uv[:, 0] * vv[:, 1].conj())
     return complex(np.sum(quad.w * integrand / quad.r))
 
@@ -582,12 +574,16 @@ def a_k_by_shift(u, v, k, quad):
 
 
 def shifted_system(system2, k):
-    """Mode-k matrix, |k| > 2, on the constraint class of an assembled mode
-    +-2 system: E(k) of the quadrature's workspace reduced on the pattern
-    of system2.matrix.  Equal, bit for bit, to assemble_a_k(k).matrix.
-    """
+    """Mode-k matrix, |k| > 2, on the class and pattern of an assembled mode
+    k_2 = +-2 system by the shift identity: real(a_2) + (k^2 - 4) mass, and
+    imag(a_2), k_2 times the reduced A, times k / k_2.  Equal to
+    assemble_a_k(k).matrix within round-off, not bit for bit."""
     if abs(system2.k) != 2:
         raise ValueError("shifted assembly expects a mode +-2 base system")
     if abs(k) <= 2:
         raise ValueError("shifted assembly serves |k| > 2")
-    return system2.pattern.matrix(system2.ws, int(k))
+    a2 = system2.matrix
+    data = np.empty(a2.nnz, dtype=complex)
+    data.real = a2.data.real + (k * k - 4) * system2.mass
+    data.imag = a2.data.imag * (k / system2.k)
+    return HermitianSparse(a2.indptr, a2.indices, data, a2.n)

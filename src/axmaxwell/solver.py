@@ -15,8 +15,8 @@ For |k| > 2 the singular subspace of mode sign(k)*2 is reused; the lost
 orthogonality couples C^k to the regular unknowns through a rank-one
 border, and one CG solve on the bordered matrix, the Galerkin matrix of
 a_k on the regular space plus the basis, gives both.  The mode-k matrix
-is E(k) of the quadrature's operator workspace reduced on the constraint
-class of the mode-2 system, which all |k| >= 2 modes share.
+is the mode-2 matrix shifted by the shift identity on the constraint
+class that all |k| >= 2 modes share (modal_ops.shifted_system).
 """
 
 import math

@@ -10,7 +10,7 @@ import pytest
 
 from axmaxwell import cli_io, linalg, manufactured, mesh, modal_ops, singular, solver
 from axmaxwell.cli_io import main, write_csv, write_vtk
-from axmaxwell.femcore import SPACE_Y
+from axmaxwell.femcore import SPACE_Y, MeshQuadrature
 from test_solver import _chunked_norm_sq
 
 
@@ -465,22 +465,32 @@ def test_oversized_run_fails_before_outdir_exists(tmp_path, capsys, monkeypatch,
 
 def test_largest_run_under_the_limit_passes_the_size_check(monkeypatch):
     """The analysis sizes are compared with MAX_ENTRIES as they are: M x Q
-    with Q = 28 nt, (N + 1) x M, and T x max(3 nv, 6 nt) for a synthesis."""
-    msh, _ = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.1)
-    limit = 13 * 28 * msh.num_triangles
+    with Q the quadrature's point count, (N + 1) x M, and T x max(3 nv,
+    6 nt) for a synthesis."""
+    msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.1)
+    limit = 13 * len(MeshQuadrature(msh, corner).w)
 
     def synthesize(azimuths):  # M = 13
         return cli_io.parse_args(["synthesize", "--modes", "3", "--theta-samples", str(azimuths)])
 
     solve = cli_io.parse_args(["solve", "--modes", "3"])  # M = 13
     monkeypatch.setattr(mesh, "MAX_ENTRIES", limit)
-    cli_io._check_sizes(solve, msh)
-    cli_io._check_sizes(synthesize(limit // (6 * msh.num_triangles)), msh)
+    cli_io._check_sizes(solve, msh, corner)
+    cli_io._check_sizes(synthesize(limit // (6 * msh.num_triangles)), msh, corner)
     with pytest.raises(cli_io.UsageError, match="synthesis"):
-        cli_io._check_sizes(synthesize(limit // (6 * msh.num_triangles) + 1), msh)
+        cli_io._check_sizes(synthesize(limit // (6 * msh.num_triangles) + 1), msh, corner)
     monkeypatch.setattr(mesh, "MAX_ENTRIES", limit - 1)
     with pytest.raises(cli_io.UsageError, match="analysis samples"):
-        cli_io._check_sizes(solve, msh)
+        cli_io._check_sizes(solve, msh, corner)
+
+
+def test_fine_many_mode_run_passes_the_size_check():
+    """solve --h 0.0125 --modes 24 analyses 97 x 67,536 samples, far below
+    MAX_ENTRIES; a bound of 28 points per triangle counted 26,073,600."""
+    args = cli_io.parse_args(["solve", "--h", "0.0125", "--modes", "24"])
+    msh, corner = cli_io.build_mesh(args)
+    assert len(MeshQuadrature(msh, corner).w) == 67_536
+    cli_io._check_sizes(args, msh, corner)
 
 
 @pytest.mark.parametrize("exc, message", [

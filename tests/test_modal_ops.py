@@ -187,13 +187,16 @@ def test_quadratic_form_positive(lshape, lshape_quad, rng):
 
 
 def test_shifted_matrix_equals_fresh_assembly(lshape, lshape_quad):
+    """A shifted matrix is the fresh assembly within round-off, on its
+    pattern, and holds the bits of the shift of the reference blocks."""
     msh, _ = lshape
+    blocks = _reference_blocks(lshape_quad)
     for space, base_k, ks in ((SPACE_Y, 2, (3, 5, 24)), (SPACE_X, 2, (3,)), (SPACE_X, -2, (-3,))):
         sys2 = modal_ops.assemble_a_k(msh, base_k, space, quad=lshape_quad)
         for k in ks:
             system = sys2.shifted(k)
             assert system.k == system.constraints.k == k and sys2.k == base_k
-            assert system.constraints.slots is sys2.constraints.slots and system.pattern is sys2.pattern
+            assert system.constraints.slots is sys2.constraints.slots and system.mass is None
             assert system.quad is sys2.quad
             shifted = system.matrix
             assert np.array_equal(shifted.indptr, sys2.matrix.indptr)
@@ -204,7 +207,26 @@ def test_shifted_matrix_equals_fresh_assembly(lshape, lshape_quad):
             assert diff <= 1e-12 * scale
             assert np.array_equal(shifted.indptr, fresh.matrix.indptr)
             assert np.array_equal(shifted.indices, fresh.matrix.indices)
-            assert np.array_equal(shifted.data, fresh.matrix.data)
+            assert _same_bits(shifted.data, _reference_shift(blocks, sys2.constraints, k))
+
+
+@pytest.mark.parametrize("k2", [2, -2])
+def test_mass_and_shift_equal_their_forms(lshape, lshape_quad, rng, k2):
+    """On random constrained fields of both spaces, the mass of a mode +-2
+    system is form_over_r2, and a shifted matrix gives a_k_by_shift."""
+    msh, _ = lshape
+    for space in (SPACE_X, SPACE_Y):
+        sys2 = modal_ops.assemble_a_k(msh, k2, space, quad=lshape_quad)
+        m = sys2.matrix
+        mass = linalg.HermitianSparse(m.indptr, m.indices, sys2.mass, m.n)
+        for k in (3 * k2 // 2, 5 * k2 // 2):
+            shifted = modal_ops.shifted_system(sys2, k)
+            u, v = (_random_constrained(msh, k2, space, rng) for _ in range(2))
+            x, y = (sys2.constraints.free_values(f) for f in (u, v))
+            want = modal_ops.form_over_r2(u, v, lshape_quad)
+            assert abs(np.vdot(y, mass.matvec(x)) - want) <= 1e-12 * abs(want)
+            want = modal_ops.a_k_by_shift(u, v, k, lshape_quad)
+            assert abs(np.vdot(y, shifted.matvec(x)) - want) <= 1e-12 * abs(want)
 
 
 def test_shifted_systems_share_the_constraint_arrays(lshape, lshape_quad):
@@ -237,7 +259,7 @@ def test_mode_system_reads_its_class_from_the_constraint_set(lshape, lshape_quad
     constraints = femcore.build_constraints(msh, -1, SPACE_X)
     system = modal_ops.ModeSystem(constraints, lshape_quad)
     assert system.mesh is msh and (system.k, system.space) == (-1, SPACE_X)
-    assert system.constraints is constraints and system.pattern.constraints is constraints
+    assert system.constraints is constraints and system.mass is None and not hasattr(system, "pattern")
     with pytest.raises(ValueError, match="different meshes"):
         modal_ops.ModeSystem(constraints, MeshQuadrature(rect))
 
@@ -402,35 +424,57 @@ def test_kernels_equal_their_gather_reference_bit_for_bit(kernel_quad):
         assert _same_bits(ws.point_values(values), pv), k
 
 
+def _reference_scatter(constraints, elem):
+    """The data of the element matrices elem (nt, 9, 9), scaled by the
+    constraint coefficients and scattered in element order (linalg.scatter)
+    on the reference pattern."""
+    gdofs = (3 * constraints.mesh.triangles[:, :, None] + np.arange(3)).reshape(-1, 9)
+    coeff = constraints.coeff[gdofs]
+    elem = elem * np.conj(coeff)[:, :, None]
+    elem *= coeff[:, None, :]
+    _, indices, slots = _reference_pattern(constraints)
+    return linalg.scatter(slots, elem.ravel(), len(indices))
+
+
+def _reference_element_matrices(blocks, k):
+    E00, E11, A = blocks
+    elem = (1j * k) * A
+    elem += E00 + (k * k) * E11
+    return elem
+
+
+def _reference_shift(blocks, constraints2, k):
+    """The data of a mode-k matrix shifted from the mode k2 = +-2 class: the
+    element-order scatter of E(k2), its real part plus (k^2 - 4) times the
+    element-order scatter of E11, its imaginary part times k / k2."""
+    k2 = constraints2.k
+    a2 = _reference_scatter(constraints2, _reference_element_matrices(blocks, k2))
+    out = np.empty_like(a2)
+    out.real = a2.real + (k * k - 4) * _reference_scatter(constraints2, blocks[1]).real
+    out.imag = a2.imag * (k / k2)
+    return out
+
+
 @pytest.mark.parametrize("space", [SPACE_X, SPACE_Y])
 def test_assembled_matrices_equal_the_element_order_scatter_bit_for_bit(kernel_quad, space):
-    """Every matrix, assembled or shifted, holds the bits of E(k) from the
-    reference blocks, scaled by the constraint coefficients and scattered
-    in element order (linalg.scatter) on the reference pattern: E(k) formed
-    range by range and from kept blocks alike."""
+    """Every assembled matrix holds the bits of E(k) from the reference
+    blocks, scaled by the constraint coefficients and scattered in element
+    order (linalg.scatter) on the reference pattern, and every shifted
+    matrix the bits of the reference shift of the mode +-2 class."""
     msh = kernel_quad.mesh
-    kept = MeshQuadrature(msh, kernel_quad.corner)
-    modal_ops.workspace(kept).keep_blocks()
-    assert modal_ops.workspace(kernel_quad).blocks is None
-    E00, E11, A = _reference_blocks(kernel_quad)
-    gdofs = (3 * msh.triangles[:, :, None] + np.arange(3)).reshape(-1, 9)
+    blocks = _reference_blocks(kernel_quad)
     for k in (0, 1, -1, 2, -2, 3, 7):
         constraints = femcore.build_constraints(msh, k, space)
-        coeff = constraints.coeff[gdofs]
-        elem = (1j * k) * A
-        elem += E00 + (k * k) * E11
-        elem *= np.conj(coeff)[:, :, None]
-        elem *= coeff[:, None, :]
-        indptr, indices, slots = _reference_pattern(constraints)
-        want = linalg.scatter(slots, elem.ravel(), len(indices))
-        for quad in (kernel_quad, kept):
-            matrices = [modal_ops.ModeSystem(constraints, quad).matrix]
-            if abs(k) > 2:
-                system2 = modal_ops.assemble_a_k(msh, 2 * np.sign(k), space, quad)
-                matrices.append(modal_ops.shifted_system(system2, k))
-            for got in matrices:
-                assert _same_bits(got.indptr, indptr) and _same_bits(got.indices, indices), k
-                assert _same_bits(got.data, want), k
+        indptr, indices, _ = _reference_pattern(constraints)
+        want = _reference_scatter(constraints, _reference_element_matrices(blocks, k))
+        matrices = [(modal_ops.ModeSystem(constraints, kernel_quad).matrix, want)]
+        if abs(k) > 2:
+            system2 = modal_ops.assemble_a_k(msh, 2 * np.sign(k), space, kernel_quad)
+            shift = _reference_shift(blocks, system2.constraints, k)
+            matrices.append((modal_ops.shifted_system(system2, k), shift))
+        for got, data in matrices:
+            assert _same_bits(got.indptr, indptr) and _same_bits(got.indices, indices), k
+            assert _same_bits(got.data, data), k
 
 
 def test_chunks_are_consecutive_runs_of_points(kernel_quad):
@@ -510,13 +554,15 @@ def test_pattern_peaks_below_twice_what_it_keeps():
 
 
 def test_assembly_keeps_no_element_arrays():
-    """Without shifts a workspace keeps no (nt, 9, 9) array, and no whole
-    E(k) exists: with its pattern built, forming a matrix peaks below half
-    a complex (nt, 9, 9) array (the matrix data and one range of E(k)), and
-    an assembly, workspace included, below three (h = 0.0125)."""
+    """A workspace keeps no (nt, 9, 9) array, nothing is added to it after
+    it is built, and no whole E(k) exists: with its pattern built, forming
+    a matrix peaks below half a complex (nt, 9, 9) array (the matrix data
+    and one range of E(k)), and an assembly, workspace included, below
+    three (h = 0.0125)."""
     msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.0125)
     quad = MeshQuadrature(msh, corner)
     size = msh.num_triangles * 81 * np.dtype(complex).itemsize
+    names = set(vars(modal_ops.OperatorWorkspace(MeshQuadrature(msh))))
     tracemalloc.start()
     try:
         system = modal_ops.assemble_a_k(msh, 1, SPACE_Y, quad=quad)
@@ -532,5 +578,5 @@ def test_assembly_keeps_no_element_arrays():
     assert matrix < 0.5 * size
     held = [v for value in vars(system.ws).values()
             for v in (value if isinstance(value, (tuple, list)) else [value])]
-    assert system.ws.blocks is None
+    assert set(vars(system.ws)) == names
     assert not any(isinstance(v, np.ndarray) and v.shape == (msh.num_triangles, 9, 9) for v in held)

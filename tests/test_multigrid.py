@@ -90,19 +90,19 @@ def test_multigrid_cg_matches_jacobi_cg(lshape05, space, k):
 
 def test_shifted_system_shifts_every_level(lshape05, monkeypatch):
     """A |k| > 2 system on a mode-2 base that kept its coarse systems has the
-    base's transfers and, per level, the coarse mode-k matrix."""
+    base's transfers and, per level, the coarse mode-k matrix within
+    round-off of a fresh coarse assembly."""
     _, _, quad, levels = lshape05
     monkeypatch.setattr(modal_ops, "MULTIGRID_MIN_DOFS", 0)
     system2 = modal_ops.assemble_systems({2: build_constraints(quad.mesh, 2, SPACE_Y)}, quad, shift=True)[2]
     assert len(system2.coarse) == 1
-    # the shifted levels form E(k) from blocks kept once
-    assert system2.ws.blocks is not None and system2.coarse[0].ws.blocks is not None
     system5 = system2.shifted(5)
     assert len(system5.hierarchy.levels) == 1
     level = system5.hierarchy.levels[0]
     coarse_mesh, _, coarse_quad = levels[0]
-    fresh = modal_ops.assemble_a_k(coarse_mesh, 5, SPACE_Y, quad=coarse_quad)
-    assert np.array_equal(level.matrix.data, fresh.matrix.data)
+    fresh = modal_ops.assemble_a_k(coarse_mesh, 5, SPACE_Y, quad=coarse_quad).matrix
+    assert np.array_equal(level.matrix.indices, fresh.indices)
+    assert np.abs(level.matrix.data - fresh.data).max() <= 1e-12 * np.abs(fresh.data).max()
     assert level.transfer is system2.hierarchy.levels[0].transfer
     b = np.ones(system5.matrix.n, dtype=complex)
     _, info = solve_hpd(system5.matrix, b, hierarchy=system5.hierarchy)
@@ -136,8 +136,47 @@ def test_large_nested_mesh_builds_one_hierarchy_per_system():
     system = modal_ops.assemble_systems({1: build_constraints(msh, 1, SPACE_X)}, quad)[1]
     assert system.matrix.n >= modal_ops.MULTIGRID_MIN_DOFS
     assert len(system.hierarchy.levels) == 2
-    assert system.coarse == [] and system.ws.blocks is None
+    assert system.coarse == [] and system.mass is None
     assert system.hierarchy.coarsest_inverse.shape == (system.hierarchy.levels[-1].matrix.n,) * 2
+
+
+def _arrays(obj, seen):
+    """The numpy arrays reachable from obj through attributes, lists,
+    tuples and dicts, each object visited once."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _arrays(value, seen)
+    elif isinstance(obj, dict) or hasattr(obj, "__dict__"):
+        for value in (obj if isinstance(obj, dict) else vars(obj)).values():
+            yield from _arrays(value, seen)
+
+
+def test_shifted_systems_keep_one_mass_per_level_and_no_element_data():
+    """After an assembly for shifts on a mesh with two coarse levels, no
+    workspace holds per-triangle element blocks, no system holds the int32
+    slots of its pattern (81 per triangle), and each mode +-2 level holds
+    exactly one real array of its matrix's nnz beyond the matrix: its mass."""
+    msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.025)
+    quad = MeshQuadrature(msh, corner)
+    classes = {k: build_constraints(msh, k, SPACE_Y) for k in (1, 2, -2)}
+    systems = modal_ops.assemble_systems(classes, quad, shift=True)
+    assert systems[1].mass is None and systems[1].coarse == []
+    for k in (2, -2):
+        levels = [systems[k]] + systems[k].coarse
+        assert len(levels) == 3
+        for system in levels:
+            nt = system.mesh.num_triangles
+            held = list(_arrays(system, set()))
+            assert not any(a.ndim == 3 and a.shape[1:] == (9, 9) for a in _arrays(system.ws, set()))
+            assert not any(a.dtype == np.int32 and a.size == 81 * nt for a in held)
+            arrays = [v for v in vars(system).values() if isinstance(v, np.ndarray)]
+            assert len(arrays) == 1 and arrays[0] is system.mass
+            assert system.mass.dtype == np.float64 and system.mass.shape == (system.matrix.nnz,)
 
 
 def test_multigrid_full_solve_converges_fast(monkeypatch):

@@ -969,9 +969,9 @@ def test_a_mode_cg_starts_without_the_point_arrays_of_its_mode(lshape, monkeypat
     its basis rows are dead, on the orthogonal path (k = 1) and the bordered
     one (k = 3).  The data reach _pair as a solver.ModeData, packed per
     chunk: no (Q, 4) complex array is alive there or when a CG starts.
-    The mode-1 system, which is not shifted, holds no pattern slots, the
-    mode-2 one keeps them for its shifts, and the constraint set of mode 0,
-    skipped and serving no |k| > 2 mode, is released."""
+    The mode-1 system, which is not shifted, holds no mass, the mode-2 one
+    keeps it for its shifts, neither keeps its pattern, and the constraint
+    set of mode 0, skipped and serving no |k| > 2 mode, is released."""
     msh, corner = lshape
     classes, rows, starts, whole = {}, [], [], []
     Q4 = len(MeshQuadrature(msh, corner).tri) * 4 * np.dtype(complex).itemsize
@@ -1015,8 +1015,9 @@ def test_a_mode_cg_starts_without_the_point_arrays_of_its_mode(lshape, monkeypat
     assert [sol.records[k].cg.iterations > 0 for k in range(4)] == [False, True, False, True]
     assert starts == [(True, True, True)] * 2
     assert whole == [True] * 4  # _pair and the CG of modes 1 and 3
-    assert sorted(systems) == [1, 2] and systems[1].pattern.slots is None
-    assert systems[2].pattern.slots is not None and classes[2]() is not None
+    assert sorted(systems) == [1, 2] and systems[1].mass is None
+    assert systems[2].mass is not None and classes[2]() is not None
+    assert not any(hasattr(system, "pattern") for system in systems.values())
 
 
 class _Stop(Exception):

@@ -142,8 +142,7 @@ def test_every_workload_command_line_parses(monkeypatch, tmp_path):
     for name in workloads.WORKLOADS:
         argv = workloads.argv_for(name, str(tmp_path / name), str(tmp_path / workloads.TABLE))
         args = cli_io.parse_args(argv)
-        msh, _ = cli_io.build_mesh(args)
-        cli_io._check_sizes(args, msh)
+        cli_io._check_sizes(args, *cli_io.build_mesh(args))
         assert args.modes == workloads.modes(name)
     assert not any(tmp_path.iterdir())
 

@@ -40,6 +40,7 @@ with the transfers between the constrained spaces (see ModeSystem and
 multigrid); linalg.solve_hpd uses it as the preconditioner.
 """
 
+import collections
 import copy
 import dataclasses
 
@@ -59,6 +60,7 @@ MULTIGRID_MIN_DOFS = 2000
 # coarsening stops at the first mesh with at most this many vertices; its
 # systems (a few hundred free dofs) are solved densely
 _COARSEST_VERTICES = 200
+ShiftBase = collections.namedtuple("ShiftBase", "k matrix mass")  # what a shift reads of a +-2 level
 
 
 # -- the mode-k operators -------------------------------------------------------
@@ -216,14 +218,16 @@ class OperatorWorkspace:
             out[points] = rows
         return out
 
-    def adjoint_chunks(self, chunks, k):
+    def adjoint_chunks(self, chunks, k, read=None):
         """Adjoint of op_chunks: the pairings sum_q w r vec . conj(D_k phi_j)
         of samples vec, (P, 4) rows per chunk in chunk order, with the local
-        test dofs j of each triangle, (nt, 9).  The gradient part pairs the
-        per-triangle sum of w r vec, so no per-point array of pairings is built."""
+        test dofs j of each triangle, (nt, 9), read(points, vec) first if given.  The gradient
+        part pairs the per-triangle sum of w r vec, so no per-point array of pairings is built."""
         rows = np.conj(_over_r_rows(k))
         local = np.empty((self.num_triangles, 3, 6))
         for (tris, points, n), vec in zip(self.chunks, chunks, strict=True):
+            if read is not None:
+                read(points, vec)
             m = len(tris)
             wv = np.ascontiguousarray(vec, dtype=complex).view(float) * self.wr[points, None]
             wv = wv.reshape(m, n, 2 * _NOPS)
@@ -326,17 +330,17 @@ class ModeSystem:
 
     The constraint set gives the mesh, mode and space; the matrix is E(k)
     of the workspace ws of the quadrature quad reduced on its free dofs,
-    and mass, on a mode +-2 system only, the (u/r, v/r) form on its pattern,
-    from which a |k| > 2 system is shifted (shifted).
+    and mass, on a mode +-2 system assembled with mass only, the (u/r, v/r)
+    form on its pattern, from which a |k| > 2 system is shifted (shifted).
 
     hierarchy is the multigrid preconditioner of the matrix (None: Jacobi)
-    and coarse the coarse systems kept for the |k| > 2 systems shifted from
-    this one; assemble_systems sets both, and drops an unused mass, before
-    it returns the system.  Nothing writes to a system afterwards, so one
+    and coarse the ShiftBase of each coarse level, for the |k| > 2 systems
+    shifted from this one; assemble_systems sets both before it returns
+    the system.  Nothing writes to a system afterwards, so one
     system serves the singular basis and the mode solve.
     """
 
-    def __init__(self, constraints, quad):
+    def __init__(self, constraints, quad, mass=True):
         self.constraints = c = constraints
         if quad.mesh is not c.mesh:
             raise ValueError("quadrature and constraints are on different meshes")
@@ -344,7 +348,7 @@ class ModeSystem:
         self.quad, self.ws = quad, workspace(quad)
         pattern = _Pattern(c, self.ws)  # its int32 slots die with this call
         self.matrix = pattern.matrix(self.ws, self.k)
-        self.mass = pattern.mass(self.ws) if abs(self.k) == 2 else None
+        self.mass = pattern.mass(self.ws) if mass and abs(self.k) == 2 else None
         self.hierarchy, self.coarse = None, []
 
     def shifted(self, k):
@@ -357,8 +361,8 @@ class ModeSystem:
         out.constraints = dataclasses.replace(self.constraints, k=out.k)
         out.hierarchy, out.coarse, out.mass = None, [], None
         if self.coarse:
-            out.hierarchy = Multigrid([Level(shifted_system(c, k), level.transfer)
-                                       for c, level in zip(self.coarse, self.hierarchy.levels)])
+            out.hierarchy = Multigrid([Level(shifted_system(base, k), level.transfer)
+                                       for base, level in zip(self.coarse, self.hierarchy.levels)])
         return out
 
     def functional(self, vec):
@@ -368,28 +372,25 @@ class ModeSystem:
         return self.constraints.functional(self.ws.op_adjoint(vec, self.k))
 
 
-def assemble_a_k(mesh, k, space, quad, constraints=None):
-    """Assemble the constrained a_k system on the quadrature quad (and its
-    constraint set, built here unless given); the matrix acts on free dofs."""
-    return ModeSystem(constraints or femcore.build_constraints(mesh, k, space), quad)
+def assemble_a_k(mesh, k, space, quad, constraints=None, mass=True):
+    """Assemble the constrained a_k system on the quadrature quad (and its constraint set, built
+    here unless given) on free dofs, with the mass of a mode +-2 system unless mass is false."""
+    return ModeSystem(constraints or femcore.build_constraints(mesh, k, space), quad, mass)
 
 
 def assemble_systems(classes, quad, shift=False):
     """The a_k systems of the constraint sets classes on one quadrature,
     keyed by k like classes, each with its multigrid hierarchy when it has
     at least MULTIGRID_MIN_DOFS free dofs and the mesh nests (see
-    coarse_levels).  Only with shift do the mode +-2 systems keep their mass
-    and coarse systems, which the |k| > 2 systems shifted from them read.
+    coarse_levels).  Only with shift do the mode +-2 systems form a mass,
+    on the fine mesh and on each coarse level, and keep their coarse
+    levels, which the |k| > 2 systems shifted from them read.
 
     The hierarchies are built after all fine systems, and the coarse
-    quadratures are dropped after them unless kept: the coarse workspaces
-    then never coexist with the temporaries of a fine assembly.
+    quadratures are dropped after them: the coarse workspaces then never
+    coexist with the temporaries of a fine assembly.
     """
-    systems = {}
-    for k, c in classes.items():
-        systems[k] = assemble_a_k(quad.mesh, k, c.space, quad, c)
-        if not shift:
-            systems[k].mass = None
+    systems = {k: assemble_a_k(quad.mesh, k, c.space, quad, c, shift) for k, c in classes.items()}
     levels = None
     for k, system in systems.items():
         if system.matrix.n >= MULTIGRID_MIN_DOFS:
@@ -444,21 +445,19 @@ def multigrid(system, levels, keep_coarse=False):
     """Multigrid hierarchy of an assembled system: a_k of its mode and space
     rediscretised on each coarse level, with the transfers between them.
 
-    Returns (Multigrid, coarse systems): the coarse systems are returned
-    only with keep_coarse, otherwise just their matrices stay, in the
-    hierarchy.  Empty levels give (None, []).
+    Returns (Multigrid, with keep_coarse each level's ShiftBase, its matrix
+    the hierarchy's, else []); empty levels give (None, []).
     """
     if not levels:
         return None, []
     hierarchy, kept = [], []
     finer = system.constraints
     for msh, parents, quad in levels:
-        coarse = assemble_a_k(msh, system.k, system.space, quad=quad)
+        coarse = assemble_a_k(msh, system.k, system.space, quad=quad, mass=keep_coarse)
         hierarchy.append(Level(coarse.matrix, transfer(finer, coarse.constraints, parents)))
-        if keep_coarse:
-            kept.append(coarse)
+        kept.append(ShiftBase(coarse.k, coarse.matrix, coarse.mass))
         finer = coarse.constraints
-    return Multigrid(hierarchy), kept
+    return Multigrid(hierarchy), kept if keep_coarse else []
 
 
 # -- direct and decomposed form values ------------------------------------------

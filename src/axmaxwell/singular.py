@@ -115,9 +115,10 @@ class SingularBasis:
             rows += self.principal.ops(ws.xy[points], k)
             yield points, rows
 
-    def pairings(self, ws, k):
-        """Unreduced a_k(basis, v) of each triangle's local test dofs v, (nt, 9), chunk by chunk."""
-        return ws.adjoint_chunks((rows for _, rows in self.op_chunks(ws, k)), k)
+    def pairings(self, ws, k, read=None):
+        """Unreduced a_k(basis, v) of each triangle's local test dofs v, (nt, 9), chunk by chunk;
+        read(points, rows), if given, reads each chunk of rows first (see solver._pair)."""
+        return ws.adjoint_chunks((rows for _, rows in self.op_chunks(ws, k)), k, read)
 
     def op_arrays(self, ws, k):
         """op_chunks at all quadrature points of ws, (Q, 4): op_chunks filled in."""
@@ -154,8 +155,8 @@ def compute_basis(system, tol=1e-10, lifted=None):
     singular subspaces coincide for all |k| >= 2; a direct |k| > 2 basis
     cross-checks that.  lifted is (S + lift, right-hand side) from lift_basis
     and pairings, formed here unless the caller has (the solver does).  The
-    mode solve pairs the basis operators with the data and keeps a_k(s, s)
-    on its ModeRecord."""
+    mode solve pairs the data with it through its free dofs (solver._paired)
+    and keeps a_k(s, s) on its ModeRecord."""
     if lifted is None:
         start = lift_basis(system.constraints, system.quad)
         lifted = start, -system.constraints.functional(start.pairings(system.ws, system.k))

@@ -20,7 +20,7 @@ class that all |k| >= 2 modes share (modal_ops.shifted_system).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -217,45 +217,54 @@ def sample_3d(solution, n_theta):
 
 
 class ModeData:
-    """Mode data (f_r, f_theta, f_z, g) of shape (Q, 4) from the analysed f (Q, 3)
-    and g (Q,) or None (zero): data[points] packs the (P, 4) rows there."""
+    """Mode data (f_r, f_theta, f_z, g) from the analysed f (Q, 3) and g (Q,) or None
+    (zero): data[points] packs the (P, 4) rows there, for the load and f_s0 only."""
 
     def __init__(self, f, g=None):
-        self.f, self.g, self.shape = f, g, (len(f), 4)
+        self.f, self.g = f, g
 
     def __getitem__(self, points):
         f = self.f[points]
         return np.concatenate([f, np.zeros((len(f), 1)) if self.g is None else self.g[points, None]], axis=1)
 
 
-def _pair(system, data, basis, load=None):
-    """What both mode solves share: check the data's shape, build the
-    system's load (unless given) and pair the data with the basis operators.
+def _pair(ws, data, basis, k, constraints=None):
+    """The rows D_k s of the basis s at mode k, read once, chunk by chunk, paired with data d_k
+    (a (Q, 4) array or a ModeData) into (d_k, D_k s), or with themselves for data None into
+    a_k(s, s) > 0, one term per chunk added in chunk order; with constraints, (sum, a_k(s, v))
+    with constraints.functional(basis.pairings(ws, k)) of the same rows.  Data meet a basis here only."""
+    terms = []
 
-    data holds the mode's samples (f_r, f_theta, f_z, g) at the quadrature
-    points of the system, a (Q, 4) array or a ModeData; forming the load
-    reads and checks them (system.functional), so the pairing reads
-    data[points] unchecked.  Returns (load, energy, numer): energy =
-    a_k(s, s) and numer the data paired with the mode-k (curl, div) of the
-    basis, both summed chunk by chunk over its rows (see
-    SingularBasis.op_chunks); without a basis (load, 0.0, 0.0).
-    """
-    shape = (len(system.ws.wr), 4)
-    if data.shape != shape:
-        raise ValueError(f"mode data must have shape {shape}, got {data.shape}")
-    if load is None:
-        load = system.functional(data)
-    if basis is None:
-        return load, 0.0, 0.0
-    if basis.space != system.space:
-        raise ValueError("basis space does not match the system")
-    ws, energy, numer = system.ws, 0.0, 0j
-    for points, rows in basis.op_chunks(ws, system.k):
-        energy += ws.norm_sq(rows, points)
-        numer += np.einsum("q,qa,qa->", ws.wr[points], data[points], rows.conj())
-    if energy <= 0.0 or not np.isfinite(energy):
+    def read(points, rows):
+        terms.append(ws.norm_sq(rows, points) if data is None else
+                     np.einsum("q,qa,qa->", ws.wr[points], data[points], rows.conj()))
+
+    if constraints is not None:
+        coupling = constraints.functional(basis.pairings(ws, k, read))
+    else:
+        for points, rows in basis.op_chunks(ws, k):
+            read(points, rows)
+    total = (float if data is None else complex)(sum(terms))
+    if data is None and not 0.0 < total < math.inf:
         raise ArithmeticError("singular basis has no energy; basis is broken")
-    return load, float(energy), complex(numer)
+    return total if constraints is None else (total, coupling)
+
+
+def _paired(system, data, basis, paired):
+    """What both mode solves share: the load b_k and f_s = (d_k, D_k s) = f_s0 + vdot(x, b_k)
+    for the basis s = S + lift + x, x its free dofs (0j without a basis), from paired =
+    (b_k, f_s0) or, formed alike with S + lift = s - x, from the mode's (Q, 4) data, which
+    must be finite."""
+    if basis is not None and basis.space != system.space:
+        raise ValueError("basis space does not match the system")
+    x = None if basis is None else system.constraints.free_values(basis.regular)
+    if paired is None:
+        shape = (len(system.ws.wr), 4)
+        if data.shape != shape:
+            raise ValueError(f"mode data must have shape {shape}, got {data.shape}")
+        s0 = None if basis is None else replace(basis, regular=basis.regular + system.constraints.expand(-x))
+        paired = system.functional(data), 0j if basis is None else _pair(system.ws, data, s0, system.k)
+    return paired[0], 0j if basis is None else complex(paired[1] + np.vdot(x, paired[0]))
 
 
 def _unsolved(norm, floor, tol):
@@ -269,16 +278,13 @@ def _unsolved(norm, floor, tol):
     return CGInfo(0, float(resid)) if resid <= tol else None
 
 
-def solve_mode_orthogonal(system, data, basis=None, tol=1e-10, *, load=None, floor=0.0):
+def solve_mode_orthogonal(system, data, basis=None, tol=1e-10, *, paired=None, floor=0.0):
     """Mode solve for |k| <= 2 (or any mode without a singular basis) on the
-    assembled mode system, with the data of the mode (see _pair); basis may
-    be None, and load is the system's load of data when the caller has
-    formed it already: forming it read and checked the data, so they are
-    not checked again (see _pair).
-
-    The singular coefficient comes from pairing the data against the basis
-    operators; the regular part solves the constrained system with the full
-    (f, g) load.  The mode stops at ||b - A x|| <= tol * max(||b||, floor):
+    assembled mode system, with the (Q, 4) data of the mode or, for data
+    None, paired = (b_k, f_s0) as the driver forms them (see _paired); basis
+    may be None.  C^k = f_s / a_k(s, s), a_k(s, s) summed over one pass of
+    the basis rows; the regular part solves the constrained system with the
+    full (f, g) load.  The mode stops at ||b - A x|| <= tol * max(||b||, floor):
     a load of norm at most tol * floor makes no CG call and gives an exactly
     zero regular part, while the coefficient is still the pairing; any other
     load is solved by CG to tol * ||b||.  A basis of another mode is not
@@ -287,9 +293,9 @@ def solve_mode_orthogonal(system, data, basis=None, tol=1e-10, *, load=None, flo
     """
     if basis is not None and basis.k != system.k:
         raise ValueError(f"expected the mode {system.k} basis, got mode {basis.k}")
-    load, energy, numer = _pair(system, data, basis, load)
-    del data  # none of the mode's data lives through its CG
-    coeff = numer / energy if basis is not None else 0j
+    load, f_s = _paired(system, data, basis, paired)
+    energy = _pair(system.ws, None, basis, system.k) if basis is not None else 0.0
+    coeff = f_s / energy if basis is not None else 0j
     info = _unsolved(np.linalg.norm(load), floor, tol)
     if info is not None:
         return ModeRecord(ModeField(system.mesh, system.k), coeff, basis, info, energy)
@@ -297,14 +303,14 @@ def solve_mode_orthogonal(system, data, basis=None, tol=1e-10, *, load=None, flo
     return ModeRecord(system.constraints.expand(x), coeff, basis, info, energy)
 
 
-def solve_mode_bordered(system, data, basis, tol=1e-10, *, load=None, floor=0.0):
+def solve_mode_bordered(system, data, basis, tol=1e-10, *, paired=None, floor=0.0):
     """Mode solve for |k| > 2 reusing the mode sign(k)*2 singular basis.
 
     system is the mode-k system on the constraint class of the mode-2
-    system (system2.shifted(k)), data the mode's data (see _pair) and load,
-    optionally, the system's load of data; the non-orthogonal coupling of
-    the reused basis enters as a rank-one border, and one CG solve on the
-    bordered matrix [[K, y], [y^H, alpha]], with alpha = a_k(s, s), gives
+    system (system2.shifted(k)), data or paired as in solve_mode_orthogonal;
+    the non-orthogonal coupling y of the reused basis enters as a rank-one
+    border, and one CG solve on the bordered matrix [[K, y], [y^H, alpha]],
+    with alpha = a_k(s, s) (both from one pass of the basis rows), gives
     the regular part and C^k together.  When the bordered right-hand side
     [b; f_s] has norm at most tol * floor, x = 0 meets the stopping rule
     (see solve_mode_orthogonal): no CG call, a zero regular part and C^k = 0j.
@@ -315,28 +321,16 @@ def solve_mode_bordered(system, data, basis, tol=1e-10, *, load=None, floor=0.0)
     base_k = 2 if k > 0 else -2
     if basis.k != base_k:
         raise ValueError(f"expected the mode {base_k} basis, got mode {basis.k}")
-    load, alpha, f_s = _pair(system, data, basis, load)
-    del data  # none of the mode's data lives through its CG
+    load, f_s = _paired(system, data, basis, paired)
     info = _unsolved(np.linalg.norm(np.append(load, f_s)), floor, tol)
     if info is not None:
-        return ModeRecord(ModeField(system.mesh, k), 0j, basis, info, alpha)
-    # coupling a_k(s, v) of the reused basis s with the regular test fields
-    coupling = system.constraints.functional(basis.pairings(system.ws, k))
-    x, coeff, info = solve_bordered(
-        system.matrix, coupling, alpha, load, f_s, tol=tol, hierarchy=system.hierarchy
-    )
+        return ModeRecord(ModeField(system.mesh, k), 0j, basis, info, _pair(system.ws, None, basis, k))
+    alpha, y = _pair(system.ws, None, basis, k, system.constraints)
+    x, coeff, info = solve_bordered(system.matrix, y, alpha, load, f_s, tol=tol, hierarchy=system.hierarchy)
     return ModeRecord(system.constraints.expand(x), coeff, basis, info, alpha)
 
 
 # -- full solve --------------------------------------------------------------------
-
-
-def _skip_bound(ws, norm, data, start):
-    """hypot(norm, ||d_k|| sqrt(E_up)) of a mode's data (a ModeData) and lift start
-    (see solve_axisymmetric), each square read and summed chunk by chunk in order."""
-    d_sq = sum(ws.norm_sq(data[points], points) for _, points, _ in ws.chunks)
-    e_up = sum(ws.norm_sq(rows, points) for points, rows in start.op_chunks(ws, start.k))
-    return math.hypot(norm, math.sqrt(d_sq * e_up))
 
 
 def compute_bases(systems, lifted, tol=1e-10):
@@ -372,6 +366,8 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
     corner.  Its data, load, lift and (unless N > 2 and k = 2) constraint
     set are dropped there: it gets no system, basis or basis right-hand
     side, but a zero field, C^k = 0j, energy 0.0 and CGInfo(0, bound / F).
+    Every other mode pairs its data with S + lift of its class (mode 2's for
+    k > 2) into f_s0 (see _paired): no data are alive from the assembly on.
     Every other system k <= 2, and the mode-2 one whenever N > 2, is
     assembled once, with its multigrid hierarchy on a large mesh that nests
     (see modal_ops.assemble_systems), and serves its basis and its mode
@@ -381,28 +377,33 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
     quad = MeshQuadrature(mesh, corner)
     fmodes = analyze_rhs(f, N, quad.xy, samples)
     gmodes = analyze_scalar_rhs(g, N, quad.xy, samples) if g is not None else {}
+    data = {k: ModeData(fmodes.pop(k), gmodes.pop(k, None)) for k in range(N + 1)}  # packed per chunk
     ws = modal_ops.workspace(quad)  # after the analysis: none of its temporaries coexist
     low = range(min(N, 2) + 1)
     classes = {k: build_constraints(mesh, k, space) for k in low}
-    loads = {k: classes[min(k, 2)].functional(ws.op_adjoint(ModeData(fmodes[k], gmodes.get(k)), k))
-             for k in range(N + 1)}  # each mode's data packed and checked per chunk
+    loads = {k: classes[min(k, 2)].functional(ws.op_adjoint(data[k], k)) for k in range(N + 1)}  # checked
     norms = [np.linalg.norm(loads[k]) for k in range(N + 1)]
     floor = math.sqrt((norms[0] ** 2 + 2.0 * sum(n * n for n in norms[1:])) / (2 * N + 1))
-    skipped, lifted = {}, {}
+    skipped, lifted, f_s0 = {}, {}, {}
     for k in low:
         start = singular.lift_basis(classes[k], quad) if corner is not None else None
         skipped[k] = _unsolved(norms[k], floor, tol)
         if skipped[k] is not None and start is not None:  # the load alone meets the rule
-            skipped[k] = _unsolved(_skip_bound(ws, norms[k], ModeData(fmodes[k], gmodes.get(k)), start),
-                                   floor, tol)
+            d_sq = sum(ws.norm_sq(data[k][points], points) for _, points, _ in ws.chunks)  # ||d_k||^2
+            bound = math.hypot(norms[k], math.sqrt(d_sq * _pair(ws, None, start, k)))  # E_up of S + lift
+            skipped[k] = _unsolved(bound, floor, tol)
         if skipped[k] is not None:  # nothing of the mode's data is read again
-            del fmodes[k], loads[k]
-            gmodes.pop(k, None)
+            del data[k], loads[k]
         if skipped[k] is not None and not (k == 2 and N > 2):  # mode 2's basis serves k > 2
             del classes[k]  # no system of its class is built
-        elif start is not None:  # the basis right-hand side, for solved modes only
+        elif start is not None and skipped[k] is not None:
             lifted[k] = start, -classes[k].functional(start.pairings(ws, k))
-    del start  # no lift of a dropped class reaches the assembly
+        elif start is not None:  # the basis right-hand side, and f_s0 from the same rows
+            f_s0[k], y = _pair(ws, data.pop(k), start, k, classes[k])
+            lifted[k] = start, -y
+            del y
+    f_s0.update((k, _pair(ws, data.pop(k), start, k)) for k in range(3, N + 1) if corner is not None)
+    del start, data  # start: mode 2's S + lift for k > 2; no dropped lift and no data reach the assembly
     systems = modal_ops.assemble_systems(classes, quad, N > 2)
     bases = compute_bases(systems, lifted, tol=tol) if corner is not None else {}
     del lifted
@@ -412,9 +413,8 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
             return ModeRecord(ModeField(mesh, k), 0j, None, skipped[k], 0.0)
         system = systems[k] if k <= 2 else systems[2].shifted(k)
         solve = solve_mode_bordered if k > 2 and corner is not None else solve_mode_orthogonal
-        # data and load leave their dicts, and the data go unbound: the solve frees them before its CG
-        return solve(system, ModeData(fmodes.pop(k), gmodes.pop(k, None)), bases.get(min(k, 2)),
-                     tol=tol, load=loads.pop(k), floor=floor)
+        paired = loads.pop(k), f_s0.pop(k, 0j)  # the load leaves its dict with the mode's solve
+        return solve(system, None, bases.get(min(k, 2)), tol=tol, paired=paired, floor=floor)
 
     return FourierSolution(mesh, space, N, {k: solve_one(k) for k in range(N + 1)})
 

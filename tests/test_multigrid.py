@@ -140,43 +140,74 @@ def test_large_nested_mesh_builds_one_hierarchy_per_system():
     assert system.hierarchy.coarsest_inverse.shape == (system.hierarchy.levels[-1].matrix.n,) * 2
 
 
-def _arrays(obj, seen):
-    """The numpy arrays reachable from obj through attributes, lists,
-    tuples and dicts, each object visited once."""
+def _reachable(obj, seen):
+    """The objects reachable from obj through attributes, lists, tuples and
+    dicts, obj included, each visited once."""
     if id(obj) in seen:
         return
     seen.add(id(obj))
-    if isinstance(obj, np.ndarray):
-        yield obj
-    elif isinstance(obj, (list, tuple)):
+    yield obj
+    if isinstance(obj, (list, tuple)):
         for value in obj:
-            yield from _arrays(value, seen)
+            yield from _reachable(value, seen)
     elif isinstance(obj, dict) or hasattr(obj, "__dict__"):
         for value in (obj if isinstance(obj, dict) else vars(obj)).values():
-            yield from _arrays(value, seen)
+            yield from _reachable(value, seen)
+
+
+def _arrays(obj, seen):
+    """The numpy arrays reachable from obj (see _reachable)."""
+    return (a for a in _reachable(obj, seen) if isinstance(a, np.ndarray))
 
 
 def test_shifted_systems_keep_one_mass_per_level_and_no_element_data():
     """After an assembly for shifts on a mesh with two coarse levels, no
     workspace holds per-triangle element blocks, no system holds the int32
     slots of its pattern (81 per triangle), and each mode +-2 level holds
-    exactly one real array of its matrix's nnz beyond the matrix: its mass."""
+    exactly one real array of its matrix's nnz beyond the matrix: its mass.
+    A coarse level keeps only what a shift reads, a ShiftBase of its mode,
+    its matrix (the hierarchy's) and its mass: no quadrature, workspace,
+    mode system or int32 array is reachable from the coarse levels."""
     msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.025)
     quad = MeshQuadrature(msh, corner)
     classes = {k: build_constraints(msh, k, SPACE_Y) for k in (1, 2, -2)}
     systems = modal_ops.assemble_systems(classes, quad, shift=True)
     assert systems[1].mass is None and systems[1].coarse == []
     for k in (2, -2):
-        levels = [systems[k]] + systems[k].coarse
-        assert len(levels) == 3
-        for system in levels:
-            nt = system.mesh.num_triangles
-            held = list(_arrays(system, set()))
-            assert not any(a.ndim == 3 and a.shape[1:] == (9, 9) for a in _arrays(system.ws, set()))
-            assert not any(a.dtype == np.int32 and a.size == 81 * nt for a in held)
-            arrays = [v for v in vars(system).values() if isinstance(v, np.ndarray)]
-            assert len(arrays) == 1 and arrays[0] is system.mass
-            assert system.mass.dtype == np.float64 and system.mass.shape == (system.matrix.nnz,)
+        system = systems[k]
+        assert not any(a.ndim == 3 and a.shape[1:] == (9, 9) for a in _arrays(system.ws, set()))
+        assert not any(a.dtype == np.int32 and a.size == 81 * msh.num_triangles for a in _arrays(system, set()))
+        assert len(system.coarse) == 2
+        for level, base in zip([system] + system.coarse, [None] + system.hierarchy.levels):
+            assert level.k == k and (base is None or level.matrix is base.matrix)
+            values = vars(level).values() if base is None else level  # a ShiftBase is a named tuple
+            arrays = [v for v in values if isinstance(v, np.ndarray)]
+            assert len(arrays) == 1 and arrays[0] is level.mass
+            assert level.mass.dtype == np.float64 and level.mass.shape == (level.matrix.nnz,)
+        held = list(_reachable(system.coarse, set()))
+        kinds = (MeshQuadrature, modal_ops.OperatorWorkspace, modal_ops.ModeSystem)
+        assert not any(isinstance(o, kinds) for o in held)
+        assert not any(isinstance(o, np.ndarray) and o.dtype == np.int32 for o in held)
+
+
+def test_the_mass_is_formed_only_where_it_is_shifted(monkeypatch):
+    """_Pattern.mass runs once per level of the mode-2 system when |k| > 2
+    modes are shifted from it (N = 3: the fine mesh and its two coarse
+    levels), and never for an N = 2 solve, which assembles mode 2 too (the
+    L-shape at h = 0.025, whose mode systems carry a hierarchy)."""
+    msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.025)
+    mass, calls = modal_ops._Pattern.mass, []
+
+    def counted(self, ws):
+        calls.append(self.constraints.k)
+        return mass(self, ws)
+
+    monkeypatch.setattr(modal_ops._Pattern, "mass", counted)
+    for N, want in ((2, []), (3, [2, 2, 2])):
+        calls.clear()
+        sol = solver.solve_axisymmetric(msh, SPACE_Y, RHS_BUILTINS["bandlimited"], N=N, corner=corner)
+        assert sol.records[2].cg.iterations > 0
+        assert calls == want
 
 
 def test_multigrid_full_solve_converges_fast(monkeypatch):

@@ -474,13 +474,15 @@ def test_zero_and_round_off_modes_make_no_cg_call(rect, monkeypatch):
 def test_mode_with_its_share_solves_as_plain_cg(lshape, lshape_quad, rng, share):
     """A mode whose load is at least tol times the floor is solved by the
     same CG call as without the rule, bit for bit: at its fair share and
-    well below it."""
+    well below it, from its data and from its load given as paired."""
     msh, _ = lshape
     system = modal_ops.assemble_a_k(msh, 1, SPACE_Y, quad=lshape_quad)
     data = rng.normal(size=(len(lshape_quad.xy), 4)) + 1j * rng.normal(size=(len(lshape_quad.xy), 4))
     load = system.functional(data)
     floor = np.linalg.norm(load) / share
-    rec = solver.solve_mode_orthogonal(system, data, tol=1e-10, load=load, floor=floor)
+    rec = solver.solve_mode_orthogonal(system, data, tol=1e-10, floor=floor)
+    paired = solver.solve_mode_orthogonal(system, None, tol=1e-10, paired=(load, 0j), floor=floor)
+    assert paired.field.values.tobytes() == rec.field.values.tobytes() and paired.cg == rec.cg
     x, info = linalg.solve_hpd(system.matrix, load, tol=1e-10, hierarchy=system.hierarchy)
     assert rec.cg == info and info.iterations > 0
     assert rec.field.values.tobytes() == system.constraints.expand(x).values.tobytes()
@@ -488,15 +490,23 @@ def test_mode_with_its_share_solves_as_plain_cg(lshape, lshape_quad, rng, share)
 
 def test_skipped_bordered_mode_is_zero(lshape, lshape_quad, monkeypatch):
     """A bordered mode whose right-hand side [b; f_s] is round-off against
-    the floor makes no CG call and returns a zero field and C^k = 0j."""
+    the floor makes no CG call and returns a zero field and C^k = 0j.  f_s
+    is f_s0 + vdot(x, b), f_s0 the data paired with S + lift chunk by chunk
+    and x the free dofs of the basis, within 1e-13 of the data paired with
+    the basis itself."""
     msh, _ = lshape
     sys2 = modal_ops.assemble_a_k(msh, 2, SPACE_Y, quad=lshape_quad)
     b2 = singular.compute_basis(sys2)
     sys4 = sys2.shifted(4)
     bop = b2.op_arrays(sys4.ws, 4)
     data = 1e-13 * bop
-    f_s = _chunked_sum(sys4.ws, lambda p: np.einsum("q,qa,qa->", sys4.ws.wr[p], data[p], bop[p].conj()))
-    rhs = np.append(sys4.functional(data), f_s)
+    start = singular.lift_basis(sys2.constraints, lshape_quad).op_arrays(sys4.ws, 4)
+    load, x = sys4.functional(data), sys2.constraints.free_values(b2.regular)
+    f_s = _chunked_sum(sys4.ws, lambda p: np.einsum("q,qa,qa->", sys4.ws.wr[p], data[p], start[p].conj()))
+    f_s += np.vdot(x, load)
+    direct = _chunked_sum(sys4.ws, lambda p: np.einsum("q,qa,qa->", sys4.ws.wr[p], data[p], bop[p].conj()))
+    assert abs(f_s - direct) <= 1e-13 * abs(direct)
+    rhs = np.append(load, f_s)
     calls = _spy_cg(monkeypatch)
     rec = solver.solve_mode_bordered(sys4, data, b2, tol=1e-10, floor=1.0)
     assert calls == []
@@ -534,10 +544,11 @@ def test_full_solve_assembles_each_system_once(lshape, rect, monkeypatch):
 
 
 def test_full_solve_forms_each_basis_once_per_use(lshape, lshape_quad, monkeypatch):
-    """An N = 2 solve evaluates each basis's operators once for the pairings
-    of its lift and once for its mode's pairing, chunk by chunk, and the
-    record keeps that pairing's a_k(s, s); the basis itself is frozen and
-    stores no energy."""
+    """An N = 2 solve evaluates each lift's operators once, for the pairings
+    of its basis right-hand side and the f_s0 of its mode's data, and each
+    solved basis's operators once, for its a_k(s, s) in the mode solve,
+    chunk by chunk; the record keeps that a_k(s, s), and the basis itself is
+    frozen and stores no energy."""
     msh, corner = lshape
     op_chunks, calls = singular.SingularBasis.op_chunks, []
 
@@ -547,7 +558,7 @@ def test_full_solve_forms_each_basis_once_per_use(lshape, lshape_quad, monkeypat
 
     monkeypatch.setattr(singular.SingularBasis, "op_chunks", counted)
     sol = solver.solve_axisymmetric(msh, SPACE_Y, _bandlimited, N=2, corner=corner)
-    assert len(calls) <= 6
+    assert calls == [0, 1, 2, 0, 1, 2]
     monkeypatch.undo()
     ws = modal_ops.workspace(lshape_quad)
     for k, rec in sol.records.items():
@@ -633,14 +644,14 @@ def _assert_skipped(rec, resid):
 
 def test_round_off_modes_are_skipped_before_their_system(lshape, lshape_quad, monkeypatch):
     """cos(theta) e_z data fill mode 1 only.  Modes 0 and 2 meet the rule
-    before any matrix exists: one assembly, one basis solve and at most
-    four evaluations of basis operators (the lifts of modes 0 and 2 for
-    their bounds, mode 1's for its right-hand side, and the mode-1
-    pairing).  The constraint sets form the N + 1 loads and the basis
-    right-hand side of mode 1 only: a skipped mode whose basis nobody reads
-    gets none.
-    Mode 1 is solved bit for bit as on its own system and basis, with the
-    same load and floor.  With N = 3 the mode-2 system and basis are built
+    before any matrix exists: one assembly, one basis solve and four
+    evaluations of basis operators (the lifts of modes 0 and 2 for their
+    bounds, mode 1's for its right-hand side and f_s0, and mode 1's basis
+    for its a_k(s, s)).  The constraint sets form the N + 1 loads and the
+    basis right-hand side of mode 1 only: a skipped mode whose basis nobody
+    reads gets none.
+    Mode 1 is solved bit for bit as on its own system and basis from its
+    data, with the same floor.  With N = 3 the mode-2 system and basis are built
     for the bordered mode 3, and mode 2 is still skipped; exactly zero data
     build nothing but the mode-2 basis that N = 3 needs."""
     msh, corner = lshape
@@ -650,7 +661,7 @@ def test_round_off_modes_are_skipped_before_their_system(lshape, lshape_quad, mo
     sol = solver.solve_axisymmetric(msh, SPACE_X, _cos_theta_ez, N=2, corner=corner, tol=tol)
     assert calls == {"assemble_a_k": [1], "compute_basis": [1], "op_chunks": calls["op_chunks"],
                      "functional": 3 + 1}
-    assert calls["op_chunks"] <= 4
+    assert calls["op_chunks"] == 4
     monkeypatch.undo()
     for k in (0, 2):
         assert resid[k] <= tol
@@ -659,8 +670,7 @@ def test_round_off_modes_are_skipped_before_their_system(lshape, lshape_quad, mo
     basis = singular.compute_basis(system, tol=tol)
     fmode = solver.analyze_rhs(_cos_theta_ez, 2, lshape_quad.xy)[1]
     data = np.c_[fmode, np.zeros(len(fmode))]
-    load = system.functional(data)
-    ref = solver.solve_mode_orthogonal(system, data, basis, tol=tol, load=load, floor=F)
+    ref = solver.solve_mode_orthogonal(system, data, basis, tol=tol, floor=F)
     rec = sol.records[1]
     assert rec.cg == ref.cg and rec.cg.iterations > 0
     assert rec.coeff == ref.coeff and rec.energy == ref.energy
@@ -735,10 +745,13 @@ def test_only_a_basis_that_is_solved_for_is_paired(monkeypatch, rhs, N, counts):
     mode that gets a basis: with cos(theta) e_z data (the L-shape at h = 0.2,
     N = 2) modes 0 and 2 are skipped, so adjoint_chunks runs for the 3 loads
     and mode 1's basis right-hand side, and the basis rows are read for the
-    bounds of modes 0 and 2, mode 1's pairings and its _pair.  With
-    bandlimited data and N = 3 every mode is solved: 4 loads, 3 basis
-    right-hand sides and the coupling of mode 3, each basis right-hand side
-    and the coupling through SingularBasis.pairings."""
+    bounds of modes 0 and 2, mode 1's pairings, which give its f_s0 too, and
+    its a_k(s, s).  With bandlimited data and N = 3 every mode is solved: 4
+    loads, 3 basis right-hand sides and the coupling of mode 3, each basis
+    right-hand side and the coupling through SingularBasis.pairings; the rows
+    are read 8 times: 3 pairings with f_s0, S + lift of mode 2 at k = 3 for
+    mode 3's f_s0, a_k(s, s) of modes 0 to 2, and mode 3's coupling with its
+    a_k(s, s)."""
     msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.2)
     calls = {}
     _count_calls(monkeypatch, modal_ops.OperatorWorkspace, "adjoint_chunks", calls)
@@ -785,8 +798,8 @@ def test_no_lift_of_a_dropped_class_reaches_the_assembly(lshape, monkeypatch):
 def test_the_data_of_a_skipped_mode_die_before_the_assembly(lshape, monkeypatch):
     """The bound that skips modes 0 and 2 of cos(theta) e_z data, with
     r cos(theta) divergence data (N = 2), reads their data chunk by chunk
-    and keeps nothing: when assemble_systems starts, their analysed f and g
-    are dead, and mode 1's are alive for its solve."""
+    and keeps nothing, and mode 1 pairs its data into its load and f_s0:
+    when assemble_systems starts, no analysed f or g of any mode is alive."""
     msh, corner = lshape
     modes = {}
 
@@ -804,7 +817,39 @@ def test_the_data_of_a_skipped_mode_die_before_the_assembly(lshape, monkeypatch)
     sol = solver.solve_axisymmetric(msh, SPACE_X, _cos_theta_ez, lambda r, th, z: r * np.cos(th),
                                     N=2, corner=corner)
     assert [sol.records[k].cg.iterations > 0 for k in range(3)] == [False, True, False]
-    assert seen == [{(name, k): k == 1 for name in "fg" for k in range(3)}]
+    assert seen == [{(name, k): False for name in "fg" for k in range(3)}]
+
+
+@pytest.mark.parametrize("space, h", [(SPACE_X, 0.05), (SPACE_Y, 0.025)])
+def test_the_pairing_formed_at_the_load_is_the_pairing_with_the_basis(monkeypatch, space, h):
+    """Each solved mode pairs its data with S + lift at its load, into f_s0,
+    and its solve forms f_s = f_s0 + vdot(x, b_k) with x the free dofs of
+    the basis: that is (d_k, D_k s), the data paired with the solved basis
+    s at the quadrature points, within 1e-13 relative, for bandlimited f and
+    g = r z cos(2 theta) on every mode k = 0..5, the orthogonal k <= 2 and
+    the bordered k > 2 alike."""
+    msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, h)
+
+    def g(r, th, z):
+        return r * z * np.cos(2 * th)
+
+    paired, seen = solver._paired, {}
+
+    def recording(system, data, basis, given):
+        load, f_s = paired(system, data, basis, given)
+        seen[system.k] = data, f_s, basis
+        return load, f_s
+
+    monkeypatch.setattr(solver, "_paired", recording)
+    solver.solve_axisymmetric(msh, space, _bandlimited, g, N=5, corner=corner)
+    monkeypatch.undo()
+    assert sorted(seen) == list(range(6))
+    ws = modal_ops.workspace(MeshQuadrature(msh, corner))
+    fmodes, gmodes = solver.analyze_rhs(_bandlimited, 5, ws.xy), solver.analyze_scalar_rhs(g, 5, ws.xy)
+    for k, (data, f_s, basis) in seen.items():
+        assert data is None and basis.k == min(k, 2)
+        direct = np.sum(ws.wr[:, None] * np.c_[fmodes[k], gmodes[k]] * basis.op_arrays(ws, k).conj())
+        assert abs(f_s - direct) <= 1e-13 * abs(direct), (k, abs(f_s - direct) / abs(direct))
 
 
 def _odd_data(r, th, z):
@@ -965,10 +1010,11 @@ def _numpy_buffer_sizes():
 
 
 def test_a_mode_cg_starts_without_the_point_arrays_of_its_mode(lshape, monkeypatch):
-    """When the CG of a mode starts, the data of the mode and every chunk of
-    its basis rows are dead, on the orthogonal path (k = 1) and the bordered
-    one (k = 3).  The data reach _pair as a solver.ModeData, packed per
-    chunk: no (Q, 4) complex array is alive there or when a CG starts.
+    """When the CG of a mode starts, the data of every mode and every chunk
+    of basis rows are dead, on the orthogonal path (k = 1) and the bordered
+    one (k = 3).  The data reach _pair once per solved mode, for its f_s0,
+    as a solver.ModeData, packed per chunk: no (Q, 4) complex array is
+    alive there or when a CG starts.
     The mode-1 system, which is not shifted, holds no mass, the mode-2 one
     keeps it for its shifts, neither keeps its pattern, and the constraint
     set of mode 0, skipped and serving no |k| > 2 mode, is released."""
@@ -984,10 +1030,11 @@ def test_a_mode_cg_starts_without_the_point_arrays_of_its_mode(lshape, monkeypat
     pair, solve_hpd, assemble = solver._pair, linalg.solve_hpd, modal_ops.assemble_systems
     op_chunks, data, build = singular.SingularBasis.op_chunks, [], solver.build_constraints
 
-    def recording_pair(system, mode_data, basis, load=None):
-        data.append(weakref.ref(mode_data))
-        whole.append(isinstance(mode_data, solver.ModeData) and Q4 not in _numpy_buffer_sizes())
-        return pair(system, mode_data, basis, load)
+    def recording_pair(ws, mode_data, basis, k, constraints=None):
+        if mode_data is not None:  # None pairs the basis rows with themselves: a_k(s, s)
+            data.append(weakref.ref(mode_data))
+            whole.append(isinstance(mode_data, solver.ModeData) and Q4 not in _numpy_buffer_sizes())
+        return pair(ws, mode_data, basis, k, constraints)
 
     def recording_chunks(self, ws, k):
         for points, chunk in op_chunks(self, ws, k):
@@ -995,7 +1042,7 @@ def test_a_mode_cg_starts_without_the_point_arrays_of_its_mode(lshape, monkeypat
             yield points, chunk
 
     def checking_solve_hpd(A, b, **kw):
-        starts.append((data[-1]() is None, all(r() is None for r in rows), classes[0]() is None))
+        starts.append((all(d() is None for d in data), all(r() is None for r in rows), classes[0]() is None))
         whole.append(Q4 not in _numpy_buffer_sizes())
         return solve_hpd(A, b, **kw)
 
@@ -1013,8 +1060,8 @@ def test_a_mode_cg_starts_without_the_point_arrays_of_its_mode(lshape, monkeypat
     finally:
         tracemalloc.stop()
     assert [sol.records[k].cg.iterations > 0 for k in range(4)] == [False, True, False, True]
-    assert starts == [(True, True, True)] * 2
-    assert whole == [True] * 4  # _pair and the CG of modes 1 and 3
+    assert starts == [(True, True, True)] * 2 and len(data) == 2
+    assert whole == [True] * 4  # the f_s0 and the CG of modes 1 and 3
     assert sorted(systems) == [1, 2] and systems[1].mass is None
     assert systems[2].mass is not None and classes[2]() is not None
     assert not any(hasattr(system, "pattern") for system in systems.values())
@@ -1025,15 +1072,15 @@ class _Stop(Exception):
 
 
 def test_lift_and_pair_hold_no_whole_basis_rows():
-    """lift_basis with the pairings of its lift, and _pair, form the basis
-    rows chunk by chunk: each peaks less than one (Q, 4) complex array above
-    its inputs (the L-shape at h = 0.0125, 67,536 points), output included."""
+    """lift_basis with the pairings of its lift, and _pair, which forms them
+    with the f_s0 of the data as the driver does, form the basis rows chunk
+    by chunk: each peaks less than one (Q, 4) complex array above its inputs
+    (the L-shape at h = 0.0125, 67,536 points), output included."""
     msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.0125)
     quad = MeshQuadrature(msh, corner)
     constraints = femcore.build_constraints(msh, 1, SPACE_X)
     system = modal_ops.ModeSystem(constraints, quad)
     data = np.ones((len(quad.xy), 4), dtype=complex)
-    load = system.functional(data)
 
     def traced(step):
         tracemalloc.start()
@@ -1047,7 +1094,7 @@ def test_lift_and_pair_hold_no_whole_basis_rows():
         return lifted, lifted.pairings(system.ws, 1)
 
     (lifted, _), lift = traced(lift_and_pair)
-    _, pair = traced(lambda: solver._pair(system, data, lifted, load))
+    _, pair = traced(lambda: solver._pair(system.ws, data, lifted, 1, constraints))
     assert lift < data.nbytes and pair < data.nbytes, (lift, pair)
 
 

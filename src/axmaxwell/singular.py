@@ -154,9 +154,9 @@ def compute_basis(system, tol=1e-10, lifted=None):
     read here.  The solver computes the bases of |k| <= 2 only, since the
     singular subspaces coincide for all |k| >= 2; a direct |k| > 2 basis
     cross-checks that.  lifted is (S + lift, right-hand side) from lift_basis
-    and pairings, formed here unless the caller has (the solver does).  The
-    mode solve pairs the data with it through its free dofs (solver._paired)
-    and keeps a_k(s, s) on its ModeRecord."""
+    and pairings, given by the solver for a mode it solves and formed here,
+    bit for bit alike, otherwise.  The mode solve pairs the data with it
+    through its free dofs (solver._paired) and keeps a_k(s, s) on its record."""
     if lifted is None:
         start = lift_basis(system.constraints, system.quad)
         lifted = start, -system.constraints.functional(start.pairings(system.ws, system.k))

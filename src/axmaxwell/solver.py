@@ -41,12 +41,12 @@ class ModeRecord:
     mode -k carries the sign of its zero imaginary part.  cg is the CGInfo
     of the one CG solve of the mode, on the bordered matrix for the
     bordered path; a mode whose right-hand side meets the stopping rule at
-    x = 0 makes no CG call, and its CGInfo has 0 iterations and residual
-    ||rhs|| / F (bound / F, and no basis, for a mode k <= 2 skipped before
-    its system exists; see solve_axisymmetric).  energy is the basis energy
-    a_k(s, s) at this mode (0.0 without a basis), paired from the one
-    evaluation of the basis operators in the mode solve; the basis itself
-    stores none.
+    x = 0 makes no CG call: 0 iterations and residual ||rhs|| / F (bound / F
+    for a mode k <= 2 skipped before its system exists; see
+    solve_axisymmetric).  A mode that the rule skips whole has a zero field,
+    coeff 0j, no basis and energy 0.0; else energy is a_k(s, s) of the basis
+    at this mode (0.0 without one), paired from the one evaluation of the
+    basis operators in the mode solve; the basis itself stores none.
     """
 
     field: ModeField
@@ -313,7 +313,7 @@ def solve_mode_bordered(system, data, basis, tol=1e-10, *, paired=None, floor=0.
     with alpha = a_k(s, s) (both from one pass of the basis rows), gives
     the regular part and C^k together.  When the bordered right-hand side
     [b; f_s] has norm at most tol * floor, x = 0 meets the stopping rule
-    (see solve_mode_orthogonal): no CG call, a zero regular part and C^k = 0j.
+    (see solve_mode_orthogonal) and the mode is skipped whole (see ModeRecord).
     """
     k = system.k
     if abs(k) <= 2:
@@ -324,7 +324,7 @@ def solve_mode_bordered(system, data, basis, tol=1e-10, *, paired=None, floor=0.
     load, f_s = _paired(system, data, basis, paired)
     info = _unsolved(np.linalg.norm(np.append(load, f_s)), floor, tol)
     if info is not None:
-        return ModeRecord(ModeField(system.mesh, k), 0j, basis, info, _pair(system.ws, None, basis, k))
+        return ModeRecord(ModeField(system.mesh, k), 0j, None, info, 0.0)  # reads no basis rows
     alpha, y = _pair(system.ws, None, basis, k, system.constraints)
     x, coeff, info = solve_bordered(system.matrix, y, alpha, load, f_s, tol=tol, hierarchy=system.hierarchy)
     return ModeRecord(system.constraints.expand(x), coeff, basis, info, alpha)
@@ -334,8 +334,8 @@ def solve_mode_bordered(system, data, basis, tol=1e-10, *, paired=None, floor=0.
 
 
 def compute_bases(systems, lifted, tol=1e-10):
-    """Singular basis of every assembled |k| <= 2 system from its lift_basis, keyed by k."""
-    return {k: singular.compute_basis(s, tol, lifted[k]) for k, s in systems.items()}
+    """Singular basis of every assembled |k| <= 2 system, keyed by k, from lifted.get(k)."""
+    return {k: singular.compute_basis(s, tol, lifted.get(k)) for k, s in systems.items()}
 
 
 def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samples=None):
@@ -365,14 +365,14 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
     its data and E_up = a_k(S + lift, S + lift) >= a_k(s, s), 0 without a
     corner.  Its data, load, lift and (unless N > 2 and k = 2) constraint
     set are dropped there: it gets no system, basis or basis right-hand
-    side, but a zero field, C^k = 0j, energy 0.0 and CGInfo(0, bound / F).
-    Every other mode pairs its data with S + lift of its class (mode 2's for
-    k > 2) into f_s0 (see _paired): no data are alive from the assembly on.
-    Every other system k <= 2, and the mode-2 one whenever N > 2, is
+    side, but the record of a mode skipped whole (see ModeRecord) with
+    CGInfo(0, bound / F).  Every other mode pairs its data with S + lift of
+    its class (mode 2's for k > 2) into f_s0 (see _paired): no data are
+    alive from the assembly on.  Every other system k <= 2, and the mode-2
+    one whenever N > 2 (compute_basis lifts its basis if mode 2 is skipped), is
     assembled once, with its multigrid hierarchy on a large mesh that nests
     (see modal_ops.assemble_systems), and serves its basis and its mode
-    solve; each k > 2 system is shifted from the mode-2 system in its
-    mode's solve.  The modes are solved in order of k.
+    solve.  Modes are solved in order of k, a k > 2 one on a shift of mode 2's.
     """
     quad = MeshQuadrature(mesh, corner)
     fmodes = analyze_rhs(f, N, quad.xy, samples)
@@ -394,10 +394,8 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
             skipped[k] = _unsolved(bound, floor, tol)
         if skipped[k] is not None:  # nothing of the mode's data is read again
             del data[k], loads[k]
-        if skipped[k] is not None and not (k == 2 and N > 2):  # mode 2's basis serves k > 2
-            del classes[k]  # no system of its class is built
-        elif start is not None and skipped[k] is not None:
-            lifted[k] = start, -classes[k].functional(start.pairings(ws, k))
+            if not (k == 2 and N > 2):  # mode 2's basis serves k > 2; compute_basis lifts it
+                del classes[k]  # no system of its class is built
         elif start is not None:  # the basis right-hand side, and f_s0 from the same rows
             f_s0[k], y = _pair(ws, data.pop(k), start, k, classes[k])
             lifted[k] = start, -y

@@ -173,22 +173,26 @@ def test_bordered_modes_report_cg_diagnostics(tmp_path):
 
 
 def test_bordered_modes_report_the_basis_energy(tmp_path, lshape, lshape_quad):
-    """The basis_energy of a |k| > 2 row is alpha = a_k(s, s) of the reused
-    mode-2 basis s, the last diagonal entry of the bordered matrix."""
-    rc = main([
-        "solve", "--h", "0.1", "--modes", "3", "--outdir", str(tmp_path),
-    ])
-    assert rc == 0
-    header, rows = read_csv(tmp_path / "summary.csv")
-    by_k = {int(row[0]): dict(zip(header, row)) for row in rows}
+    """The basis_energy of a solved |k| > 2 row is alpha = a_k(s, s) of the
+    reused mode-2 basis s, the last diagonal entry of the bordered matrix;
+    with --modes 4, mode 4 is round-off and skipped whole, and its rows
+    read 0."""
     msh, _ = lshape
     system2 = modal_ops.assemble_a_k(msh, 2, SPACE_Y, quad=lshape_quad)
     basis2 = singular.compute_basis(system2)
     system3 = system2.shifted(3)
     alpha = _chunked_norm_sq(system3.ws, basis2.op_arrays(system3.ws, 3))
-    assert header[-1] == "basis_energy"
-    for k in (3, -3):
-        assert float(by_k[k]["basis_energy"]) == alpha
+    for modes in (3, 4):
+        out = tmp_path / str(modes)
+        assert main(["solve", "--h", "0.1", "--modes", str(modes), "--outdir", str(out)]) == 0
+        header, rows = read_csv(out / "summary.csv")
+        by_k = {int(row[0]): dict(zip(header, row)) for row in rows}
+        assert header[-1] == "basis_energy"
+        for k in (3, -3):
+            assert int(by_k[k]["iterations"]) > 0
+            assert float(by_k[k]["basis_energy"]) == alpha
+    for k in (4, -4):
+        assert int(by_k[k]["iterations"]) == 0 and float(by_k[k]["basis_energy"]) == 0.0
 
 
 def test_singular_and_solve_report_one_basis_energy(tmp_path, lshape, lshape_quad):

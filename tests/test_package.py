@@ -62,7 +62,8 @@ _README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     ("modal_ops", "OperatorWorkspace.adjoint_chunks"), ("modal_ops", "OperatorWorkspace.op_adjoint"),
     ("singular", "SingularBasis.pairings"), ("singular", "lift_basis"),
     ("modal_ops", "assemble_a_k"), ("modal_ops", "assemble_systems"), ("modal_ops", "coarse_levels"),
-    ("modal_ops", "shifted_system"),
+    ("modal_ops", "shifted_system"), ("solver", "solve_mode_orthogonal"),
+    ("solver", "solve_mode_bordered"), ("singular", "compute_basis"), ("solver", "compute_bases"),
 ])
 def test_readme_signatures_match_the_code(module, name):
     """Every `name(...)` span of README spells the function's signature as

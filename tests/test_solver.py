@@ -652,7 +652,8 @@ def test_round_off_modes_are_skipped_before_their_system(lshape, lshape_quad, mo
     reads gets none.
     Mode 1 is solved bit for bit as on its own system and basis from its
     data, with the same floor.  With N = 3 the mode-2 system and basis are built
-    for the bordered mode 3, and mode 2 is still skipped; exactly zero data
+    for the bordered mode 3, and mode 2 is still skipped; mode 3 is round-off
+    too and, skipped whole, keeps no basis and no energy.  Exactly zero data
     build nothing but the mode-2 basis that N = 3 needs."""
     msh, corner = lshape
     tol = 1e-10
@@ -682,7 +683,7 @@ def test_round_off_modes_are_skipped_before_their_system(lshape, lshape_quad, mo
     assert calls["assemble_a_k"] == [1, 2] and calls["compute_basis"] == [1, 2]
     assert calls["functional"] == 4 + 2  # mode 3 is round-off: no coupling is formed
     _assert_skipped(sol.records[2], _rule_bounds(msh, corner, SPACE_X, _cos_theta_ez, 3)[0][2])
-    assert sol.records[3].basis.k == 2
+    assert sol.records[3].basis is None and sol.records[3].energy == 0.0
 
     for N in (2, 3):
         monkeypatch.undo()
@@ -694,6 +695,39 @@ def test_round_off_modes_are_skipped_before_their_system(lshape, lshape_quad, mo
         for rec in sol.records.values():
             assert rec.cg == linalg.CGInfo(0, 0.0) and rec.coeff == 0j
             assert not rec.field.values.any()
+
+
+def test_a_skipped_bordered_mode_reads_no_basis(lshape, lshape_quad, monkeypatch):
+    """Bandlimited data on the h = 0.1 L-shape, magnetic, N = 4: mode 3 is
+    solved and mode 4 is round-off.  The basis rows are read once per
+    lift with its f_s0 (modes 0 to 2), once for the f_s0 of each |k| > 2
+    mode, once per a_k(s, s) of a solved basis and once for mode 3's
+    coupling; mode 4, skipped whole, reads none in its solve.  Its record
+    is zero with no basis and no energy, and its CGInfo is that of the
+    bordered solve of its own shifted system, reused basis and data."""
+    msh, corner = lshape
+    tol = 1e-10
+    op_chunks, calls = singular.SingularBasis.op_chunks, []
+
+    def counted(self, ws, k):
+        calls.append(k)
+        return op_chunks(self, ws, k)
+
+    monkeypatch.setattr(singular.SingularBasis, "op_chunks", counted)
+    sol = solver.solve_axisymmetric(msh, SPACE_Y, _bandlimited, N=4, corner=corner, tol=tol)
+    monkeypatch.undo()
+    assert calls == [0, 1, 2, 3, 4, 0, 1, 2, 3]
+    assert [sol.records[k].cg.iterations > 0 for k in range(5)] == [True] * 4 + [False]
+    rec = sol.records[4]
+    assert not rec.field.values.any() and type(rec.coeff) is complex and rec.coeff == 0j
+    assert rec.basis is None and rec.energy == 0.0
+    system2 = modal_ops.assemble_a_k(msh, 2, SPACE_Y, quad=lshape_quad)
+    basis2 = singular.compute_basis(system2, tol=tol)
+    fmode = solver.analyze_rhs(_bandlimited, 4, lshape_quad.xy)[4]
+    data = np.c_[fmode, np.zeros(len(fmode))]
+    F = _rule_bounds(msh, corner, SPACE_Y, _bandlimited, 4)[1]
+    ref = solver.solve_mode_bordered(system2.shifted(4), data, basis2, tol=tol, floor=F)
+    assert rec.cg == ref.cg and 0.0 < rec.cg.residual <= tol
 
 
 @pytest.mark.parametrize("share", [10.0, 0.1])
@@ -779,20 +813,35 @@ def _at_assembly(monkeypatch, check):
 def test_no_lift_of_a_dropped_class_reaches_the_assembly(lshape, monkeypatch):
     """cos(theta) e_z data skip modes 0 and 2 (N = 2), and their classes are
     dropped: when assemble_systems starts, neither of their lifts is alive,
-    while mode 1's, which its basis solve starts from, is."""
+    while mode 1's, which its basis solve starts from, is.  With N = 3
+    mode 2 is skipped but its class is kept for mode 3: its lift is dead
+    at the assembly too, and compute_basis lifts mode 2 anew, so its basis
+    is that of compute_basis on the mode-2 system bit for bit."""
     msh, corner = lshape
-    lift_basis, lifts = singular.lift_basis, {}
+    lift_basis, compute_basis, lifts, bases = singular.lift_basis, singular.compute_basis, {}, {}
 
     def recording(constraints, quad):
         lifted = lift_basis(constraints, quad)
         lifts[constraints.k] = weakref.ref(lifted)
         return lifted
 
+    def based(system, *args, **kwargs):
+        bases[system.k] = system, compute_basis(system, *args, **kwargs)
+        return bases[system.k][1]
+
     monkeypatch.setattr(singular, "lift_basis", recording)
+    monkeypatch.setattr(singular, "compute_basis", based)
     seen = _at_assembly(monkeypatch, lambda classes: (
         sorted(classes), {k: ref() is not None for k, ref in lifts.items()}))
     solver.solve_axisymmetric(msh, SPACE_X, _cos_theta_ez, N=2, corner=corner)
     assert seen == [([1], {0: False, 1: True, 2: False})]
+    seen.clear()
+    sol = solver.solve_axisymmetric(msh, SPACE_X, _cos_theta_ez, N=3, corner=corner)
+    assert seen == [([1, 2], {0: False, 1: True, 2: False})]
+    assert [sol.records[k].cg.iterations > 0 for k in range(4)] == [False, True, False, False]
+    system2, basis2 = bases[2]
+    ref = compute_basis(system2)
+    assert basis2.regular.values.tobytes() == ref.regular.values.tobytes() and basis2.cg == ref.cg
 
 
 def test_the_data_of_a_skipped_mode_die_before_the_assembly(lshape, monkeypatch):

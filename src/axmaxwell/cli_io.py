@@ -292,12 +292,13 @@ def build_mesh(args):
 
 def _check_sizes(args, msh, corner):
     """Check against mesh.MAX_ENTRIES, before any of them exists, the largest
-    arrays of a run's analysis, M x Q samples (Q from femcore.quadrature_runs)
-    and the (N + 1) x M projection, and of the synthesis at T azimuths,
-    T x nv x 3 values and T x nt x 6 wedge indices."""
+    arrays of a run's analysis, the (N + 1) x 3Q entries of the per-mode
+    arrays (Q from femcore.quadrature_runs) and the (N + 1) x M projection,
+    which also bounds a one-point block of samples, and of the synthesis at
+    T azimuths, T x nv x 3 values and T x nt x 6 wedge indices."""
     M = solver.theta_samples(args.modes, getattr(args, "theta_samples", None))
     Q = sum(len(tris) * n for tris, n in femcore.quadrature_runs(msh, corner))
-    sizes = {"analysis samples M x Q": M * Q,
+    sizes = {"per-mode analysis arrays (N + 1) x 3Q": (args.modes + 1) * 3 * Q,
              "projection (N + 1) x M": (args.modes + 1) * M,
              "synthesis T x max(3 nv, 6 nt)":
                  getattr(args, "azimuths", 0) * max(3 * msh.num_vertices, 6 * msh.num_triangles)}

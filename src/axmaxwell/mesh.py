@@ -24,7 +24,8 @@ ANGLE_TOL = 1e-6
 # the most entries of any array that a run's options size: the vertices of a
 # generated grid here, and the analysis, projection and synthesis arrays of
 # the command line (cli_io); far above the largest array of the benchmark
-# workloads, 9 x 67,536 analysis samples
+# workloads, 64 x 2,400 x 6 synthesized wedge indices (the largest analysis
+# arrays: 3 x 67,536 per mode and 9 x 8,192 samples per data call)
 MAX_ENTRIES = 20_000_000
 
 

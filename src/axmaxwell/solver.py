@@ -30,6 +30,7 @@ from .linalg import CGInfo, solve_bordered, solve_hpd
 
 _TWO_PI = 2.0 * math.pi
 _NORM = 1.0 / math.sqrt(_TWO_PI)
+_ANALYSIS_ENTRIES = 1 << 17  # the most samples, M x block, of one data call of the analysis
 
 
 @dataclass
@@ -99,8 +100,11 @@ def theta_samples(N, samples=None):
 
 
 def _theta_grid(N, samples):
+    """The grid of theta_samples(N, samples) points, its (N+1, M) cos(k theta) and -sin(k theta)."""
     M = theta_samples(N, samples)
-    return np.arange(M) * (_TWO_PI / M)
+    theta = np.arange(M) * (_TWO_PI / M)
+    kt = np.outer(np.arange(N + 1), theta)
+    return theta, np.cos(kt), np.sin(-kt)  # exactly -sin(k theta): sine is odd
 
 
 def _real(values, what):
@@ -110,14 +114,13 @@ def _real(values, what):
     return np.real(values)
 
 
-def _project(x, N):
+def _project(x, C, S):
     """Modes 0..N of real samples x, shape (M, n), on the uniform theta grid:
-    the (N+1, n) complex scale*(C @ x) - 1j*scale*(S @ x), with C and S the
-    (N+1, M) matrices cos(k theta_j), sin(k theta_j), scale = sqrt(2 pi)/M."""
-    kt = np.outer(np.arange(N + 1), _theta_grid(N, len(x)))
-    out = np.empty((N + 1, x.shape[1]), dtype=complex)
-    out.real = np.cos(kt) @ x
-    out.imag = np.sin(-kt) @ x  # exactly -(S @ x): sine is odd
+    the (N+1, n) complex scale*(C @ x) + 1j*scale*(S @ x), with C and S the
+    matrices of _theta_grid and scale = sqrt(2 pi)/M."""
+    out = np.empty((len(C), x.shape[1]), dtype=complex)
+    out.real = C @ x
+    out.imag = S @ x
     out *= math.sqrt(_TWO_PI) / len(x)
     return out
 
@@ -131,43 +134,49 @@ def analyze_samples(values, N):
     array} for k = 0..N with the 1/sqrt(2 pi) convention.
     """
     values = _real(np.asarray(values), "samples")
-    modes = _project(values.reshape(len(values), -1), N)
+    modes = _project(values.reshape(len(values), -1), *_theta_grid(N, len(values))[1:])
     return {k: modes[k].reshape(values.shape[1:]) for k in range(N + 1)}
 
 
 def _analyze_data(data, N, points, samples, vector):
-    """Sample data(r, theta, z) on the theta grid at meridian points in one
-    call and analyze the samples; vector data returns three components,
-    scalar data one.  The data must be real (mode -k is taken as the
-    conjugate of mode k): a component with a nonzero imaginary part raises
-    ValueError.  Each component is projected as a real (M, P) array and
-    dropped; every mode gets its own array, which its solve can free."""
-    theta = _theta_grid(N, samples)
+    """Sample data(r, theta, z) on the theta grid at meridian points, once per
+    block of points in point order, and analyze the samples; vector data
+    returns three components, scalar data one.  A block is the most points,
+    a power of two (which kept the workloads' modes bit for bit against one
+    call on all points), whose M x block samples fit _ANALYSIS_ENTRIES, and
+    at least one.  The data must be real (mode -k is taken as the conjugate
+    of mode k): a component with a nonzero imaginary part raises ValueError.
+    Each component of a block is projected as a real (M, block) array into
+    the mode arrays, one per mode, which its solve can free."""
+    theta, C, S = _theta_grid(N, samples)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    comps = data(pts[None, :, 0], theta[:, None], pts[None, :, 1])
-    if vector and len(comps) != 3:
-        raise ValueError(f"vector data must return 3 components, got {len(comps)}")
-    comps = list(comps) if vector else [comps]
-    out = [np.empty((len(pts), len(comps)), dtype=complex) for _ in range(N + 1)]
-    for c in range(len(comps)):
-        x = _real(comps[c], f"data component {c}")
-        comps[c] = None  # drop our reference: the component dies once projected
-        x = np.ascontiguousarray(np.broadcast_to(x, (len(theta), len(pts))), dtype=float)
-        modes = _project(x, N)
-        del x
-        for k in range(N + 1):
-            out[k][:, c] = modes[k]
+    block = 1 << (max(1, _ANALYSIS_ENTRIES // len(theta)).bit_length() - 1)
+    out = [np.empty((len(pts), 3 if vector else 1), dtype=complex) for _ in range(N + 1)]
+    for start in range(0, len(pts), block):
+        part = pts[start:start + block]
+        comps = data(part[None, :, 0], theta[:, None], part[None, :, 1])
+        if vector and len(comps) != 3:
+            raise ValueError(f"vector data must return 3 components, got {len(comps)}")
+        comps = list(comps) if vector else [comps]
+        for c in range(len(comps)):
+            x = _real(comps[c], f"data component {c}")
+            comps[c] = None  # drop our reference: the component dies once projected
+            x = np.ascontiguousarray(np.broadcast_to(x, (len(theta), len(part))), dtype=float)
+            modes = _project(x, C, S)
+            for k in range(N + 1):
+                out[k][start:start + block, c] = modes[k]
     return {k: out[k] if vector else out[k][:, 0] for k in range(N + 1)}
 
 
 def analyze_rhs(f, N, points, samples=None):
     """Fourier coefficients of vector data f(r, theta, z) at meridian points.
 
-    f is called once, with r and z of shape (1, P) and theta of shape
-    (M, 1), and returns three real components that broadcast to (M, P);
-    each is projected onto the modes by two real matrix products, and no
-    complex sample array is built.  Returns {k: (P, 3) complex array}, one
-    array per mode.  M must meet the anti-aliasing bound M >= 4N + 1; the
+    f is called once per block of points (see _analyze_data), in point
+    order, with r and z of shape (1, B) and theta of shape (M, 1), and
+    returns three real components that broadcast to (M, B); each is
+    projected onto the modes by two real matrix products, and no complex
+    sample array is built.  Returns {k: (P, 3) complex array}, one array
+    per mode.  M must meet the anti-aliasing bound M >= 4N + 1; the
     default is M = 4 max(N, 1) + 1, which is 5 at N = 0.
     """
     return _analyze_data(f, N, points, samples, True)
@@ -175,8 +184,8 @@ def analyze_rhs(f, N, points, samples=None):
 
 def analyze_scalar_rhs(g, N, points, samples=None):
     """Fourier coefficients of scalar data g(r, theta, z), called as f in
-    analyze_rhs and returning one array that broadcasts to (M, P); returns
-    {k: (P,) complex array}."""
+    analyze_rhs, once per block of points, and returning one array that
+    broadcasts to (M, B); returns {k: (P,) complex array}."""
     return _analyze_data(g, N, points, samples, False)
 
 
@@ -343,9 +352,10 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
     and collect a FourierSolution.
 
     f is the real 3D vector data and g the optional real scalar divergence
-    data, each called once on broadcastable arrays (r, theta, z) (see
-    analyze_rhs).  Modes k = 0..N are analysed and solved; the data are
-    real, so mode -k is the conjugate of mode k and is not stored.
+    data, each called once per block of points on broadcastable arrays
+    (r, theta, z) (see analyze_rhs).  Modes k = 0..N are analysed and
+    solved; the data are real, so mode -k is the conjugate of mode k and is
+    not stored.
 
     Every mode stops against the whole data: ||b_k - A_k x_k|| <=
     tol * max(||b_k||, F), with F = ||b|| / sqrt(2N + 1) the fair share of

@@ -468,11 +468,11 @@ def test_oversized_run_fails_before_outdir_exists(tmp_path, capsys, monkeypatch,
 
 
 def test_largest_run_under_the_limit_passes_the_size_check(monkeypatch):
-    """The analysis sizes are compared with MAX_ENTRIES as they are: M x Q
-    with Q the quadrature's point count, (N + 1) x M, and T x max(3 nv,
-    6 nt) for a synthesis."""
+    """The analysis sizes are compared with MAX_ENTRIES as they are: the
+    per-mode arrays (N + 1) x 3Q with Q the quadrature's point count,
+    (N + 1) x M, and T x max(3 nv, 6 nt) for a synthesis."""
     msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.1)
-    limit = 13 * len(MeshQuadrature(msh, corner).w)
+    limit = 4 * 3 * len(MeshQuadrature(msh, corner).w)  # N = 3
 
     def synthesize(azimuths):  # M = 13
         return cli_io.parse_args(["synthesize", "--modes", "3", "--theta-samples", str(azimuths)])
@@ -484,17 +484,27 @@ def test_largest_run_under_the_limit_passes_the_size_check(monkeypatch):
     with pytest.raises(cli_io.UsageError, match="synthesis"):
         cli_io._check_sizes(synthesize(limit // (6 * msh.num_triangles) + 1), msh, corner)
     monkeypatch.setattr(mesh, "MAX_ENTRIES", limit - 1)
-    with pytest.raises(cli_io.UsageError, match="analysis samples"):
+    with pytest.raises(cli_io.UsageError,
+                       match=r"per-mode analysis arrays \(N \+ 1\) x 3Q = 16632 entries"):
         cli_io._check_sizes(solve, msh, corner)
 
 
 def test_fine_many_mode_run_passes_the_size_check():
-    """solve --h 0.0125 --modes 24 analyses 97 x 67,536 samples, far below
-    MAX_ENTRIES; a bound of 28 points per triangle counted 26,073,600."""
+    """solve --h 0.0125 --modes 24 keeps 25 x 3 x 67,536 = 5,065,200 entries
+    of per-mode arrays, far below MAX_ENTRIES; a bound of 28 points per
+    triangle counted 26,073,600."""
     args = cli_io.parse_args(["solve", "--h", "0.0125", "--modes", "24"])
     msh, corner = cli_io.build_mesh(args)
     assert len(MeshQuadrature(msh, corner).w) == 67_536
     cli_io._check_sizes(args, msh, corner)
+
+
+def test_many_theta_samples_pass_the_size_check():
+    """The analysis calls the data on blocks of points, so no M x Q array
+    exists: solve --h 0.0125 --modes 24 --theta-samples 400 passes the check
+    on its 5,065,200 per-mode entries, where M x Q is 27,014,400."""
+    args = cli_io.parse_args(["solve", "--h", "0.0125", "--modes", "24", "--theta-samples", "400"])
+    cli_io._check_sizes(args, *cli_io.build_mesh(args))
 
 
 @pytest.mark.parametrize("exc, message", [

@@ -121,6 +121,12 @@ def _einsum_analysis(values, N):
     }
 
 
+def _indexed_points(rng, P):
+    """P meridian points whose r is the point's index, for data that read
+    their samples from a (M, P, ...) array by the points they get."""
+    return np.c_[np.arange(P), rng.uniform(size=P)]
+
+
 def test_analysis_matches_complex_einsum(rng):
     # coarse_highmode's shape: M = 97 samples, N = 24, P = 4,536 points
     M, N, P = 97, 24, 4536
@@ -128,8 +134,8 @@ def test_analysis_matches_complex_einsum(rng):
     want = _einsum_analysis(values, N)
     from_samples = solver.analyze_samples(values, N)
     from_data = solver.analyze_rhs(
-        lambda r, th, z: tuple(values[:, :, c] for c in range(3)), N,
-        rng.uniform(size=(P, 2)), samples=M,
+        lambda r, th, z: tuple(values[:, r[0].astype(int), c] for c in range(3)), N,
+        _indexed_points(rng, P), samples=M,
     )
     for k in range(N + 1):
         bound = 1e-14 * np.abs(want[k]).max()
@@ -137,18 +143,45 @@ def test_analysis_matches_complex_einsum(rng):
         assert np.abs(from_data[k] - want[k]).max() <= bound
 
 
+@pytest.mark.parametrize("M, N, P", [(97, 24, 4536), (2 ** 17 + 1, 2, 3)],
+                         ids=["coarse_highmode", "one-point-blocks"])
+def test_analysis_calls_the_data_per_block_of_points(rng, M, N, P):
+    """Each data call gets at most _ANALYSIS_ENTRIES samples (one point at
+    least); the blocks are powers of two but the last, cover every point
+    once, in order, and give the modes of one analysis of all samples."""
+    values = rng.normal(size=(M, P, 3))
+    blocks = []
+
+    def data(r, th, z):
+        blocks.append(r[0].astype(int))
+        return tuple(values[:, blocks[-1], c] for c in range(3))
+
+    got = solver.analyze_rhs(data, N, _indexed_points(rng, P), samples=M)
+    sizes = [len(b) for b in blocks]
+    assert all(M * n <= max(M, solver._ANALYSIS_ENTRIES) for n in sizes)
+    assert all(n & (n - 1) == 0 for n in sizes[:-1]) and len(set(sizes[:-1])) <= 1
+    assert np.array_equal(np.concatenate(blocks), np.arange(P))
+    want = solver.analyze_samples(values, N)
+    for k in range(N + 1):
+        assert np.abs(got[k] - want[k]).max() <= 1e-14 * np.abs(want[k]).max()
+
+
 def test_analysis_peak_memory_and_separate_mode_arrays():
+    """The analysis holds the per-mode arrays and the samples of one block
+    of points: no (M, P) array exists."""
     msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.05)
     quad = MeshQuadrature(msh, corner)
     N = 24
-    components = 3 * (4 * N + 1) * len(quad.xy) * 8  # three real (M, P) arrays
+    M, P = 4 * N + 1, len(quad.xy)
+    block = M * 1024 * 8  # one real (M, block) array: 2^17 // 97 = 1,351, so 1,024 points
+    per_mode = (N + 1) * P * 3 * 16
     tracemalloc.start()
     try:
         modes = solver.analyze_rhs(RHS_BUILTINS["bandlimited"], N, quad.xy)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * components
+    assert peak < per_mode + 6 * block
     arrays = [modes[k] for k in range(N + 1)]
     for i, a in enumerate(arrays):
         assert a.shape == (len(quad.xy), 3)

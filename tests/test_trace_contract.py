@@ -37,9 +37,9 @@ def test_reference_condition_number(monkeypatch):
     assert np.isfinite(kappa) and kappa > 1.0
 
 
-def test_traced_file_rhs_calls_data_once(monkeypatch, tmp_path):
-    """A tabulated right-hand side is analyzed with one data call and one
-    interpolation, however many theta samples and quadrature points."""
+def _traced_file_rhs(monkeypatch, tmp_path, options):
+    """The traced summary of a solve at h = 0.1 (1,386 quadrature points)
+    with modes 2 and a tabulated right-hand side."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import layers
 
@@ -56,13 +56,27 @@ def test_traced_file_rhs_calls_data_once(monkeypatch, tmp_path):
         rc = cli_io.main([
             "solve", "--h", "0.1", "--modes", "2", "--rhs", f"file:{table}",
             "--outdir", str(tmp_path / "out"),
-        ])
+        ] + options)
     finally:
         tracer.uninstall()
     assert rc == 0
-    summary = tracer.summary()
+    return tracer.summary()
+
+
+def test_traced_file_rhs_calls_data_once(monkeypatch, tmp_path):
+    """A tabulated right-hand side is analyzed with one data call and one
+    interpolation in a run whose M x Q fits one block."""
+    summary = _traced_file_rhs(monkeypatch, tmp_path, [])  # 9 x 1,386 samples
     assert summary["solver.rhs_evals"] == 1
     assert summary["femcore.interpolate_calls"] == 1
+
+
+def test_traced_file_rhs_calls_data_per_block(monkeypatch, tmp_path):
+    """Points that span several blocks make one data call and one
+    interpolation per block: 2^17 // 257 = 510, so blocks of 256 points,
+    and 6 blocks of the 1,386 points."""
+    summary = _traced_file_rhs(monkeypatch, tmp_path, ["--theta-samples", "257"])
+    assert summary["solver.rhs_evals"] == summary["femcore.interpolate_calls"] == 6
 
 
 def test_traced_high_mode_solve_shares_the_mode_two_class(monkeypatch, tmp_path):

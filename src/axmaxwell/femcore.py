@@ -134,15 +134,12 @@ class ModeField:
         return ModeField(self.mesh, self.k, self.values + other.values)
 
 
-def _candidates(verts, num_points):
+def _candidates(verts):
     """Uniform grid over the triangles' bounding boxes, padded so that every
     point _locate finds inside a triangle lies in its box: returns (origin,
     size, shape, start, cand), the triangles whose box meets cell c being
-    cand[start[c]:start[c + 1]], in increasing order.  Points that fit one
-    block of pairs with every triangle get one cell, which holds them all."""
+    cand[start[c]:start[c + 1]], in increasing order."""
     nt = len(verts)
-    if num_points * nt <= _LOCATE_PAIRS:
-        return np.zeros(2), 1.0, np.ones(2, dtype=np.int64), np.array([0, nt]), np.arange(nt)
     lo, hi = verts.min(axis=1), verts.max(axis=1)
     # coordinates >= -_GEOM_TOL keep a point within 2 _GEOM_TOL times the
     # extent of the box; the rest of the pad covers their round-off
@@ -190,7 +187,7 @@ def _locate(mesh, points):
     d1 = verts[:, 1] - v0
     d2 = verts[:, 2] - v0
     det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    origin, size, shape, start, cand = _candidates(verts, len(flat))
+    origin, size, shape, start, cand = _candidates(verts)
     ij = _cell(flat, origin, size, shape)
     cell = ij[:, 1] * shape[0] + ij[:, 0]
     count = start[cell + 1] - start[cell]

@@ -329,18 +329,18 @@ class ModeSystem:
     """Assembled constrained system for one (mode, space) pair.
 
     The constraint set gives the mesh, mode and space; the matrix is E(k)
-    of the workspace ws of the quadrature quad reduced on its free dofs,
-    and mass, on a mode +-2 system assembled with mass only, the (u/r, v/r)
-    form on its pattern, from which a |k| > 2 system is shifted (shifted).
+    of the workspace ws of the quadrature quad reduced on its free dofs.
+    Every mode +-2 system is a shift base, its mass the (u/r, v/r) form on
+    its pattern, from which a |k| > 2 system is shifted (shifted).
 
     hierarchy is the multigrid preconditioner of the matrix (None: Jacobi)
-    and coarse the ShiftBase of each coarse level, for the |k| > 2 systems
-    shifted from this one; assemble_systems sets both before it returns
-    the system.  Nothing writes to a system afterwards, so one
-    system serves the singular basis and the mode solve.
+    and coarse, on a mode +-2 system, the ShiftBase of each coarse level;
+    assemble_systems sets both before it returns the system.  Nothing
+    writes to a system afterwards, so one system serves the singular basis
+    and the mode solve.
     """
 
-    def __init__(self, constraints, quad, mass=True):
+    def __init__(self, constraints, quad):
         self.constraints = c = constraints
         if quad.mesh is not c.mesh:
             raise ValueError("quadrature and constraints are on different meshes")
@@ -348,7 +348,7 @@ class ModeSystem:
         self.quad, self.ws = quad, workspace(quad)
         pattern = _Pattern(c, self.ws)  # its int32 slots die with this call
         self.matrix = pattern.matrix(self.ws, self.k)
-        self.mass = pattern.mass(self.ws) if mass and abs(self.k) == 2 else None
+        self.mass = pattern.mass(self.ws) if abs(self.k) == 2 else None
         self.hierarchy, self.coarse = None, []
 
     def shifted(self, k):
@@ -372,31 +372,31 @@ class ModeSystem:
         return self.constraints.functional(self.ws.op_adjoint(vec, self.k))
 
 
-def assemble_a_k(mesh, k, space, quad, constraints=None, mass=True):
-    """Assemble the constrained a_k system on the quadrature quad (and its constraint set, built
-    here unless given) on free dofs, with the mass of a mode +-2 system unless mass is false."""
-    return ModeSystem(constraints or femcore.build_constraints(mesh, k, space), quad, mass)
+def assemble_a_k(mesh, k, space, quad, constraints=None):
+    """Assemble the constrained a_k system on the quadrature quad (and its
+    constraint set, built here unless given) on free dofs (see ModeSystem)."""
+    return ModeSystem(constraints or femcore.build_constraints(mesh, k, space), quad)
 
 
-def assemble_systems(classes, quad, shift=False):
+def assemble_systems(classes, quad):
     """The a_k systems of the constraint sets classes on one quadrature,
     keyed by k like classes, each with its multigrid hierarchy when it has
     at least MULTIGRID_MIN_DOFS free dofs and the mesh nests (see
-    coarse_levels).  Only with shift do the mode +-2 systems form a mass,
-    on the fine mesh and on each coarse level, and keep their coarse
-    levels, which the |k| > 2 systems shifted from them read.
+    coarse_levels).  A mode +-2 system is a shift base on every level: it
+    forms a mass on the fine mesh and on each coarse level and keeps its
+    coarse levels, which the |k| > 2 systems shifted from it read.
 
     The hierarchies are built after all fine systems, and the coarse
     quadratures are dropped after them: the coarse workspaces then never
     coexist with the temporaries of a fine assembly.
     """
-    systems = {k: assemble_a_k(quad.mesh, k, c.space, quad, c, shift) for k, c in classes.items()}
+    systems = {k: assemble_a_k(quad.mesh, k, c.space, quad, c) for k, c in classes.items()}
     levels = None
-    for k, system in systems.items():
+    for system in systems.values():
         if system.matrix.n >= MULTIGRID_MIN_DOFS:
             if levels is None:
                 levels = coarse_levels(quad)
-            system.hierarchy, system.coarse = multigrid(system, levels, shift and abs(k) == 2)
+            system.hierarchy, system.coarse = multigrid(system, levels)
     return systems
 
 
@@ -441,23 +441,23 @@ def transfer(fine, coarse, parents):
     return Transfer(index, weight, coarse.n_free)
 
 
-def multigrid(system, levels, keep_coarse=False):
+def multigrid(system, levels):
     """Multigrid hierarchy of an assembled system: a_k of its mode and space
     rediscretised on each coarse level, with the transfers between them.
 
-    Returns (Multigrid, with keep_coarse each level's ShiftBase, its matrix
-    the hierarchy's, else []); empty levels give (None, []).
+    Returns (Multigrid, the ShiftBase of each level, its matrix the
+    hierarchy's, if the mode is +-2, else []); empty levels give (None, []).
     """
     if not levels:
         return None, []
     hierarchy, kept = [], []
     finer = system.constraints
     for msh, parents, quad in levels:
-        coarse = assemble_a_k(msh, system.k, system.space, quad=quad, mass=keep_coarse)
+        coarse = assemble_a_k(msh, system.k, system.space, quad=quad)
         hierarchy.append(Level(coarse.matrix, transfer(finer, coarse.constraints, parents)))
         kept.append(ShiftBase(coarse.k, coarse.matrix, coarse.mass))
         finer = coarse.constraints
-    return Multigrid(hierarchy), kept if keep_coarse else []
+    return Multigrid(hierarchy), kept if abs(system.k) == 2 else []
 
 
 # -- direct and decomposed form values ------------------------------------------

@@ -397,6 +397,7 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
     skipped, lifted, f_s0 = {}, {}, {}
     for k in low:
         start = singular.lift_basis(classes[k], quad) if corner is not None else None
+        start2 = start if k == 2 else None  # mode 2's S + lift: the k > 2 modes pair with it too
         skipped[k] = _unsolved(norms[k], floor, tol)
         if skipped[k] is not None and start is not None:  # the load alone meets the rule
             d_sq = sum(ws.norm_sq(data[k][points], points) for _, points, _ in ws.chunks)  # ||d_k||^2
@@ -410,9 +411,9 @@ def solve_axisymmetric(mesh, space, f, g=None, N=5, corner=None, tol=1e-10, samp
             f_s0[k], y = _pair(ws, data.pop(k), start, k, classes[k])
             lifted[k] = start, -y
             del y
-    f_s0.update((k, _pair(ws, data.pop(k), start, k)) for k in range(3, N + 1) if corner is not None)
-    del start, data  # start: mode 2's S + lift for k > 2; no dropped lift and no data reach the assembly
-    systems = modal_ops.assemble_systems(classes, quad, N > 2)
+    f_s0.update((k, _pair(ws, data.pop(k), start2, k)) for k in range(3, N + 1) if corner is not None)
+    del start, start2, data  # no dropped lift and no data reach the assembly
+    systems = modal_ops.assemble_systems(classes, quad)
     bases = compute_bases(systems, lifted, tol=tol) if corner is not None else {}
     del lifted
 

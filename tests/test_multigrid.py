@@ -89,12 +89,12 @@ def test_multigrid_cg_matches_jacobi_cg(lshape05, space, k):
 
 
 def test_shifted_system_shifts_every_level(lshape05, monkeypatch):
-    """A |k| > 2 system on a mode-2 base that kept its coarse systems has the
-    base's transfers and, per level, the coarse mode-k matrix within
-    round-off of a fresh coarse assembly."""
+    """A |k| > 2 system on a mode-2 base, which keeps its coarse systems,
+    has the base's transfers and, per level, the coarse mode-k matrix
+    within round-off of a fresh coarse assembly."""
     _, _, quad, levels = lshape05
     monkeypatch.setattr(modal_ops, "MULTIGRID_MIN_DOFS", 0)
-    system2 = modal_ops.assemble_systems({2: build_constraints(quad.mesh, 2, SPACE_Y)}, quad, shift=True)[2]
+    system2 = modal_ops.assemble_systems({2: build_constraints(quad.mesh, 2, SPACE_Y)}, quad)[2]
     assert len(system2.coarse) == 1
     system5 = system2.shifted(5)
     assert len(system5.hierarchy.levels) == 1
@@ -161,7 +161,7 @@ def _arrays(obj, seen):
 
 
 def test_shifted_systems_keep_one_mass_per_level_and_no_element_data():
-    """After an assembly for shifts on a mesh with two coarse levels, no
+    """After an assembly on a mesh with two coarse levels, no
     workspace holds per-triangle element blocks, no system holds the int32
     slots of its pattern (81 per triangle), and each mode +-2 level holds
     exactly one real array of its matrix's nnz beyond the matrix: its mass.
@@ -171,7 +171,7 @@ def test_shifted_systems_keep_one_mass_per_level_and_no_element_data():
     msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.025)
     quad = MeshQuadrature(msh, corner)
     classes = {k: build_constraints(msh, k, SPACE_Y) for k in (1, 2, -2)}
-    systems = modal_ops.assemble_systems(classes, quad, shift=True)
+    systems = modal_ops.assemble_systems(classes, quad)
     assert systems[1].mass is None and systems[1].coarse == []
     for k in (2, -2):
         system = systems[k]
@@ -190,11 +190,11 @@ def test_shifted_systems_keep_one_mass_per_level_and_no_element_data():
         assert not any(isinstance(o, np.ndarray) and o.dtype == np.int32 for o in held)
 
 
-def test_the_mass_is_formed_only_where_it_is_shifted(monkeypatch):
-    """_Pattern.mass runs once per level of the mode-2 system when |k| > 2
-    modes are shifted from it (N = 3: the fine mesh and its two coarse
-    levels), and never for an N = 2 solve, which assembles mode 2 too (the
-    L-shape at h = 0.025, whose mode systems carry a hierarchy)."""
+def test_every_mode_two_system_forms_its_mass_on_every_level(monkeypatch):
+    """_Pattern.mass runs once per level of the mode-2 system, the fine mesh
+    and its two coarse levels, whether |k| > 2 modes are shifted from it
+    (N = 3) or not (N = 2), and for no other mode (the L-shape at
+    h = 0.025, whose mode systems carry a hierarchy)."""
     msh, corner = mesh.gen_lshape(0.5, 0.5, 1.0, 0.0, 1.0, 0.025)
     mass, calls = modal_ops._Pattern.mass, []
 
@@ -203,7 +203,7 @@ def test_the_mass_is_formed_only_where_it_is_shifted(monkeypatch):
         return mass(self, ws)
 
     monkeypatch.setattr(modal_ops._Pattern, "mass", counted)
-    for N, want in ((2, []), (3, [2, 2, 2])):
+    for N, want in ((2, [2, 2, 2]), (3, [2, 2, 2])):
         calls.clear()
         sol = solver.solve_axisymmetric(msh, SPACE_Y, RHS_BUILTINS["bandlimited"], N=N, corner=corner)
         assert sol.records[2].cg.iterations > 0

@@ -397,8 +397,7 @@ def test_full_solve_with_divergence_data(rect):
     quad = MeshQuadrature(rect)
     fmodes = solver.analyze_rhs(_bandlimited, N, quad.xy)
     gmodes = solver.analyze_scalar_rhs(_divergence_data, N, quad.xy)
-    systems = modal_ops.assemble_systems({k: femcore.build_constraints(rect, k, SPACE_Y) for k in range(3)},
-                                         quad, shift=True)
+    systems = modal_ops.assemble_systems({k: femcore.build_constraints(rect, k, SPACE_Y) for k in range(3)}, quad)
     systems[3] = systems[2].shifted(3)
     for k in range(N + 1):
         data = np.zeros((len(quad.xy), 4), dtype=complex)
